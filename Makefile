@@ -5,8 +5,10 @@
 # metrics registry and fleet control plane + the crash fault-injection
 # sweep + the seeded fleet-link chaos sweep (see `make chaos`) + a
 # short fuzz pass over the capture ring and readers, the
-# model deserializer, the cluster-linkage input and the fleet wire
-# decoders + a short sustained-load soak with its leak/latency gates);
+# model deserializer, the packed-symbol codec, the cluster-linkage input
+# and the fleet wire decoders + the benchmark module's own vet and tests
+# (`make bench-smoke`) + a short sustained-load soak with its
+# leak/latency gates);
 # `make test-race` covers the concurrent
 # classifier bank, gateway, online learner, fleet control plane and
 # enforcement plane in full;
@@ -46,7 +48,7 @@ SOAK_DEVICES ?= 10000
 # re-running with the seed it logged.
 CHAOS_SEED ?= $(shell date +%Y%m%d)
 
-.PHONY: all build vet fmt-check vulncheck verify test test-race fuzz crash chaos soak soak-check bench bench-parallel bench-json bench-check clean
+.PHONY: all build vet fmt-check vulncheck verify test test-race fuzz crash chaos soak soak-check bench bench-parallel bench-json bench-check bench-smoke clean
 
 all: verify
 
@@ -72,6 +74,7 @@ verify: vet fmt-check build vulncheck
 	$(MAKE) crash
 	$(MAKE) chaos
 	$(MAKE) fuzz
+	$(MAKE) bench-smoke
 	$(MAKE) soak
 
 build:
@@ -91,6 +94,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzReadPcap$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -fuzz='^FuzzReadPcapNG$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME) ./internal/ml/rf/
+	$(GO) test -fuzz='^FuzzPackRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/features/
 	$(GO) test -fuzz='^FuzzBandedDistance$$' -fuzztime=$(FUZZTIME) ./internal/editdist/
 	$(GO) test -fuzz='^FuzzClusterLinkage$$' -fuzztime=$(FUZZTIME) ./internal/learn/
 	$(GO) test -fuzz='^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
@@ -133,8 +137,15 @@ BENCH_GATE ?= ^(core\.(IdentifySteadyState|IdentifyBatchSteadyState|IdentifyCach
 bench-check:
 	$(GO) run ./cmd/benchreport -delta . -delta-gate '$(BENCH_GATE)'
 
+# bench/ is a module of its own (the root build never sees it) that the
+# driver builds against this checkout's internal/* on every benchmark
+# run. Building and testing it here makes an internal API change that
+# breaks the benchmark fail locally instead of at the driver.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test .
+
 # The sustained-load soak: N modeled devices with steady churn (joins,
-# firmware re-fingerprints, quarantine flaps, unknown clusters feeding
+# leave-and-rejoin cold joins, quarantine flaps, unknown clusters feeding
 # the learner) through the capture fanout, continuously gated on p99
 # HandlePacket, RSS, goroutine growth and journal/snapshot fd leaks. A
 # gate failure dumps pprof goroutine/heap profiles and fails the build.

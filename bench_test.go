@@ -112,7 +112,7 @@ func BenchmarkEditDistanceSingle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = editdist.FingerprintDistance(a, c)
+		_ = editdist.Normalized(a, c)
 	}
 }
 

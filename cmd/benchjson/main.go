@@ -12,6 +12,9 @@
 //	  "date": "2026-08-06",
 //	  "goos": "linux",
 //	  "goarch": "amd64",
+//	  "cores": 2,
+//	  "gomaxprocs": 2,
+//	  "go_version": "go1.24.0",
 //	  "benchmarks": [
 //	    {"name": "FingerprintDistance", "pkg": "iotsentinel/internal/editdist",
 //	     "runs": 97143, "ns_per_op": 12337,
@@ -19,8 +22,12 @@
 //	  ]
 //	}
 //
-// bytes_per_op and allocs_per_op appear only when the run used
-// -benchmem. Repeated results for one benchmark (`-count=N`) are
+// cores and go_version describe the host benchjson runs on — the one
+// that just ran the benchmarks, since `make bench-json` pipes them in —
+// and gomaxprocs is read off the benchmark names' -N suffix; archives
+// from different core counts are not comparable (benchreport -delta
+// refuses them). bytes_per_op and allocs_per_op appear only when the
+// run used -benchmem. Repeated results for one benchmark (`-count=N`) are
 // merged keeping the minimum ns/op — see (*document).merge.
 package main
 
@@ -31,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -49,6 +57,9 @@ type document struct {
 	Date       string      `json:"date"`
 	GOOS       string      `json:"goos,omitempty"`
 	GOARCH     string      `json:"goarch,omitempty"`
+	Cores      int         `json:"cores,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
+	GoVersion  string      `json:"go_version,omitempty"`
 	Benchmarks []benchmark `json:"benchmarks"`
 }
 
@@ -76,6 +87,8 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		*date = time.Now().Format("2006-01-02")
 	}
 	doc.Date = *date
+	doc.Cores = runtime.NumCPU()
+	doc.GoVersion = runtime.Version()
 
 	w := out
 	if *outFile != "" {
@@ -112,10 +125,11 @@ func parse(in io.Reader) (*document, error) {
 		case strings.HasPrefix(line, "pkg: "):
 			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "Benchmark"):
-			b, ok := parseResult(line, pkg)
+			b, procs, ok := parseResult(line, pkg)
 			if !ok {
 				continue // e.g. "BenchmarkFoo-8" alone on a wrapped line
 			}
+			doc.GOMAXPROCS = procs
 			doc.merge(b)
 		}
 	}
@@ -144,21 +158,25 @@ func (d *document) merge(b benchmark) {
 	d.Benchmarks = append(d.Benchmarks, b)
 }
 
-func parseResult(line, pkg string) (benchmark, bool) {
+// parseResult parses one result line, returning the benchmark and the
+// GOMAXPROCS its name carried (1 when the name has no -N suffix, which
+// is how the testing package prints a single-proc run).
+func parseResult(line, pkg string) (benchmark, int, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return benchmark{}, false
+		return benchmark{}, 0, false
 	}
 	name := strings.TrimPrefix(fields[0], "Benchmark")
 	// Strip the -GOMAXPROCS suffix so names are stable across machines.
+	procs := 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	runs, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return benchmark{}, false
+		return benchmark{}, 0, false
 	}
 	b := benchmark{Name: name, Pkg: pkg, Runs: runs}
 	// The remainder is (value, unit) pairs.
@@ -166,7 +184,7 @@ func parseResult(line, pkg string) (benchmark, bool) {
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return benchmark{}, false
+			return benchmark{}, 0, false
 		}
 		switch fields[i+1] {
 		case "ns/op":
@@ -180,5 +198,5 @@ func parseResult(line, pkg string) (benchmark, bool) {
 			b.AllocsPerOp = &n
 		}
 	}
-	return b, seen
+	return b, procs, seen
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -112,5 +113,11 @@ func TestRunRoundTrip(t *testing.T) {
 	}
 	if len(doc.Benchmarks) != 3 {
 		t.Errorf("round-trip lost benchmarks: %d", len(doc.Benchmarks))
+	}
+	// The archive says where it was measured: this host's core count
+	// and toolchain, and the GOMAXPROCS the benchmark names carried.
+	if doc.Cores != runtime.NumCPU() || doc.GoVersion != runtime.Version() || doc.GOMAXPROCS != 8 {
+		t.Errorf("provenance = %d cores, gomaxprocs %d, %q; want %d, 8, %q",
+			doc.Cores, doc.GOMAXPROCS, doc.GoVersion, runtime.NumCPU(), runtime.Version())
 	}
 }

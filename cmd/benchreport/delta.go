@@ -20,7 +20,10 @@ import (
 // benchDoc mirrors the subset of cmd/benchjson's output schema the
 // delta needs.
 type benchDoc struct {
-	Date       string `json:"date"`
+	Date string `json:"date"`
+	// Cores is the archiving host's CPU count (0 in archives that
+	// predate the field).
+	Cores      int `json:"cores"`
 	Benchmarks []struct {
 		Name        string  `json:"name"`
 		Pkg         string  `json:"pkg"`
@@ -102,6 +105,15 @@ func runDelta(out io.Writer, arg string, threshold float64, gate, allow string) 
 	if err != nil {
 		return err
 	}
+	// ns/op on one core and on several are different quantities (the
+	// parallel benchmarks and anything GC-assisted move with the core
+	// count), so a delta across them would gate on the host, not the
+	// code. An archive without the field is of unknown provenance and
+	// only compares with another such archive.
+	if oldDoc.Cores != newDoc.Cores {
+		return fmt.Errorf("refusing to compare %s (%s) with %s (%s): archive the baseline again on this host (make bench-json from the parent commit)",
+			filepath.Base(oldPath), coresLabel(oldDoc.Cores), filepath.Base(newPath), coresLabel(newDoc.Cores))
+	}
 
 	type entry struct {
 		ns     float64
@@ -166,6 +178,13 @@ func runDelta(out io.Writer, arg string, threshold float64, gate, allow string) 
 	}
 	fmt.Fprintln(out, "OK: no benchmark regressed beyond threshold")
 	return nil
+}
+
+func coresLabel(n int) string {
+	if n == 0 {
+		return "core count not recorded"
+	}
+	return fmt.Sprintf("%d cores", n)
 }
 
 // shortKey drops the module prefix so the table stays readable:

@@ -150,3 +150,30 @@ func TestDeltaNeedsTwoArchives(t *testing.T) {
 		t.Error("a single archive must be an error, not a vacuous pass")
 	}
 }
+
+// TestDeltaRefusesDifferentCoreCounts: archives from hosts with
+// different core counts — or one that predates the field — are not
+// compared at all, even where every number looks flat.
+func TestDeltaRefusesDifferentCoreCounts(t *testing.T) {
+	dir := t.TempDir()
+	doc := func(cores string) string {
+		return `{"date": "2026-08-02", ` + cores + `"benchmarks": [
+    {"name": "Fast", "pkg": "iotsentinel/internal/a", "runs": 100, "ns_per_op": 1000, "allocs_per_op": 0}]}`
+	}
+	legacy := writeBench(t, dir, "BENCH_20260801.json", doc(""))
+	one := writeBench(t, dir, "BENCH_20260802.json", doc(`"cores": 1, `))
+	two := writeBench(t, dir, "BENCH_20260803.json", doc(`"cores": 2, `))
+	twoAgain := writeBench(t, dir, "BENCH_20260804.json", doc(`"cores": 2, `))
+	for _, pair := range [][2]string{{one, two}, {legacy, two}, {two, legacy}} {
+		var out bytes.Buffer
+		err := run([]string{"-delta", pair[0] + "," + pair[1]}, &out)
+		if err == nil || !strings.Contains(err.Error(), "refusing to compare") {
+			t.Errorf("%s vs %s: err = %v, want a refusal\n%s", filepath.Base(pair[0]), filepath.Base(pair[1]), err, out.String())
+		}
+	}
+	for _, pair := range [][2]string{{two, twoAgain}, {legacy, legacy}} {
+		if err := run([]string{"-delta", pair[0] + "," + pair[1]}, &bytes.Buffer{}); err != nil {
+			t.Errorf("%s vs %s: same provenance must compare: %v", filepath.Base(pair[0]), filepath.Base(pair[1]), err)
+		}
+	}
+}

@@ -1,5 +1,5 @@
 // Soak mode: sustain a modeled device population with steady churn —
-// joins, firmware-update re-fingerprints, quarantine flaps, unknown
+// joins, leave-and-rejoin cold joins, quarantine flaps, unknown
 // devices clustering into the online learner — through the capture
 // front end for a configured duration, continuously gating on tail
 // latency, RSS, goroutine growth, and state-dir fd leaks. A gate
@@ -41,15 +41,21 @@ import (
 )
 
 // soakFleetCut is the chaos byte budget on the soak fleet link: each
-// connection is torn down after roughly this much traffic (jittered),
-// so a soak long enough to stream a few megabytes of fingerprints
-// exercises the reconnect/replay machinery continuously.
-const soakFleetCut = 1 << 20
+// connection is torn down after roughly this much traffic (jittered).
+// Packed fingerprints are ~100 B each on the wire, so a soak joining a
+// thousand devices a second resets the link every two or three seconds
+// — continuously exercising reconnect and replay without starving the
+// uplink into spool drops (at 48 KiB the session spent most of its time
+// in backoff and shed five fingerprints in six).
+const soakFleetCut = 256 << 10
 
 // soakIdleGap is the gateway idle gap during soak. Device-local
-// virtual clocks jump past it between cycles, so every cycle's first
-// packet finalizes the previous capture and triggers a re-assessment —
-// the firmware-update re-fingerprint churn.
+// virtual clocks jump past it between cycles, so the first packet of
+// the cycle after a cold join finalizes that capture and triggers the
+// assessment. An assessed device is never captured again: until it
+// leaves and rejoins (every 7th cycle) its cycles are plain forwarding,
+// so about 6 of 7 soak cycles exercise the forward path, not the
+// fingerprint path.
 const soakIdleGap = 10 * time.Second
 
 // heldOutProfiles is how many catalog profiles are excluded from
@@ -356,7 +362,7 @@ func runSoak(out io.Writer, cfg soakConfig) error {
 	cm := capture.NewMetrics(reg)
 
 	// The fleet leg: an in-process fleet server reached only through a
-	// seeded chaos dialer that tears the connection down every ~1MB, so
+	// seeded chaos dialer that tears the connection down every ~256 KB, so
 	// the soak's fingerprint stream runs on a permanently flaky uplink.
 	// The gates below must stay green regardless — fleet-link weather
 	// is not allowed to touch the packet path.
@@ -477,9 +483,9 @@ func runSoak(out io.Writer, cfg soakConfig) error {
 							return // fanout closed: teardown
 						}
 					}
-					// Jump the device's clock past the idle gap so its
-					// next cycle finalizes this capture on arrival — a
-					// firmware-update re-fingerprint.
+					// Jump the device's clock past the idle gap: if this
+					// cycle was a cold join, the next cycle's first
+					// packet finalizes the capture and assesses it.
 					d.clock = d.clock.Add(d.offs[len(d.offs)-1] + soakIdleGap + time.Second)
 					d.cycles++
 				}

@@ -193,9 +193,13 @@ func putFrame(dst []byte, ts time.Time, frame []byte) {
 }
 
 // publishLocked flips the current block to the consumer and advances
-// the producer cursor. Empty blocks are not published.
+// the producer cursor. Empty blocks are not published, and neither is a
+// block the producer does not own: on a full ring blocks[pi] is the
+// consumer's oldest unread block (Flush and Close get here without
+// Inject's ownership check), and publishing it again would move pi past
+// a block that was never filled.
 func (r *Ring) publishLocked(b *ringBlock) {
-	if b.nframes == 0 {
+	if b.status.Load() != blockProducer || b.nframes == 0 {
 		return
 	}
 	b.status.Store(blockConsumer)

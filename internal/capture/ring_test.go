@@ -146,6 +146,56 @@ func TestRingPartialBlockFlush(t *testing.T) {
 	r.Close()
 }
 
+// TestRingFlushOnFullRing: with every block published and unread,
+// blocks[pi] belongs to the consumer. Flush (and Close, through the same
+// publish) used to publish it again and step pi past a block that was
+// never filled, so the frames injected next overtook — or, with too few
+// of them to wrap the ring, never reached — the reader.
+func TestRingFlushOnFullRing(t *testing.T) {
+	const blocks, size = 8, 80
+	oneFrame := (frameHeaderLen + size + 7) &^ 7
+	r := NewRing(RingConfig{Blocks: blocks, BlockSize: oneFrame, Lossless: true, Retire: time.Hour})
+	// The reader stays parked while the producer fills all eight
+	// one-frame blocks; the first Flush publishes the last of them.
+	for i := 0; i < blocks; i++ {
+		if err := r.Inject(time.Unix(0, int64(i)), frameFor(i, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Flush()
+	r.Flush() // full ring: nothing of the producer's to publish
+	go func() {
+		defer r.Close()
+		for i := blocks; i < 2*blocks; i++ {
+			if err := r.Inject(time.Unix(0, int64(i)), frameFor(i, size)); err != nil {
+				t.Errorf("inject %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	// A wedged ring parks Recv forever; closing it turns the hang into
+	// a short count.
+	watchdog := time.AfterFunc(10*time.Second, func() { r.Close() })
+	defer watchdog.Stop()
+	n := 0
+	for {
+		fr, err := r.Recv()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fr.Data, frameFor(n, size)) {
+			t.Fatalf("delivery %d is not frame %d: order lost", n, n)
+		}
+		n++
+	}
+	if n != 2*blocks {
+		t.Fatalf("delivered %d of %d frames", n, 2*blocks)
+	}
+}
+
 // TestRingConcurrentProducers hammers Inject from several goroutines
 // and requires every accepted frame to arrive intact (per-producer
 // order is preserved by the producer mutex; cross-producer order is
@@ -254,10 +304,11 @@ func TestFanoutKeepsPerMACOrder(t *testing.T) {
 // ring and requires lossless, bitwise-identical, in-order delivery —
 // the capture-reader analogue of the codec fuzzers in make fuzz.
 func FuzzRingDelivery(f *testing.F) {
-	f.Add([]byte{0x01, 0x02, 0x03}, uint8(3), uint8(2))
-	f.Add(bytes.Repeat([]byte{0xab}, 300), uint8(1), uint8(1))
-	f.Add([]byte{}, uint8(16), uint8(4))
-	f.Fuzz(func(t *testing.T, seedFrame []byte, count, geom uint8) {
+	f.Add([]byte{0x01, 0x02, 0x03}, uint8(3), uint8(2), uint8(0))
+	f.Add(bytes.Repeat([]byte{0xab}, 300), uint8(1), uint8(1), uint8(1))
+	f.Add([]byte{}, uint8(16), uint8(4), uint8(3))
+	f.Add(bytes.Repeat([]byte{0xcd}, 1000), uint8(40), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seedFrame []byte, count, geom, flushEvery uint8) {
 		if len(seedFrame) > 1<<10 {
 			seedFrame = seedFrame[:1<<10]
 		}
@@ -283,6 +334,11 @@ func FuzzRingDelivery(f *testing.F) {
 				if err := r.Inject(time.Unix(0, int64(i)), fr); err != nil {
 					errc <- fmt.Errorf("inject %d: %w", i, err)
 					return
+				}
+				// Flush races the consumer: it lands on partial blocks,
+				// empty blocks and a full ring alike.
+				if flushEvery > 0 && i%int(flushEvery) == 0 {
+					r.Flush()
 				}
 			}
 			errc <- nil

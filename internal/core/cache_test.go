@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"iotsentinel/internal/devices"
+	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 )
 
@@ -123,10 +124,44 @@ func TestCacheHitReturnsIndependentCopies(t *testing.T) {
 	}
 }
 
+// TestCacheIgnoresHandBuiltFPrime is the structural half of cache
+// soundness: the key covers F alone, so the bank must read F alone. A
+// hand-built fingerprint carrying one device's F and another's F′ is
+// answered as its F — identically with a cold cache, a cache warmed by
+// the honest fingerprint, and no cache — and never as the device whose
+// F′ it borrowed.
+func TestCacheIgnoresHandBuiltFPrime(t *testing.T) {
+	cached, plain, probes := trainedPair(t, 1024)
+	checked := 0
+	for i, honest := range probes {
+		donor := probes[(i+len(probes)/2)%len(probes)]
+		want := plain.Identify(honest)
+		if reflect.DeepEqual(semantic(plain.Identify(donor)), semantic(want)) {
+			continue // same answer either way: proves nothing
+		}
+		forged := honest
+		forged.FPrime, forged.UniqueCount = donor.FPrime, donor.UniqueCount
+
+		cold := cached.Identify(forged) // miss: the bank derives F′ from F
+		cached.Cache().Purge()
+		cached.Identify(honest)         // warm the cache with the honest twin
+		warm := cached.Identify(forged) // hit on the shared key
+		for name, got := range map[string]Result{"uncached": plain.Identify(forged), "cold": cold, "warm": warm} {
+			if !reflect.DeepEqual(semantic(got), semantic(want)) {
+				t.Fatalf("probe %d %s: forged F′ changed the answer: %+v, want %+v", i, name, got, want)
+			}
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no probe pair with differing answers; soundness unexercised")
+	}
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewIdentifyCache(2)
 	keyOf := func(i int) fingerprint.Key {
-		fp := fingerprint.Fingerprint{UniqueCount: i}
+		fp := fingerprint.Fingerprint{F: fingerprint.F{features.Packed(i)}}
 		return fp.CanonicalKey()
 	}
 	c.put(keyOf(1), Result{Type: "a"})

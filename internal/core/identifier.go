@@ -90,13 +90,7 @@ func (c Config) normalize() (Config, error) {
 // concurrent Identify calls read the bank without per-model locking.
 type typeModel struct {
 	forest *rf.Forest
-	refs   []fingerprint.F
-	// refset holds the references pre-interned once at build time on
-	// the identifier's shared vocabulary, so discrimination interns
-	// each candidate once per identification — not once per model —
-	// and scores it against every candidate's references through one
-	// symbol table.
-	refset *editdist.RefSet
+	refs   *editdist.RefSet
 }
 
 // Identifier is a trained device-type identification pipeline. The
@@ -125,31 +119,18 @@ type Identifier struct {
 	// canonical fingerprint hash was already answered. The cache is
 	// internally synchronized; mu only guards the pointer.
 	cache *IdentifyCache
-	// vocab is the symbol table shared by every type's refset: one
-	// feature-vector interning pass per identification covers the whole
-	// bank. It grows only under the write lock (Train, AddType), so
-	// readers use it lock-free.
-	vocab *editdist.Vocab
 	// scratch pools per-identification working memory (accept bits,
-	// interned candidate word) so the steady-state hot path does not
-	// allocate.
+	// the derived F′) so the steady-state hot path does not allocate.
 	scratch sync.Pool
 }
 
 // identifyScratch is the reusable working memory of one identification.
 type identifyScratch struct {
 	accepted []bool
-	word     []int
-	fprime   []float64
-}
-
-func (sc *identifyScratch) primeCopy(src []float64) []float64 {
-	if cap(sc.fprime) < len(src) {
-		sc.fprime = make([]float64, len(src))
-	}
-	sc.fprime = sc.fprime[:len(src)]
-	copy(sc.fprime, src)
-	return sc.fprime
+	// fprime is F′ derived from the probe's F. The bank never reads a
+	// probe's own FPrime field: the cache key covers F alone, so what
+	// the forests see must be a function of F.
+	fprime fingerprint.FPrime
 }
 
 func (sc *identifyScratch) boolBuf(n int) []bool {
@@ -184,7 +165,6 @@ func Train(samples map[TypeID][]fingerprint.Fingerprint, cfg Config) (*Identifie
 		cfg:    cfg,
 		models: make(map[TypeID]*typeModel, len(samples)),
 		pool:   make(map[TypeID][]fingerprint.Fingerprint, len(samples)),
-		vocab:  editdist.NewVocab(),
 	}
 	for t, fps := range samples {
 		if len(fps) == 0 {
@@ -208,13 +188,7 @@ func Train(samples map[TypeID][]fingerprint.Fingerprint, cfg Config) (*Identifie
 	if err != nil {
 		return nil, err
 	}
-	// Refsets intern into the shared vocabulary, which is one mutable
-	// map — so they attach sequentially, in canonical type order, after
-	// the parallel training fan-in. Symbol numbering never affects
-	// distances (only symbol equality does), so this ordering is a
-	// determinism nicety, not a correctness requirement.
 	for i, t := range id.types {
-		built[i].refset = editdist.NewRefSetVocab(id.vocab, built[i].refs)
 		id.models[t] = built[i]
 	}
 	return id, nil
@@ -285,9 +259,6 @@ func (id *Identifier) AddType(t TypeID, fps []fingerprint.Fingerprint) error {
 		delete(id.pool, t)
 		return err
 	}
-	// Safe to grow the shared vocabulary here: the write lock excludes
-	// every reader for the duration.
-	m.refset = editdist.NewRefSetVocab(id.vocab, m.refs)
 	id.models[t] = m
 	id.types = sortedKeys(id.pool)
 	// The bank changed: every cached answer is now stale (the new type
@@ -404,10 +375,7 @@ func (id *Identifier) buildModel(t TypeID) (*typeModel, error) {
 	for _, ri := range refIdx[:nRefs] {
 		refs = append(refs, pos[ri].F)
 	}
-	// The refset is attached by the caller: it interns into the shared
-	// vocabulary, which buildModel must not touch — Train runs
-	// buildModel concurrently across types.
-	return &typeModel{forest: forest, refs: refs}, nil
+	return &typeModel{forest: forest, refs: editdist.NewRefSet(refs)}, nil
 }
 
 // Result reports the outcome of one identification.
@@ -474,18 +442,18 @@ func (id *Identifier) Identify(fp fingerprint.Fingerprint) Result {
 func (id *Identifier) IdentifyInto(fp fingerprint.Fingerprint, res *Result) {
 	id.mu.RLock()
 	defer id.mu.RUnlock()
-	id.identifyObserved(fp, id.cfg.workers(), res)
+	id.identifyObserved(&fp, id.cfg.workers(), res)
 }
 
 // identifyLocked is the pipeline with the read lock already held and an
 // explicit fan-out bound (IdentifyBatch parallelizes across
 // fingerprints instead, so its per-item calls run the bank
 // sequentially).
-func (id *Identifier) identifyLocked(fp fingerprint.Fingerprint, workers int, sc *identifyScratch, res *Result) {
+func (id *Identifier) identifyLocked(f fingerprint.F, workers int, sc *identifyScratch, res *Result) {
 	res.reset()
 
 	start := time.Now()
-	res.Matches = id.classifyLocked(fp, workers, sc, res.Matches)
+	res.Matches = id.classifyLocked(f, workers, sc, res.Matches)
 	res.ClassifyTime = time.Since(start)
 
 	switch len(res.Matches) {
@@ -503,8 +471,7 @@ func (id *Identifier) identifyLocked(fp fingerprint.Fingerprint, workers int, sc
 	}
 
 	// Multiple matches: discriminate by summed normalized edit distance
-	// to each candidate's reference fingerprints. The candidate is
-	// interned once against the shared vocabulary, then candidates are
+	// to each candidate's reference fingerprints. Candidates are
 	// scored sequentially in canonical match order with the running
 	// best sum as each scorer's budget: a candidate that provably
 	// cannot beat the best is abandoned mid-scoring. The first
@@ -517,12 +484,11 @@ func (id *Identifier) identifyLocked(fp fingerprint.Fingerprint, workers int, sc
 	if res.Scores == nil {
 		res.Scores = make(map[TypeID]float64, len(res.Matches))
 	}
-	sc.word = id.vocab.AppendWord(sc.word[:0], fp.F)
 	best := math.Inf(1)
 	bestType := res.Matches[0]
 	for _, t := range res.Matches {
 		m := id.models[t]
-		sum, n, pruned := m.refset.DistanceSumBoundedWord(sc.word, best)
+		sum, n, pruned := m.refs.DistanceSumBounded(f, best)
 		res.EditDistances += n
 		if pruned {
 			continue
@@ -542,11 +508,15 @@ func (id *Identifier) identifyLocked(fp fingerprint.Fingerprint, workers int, sc
 // holds at least a read lock, which is what makes the lookup sound:
 // AddType (the only bank mutation) write-locks, purges the cache, and
 // therefore cannot interleave between a stale read and our insert.
-func (id *Identifier) identifyObserved(fp fingerprint.Fingerprint, workers int, res *Result) {
+//
+// Only fp.F is read — by the key and by the bank — so a cached answer
+// is the bank's answer for every fingerprint sharing the key, whatever
+// its other fields hold.
+func (id *Identifier) identifyObserved(fp *fingerprint.Fingerprint, workers int, res *Result) {
 	sc := id.getScratch()
 	defer id.scratch.Put(sc)
 	if id.cache == nil {
-		id.identifyLocked(fp, workers, sc, res)
+		id.identifyLocked(fp.F, workers, sc, res)
 		id.metrics.observe(*res)
 		return
 	}
@@ -556,17 +526,17 @@ func (id *Identifier) identifyObserved(fp fingerprint.Fingerprint, workers int, 
 		id.metrics.observe(*res)
 		return
 	}
-	id.identifyLocked(fp, workers, sc, res)
+	id.identifyLocked(fp.F, workers, sc, res)
 	id.cache.put(key, *res)
 	id.metrics.observeCache(false)
 	id.metrics.observe(*res)
 }
 
-// classifyLocked scores every classifier in the bank on fp and appends
-// the accepting types to dst in canonical order. Accept decisions land
-// in a per-type slot indexed by bank position, so the fan-out order
-// cannot reorder the result.
-func (id *Identifier) classifyLocked(fp fingerprint.Fingerprint, workers int, sc *identifyScratch, dst []TypeID) []TypeID {
+// classifyLocked scores every classifier in the bank on F′ derived from
+// f and appends the accepting types to dst in canonical order. Accept
+// decisions land in a per-type slot indexed by bank position, so the
+// fan-out order cannot reorder the result.
+func (id *Identifier) classifyLocked(f fingerprint.F, workers int, sc *identifyScratch, dst []TypeID) []TypeID {
 	n := len(id.types)
 	if workers > n {
 		workers = n
@@ -575,18 +545,16 @@ func (id *Identifier) classifyLocked(fp fingerprint.Fingerprint, workers int, sc
 		workers = 1
 	}
 	accepted := sc.boolBuf(n)
+	prime := sc.fprime[:]
+	f.Prime(prime)
 	if workers <= 1 {
 		// The sequential bank scan is the steady-state hot path; it
-		// stays closure-free so the probe never escapes to the heap.
+		// stays closure-free.
 		for i := 0; i < n; i++ {
 			m := id.models[id.types[i]]
-			accepted[i] = m.forest.AcceptSoft(fp.FPrime[:], 1, id.cfg.AcceptThreshold)
+			accepted[i] = m.forest.AcceptSoft(prime, 1, id.cfg.AcceptThreshold)
 		}
 	} else {
-		// The fan-out closure must not capture fp: a goroutine-borne
-		// closure forces its captures to the heap even on the branch
-		// that never runs it. Hand it a pooled copy of F′ instead.
-		prime := sc.primeCopy(fp.FPrime[:])
 		forEachIndexed(workers, n, func(i int) {
 			m := id.models[id.types[i]]
 			accepted[i] = m.forest.AcceptSoft(prime, 1, id.cfg.AcceptThreshold)
@@ -621,7 +589,7 @@ func (id *Identifier) IdentifyBatch(fps []fingerprint.Fingerprint) []Result {
 		workers = len(fps)
 	}
 	forEachIndexed(workers, len(fps), func(i int) {
-		id.identifyObserved(fps[i], 1, &out[i])
+		id.identifyObserved(&fps[i], 1, &out[i])
 	})
 	return out
 }
@@ -633,7 +601,7 @@ func (id *Identifier) ClassifyOnly(fp fingerprint.Fingerprint) []TypeID {
 	defer id.mu.RUnlock()
 	sc := id.getScratch()
 	defer id.scratch.Put(sc)
-	return id.classifyLocked(fp, id.cfg.workers(), sc, nil)
+	return id.classifyLocked(fp.F, id.cfg.workers(), sc, nil)
 }
 
 // FeatureImportance aggregates Gini feature importance across every

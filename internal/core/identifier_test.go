@@ -301,7 +301,6 @@ func TestDiscriminationTieBreak(t *testing.T) {
 		id.models["a-near"] = &typeModel{
 			forest: id.models["a-near"].forest,
 			refs:   twin.refs,
-			refset: twin.refset,
 		}
 		res := id.Identify(probe)
 		if !res.Discriminated {

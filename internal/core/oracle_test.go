@@ -11,8 +11,8 @@ import (
 // Differential oracle for the zero-allocation identification hot path:
 // the retired pipeline — exhaustive SoftProba acceptance and exhaustive
 // DistanceSum discrimination with full per-candidate score maps — lives
-// on here, and the production path (AcceptSoft early exit, shared-vocab
-// interning, budgeted sequential discrimination) is checked against it
+// on here, and the production path (AcceptSoft early exit, F′ derived
+// from F, budgeted sequential discrimination) is checked against it
 // on every probe class the pipeline distinguishes.
 
 // refIdentify is the retired Identify, verbatim up to the removed
@@ -47,7 +47,7 @@ func refIdentify(id *Identifier, fp fingerprint.Fingerprint) Result {
 	counts := make([]int, len(matches))
 	for i, t := range matches {
 		m := id.models[t]
-		scores[i], counts[i] = m.refset.DistanceSum(fp.F)
+		scores[i], counts[i] = m.refs.DistanceSum(fp.F)
 	}
 	res.Scores = make(map[TypeID]float64, len(matches))
 	best, bestScore := matches[0], scores[0]
@@ -207,10 +207,32 @@ func TestIdentifyCacheHitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestIdentifyBatchAllocatesOnlyItsAnswers bounds the batch path: what
+// IdentifyBatch allocates is the []Result it returns, the two fan-out
+// closures (forEachIndexed wraps the work item for runIndexed), and each
+// Result's own Matches and Scores — exactly what a fresh Result costs
+// through IdentifyInto. Nothing per probe is spent
+// on symbol tables, words or float rows.
+func TestIdentifyBatchAllocatesOnlyItsAnswers(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	id := oracleIdentifier(t, Config{Seed: 7, NegativeRatio: 4, Workers: 1})
+	probes := oracleProbeSet()
+	id.IdentifyBatch(probes) // warm the scratch pool
+	answers := 0.0
+	for _, fp := range probes {
+		answers += testing.AllocsPerRun(20, func() {
+			var res Result
+			id.IdentifyInto(fp, &res)
+		})
+	}
+	testutil.AssertAllocs(t, "IdentifyBatch", answers+3, func() { _ = id.IdentifyBatch(probes) })
+}
+
 // BenchmarkIdentifySteadyState is the production single-probe hot path:
 // IdentifyInto with a reused Result on a discriminating sibling probe —
-// classifier bank, shared-vocab interning and budgeted discrimination
-// included.
+// classifier bank and budgeted discrimination included.
 func BenchmarkIdentifySteadyState(b *testing.B) {
 	id := oracleIdentifier(b, Config{Seed: 7, NegativeRatio: 4, Workers: 1})
 	probe := discriminatingProbe(b, id)

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"iotsentinel/internal/editdist"
-	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/ml/rf"
 )
@@ -28,8 +27,8 @@ type wireTypeData struct {
 	ID string `json:"id"`
 	// Forest is the rf wire format, embedded verbatim.
 	Forest json.RawMessage `json:"forest"`
-	// Refs and Pool carry fingerprint matrices F as row lists; F′ is
-	// derived deterministically on load.
+	// Refs and Pool carry fingerprints F as float row lists
+	// (fingerprint.F.Rows / FromRows); F′ is derived on load.
 	Refs [][][]float64 `json:"refs"`
 	Pool [][][]float64 `json:"pool"`
 }
@@ -49,11 +48,11 @@ func (id *Identifier) Save(w io.Writer) error {
 			return fmt.Errorf("core: save %q: %w", t, err)
 		}
 		td := wireTypeData{ID: string(t), Forest: fbuf.Bytes()}
-		for _, ref := range m.refs {
-			td.Refs = append(td.Refs, fToRows(ref))
+		for _, ref := range m.refs.Refs() {
+			td.Refs = append(td.Refs, ref.Rows())
 		}
 		for _, fp := range id.pool[t] {
-			td.Pool = append(td.Pool, fToRows(fp.F))
+			td.Pool = append(td.Pool, fp.F.Rows())
 		}
 		out.Types = append(out.Types, td)
 	}
@@ -83,7 +82,6 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 		cfg:    cfg,
 		models: make(map[TypeID]*typeModel, len(in.Types)),
 		pool:   make(map[TypeID][]fingerprint.Fingerprint, len(in.Types)),
-		vocab:  editdist.NewVocab(),
 	}
 	for _, td := range in.Types {
 		t := TypeID(td.ID)
@@ -100,22 +98,21 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 		if err := forest.ValidateFeatures(fingerprint.FPrimeLen); err != nil {
 			return nil, fmt.Errorf("core: load %q: %w", t, err)
 		}
-		m := &typeModel{forest: forest}
+		var refs []fingerprint.F
 		for i, rows := range td.Refs {
-			f, err := rowsToF(rows)
+			fp, err := fingerprint.FromRows(rows)
 			if err != nil {
 				return nil, fmt.Errorf("core: load %q ref %d: %w", t, i, err)
 			}
-			m.refs = append(m.refs, f)
+			refs = append(refs, fp.F)
 		}
-		m.refset = editdist.NewRefSetVocab(id.vocab, m.refs)
-		id.models[t] = m
+		id.models[t] = &typeModel{forest: forest, refs: editdist.NewRefSet(refs)}
 		for i, rows := range td.Pool {
-			f, err := rowsToF(rows)
+			fp, err := fingerprint.FromRows(rows)
 			if err != nil {
 				return nil, fmt.Errorf("core: load %q pool %d: %w", t, i, err)
 			}
-			id.pool[t] = append(id.pool[t], fingerprint.FromVectors(f))
+			id.pool[t] = append(id.pool[t], fp)
 		}
 		if len(id.pool[t]) == 0 {
 			return nil, fmt.Errorf("core: load %q: empty training pool", t)
@@ -151,23 +148,4 @@ func (id *Identifier) Clone() (*Identifier, error) {
 	// this bank continues the same counter series.
 	out.SetMetrics(metrics)
 	return out, nil
-}
-
-func fToRows(f fingerprint.F) [][]float64 {
-	rows := make([][]float64, len(f))
-	for i, v := range f {
-		rows[i] = append([]float64(nil), v[:]...)
-	}
-	return rows
-}
-
-func rowsToF(rows [][]float64) (fingerprint.F, error) {
-	f := make(fingerprint.F, len(rows))
-	for i, row := range rows {
-		if len(row) != features.Count {
-			return nil, fmt.Errorf("row %d has %d features, want %d", i, len(row), features.Count)
-		}
-		copy(f[i][:], row)
-	}
-	return f, nil
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
 
+	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 )
 
@@ -178,5 +180,39 @@ func TestLoadIdentifierErrors(t *testing.T) {
 				t.Error("want error")
 			}
 		})
+	}
+}
+
+// TestLoadIdentifierRejectsUnpackableRows: the model file keeps float
+// rows, so loading is a boundary — a row the extractor cannot have
+// produced is reported with its type and position, never rounded into
+// some other symbol.
+func TestLoadIdentifierRejectsUnpackableRows(t *testing.T) {
+	id, _ := trainedIdentifier(t)
+	var buf bytes.Buffer
+	if err := id.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for field, where := range map[string]string{"refs": "ref 0", "pool": "pool 0"} {
+		var model map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &model); err != nil {
+			t.Fatal(err)
+		}
+		typ := model["types"].([]any)[0].(map[string]any)
+		row := typ[field].([]any)[0].([]any)[0].([]any)
+		row[features.FeatSize] = row[features.FeatSize].(float64) + 0.5
+		tampered, err := json.Marshal(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadIdentifier(bytes.NewReader(tampered))
+		if err == nil {
+			t.Fatalf("%s: model with a fractional size loaded", field)
+		}
+		for _, want := range []string{where, "row 0", features.Names[features.FeatSize]} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", field, err, want)
+			}
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package editdist implements the Damerau-Levenshtein edit distance used
 // by the discrimination step of Sect. IV-B2: insertion, deletion,
 // substitution and immediate (adjacent) transposition of characters,
-// i.e. the optimal-string-alignment variant. A "character" is one packet
-// column of the fingerprint matrix F; two characters are equal iff all
-// 23 features agree.
+// i.e. the optimal-string-alignment variant. A "character" is one packed
+// packet symbol of the fingerprint F; two characters are equal iff all
+// 23 features agree, which for features.Packed is a word compare — so
+// the DP runs directly over fingerprint.F with no symbol table.
 //
 // The DP is banded: a computation bounded by limit only fills the
 // diagonal band |i-j| <= limit and abandons as soon as the distance
@@ -23,7 +24,6 @@ import (
 	"math"
 	"sync"
 
-	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 )
 
@@ -32,12 +32,9 @@ import (
 const sentinel = 1 << 30
 
 // scratch is the reusable working memory for one distance or
-// discrimination call: three DP rows, the interned candidate word, and
-// the overlay table for symbols absent from a RefSet.
+// discrimination call: three DP rows.
 type scratch struct {
 	prev2, prev, cur []int
-	word             []int
-	overlay          map[features.Vector]int
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
@@ -52,8 +49,8 @@ func (s *scratch) rows(n int) (prev2, prev, cur []int) {
 }
 
 // Distance computes the restricted Damerau-Levenshtein distance between
-// two symbol sequences.
-func Distance(a, b []int) int {
+// two fingerprints.
+func Distance(a, b fingerprint.F) int {
 	la, lb := len(a), len(b)
 	limit := la
 	if lb > limit {
@@ -68,7 +65,7 @@ func Distance(a, b []int) int {
 // if it is at most limit, and otherwise returns some value greater
 // than limit (callers must test d > limit, not a specific sentinel).
 // A negative limit always reports exceeded.
-func DistanceBounded(a, b []int, limit int) int {
+func DistanceBounded(a, b fingerprint.F, limit int) int {
 	la, lb := len(a), len(b)
 	if limit < 0 {
 		return limit + 1
@@ -104,8 +101,8 @@ func DistanceBounded(a, b []int, limit int) int {
 // distanceExact is the full-matrix restricted Damerau-Levenshtein
 // recurrence: the same transitions as distanceBounded with an
 // all-covering band, minus the banding overhead. Exact calls
-// (Distance, FingerprintDistance, RefSet.DistanceSum) land here.
-func (s *scratch) distanceExact(a, b []int) int {
+// (Distance, Normalized) land here.
+func (s *scratch) distanceExact(a, b fingerprint.F) int {
 	la, lb := len(a), len(b)
 	prev2, prev, cur := s.rows(lb + 1)
 	for j := 0; j <= lb; j++ {
@@ -136,7 +133,7 @@ func (s *scratch) distanceExact(a, b []int) int {
 	return prev[lb]
 }
 
-func (s *scratch) distanceBounded(a, b []int, limit int) int {
+func (s *scratch) distanceBounded(a, b fingerprint.F, limit int) int {
 	la, lb := len(a), len(b)
 	prev2, prev, cur := s.rows(lb + 1)
 	// Row 0: true values within the band, sentinel beyond it (those
@@ -212,9 +209,9 @@ func (s *scratch) distanceBounded(a, b []int, limit int) int {
 }
 
 // Normalized divides the edit distance by the length of the longer
-// sequence, yielding a value in [0, 1]. Two empty sequences have
+// fingerprint, yielding a value in [0, 1]. Two empty fingerprints have
 // distance 0.
-func Normalized(a, b []int) float64 {
+func Normalized(a, b fingerprint.F) float64 {
 	n := len(a)
 	if len(b) > n {
 		n = len(b)
@@ -236,7 +233,7 @@ func Normalized(a, b []int) float64 {
 // exactly and comparing — at a fraction of the work for far-apart
 // words. A negative limit always reports exceeded; two empty words are
 // within any limit >= 0.
-func NormalizedBounded(a, b []int, limit float64) (float64, bool) {
+func NormalizedBounded(a, b fingerprint.F, limit float64) (float64, bool) {
 	if limit < 0 {
 		return 0, false
 	}
@@ -269,178 +266,28 @@ func NormalizedBounded(a, b []int, limit float64) (float64, bool) {
 	return float64(d) / mlf, true
 }
 
-// overlayBase is the first symbol value handed to vectors absent from
-// a frozen table (RefSet or Vocab). It is far above any frozen symbol
-// (those are dense indices from 0), so overlay symbols can never
-// collide with the frozen range of any table — which is what lets one
-// pooled overlay be reused, un-renumbered, across calls and tables.
-const overlayBase = 1 << 40
-
-// maxOverlay bounds the pooled overlay's size; past it the map is
-// cleared and starts reaccumulating (the symbols already written into
-// words stay valid — only future insertions renumber).
-const maxOverlay = 4096
-
-// Interner maps feature vectors to stable integer symbols so fingerprint
-// matrices can be compared as words. Not safe for concurrent use.
-type Interner struct {
-	symbols map[features.Vector]int
-}
-
-// NewInterner returns an empty Interner.
-func NewInterner() *Interner {
-	return &Interner{symbols: make(map[features.Vector]int)}
-}
-
-// Word converts a fingerprint F to its symbol sequence.
-func (in *Interner) Word(f fingerprint.F) []int {
-	out := make([]int, len(f))
-	for i, v := range f {
-		s, ok := in.symbols[v]
-		if !ok {
-			s = len(in.symbols)
-			in.symbols[v] = s
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Size returns the number of distinct symbols seen so far.
-func (in *Interner) Size() int { return len(in.symbols) }
-
-// FingerprintDistance computes the normalized Damerau-Levenshtein
-// distance between two fingerprint matrices, treating each packet
-// column as one character. Each call interns both matrices through a
-// fresh table; when one side is compared against many candidates,
-// build a RefSet once instead.
-func FingerprintDistance(a, b fingerprint.F) float64 {
-	in := NewInterner()
-	return Normalized(in.Word(a), in.Word(b))
-}
-
-// Vocab is a symbol table shared by many RefSets, so that one
-// candidate fingerprint can be interned once per identification and
-// its word scored against every device type's references — the
-// 27-classifier shared pass. Interning happens at train time (or under
-// the owner's write lock); concurrent readers (Word, and scoring
-// against RefSets built on the vocab) are safe as long as no Intern
-// runs at the same time.
-type Vocab struct {
-	symbols map[features.Vector]int
-}
-
-// NewVocab returns an empty vocabulary.
-func NewVocab() *Vocab {
-	return &Vocab{symbols: make(map[features.Vector]int)}
-}
-
-// Intern adds every vector of f to the vocabulary.
-func (v *Vocab) Intern(f fingerprint.F) {
-	for _, vec := range f {
-		if _, ok := v.symbols[vec]; !ok {
-			v.symbols[vec] = len(v.symbols)
-		}
-	}
-}
-
-// Size returns the number of distinct vectors interned.
-func (v *Vocab) Size() int { return len(v.symbols) }
-
-// AppendWord converts f to its symbol sequence against the vocabulary,
-// appending to dst and returning it. Vectors absent from the
-// vocabulary get overlay symbols: consistent within the returned word,
-// never colliding with any frozen symbol. The word is valid against
-// every RefSet built on this vocabulary. Allocation-free once dst has
-// capacity and the pooled overlay has seen the novel vectors.
-func (v *Vocab) AppendWord(dst []int, f fingerprint.F) []int {
-	s := scratchPool.Get().(*scratch)
-	s.overlayPrune()
-	for _, vec := range f {
-		if sym, ok := v.symbols[vec]; ok {
-			dst = append(dst, sym)
-		} else {
-			dst = append(dst, s.overlaySym(vec))
-		}
-	}
-	scratchPool.Put(s)
-	return dst
-}
-
-// overlayPrune clears an overgrown overlay. Called only between words:
-// clearing mid-word would hand a recurring novel vector two different
-// symbols and corrupt the word's equality structure.
-func (s *scratch) overlayPrune() {
-	if len(s.overlay) >= maxOverlay {
-		clear(s.overlay)
-	}
-}
-
-// overlaySym returns the overlay symbol for a vector absent from the
-// frozen table, inserting it if new. The overlay persists across calls
-// (overlay symbols collide with no frozen table, see overlayBase) so
-// recurring novel vectors stop costing an insertion.
-func (s *scratch) overlaySym(vec features.Vector) int {
-	if s.overlay == nil {
-		s.overlay = make(map[features.Vector]int, 16)
-	}
-	sym, ok := s.overlay[vec]
-	if !ok {
-		sym = overlayBase + len(s.overlay)
-		s.overlay[vec] = sym
-	}
-	return sym
-}
-
-// RefSet is a set of reference fingerprints pre-interned once (at
-// train time) so that discrimination does not re-hash every reference
-// for every candidate. A RefSet is immutable after construction and
-// safe for concurrent use: DistanceSum resolves candidate vectors
-// against the frozen symbol table and spills novel vectors into a
-// pooled overlay whose symbols cannot collide with frozen ones.
+// RefSet is one device type's reference fingerprints, scored as a set
+// by discrimination. It is immutable after construction and safe for
+// concurrent use.
 type RefSet struct {
-	symbols map[features.Vector]int
-	words   [][]int
+	refs []fingerprint.F
 }
 
-// NewRefSet interns the reference fingerprints into a private frozen
-// symbol table.
+// NewRefSet wraps the reference fingerprints (not copied; the caller
+// must not modify them afterwards).
 func NewRefSet(refs []fingerprint.F) *RefSet {
-	in := NewInterner()
-	words := make([][]int, len(refs))
-	for i, f := range refs {
-		words[i] = in.Word(f)
-	}
-	return &RefSet{symbols: in.symbols, words: words}
+	return &RefSet{refs: refs}
 }
 
-// NewRefSetVocab interns the reference fingerprints through the shared
-// vocabulary, growing it. Words produced by the vocabulary's
-// AppendWord can then be scored directly with DistanceSumBoundedWord,
-// skipping per-RefSet candidate interning. Distances are identical to
-// a private-table RefSet's: symbol equality, the only thing the edit
-// distance reads, does not depend on which table assigned the symbols.
-func NewRefSetVocab(v *Vocab, refs []fingerprint.F) *RefSet {
-	words := make([][]int, len(refs))
-	for i, f := range refs {
-		v.Intern(f)
-		w := make([]int, len(f))
-		for j, vec := range f {
-			w[j] = v.symbols[vec]
-		}
-		words[i] = w
-	}
-	return &RefSet{symbols: v.symbols, words: words}
-}
+// Refs returns the reference fingerprints; read-only.
+func (rs *RefSet) Refs() []fingerprint.F { return rs.refs }
 
 // Len returns the number of reference fingerprints.
-func (rs *RefSet) Len() int { return len(rs.words) }
+func (rs *RefSet) Len() int { return len(rs.refs) }
 
 // DistanceSum returns the sum of the normalized Damerau-Levenshtein
 // distances from f to every reference, and the number of distance
-// computations performed. It is equivalent to — and replaces — calling
-// FingerprintDistance(f, ref) per reference: f is interned exactly
-// once, and the references not at all.
+// computations performed — Normalized(f, ref) summed in reference order.
 func (rs *RefSet) DistanceSum(f fingerprint.F) (sum float64, n int) {
 	sum, n, _ = rs.DistanceSumBounded(f, math.Inf(1))
 	return sum, n
@@ -465,30 +312,14 @@ func (rs *RefSet) DistanceSum(f fingerprint.F) (sum float64, n int) {
 func (rs *RefSet) DistanceSumBounded(f fingerprint.F, limit float64) (sum float64, n int, pruned bool) {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	word := rs.wordInto(s, f)
-	return rs.distanceSumBoundedWord(s, word, limit)
-}
-
-// DistanceSumBoundedWord is DistanceSumBounded for a candidate already
-// interned as a word — via AppendWord on the Vocab this RefSet was
-// built on (NewRefSetVocab). One identification interns its
-// fingerprint once and scores the word against every matched type,
-// instead of re-hashing 184-byte vectors per RefSet.
-func (rs *RefSet) DistanceSumBoundedWord(word []int, limit float64) (sum float64, n int, pruned bool) {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	return rs.distanceSumBoundedWord(s, word, limit)
-}
-
-func (rs *RefSet) distanceSumBoundedWord(s *scratch, word []int, limit float64) (sum float64, n int, pruned bool) {
-	for _, rw := range rs.words {
+	for _, rw := range rs.refs {
 		if sum >= limit {
 			// Distances are non-negative, so the full sum can only be
 			// >= limit as well: no later candidate information is lost
 			// by stopping here.
 			return sum, n, true
 		}
-		ml := len(word)
+		ml := len(f)
 		if len(rw) > ml {
 			ml = len(rw)
 		}
@@ -517,18 +348,18 @@ func (rs *RefSet) distanceSumBoundedWord(s *scratch, word []int, limit float64) 
 		n++
 		var d int
 		if len(rw) == 0 {
-			d = len(word)
-		} else if len(word) == 0 {
+			d = len(f)
+		} else if len(f) == 0 {
 			d = len(rw)
 		} else {
-			diff := len(word) - len(rw)
+			diff := len(f) - len(rw)
 			if diff < 0 {
 				diff = -diff
 			}
 			if diff > maxD {
 				d = maxD + 1
 			} else {
-				d = s.distanceBounded(word, rw, maxD)
+				d = s.distanceBounded(f, rw, maxD)
 			}
 		}
 		if d > maxD {
@@ -537,28 +368,6 @@ func (rs *RefSet) distanceSumBoundedWord(s *scratch, word []int, limit float64) 
 		sum += float64(d) / mlf
 	}
 	return sum, n, false
-}
-
-// wordInto converts f to its symbol sequence against the frozen table,
-// writing into the scratch buffer. Vectors absent from the references
-// get symbols from the scratch overlay map, which can never collide
-// with a frozen symbol. Symbol identity — not value — is all the edit
-// distance reads, so the result is exactly what a joint fresh interner
-// would produce.
-func (rs *RefSet) wordInto(s *scratch, f fingerprint.F) []int {
-	if cap(s.word) < len(f) {
-		s.word = make([]int, len(f))
-	}
-	out := s.word[:len(f)]
-	s.overlayPrune()
-	for i, v := range f {
-		if sym, ok := rs.symbols[v]; ok {
-			out[i] = sym
-			continue
-		}
-		out[i] = s.overlaySym(v)
-	}
-	return out
 }
 
 func min3(a, b, c int) int {

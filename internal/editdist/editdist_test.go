@@ -9,12 +9,25 @@ import (
 	"iotsentinel/internal/fingerprint"
 )
 
-func word(s string) []int {
-	out := make([]int, len(s))
+func word(s string) fingerprint.F {
+	out := make(fingerprint.F, len(s))
 	for i, c := range []byte(s) {
-		out[i] = int(c)
+		out[i] = features.Packed(c)
 	}
 	return out
+}
+
+// sym packs a symbol that differs from others in its size and source
+// port class — enough structure for the distance tests.
+func sym(size, srcPortClass int) features.Packed {
+	var v features.Vector
+	v[features.FeatSize] = float64(size)
+	v[features.FeatSrcPortClass] = float64(srcPortClass)
+	p, err := features.Pack(v)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 func TestDistance(t *testing.T) {
@@ -98,13 +111,13 @@ func TestNormalizedBounded(t *testing.T) {
 // comparing against the limit — the property clustering linkage
 // depends on.
 func TestNormalizedBoundedAgreesWithExact(t *testing.T) {
-	clamp := func(s []uint8) []int {
+	clamp := func(s []uint8) fingerprint.F {
 		if len(s) > 20 {
 			s = s[:20]
 		}
-		out := make([]int, len(s))
+		out := make(fingerprint.F, len(s))
 		for i, c := range s {
-			out[i] = int(c % 4)
+			out[i] = features.Packed(c % 4)
 		}
 		return out
 	}
@@ -124,13 +137,13 @@ func TestNormalizedBoundedAgreesWithExact(t *testing.T) {
 }
 
 func TestDistanceProperties(t *testing.T) {
-	clamp := func(s []uint8) []int {
+	clamp := func(s []uint8) fingerprint.F {
 		if len(s) > 20 {
 			s = s[:20]
 		}
-		out := make([]int, len(s))
+		out := make(fingerprint.F, len(s))
 		for i, c := range s {
-			out[i] = int(c % 4) // small alphabet encourages transpositions
+			out[i] = features.Packed(c % 4) // small alphabet encourages transpositions
 		}
 		return out
 	}
@@ -173,38 +186,35 @@ func TestDistanceProperties(t *testing.T) {
 	}
 }
 
+// TestInterner checks the oracle's own symbol table (oracle_test.go):
+// the retired interning path is what the word-compare DP is held to.
 func TestInterner(t *testing.T) {
-	in := NewInterner()
-	var a, b features.Vector
-	a[features.FeatSize] = 60
-	b[features.FeatSize] = 90
-	w := in.Word(fingerprint.F{a, b, a})
+	in := newInterner()
+	a, b := sym(60, 0), sym(90, 0)
+	w := in.word(fingerprint.F{a, b, a})
 	if len(w) != 3 {
 		t.Fatalf("len = %d", len(w))
 	}
 	if w[0] != w[2] || w[0] == w[1] {
 		t.Errorf("interning wrong: %v", w)
 	}
-	if in.Size() != 2 {
-		t.Errorf("Size = %d, want 2", in.Size())
+	if len(in.symbols) != 2 {
+		t.Errorf("size = %d, want 2", len(in.symbols))
 	}
 }
 
 func TestFingerprintDistance(t *testing.T) {
-	var a, b, c features.Vector
-	a[features.FeatSize] = 60
-	b[features.FeatSize] = 90
-	c[features.FeatSize] = 120
+	a, b, c := sym(60, 0), sym(90, 0), sym(120, 0)
 	f1 := fingerprint.F{a, b, c}
 	f2 := fingerprint.F{a, b, c}
-	if d := FingerprintDistance(f1, f2); d != 0 {
+	if d := Normalized(f1, f2); d != 0 {
 		t.Errorf("identical fingerprints: distance %v", d)
 	}
 	f3 := fingerprint.F{a, c, b} // one transposition of 3 characters
-	if d := FingerprintDistance(f1, f3); d != 1.0/3.0 {
+	if d := Normalized(f1, f3); d != 1.0/3.0 {
 		t.Errorf("transposed fingerprints: distance %v, want 1/3", d)
 	}
-	if d := FingerprintDistance(f1, nil); d != 1 {
+	if d := Normalized(f1, nil); d != 1 {
 		t.Errorf("distance to empty = %v, want 1", d)
 	}
 }
@@ -212,10 +222,7 @@ func TestFingerprintDistance(t *testing.T) {
 func mkF(n, seed int) fingerprint.F {
 	var f fingerprint.F
 	for i := 0; i < n; i++ {
-		var v features.Vector
-		v[features.FeatSize] = float64((i*13 + seed) % 11 * 60)
-		v[features.FeatSrcPortClass] = float64((i + seed) % 3)
-		f = append(f, v)
+		f = append(f, sym((i*13+seed)%11*60, (i+seed)%3))
 	}
 	return f
 }
@@ -229,14 +236,14 @@ func TestRefSetMatchesFingerprintDistance(t *testing.T) {
 	for _, cand := range []fingerprint.F{mkF(40, 1), mkF(33, 5), mkF(1, 0), nil, refs[2]} {
 		var want float64
 		for _, ref := range refs {
-			want += FingerprintDistance(cand, ref)
+			want += Normalized(cand, ref)
 		}
 		got, n := rs.DistanceSum(cand)
 		if n != len(refs) {
 			t.Errorf("DistanceSum n = %d, want %d", n, len(refs))
 		}
 		if got != want {
-			t.Errorf("DistanceSum = %v, want %v (per-call FingerprintDistance sum)", got, want)
+			t.Errorf("DistanceSum = %v, want %v (per-reference Normalized sum)", got, want)
 		}
 	}
 }
@@ -266,10 +273,10 @@ func TestRefSetConcurrent(t *testing.T) {
 	}
 }
 
-func benchWord(n int, seed int) []int {
-	out := make([]int, n)
+func benchWord(n int, seed int) fingerprint.F {
+	out := make(fingerprint.F, n)
 	for i := range out {
-		out[i] = (i*7 + seed) % 9
+		out[i] = features.Packed((i*7 + seed) % 9)
 	}
 	return out
 }
@@ -291,41 +298,11 @@ func BenchmarkDistance128(b *testing.B) {
 }
 
 func BenchmarkFingerprintDistance(b *testing.B) {
-	mk := func(seed int) fingerprint.F {
-		var f fingerprint.F
-		for i := 0; i < 40; i++ {
-			var v features.Vector
-			v[features.FeatSize] = float64((i*13 + seed) % 11 * 60)
-			f = append(f, v)
-		}
-		return f
-	}
-	x, y := mk(1), mk(5)
+	x, y := mkF(40, 1), mkF(40, 5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = FingerprintDistance(x, y)
-	}
-}
-
-// The before/after pair for the per-call re-interning fix: one
-// discrimination step scores a candidate against a type's 5 reference
-// fingerprints.
-
-// BenchmarkDiscriminatePerCallInterner is the old hot path: a fresh
-// Interner per (candidate, reference) pair re-hashes all references on
-// every call.
-func BenchmarkDiscriminatePerCallInterner(b *testing.B) {
-	refs := []fingerprint.F{mkF(40, 5), mkF(35, 9), mkF(40, 2), mkF(12, 7), mkF(28, 3)}
-	cand := mkF(40, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum float64
-		for _, ref := range refs {
-			sum += FingerprintDistance(cand, ref)
-		}
-		_ = sum
+		_ = Normalized(x, y)
 	}
 }
 
@@ -336,16 +313,11 @@ func typeF(typeSeed, n, nMut, mutSeed int) fingerprint.F {
 	rng := rand.New(rand.NewSource(int64(typeSeed)))
 	f := make(fingerprint.F, n)
 	for i := range f {
-		var v features.Vector
-		v[features.FeatSize] = float64(rng.Intn(12) * 60)
-		v[features.FeatSrcPortClass] = float64(rng.Intn(3))
-		f[i] = v
+		f[i] = sym(rng.Intn(12)*60, rng.Intn(3))
 	}
 	for m := 0; m < nMut && m < n; m++ {
 		i := (m*17 + mutSeed*5) % n
-		var v features.Vector
-		v[features.FeatSize] = float64(2000 + i*31 + mutSeed*7)
-		f[i] = v
+		f[i] = sym(2000+i*31+mutSeed*7, 0)
 	}
 	return f
 }
@@ -353,41 +325,34 @@ func typeF(typeSeed, n, nMut, mutSeed int) fingerprint.F {
 // discriminationPair is the production discrimination shape of Sect.
 // IV-B2: the candidate fingerprint belongs to type A (close to all of
 // A's references), and is also scored against sibling type B (an
-// unrelated packet sequence). Both types share one vocabulary, as in
-// core's shared feature-vector pass. Returns B's RefSet, the
-// candidate's pre-interned word, and the current-best bound A's exact
-// score established.
-func discriminationPair() (rsB *RefSet, word []int, best float64) {
-	voc := NewVocab()
+// unrelated packet sequence). Returns B's RefSet, the candidate, and
+// the current-best bound A's exact score established.
+func discriminationPair() (rsB *RefSet, cand fingerprint.F, best float64) {
 	refsA := make([]fingerprint.F, 5)
 	refsB := make([]fingerprint.F, 5)
 	for i := range refsA {
 		refsA[i] = typeF(1, 40, 1, i+1)
 		refsB[i] = typeF(2, 40, 1, i+1)
 	}
-	rsA := NewRefSetVocab(voc, refsA)
-	rsB = NewRefSetVocab(voc, refsB)
-	cand := typeF(1, 40, 1, 9)
-	word = voc.AppendWord(nil, cand)
-	best, _, _ = rsA.DistanceSumBoundedWord(word, 1e300)
-	return rsB, word, best
+	cand = typeF(1, 40, 1, 9)
+	best, _ = NewRefSet(refsA).DistanceSum(cand)
+	return NewRefSet(refsB), cand, best
 }
 
 // BenchmarkDiscriminateRefSet is the production hot path of one
-// discrimination scoring call: the candidate is interned once per
-// identification, and every type after the first is scored under the
-// current best sum as its bound, abandoning as soon as it provably
-// cannot win. (The first, unbounded scoring with per-call interning is
+// discrimination scoring call: every type after the first is scored
+// under the current best sum as its bound, abandoning as soon as it
+// provably cannot win. (The first, unbounded scoring is
 // BenchmarkDiscriminateRefSetExact.)
 func BenchmarkDiscriminateRefSet(b *testing.B) {
-	rsB, word, best := discriminationPair()
-	if _, _, pruned := rsB.DistanceSumBoundedWord(word, best); !pruned {
+	rsB, cand, best := discriminationPair()
+	if _, _, pruned := rsB.DistanceSumBounded(cand, best); !pruned {
 		b.Fatalf("losing type not pruned (best=%v): benchmark setup drifted", best)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = rsB.DistanceSumBoundedWord(word, best)
+		_, _, _ = rsB.DistanceSumBounded(cand, best)
 	}
 }
 

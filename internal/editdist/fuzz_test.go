@@ -3,6 +3,9 @@ package editdist
 import (
 	"bytes"
 	"testing"
+
+	"iotsentinel/internal/features"
+	"iotsentinel/internal/fingerprint"
 )
 
 // FuzzBandedDistance drives the banded/early-exit walk against the
@@ -25,13 +28,13 @@ func FuzzBandedDistance(f *testing.F) {
 		if len(bb) > maxLen {
 			bb = bb[:maxLen]
 		}
-		a := make([]int, len(ab))
+		a := make(fingerprint.F, len(ab))
 		for i, c := range ab {
-			a[i] = int(c)
+			a[i] = features.Packed(c)
 		}
-		b := make([]int, len(bb))
+		b := make(fingerprint.F, len(bb))
 		for i, c := range bb {
-			b[i] = int(c)
+			b[i] = features.Packed(c)
 		}
 		// Keep the limit in a range where limit+1 cannot overflow and
 		// the band stays affordable; negative limits must always

@@ -11,9 +11,9 @@ import (
 )
 
 // naiveDistance is the retired full-matrix implementation, kept
-// verbatim as the oracle for the banded walk: the entire O(n·m) DP,
-// no band, no early exit.
-func naiveDistance(a, b []int) int {
+// verbatim (but for its element type) as the oracle for the banded
+// walk: the entire O(n·m) DP, no band, no early exit.
+func naiveDistance[S comparable](a, b []S) int {
 	la, lb := len(a), len(b)
 	if la == 0 {
 		return lb
@@ -51,27 +51,43 @@ func naiveDistance(a, b []int) int {
 	return prev[lb]
 }
 
-// naiveDistanceSum is the retired discrimination scoring: the
-// candidate interned against the frozen table with a fresh overlay,
-// then every reference fully computed and accumulated in order.
-func naiveDistanceSum(rs *RefSet, f fingerprint.F) (sum float64, n int) {
-	word := make([]int, len(f))
-	overlay := make(map[features.Vector]int)
-	next := len(rs.symbols)
-	for i, v := range f {
-		if s, ok := rs.symbols[v]; ok {
-			word[i] = s
-			continue
+// interner is the retired symbol table: feature symbols mapped to dense
+// ints in order of first appearance, so fingerprints compare as int
+// words. The production DP compares packed words directly; scoring
+// through this table is the oracle that the two notions of character
+// equality agree.
+type interner struct {
+	symbols map[features.Packed]int
+}
+
+func newInterner() *interner {
+	return &interner{symbols: make(map[features.Packed]int)}
+}
+
+func (in *interner) word(f fingerprint.F) []int {
+	out := make([]int, len(f))
+	for i, p := range f {
+		s, ok := in.symbols[p]
+		if !ok {
+			s = len(in.symbols)
+			in.symbols[p] = s
 		}
-		if s, ok := overlay[v]; ok {
-			word[i] = s
-			continue
-		}
-		overlay[v] = next
-		word[i] = next
-		next++
+		out[i] = s
 	}
-	for _, rw := range rs.words {
+	return out
+}
+
+// naiveDistanceSum is the retired discrimination scoring: references
+// and candidate interned through one table, then every reference fully
+// computed by the naive DP and accumulated in order.
+func naiveDistanceSum(rs *RefSet, f fingerprint.F) (sum float64, n int) {
+	in := newInterner()
+	words := make([][]int, len(rs.refs))
+	for i, ref := range rs.refs {
+		words[i] = in.word(ref)
+	}
+	word := in.word(f)
+	for _, rw := range words {
 		ml := len(word)
 		if len(rw) > ml {
 			ml = len(rw)
@@ -81,13 +97,13 @@ func naiveDistanceSum(rs *RefSet, f fingerprint.F) (sum float64, n int) {
 		}
 		sum += float64(naiveDistance(word, rw)) / float64(ml)
 	}
-	return sum, len(rs.words)
+	return sum, len(words)
 }
 
-func randWord(rng *rand.Rand, n, alphabet int) []int {
-	w := make([]int, n)
+func randWord(rng *rand.Rand, n, alphabet int) fingerprint.F {
+	w := make(fingerprint.F, n)
 	for i := range w {
-		w[i] = rng.Intn(alphabet)
+		w[i] = features.Packed(rng.Intn(alphabet))
 	}
 	return w
 }
@@ -167,54 +183,6 @@ func TestDistanceSumBoundedContract(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestVocabWordMatchesPrivateInterning checks the shared-vocabulary
-// path end to end: words from AppendWord scored with
-// DistanceSumBoundedWord must produce bit-identical sums to a
-// private-table RefSet interning the candidate itself — for
-// candidates fully covered by the vocab, fully novel, and mixed.
-func TestVocabWordMatchesPrivateInterning(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 200; trial++ {
-		voc := NewVocab()
-		nTypes := 2 + rng.Intn(3)
-		var shared []*RefSet
-		var private []*RefSet
-		for ty := 0; ty < nTypes; ty++ {
-			refs := make([]fingerprint.F, 1+rng.Intn(4))
-			for i := range refs {
-				refs[i] = mkF(1+rng.Intn(25), ty*3+i)
-			}
-			shared = append(shared, NewRefSetVocab(voc, refs))
-			private = append(private, NewRefSet(refs))
-		}
-		cand := mkF(1+rng.Intn(25), 50+rng.Intn(8))
-		word := voc.AppendWord(nil, cand)
-		for ty := range shared {
-			wantSum, wantN := private[ty].DistanceSum(cand)
-			gotSum, gotN, pruned := shared[ty].DistanceSumBoundedWord(word, math.Inf(1))
-			if pruned || gotSum != wantSum || gotN != wantN {
-				t.Fatalf("trial %d type %d: word path = (%v, %d, pruned=%v), private = (%v, %d)",
-					trial, ty, gotSum, gotN, pruned, wantSum, wantN)
-			}
-		}
-	}
-}
-
-func TestVocabAppendWordZeroAllocSteadyState(t *testing.T) {
-	voc := NewVocab()
-	refs := []fingerprint.F{mkF(40, 5), mkF(35, 9)}
-	rs := NewRefSetVocab(voc, refs)
-	cand := mkF(40, 1)
-	word := make([]int, 0, 64)
-	testutil.AssertZeroAllocs(t, "AppendWord", func() {
-		word = voc.AppendWord(word[:0], cand)
-	})
-	word = voc.AppendWord(word[:0], cand)
-	testutil.AssertZeroAllocs(t, "DistanceSumBoundedWord", func() {
-		rs.DistanceSumBoundedWord(word, 1.0)
-	})
 }
 
 func TestDistanceBoundedZeroAlloc(t *testing.T) {

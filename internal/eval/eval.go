@@ -289,7 +289,7 @@ func MeasureExtraction(build func() fingerprint.Fingerprint, n int) Stat {
 }
 
 func editDistProbe(a, b fingerprint.Fingerprint) float64 {
-	return editdist.FingerprintDistance(a.F, b.F)
+	return editdist.Normalized(a.F, b.F)
 }
 
 // TypeMetrics holds per-type precision, recall and F1 derived from a

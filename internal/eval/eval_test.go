@@ -165,7 +165,7 @@ func TestMeasureExtraction(t *testing.T) {
 		fps = append(fps, v...)
 	}
 	stat := MeasureExtraction(func() fingerprint.Fingerprint {
-		return fingerprint.FromVectors(fps[0].F)
+		return fingerprint.FromPacked(fps[0].F)
 	}, 50)
 	if stat.N != 50 || stat.Mean < 0 {
 		t.Errorf("stat = %+v", stat)

@@ -101,7 +101,7 @@ func extractRows(t *testing.T, f *os.File) [][features.Count]float64 {
 		if err != nil {
 			t.Fatalf("corpus frame does not decode: %v", err)
 		}
-		rows = append(rows, ex.Extract(pk))
+		rows = append(rows, ex.Extract(pk).Vector())
 	}
 	return rows
 }

@@ -77,12 +77,10 @@ var Names = [Count]string{
 	"src_port_class", "dst_port_class",
 }
 
-// Vector is the 23-feature representation of one packet.
+// Vector is the float view of one packet's 23 features: what the
+// random forests consume and what the JSON formats carry. It is derived
+// from a Packed (Packed.Vector); the pipeline itself moves Packed words.
 type Vector [Count]float64
-
-// Equal reports whether two vectors agree on every feature. This is the
-// "character equality" used by the edit-distance discrimination step.
-func (v Vector) Equal(o Vector) bool { return v == o }
 
 // PortClass maps a transport port to the paper's four port classes:
 // 0 = no port, 1 = well-known [0,1023], 2 = registered [1024,49151],
@@ -100,11 +98,13 @@ func PortClass(port uint16, hasPort bool) int {
 	}
 }
 
-// Extractor converts packets to feature vectors while tracking the
-// per-device destination-IP counter state: the first distinct
-// destination address observed maps to 1, the second to 2, and so on.
-// An Extractor is intended for the packets of a single device's setup
-// phase; it is not safe for concurrent use.
+// Extractor converts packets to packed feature symbols while tracking
+// the per-device destination-IP counter state: the first distinct
+// destination address observed maps to 1, the second to 2, and so on
+// (destinations past MaxDstIPCounter share that last value; a setup
+// capture is bounded well below it). An Extractor is intended for the
+// packets of a single device's setup phase; it is not safe for
+// concurrent use.
 type Extractor struct {
 	dstSeen map[netip.Addr]int
 }
@@ -117,12 +117,12 @@ func NewExtractor() *Extractor {
 // Reset clears the destination-IP counter state.
 func (e *Extractor) Reset() { e.dstSeen = make(map[netip.Addr]int) }
 
-// Extract maps one packet to its feature vector, updating counter state.
-func (e *Extractor) Extract(p *packet.Packet) Vector {
-	var v Vector
+// Extract maps one packet to its packed symbol, updating counter state.
+func (e *Extractor) Extract(p *packet.Packet) Packed {
+	var v Packed
 	setBool := func(idx int, b bool) {
 		if b {
-			v[idx] = 1
+			v |= 1 << idx
 		}
 	}
 	setBool(FeatARP, p.Link == packet.LinkARP)
@@ -145,22 +145,25 @@ func (e *Extractor) Extract(p *packet.Packet) Vector {
 	setBool(FeatNTP, p.App == packet.AppNTP)
 	setBool(FeatPadding, p.IPOpts.Padding)
 	setBool(FeatRouterAlert, p.IPOpts.RouterAlert)
-	v[FeatSize] = float64(p.Size)
-	setBool(FeatRawData, p.HasRawData())
-	v[FeatDstIPCounter] = float64(e.dstCounter(p))
-	hasPorts := p.Transport == packet.TransportTCP || p.Transport == packet.TransportUDP
-	v[FeatSrcPortClass] = float64(PortClass(p.SrcPort, hasPorts))
-	v[FeatDstPortClass] = float64(PortClass(p.DstPort, hasPorts))
+	setBool(rawDataBit, p.HasRawData())
+	// packet.Decode never yields a Size outside the field; the clamp
+	// only keeps a hand-built Packet from spilling into its neighbours.
+	v |= Packed(min(max(p.Size, 0), MaxSize)) << sizeShift
+	v |= Packed(e.dstCounter(p)) << counterShift
+	if p.Transport == packet.TransportTCP || p.Transport == packet.TransportUDP {
+		v |= Packed(PortClass(p.SrcPort, true)) << srcPortShift
+		v |= Packed(PortClass(p.DstPort, true)) << dstPortShift
+	}
 	return v
 }
 
-// ExtractAll maps a packet sequence to its feature-vector sequence using
-// fresh counter state.
+// ExtractAll maps a packet sequence to the float view of its symbol
+// sequence using fresh counter state.
 func ExtractAll(pkts []*packet.Packet) []Vector {
 	e := NewExtractor()
 	out := make([]Vector, len(pkts))
 	for i, p := range pkts {
-		out[i] = e.Extract(p)
+		out[i] = e.Extract(p).Vector()
 	}
 	return out
 }
@@ -176,6 +179,9 @@ func (e *Extractor) dstCounter(p *packet.Packet) int {
 		return c
 	}
 	c := len(e.dstSeen) + 1
+	if c >= MaxDstIPCounter {
+		return MaxDstIPCounter
+	}
 	e.dstSeen[p.DstIP] = c
 	return c
 }

@@ -45,7 +45,7 @@ func TestPortClass(t *testing.T) {
 
 func TestExtractDHCP(t *testing.T) {
 	p := packet.NewDHCPDiscover(mac1, 1, "dev")
-	v := NewExtractor().Extract(p)
+	v := NewExtractor().Extract(p).Vector()
 	for idx, want := range map[int]float64{
 		FeatIP: 1, FeatUDP: 1, FeatDHCP: 1, FeatBOOTP: 1,
 		FeatRawData: 1, FeatSrcPortClass: 1, FeatDstPortClass: 1,
@@ -65,7 +65,7 @@ func TestExtractDHCP(t *testing.T) {
 
 func TestExtractARP(t *testing.T) {
 	p := packet.NewARP(mac1, ip1, gw)
-	v := NewExtractor().Extract(p)
+	v := NewExtractor().Extract(p).Vector()
 	if v[FeatARP] != 1 || v[FeatIP] != 0 || v[FeatDstIPCounter] != 0 {
 		t.Errorf("ARP features wrong: arp=%v ip=%v ctr=%v",
 			v[FeatARP], v[FeatIP], v[FeatDstIPCounter])
@@ -78,7 +78,7 @@ func TestExtractARP(t *testing.T) {
 func TestExtractHTTPSAndOptions(t *testing.T) {
 	p := packet.NewTLSClientHello(mac1, mac2, ip1, ext1, 49500, 200)
 	p.IPOpts = packet.IPv4Options{Padding: true, RouterAlert: true}
-	v := NewExtractor().Extract(p)
+	v := NewExtractor().Extract(p).Vector()
 	if v[FeatHTTPS] != 1 || v[FeatTCP] != 1 {
 		t.Error("HTTPS/TCP bits not set")
 	}
@@ -98,12 +98,12 @@ func TestDstIPCounterOrder(t *testing.T) {
 	seq := []netip.Addr{gw, ext1, gw, ext2, ext1}
 	want := []float64{1, 2, 1, 3, 2}
 	for i, dst := range seq {
-		if got := e.Extract(mk(dst))[FeatDstIPCounter]; got != want[i] {
+		if got := e.Extract(mk(dst)).Vector()[FeatDstIPCounter]; got != want[i] {
 			t.Errorf("packet %d counter = %v, want %v", i, got, want[i])
 		}
 	}
 	e.Reset()
-	if got := e.Extract(mk(ext2))[FeatDstIPCounter]; got != 1 {
+	if got := e.Extract(mk(ext2)).Vector()[FeatDstIPCounter]; got != 1 {
 		t.Errorf("counter after reset = %v, want 1", got)
 	}
 }
@@ -129,13 +129,17 @@ func TestExtractAll(t *testing.T) {
 func TestVectorEqual(t *testing.T) {
 	a := NewExtractor().Extract(packet.NewARP(mac1, ip1, gw))
 	b := NewExtractor().Extract(packet.NewARP(mac1, ip1, gw))
-	if !a.Equal(b) {
-		t.Error("identical packets must have equal vectors")
+	if a != b || a.Vector() != b.Vector() {
+		t.Error("identical packets must have equal symbols and views")
 	}
-	c := b
-	c[FeatSize]++
-	if a.Equal(c) {
-		t.Error("vectors differing in size must not be equal")
+	cv := b.Vector()
+	cv[FeatSize]++
+	c, err := Pack(cv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == c {
+		t.Error("symbols differing in size must not be equal")
 	}
 }
 
@@ -152,7 +156,7 @@ func TestBinaryFeaturesAreBinary(t *testing.T) {
 		default:
 			p = packet.NewICMPEcho(mac1, mac2, ip1, ext1, int(payloadLen))
 		}
-		v := NewExtractor().Extract(p)
+		v := NewExtractor().Extract(p).Vector()
 		for i := 0; i < Count; i++ {
 			switch i {
 			case FeatSize:

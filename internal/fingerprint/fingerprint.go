@@ -1,11 +1,11 @@
 // Package fingerprint builds the two device fingerprints of Sect. IV-A:
 //
-//   - F: the variable-length sequence of 23-feature packet vectors for
-//     the setup-phase packets of one device, with consecutive identical
-//     vectors discarded.
+//   - F: the variable-length sequence of packed 23-feature packet
+//     symbols for the setup-phase packets of one device, with
+//     consecutive identical symbols discarded.
 //   - F′ ("FPrime"): a fixed 276-dimensional vector formed by
-//     concatenating the first 12 *unique* packet vectors of F,
-//     zero-padded when fewer than 12 unique vectors exist.
+//     concatenating the float views of the first 12 *unique* symbols of
+//     F, zero-padded when fewer than 12 unique symbols exist.
 //
 // It also implements the setup-phase end detection the paper describes:
 // the setup phase ends when the packet rate drops below a fraction of
@@ -13,6 +13,7 @@
 package fingerprint
 
 import (
+	"fmt"
 	"time"
 
 	"iotsentinel/internal/features"
@@ -27,15 +28,19 @@ const UniquePackets = 12
 // FPrimeLen is the dimensionality of F′: 12 packets × 23 features.
 const FPrimeLen = UniquePackets * features.Count
 
-// F is the variable-length fingerprint: an ordered sequence of packet
-// feature vectors with consecutive duplicates removed. Each element is
+// F is the variable-length fingerprint: an ordered sequence of packed
+// packet symbols with consecutive duplicates removed. Each element is
 // one "character" for the edit-distance discrimination step.
-type F []features.Vector
+type F []features.Packed
 
 // FPrime is the fixed-size fingerprint used for classification.
 type FPrime [FPrimeLen]float64
 
 // Fingerprint bundles both representations for one device observation.
+// FPrime and UniqueCount are functions of F (see Prime); the package's
+// constructors keep them so, and consumers that must not trust a
+// hand-built value — the classifier bank behind its cache — read F
+// alone and derive the rest.
 type Fingerprint struct {
 	F      F
 	FPrime FPrime
@@ -44,65 +49,126 @@ type Fingerprint struct {
 	UniqueCount int
 }
 
-// FromVectors builds a Fingerprint from an ordered packet-vector
-// sequence (one device's setup traffic).
+// FromPacked builds a Fingerprint from an ordered packet-symbol
+// sequence (one device's setup traffic). The result does not alias ps.
+func FromPacked(ps []features.Packed) Fingerprint {
+	// Consecutive duplicates are dropped, per Eq. (1)'s side condition.
+	// Counting first sizes F exactly: one allocation of 8 B per row.
+	keep := func(i int) bool { return i == 0 || ps[i] != ps[i-1] }
+	n := 0
+	for i := range ps {
+		if keep(i) {
+			n++
+		}
+	}
+	var f F
+	if n > 0 {
+		f = make(F, 0, n)
+	}
+	for i, p := range ps {
+		if keep(i) {
+			f = append(f, p)
+		}
+	}
+	fp := Fingerprint{F: f}
+	fp.UniqueCount = f.Prime(fp.FPrime[:])
+	return fp
+}
+
+// FromVectors is FromPacked over the float view, for rows that came
+// from the extractor (features.ExtractAll). It panics on a row
+// features.Pack rejects; rows from outside the program go through
+// FromRows instead.
 func FromVectors(vs []features.Vector) Fingerprint {
-	f := dedupeConsecutive(vs)
-	fp, n := fprimeOf(f, UniquePackets)
-	var fixed FPrime
-	copy(fixed[:], fp)
-	return Fingerprint{F: f, FPrime: fixed, UniqueCount: n}
+	ps := make([]features.Packed, len(vs))
+	for i, v := range vs {
+		p, err := features.Pack(v)
+		if err != nil {
+			panic(fmt.Sprintf("fingerprint: FromVectors row %d: %v", i, err))
+		}
+		ps[i] = p
+	}
+	return FromPacked(ps)
+}
+
+// FromRows builds a Fingerprint from float feature rows read from
+// outside the program — the row format of the HTTP API, the journal and
+// the model file. A row of the wrong width, or one the extractor cannot
+// produce (features.Pack), is an error.
+func FromRows(rows [][]float64) (Fingerprint, error) {
+	ps := make([]features.Packed, len(rows))
+	for i, row := range rows {
+		if len(row) != features.Count {
+			return Fingerprint{}, fmt.Errorf("row %d has %d features, want %d", i, len(row), features.Count)
+		}
+		p, err := features.Pack(features.Vector(row))
+		if err != nil {
+			return Fingerprint{}, fmt.Errorf("row %d: %w", i, err)
+		}
+		ps[i] = p
+	}
+	return FromPacked(ps), nil
+}
+
+// Rows is the inverse of FromRows: the float rows of f.
+func (f F) Rows() [][]float64 {
+	flat := make([]float64, len(f)*features.Count)
+	rows := make([][]float64, len(f))
+	for i, p := range f {
+		rows[i] = flat[i*features.Count : (i+1)*features.Count : (i+1)*features.Count]
+		p.PutVector(rows[i])
+	}
+	return rows
 }
 
 // FromPackets extracts features (with fresh destination-IP counter
 // state) and builds the Fingerprint.
 func FromPackets(pkts []*packet.Packet) Fingerprint {
-	return FromVectors(features.ExtractAll(pkts))
+	e := features.NewExtractor()
+	ps := make([]features.Packed, len(pkts))
+	for i, p := range pkts {
+		ps[i] = e.Extract(p)
+	}
+	return FromPacked(ps)
+}
+
+// Prime writes the float views of the first len(dst)/features.Count
+// globally unique symbols of f into dst, zero padding the tail, and
+// returns the number of unique symbols used. With a dst of FPrimeLen
+// it derives F′ — the one place the pipeline leaves the packed
+// representation. Uniqueness is a linear scan over the symbols already
+// taken: at most 12 word compares per row.
+func (f F) Prime(dst []float64) int {
+	n := len(dst) / features.Count
+	var taken [UniquePackets]features.Packed
+	seen := taken[:0]
+	if n > UniquePackets {
+		seen = make([]features.Packed, 0, n)
+	}
+rows:
+	for _, p := range f {
+		if len(seen) == n {
+			break
+		}
+		for _, q := range seen {
+			if p == q {
+				continue rows
+			}
+		}
+		p.PutVector(dst[len(seen)*features.Count:])
+		seen = append(seen, p)
+	}
+	clear(dst[len(seen)*features.Count:])
+	return len(seen)
 }
 
 // TruncatedFPrime builds a variable-length analogue of F′ using the
 // first n unique vectors instead of 12. It exists for the fingerprint-
 // length ablation study; n must be positive.
 func TruncatedFPrime(f F, n int) []float64 {
-	fp, _ := fprimeOf(f, n)
-	return fp
-}
-
-// dedupeConsecutive drops packets identical (in feature space) to their
-// immediate predecessor, per Eq. (1)'s side condition.
-func dedupeConsecutive(vs []features.Vector) F {
-	var out F
-	for i, v := range vs {
-		if i > 0 && v.Equal(vs[i-1]) {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// fprimeOf concatenates the first n globally unique vectors of f into a
-// flat feature slice of length n*features.Count, zero padding the tail.
-// It returns the padded slice and the number of unique vectors used.
-// Uniqueness is tracked in a hash set: features.Vector is a comparable
-// array whose map-key equality matches Vector.Equal (features are
-// finite, so the float == / map-key divergence on NaN cannot occur).
-func fprimeOf(f F, n int) ([]float64, int) {
 	out := make([]float64, n*features.Count)
-	seen := make(map[features.Vector]struct{}, n)
-	used := 0
-	for _, v := range f {
-		if used == n {
-			break
-		}
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		copy(out[used*features.Count:], v[:])
-		used++
-	}
-	return out, used
+	f.Prime(out)
+	return out
 }
 
 // SetupCapture accumulates timestamped packets for one device and
@@ -115,7 +181,7 @@ type SetupCapture struct {
 	// MaxPackets caps the capture length.
 	MaxPackets int
 
-	vecs     []features.Vector
+	syms     []features.Packed
 	ext      *features.Extractor
 	lastSeen time.Time
 	done     bool
@@ -130,6 +196,9 @@ func NewSetupCapture(idleGap time.Duration, maxPackets int) *SetupCapture {
 	if maxPackets <= 0 {
 		maxPackets = 300
 	}
+	// One capture then sees at most MaxDstIPCounter destinations, so
+	// its destination counter always fits its field.
+	maxPackets = min(maxPackets, features.MaxDstIPCounter)
 	return &SetupCapture{
 		IdleGap:    idleGap,
 		MaxPackets: maxPackets,
@@ -144,15 +213,15 @@ func (c *SetupCapture) Observe(ts time.Time, p *packet.Packet) bool {
 	if c.done {
 		return true
 	}
-	if len(c.vecs) > 0 && ts.Sub(c.lastSeen) >= c.IdleGap {
+	if len(c.syms) > 0 && ts.Sub(c.lastSeen) >= c.IdleGap {
 		// The device went quiet: the setup phase ended at the previous
 		// packet; this one belongs to steady-state operation.
 		c.done = true
 		return true
 	}
-	c.vecs = append(c.vecs, c.ext.Extract(p))
+	c.syms = append(c.syms, c.ext.Extract(p))
 	c.lastSeen = ts
-	if len(c.vecs) >= c.MaxPackets {
+	if len(c.syms) >= c.MaxPackets {
 		c.done = true
 	}
 	return c.done
@@ -162,7 +231,7 @@ func (c *SetupCapture) Observe(ts time.Time, p *packet.Packet) bool {
 func (c *SetupCapture) Done() bool { return c.done }
 
 // Len returns the number of packets captured so far.
-func (c *SetupCapture) Len() int { return len(c.vecs) }
+func (c *SetupCapture) Len() int { return len(c.syms) }
 
 // LastSeen returns the timestamp of the most recently observed packet
 // (zero before the first packet). Sweepers use it to finalize captures
@@ -172,5 +241,5 @@ func (c *SetupCapture) LastSeen() time.Time { return c.lastSeen }
 // Fingerprint finalizes the capture and returns the fingerprint built
 // from the packets observed so far.
 func (c *SetupCapture) Fingerprint() Fingerprint {
-	return FromVectors(c.vecs)
+	return FromPacked(c.syms)
 }

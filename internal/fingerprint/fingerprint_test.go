@@ -2,12 +2,14 @@ package fingerprint
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"iotsentinel/internal/features"
 	"iotsentinel/internal/packet"
+	"iotsentinel/internal/testutil"
 )
 
 var (
@@ -183,7 +185,7 @@ func TestQuickFPrimeInvariants(t *testing.T) {
 			return false
 		}
 		for i := 1; i < len(fp.F); i++ {
-			if fp.F[i].Equal(fp.F[i-1]) {
+			if fp.F[i] == fp.F[i-1] {
 				return false
 			}
 		}
@@ -191,5 +193,34 @@ func TestQuickFPrimeInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSetupCaptureFingerprintAllocBound: finishing a capture allocates
+// F — one object of 8 bytes per kept row (rounded up to an allocator
+// size class) — and nothing else: no float rows, no uniqueness set.
+func TestSetupCaptureFingerprintAllocBound(t *testing.T) {
+	c := NewSetupCapture(time.Minute, 0)
+	base := time.Unix(1000, 0)
+	for i := 0; i < 40; i++ {
+		p := packet.NewUDP(mac1, mac2, ip1, gw, 40000, 9999, make([]byte, i%25))
+		c.Observe(base.Add(time.Duration(i)*time.Millisecond), p)
+	}
+	rows := len(c.Fingerprint().F)
+	if rows < 25 {
+		t.Fatalf("fixture kept %d rows, want a realistic F", rows)
+	}
+	testutil.AssertAllocs(t, "SetupCapture.Fingerprint", 1, func() { _ = c.Fingerprint() })
+
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_ = c.Fingerprint()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(8*rows + 8*rows/4 + 16); perRun > limit {
+		t.Errorf("Fingerprint() allocates %d B for %d rows, want <= %d (8 B per row plus size-class slack)", perRun, rows, limit)
 	}
 }

@@ -3,15 +3,15 @@ package fingerprint
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"math"
 	"sync"
 )
 
 // Key is the canonical content hash of a Fingerprint, usable as a map
-// key. Two fingerprints with the same Key are identical in F, F′ and
-// UniqueCount; the identification cache relies on this to guarantee
-// that a cached answer is bit-identical to what the classifier bank
-// would have produced for the probe.
+// key. Two fingerprints with the same Key have the same F, and F is
+// everything: F′ and UniqueCount are functions of it. The
+// identification cache relies on this — the bank reads only F from a
+// probe — to guarantee that a cached answer is bit-identical to what
+// the classifier bank would have produced.
 type Key [sha256.Size]byte
 
 // keyBufPool recycles the serialization buffer CanonicalKey hashes
@@ -19,37 +19,21 @@ type Key [sha256.Size]byte
 // *[]byte (not a []byte) keeps the Put interface-boxing free.
 var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// CanonicalKey hashes the fingerprint into its canonical Key. The hash
-// covers the full variable-length F sequence — not just F′ — because
-// the edit-distance discrimination stage reads F, so two fingerprints
-// that agree on F′ but differ in their tail could still identify
-// differently. Every float64 is hashed by its IEEE-754 bit pattern in
-// little-endian order, with length prefixes so (say) a 2-vector F
-// cannot collide with a 1-vector F that happens to share a byte
-// boundary.
-//
-// The byte stream is assembled in a pooled buffer and hashed in one
-// sha256.Sum256 call: the digest never escapes, the per-word Write
-// overhead of a streaming hash is gone, and the resulting Key is
-// byte-identical to the retired streaming implementation (same stream,
-// same hash — pinned by the differential test in hash_test.go).
+// CanonicalKey hashes the fingerprint into its canonical Key: SHA-256
+// over len(F) as a little-endian u64 followed by each packed symbol of
+// F as a little-endian u64 — 8 bytes per row. It stays a cryptographic
+// hash because the cache it keys is security-relevant: a collision an
+// attacker could construct would be cache poisoning. FPrime and
+// UniqueCount are deliberately not hashed; a hand-built Fingerprint
+// whose FPrime disagrees with its F keys (and identifies) as its F.
 func (fp *Fingerprint) CanonicalKey() Key {
 	bp := keyBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(fp.F)))
-	for _, v := range fp.F {
-		for _, f := range v {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-		}
+	for _, p := range fp.F {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
 	}
-	// F′ and UniqueCount are pure functions of F, but hand-built
-	// Fingerprint values (deserialized, test fixtures) may disagree, so
-	// they are folded in defensively rather than assumed derivable.
-	for _, f := range fp.FPrime {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(fp.UniqueCount))
 
 	k := Key(sha256.Sum256(buf))
 	*bp = buf

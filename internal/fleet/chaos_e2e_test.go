@@ -88,7 +88,7 @@ func runCanaryScenario(t *testing.T, seed uint64, chaotic bool, seen *seedCounte
 			cfg = chaos.Config{
 				Seed:          seed + uint64(i),
 				Latency:       time.Millisecond,
-				CutAfterBytes: 48_000, // jittered ≥24k: every conn lands at least one full batch before dying
+				CutAfterBytes: 2_000, // jittered ≥1k: every conn lands at least one full batch (~280 B of packed rows) before dying
 			}
 		}
 		d := chaosDialerTo(f.addr, cfg)

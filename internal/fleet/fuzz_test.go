@@ -2,27 +2,11 @@ package fleet
 
 import (
 	"bytes"
-	"math"
+	"slices"
 	"testing"
 
 	"iotsentinel/internal/fingerprint"
 )
-
-// sameF compares F matrices bit-for-bit (reflect.DeepEqual would
-// reject NaN == NaN, but the wire codec preserves every bit pattern).
-func sameF(a, b fingerprint.F) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		for c := range a[i] {
-			if math.Float64bits(a[i][c]) != math.Float64bits(b[i][c]) {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // FuzzFrameDecoder throws arbitrary bytes at the frame reader; any
 // frame it accepts must survive a re-encode/re-decode round trip.
@@ -34,7 +18,7 @@ func FuzzFrameDecoder(f *testing.F) {
 		}
 	}
 	seed(ftHeartbeat, nil)
-	seed(ftHello, []byte(`{"versions":[1],"gatewayId":"g1"}`))
+	seed(ftHello, []byte(`{"versions":[2],"gatewayId":"g1"}`))
 	seed(ftCounters, encodeCounters(42, 7))
 	if p, err := encodeBatch(nil, []fingerprint.Fingerprint{testFingerprint(3, 0)}); err == nil {
 		seed(ftBatch, p)
@@ -64,7 +48,7 @@ func FuzzFrameDecoder(f *testing.F) {
 
 // FuzzBatchDecoder throws arbitrary payloads at the batch decoder; any
 // batch it accepts must re-encode and re-decode to the same
-// fingerprints (decode canonicalizes via FromVectors, so the decoded
+// fingerprints (decode canonicalizes via FromPacked, so the decoded
 // form is the fixed point).
 func FuzzBatchDecoder(f *testing.F) {
 	for _, fps := range [][]fingerprint.Fingerprint{
@@ -95,7 +79,7 @@ func FuzzBatchDecoder(f *testing.F) {
 			t.Fatalf("round trip count %d != %d", len(fps2), len(fps))
 		}
 		for i := range fps {
-			if !sameF(fps[i].F, fps2[i].F) {
+			if !slices.Equal(fps[i].F, fps2[i].F) {
 				t.Fatalf("fingerprint %d F diverged on round trip", i)
 			}
 			if fps[i].UniqueCount != fps2[i].UniqueCount {

@@ -17,9 +17,8 @@ import (
 	"iotsentinel/internal/testutil"
 )
 
-// seedCounter tallies ingested fingerprints by their seed (the first
-// element of the first packet vector, which the testFingerprint
-// builder makes unique) so delivery-count assertions — exactly once,
+// seedCounter tallies ingested fingerprints by their seed (seedOf,
+// which the testFingerprint builder makes unique) so delivery-count assertions — exactly once,
 // at least once — have something to count.
 type seedCounter struct {
 	mu sync.Mutex
@@ -31,7 +30,7 @@ func newSeedCounter() *seedCounter { return &seedCounter{m: make(map[float64]int
 func (c *seedCounter) ingest(fps []fingerprint.Fingerprint) int {
 	c.mu.Lock()
 	for _, fp := range fps {
-		c.m[fp.F[0][0]]++
+		c.m[seedOf(fp)]++
 	}
 	c.mu.Unlock()
 	return 0
@@ -236,8 +235,8 @@ func TestClientFlushRequeuesOnWriteError(t *testing.T) {
 		t.Fatalf("buffer holds %d fingerprints after failed Flush, want %d requeued", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].F[0][0] != want[i].F[0][0] {
-			t.Fatalf("requeued fingerprint %d has seed %v, want %v (order lost)", i, got[i].F[0][0], want[i].F[0][0])
+		if seedOf(got[i]) != seedOf(want[i]) {
+			t.Fatalf("requeued fingerprint %d has seed %v, want %v (order lost)", i, seedOf(got[i]), seedOf(want[i]))
 		}
 	}
 }
@@ -354,7 +353,7 @@ func TestSessionSpoolBoundDropsOldest(t *testing.T) {
 		t.Fatalf("SpoolDropped = %d fingerprints, want 4 (two oldest batches of 2)", st.SpoolDropped)
 	}
 	sess.mu.Lock()
-	oldest := sess.spool[0][0].F[0][0]
+	oldest := seedOf(sess.spool[0][0])
 	sess.mu.Unlock()
 	if oldest != 4 {
 		t.Fatalf("oldest surviving fingerprint seed = %v, want 4 (drop-oldest, not drop-newest)", oldest)

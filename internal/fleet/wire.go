@@ -28,19 +28,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 )
 
-// ProtocolV1 is the initial protocol version. The hello/welcome
-// exchange exists so a future V2 (say, compressed batches) can coexist
-// with V1 gateways on one listener.
-const ProtocolV1 uint32 = 1
+// ProtocolV2 carries fingerprint batches as one packed 64-bit symbol
+// per row. V1 carried 23 float64s per row; that layout is gone, not
+// kept as a second path, so a V1-only peer is refused at the
+// hello/welcome negotiation with the usual no-shared-version error.
+const ProtocolV2 uint32 = 2
 
 // supportedVersions lists what this build speaks, preferred first.
-var supportedVersions = []uint32{ProtocolV1}
+var supportedVersions = []uint32{ProtocolV2}
 
 type frameType uint8
 
@@ -221,11 +221,12 @@ func negotiate(offered []uint32) (uint32, bool) {
 // Binary fingerprint-batch codec. Layout:
 //
 //	u16 count
-//	per fingerprint: u16 rows, then rows × features.Count float64 BE
+//	per fingerprint: u16 rows, then rows × u64 BE features.Packed
 //
-// Only the F matrix travels; F′ is re-derived on the receiving side so
-// the two representations can never desynchronize (same rule as the
-// HTTP JSON API).
+// Only F travels; F′ is re-derived on the receiving side so the two
+// representations can never desynchronize (same rule as the HTTP JSON
+// API). A word with a reserved bit set is not a symbol the extractor
+// produces and fails the decode.
 
 // encodeBatch appends the batch encoding to dst and returns it.
 func encodeBatch(dst []byte, fps []fingerprint.Fingerprint) ([]byte, error) {
@@ -239,10 +240,8 @@ func encodeBatch(dst []byte, fps []fingerprint.Fingerprint) ([]byte, error) {
 			return nil, fmt.Errorf("fleet: fingerprint %d has %d rows (want 1..%d)", i, len(rows), maxFingerprintRows)
 		}
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(rows)))
-		for _, row := range rows {
-			for _, v := range row {
-				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-			}
+		for _, p := range rows {
+			dst = binary.BigEndian.AppendUint64(dst, uint64(p))
 		}
 	}
 	return dst, nil
@@ -269,18 +268,19 @@ func decodeBatch(p []byte) ([]fingerprint.Fingerprint, error) {
 		if rows == 0 || rows > maxFingerprintRows {
 			return nil, fmt.Errorf("fleet: fingerprint %d has %d rows (want 1..%d)", i, rows, maxFingerprintRows)
 		}
-		need := rows * features.Count * 8
+		need := rows * 8
 		if len(p) < need {
 			return nil, fmt.Errorf("fleet: fingerprint %d truncated (%d of %d bytes)", i, len(p), need)
 		}
-		vs := make([]features.Vector, rows)
-		for r := 0; r < rows; r++ {
-			for c := 0; c < features.Count; c++ {
-				vs[r][c] = math.Float64frombits(binary.BigEndian.Uint64(p))
-				p = p[8:]
+		ps := make([]features.Packed, rows)
+		for r := range ps {
+			ps[r] = features.Packed(binary.BigEndian.Uint64(p))
+			if !ps[r].Valid() {
+				return nil, fmt.Errorf("fleet: fingerprint %d row %d: %#x is not a packed feature symbol", i, r, uint64(ps[r]))
 			}
+			p = p[8:]
 		}
-		fps = append(fps, fingerprint.FromVectors(vs))
+		fps = append(fps, fingerprint.FromPacked(ps))
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("fleet: %d trailing bytes after batch", len(p))

@@ -3,30 +3,40 @@ package fleet
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
 	"io"
+	"math"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
+	"iotsentinel/internal/testutil"
 )
 
 // testFingerprint builds a deterministic fingerprint with rows distinct
 // enough to survive the consecutive-duplicate dedup.
 func testFingerprint(rows int, seed float64) fingerprint.Fingerprint {
-	vs := make([]features.Vector, rows)
-	for r := range vs {
-		for c := 0; c < features.Count; c++ {
-			vs[r][c] = seed + float64(r*features.Count+c)
-		}
+	ps := make([]features.Packed, rows)
+	for r := range ps {
+		// Any word with the reserved top bit clear is a valid symbol;
+		// the offset keeps the smallest (negative) seeds positive.
+		ps[r] = features.Packed(int64(seed) + 4096 + int64(r))
 	}
-	return fingerprint.FromVectors(vs)
+	return fingerprint.FromPacked(ps)
 }
+
+// seedOf recovers the seed testFingerprint was built with.
+func seedOf(fp fingerprint.Fingerprint) float64 { return float64(int64(fp.F[0]) - 4096) }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := map[frameType][]byte{
-		ftHello:     []byte(`{"versions":[1],"gatewayId":"g1"}`),
+		ftHello:     []byte(`{"versions":[2],"gatewayId":"g1"}`),
 		ftHeartbeat: nil,
 		ftCounters:  encodeCounters(7, 2),
 	}
@@ -78,9 +88,11 @@ func TestNegotiate(t *testing.T) {
 		want    uint32
 		ok      bool
 	}{
-		{[]uint32{1}, 1, true},
-		{[]uint32{99, 1}, 1, true},
+		{[]uint32{2}, 2, true},
+		{[]uint32{99, 2}, 2, true},
+		{[]uint32{1, 2}, 2, true},
 		{[]uint32{99}, 0, false},
+		{[]uint32{1}, 0, false}, // V1's float batches are gone
 		{nil, 0, false},
 	}
 	for _, c := range cases {
@@ -142,6 +154,20 @@ func TestBatchCodecRejectsAbuse(t *testing.T) {
 	if _, err := decodeBatch(payload); err == nil {
 		t.Error("count/payload mismatch decoded")
 	}
+	// A word the extractor cannot produce (reserved bit set).
+	payload, _ = encodeBatch(nil, []fingerprint.Fingerprint{testFingerprint(2, 0)})
+	payload[4] |= 0x80 // top byte of the first big-endian row
+	if _, err := decodeBatch(payload); err == nil {
+		t.Error("invalid packed symbol decoded")
+	}
+	// A V1-layout batch (23 float64s per row) must not parse as V2.
+	v1 := []byte{0, 1, 0, 1}
+	for c := 0; c < features.Count; c++ {
+		v1 = binary.BigEndian.AppendUint64(v1, math.Float64bits(float64(c)))
+	}
+	if _, err := decodeBatch(v1); err == nil {
+		t.Error("V1 float-row batch decoded")
+	}
 	// Trailing junk after a valid batch.
 	payload, _ = encodeBatch(nil, []fingerprint.Fingerprint{testFingerprint(2, 0)})
 	if _, err := decodeBatch(append(payload, 0xff)); err == nil {
@@ -171,5 +197,55 @@ func TestModelPushCodec(t *testing.T) {
 	}
 	if _, _, err := decodeModelPush([]byte("short")); err == nil {
 		t.Fatal("short model push decoded")
+	}
+}
+
+// TestV1OnlyPeerIsRefused: V1 carried float rows and is gone, so a peer
+// that speaks nothing newer is turned away by the hello/welcome
+// negotiation itself — a V1-only gateway gets the server's
+// no-shared-version error frame and a close, and a client welcomed at
+// V1 fails its handshake — rather than by batches that no longer parse.
+func TestV1OnlyPeerIsRefused(t *testing.T) {
+	t.Cleanup(testutil.AssertNoGoroutineLeaks(t))
+	f := startFleet(t, t.TempDir())
+	c, err := net.Dial("tcp", f.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeJSONFrame(c, ftHello, helloMsg{Versions: []uint32{1}, GatewayID: "old-gw"}); err != nil {
+		t.Fatal(err)
+	}
+	ft, payload, err := readFrame(c)
+	if err != nil || ft != ftError {
+		t.Fatalf("V1-only hello answered with %s, %v; want an error frame", ft, err)
+	}
+	var em errorMsg
+	if err := json.Unmarshal(payload, &em); err != nil || !strings.Contains(em.Msg, "no shared protocol version") {
+		t.Fatalf("error frame %q (%v), want the negotiation refusal", payload, err)
+	}
+	if _, _, err := readFrame(c); err == nil {
+		t.Error("server kept the connection open after refusing the hello")
+	}
+	if ids := f.reg.IDs(); len(ids) != 0 {
+		t.Errorf("refused gateway was registered: %v", ids)
+	}
+
+	srv, cli := net.Pipe()
+	go func() {
+		defer srv.Close()
+		if ft, _, err := readFrame(srv); err != nil || ft != ftHello {
+			return
+		}
+		_ = writeJSONFrame(srv, ftWelcome, welcomeMsg{Version: 1, LeaseMillis: time.Hour.Milliseconds()})
+	}()
+	cl, err := Dial(ClientConfig{GatewayID: "g1", Dialer: func() (net.Conn, error) { return cli, nil }})
+	if err == nil {
+		cl.Close()
+		t.Fatal("client accepted a welcome at protocol v1")
+	}
+	if !strings.Contains(err.Error(), "unsupported protocol v1") {
+		t.Errorf("client handshake error %q, want the unsupported-version refusal", err)
 	}
 }

@@ -32,14 +32,12 @@ func benchGateway(shards, queue int) *Gateway {
 	})
 }
 
-// benchHandlePacket hammers HandlePacket from every benchmark
-// goroutine, each on its own stream of device MACs so parallel feeders
-// contend only on shared gateway structures — exactly the contention
-// the sharding is meant to remove. Compare the SingleLock and Sharded
-// variants (archived by `make bench-json`) to see the effect; on a
-// multi-core host the sharded number should pull far ahead.
-func benchHandlePacket(b *testing.B, shards, queue int) {
-	g := benchGateway(shards, queue)
+// BenchmarkHandlePacketSharded hammers HandlePacket from every
+// benchmark goroutine, each on its own stream of device MACs so
+// parallel feeders contend only on shared gateway structures — the
+// contention the sharding removes.
+func BenchmarkHandlePacketSharded(b *testing.B) {
+	g := benchGateway(16, 256)
 	defer g.Close()
 	base := time.Unix(7000, 0)
 	var worker atomic.Uint32
@@ -62,10 +60,6 @@ func benchHandlePacket(b *testing.B, shards, queue int) {
 		}
 	})
 }
-
-func BenchmarkHandlePacketSingleLock(b *testing.B) { benchHandlePacket(b, 1, 0) }
-
-func BenchmarkHandlePacketSharded(b *testing.B) { benchHandlePacket(b, 16, 256) }
 
 // steadyStateDevice runs one device through its full lifecycle — setup
 // capture, assessment, enforcement — and returns the gateway plus a

@@ -6,11 +6,13 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"iotsentinel/internal/devices"
+	"iotsentinel/internal/features"
 	"iotsentinel/internal/iotssp"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/sdn"
@@ -584,5 +586,49 @@ func TestRestartResumesQuarantineDrain(t *testing.T) {
 	}
 	if g3.QuarantineLen() != 0 {
 		t.Fatalf("retry queue = %d after promotion persisted", g3.QuarantineLen())
+	}
+}
+
+// TestRecoverRejectsUnpackableJournaledRows: journal and snapshot keep
+// float rows, so replay is a boundary. A quarantine record whose rows
+// the extractor cannot have produced surfaces as store.RowsFingerprint's
+// error; Recover then keeps the device quarantined fail-closed but not
+// retryable, rather than parking some other fingerprint in its name.
+func TestRecoverRejectsUnpackableJournaledRows(t *testing.T) {
+	fp := devices.GenerateDataset(1, 5)["EdnetCam"][0]
+	good := store.FRows(fp)
+	if back, err := store.RowsFingerprint(good); err != nil || back.CanonicalKey() != fp.CanonicalKey() {
+		t.Fatalf("journal rows do not round-trip: %v", err)
+	}
+	bad := store.FRows(fp)
+	bad[1][features.FeatSize] += 0.5
+	if _, err := store.RowsFingerprint(bad); err == nil || !strings.Contains(err.Error(), "store: fingerprint row 1") {
+		t.Fatalf("RowsFingerprint(fractional size) = %v, want a store error naming row 1", err)
+	}
+
+	at := time.Unix(7000, 0)
+	macGood, macBadEvent, macBadSnap := packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2}, packet.MAC{2, 0, 0, 0, 0, 3}
+	rec := &store.Recovery{
+		Snapshot: &store.Snapshot{
+			Devices:    []store.DeviceRecord{{MAC: macBadSnap, State: StateQuarantined.String(), Level: int(sdn.Strict), FirstSeen: at}},
+			Quarantine: []store.QuarantineRecord{{MAC: macBadSnap, Since: at, Fingerprint: bad}},
+		},
+		Events: []store.Event{
+			{Kind: store.EvQuarantined, MAC: macGood, At: at, FirstSeen: at, Attempts: 1, Fingerprint: good},
+			{Kind: store.EvQuarantined, MAC: macBadEvent, At: at, FirstSeen: at, Attempts: 1, Fingerprint: bad},
+		},
+	}
+	g := newGateway(t, Config{})
+	stats, err := g.Recover(rec, at.Add(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Quarantined != 3 || stats.Retryable != 1 {
+		t.Fatalf("recovery stats %+v: want 3 quarantined, only the well-formed one retryable", stats)
+	}
+	for _, mac := range []packet.MAC{macGood, macBadEvent, macBadSnap} {
+		if info, ok := g.Device(mac); !ok || info.State != StateQuarantined || info.Level != sdn.Strict {
+			t.Errorf("device %v after recovery: %+v (present %v), want strict quarantine", mac, info, ok)
+		}
 	}
 }

@@ -274,13 +274,13 @@ func (g *Gateway) handlePacket(ts time.Time, pk *packet.Packet) (sdn.Action, err
 		if g.async != nil {
 			// Off-path identification: park the fingerprint on the
 			// shard's bounded queue and keep forwarding.
-			g.async.enqueue(g, idx, assessJob{mac: pk.SrcMAC, fp: finished.Fingerprint(), ts: ts})
+			g.async.enqueue(g, idx, assessJob{mac: pk.SrcMAC, cap: finished, ts: ts})
 		} else {
 			// An assessment failure quarantines the device (fail
 			// closed) instead of wedging it in monitoring; the packet
 			// then falls through to the switch under the strict
 			// quarantine rule.
-			g.assess(pk.SrcMAC, finished.Fingerprint(), ts)
+			assessJob{mac: pk.SrcMAC, cap: finished, ts: ts}.assess(g)
 		}
 	}
 
@@ -312,7 +312,7 @@ func (g *Gateway) FinishSetup(mac packet.MAC, now time.Time) error {
 		return fmt.Errorf("gateway: device %v is not being monitored", mac)
 	}
 	g.cfg.Metrics.captureCompleted(triggerForced)
-	g.assess(mac, cap.Fingerprint(), now)
+	assessJob{mac: mac, cap: cap, ts: now}.assess(g)
 	return nil
 }
 
@@ -350,7 +350,7 @@ func (g *Gateway) FinishAllSetups(now time.Time) (int, error) {
 	assessments, err := assessAll(g.assessor, fps)
 	if err == nil {
 		for i, a := range assessments {
-			g.apply(macs[i], a, fps[i], now)
+			g.apply(macs[i], a, &fps[i], now)
 		}
 		return len(macs), nil
 	}
@@ -361,10 +361,10 @@ func (g *Gateway) FinishAllSetups(now time.Time) (int, error) {
 	for i, mac := range macs {
 		a, aerr := g.assessor.Assess(fps[i])
 		if aerr != nil {
-			g.quarantineDevice(mac, fps[i], now, aerr)
+			g.quarantineDevice(mac, &fps[i], now, aerr)
 			continue
 		}
-		g.apply(mac, a, fps[i], now)
+		g.apply(mac, a, &fps[i], now)
 		assessed++
 	}
 	return assessed, nil
@@ -389,8 +389,8 @@ func assessAll(assessor iotssp.Assessor, fps []fingerprint.Fingerprint) ([]iotss
 
 // assess queries the IoTSSP and installs the enforcement rule; on
 // failure the device is quarantined fail-closed instead.
-func (g *Gateway) assess(mac packet.MAC, fp fingerprint.Fingerprint, now time.Time) {
-	a, err := g.assessor.Assess(fp)
+func (g *Gateway) assess(mac packet.MAC, fp *fingerprint.Fingerprint, now time.Time) {
+	a, err := g.assessor.Assess(*fp)
 	if err != nil {
 		g.quarantineDevice(mac, fp, now, err)
 		return
@@ -402,7 +402,7 @@ func (g *Gateway) assess(mac packet.MAC, fp fingerprint.Fingerprint, now time.Ti
 // fail-closed rule replaces whatever was installed, the device enters
 // StateQuarantined, and its fingerprint is parked (queue permitting)
 // for the retry worker to drain once the service recovers.
-func (g *Gateway) quarantineDevice(mac packet.MAC, fp fingerprint.Fingerprint, now time.Time, cause error) {
+func (g *Gateway) quarantineDevice(mac packet.MAC, fp *fingerprint.Fingerprint, now time.Time, cause error) {
 	g.sw.Controller().Quarantine(mac)
 	g.sw.InvalidateDevice(mac)
 
@@ -429,13 +429,13 @@ func (g *Gateway) quarantineDevice(mac packet.MAC, fp fingerprint.Fingerprint, n
 		FirstSeen:    info.FirstSeen,
 		Attempts:     info.AssessAttempts,
 		SetupPackets: info.SetupPackets,
-		Fingerprint:  store.FRows(fp),
+		Fingerprint:  store.FRows(*fp),
 	})
 	g.qmu.Lock()
 	if q, queued := g.quarantine[mac]; queued {
-		q.fp = fp
+		q.fp = *fp
 	} else if len(g.quarantine) < g.maxQuarantined() {
-		g.quarantine[mac] = &quarantined{fp: fp, since: now}
+		g.quarantine[mac] = &quarantined{fp: *fp, since: now}
 	}
 	g.cfg.Metrics.incAssess(false)
 	g.cfg.Metrics.setQuarantineDepth(len(g.quarantine))
@@ -477,9 +477,11 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 	sort.Slice(macs, func(i, j int) bool {
 		return bytes.Compare(macs[i][:], macs[j][:]) < 0
 	})
+	entries := make([]*quarantined, len(macs))
 	fps := make([]fingerprint.Fingerprint, len(macs))
 	for i, mac := range macs {
-		fps[i] = g.quarantine[mac].fp
+		entries[i] = g.quarantine[mac]
+		fps[i] = entries[i].fp
 	}
 	g.qmu.Unlock()
 
@@ -496,14 +498,20 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 			s.mu.Unlock()
 			return promoted, err
 		}
+		// Claim the entry before applying: whoever takes it out of the
+		// queue promotes the device, so a parallel drain holding an
+		// assessment for the same entry skips it, as does one whose
+		// entry RemoveDevice (or a removal and re-quarantine) replaced.
 		g.qmu.Lock()
-		_, still := g.quarantine[mac]
+		claimed := g.quarantine[mac] == entries[i]
+		if claimed {
+			delete(g.quarantine, mac)
+		}
 		g.qmu.Unlock()
-		if !still {
-			// Removed concurrently (RemoveDevice or a parallel drain).
+		if !claimed {
 			continue
 		}
-		g.apply(mac, a, fps[i], now)
+		g.apply(mac, a, &fps[i], now)
 		g.cfg.Metrics.incRetry(true)
 		promoted++
 	}
@@ -517,34 +525,32 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 // the expiry worker sweeps these. Returns the number of devices
 // finalized (each is assessed, or quarantined if the service is down).
 func (g *Gateway) FinalizeIdleCaptures(now time.Time) int {
-	var macs []packet.MAC
-	byMAC := make(map[packet.MAC]fingerprint.Fingerprint)
+	var jobs []assessJob
 	for _, s := range g.shards {
 		s.mu.Lock()
 		for mac, cap := range s.captures {
 			if cap.Len() > 0 && now.Sub(cap.LastSeen()) >= cap.IdleGap {
-				macs = append(macs, mac)
-				byMAC[mac] = cap.Fingerprint()
+				jobs = append(jobs, assessJob{mac: mac, cap: cap, ts: now})
 				delete(s.captures, mac)
 				g.cfg.Metrics.captureCompleted(triggerIdle)
 			}
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(macs, func(i, j int) bool {
-		return bytes.Compare(macs[i][:], macs[j][:]) < 0
+	sort.Slice(jobs, func(i, j int) bool {
+		return bytes.Compare(jobs[i].mac[:], jobs[j].mac[:]) < 0
 	})
-	for _, mac := range macs {
-		g.assess(mac, byMAC[mac], now)
+	for _, job := range jobs {
+		job.assess(g)
 	}
-	return len(macs)
+	return len(jobs)
 }
 
 // apply installs the enforcement rule for one assessment and fires the
 // gateway callbacks. fp is the fingerprint the assessment answered,
 // threaded through so an unrecognized device can hand its evidence to
 // the online learner.
-func (g *Gateway) apply(mac packet.MAC, a iotssp.Assessment, fp fingerprint.Fingerprint, now time.Time) {
+func (g *Gateway) apply(mac packet.MAC, a iotssp.Assessment, fp *fingerprint.Fingerprint, now time.Time) {
 	rule := &sdn.EnforcementRule{
 		DeviceMAC:    mac,
 		Level:        a.Level,
@@ -597,7 +603,7 @@ func (g *Gateway) apply(mac packet.MAC, a iotssp.Assessment, fp fingerprint.Fing
 		g.cfg.OnAssessed(snapshot)
 	}
 	if !a.Known && g.cfg.OnUnknown != nil {
-		g.cfg.OnUnknown(snapshot, fp)
+		g.cfg.OnUnknown(snapshot, *fp)
 	}
 	if g.cfg.OnNotify != nil {
 		for _, v := range a.Vulnerabilities {

@@ -462,3 +462,83 @@ func TestRemoteQuarantineEndToEnd(t *testing.T) {
 		t.Errorf("notifications = %+v, want 1 for EdnetCam", notes)
 	}
 }
+
+// pairingAssessor releases its callers two at a time: with two drains
+// walking the same MAC order, both come back holding an assessment for
+// the same quarantined device at the same moment — the window in which
+// RetryQuarantined used to promote a device twice.
+type pairingAssessor struct {
+	inner iotssp.Assessor
+	meet  chan struct{}
+}
+
+func (p *pairingAssessor) Assess(fp fingerprint.Fingerprint) (iotssp.Assessment, error) {
+	a, err := p.inner.Assess(fp)
+	select {
+	case p.meet <- struct{}{}:
+	case <-p.meet:
+	case <-time.After(time.Second): // never pairs up again: go through alone
+	}
+	return a, err
+}
+
+// TestRetryQuarantinedConcurrentDrainsPromoteOnce races two drains over
+// the same quarantine queue: every device is promoted by exactly one of
+// them (OnAssessed once per MAC) and the rule table ends up identical to
+// a single serial drain's.
+func TestRetryQuarantinedConcurrentDrainsPromoteOnce(t *testing.T) {
+	svc := trainService(t)
+	var fps []fingerprint.Fingerprint
+	for _, v := range devices.GenerateDataset(2, 77) {
+		fps = append(fps, v...)
+	}
+	now := time.Unix(1_700_000_000, 0)
+	run := func(drains int) (digest uint64, assessed map[packet.MAC]int) {
+		assessed = make(map[packet.MAC]int)
+		var mu sync.Mutex
+		var a iotssp.Assessor = svc
+		if drains > 1 {
+			a = &pairingAssessor{inner: svc, meet: make(chan struct{})}
+		}
+		g := newGatewayWithAssessor(a, Config{OnAssessed: func(d DeviceInfo) {
+			mu.Lock()
+			assessed[d.MAC]++
+			mu.Unlock()
+		}})
+		for i := range fps {
+			mac := packet.MAC{0x02, 0xaa, 0, 0, byte(i >> 8), byte(i)}
+			g.quarantineDevice(mac, &fps[i], now, errors.New("iotssp unavailable"))
+		}
+		var wg sync.WaitGroup
+		var promoted atomic.Int64
+		for d := 0; d < drains; d++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n, err := g.RetryQuarantined(now.Add(time.Minute))
+				if err != nil {
+					t.Errorf("RetryQuarantined: %v", err)
+				}
+				promoted.Add(int64(n))
+			}()
+		}
+		wg.Wait()
+		if int(promoted.Load()) != len(fps) || g.QuarantineLen() != 0 {
+			t.Errorf("%d drain(s): promoted %d of %d, %d still queued", drains, promoted.Load(), len(fps), g.QuarantineLen())
+		}
+		return g.Switch().Controller().Rules().Digest(), assessed
+	}
+	serialDigest, _ := run(1)
+	digest, assessed := run(2)
+	if digest != serialDigest {
+		t.Errorf("rule digest after racing drains %#x, serial %#x", digest, serialDigest)
+	}
+	if len(assessed) != len(fps) {
+		t.Errorf("OnAssessed fired for %d devices, want %d", len(assessed), len(fps))
+	}
+	for mac, n := range assessed {
+		if n != 1 {
+			t.Errorf("device %v promoted %d times, want exactly once", mac, n)
+		}
+	}
+}

@@ -79,11 +79,24 @@ func (g *Gateway) shardOf(mac packet.MAC) *shard {
 // worker re-submits it once the backlog clears.
 var ErrAssessBacklog = errors.New("gateway: assessment queue backlog, fingerprint parked for retry")
 
-// assessJob is one finished setup capture awaiting identification.
+// assessJob is one finished setup capture awaiting identification. It
+// carries the capture, not the 2.2 KB fingerprint: the queues hold
+// pointers, and the drain worker builds the fingerprint off the packet
+// path.
 type assessJob struct {
 	mac packet.MAC
-	fp  fingerprint.Fingerprint
+	cap *fingerprint.SetupCapture
 	ts  time.Time
+}
+
+func (j assessJob) assess(g *Gateway) {
+	fp := j.cap.Fingerprint()
+	g.assess(j.mac, &fp, j.ts)
+}
+
+func (j assessJob) park(g *Gateway) {
+	fp := j.cap.Fingerprint()
+	g.quarantineDevice(j.mac, &fp, j.ts, ErrAssessBacklog)
 }
 
 // asyncAssess is the off-path identification pipeline: one bounded
@@ -119,7 +132,7 @@ func (a *asyncAssess) drain(g *Gateway, q chan assessJob) {
 		select {
 		case job := <-q:
 			g.cfg.Metrics.queueDepthAdd(-1)
-			g.assess(job.mac, job.fp, job.ts)
+			job.assess(g)
 			a.inflight.Add(-1)
 		case <-a.stop:
 			// Park whatever is still queued so a shutdown mid-storm
@@ -128,7 +141,7 @@ func (a *asyncAssess) drain(g *Gateway, q chan assessJob) {
 				select {
 				case job := <-q:
 					g.cfg.Metrics.queueDepthAdd(-1)
-					g.quarantineDevice(job.mac, job.fp, job.ts, ErrAssessBacklog)
+					job.park(g)
 					a.inflight.Add(-1)
 				default:
 					return
@@ -156,7 +169,7 @@ func (a *asyncAssess) enqueue(g *Gateway, i uint32, job assessJob) {
 		case old := <-a.queues[i]:
 			g.cfg.Metrics.queueDepthAdd(-1)
 			g.cfg.Metrics.incQueueDrop()
-			g.quarantineDevice(old.mac, old.fp, old.ts, ErrAssessBacklog)
+			old.park(g)
 			a.inflight.Add(-1)
 		default:
 		}

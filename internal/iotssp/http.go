@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"iotsentinel/internal/core"
-	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/sdn"
 	"iotsentinel/internal/vulndb"
@@ -145,15 +144,7 @@ func fingerprintFromRows(rows [][]float64) (fingerprint.Fingerprint, error) {
 		// back as a meaningless "unknown" instead of a client error.
 		return fingerprint.Fingerprint{}, errors.New("empty fingerprint: at least one feature row required")
 	}
-	vs := make([]features.Vector, len(rows))
-	for i, row := range rows {
-		if len(row) != features.Count {
-			return fingerprint.Fingerprint{}, fmt.Errorf(
-				"row %d has %d features, want %d", i, len(row), features.Count)
-		}
-		copy(vs[i][:], row)
-	}
-	return fingerprint.FromVectors(vs), nil
+	return fingerprint.FromRows(rows)
 }
 
 // Client is the gateway-side HTTP client for a remote service. The
@@ -246,11 +237,7 @@ func (c *Client) Assess(fp fingerprint.Fingerprint) (Assessment, error) {
 // context bounds the whole call including backoff sleeps, while
 // c.Timeout bounds each individual HTTP attempt.
 func (c *Client) AssessContext(ctx context.Context, fp fingerprint.Fingerprint) (Assessment, error) {
-	rows := make([][]float64, len(fp.F))
-	for i, v := range fp.F {
-		rows[i] = append([]float64(nil), v[:]...)
-	}
-	payload, err := json.Marshal(assessRequest{F: rows})
+	payload, err := json.Marshal(assessRequest{F: fp.F.Rows()})
 	if err != nil {
 		return Assessment{}, fmt.Errorf("iotssp client: marshal: %w", err)
 	}

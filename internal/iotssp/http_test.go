@@ -3,6 +3,7 @@ package iotssp
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -176,5 +177,44 @@ func TestWriteJSONCountsEncodeErrors(t *testing.T) {
 	writeJSON(rec, map[string]string{"k": "v"}, m)
 	if got := m.encodeErrors.Value(); got != 1 {
 		t.Errorf("encode_errors_total = %d after clean write, want 1", got)
+	}
+}
+
+// TestAssessRejectsUnpackableRows: the HTTP API keeps float rows, so it
+// is a boundary — a row the extractor cannot have produced is a 400
+// naming the row and feature, not a fingerprint rounded into some other
+// symbol and answered.
+func TestAssessRejectsUnpackableRows(t *testing.T) {
+	svc, _ := testService(t)
+	srv := httptest.NewServer(Handler(svc))
+	defer srv.Close()
+
+	row := func(idx int, val string) string {
+		cells := make([]string, features.Count)
+		for i := range cells {
+			cells[i] = "0"
+		}
+		cells[idx] = val
+		return "[" + strings.Join(cells, ",") + "]"
+	}
+	good := row(features.FeatSize, "60")
+	for name, tt := range map[string]struct{ bad, want string }{
+		"fractional size":  {row(features.FeatSize, "60.5"), "row 1: features: size"},
+		"negative counter": {row(features.FeatDstIPCounter, "-1"), "row 1: features: dst_ip_counter"},
+		"flag of two":      {row(features.FeatTCP, "2"), "row 1: features: tcp"},
+		"port class four":  {row(features.FeatDstPortClass, "4"), "row 1: features: dst_port_class"},
+		"size past field":  {row(features.FeatSize, "1048576"), "row 1: features: size"},
+		"short row":        {"[0,0,0]", "row 1 has 3 features"},
+	} {
+		body := `{"f":[` + good + "," + tt.bad + `]}`
+		resp, err := srv.Client().Post(srv.URL+"/v1/assess", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tt.want) {
+			t.Errorf("%s: status %d body %q, want 400 mentioning %q", name, resp.StatusCode, msg, tt.want)
+		}
 	}
 }

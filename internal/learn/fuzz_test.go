@@ -27,8 +27,8 @@ func fuzzFingerprints(data []byte) []fingerprint.Fingerprint {
 		}
 		vs := make([]features.Vector, n)
 		for i, b := range data[:n] {
-			vs[i][0] = float64(b % 5)
-			vs[i][1] = float64((b / 5) % 3)
+			vs[i][features.FeatSize] = float64(b % 5)
+			vs[i][features.FeatSrcPortClass] = float64((b / 5) % 3)
 		}
 		data = data[n:]
 		fps = append(fps, fingerprint.FromVectors(vs))
@@ -87,19 +87,13 @@ func FuzzClusterLinkage(f *testing.F) {
 
 		// Reference: union-find over canonically-unique fingerprints,
 		// joining every pair within the linkage threshold.
-		vocab := editdist.NewVocab()
 		var uniq []fingerprint.Fingerprint
 		dedup := make(map[fingerprint.Key]bool)
 		for _, fp := range fps {
 			if k := fp.CanonicalKey(); !dedup[k] {
 				dedup[k] = true
-				vocab.Intern(fp.F)
 				uniq = append(uniq, fp)
 			}
-		}
-		words := make([][]int, len(uniq))
-		for i, fp := range uniq {
-			words[i] = vocab.AppendWord(nil, fp.F)
 		}
 		parent := make([]int, len(uniq))
 		for i := range parent {
@@ -114,7 +108,7 @@ func FuzzClusterLinkage(f *testing.F) {
 		}
 		for i := range uniq {
 			for j := i + 1; j < len(uniq); j++ {
-				if editdist.Normalized(words[i], words[j]) <= DefaultLinkage {
+				if editdist.Normalized(uniq[i].F, uniq[j].F) <= DefaultLinkage {
 					parent[find(i)] = find(j)
 				}
 			}

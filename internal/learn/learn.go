@@ -2,8 +2,8 @@
 // fingerprint accepted by no classifier signals a new device-type
 // (Sect. IV-B), and instead of dead-ending in strict isolation, it
 // feeds an online clusterer. Unknown fingerprints are deduplicated by
-// canonical key, interned into a shared edit-distance vocabulary, and
-// grouped by single-linkage normalized Damerau-Levenshtein distance —
+// canonical key and grouped by single-linkage normalized
+// Damerau-Levenshtein distance over their packed symbol sequences —
 // the same machinery the discrimination stage uses, exploiting that
 // behavioral fingerprints of one device-type cluster tightly (IoTSense).
 // Once a cluster reaches K members it proposes a device-type; a
@@ -95,10 +95,6 @@ type cluster struct {
 	id       string
 	typeName core.TypeID
 	members  []fingerprint.Fingerprint
-	// words are the members interned against the learner's vocabulary
-	// — stable symbols (Intern before AppendWord), so linkage scans
-	// compare against them across calls.
-	words    [][]int
 	proposed bool
 	promoted bool
 	// retryAt, after a failed promotion, is the membership the cluster
@@ -118,7 +114,6 @@ type Learner struct {
 	prefix  string
 
 	mu       sync.Mutex
-	vocab    *editdist.Vocab
 	clusters []*cluster
 	seen     map[fingerprint.Key]*cluster
 	nextID   int
@@ -162,7 +157,6 @@ func New(cfg Config) (*Learner, error) {
 		k:       k,
 		linkage: linkage,
 		prefix:  prefix,
-		vocab:   editdist.NewVocab(),
 		seen:    make(map[fingerprint.Key]*cluster),
 		nextID:  1,
 		queue:   make(chan fingerprint.Fingerprint, depth),
@@ -285,11 +279,6 @@ func (l *Learner) observeLocked(fp fingerprint.Fingerprint) (c *cluster, dup boo
 	if owner, ok := l.seen[key]; ok {
 		return owner, true
 	}
-	// Intern before building the word: AppendWord's overlay symbols for
-	// un-interned vectors are only stable within one call, and these
-	// words are compared against for the learner's lifetime.
-	l.vocab.Intern(fp.F)
-	word := l.vocab.AppendWord(nil, fp.F)
 	// Single linkage: a fingerprint within the threshold of any member
 	// joins that cluster, and when it bridges several clusters they were
 	// one component all along — merge them. Merging makes the final
@@ -298,8 +287,8 @@ func (l *Learner) observeLocked(fp fingerprint.Fingerprint) (c *cluster, dup boo
 	// live gateway) reproduce the same groups.
 	var linked []*cluster
 	for _, cand := range l.clusters {
-		for _, w := range cand.words {
-			if _, ok := editdist.NormalizedBounded(word, w, l.linkage); ok {
+		for i := range cand.members {
+			if _, ok := editdist.NormalizedBounded(fp.F, cand.members[i].F, l.linkage); ok {
 				linked = append(linked, cand)
 				break
 			}
@@ -333,7 +322,6 @@ func (l *Learner) observeLocked(fp fingerprint.Fingerprint) (c *cluster, dup boo
 	l.seen[key] = c
 	if len(c.members) < maxClusterMembers {
 		c.members = append(c.members, fp)
-		c.words = append(c.words, word)
 	}
 	if !c.proposed && !c.promoted && len(c.members) >= l.k && len(c.members) >= c.retryAt {
 		c.proposed = true
@@ -347,12 +335,11 @@ func (l *Learner) observeLocked(fp fingerprint.Fingerprint) (c *cluster, dup boo
 // are not absorbed) dies with it: if the merged cluster is big enough,
 // the threshold check after the merge re-proposes it under dst's name.
 func (l *Learner) mergeLocked(dst, src *cluster) {
-	for i, fp := range src.members {
+	for _, fp := range src.members {
 		if len(dst.members) >= maxClusterMembers {
 			break
 		}
 		dst.members = append(dst.members, fp)
-		dst.words = append(dst.words, src.words[i])
 	}
 	for key, owner := range l.seen {
 		if owner == src {
@@ -571,9 +558,7 @@ func (l *Learner) Recover(rec *store.Recovery) (RecoverStats, error) {
 				if _, dup := l.seen[key]; dup {
 					continue
 				}
-				l.vocab.Intern(fp.F)
 				c.members = append(c.members, fp)
-				c.words = append(c.words, l.vocab.AppendWord(nil, fp.F))
 				l.seen[key] = c
 			}
 			if len(c.members) == 0 && !c.promoted {

@@ -6,12 +6,20 @@ import (
 	"net/netip"
 )
 
+// MaxFrameLen is the longest frame Decode accepts: four times the
+// largest pcap snap length, and the bound that lets a packed feature
+// symbol hold any decoded frame's size (features.MaxSize equals it).
+const MaxFrameLen = 1<<20 - 1
+
 // Decode parses a raw Ethernet frame into a Packet. It understands the
 // link, network and transport protocols of Table I; unknown payload is
 // preserved verbatim. The returned Packet's Size is the frame length.
 func Decode(frame []byte) (*Packet, error) {
 	if len(frame) < ethHeaderLen {
 		return nil, fmt.Errorf("decode: frame of %d bytes shorter than ethernet header", len(frame))
+	}
+	if len(frame) > MaxFrameLen {
+		return nil, fmt.Errorf("decode: frame of %d bytes exceeds %d", len(frame), MaxFrameLen)
 	}
 	p := &Packet{Size: len(frame)}
 	copy(p.DstMAC[:], frame[0:6])

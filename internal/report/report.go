@@ -189,7 +189,7 @@ func Table4(o Options) (*Table4Result, error) {
 	}
 	timing := eval.MeasureTiming(id, probes)
 	extraction := eval.MeasureExtraction(func() fingerprint.Fingerprint {
-		return fingerprint.FromVectors(probes[0].F)
+		return fingerprint.FromPacked(probes[0].F)
 	}, 200)
 	return &Table4Result{Timing: timing, Extraction: extraction, NumTypes: id.NumTypes()}, nil
 }

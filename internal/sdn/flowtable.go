@@ -33,6 +33,20 @@ type FlowEntry struct {
 	Bytes    uint64
 	Created  time.Time
 	LastUsed time.Time
+
+	// links chain the entry into the FlowTable's per-MAC lists: links[0]
+	// in the list of Key.SrcMAC, links[1] in that of Key.DstMAC.
+	links [2]flowLink
+}
+
+type flowLink struct{ prev, next *FlowEntry }
+
+// side says which of e's links belongs to mac's list.
+func (e *FlowEntry) side(mac packet.MAC) int {
+	if e.Key.SrcMAC == mac {
+		return 0
+	}
+	return 1
 }
 
 // FlowTable is the switch's exact-match flow table. All methods are
@@ -40,6 +54,13 @@ type FlowEntry struct {
 type FlowTable struct {
 	mu      sync.RWMutex
 	entries map[packet.FlowKey]*FlowEntry
+	// byMAC heads, per MAC, a doubly linked list threaded through the
+	// installed entries that have it as source or destination, so
+	// RemoveByMAC — run under the write lock on every join and removal
+	// — walks only that device's flows instead of scanning the table.
+	// The lists are intrusive (FlowEntry.links): keeping them in step
+	// costs Install and remove two pointer splices each, no allocation.
+	byMAC map[packet.MAC]*FlowEntry
 	// IdleTimeout evicts entries not used for this long (checked by
 	// Expire, driven by the caller's clock).
 	IdleTimeout time.Duration
@@ -57,6 +78,7 @@ func NewFlowTable(idleTimeout time.Duration) *FlowTable {
 	}
 	return &FlowTable{
 		entries:     make(map[packet.FlowKey]*FlowEntry),
+		byMAC:       make(map[packet.MAC]*FlowEntry),
 		IdleTimeout: idleTimeout,
 	}
 }
@@ -66,17 +88,59 @@ func NewFlowTable(idleTimeout time.Duration) *FlowTable {
 func (t *FlowTable) Install(key packet.FlowKey, action Action, now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, exists := t.entries[key]; !exists && t.MaxFlows > 0 && len(t.entries) >= t.MaxFlows {
-		var lruKey packet.FlowKey
+	if old, exists := t.entries[key]; exists {
+		t.remove(old)
+	} else if t.MaxFlows > 0 && len(t.entries) >= t.MaxFlows {
 		var lru *FlowEntry
-		for k, e := range t.entries {
+		for _, e := range t.entries {
 			if lru == nil || e.LastUsed.Before(lru.LastUsed) {
-				lruKey, lru = k, e
+				lru = e
 			}
 		}
-		delete(t.entries, lruKey)
+		t.remove(lru)
 	}
-	t.entries[key] = &FlowEntry{Key: key, Action: action, Created: now, LastUsed: now}
+	e := &FlowEntry{Key: key, Action: action, Created: now, LastUsed: now}
+	t.entries[key] = e
+	t.link(e, key.SrcMAC)
+	if key.DstMAC != key.SrcMAC {
+		t.link(e, key.DstMAC)
+	}
+}
+
+// remove deletes an installed entry from the table and the per-MAC
+// lists; the caller holds the write lock.
+func (t *FlowTable) remove(e *FlowEntry) {
+	delete(t.entries, e.Key)
+	t.unlink(e, e.Key.SrcMAC)
+	if e.Key.DstMAC != e.Key.SrcMAC {
+		t.unlink(e, e.Key.DstMAC)
+	}
+}
+
+// link pushes e onto the front of mac's list.
+func (t *FlowTable) link(e *FlowEntry, mac packet.MAC) {
+	head := t.byMAC[mac]
+	e.links[e.side(mac)] = flowLink{next: head}
+	if head != nil {
+		head.links[head.side(mac)].prev = e
+	}
+	t.byMAC[mac] = e
+}
+
+// unlink splices e out of mac's list.
+func (t *FlowTable) unlink(e *FlowEntry, mac packet.MAC) {
+	l := e.links[e.side(mac)]
+	switch {
+	case l.prev != nil:
+		l.prev.links[l.prev.side(mac)].next = l.next
+	case l.next != nil:
+		t.byMAC[mac] = l.next
+	default:
+		delete(t.byMAC, mac)
+	}
+	if l.next != nil {
+		l.next.links[l.next.side(mac)].prev = l.prev
+	}
 }
 
 // Match looks up the flow for key and, on a hit, updates its counters.
@@ -99,9 +163,9 @@ func (t *FlowTable) Expire(now time.Time) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	evicted := 0
-	for k, e := range t.entries {
+	for _, e := range t.entries {
 		if now.Sub(e.LastUsed) >= t.IdleTimeout {
-			delete(t.entries, k)
+			t.remove(e)
 			evicted++
 		}
 	}
@@ -114,11 +178,10 @@ func (t *FlowTable) RemoveByMAC(mac packet.MAC) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	removed := 0
-	for k := range t.entries {
-		if k.SrcMAC == mac || k.DstMAC == mac {
-			delete(t.entries, k)
-			removed++
-		}
+	for e := t.byMAC[mac]; e != nil; removed++ {
+		next := e.links[e.side(mac)].next
+		t.remove(e)
+		e = next
 	}
 	return removed
 }

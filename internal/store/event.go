@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"time"
 
-	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/vulndb"
@@ -124,25 +123,15 @@ func (e *Event) durable() bool {
 	return false
 }
 
-// FRows flattens a fingerprint's F matrix for journaling.
-func FRows(fp fingerprint.Fingerprint) [][]float64 {
-	rows := make([][]float64, len(fp.F))
-	for i, v := range fp.F {
-		rows[i] = append([]float64(nil), v[:]...)
-	}
-	return rows
-}
+// FRows is a fingerprint's F as the float rows journal events carry.
+func FRows(fp fingerprint.Fingerprint) [][]float64 { return fp.F.Rows() }
 
 // RowsFingerprint rebuilds a Fingerprint from journaled F rows,
-// re-deriving F′ deterministically.
+// re-deriving F′; rows the extractor cannot have produced are an error.
 func RowsFingerprint(rows [][]float64) (fingerprint.Fingerprint, error) {
-	vs := make([]features.Vector, len(rows))
-	for i, row := range rows {
-		if len(row) != features.Count {
-			return fingerprint.Fingerprint{}, fmt.Errorf("store: fingerprint row %d has %d features, want %d",
-				i, len(row), features.Count)
-		}
-		copy(vs[i][:], row)
+	fp, err := fingerprint.FromRows(rows)
+	if err != nil {
+		return fingerprint.Fingerprint{}, fmt.Errorf("store: fingerprint %w", err)
 	}
-	return fingerprint.FromVectors(vs), nil
+	return fp, nil
 }
