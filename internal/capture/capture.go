@@ -22,8 +22,9 @@
 //     the netsim lab's mirror tap feeds (see netsim.Tap).
 //
 // A Pump owns the reader side: per-CPU goroutines pull frames from
-// their source, decode them, and hand (timestamp, packet) pairs to the
-// gateway. The conformance suite proves the three delivery paths
+// their source, decode them in place out of the ring block, and hand
+// (timestamp, packet) pairs to the gateway — each valid until the
+// handler returns (see Handler). The conformance suite proves the three delivery paths
 // produce bit-identical fingerprints and device states.
 package capture
 

@@ -209,39 +209,46 @@ func ringPath(t *testing.T, stream []timedPacket) capture.Source {
 }
 
 // TestSourceConformance is the differential guarantee of this layer:
-// pcap replay, lab mirror tap, and ring fallback land the gateway in
-// identical device state and assess the identical fingerprint multiset.
+// pcap replay, lab mirror tap, and ring fallback, each through 1, 2 and
+// 4 readers, land the gateway in identical device state and assess the
+// identical fingerprint multiset.
+//
+// It is also the proof that decoding in place is safe. The reference
+// run is ordinary; every other run has the rings overwrite each block
+// with a poison byte the moment the reader hands it back. Packets alias
+// those blocks, so anything downstream that kept one — a Payload, a
+// *Packet the reader has since reused — would read poison and diverge.
 func TestSourceConformance(t *testing.T) {
 	defer testutil.AssertNoGoroutineLeaks(t)()
 
 	stream := conformanceStream(t)
-	paths := []struct {
-		name    string
-		readers int
-		feed    func(*testing.T, []timedPacket) capture.Source
-	}{
-		{"pcap", 1, pcapPath},
-		{"netsim", 2, netsimPath},
-		{"ring", 4, ringPath},
-	}
-	results := make([]pathResult, len(paths))
-	for i, p := range paths {
-		results[i] = runPath(t, stream, p.readers, p.feed)
-	}
-	ref := results[0]
+	ref := runPath(t, stream, 1, pcapPath)
 	if len(ref.devices) == 0 {
 		t.Fatal("conformance stream produced no devices")
 	}
 	if len(ref.keys) == 0 {
 		t.Fatal("conformance stream produced no assessments")
 	}
-	for i := 1; i < len(paths); i++ {
-		if !reflect.DeepEqual(ref.devices, results[i].devices) {
-			t.Errorf("device states diverge between %s and %s:\n%s: %+v\n%s: %+v",
-				paths[0].name, paths[i].name, paths[0].name, ref.devices, paths[i].name, results[i].devices)
-		}
-		if !reflect.DeepEqual(ref.keys, results[i].keys) {
-			t.Errorf("assessed fingerprints diverge between %s and %s", paths[0].name, paths[i].name)
+
+	defer capture.PoisonReleasedBlocks(0xDB)()
+	paths := []struct {
+		name string
+		feed func(*testing.T, []timedPacket) capture.Source
+	}{
+		{"pcap", pcapPath},
+		{"netsim", netsimPath},
+		{"ring", ringPath},
+	}
+	for _, p := range paths {
+		for _, readers := range []int{1, 2, 4} {
+			got := runPath(t, stream, readers, p.feed)
+			if !reflect.DeepEqual(ref.devices, got.devices) {
+				t.Errorf("device states diverge between the reference and poisoned %s/%d readers:\nref: %+v\ngot: %+v",
+					p.name, readers, ref.devices, got.devices)
+			}
+			if !reflect.DeepEqual(ref.keys, got.keys) {
+				t.Errorf("assessed fingerprints diverge between the reference and poisoned %s/%d readers", p.name, readers)
+			}
 		}
 	}
 }

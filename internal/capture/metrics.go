@@ -26,12 +26,13 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-func (m *Metrics) observeFrame(n int) {
-	if m == nil {
+// addFrames adds one consumed block's delivered frames and bytes.
+func (m *Metrics) addFrames(frames, bytes uint64) {
+	if m == nil || frames == 0 {
 		return
 	}
-	m.frames.Inc()
-	m.bytes.Add(uint64(n))
+	m.frames.Add(frames)
+	m.bytes.Add(bytes)
 }
 
 func (m *Metrics) incDecodeError() {

@@ -12,8 +12,15 @@ import (
 
 // Handler receives each decoded frame on a reader goroutine. Frames
 // from one source MAC are always delivered by the same reader, in
-// arrival order; the packet does not alias ring memory (packet.Decode
-// copies what it keeps), so the handler may retain it.
+// arrival order.
+//
+// Lifetime: pk is valid only until the handler returns. Each reader
+// decodes into one Packet it owns and reuses for the next frame, and
+// pk.Payload points into the ring block the frame arrived in, which
+// goes back to the producer once the reader has walked it. A handler
+// that needs a packet afterwards copies it (the struct and its
+// Payload), or calls packet.Decode on bytes it owns; keeping pk or
+// pk.Payload is a use-after-free. The gateway data path keeps neither.
 type Handler func(ts time.Time, pk *packet.Packet)
 
 // PumpConfig tunes the reader side.
@@ -100,21 +107,32 @@ func readerCount(n int) int {
 
 func (p *Pump) read(r *Ring, h Handler) {
 	defer p.readers.Done()
+	var (
+		pk            packet.Packet // decoded in place, reused every frame
+		frames, bytes uint64        // delivered since the last flush
+	)
 	for {
 		f, err := r.Recv()
 		if err != nil {
 			return // io.EOF: ring closed and drained
 		}
-		pk, err := packet.Decode(f.Data)
-		if err != nil {
+		if err := packet.DecodeInto(&pk, f.Data); err != nil {
 			// Foreign or corrupt frame: count and keep reading, as a
 			// real capture loop must (the wire carries chatter from
 			// hosts and protocols the decoder does not model).
 			p.metrics.incDecodeError()
-			continue
+		} else {
+			frames++
+			bytes += uint64(len(f.Data))
+			h(f.Time, &pk)
 		}
-		p.metrics.observeFrame(len(f.Data))
-		h(f.Time, pk)
+		if r.blockDone() {
+			// One counter update per block, and always before the
+			// reader can park: the shared counters lag a reader by at
+			// most the block it is walking.
+			p.metrics.addFrames(frames, bytes)
+			frames, bytes = 0, 0
+		}
 	}
 }
 

@@ -184,3 +184,77 @@ func TestChanSourceDrainsBufferedAfterClose(t *testing.T) {
 		t.Fatalf("send after close: want ErrClosed, got %v", err)
 	}
 }
+
+// TestPumpPacketAliasesRingBlock states the Handler lifetime contract
+// as a test, and checks the poison hook the conformance suite leans on
+// really fires: a Payload kept past the handler's return reads poison
+// once the reader has handed its block back.
+func TestPumpPacketAliasesRingBlock(t *testing.T) {
+	defer testutil.AssertNoGoroutineLeaks(t)()
+	defer PoisonReleasedBlocks(0xDB)()
+
+	mac := packet.MAC{0x02, 0, 0, 0, 0, 7}
+	pk := packet.NewUDP(mac, packet.MAC{2, 2, 2, 2, 2, 2},
+		netip.MustParseAddr("10.0.0.7"), netip.MustParseAddr("10.0.0.1"), 40000, 9999, []byte("payload"))
+	frame, err := pk.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFanout(1, RingConfig{Lossless: true})
+	var kept []byte
+	p := Attach(f, func(_ time.Time, pk *packet.Packet) {
+		if string(pk.Payload) != "payload" {
+			t.Errorf("payload %q inside the handler", pk.Payload)
+		}
+		kept = pk.Payload // what a handler must not do
+	}, PumpConfig{})
+	if err := f.Inject(time.Unix(1, 0), frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte("\xDB\xDB\xDB\xDB\xDB\xDB\xDB"); string(kept) != string(want) {
+		t.Fatalf("kept payload reads %q after its block was released, want poison", kept)
+	}
+}
+
+// TestPumpFlushesCountersBeforeParking pins the per-block counter
+// flush: the reader adds a block's frames and bytes in one step once it
+// has walked the block — also when the block ends in a frame the
+// decoder rejects — so an idle (parked) reader never sits on a count.
+func TestPumpFlushesCountersBeforeParking(t *testing.T) {
+	defer testutil.AssertNoGoroutineLeaks(t)()
+
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	f := NewFanout(1, RingConfig{Lossless: true})
+	p := Attach(f, func(time.Time, *packet.Packet) {}, PumpConfig{Metrics: m})
+	mac := packet.MAC{0x02, 0, 0, 0, 0, 8}
+	var bytes uint64
+	for i := 0; i < 3; i++ {
+		frame := marshalARP(t, mac, i)
+		bytes += uint64(len(frame))
+		if err := f.Inject(time.Unix(0, int64(i)), frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Inject(time.Unix(0, 3), []byte{0xde, 0xad}); err != nil { // runt ends the block
+		t.Fatal(err)
+	}
+	f.Flush()
+	// The pump stays open: the counts must arrive while it idles.
+	deadline := time.Now().Add(5 * time.Second)
+	for m.decodeErrors.Value() != 1 || m.Frames() != 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle reader published %d frames, %d decode errors; want 3, 1", m.Frames(), m.decodeErrors.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := m.bytes.Value(); got != bytes {
+		t.Fatalf("counted %d bytes, want %d", got, bytes)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

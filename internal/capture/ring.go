@@ -88,9 +88,11 @@ type Ring struct {
 	cfg    RingConfig
 	blocks []ringBlock
 
-	// Producer state, under mu.
-	mu sync.Mutex
-	pi int
+	// Producer state, under mu. timer is the stopped wait timer a
+	// blocked lossless Inject takes and puts back (nil while taken).
+	mu    sync.Mutex
+	pi    int
+	timer *time.Timer
 
 	// Consumer state, single-goroutine.
 	ci   int
@@ -168,15 +170,37 @@ func (r *Ring) Inject(ts time.Time, frame []byte) error {
 			r.mu.Unlock()
 			return nil
 		}
-		r.mu.Unlock()
-		select {
-		case <-r.space:
-		case <-time.After(time.Millisecond):
-			// Re-check closed; also covers a space signal consumed by
-			// a sibling producer.
-		}
-		r.mu.Lock()
+		r.waitSpaceLocked()
 	}
+}
+
+// waitSpaceLocked parks a lossless producer until the consumer releases
+// a block or a millisecond passes (to re-check closed; it also covers a
+// space signal consumed by a sibling producer). It drops mu while
+// parked. The timer is reused across calls: on a ring whose reader is
+// the bottleneck every block's worth of frames ends in one of these
+// waits.
+func (r *Ring) waitSpaceLocked() {
+	t := r.timer
+	r.timer = nil
+	if t == nil {
+		t = time.NewTimer(time.Millisecond)
+	} else {
+		t.Reset(time.Millisecond)
+	}
+	r.mu.Unlock()
+	select {
+	case <-r.space:
+		if !t.Stop() {
+			select { // fired meanwhile: leave the channel empty for Reset
+			case <-t.C:
+			default:
+			}
+		}
+	case <-t.C:
+	}
+	r.mu.Lock()
+	r.timer = t
 }
 
 func putFrame(dst []byte, ts time.Time, frame []byte) {
@@ -234,6 +258,11 @@ func (r *Ring) Close() error {
 	return nil
 }
 
+// releaseHook is nil outside tests. The conformance suite sets it to
+// scribble over every block the consumer hands back (export_test.go),
+// which turns any pointer kept into ring memory into a visible diff.
+var releaseHook func(block []byte)
+
 // Recv returns the next frame. The returned Frame.Data aliases the
 // block buffer and is valid only until the next Recv call. Blocks
 // until a frame arrives; returns io.EOF once the ring is closed and
@@ -250,6 +279,9 @@ func (r *Ring) Recv() (Frame, error) {
 		if r.cur >= 0 {
 			// Whole block consumed: hand it back in one store.
 			b := &r.blocks[r.cur]
+			if releaseHook != nil {
+				releaseHook(b.buf[:b.w])
+			}
 			b.w = 0
 			b.nframes = 0
 			b.status.Store(blockProducer)
@@ -288,6 +320,10 @@ func (r *Ring) Recv() (Frame, error) {
 		r.waiting.Add(-1)
 	}
 }
+
+// blockDone reports whether the frame Recv last returned was the last
+// of its block: the next Recv hands the block back and may park.
+func (r *Ring) blockDone() bool { return r.rem == 0 }
 
 func getFrame(src []byte) (time.Time, []byte, int) {
 	var n uint64

@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"iotsentinel/internal/testutil"
 )
 
 func frameFor(i int, size int) []byte {
@@ -194,6 +198,43 @@ func TestRingFlushOnFullRing(t *testing.T) {
 	if n != 2*blocks {
 		t.Fatalf("delivered %d of %d frames", n, 2*blocks)
 	}
+}
+
+// TestRingLosslessWaitAllocatesNothing pins the timer reuse: a lossless
+// producer that keeps running into a full ring (two one-frame blocks, a
+// reader draining behind it) waits for space dozens of times a run and
+// must not allocate for any of them.
+func TestRingLosslessWaitAllocatesNothing(t *testing.T) {
+	frame := frameFor(1, 100)
+	r := NewRing(RingConfig{Blocks: 2, BlockSize: 128, Lossless: true})
+	var (
+		wg       sync.WaitGroup
+		received atomic.Int64
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if _, err := r.Recv(); err != nil {
+				return
+			}
+			received.Add(1)
+		}
+	}()
+	testutil.AssertZeroAllocs(t, "lossless Inject into a full ring", func() {
+		target := received.Load() + 64
+		for i := 0; i < 64; i++ {
+			if err := r.Inject(time.Unix(0, int64(i)), frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Flush()
+		for received.Load() < target {
+			runtime.Gosched()
+		}
+	})
+	r.Close()
+	wg.Wait()
 }
 
 // TestRingConcurrentProducers hammers Inject from several goroutines

@@ -2,12 +2,15 @@ package gateway
 
 import (
 	"net/netip"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"iotsentinel/internal/capture"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/iotssp"
+	"iotsentinel/internal/obs"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/sdn"
 	"iotsentinel/internal/testutil"
@@ -69,7 +72,11 @@ func BenchmarkHandlePacketSharded(b *testing.B) {
 // within seconds of joining.
 func steadyStateDevice(tb testing.TB) (*Gateway, *packet.Packet, time.Time) {
 	tb.Helper()
-	g := benchGateway(1, 0)
+	return steadyStateOn(tb, benchGateway(1, 0))
+}
+
+func steadyStateOn(tb testing.TB, g *Gateway) (*Gateway, *packet.Packet, time.Time) {
+	tb.Helper()
 	mac := packet.MAC{0x02, 0xBE, 1, 2, 3, 4}
 	gwIP := netip.MustParseAddr("192.168.1.1")
 	devIP := netip.MustParseAddr("192.168.1.77")
@@ -118,4 +125,75 @@ func BenchmarkHandlePacketSteadyState(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// pumpForwarder assembles the whole forwarding path as the daemons run
+// it — lossless ring, a capture.Pump reader decoding in place, a
+// gateway and a switch with every metrics bundle attached — around one
+// assessed device whose flow is installed. forward(n) injects n of the
+// device's frames and returns once the reader has taken all of them
+// through HandlePacket and Switch.Process.
+func pumpForwarder(tb testing.TB) (forward func(n int), stop func()) {
+	tb.Helper()
+	reg := obs.NewRegistry()
+	sw := sdn.NewSwitch(sdn.NewController(sdn.NewRuleCache(), netip.Prefix{}), time.Minute)
+	sw.SetMetrics(sdn.NewSwitchMetrics(reg))
+	g, pk, ts := steadyStateOn(tb, New(nopAssessor{}, sw, Config{
+		IdleGap: time.Hour,
+		Shards:  1,
+		Metrics: NewMetrics(reg),
+	}))
+	frame, err := pk.Marshal()
+	if err != nil {
+		tb.Fatalf("marshal: %v", err)
+	}
+	fan := capture.NewFanout(1, capture.RingConfig{Lossless: true})
+	var handled atomic.Int64
+	pump := capture.Attach(fan, func(ts time.Time, pk *packet.Packet) {
+		if _, err := g.HandlePacket(ts, pk); err != nil {
+			tb.Errorf("HandlePacket: %v", err)
+		}
+		handled.Add(1)
+	}, capture.PumpConfig{Metrics: capture.NewMetrics(reg)})
+	forward = func(n int) {
+		target := handled.Load() + int64(n)
+		for i := 0; i < n; i++ {
+			if err := fan.Inject(ts, frame); err != nil {
+				tb.Fatalf("inject: %v", err)
+			}
+		}
+		fan.Flush()
+		for handled.Load() < target {
+			runtime.Gosched()
+		}
+	}
+	return forward, func() {
+		if err := pump.Close(); err != nil {
+			tb.Errorf("pump close: %v", err)
+		}
+		g.Close()
+	}
+}
+
+// TestPumpForwardZeroAlloc pins the end-to-end property: a frame of an
+// assessed device goes Inject → Recv → DecodeInto → HandlePacket →
+// Switch.Process, metrics included, without one heap allocation.
+func TestPumpForwardZeroAlloc(t *testing.T) {
+	forward, stop := pumpForwarder(t)
+	defer stop()
+	// 64 frames a run: one allocation per frame would read as 64.
+	testutil.AssertZeroAllocs(t, "ring→Process/assessed-device", func() { forward(64) })
+}
+
+// BenchmarkPumpForward measures a frame from the ring to Process
+// through the production reader, producer and reader running
+// concurrently — the figure the benchmark's steady_forward workload
+// sees, where BenchmarkHandlePacketSteadyState is one stage of it.
+func BenchmarkPumpForward(b *testing.B) {
+	forward, stop := pumpForwarder(b)
+	defer stop()
+	forward(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	forward(b.N)
 }

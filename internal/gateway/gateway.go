@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"iotsentinel/internal/core"
@@ -172,8 +173,9 @@ type Gateway struct {
 	quarantine map[packet.MAC]*quarantined
 
 	// async, when non-nil, is the off-path assessment pipeline
-	// (Config.AssessQueue > 0).
-	async *asyncAssess
+	// (Config.AssessQueue > 0). Close swaps it to nil; a capture that
+	// finishes afterwards is assessed inline.
+	async atomic.Pointer[asyncAssess]
 }
 
 // New wires a gateway to its switch and the security service, and
@@ -195,7 +197,7 @@ func New(assessor iotssp.Assessor, sw *sdn.Switch, cfg Config) *Gateway {
 		g.shards[i] = newShard()
 	}
 	if cfg.AssessQueue > 0 {
-		g.async = newAsyncAssess(g, n, cfg.AssessQueue)
+		g.async.Store(newAsyncAssess(g, n, cfg.AssessQueue))
 	}
 	return g
 }
@@ -221,22 +223,26 @@ func (g *Gateway) Shards() int { return len(g.shards) }
 // Only the shard owning pk.SrcMAC is locked, so concurrent calls for
 // devices on different shards never contend.
 func (g *Gateway) HandlePacket(ts time.Time, pk *packet.Packet) (sdn.Action, error) {
-	if g.cfg.Metrics == nil {
-		return g.handlePacket(ts, pk)
+	idx := shardIndex(pk.SrcMAC, g.shardMask)
+	s := g.shards[idx]
+	// The latency histogram is a fixed 1-in-handleSampleEvery sample
+	// per shard, starting with the shard's first frame: the other
+	// frames read no clock (two clock reads cost about as much as the
+	// rest of the forwarding path). Exact frame counts are
+	// capture_frames_total and the sdn_switch_* counters.
+	if g.cfg.Metrics == nil || s.tick.Add(1)%handleSampleEvery != 1 {
+		return g.handlePacket(s, idx, ts, pk)
 	}
 	start := time.Now()
-	act, err := g.handlePacket(ts, pk)
+	act, err := g.handlePacket(s, idx, ts, pk)
 	g.cfg.Metrics.observeHandle(time.Since(start))
 	return act, err
 }
 
-func (g *Gateway) handlePacket(ts time.Time, pk *packet.Packet) (sdn.Action, error) {
-	idx := shardIndex(pk.SrcMAC, g.shardMask)
-	s := g.shards[idx]
-
+func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Packet) (sdn.Action, error) {
 	s.mu.Lock()
-	info, known := s.devices[pk.SrcMAC]
-	if !known && !pk.SrcMAC.IsMulticast() {
+	info := s.devices[pk.SrcMAC]
+	if info == nil && !pk.SrcMAC.IsMulticast() {
 		info = &DeviceInfo{MAC: pk.SrcMAC, State: StateMonitoring, FirstSeen: ts}
 		s.devices[pk.SrcMAC] = info
 		s.captures[pk.SrcMAC] = fingerprint.NewSetupCapture(g.cfg.IdleGap, g.cfg.MaxSetupPackets)
@@ -252,44 +258,50 @@ func (g *Gateway) handlePacket(ts time.Time, pk *packet.Packet) (sdn.Action, err
 			}
 		}
 	}
+	if info == nil || info.State != StateMonitoring {
+		// Assessed or quarantined — every frame of a device's life
+		// after its first seconds — or a multicast source, which never
+		// becomes a device: one lock hold, then enforcement.
+		s.mu.Unlock()
+		return g.sw.Process(pk, ts), nil
+	}
+	// Monitoring. The capture can be gone while the state is still
+	// monitoring: a concurrent FinishSetup/FinishAllSetups/
+	// FinalizeIdleCaptures claimed it (or the assessment queue holds
+	// it) and the result has not been applied yet. Skip observation
+	// instead of nil-dereferencing the capture.
 	var finished *fingerprint.SetupCapture
-	if info != nil && info.State == StateMonitoring {
-		// The capture can be gone while the state is still monitoring:
-		// a concurrent FinishSetup/FinishAllSetups/FinalizeIdleCaptures
-		// claimed it (or the assessment queue holds it) and the result
-		// has not been applied yet. Skip observation instead of
-		// nil-dereferencing the capture.
-		if cap := s.captures[pk.SrcMAC]; cap != nil {
-			if done := cap.Observe(ts, pk); done {
-				finished = cap
-				delete(s.captures, pk.SrcMAC)
-				g.cfg.Metrics.captureCompleted(triggerPacket)
-			}
-			info.SetupPackets = cap.Len()
+	if cap := s.captures[pk.SrcMAC]; cap != nil {
+		if done := cap.Observe(ts, pk); done {
+			finished = cap
+			delete(s.captures, pk.SrcMAC)
+			g.cfg.Metrics.captureCompleted(triggerPacket)
 		}
+		info.SetupPackets = cap.Len()
 	}
 	s.mu.Unlock()
 
-	if finished != nil {
-		if g.async != nil {
-			// Off-path identification: park the fingerprint on the
-			// shard's bounded queue and keep forwarding.
-			g.async.enqueue(g, idx, assessJob{mac: pk.SrcMAC, cap: finished, ts: ts})
-		} else {
-			// An assessment failure quarantines the device (fail
-			// closed) instead of wedging it in monitoring; the packet
-			// then falls through to the switch under the strict
-			// quarantine rule.
-			assessJob{mac: pk.SrcMAC, cap: finished, ts: ts}.assess(g)
-		}
-	}
-
-	s.mu.Lock()
-	monitoring := info != nil && info.State == StateMonitoring
-	s.mu.Unlock()
-	if monitoring {
+	if finished == nil {
 		// Setup-phase traffic flows freely so the induction procedure
 		// (and the fingerprint) completes.
+		return sdn.ActionForward, nil
+	}
+	job := assessJob{mac: pk.SrcMAC, cap: finished, ts: ts}
+	if a := g.async.Load(); a != nil {
+		// Off-path identification: park the fingerprint on the
+		// shard's bounded queue and keep forwarding.
+		a.enqueue(g, idx, job)
+	} else {
+		// An assessment failure quarantines the device (fail
+		// closed) instead of wedging it in monitoring; the packet
+		// then falls through to the switch under the strict
+		// quarantine rule.
+		job.assess(g)
+	}
+	s.mu.Lock()
+	monitoring := info.State == StateMonitoring
+	s.mu.Unlock()
+	if monitoring {
 		return sdn.ActionForward, nil
 	}
 	return g.sw.Process(pk, ts), nil

@@ -30,11 +30,24 @@ import (
 // device states — so the default favors throughput.
 const DefaultShards = 8
 
+// handleSampleEvery is the HandlePacket latency sampling period: one
+// frame in this many, per shard, is timed into
+// gateway_handle_packet_seconds.
+const handleSampleEvery = 16
+
 // shard is one stripe of the gateway's per-device state.
 type shard struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// tick counts the shard's HandlePacket calls for the latency
+	// sample. It sits beside the lock every call takes anyway, so the
+	// count costs no cache line of its own.
+	tick     atomic.Uint32
 	captures map[packet.MAC]*fingerprint.SetupCapture
 	devices  map[packet.MAC]*DeviceInfo
+	// Shards are allocated one by one and the allocator packs objects
+	// of one size class back to back; the pad keeps two shards' locks
+	// and ticks out of one cache line.
+	_ [64]byte
 }
 
 func newShard() *shard {
@@ -137,16 +150,22 @@ func (a *asyncAssess) drain(g *Gateway, q chan assessJob) {
 		case <-a.stop:
 			// Park whatever is still queued so a shutdown mid-storm
 			// fails closed instead of forgetting devices.
-			for {
-				select {
-				case job := <-q:
-					g.cfg.Metrics.queueDepthAdd(-1)
-					job.park(g)
-					a.inflight.Add(-1)
-				default:
-					return
-				}
-			}
+			a.parkQueued(g, q)
+			return
+		}
+	}
+}
+
+// parkQueued empties q into quarantine without blocking.
+func (a *asyncAssess) parkQueued(g *Gateway, q chan assessJob) {
+	for {
+		select {
+		case job := <-q:
+			g.cfg.Metrics.queueDepthAdd(-1)
+			job.park(g)
+			a.inflight.Add(-1)
+		default:
+			return
 		}
 	}
 }
@@ -160,6 +179,17 @@ func (a *asyncAssess) enqueue(g *Gateway, i uint32, job assessJob) {
 		select {
 		case a.queues[i] <- job:
 			g.cfg.Metrics.queueDepthAdd(1)
+			select {
+			case <-a.stop:
+				// Lost the race with Close: the drain worker may
+				// have swept the queue and gone before the send, and
+				// nobody would ever take the job — its device would
+				// stay monitoring, forwarded unenforced. Sweep again
+				// from here; each job is received exactly once,
+				// whoever gets it.
+				a.parkQueued(g, a.queues[i])
+			default:
+			}
 			return
 		default:
 		}
@@ -185,12 +215,13 @@ func (a *asyncAssess) shutdown() {
 
 // Close shuts down the asynchronous assessment pipeline, if one is
 // configured: drain workers exit and still-queued fingerprints are
-// parked in quarantine (fail closed). Safe to call once, after which
-// newly finished captures assess synchronously.
+// parked in quarantine (fail closed). Captures that finish afterwards
+// assess synchronously; one that finishes while Close runs is queued
+// and parked, or assessed inline, never dropped. Safe to call more
+// than once and concurrently with HandlePacket.
 func (g *Gateway) Close() {
-	if g.async != nil {
-		g.async.shutdown()
-		g.async = nil
+	if a := g.async.Swap(nil); a != nil {
+		a.shutdown()
 	}
 }
 
@@ -199,7 +230,7 @@ func (g *Gateway) Close() {
 // deterministic tests use it as a drain barrier). It returns
 // immediately when the pipeline is synchronous.
 func (g *Gateway) WaitAssessIdle() {
-	a := g.async
+	a := g.async.Load()
 	if a == nil {
 		return
 	}

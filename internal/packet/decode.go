@@ -13,15 +13,30 @@ const MaxFrameLen = 1<<20 - 1
 
 // Decode parses a raw Ethernet frame into a Packet. It understands the
 // link, network and transport protocols of Table I; unknown payload is
-// preserved verbatim. The returned Packet's Size is the frame length.
+// preserved verbatim. The returned Packet's Size is the frame length,
+// and the Packet owns its Payload: it stays valid after frame is
+// reused. Decode is DecodeInto plus that copy.
 func Decode(frame []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := DecodeInto(p, frame); err != nil {
+		return nil, err
+	}
+	p.Payload = clone(p.Payload)
+	return p, nil
+}
+
+// DecodeInto parses frame into *p, overwriting every field, without
+// allocating: p.Payload is a sub-slice of frame, so *p is valid only as
+// long as frame's bytes are (the capture readers decode each frame in
+// place out of the ring block this way). On error *p is unspecified.
+func DecodeInto(p *Packet, frame []byte) error {
 	if len(frame) < ethHeaderLen {
-		return nil, fmt.Errorf("decode: frame of %d bytes shorter than ethernet header", len(frame))
+		return fmt.Errorf("decode: frame of %d bytes shorter than ethernet header", len(frame))
 	}
 	if len(frame) > MaxFrameLen {
-		return nil, fmt.Errorf("decode: frame of %d bytes exceeds %d", len(frame), MaxFrameLen)
+		return fmt.Errorf("decode: frame of %d bytes exceeds %d", len(frame), MaxFrameLen)
 	}
-	p := &Packet{Size: len(frame)}
+	*p = Packet{Size: len(frame)}
 	copy(p.DstMAC[:], frame[0:6])
 	copy(p.SrcMAC[:], frame[6:12])
 	etherType := binary.BigEndian.Uint16(frame[12:14])
@@ -41,32 +56,32 @@ func Decode(frame []byte) (*Packet, error) {
 		p.Link = LinkEthernet
 		return decodeIPv6(p, body)
 	default:
-		return nil, fmt.Errorf("decode: unsupported ethertype 0x%04x", etherType)
+		return fmt.Errorf("decode: unsupported ethertype 0x%04x", etherType)
 	}
 }
 
-func decodeLLC(p *Packet, body []byte) (*Packet, error) {
+func decodeLLC(p *Packet, body []byte) error {
 	if len(body) < llcHeaderLen {
-		return nil, fmt.Errorf("decode llc: truncated header (%d bytes)", len(body))
+		return fmt.Errorf("decode llc: truncated header (%d bytes)", len(body))
 	}
 	p.Link = LinkLLC
-	p.Payload = clone(body[llcHeaderLen:])
-	return p, nil
+	p.Payload = body[llcHeaderLen:]
+	return nil
 }
 
-func decodeARP(p *Packet, body []byte) (*Packet, error) {
+func decodeARP(p *Packet, body []byte) error {
 	if len(body) < arpBodyLen {
-		return nil, fmt.Errorf("decode arp: truncated body (%d bytes)", len(body))
+		return fmt.Errorf("decode arp: truncated body (%d bytes)", len(body))
 	}
 	p.Link = LinkARP
 	p.SrcIP = addr4(body[14:18])
 	p.DstIP = addr4(body[24:28])
-	return p, nil
+	return nil
 }
 
-func decodeEAPoL(p *Packet, body []byte) (*Packet, error) {
+func decodeEAPoL(p *Packet, body []byte) error {
 	if len(body) < eapolHdrLen {
-		return nil, fmt.Errorf("decode eapol: truncated header (%d bytes)", len(body))
+		return fmt.Errorf("decode eapol: truncated header (%d bytes)", len(body))
 	}
 	p.Link = LinkEthernet
 	p.Network = NetEAPoL
@@ -75,24 +90,24 @@ func decodeEAPoL(p *Packet, body []byte) (*Packet, error) {
 	if n > len(rest) {
 		n = len(rest)
 	}
-	p.Payload = clone(rest[:n])
-	return p, nil
+	p.Payload = rest[:n]
+	return nil
 }
 
-func decodeIPv4(p *Packet, body []byte) (*Packet, error) {
+func decodeIPv4(p *Packet, body []byte) error {
 	if len(body) < ipv4HeaderLen {
-		return nil, fmt.Errorf("decode ipv4: truncated header (%d bytes)", len(body))
+		return fmt.Errorf("decode ipv4: truncated header (%d bytes)", len(body))
 	}
 	if body[0]>>4 != 4 {
-		return nil, fmt.Errorf("decode ipv4: version %d", body[0]>>4)
+		return fmt.Errorf("decode ipv4: version %d", body[0]>>4)
 	}
 	ihl := int(body[0]&0x0f) * 4
 	if ihl < ipv4HeaderLen || ihl > len(body) {
-		return nil, fmt.Errorf("decode ipv4: bad IHL %d", ihl)
+		return fmt.Errorf("decode ipv4: bad IHL %d", ihl)
 	}
 	total := int(binary.BigEndian.Uint16(body[2:4]))
 	if total < ihl || total > len(body) {
-		return nil, fmt.Errorf("decode ipv4: bad total length %d (have %d)", total, len(body))
+		return fmt.Errorf("decode ipv4: bad total length %d (have %d)", total, len(body))
 	}
 	p.Network = NetIPv4
 	p.SrcIP = addr4(body[12:16])
@@ -128,24 +143,24 @@ func decodeIPv4Options(opts []byte) IPv4Options {
 	return out
 }
 
-func decodeIPv6(p *Packet, body []byte) (*Packet, error) {
+func decodeIPv6(p *Packet, body []byte) error {
 	if len(body) < ipv6HeaderLen {
-		return nil, fmt.Errorf("decode ipv6: truncated header (%d bytes)", len(body))
+		return fmt.Errorf("decode ipv6: truncated header (%d bytes)", len(body))
 	}
 	if body[0]>>4 != 6 {
-		return nil, fmt.Errorf("decode ipv6: version %d", body[0]>>4)
+		return fmt.Errorf("decode ipv6: version %d", body[0]>>4)
 	}
 	payloadLen := int(binary.BigEndian.Uint16(body[4:6]))
 	rest := body[ipv6HeaderLen:]
 	if payloadLen > len(rest) {
-		return nil, fmt.Errorf("decode ipv6: payload length %d exceeds %d", payloadLen, len(rest))
+		return fmt.Errorf("decode ipv6: payload length %d exceeds %d", payloadLen, len(rest))
 	}
 	p.Network = NetIPv6
 	p.SrcIP = addr16(body[8:24])
 	p.DstIP = addr16(body[24:40])
 	next, seg, err := skipIPv6Extensions(body[6], rest[:payloadLen])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	return decodeIPPayload(p, next, seg)
 }
@@ -176,50 +191,50 @@ func skipIPv6Extensions(next uint8, seg []byte) (uint8, []byte, error) {
 	return 0, nil, fmt.Errorf("decode ipv6: extension header chain too long")
 }
 
-func decodeIPPayload(p *Packet, proto uint8, seg []byte) (*Packet, error) {
+func decodeIPPayload(p *Packet, proto uint8, seg []byte) error {
 	switch proto {
 	case IPProtoICMP:
 		if p.Network == NetIPv4 {
 			p.Network = NetICMP
 		}
 		if len(seg) > icmpHeaderLen {
-			p.Payload = clone(seg[icmpHeaderLen:])
+			p.Payload = seg[icmpHeaderLen:]
 		}
-		return p, nil
+		return nil
 	case IPProtoICMPv6:
 		if p.Network == NetIPv6 {
 			p.Network = NetICMPv6
 		}
 		if len(seg) > icmpHeaderLen {
-			p.Payload = clone(seg[icmpHeaderLen:])
+			p.Payload = seg[icmpHeaderLen:]
 		}
-		return p, nil
+		return nil
 	case IPProtoTCP:
 		if len(seg) < tcpHeaderLen {
-			return nil, fmt.Errorf("decode tcp: truncated header (%d bytes)", len(seg))
+			return fmt.Errorf("decode tcp: truncated header (%d bytes)", len(seg))
 		}
 		p.Transport = TransportTCP
 		p.SrcPort = binary.BigEndian.Uint16(seg[0:2])
 		p.DstPort = binary.BigEndian.Uint16(seg[2:4])
 		off := int(seg[12]>>4) * 4
 		if off < tcpHeaderLen || off > len(seg) {
-			return nil, fmt.Errorf("decode tcp: bad data offset %d", off)
+			return fmt.Errorf("decode tcp: bad data offset %d", off)
 		}
-		p.Payload = clone(seg[off:])
+		p.Payload = seg[off:]
 	case IPProtoUDP:
 		if len(seg) < udpHeaderLen {
-			return nil, fmt.Errorf("decode udp: truncated header (%d bytes)", len(seg))
+			return fmt.Errorf("decode udp: truncated header (%d bytes)", len(seg))
 		}
 		p.Transport = TransportUDP
 		p.SrcPort = binary.BigEndian.Uint16(seg[0:2])
 		p.DstPort = binary.BigEndian.Uint16(seg[2:4])
-		p.Payload = clone(seg[udpHeaderLen:])
+		p.Payload = seg[udpHeaderLen:]
 	default:
-		p.Payload = clone(seg)
-		return p, nil
+		p.Payload = seg
+		return nil
 	}
 	p.App = classifyApp(p.Transport, p.SrcPort, p.DstPort)
-	return p, nil
+	return nil
 }
 
 func addr4(b []byte) netip.Addr {

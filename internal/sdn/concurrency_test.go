@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"iotsentinel/internal/obs"
 	"iotsentinel/internal/packet"
 )
 
@@ -51,11 +52,32 @@ func TestConcurrentSwitchProcessing(t *testing.T) {
 			sw.Table().Expire(now.Add(time.Duration(i) * 10 * time.Millisecond))
 		}
 	}()
+	// Concurrent attach/detach of the monitor and metrics bundle, and
+	// counter snapshots: Process reads both attachments and bumps the
+	// counters without a lock.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		mon, met := NewTrafficMonitor(), NewSwitchMetrics(obs.NewRegistry())
+		for i := 0; i < 300; i++ {
+			if i%2 == 0 {
+				sw.SetMonitor(mon)
+				sw.SetMetrics(met)
+			} else {
+				sw.SetMonitor(nil)
+				sw.SetMetrics(nil)
+			}
+			_ = sw.Stats()
+		}
+	}()
 	wg.Wait()
 
 	st := sw.Stats()
 	if st.Forwarded+st.Dropped != 8*300 {
 		t.Errorf("processed %d packets, want %d", st.Forwarded+st.Dropped, 8*300)
+	}
+	if st.TableHits+st.PacketIns != 8*300 {
+		t.Errorf("%d hits + %d packet-ins, want %d in all", st.TableHits, st.PacketIns, 8*300)
 	}
 }
 

@@ -63,8 +63,12 @@ func (m *TrafficMonitor) Observe(pk *packet.Packet, action Action, now time.Time
 		acc.Dropped++
 	}
 	if pk.DstIP.IsValid() {
-		acc.dsts[pk.DstIP] = struct{}{}
-		acc.Destinations = len(acc.dsts)
+		// Look up first: almost every frame repeats a destination the
+		// device already has, and a map read is cheaper than an assign.
+		if _, seen := acc.dsts[pk.DstIP]; !seen {
+			acc.dsts[pk.DstIP] = struct{}{}
+			acc.Destinations = len(acc.dsts)
+		}
 	}
 }
 
@@ -115,8 +119,4 @@ func (m *TrafficMonitor) Len() int {
 
 // SetMonitor attaches a traffic monitor to the switch; every processed
 // packet is observed. Pass nil to detach.
-func (s *Switch) SetMonitor(m *TrafficMonitor) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.monitor = m
-}
+func (s *Switch) SetMonitor(m *TrafficMonitor) { s.monitor.Store(m) }

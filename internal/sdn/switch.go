@@ -3,6 +3,7 @@ package sdn
 import (
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"iotsentinel/internal/packet"
@@ -228,13 +229,23 @@ type SwitchStats struct {
 // front of the controller. The first packet of each flow goes to the
 // controller (packet-in); the decision is installed as a micro-flow and
 // subsequent packets are switched in the fast path.
+//
+// The counters and the monitor/metrics attachments are atomics, so
+// concurrent Process calls share no lock of the switch's own (the flow
+// table and the monitor keep theirs). Each counter is exact; a Stats
+// snapshot taken while packets are in flight can split one packet
+// across its two counters.
 type Switch struct {
-	mu      sync.Mutex
-	table   *FlowTable
-	ctrl    *Controller
-	stats   SwitchStats
-	monitor *TrafficMonitor
-	metrics *SwitchMetrics
+	table *FlowTable
+	ctrl  *Controller
+
+	forwarded atomic.Uint64
+	dropped   atomic.Uint64
+	packetIns atomic.Uint64
+	tableHits atomic.Uint64
+
+	monitor atomic.Pointer[TrafficMonitor]
+	metrics atomic.Pointer[SwitchMetrics]
 }
 
 // NewSwitch wires a switch to its controller.
@@ -252,47 +263,37 @@ func (s *Switch) Controller() *Controller { return s.ctrl }
 func (s *Switch) Process(pk *packet.Packet, now time.Time) Action {
 	key := pk.Flow()
 	act, hit := s.table.Match(key, pk.Size, now)
-	if !hit {
+	if hit {
+		s.tableHits.Add(1)
+	} else {
 		dec := s.ctrl.PacketIn(key, now)
 		s.table.Install(key, dec.Action, now)
 		act = dec.Action
+		s.packetIns.Add(1)
 	}
-	s.mu.Lock()
-	if hit {
-		s.stats.TableHits++
+	if act == ActionForward {
+		s.forwarded.Add(1)
 	} else {
-		s.stats.PacketIns++
+		s.dropped.Add(1)
 	}
-	s.count(act)
-	monitor, metrics := s.monitor, s.metrics
-	s.mu.Unlock()
-	metrics.observe(act, hit)
-	if monitor != nil {
+	s.metrics.Load().observe(act, hit)
+	if monitor := s.monitor.Load(); monitor != nil {
 		monitor.Observe(pk, act, now)
 	}
 	return act
 }
 
-func (s *Switch) count(a Action) {
-	if a == ActionForward {
-		s.stats.Forwarded++
-	} else {
-		s.stats.Dropped++
-	}
-}
-
 // SetMetrics attaches an instrumentation bundle (nil detaches it).
-func (s *Switch) SetMetrics(m *SwitchMetrics) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.metrics = m
-}
+func (s *Switch) SetMetrics(m *SwitchMetrics) { s.metrics.Store(m) }
 
 // Stats returns a snapshot of switch counters.
 func (s *Switch) Stats() SwitchStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return SwitchStats{
+		Forwarded: s.forwarded.Load(),
+		Dropped:   s.dropped.Load(),
+		PacketIns: s.packetIns.Load(),
+		TableHits: s.tableHits.Load(),
+	}
 }
 
 // InvalidateDevice removes installed flows for a device whose isolation
