@@ -2,13 +2,14 @@
 # gate (vet + gofmt check + build + a vulnerability/static-analysis
 # pass when the tooling is installed + shuffled full test suite + a
 # short -race pass over the gateway, online learner, durable store,
-# metrics registry, fleet control plane and the three packages that
-# share ring memory and lock-free counters on the forwarding path
+# metrics registry, fleet control plane, the two packages that share the
+# identification cache across goroutines (core, iotssp) and the three
+# that share ring memory and lock-free counters on the forwarding path
 # (capture, packet, sdn) + the crash fault-injection
 # sweep + the seeded fleet-link chaos sweep (see `make chaos`) + a
 # short fuzz pass over the capture ring and readers, the frame decoder,
-# the model deserializer, the packed-symbol codec, the cluster-linkage
-# input and the fleet wire decoders + the benchmark module's own vet and tests
+# the model deserializer, the packed-symbol codec, the fingerprint
+# head, the cluster-linkage input and the fleet wire decoders + the benchmark module's own vet and tests
 # (`make bench-smoke`) + a short sustained-load soak with its
 # leak/latency gates);
 # `make test-race` covers the concurrent
@@ -72,7 +73,7 @@ vulncheck:
 
 verify: vet fmt-check build vulncheck
 	$(GO) test -shuffle=on ./...
-	$(GO) test -race -count=1 ./internal/capture/... ./internal/chaos/... ./internal/fleet/... ./internal/gateway/... ./internal/learn/... ./internal/obs/... ./internal/packet/... ./internal/sdn/... ./internal/store/...
+	$(GO) test -race -count=1 ./internal/capture/... ./internal/chaos/... ./internal/core/... ./internal/fleet/... ./internal/gateway/... ./internal/iotssp/... ./internal/learn/... ./internal/obs/... ./internal/packet/... ./internal/sdn/... ./internal/store/...
 	$(MAKE) crash
 	$(MAKE) chaos
 	$(MAKE) fuzz
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzReadPcapNG$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME) ./internal/ml/rf/
 	$(GO) test -fuzz='^FuzzPackRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/features/
+	$(GO) test -fuzz='^FuzzHead$$' -fuzztime=$(FUZZTIME) ./internal/fingerprint/
 	$(GO) test -fuzz='^FuzzBandedDistance$$' -fuzztime=$(FUZZTIME) ./internal/editdist/
 	$(GO) test -fuzz='^FuzzClusterLinkage$$' -fuzztime=$(FUZZTIME) ./internal/learn/
 	$(GO) test -fuzz='^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
@@ -135,7 +137,7 @@ bench-json:
 # sub-microsecond non-serving benchmarks (packet codecs, convenience
 # APIs, device-churn stress loops) swing far past any sane threshold
 # with host load, and training is a one-time boot cost.
-BENCH_GATE ?= ^(core\.(IdentifySteadyState|IdentifyBatchSteadyState|IdentifyCacheHit|IdentifyWarmBootCached)|editdist\.DiscriminateRefSet|fingerprint\.CanonicalKey|gateway\.(HandlePacketSteadyState|PumpForward)|rf\.(PredictBatchInto|AcceptSoft)|iotsentinel\.(ClassifySingle|TypeIdentification))$$
+BENCH_GATE ?= ^(core\.(IdentifySteadyState|IdentifyBatchSteadyState|IdentifyCacheHit|IdentifyHeadHit|IdentifyWarmBootCached)|editdist\.DiscriminateRefSet|fingerprint\.CanonicalKey|gateway\.(HandlePacketSteadyState|PumpForward)|rf\.(PredictBatchInto|AcceptSoft)|iotsentinel\.(ClassifySingle|TypeIdentification))$$
 
 bench-check:
 	$(GO) run ./cmd/benchreport -delta . -delta-gate '$(BENCH_GATE)'

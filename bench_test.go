@@ -337,10 +337,6 @@ func BenchmarkIdentifyBatch(b *testing.B) {
 		}
 	}
 	b.Run("sequential-identify", func(b *testing.B) {
-		if err := benchID.SetWorkers(1); err != nil {
-			b.Fatal(err)
-		}
-		defer restore(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -368,21 +364,13 @@ func BenchmarkIdentifyBatch(b *testing.B) {
 
 // BenchmarkIdentifySharedBank measures many gateway goroutines calling
 // Identify on one shared bank — the serving-path contention profile —
-// across a b.SetParallelism sweep. The bank itself runs sequentially
-// per call (workers=1) so the callers provide all the parallelism, as
-// they would in a loaded gateway.
+// across a b.SetParallelism sweep. Each call scans the bank on its own
+// goroutine, so the callers provide all the parallelism, as they would
+// in a loaded gateway.
 func BenchmarkIdentifySharedBank(b *testing.B) {
 	benchSetup(b)
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallelism=%d", p), func(b *testing.B) {
-			if err := benchID.SetWorkers(1); err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				if err := benchID.SetWorkers(0); err != nil {
-					b.Fatal(err)
-				}
-			}()
 			b.SetParallelism(p)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

@@ -85,7 +85,7 @@ func run(args []string, out io.Writer) error {
 		capReaders    = fs.Int("capture-readers", 0, "capture reader goroutines feeding the data path (0 = GOMAXPROCS)")
 		captures      = fs.Int("captures", 20, "training captures per type for the in-process service")
 		seed          = fs.Int64("seed", 1, "random seed")
-		workers       = fs.Int("workers", 0, "classifier-bank worker goroutines (0 = GOMAXPROCS)")
+		workers       = fs.Int("workers", 0, "goroutines for training and batch assessment (0 = GOMAXPROCS); one identification never fans out")
 		oneshot       = fs.Bool("oneshot", false, "exit after replay instead of serving the API")
 		assessTimeout = fs.Duration("assess-timeout", 10*time.Second, "per-attempt timeout for remote IoTSSP calls")
 		assessRetries = fs.Int("assess-retries", 3, "additional attempts after a failed remote IoTSSP call")

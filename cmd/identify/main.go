@@ -43,7 +43,7 @@ func run(args []string, out io.Writer) error {
 		pcapFile = fs.String("pcap", "", "pcap capture(s) to identify, comma-separated")
 		mac      = fs.String("mac", "", "device MAC inside the capture (empty: all frames)")
 		seed     = fs.Int64("seed", 1, "random seed")
-		workers  = fs.Int("workers", 0, "classifier-bank worker goroutines (0 = GOMAXPROCS)")
+		workers  = fs.Int("workers", 0, "goroutines for training and batch identification (0 = GOMAXPROCS); one identification never fans out")
 		saveFile = fs.String("save", "", "save the trained model to this file")
 		loadFile = fs.String("load", "", "load a trained model instead of training")
 	)

@@ -68,7 +68,7 @@ func run(args []string, out io.Writer) error {
 		seed          = fs.Int64("seed", 1, "random seed")
 		assessTimeout = fs.Duration("assess-timeout", 30*time.Second, "server-side cap per assessment request (0 = unlimited); gateways retry 503s")
 		metricsAddr   = fs.String("metrics-addr", "", "listen address for /metrics and /debug/pprof (default: disabled)")
-		workers       = fs.Int("workers", 0, "classifier-bank worker goroutines (0 = GOMAXPROCS)")
+		workers       = fs.Int("workers", 0, "goroutines for training and batch assessment (0 = GOMAXPROCS); one identification never fans out")
 		cacheSize     = fs.Int("cache-size", core.DefaultCacheSize, "identification-cache entries (0 = disabled)")
 		learnOn       = fs.Bool("learn", false, "learn new device-types online from clusters of unknown devices")
 		learnK        = fs.Int("learn-k", learn.DefaultK, "unknown-cluster size that proposes a new device-type")

@@ -7,19 +7,31 @@ import (
 	"iotsentinel/internal/fingerprint"
 )
 
-// IdentifyCache is a bounded LRU of identification results keyed by the
-// canonical fingerprint hash. IoT devices replay near-identical setup
-// sequences — the same firmware walks the same DHCP/DNS/NTP/cloud
-// choreography on every power cycle — so a gateway that has already
-// identified one probe can answer the replay without touching the
-// classifier bank at all.
+// IdentifyCache is the identifier's two-level memo, each level keyed by
+// exactly what the stage it spares reads.
+//
+// The first level is a bounded LRU of whole identification results
+// keyed by the canonical fingerprint hash. IoT devices replay
+// near-identical setup sequences — the same firmware walks the same
+// DHCP/DNS/NTP/cloud choreography on every power cycle — so a gateway
+// that has already identified one probe can answer the replay without
+// touching the classifier bank at all.
+//
+// The second level maps a fingerprint's head (fingerprint.Head: the
+// first 12 unique symbols, all the forests read of a probe) to the
+// bank's accept set. Captures of one device mostly differ after their
+// head, so a probe that misses the first level usually finds its accept
+// set here and pays only for discrimination, which reads all of F and
+// always runs. The key is the head itself, not a hash of it: no
+// collision can hand one device another's accept set.
 //
 // Cached answers are bit-identical to uncached ones in every semantic
-// field (Type, Matches, Scores, Discriminated, EditDistances): the key
-// covers the full fingerprint (see fingerprint.CanonicalKey), entries
-// are deep-copied in and out so callers can never mutate a shared
-// Result, and the identifier purges the cache whenever the bank changes
-// (AddType). Only the stage timings differ — a hit reports zero
+// field (Type, Matches, Scores, Discriminated, EditDistances): the
+// first-level key covers the full fingerprint (see
+// fingerprint.CanonicalKey), results and accept sets are copied in and
+// out so callers can never mutate or alias a stored one, and the
+// identifier purges both levels whenever the bank changes (AddType).
+// Only the stage timings differ — a first-level hit reports zero
 // ClassifyTime/DiscriminateTime, which is also the honest measurement.
 //
 // The cache is safe for concurrent use. Lookups and inserts take one
@@ -32,6 +44,16 @@ type IdentifyCache struct {
 	order   *list.List // front = most recently used
 	hits    uint64
 	misses  uint64
+
+	// heads maps a head to its slot in accepts; slot i is the words
+	// accepts[i*words:(i+1)*words], one bit per bank index. At most cap
+	// heads are held. Slots are dense: an evicted head's slot goes to
+	// the head that evicted it.
+	heads      map[fingerprint.Head]uint32
+	accepts    []uint64
+	words      int
+	headHits   uint64
+	headMisses uint64
 }
 
 type cacheEntry struct {
@@ -53,7 +75,67 @@ func NewIdentifyCache(capacity int) *IdentifyCache {
 		cap:     capacity,
 		entries: make(map[fingerprint.Key]*list.Element, capacity),
 		order:   list.New(),
+		heads:   make(map[fingerprint.Head]uint32),
 	}
+}
+
+// getHead copies the accept set memoized for head into dst and reports
+// whether there was one. An accept set of another width than dst was
+// stored for another bank and is never returned.
+func (c *IdentifyCache) getHead(head *fingerprint.Head, dst []uint64) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	slot, ok := c.heads[*head]
+	if !ok || c.words != len(dst) {
+		c.headMisses++
+		return false
+	}
+	c.headHits++
+	copy(dst, c.accepts[int(slot)*c.words:])
+	return true
+}
+
+// putHead memoizes a copy of accepted as the accept set of head. When
+// the table is full an arbitrary head makes room: heads are far fewer
+// than fingerprints, so the bound exists to cap memory, not to rank
+// entries.
+func (c *IdentifyCache) putHead(head *fingerprint.Head, accepted []uint64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.words != len(accepted) {
+		// The first accept set after a purge fixes the width; one of a
+		// different width later means the cache changed banks without
+		// one, and nothing stored for the old bank may be served.
+		c.purgeHeadsLocked()
+		c.words = len(accepted)
+	}
+	slot, ok := c.heads[*head]
+	if !ok {
+		if len(c.heads) < c.cap {
+			slot = uint32(len(c.heads))
+			c.accepts = append(c.accepts, accepted...)
+		} else {
+			for victim, s := range c.heads {
+				delete(c.heads, victim)
+				slot = s
+				break
+			}
+		}
+		c.heads[*head] = slot
+	}
+	copy(c.accepts[int(slot)*c.words:], accepted)
+}
+
+func (c *IdentifyCache) purgeHeadsLocked() {
+	clear(c.heads)
+	c.accepts = c.accepts[:0]
+	c.words = 0
 }
 
 // get returns a deep copy of the cached result for key, if present.
@@ -111,8 +193,9 @@ func (c *IdentifyCache) put(key fingerprint.Key, res Result) {
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: stored})
 }
 
-// Purge drops every entry; called when the classifier bank changes so a
-// stale answer can never outlive the model that produced it.
+// Purge drops every entry of both levels; called when the classifier
+// bank changes so a stale answer or accept set can never outlive the
+// model that produced it.
 func (c *IdentifyCache) Purge() {
 	if c == nil {
 		return
@@ -121,9 +204,10 @@ func (c *IdentifyCache) Purge() {
 	defer c.mu.Unlock()
 	c.entries = make(map[fingerprint.Key]*list.Element, c.cap)
 	c.order.Init()
+	c.purgeHeadsLocked()
 }
 
-// Len returns the current entry count.
+// Len returns the current first-level (full-key) entry count.
 func (c *IdentifyCache) Len() int {
 	if c == nil {
 		return 0
@@ -133,7 +217,8 @@ func (c *IdentifyCache) Len() int {
 	return c.order.Len()
 }
 
-// Stats returns the cumulative hit and miss counts.
+// Stats returns the cumulative first-level (full-key) hit and miss
+// counts.
 func (c *IdentifyCache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
@@ -141,6 +226,18 @@ func (c *IdentifyCache) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
+}
+
+// HeadStats returns the cumulative head-memo hit and miss counts. The
+// memo is consulted only after a first-level miss, so hits+misses here
+// equals Stats' misses.
+func (c *IdentifyCache) HeadStats() (hits, misses uint64) {
+	if c == nil {
+		return 0, 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.headHits, c.headMisses
 }
 
 // copyResult deep-copies the mutable fields of a Result so cached

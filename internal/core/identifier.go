@@ -4,16 +4,17 @@
 // Damerau-Levenshtein edit-distance discrimination over the full
 // fingerprint F when several classifiers accept.
 //
-// The bank is embarrassingly parallel across device-types: Train fits
-// the per-type classifiers concurrently, Identify fans the vote and
-// discrimination stages out across types, and IdentifyBatch pipelines
-// many fingerprints at once. All parallel paths are bit-for-bit
-// deterministic with their sequential counterparts (see parallel.go).
+// Parallelism lives where the work items are independent and coarse:
+// Train fits the per-type classifiers concurrently and IdentifyBatch
+// pipelines many fingerprints at once, both bit-for-bit deterministic
+// with their sequential counterparts (see parallel.go). One
+// identification scans the bank on the calling goroutine.
 package core
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -49,18 +50,21 @@ type Config struct {
 	AcceptThreshold float64
 	// Seed makes training and reference selection deterministic.
 	Seed int64
-	// Workers bounds the goroutines used by Train, Identify and
-	// IdentifyBatch: 0 selects runtime.GOMAXPROCS(0), 1 forces
-	// sequential execution, negative values are rejected. Workers is a
-	// runtime concern, not model state, so it is excluded from
-	// serialization: models trained at any worker count are identical.
+	// Workers bounds the goroutines used by Train (one classifier per
+	// work item) and IdentifyBatch (one fingerprint per work item): 0
+	// selects runtime.GOMAXPROCS(0), 1 forces sequential execution,
+	// negative values are rejected. A single Identify never fans out —
+	// it scans the bank on the caller's goroutine. Workers is a runtime
+	// concern, not model state, so it is excluded from serialization:
+	// models trained at any worker count are identical.
 	Workers int `json:"-"`
 	// CacheSize, when positive, attaches an identification cache of
 	// that many entries (see IdentifyCache): probes whose canonical
-	// fingerprint hash was already answered skip the classifier bank
-	// and return the stored result. 0 disables caching. Like Workers,
-	// the cache is a runtime concern with no effect on answers, so it
-	// is excluded from serialization.
+	// fingerprint hash was already answered return the stored result,
+	// and probes whose head (fingerprint.Head, all the forests read)
+	// was already classified skip the classifier bank. 0 disables both
+	// levels. Like Workers, the cache is a runtime concern with no
+	// effect on answers, so it is excluded from serialization.
 	CacheSize int `json:"-"`
 	// DisableDiscrimination skips the edit-distance tie-break and
 	// resolves multi-matches by taking the first accepted type in
@@ -103,43 +107,64 @@ type typeModel struct {
 type Identifier struct {
 	cfg Config
 
-	// mu guards models, pool, types and metrics. Models themselves are
-	// immutable after construction, so readers only need the map/slice
-	// snapshot.
+	// mu guards models, pool, types, bank and metrics. Models themselves
+	// are immutable after construction, so readers only need the
+	// map/slice snapshot.
 	mu     sync.RWMutex
 	models map[TypeID]*typeModel
 	pool   map[TypeID][]fingerprint.Fingerprint
-	// types caches the sorted type list so the per-identification hot
-	// path does not re-sort the bank.
+	// types is the sorted type list and bank the models in that order
+	// (see reindex), so the per-identification hot path neither re-sorts
+	// the bank nor hashes type names: a bank index names a type, its
+	// model and its bit in an accept set.
 	types []TypeID
+	bank  []*typeModel
 	// metrics, when non-nil, receives one observation per
 	// identification (see SetMetrics); updates are atomic adds.
 	metrics *Metrics
 	// cache, when non-nil, short-circuits identifications whose
-	// canonical fingerprint hash was already answered. The cache is
-	// internally synchronized; mu only guards the pointer.
+	// canonical fingerprint hash was already answered, and the bank
+	// scan of those whose head was. The cache is internally
+	// synchronized; mu only guards the pointer.
 	cache *IdentifyCache
-	// scratch pools per-identification working memory (accept bits,
+	// scratch pools per-identification working memory (the accept set,
 	// the derived F′) so the steady-state hot path does not allocate.
 	scratch sync.Pool
 }
 
 // identifyScratch is the reusable working memory of one identification.
 type identifyScratch struct {
-	accepted []bool
+	// accepted is the accept set: bit i is set when bank[i] accepted.
+	// matched lists the same bank indices in ascending order.
+	accepted []uint64
+	matched  []int
 	// fprime is F′ derived from the probe's F. The bank never reads a
-	// probe's own FPrime field: the cache key covers F alone, so what
+	// probe's own FPrime field: the cache keys cover F alone, so what
 	// the forests see must be a function of F.
 	fprime fingerprint.FPrime
 }
 
-func (sc *identifyScratch) boolBuf(n int) []bool {
-	if cap(sc.accepted) < n {
-		sc.accepted = make([]bool, n)
+// acceptSet returns the scratch accept set sized for n types, cleared.
+func (sc *identifyScratch) acceptSet(n int) []uint64 {
+	words := (n + 63) / 64
+	if cap(sc.accepted) < words {
+		sc.accepted = make([]uint64, words)
 	}
-	sc.accepted = sc.accepted[:n]
+	sc.accepted = sc.accepted[:words]
 	clear(sc.accepted)
 	return sc.accepted
+}
+
+// setMatched lists the bank indices of an accept set, in canonical
+// (ascending) order.
+func (sc *identifyScratch) setMatched(accepted []uint64) []int {
+	sc.matched = sc.matched[:0]
+	for w, word := range accepted {
+		for ; word != 0; word &= word - 1 {
+			sc.matched = append(sc.matched, w*64+bits.TrailingZeros64(word))
+		}
+	}
+	return sc.matched
 }
 
 func (id *Identifier) getScratch() *identifyScratch {
@@ -172,26 +197,38 @@ func Train(samples map[TypeID][]fingerprint.Fingerprint, cfg Config) (*Identifie
 		}
 		id.pool[t] = append([]fingerprint.Fingerprint(nil), fps...)
 	}
-	id.types = sortedKeys(id.pool)
+	types := sortedKeys(id.pool)
 	if cfg.CacheSize > 0 {
 		id.cache = NewIdentifyCache(cfg.CacheSize)
 	}
 	// Per-type training is independent (hash-derived seeds, read-only
 	// pool), so the bank trains concurrently; results merge into the
 	// model map in canonical order afterwards.
-	built := make([]*typeModel, len(id.types))
-	err = runIndexed(cfg.workers(), len(id.types), func(i int) error {
-		m, err := id.buildModel(id.types[i])
+	built := make([]*typeModel, len(types))
+	err = runIndexed(cfg.workers(), len(types), func(i int) error {
+		m, err := id.buildModel(types[i])
 		built[i] = m
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, t := range id.types {
+	for i, t := range types {
 		id.models[t] = built[i]
 	}
+	id.reindex()
 	return id, nil
+}
+
+// reindex rebuilds types (sorted) and bank (the models in that order):
+// called wherever the set of trained types changes, with the write lock
+// held or before the identifier is shared.
+func (id *Identifier) reindex() {
+	id.types = sortedKeys(id.pool)
+	id.bank = make([]*typeModel, len(id.types))
+	for i, t := range id.types {
+		id.bank[i] = id.models[t]
+	}
 }
 
 func sortedKeys(m map[TypeID][]fingerprint.Fingerprint) []TypeID {
@@ -217,7 +254,7 @@ func (id *Identifier) NumTypes() int {
 	return len(id.models)
 }
 
-// Workers reports the resolved worker bound the identifier fans out to.
+// Workers reports the resolved worker bound of Train and IdentifyBatch.
 func (id *Identifier) Workers() int {
 	id.mu.RLock()
 	defer id.mu.RUnlock()
@@ -260,9 +297,10 @@ func (id *Identifier) AddType(t TypeID, fps []fingerprint.Fingerprint) error {
 		return err
 	}
 	id.models[t] = m
-	id.types = sortedKeys(id.pool)
-	// The bank changed: every cached answer is now stale (the new type
-	// could accept fingerprints an old answer rejected).
+	id.reindex()
+	// The bank changed: every cached answer and accept set is now stale
+	// (the new type could accept fingerprints an old answer rejected,
+	// and bank indices moved).
 	id.cache.Purge()
 	return nil
 }
@@ -270,14 +308,11 @@ func (id *Identifier) AddType(t TypeID, fps []fingerprint.Fingerprint) error {
 // SetCache attaches (or, with nil, detaches) an identification cache.
 // Like SetWorkers it is a runtime rebinding with no effect on answers —
 // e.g. after LoadIdentifier, which restores models but not caches. A
-// cache that already holds entries is purged on attach: its answers
-// were computed by whatever bank it was attached to before, and a warm
-// cache carried across a bank swap could serve results the new bank
-// would never produce.
+// cache is purged on attach: whatever it holds was computed by the bank
+// it was attached to before, and a warm cache carried across a bank
+// swap could serve results the new bank would never produce.
 func (id *Identifier) SetCache(c *IdentifyCache) {
-	if c != nil && c.Len() > 0 {
-		c.Purge()
-	}
+	c.Purge()
 	id.mu.Lock()
 	defer id.mu.Unlock()
 	id.cache = c
@@ -419,14 +454,8 @@ func (r *Result) reset() {
 	r.DiscriminateTime = 0
 }
 
-// minParallelTypes is the bank size below which fanning a single
-// identification out across goroutines costs more than it saves.
-const minParallelTypes = 8
-
-// Identify runs the two-stage pipeline on one fingerprint. With
-// Workers > 1 the classifier votes fan out across the bank; results are
-// identical to sequential execution because matches merge in canonical
-// type order and discrimination is sequential by construction.
+// Identify runs the two-stage pipeline on one fingerprint, on the
+// calling goroutine.
 func (id *Identifier) Identify(fp fingerprint.Fingerprint) Result {
 	var res Result
 	id.IdentifyInto(fp, &res)
@@ -442,32 +471,45 @@ func (id *Identifier) Identify(fp fingerprint.Fingerprint) Result {
 func (id *Identifier) IdentifyInto(fp fingerprint.Fingerprint, res *Result) {
 	id.mu.RLock()
 	defer id.mu.RUnlock()
-	id.identifyObserved(&fp, id.cfg.workers(), res)
+	id.identifyObserved(&fp, res)
 }
 
-// identifyLocked is the pipeline with the read lock already held and an
-// explicit fan-out bound (IdentifyBatch parallelizes across
-// fingerprints instead, so its per-item calls run the bank
-// sequentially).
-func (id *Identifier) identifyLocked(f fingerprint.F, workers int, sc *identifyScratch, res *Result) {
+// identifyLocked is the pipeline with the read lock already held. Each
+// stage is keyed by exactly what it reads: the accept set is a function
+// of f's head and comes from the cache's head memo when that head was
+// classified before (reported as byHeadMemo); discrimination reads all
+// of f and always runs.
+func (id *Identifier) identifyLocked(f fingerprint.F, sc *identifyScratch, res *Result) answeredBy {
 	res.reset()
 
 	start := time.Now()
-	res.Matches = id.classifyLocked(f, workers, sc, res.Matches)
+	by := byBank
+	head := f.Head()
+	accepted := sc.acceptSet(len(id.bank))
+	if id.cache.getHead(&head, accepted) {
+		by = byHeadMemo
+	} else {
+		id.scanBank(&head, sc, accepted)
+		id.cache.putHead(&head, accepted)
+	}
+	matched := sc.setMatched(accepted)
+	for _, i := range matched {
+		res.Matches = append(res.Matches, id.types[i])
+	}
 	res.ClassifyTime = time.Since(start)
 
 	switch len(res.Matches) {
 	case 0:
 		res.Type = Unknown
-		return
+		return by
 	case 1:
 		res.Type = res.Matches[0]
-		return
+		return by
 	}
 
 	if id.cfg.DisableDiscrimination {
 		res.Type = res.Matches[0]
-		return
+		return by
 	}
 
 	// Multiple matches: discriminate by summed normalized edit distance
@@ -486,13 +528,13 @@ func (id *Identifier) identifyLocked(f fingerprint.F, workers int, sc *identifyS
 	}
 	best := math.Inf(1)
 	bestType := res.Matches[0]
-	for _, t := range res.Matches {
-		m := id.models[t]
-		sum, n, pruned := m.refs.DistanceSumBounded(f, best)
+	for _, i := range matched {
+		sum, n, pruned := id.bank[i].refs.DistanceSumBounded(f, best)
 		res.EditDistances += n
 		if pruned {
 			continue
 		}
+		t := id.types[i]
 		res.Scores[t] = sum
 		if sum < best {
 			best, bestType = sum, t
@@ -500,72 +542,48 @@ func (id *Identifier) identifyLocked(f fingerprint.F, workers int, sc *identifyS
 	}
 	res.DiscriminateTime = time.Since(start)
 	res.Type = bestType
+	return by
 }
 
-// identifyObserved is identifyLocked plus the cache probe and metrics
-// observation; every public identification path funnels through it so
-// batch and single calls account — and cache — identically. The caller
-// holds at least a read lock, which is what makes the lookup sound:
-// AddType (the only bank mutation) write-locks, purges the cache, and
-// therefore cannot interleave between a stale read and our insert.
+// identifyObserved is identifyLocked plus the full-key cache probe and
+// metrics observation; every public identification path funnels through
+// it so batch and single calls account — and cache — identically. The
+// caller holds at least a read lock, which is what makes both lookups
+// sound: AddType (the only bank mutation) write-locks, purges the
+// cache, and therefore cannot interleave between a stale read and our
+// insert.
 //
-// Only fp.F is read — by the key and by the bank — so a cached answer
+// Only fp.F is read — by both keys and by the bank — so a cached answer
 // is the bank's answer for every fingerprint sharing the key, whatever
 // its other fields hold.
-func (id *Identifier) identifyObserved(fp *fingerprint.Fingerprint, workers int, res *Result) {
+func (id *Identifier) identifyObserved(fp *fingerprint.Fingerprint, res *Result) {
 	sc := id.getScratch()
 	defer id.scratch.Put(sc)
 	if id.cache == nil {
-		id.identifyLocked(fp.F, workers, sc, res)
-		id.metrics.observe(*res)
+		by := id.identifyLocked(fp.F, sc, res)
+		id.metrics.observe(res, by)
 		return
 	}
 	key := fp.CanonicalKey()
-	if id.cache.getInto(key, res) {
-		id.metrics.observeCache(true)
-		id.metrics.observe(*res)
-		return
+	by := byCache
+	if !id.cache.getInto(key, res) {
+		by = id.identifyLocked(fp.F, sc, res)
+		id.cache.put(key, *res)
 	}
-	id.identifyLocked(fp.F, workers, sc, res)
-	id.cache.put(key, *res)
-	id.metrics.observeCache(false)
-	id.metrics.observe(*res)
+	id.metrics.observeCache(by)
+	id.metrics.observe(res, by)
 }
 
-// classifyLocked scores every classifier in the bank on F′ derived from
-// f and appends the accepting types to dst in canonical order. Accept
-// decisions land in a per-type slot indexed by bank position, so the
-// fan-out order cannot reorder the result.
-func (id *Identifier) classifyLocked(f fingerprint.F, workers int, sc *identifyScratch, dst []TypeID) []TypeID {
-	n := len(id.types)
-	if workers > n {
-		workers = n
-	}
-	if n < minParallelTypes {
-		workers = 1
-	}
-	accepted := sc.boolBuf(n)
+// scanBank scores every classifier in the bank on the F′ of head and
+// sets bit i of accepted when bank[i] accepts.
+func (id *Identifier) scanBank(head *fingerprint.Head, sc *identifyScratch, accepted []uint64) {
+	head.Prime(&sc.fprime)
 	prime := sc.fprime[:]
-	f.Prime(prime)
-	if workers <= 1 {
-		// The sequential bank scan is the steady-state hot path; it
-		// stays closure-free.
-		for i := 0; i < n; i++ {
-			m := id.models[id.types[i]]
-			accepted[i] = m.forest.AcceptSoft(prime, 1, id.cfg.AcceptThreshold)
-		}
-	} else {
-		forEachIndexed(workers, n, func(i int) {
-			m := id.models[id.types[i]]
-			accepted[i] = m.forest.AcceptSoft(prime, 1, id.cfg.AcceptThreshold)
-		})
-	}
-	for i, ok := range accepted {
-		if ok {
-			dst = append(dst, id.types[i])
+	for i, m := range id.bank {
+		if m.forest.AcceptSoft(prime, 1, id.cfg.AcceptThreshold) {
+			accepted[i/64] |= 1 << (i % 64)
 		}
 	}
-	return dst
 }
 
 // IdentifyBatch runs the pipeline over many fingerprints at once,
@@ -573,10 +591,7 @@ func (id *Identifier) classifyLocked(f fingerprint.F, workers int, sc *identifyS
 // shape when several devices finish their setup phase together (a
 // gateway draining its monitoring queue, or bulk evaluation). Results
 // are returned in input order and are element-wise identical to calling
-// Identify on each fingerprint. Each worker runs the bank sequentially:
-// for B pending fingerprints the batch axis already exposes B-way
-// parallelism, and nesting a per-type fan-out under it only adds
-// scheduling overhead.
+// Identify on each fingerprint.
 func (id *Identifier) IdentifyBatch(fps []fingerprint.Fingerprint) []Result {
 	if len(fps) == 0 {
 		return nil
@@ -589,19 +604,28 @@ func (id *Identifier) IdentifyBatch(fps []fingerprint.Fingerprint) []Result {
 		workers = len(fps)
 	}
 	forEachIndexed(workers, len(fps), func(i int) {
-		id.identifyObserved(&fps[i], 1, &out[i])
+		id.identifyObserved(&fps[i], &out[i])
 	})
 	return out
 }
 
 // ClassifyOnly runs only the classifier bank and returns the accepted
-// types; used by the discrimination on/off ablation.
+// types; used by the discrimination on/off ablation and by stage
+// timing, so it always runs the forests: the head memo is neither read
+// nor filled.
 func (id *Identifier) ClassifyOnly(fp fingerprint.Fingerprint) []TypeID {
 	id.mu.RLock()
 	defer id.mu.RUnlock()
 	sc := id.getScratch()
 	defer id.scratch.Put(sc)
-	return id.classifyLocked(fp.F, id.cfg.workers(), sc, nil)
+	head := fp.F.Head()
+	accepted := sc.acceptSet(len(id.bank))
+	id.scanBank(&head, sc, accepted)
+	var out []TypeID
+	for _, i := range sc.setMatched(accepted) {
+		out = append(out, id.types[i])
+	}
+	return out
 }
 
 // FeatureImportance aggregates Gini feature importance across every
@@ -613,8 +637,8 @@ func (id *Identifier) FeatureImportance() [features.Count]float64 {
 	id.mu.RLock()
 	defer id.mu.RUnlock()
 	var out [features.Count]float64
-	for _, t := range id.types {
-		imp := id.models[t].forest.FeatureImportance(fingerprint.FPrimeLen)
+	for _, m := range id.bank {
+		imp := m.forest.FeatureImportance(fingerprint.FPrimeLen)
 		for dim, w := range imp {
 			out[dim%features.Count] += w
 		}

@@ -4,12 +4,30 @@ import (
 	"iotsentinel/internal/obs"
 )
 
+// answeredBy names what produced an identification, and therefore which
+// stages did work for it.
+type answeredBy uint8
+
+const (
+	// byBank: the forests ran, then discrimination if it was needed.
+	byBank answeredBy = iota
+	// byHeadMemo: the accept set came from the cache's head memo;
+	// discrimination, if it was needed, ran.
+	byHeadMemo
+	// byCache: the whole Result came from the full-key cache; no stage
+	// ran.
+	byCache
+)
+
 // Metrics is the identifier's instrumentation bundle: the Table IV
 // cost split (classify vs discriminate latency, edit-distance count)
 // plus the outcome distribution (match counts, unknown rate) that the
-// paper's accuracy tables summarize offline. All children are resolved
-// at construction, so the per-identification cost is a handful of
-// atomic adds; a nil *Metrics disables instrumentation entirely.
+// paper's accuracy tables summarize offline. The stage series record
+// work done — an answer served from a cache adds nothing to the stages
+// it skipped — while the outcome series count every answer. All
+// children are resolved at construction, so the per-identification cost
+// is a handful of atomic adds; a nil *Metrics disables instrumentation
+// entirely.
 type Metrics struct {
 	identifications *obs.Counter
 	unknown         *obs.Counter
@@ -17,47 +35,45 @@ type Metrics struct {
 	classifySec     *obs.Histogram
 	discriminateSec *obs.Histogram
 	matchCount      *obs.Histogram
-	cacheHits       *obs.Counter
-	cacheMisses     *obs.Counter
+	// cache counts lookups by what answered them, indexed by answeredBy.
+	cache [3]*obs.Counter
 }
 
 // NewMetrics registers the identifier metric family on reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
-	return &Metrics{
+	m := &Metrics{
 		identifications: reg.Counter("core_identifications_total",
 			"Device-type identifications performed."),
 		unknown: reg.Counter("core_identify_unknown_total",
 			"Identifications rejected by every classifier (unknown device-type)."),
 		editDistances: reg.Counter("core_edit_distances_total",
-			"Edit-distance computations performed by the discrimination stage."),
+			"Edit-distance computations performed by the discrimination stage (answers served from the cache add none)."),
 		classifySec: reg.Histogram("core_classify_seconds",
-			"Classifier-bank stage latency per identification.", nil),
+			"Classifier-bank stage latency, for identifications whose forests ran.", nil),
 		discriminateSec: reg.Histogram("core_discriminate_seconds",
-			"Edit-distance discrimination stage latency, for identifications that needed it.", nil),
+			"Edit-distance discrimination stage latency, for identifications that ran it.", nil),
 		matchCount: reg.Histogram("core_match_count",
 			"Number of accepting classifiers per identification.", obs.CountBuckets),
-		cacheHits: reg.CounterVec("core_identify_cache_total",
-			"Identification-cache lookups, by outcome.", "outcome").With("hit"),
-		cacheMisses: reg.CounterVec("core_identify_cache_total",
-			"Identification-cache lookups, by outcome.", "outcome").With("miss"),
+	}
+	lookups := reg.CounterVec("core_identify_cache_total",
+		"Identification-cache lookups, by what answered: hit (full key), head_hit (accept set memoized for the head), miss (the forests ran).", "outcome")
+	m.cache[byCache] = lookups.With("hit")
+	m.cache[byHeadMemo] = lookups.With("head_hit")
+	m.cache[byBank] = lookups.With("miss")
+	return m
+}
+
+// observeCache records what answered one identification-cache lookup.
+// Safe on a nil receiver.
+func (m *Metrics) observeCache(by answeredBy) {
+	if m != nil {
+		m.cache[by].Inc()
 	}
 }
 
-// observeCache records one identification-cache lookup outcome. Safe on
-// a nil receiver.
-func (m *Metrics) observeCache(hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.cacheHits.Inc()
-	} else {
-		m.cacheMisses.Inc()
-	}
-}
-
-// observe records one identification outcome. Safe on a nil receiver.
-func (m *Metrics) observe(res Result) {
+// observe records one identification: the outcome series always, the
+// stage series only for the stages that ran. Safe on a nil receiver.
+func (m *Metrics) observe(res *Result, by answeredBy) {
 	if m == nil {
 		return
 	}
@@ -65,14 +81,17 @@ func (m *Metrics) observe(res Result) {
 	if res.Type == Unknown {
 		m.unknown.Inc()
 	}
-	if res.EditDistances > 0 {
-		m.editDistances.Add(uint64(res.EditDistances))
+	m.matchCount.Observe(float64(len(res.Matches)))
+	if by == byCache {
+		return
 	}
-	m.classifySec.ObserveDuration(res.ClassifyTime)
 	if res.Discriminated {
+		m.editDistances.Add(uint64(res.EditDistances))
 		m.discriminateSec.ObserveDuration(res.DiscriminateTime)
 	}
-	m.matchCount.Observe(float64(len(res.Matches)))
+	if by == byBank {
+		m.classifySec.ObserveDuration(res.ClassifyTime)
+	}
 }
 
 // SetMetrics attaches (or, with nil, detaches) an instrumentation

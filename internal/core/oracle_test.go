@@ -63,8 +63,9 @@ func refIdentify(id *Identifier, fp fingerprint.Fingerprint) Result {
 }
 
 // oracleIdentifier trains a bank that exercises every pipeline path:
-// sibling twins force multi-match discrimination, fillers push the bank
-// past minParallelTypes, and alien probes exercise the no-match path.
+// sibling twins force multi-match discrimination, fillers give the bank
+// scan single-match and reject work, and alien probes exercise the
+// no-match path.
 func oracleIdentifier(t testing.TB, cfg Config) *Identifier {
 	t.Helper()
 	samples := map[TypeID][]fingerprint.Fingerprint{
@@ -232,9 +233,12 @@ func TestIdentifyBatchAllocatesOnlyItsAnswers(t *testing.T) {
 
 // BenchmarkIdentifySteadyState is the production single-probe hot path:
 // IdentifyInto with a reused Result on a discriminating sibling probe —
-// classifier bank and budgeted discrimination included.
+// classifier bank and budgeted discrimination included. Like the other
+// benchmarks here it runs at the default worker bound, as the daemons
+// do; with no cache attached there is no head memo, so it times the
+// bank.
 func BenchmarkIdentifySteadyState(b *testing.B) {
-	id := oracleIdentifier(b, Config{Seed: 7, NegativeRatio: 4, Workers: 1})
+	id := oracleIdentifier(b, Config{Seed: 7, NegativeRatio: 4})
 	probe := discriminatingProbe(b, id)
 	var res Result
 	id.IdentifyInto(probe, &res)
@@ -248,7 +252,7 @@ func BenchmarkIdentifySteadyState(b *testing.B) {
 // BenchmarkIdentifyBatchSteadyState pipelines a mixed probe batch
 // through the bank, the batch-identification analogue of the above.
 func BenchmarkIdentifyBatchSteadyState(b *testing.B) {
-	id := oracleIdentifier(b, Config{Seed: 7, NegativeRatio: 4, Workers: 1})
+	id := oracleIdentifier(b, Config{Seed: 7, NegativeRatio: 4})
 	probes := oracleProbeSet()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -260,7 +264,7 @@ func BenchmarkIdentifyBatchSteadyState(b *testing.B) {
 // BenchmarkIdentifyCacheHit is the replayed-probe path: answers served
 // from the identification cache without touching the bank.
 func BenchmarkIdentifyCacheHit(b *testing.B) {
-	id := oracleIdentifier(b, Config{Seed: 7, NegativeRatio: 4, Workers: 1, CacheSize: 64})
+	id := oracleIdentifier(b, Config{Seed: 7, NegativeRatio: 4, CacheSize: 64})
 	probe := synthType([]float64{100, 110}, 1, 15, 50)[0]
 	var res Result
 	id.IdentifyInto(probe, &res)
@@ -277,7 +281,7 @@ func BenchmarkIdentifyCacheHit(b *testing.B) {
 // on the boot path — if a load site stops re-applying the runtime
 // config, this degenerates to full bank scans and the bench gate trips.
 func BenchmarkIdentifyWarmBootCached(b *testing.B) {
-	trained := oracleIdentifier(b, Config{Seed: 7, NegativeRatio: 4, Workers: 1})
+	trained := oracleIdentifier(b, Config{Seed: 7, NegativeRatio: 4})
 	var buf bytes.Buffer
 	if err := trained.Save(&buf); err != nil {
 		b.Fatal(err)
@@ -286,7 +290,7 @@ func BenchmarkIdentifyWarmBootCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := id.ApplyRuntime(1, 64); err != nil {
+	if err := id.ApplyRuntime(0, 64); err != nil {
 		b.Fatal(err)
 	}
 	probe := synthType([]float64{100, 110}, 1, 15, 50)[0]

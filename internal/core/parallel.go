@@ -9,9 +9,11 @@ import (
 )
 
 // Worker-pool plumbing for the classifier bank. Training one classifier
-// per device-type and scoring every classifier on a probe are both
-// embarrassingly parallel across the bank, so Train, Identify and
-// IdentifyBatch share one bounded fan-out primitive. Determinism is
+// per device-type and identifying each fingerprint of a batch are
+// independent, coarse work items, so Train and IdentifyBatch share one
+// bounded fan-out primitive. (One identification is not: splitting its
+// ~10 µs bank scan across goroutines cost more in wake-ups than the
+// scan itself, so it runs on the caller's goroutine.) Determinism is
 // preserved by construction: work items never share mutable state, every
 // per-type RNG is derived from the top-level seed by a stable hash of
 // the type ID (not from shared stream order), and results are merged in

@@ -252,16 +252,29 @@ func TestConfigRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
-// TestConcurrentIdentifierUse hammers one shared Identifier with
-// concurrent Identify, IdentifyBatch, ClassifyOnly, reads and AddType
-// calls; run with -race to validate the bank's locking discipline
-// (this caught the unsynchronized model-map write in AddType).
+// TestConcurrentIdentifierUse hammers one shared, cached Identifier
+// with concurrent Identify, IdentifyBatch, ClassifyOnly, reads and
+// AddType calls; run with -race to validate the bank's locking
+// discipline (this caught the unsynchronized model-map write in
+// AddType). Half the probes share their head with another and differ in
+// F, so head-memo reads and fills race each AddType's purge; once the
+// churn ends, no answer may come from an accept set of an earlier bank.
 func TestConcurrentIdentifierUse(t *testing.T) {
-	id, err := Train(parallelSamples(), fastConfig(4))
+	cfg := fastConfig(4)
+	cfg.CacheSize = 16 // smaller than the probe set: eviction races too
+	id, err := Train(parallelSamples(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probes := parallelProbes()[:40]
+	var probes []fingerprint.Fingerprint
+	for _, fp := range parallelProbes() {
+		if len(probes) == 40 {
+			break
+		}
+		if len(fp.F) >= 2 && fp.F[0] != fp.F[len(fp.F)-1] {
+			probes = append(probes, fp, sameHeadVariants(t, fp, 1)[0])
+		}
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -313,5 +326,17 @@ func TestConcurrentIdentifierUse(t *testing.T) {
 
 	if got := id.NumTypes(); got != len(parallelSamples())+4 {
 		t.Errorf("NumTypes after churn = %d, want %d", got, len(parallelSamples())+4)
+	}
+	uncached, err := id.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := uncached.ApplyRuntime(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, fp := range probes {
+		if got, want := id.Identify(fp), uncached.Identify(fp); !resultsEquivalent(got, want) {
+			t.Errorf("probe %d after churn: cached %+v, uncached bank %+v", i, got, want)
+		}
 	}
 }

@@ -118,7 +118,7 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 			return nil, fmt.Errorf("core: load %q: empty training pool", t)
 		}
 	}
-	id.types = sortedKeys(id.pool)
+	id.reindex()
 	return id, nil
 }
 

@@ -37,7 +37,7 @@ type F []features.Packed
 type FPrime [FPrimeLen]float64
 
 // Fingerprint bundles both representations for one device observation.
-// FPrime and UniqueCount are functions of F (see Prime); the package's
+// FPrime and UniqueCount are functions of F (see F.Head); the package's
 // constructors keep them so, and consumers that must not trust a
 // hand-built value — the classifier bank behind its cache — read F
 // alone and derive the rest.
@@ -71,7 +71,9 @@ func FromPacked(ps []features.Packed) Fingerprint {
 		}
 	}
 	fp := Fingerprint{F: f}
-	fp.UniqueCount = f.Prime(fp.FPrime[:])
+	h := f.Head()
+	h.Prime(&fp.FPrime)
+	fp.UniqueCount = h.N
 	return fp
 }
 
@@ -132,22 +134,25 @@ func FromPackets(pkts []*packet.Packet) Fingerprint {
 	return FromPacked(ps)
 }
 
-// Prime writes the float views of the first len(dst)/features.Count
-// globally unique symbols of f into dst, zero padding the tail, and
-// returns the number of unique symbols used. With a dst of FPrimeLen
-// it derives F′ — the one place the pipeline leaves the packed
-// representation. Uniqueness is a linear scan over the symbols already
-// taken: at most 12 word compares per row.
-func (f F) Prime(dst []float64) int {
-	n := len(dst) / features.Count
-	var taken [UniquePackets]features.Packed
-	seen := taken[:0]
-	if n > UniquePackets {
-		seen = make([]features.Packed, 0, n)
-	}
+// Head is what the classifier bank reads of a fingerprint: the first
+// UniquePackets globally unique symbols of an F, in order of first
+// appearance, and how many there are. Slots past N are zero, so Head is
+// a comparable value — two F with equal heads have the same F′ — and
+// the identification cache keys its accept-set memo by it.
+type Head struct {
+	Syms [UniquePackets]features.Packed
+	N    int
+}
+
+// uniquePrefix appends to seen[:0] the first cap(seen) globally unique
+// symbols of f — the one definition of F′'s "first unique packets".
+// Uniqueness is a linear scan over the symbols already taken: at most
+// cap(seen) word compares per row.
+func (f F) uniquePrefix(seen []features.Packed) []features.Packed {
+	seen = seen[:0]
 rows:
 	for _, p := range f {
-		if len(seen) == n {
+		if len(seen) == cap(seen) {
 			break
 		}
 		for _, q := range seen {
@@ -155,11 +160,32 @@ rows:
 				continue rows
 			}
 		}
-		p.PutVector(dst[len(seen)*features.Count:])
 		seen = append(seen, p)
 	}
-	clear(dst[len(seen)*features.Count:])
-	return len(seen)
+	return seen
+}
+
+// Head returns the head of f.
+func (f F) Head() Head {
+	var h Head
+	h.N = len(f.uniquePrefix(h.Syms[:0]))
+	return h
+}
+
+// Prime writes F′ — the float views of the head's symbols, zero padded
+// to FPrimeLen — into dst: the one place the pipeline leaves the packed
+// representation.
+func (h *Head) Prime(dst *FPrime) {
+	putVectors(dst[:], h.Syms[:h.N])
+}
+
+// putVectors writes the float views of syms into dst and zeroes the
+// rest of it.
+func putVectors(dst []float64, syms []features.Packed) {
+	for i, p := range syms {
+		p.PutVector(dst[i*features.Count:])
+	}
+	clear(dst[len(syms)*features.Count:])
 }
 
 // TruncatedFPrime builds a variable-length analogue of F′ using the
@@ -167,7 +193,7 @@ rows:
 // length ablation study; n must be positive.
 func TruncatedFPrime(f F, n int) []float64 {
 	out := make([]float64, n*features.Count)
-	f.Prime(out)
+	putVectors(out, f.uniquePrefix(make([]features.Packed, 0, n)))
 	return out
 }
 

@@ -64,6 +64,9 @@ type Service struct {
 	// call back into the service (HasType, PromoteType) without
 	// deadlocking.
 	unknownSink func(fingerprint.Fingerprint)
+	// results pools the identification scratch of Assess, which keeps
+	// only the type of each answer.
+	results sync.Pool
 }
 
 var (
@@ -82,11 +85,13 @@ func New(id *core.Identifier, db *vulndb.DB) *Service {
 }
 
 // SetEndpoints registers the permitted cloud endpoints for a
-// device-type, returned with Restricted assessments.
+// device-type, returned (sorted) with Restricted assessments.
 func (s *Service) SetEndpoints(t core.TypeID, ips []netip.Addr) {
+	sorted := append([]netip.Addr(nil), ips...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.endpoints[t] = append([]netip.Addr(nil), ips...)
+	s.endpoints[t] = sorted
 }
 
 // AddType forwards to the identifier, letting the service learn new
@@ -152,10 +157,16 @@ func (s *Service) SetUnknownSink(fn func(fingerprint.Fingerprint)) {
 
 // Assess classifies the fingerprint and derives the isolation level.
 func (s *Service) Assess(fp fingerprint.Fingerprint) (Assessment, error) {
+	res, _ := s.results.Get().(*core.Result)
+	if res == nil {
+		res = new(core.Result)
+	}
 	s.mu.RLock()
-	a := s.assessmentLocked(s.id.Identify(fp))
+	s.id.IdentifyInto(fp, res)
+	a := s.assessmentLocked(res.Type)
 	sink := s.unknownSink
 	s.mu.RUnlock()
+	s.results.Put(res)
 	// The sink fires outside the lock so it can call back into the
 	// service — PromoteType write-locks, and a sink holding even a read
 	// lock would deadlock against it.
@@ -173,7 +184,7 @@ func (s *Service) AssessBatch(fps []fingerprint.Fingerprint) ([]Assessment, erro
 	s.mu.RLock()
 	out := make([]Assessment, len(fps))
 	for i, res := range s.id.IdentifyBatch(fps) {
-		out[i] = s.assessmentLocked(res)
+		out[i] = s.assessmentLocked(res.Type)
 	}
 	sink := s.unknownSink
 	s.mu.RUnlock()
@@ -268,21 +279,18 @@ func (s *Service) PromoteType(t core.TypeID, fps []fingerprint.Fingerprint, opts
 	return nil, ErrBankChanged
 }
 
-// assessmentLocked derives the isolation level for one identification;
+// assessmentLocked derives the isolation level for an identified type;
 // the caller holds at least a read lock.
-func (s *Service) assessmentLocked(res core.Result) Assessment {
-	if res.Type == core.Unknown {
+func (s *Service) assessmentLocked(t core.TypeID) Assessment {
+	if t == core.Unknown {
 		// Unknown devices get strict isolation (Sect. III-B).
 		return Assessment{Type: core.Unknown, Level: sdn.Strict}
 	}
-	a := Assessment{Type: res.Type, Known: true}
-	a.Vulnerabilities = s.db.Query(string(res.Type))
+	a := Assessment{Type: t, Known: true}
+	a.Vulnerabilities = s.db.Query(string(t))
 	if len(a.Vulnerabilities) > 0 {
 		a.Level = sdn.Restricted
-		a.PermittedIPs = append([]netip.Addr(nil), s.endpoints[res.Type]...)
-		sort.Slice(a.PermittedIPs, func(i, j int) bool {
-			return a.PermittedIPs[i].Less(a.PermittedIPs[j])
-		})
+		a.PermittedIPs = append([]netip.Addr(nil), s.endpoints[t]...)
 	} else {
 		a.Level = sdn.Trusted
 	}

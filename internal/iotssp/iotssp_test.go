@@ -10,6 +10,7 @@ import (
 
 	"iotsentinel/internal/core"
 	"iotsentinel/internal/devices"
+	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/sdn"
 	"iotsentinel/internal/vulndb"
@@ -319,5 +320,98 @@ func TestHTTPErrors(t *testing.T) {
 	dead := &Client{BaseURL: "http://127.0.0.1:1"}
 	if _, err := dead.Assess(fingerprint.Fingerprint{}); err == nil {
 		t.Error("dead server should error")
+	}
+}
+
+// TestHeadMemoPurgedOnBankChange: the service's two bank swaps leave no
+// accept set of the old bank behind. A device of a type the bank does
+// not know yet is assessed — which memoizes its head's accept set, one
+// without that type — then the type arrives by PromoteType or by
+// ReplaceIdentifier, and a capture sharing only the head must be
+// matched to it.
+func TestHeadMemoPurgedOnBankChange(t *testing.T) {
+	cluster := devices.GenerateDataset(12, 33)["MAXGateway"]
+	var probe, variant fingerprint.Fingerprint
+	for seed := int64(103); ; seed++ {
+		probe = probeFor(t, "MAXGateway", seed)
+		if n := len(probe.F); n >= 2 && probe.F[0] != probe.F[n-1] {
+			// Repeating a symbol F already holds changes the full key
+			// and leaves the head alone.
+			variant = fingerprint.FromPacked(append(append([]features.Packed(nil), probe.F...), probe.F[0]))
+			break
+		}
+	}
+	if variant.F.Head() != probe.F.Head() || variant.CanonicalKey() == probe.CanonicalKey() {
+		t.Fatal("variant does not share the head alone")
+	}
+	warm := func(t *testing.T) *Service {
+		t.Helper()
+		svc, _ := testService(t)
+		if err := svc.Identifier().ApplyRuntime(0, 64); err != nil {
+			t.Fatal(err)
+		}
+		if a, err := svc.Assess(probe); err != nil || a.Type == "MAXGateway" {
+			t.Fatalf("pre-swap assessment = %+v, %v", a, err)
+		}
+		if _, misses := svc.Identifier().Cache().HeadStats(); misses != 1 {
+			t.Fatalf("head not memoized: %d head misses", misses)
+		}
+		return svc
+	}
+	check := func(t *testing.T, svc *Service) {
+		t.Helper()
+		a, err := svc.Assess(variant)
+		if err != nil || a.Type != "MAXGateway" {
+			t.Errorf("post-swap assessment = %+v, %v: the old bank's accept set was served", a, err)
+		}
+	}
+	t.Run("PromoteType", func(t *testing.T) {
+		svc := warm(t)
+		if _, err := svc.PromoteType("MAXGateway", cluster, PromoteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		check(t, svc)
+	})
+	t.Run("ReplaceIdentifier", func(t *testing.T) {
+		svc := warm(t)
+		next, err := svc.Identifier().Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := next.AddType("MAXGateway", cluster); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.ReplaceIdentifier(next); err != nil {
+			t.Fatal(err)
+		}
+		check(t, svc)
+	})
+}
+
+// TestPermittedIPsSortedAndIndependent: endpoints are sorted once, when
+// they are set, and every assessment gets its own copy.
+func TestPermittedIPsSortedAndIndependent(t *testing.T) {
+	svc, _ := testService(t)
+	ips := []netip.Addr{netip.MustParseAddr("52.20.9.9"), netip.MustParseAddr("10.0.0.7"), netip.MustParseAddr("52.20.9.1")}
+	svc.SetEndpoints("EdnetCam", ips)
+	probe := probeFor(t, "EdnetCam", 104)
+	want := []netip.Addr{ips[1], ips[2], ips[0]}
+	for pass := 0; pass < 2; pass++ {
+		a, err := svc.Assess(probe)
+		if err != nil || a.Type != "EdnetCam" {
+			t.Fatalf("assessment = %+v, %v", a, err)
+		}
+		if len(a.PermittedIPs) != len(want) {
+			t.Fatalf("PermittedIPs = %v, want %v", a.PermittedIPs, want)
+		}
+		for i := range want {
+			if a.PermittedIPs[i] != want[i] {
+				t.Fatalf("PermittedIPs = %v, want %v", a.PermittedIPs, want)
+			}
+		}
+		a.PermittedIPs[0] = netip.MustParseAddr("6.6.6.6") // must not reach the service
+	}
+	if ips[0] != netip.MustParseAddr("52.20.9.9") {
+		t.Error("SetEndpoints sorted its caller's slice")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Severity grades a vulnerability record.
@@ -74,8 +75,10 @@ type Record struct {
 
 // DB is a thread-safe vulnerability record store.
 type DB struct {
-	mu      sync.RWMutex
-	records map[string][]Record // keyed by lowercase device-type
+	mu sync.RWMutex
+	// records is keyed by lowercase device-type; each type's records are
+	// kept in Query's order (descending severity, then ID).
+	records map[string][]Record
 }
 
 // New returns an empty DB.
@@ -95,12 +98,46 @@ func NewDefault() *DB {
 	return db
 }
 
-// Add inserts a record.
+// Add inserts a record at its place in its type's order, so queries —
+// one per assessment — never sort.
 func (db *DB) Add(r Record) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	key := strings.ToLower(r.DeviceType)
-	db.records[key] = append(db.records[key], r)
+	recs := db.records[key]
+	at := sort.Search(len(recs), func(i int) bool {
+		if recs[i].Severity != r.Severity {
+			return recs[i].Severity < r.Severity
+		}
+		return recs[i].ID > r.ID
+	})
+	recs = append(recs, Record{})
+	copy(recs[at+1:], recs[at:])
+	recs[at] = r
+	db.records[key] = recs
+}
+
+// lookupLocked returns the stored records of a device-type
+// (case-insensitive). The lowercase key of an ASCII name is built on
+// the stack — a map lookup by string(bytes) does not copy them — so the
+// per-assessment query allocates nothing for the key.
+func (db *DB) lookupLocked(deviceType string) []Record {
+	var buf [64]byte
+	if len(deviceType) > len(buf) {
+		return db.records[strings.ToLower(deviceType)]
+	}
+	key := buf[:len(deviceType)]
+	for i := range key {
+		c := deviceType[i]
+		if c >= utf8.RuneSelf {
+			return db.records[strings.ToLower(deviceType)]
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		key[i] = c
+	}
+	return db.records[string(key)]
 }
 
 // Query returns all records for a device-type (case-insensitive),
@@ -108,15 +145,9 @@ func (db *DB) Add(r Record) {
 func (db *DB) Query(deviceType string) []Record {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	recs := db.records[strings.ToLower(deviceType)]
+	recs := db.lookupLocked(deviceType)
 	out := make([]Record, len(recs))
 	copy(out, recs)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Severity != out[j].Severity {
-			return out[i].Severity > out[j].Severity
-		}
-		return out[i].ID < out[j].ID
-	})
 	return out
 }
 
@@ -124,7 +155,7 @@ func (db *DB) Query(deviceType string) []Record {
 func (db *DB) IsVulnerable(deviceType string) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.records[strings.ToLower(deviceType)]) > 0
+	return len(db.lookupLocked(deviceType)) > 0
 }
 
 // MaxSeverity returns the highest severity on file for the device-type,

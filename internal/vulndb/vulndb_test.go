@@ -3,6 +3,8 @@ package vulndb
 import (
 	"sync"
 	"testing"
+
+	"iotsentinel/internal/testutil"
 )
 
 func TestSeverityString(t *testing.T) {
@@ -127,4 +129,46 @@ func TestParseSeverityRoundTrip(t *testing.T) {
 	if _, err := ParseSeverity("apocalyptic"); err == nil {
 		t.Error("unknown severity must error")
 	}
+}
+
+// TestAddKeepsQueryOrder: records are placed at Add time, so whatever
+// order they arrive in, Query returns them by descending severity and
+// then by ID, and arrival order breaks no tie.
+func TestAddKeepsQueryOrder(t *testing.T) {
+	db := New()
+	for _, r := range []Record{
+		{ID: "C-3", DeviceType: "Cam", Severity: SeverityMedium},
+		{ID: "C-5", DeviceType: "cam", Severity: SeverityCritical},
+		{ID: "C-1", DeviceType: "CAM", Severity: SeverityMedium},
+		{ID: "C-4", DeviceType: "Cam", Severity: SeverityLow},
+		{ID: "C-2", DeviceType: "Cam", Severity: SeverityMedium},
+	} {
+		db.Add(r)
+	}
+	var got []string
+	for _, r := range db.Query("Cam") {
+		got = append(got, r.ID)
+	}
+	want := []string{"C-5", "C-1", "C-2", "C-3", "C-4"}
+	if len(got) != len(want) {
+		t.Fatalf("Query order = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Query order = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestQueryAllocatesOnlyItsAnswer: the per-assessment lookup builds no
+// lowercase key and sorts nothing — a clean type costs no allocation, a
+// vulnerable one the returned copy. A non-ASCII name still resolves.
+func TestQueryAllocatesOnlyItsAnswer(t *testing.T) {
+	db := NewDefault()
+	db.Add(Record{ID: "U-1", DeviceType: "Caméra", Severity: SeverityLow})
+	if !db.IsVulnerable("CAMÉRA") {
+		t.Error("non-ASCII name must fold like strings.ToLower")
+	}
+	testutil.AssertAllocs(t, "Query/clean", 0, func() { _ = db.Query("HueBridge") })
+	testutil.AssertAllocs(t, "Query/vulnerable", 1, func() { _ = db.Query("D-LinkCam") })
 }

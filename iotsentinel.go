@@ -108,9 +108,10 @@ func WithSeed(seed int64) Option {
 	return optionFunc(func(o *options) { o.coreCfg.Seed = seed })
 }
 
-// WithWorkers bounds the goroutines the classifier bank fans out to
-// during training, Identify and IdentifyBatch (0 = GOMAXPROCS,
-// 1 = sequential). Results are identical at every worker count.
+// WithWorkers bounds the goroutines of training and IdentifyBatch, where
+// the work items — one classifier, one fingerprint — are independent
+// (0 = GOMAXPROCS, 1 = sequential). A single Identify scans the bank on
+// the caller's goroutine. Results are identical at every worker count.
 func WithWorkers(n int) Option {
 	return optionFunc(func(o *options) { o.coreCfg.Workers = n })
 }
