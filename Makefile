@@ -3,9 +3,11 @@
 # pass when the tooling is installed + shuffled full test suite + a
 # short -race pass over the gateway, online learner, durable store,
 # metrics registry, fleet control plane, the two packages that share the
-# identification cache across goroutines (core, iotssp) and the three
+# identification cache across goroutines (core, iotssp), the three
 # that share ring memory and lock-free counters on the forwarding path
-# (capture, packet, sdn) + the crash fault-injection
+# (capture, packet, sdn), the node assembly and the commands built on it
+# (cmd/..., whose callbacks all print through one writer) + the crash
+# fault-injection
 # sweep + the seeded fleet-link chaos sweep (see `make chaos`) + a
 # short fuzz pass over the capture ring and readers, the frame decoder,
 # the model deserializer, the packed-symbol codec, the fingerprint
@@ -21,14 +23,16 @@
 # logged CHAOS_SEED (override to reproduce a failing schedule);
 # `make bench` runs every paper-table benchmark plus the parallel
 # train/identify sweeps; `make bench-json` archives the hot-path
-# benchmarks as BENCH_<date>.json for cross-commit diffing;
+# benchmarks as BENCH_<date>.json for cross-commit diffing, or as
+# BENCH_<date>b.json, c, ... when the day already has an archive (it
+# never overwrites one);
 # `make bench-check` diffs the two newest archives and fails on a >10%
 # ns/op regression (or a zero-alloc path that started allocating);
 # `make soak` sustains SOAK_DEVICES modeled devices with churn through
-# the capture front end for SOAK_DURATION, gating on p99 latency, RSS,
-# goroutine growth and state-dir fd leaks, archiving SOAK_<date>.json;
-# `make soak-check` diffs the two newest soak archives and fails on a
-# >10% sustained-throughput drop.
+# the capture front end and the daemon's own gateway assembly for
+# SOAK_DURATION: a pass/fail gate on p99 latency, RSS, goroutine growth
+# and state-dir fd leaks that leaves no file behind when it passes.
+# Throughput is bench/'s to measure (BENCHMARK.json), not the soak's.
 
 GO ?= go
 BENCH_PKGS ?= ./internal/...
@@ -51,7 +55,7 @@ SOAK_DEVICES ?= 10000
 # re-running with the seed it logged.
 CHAOS_SEED ?= $(shell date +%Y%m%d)
 
-.PHONY: all build vet fmt-check vulncheck verify test test-race fuzz crash chaos soak soak-check bench bench-parallel bench-json bench-check bench-smoke clean
+.PHONY: all build vet fmt-check vulncheck verify test test-race fuzz crash chaos soak bench bench-parallel bench-json bench-check bench-smoke clean
 
 all: verify
 
@@ -73,7 +77,7 @@ vulncheck:
 
 verify: vet fmt-check build vulncheck
 	$(GO) test -shuffle=on ./...
-	$(GO) test -race -count=1 ./internal/capture/... ./internal/chaos/... ./internal/core/... ./internal/fleet/... ./internal/gateway/... ./internal/iotssp/... ./internal/learn/... ./internal/obs/... ./internal/packet/... ./internal/sdn/... ./internal/store/...
+	$(GO) test -race -count=1 ./cmd/... ./internal/capture/... ./internal/chaos/... ./internal/core/... ./internal/fleet/... ./internal/gateway/... ./internal/iotssp/... ./internal/learn/... ./internal/node/... ./internal/obs/... ./internal/packet/... ./internal/sdn/... ./internal/store/...
 	$(MAKE) crash
 	$(MAKE) chaos
 	$(MAKE) fuzz
@@ -125,11 +129,17 @@ bench:
 bench-parallel:
 	$(GO) test -bench='BenchmarkTrainParallel|BenchmarkIdentifyBatch|BenchmarkIdentifySharedBank' -benchmem -run='^$$' .
 
+# An archive is a baseline someone may still need: bench-json never
+# overwrites one. A day's second run is BENCH_<date>b.json, then c, ...
+# ('.' sorts before a letter, so the newest of a day is also the last by
+# name, which is the order `bench-check` reads).
 bench-json:
+	@day=BENCH_$$(date +%Y%m%d); out=$$day.json; \
+	for s in b c d e f g h; do [ -e $$out ] || break; out=$$day$$s.json; done; \
+	if [ -e $$out ]; then echo "bench-json: $$day.json through $$out all exist; move some aside"; exit 1; fi; \
 	{ $(GO) test -bench=. -benchmem -run='^$$' -count=$(BENCH_COUNT) $(BENCH_PKGS) ; \
 	  $(GO) test -bench='$(BENCH_ROOT)' -benchmem -run='^$$' -count=$(BENCH_COUNT) . ; } \
-		| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y%m%d).json
-	@echo "wrote BENCH_$$(date +%Y%m%d).json"
+		| $(GO) run ./cmd/benchjson -o $$out && echo "wrote $$out"
 
 # bench-check enforces the named steady-state hot paths — the
 # benchmarks a serving gateway actually lives in. Everything else in
@@ -149,16 +159,15 @@ bench-check:
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test .
 
-# The sustained-load soak: N modeled devices with steady churn (joins,
-# leave-and-rejoin cold joins, quarantine flaps, unknown clusters feeding
-# the learner) through the capture fanout, continuously gated on p99
+# The sustained-load soak (cmd/loadgen): N modeled devices with steady
+# churn (joins, leave-and-rejoin cold joins, quarantine flaps, unknown
+# clusters feeding the learner) through the capture fanout and the
+# gateway internal/node assembles for gatewayd, continuously gated on p99
 # HandlePacket, RSS, goroutine growth and journal/snapshot fd leaks. A
-# gate failure dumps pprof goroutine/heap profiles and fails the build.
+# gate failure dumps pprof goroutine/heap profiles and fails the build; a
+# pass writes nothing (pass -soak-out to loadgen for an archive).
 soak:
-	$(GO) run ./cmd/loadgen -soak -soak-duration $(SOAK_DURATION) -soak-devices $(SOAK_DEVICES)
-
-soak-check:
-	$(GO) run ./cmd/benchreport -soak-delta .
+	$(GO) run ./cmd/loadgen -soak-duration $(SOAK_DURATION) -soak-devices $(SOAK_DEVICES)
 
 clean:
 	$(GO) clean ./...

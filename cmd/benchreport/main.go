@@ -8,7 +8,6 @@
 //	benchreport -exp ablation-trees
 //	benchreport -delta .            # diff the two newest BENCH_*.json
 //	benchreport -delta old.json,new.json -delta-threshold 10
-//	benchreport -soak-delta .       # diff the two newest SOAK_*.json
 //
 // Experiments: fig5, table3, table4, table5, table6, fig6a, fig6b,
 // fig6c, features, unknown, tradeoff, remote-controller, ablation-fplen, ablation-negratio,
@@ -45,17 +44,12 @@ func run(args []string, out io.Writer) error {
 		deltaThr   = fs.Float64("delta-threshold", 10, "percent ns/op slowdown that fails -delta")
 		deltaGate  = fs.String("delta-gate", "", "regexp of benchmark names whose regressions fail -delta; others are reported only (empty gates everything)")
 		deltaAllow = fs.String("delta-allow", "", "regexp of benchmark names whose regressions are reported but do not fail -delta (accepted trade-offs)")
-		soakDelta  = fs.String("soak-delta", "", "compare archived soak runs: a directory holding SOAK_*.json (two newest compared) or an explicit 'old.json,new.json' pair")
-		soakThr    = fs.Float64("soak-threshold", 10, "percent sustained-throughput drop that fails -soak-delta")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *delta != "" {
 		return runDelta(out, *delta, *deltaThr, *deltaGate, *deltaAllow)
-	}
-	if *soakDelta != "" {
-		return runSoakDelta(out, *soakDelta, *soakThr)
 	}
 	opts := report.Options{
 		Captures:          *captures,

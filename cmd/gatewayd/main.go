@@ -33,35 +33,32 @@
 // instead of retraining and re-capturing. SIGHUP revalidates and
 // hot-reloads the model bank from the state dir; SIGTERM/^C drains the
 // assessment pipeline and checkpoints before exiting.
+//
+// The gateway itself is assembled by internal/node, the way bench/
+// measures it and the soak gates it: finished captures are identified
+// off the packet path, on per-shard queues, so a slow or hung -ssp call
+// parks nothing but its own queue.
 package main
 
 import (
-	"bytes"
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"net/netip"
 	"os"
 	"os/signal"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"iotsentinel/internal/capture"
 	"iotsentinel/internal/core"
-	"iotsentinel/internal/devices"
-	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/fleet"
 	"iotsentinel/internal/gateway"
 	"iotsentinel/internal/iotssp"
 	"iotsentinel/internal/learn"
+	"iotsentinel/internal/node"
 	"iotsentinel/internal/obs"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/sdn"
@@ -91,7 +88,6 @@ func run(args []string, out io.Writer) error {
 		assessRetries = fs.Int("assess-retries", 3, "additional attempts after a failed remote IoTSSP call")
 		retryPeriod   = fs.Duration("retry-period", 5*time.Second, "how often quarantined devices are re-assessed")
 		metricsAddr   = fs.String("metrics-addr", "", "listen address for /metrics and /debug/pprof (default: disabled)")
-		shards        = fs.Int("shards", gateway.DefaultShards, "device-state shards (rounded up to a power of two)")
 		cacheSize     = fs.Int("cache-size", core.DefaultCacheSize, "identification-cache entries for the in-process service (0 = disabled)")
 		stateDir      = fs.String("state-dir", "", "directory for the durable journal, snapshots, and model store (default: in-memory only)")
 		learnOn       = fs.Bool("learn", false, "learn new device-types online from clusters of unknown devices (in-process service only)")
@@ -103,7 +99,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	log := node.NewLog(out)
 
+	// reg stays nil without -metrics-addr, and every bundle below with it.
 	var reg *obs.Registry
 	var gwMetrics *gateway.Metrics
 	if *metricsAddr != "" {
@@ -114,53 +112,67 @@ func run(args []string, out io.Writer) error {
 	// Health probes accumulate as subsystems come up; the registry is
 	// served next to /metrics once the daemon reaches serving mode.
 	health := obs.NewHealth()
-	var hs healthState
 
-	// Durable state: open (and recover) before anything else so a torn
-	// journal is discovered — and truncated — before new events append.
-	var st *store.Store
-	var rec *store.Recovery
+	var st *node.State
 	if *stateDir != "" {
-		var stMetrics *store.Metrics
-		if reg != nil {
-			stMetrics = store.NewMetrics(reg)
-		}
 		var err error
-		st, rec, err = store.Open(*stateDir, store.Options{
-			Metrics: stMetrics,
-			Logf:    func(format string, a ...any) { fmt.Fprintf(out, "state: "+format+"\n", a...) },
-		})
-		if err != nil {
-			return fmt.Errorf("state dir: %w", err)
+		if st, err = node.OpenState(*stateDir, reg, health, log); err != nil {
+			return err
 		}
-		if rec.Degraded {
-			hs.storeErr.Store("recovery was degraded; fail-closed sweep applied")
-		}
-		health.Register("store", true, hs.storeProbe)
 	}
 
-	assessor, svc, breaker, err := buildAssessor(out, reg, st, *sspURL, *captures, *seed, *workers, *cacheSize, *assessTimeout, *assessRetries)
-	if err != nil {
-		return err
-	}
-	if breaker != nil {
-		hs.breaker = breaker
-		health.Register("assessor_breaker", false, hs.breakerProbe)
+	// The assessor is either the HTTP client for a remote service or an
+	// in-process service over the booted bank; svc stays nil for the
+	// remote client (there is no local bank to learn into or hot-swap).
+	var assessor iotssp.Assessor
+	var svc *iotssp.Service
+	if *sspURL != "" {
+		client := remoteClient(*sspURL, *seed, *assessTimeout, *assessRetries, reg)
+		log.Printf("using remote IoT Security Service at %s", *sspURL)
+		health.Register("assessor_breaker", false, func() (obs.HealthStatus, string) {
+			if state := client.Breaker.State(); state != iotssp.BreakerClosed {
+				return obs.HealthDegraded, "circuit breaker " + state.String()
+			}
+			return obs.HealthOK, ""
+		})
+		assessor = client
+	} else {
+		var ms *store.ModelStore
+		if st != nil {
+			ms = st.Store.Models()
+		}
+		id, err := bootBank(log, ms, *captures, *seed, *workers, *cacheSize)
+		if err != nil {
+			return err
+		}
+		if reg != nil {
+			id.SetMetrics(core.NewMetrics(reg))
+		}
+		svc = iotssp.New(id, vulndb.NewDefault())
+		assessor = svc
 	}
 
 	// Online learning: unknown fingerprints flow from the gateway's
 	// assessment path into the clusterer; promoted types hot-swap into
 	// the in-process service and persist to the model store.
-	learner, err := buildLearner(out, reg, st, svc, *learnOn, *learnK)
-	if err != nil {
-		return err
-	}
-	if learner != nil {
+	var learner *learn.Learner
+	if *learnOn {
+		if svc == nil {
+			return fmt.Errorf("-learn requires the in-process service (remove -ssp)")
+		}
+		cfg := learn.Config{K: *learnK}
+		if reg != nil {
+			cfg.Metrics = learn.NewMetrics(reg)
+		}
+		var err error
+		if learner, err = node.NewLearner(svc, st, cfg, log); err != nil {
+			return err
+		}
 		defer learner.Close()
 	}
 
 	// Fleet link: register with the central iotsspd, stream observed
-	// fingerprints up the persistent connection, and hot-swap model
+	// fingerprints up the persistent connection, and install the model
 	// banks pushed down into the local service. The assessor wrapper
 	// keeps the fast local path — the link only adds telemetry. The
 	// managed session reconnects under backoff and spools un-acked
@@ -187,111 +199,116 @@ func run(args []string, out io.Writer) error {
 				Addr:      *fleetAddr,
 				GatewayID: gwID,
 				ApplyModel: func(sha string, model []byte) error {
-					if err := applyFleetModel(svc, model, *workers, *cacheSize); err != nil {
+					if err := node.InstallModel(svc, model); err != nil {
 						return err
 					}
 					if st != nil {
 						// Persist the adopted bank so the next boot serves
 						// the fleet version warm (best effort: the fleet
 						// re-pushes on the next connect either way).
-						if _, err := st.Models().Save(svc.Identifier()); err != nil {
-							fmt.Fprintf(out, "fleet: persist pushed model %.12s: %v\n", sha, err)
+						if _, err := st.Store.Models().Save(svc.Identifier()); err != nil {
+							log.Printf("fleet: persist pushed model %.12s: %v", sha, err)
 						}
 					}
-					fmt.Fprintf(out, "fleet: hot-swapped pushed model %.12s\n", sha)
+					log.Printf("fleet: hot-swapped pushed model %.12s", sha)
 					return nil
 				},
 				FlushInterval: time.Second,
-				Logf:          func(format string, a ...any) { fmt.Fprintf(out, format+"\n", a...) },
+				Logf:          log.Printf,
 			},
 			Retry:        iotssp.RetryPolicy{Seed: uint64(*seed)},
 			SpoolBatches: *fleetSpool,
 			Metrics:      linkMetrics,
-			OnState: func(state fleet.SessionState) {
-				hs.fleetState.Store(int32(state))
-				fmt.Fprintf(out, "fleet: link %s\n", state)
-			},
+			OnState:      func(state fleet.SessionState) { log.Printf("fleet: link %s", state) },
 		})
 		if err != nil {
 			return fmt.Errorf("fleet: %w", err)
 		}
 		defer session.Close()
-		hs.session = session
-		health.Register("fleet_link", false, hs.fleetProbe)
-		assessor = &fleetAssessor{inner: svc, cl: session}
-		fmt.Fprintf(out, "fleet: linked to %s as %q (auto-reconnect, spool %d batches)\n", *fleetAddr, gwID, *fleetSpool)
+		// Deliberately non-critical: a Degraded link spools and redials
+		// while local serving continues fail-closed, so it must not pull
+		// the gateway out of rotation.
+		health.Register("fleet_link", false, func() (obs.HealthStatus, string) {
+			stats := session.Stats()
+			detail := fmt.Sprintf("reconnects %d, spool %d batches, dropped %d fingerprints",
+				stats.Reconnects, stats.SpoolDepth, stats.SpoolDropped)
+			if session.State() != fleet.SessionConnected {
+				return obs.HealthDegraded, detail
+			}
+			return obs.HealthOK, detail
+		})
+		assessor = &node.FleetAssessor{Service: svc, Link: session}
+		log.Printf("fleet: linked to %s as %q (auto-reconnect, spool %d batches)", *fleetAddr, gwID, *fleetSpool)
 	}
 
 	cache := sdn.NewRuleCache()
-	ctrl := sdn.NewController(cache, mustPrefix())
+	ctrl := sdn.NewController(cache, netip.MustParsePrefix("192.168.0.0/16"))
 	sw := sdn.NewSwitch(ctrl, 30*time.Second)
 	if reg != nil {
 		sw.SetMetrics(sdn.NewSwitchMetrics(reg))
 	}
-	gwCfg := gateway.Config{
-		Shards:  *shards,
+	gw := gateway.New(assessor, sw, node.GatewayConfig(gateway.Config{
 		Metrics: gwMetrics,
-		Store:   st,
-		OnStoreError: func(err error) {
-			hs.storeErr.Store("journal: " + err.Error())
-			fmt.Fprintf(os.Stderr, "gatewayd: state journal: %v\n", err)
-		},
 		OnAssessed: func(d gateway.DeviceInfo) {
-			fmt.Fprintf(out, "assessed %v as %q -> %s\n", d.MAC, orUnknown(string(d.Type)), d.Level)
+			log.Printf("assessed %v as %q -> %s", d.MAC, orUnknown(string(d.Type)), d.Level)
 		},
 		OnNotify: func(n gateway.Notification) {
-			fmt.Fprintf(out, "USER ALERT: %s\n", n.Message)
+			log.Printf("USER ALERT: %s", n.Message)
 		},
 		OnQuarantined: func(d gateway.DeviceInfo, cause error) {
-			fmt.Fprintf(out, "quarantined %v (strict, attempt %d): %v\n", d.MAC, d.AssessAttempts, cause)
+			log.Printf("quarantined %v (strict, attempt %d): %v", d.MAC, d.AssessAttempts, cause)
 		},
-	}
-	if learner != nil {
-		gwCfg.OnUnknown = func(_ gateway.DeviceInfo, fp fingerprint.Fingerprint) { learner.Observe(fp) }
-		gwCfg.LearnState = learner.SnapshotState
-	}
-	gw := gateway.New(assessor, sw, gwCfg)
+	}, st, learner, log))
 	if st != nil {
-		stats, err := gw.Recover(rec, time.Now())
+		stats, err := gw.Recover(st.Rec, time.Now())
 		if err != nil {
+			gw.Close() // and no checkpoint: what is on disk is all there is
 			return fmt.Errorf("recover: %w", err)
 		}
-		fmt.Fprintf(out, "state: recovered %s\n", stats)
-		if learner != nil {
-			lstats, err := learner.Recover(rec)
-			if err != nil {
-				return fmt.Errorf("learn recover: %w", err)
-			}
-			fmt.Fprintf(out, "learn: recovered %s\n", lstats)
-		}
-		// Graceful teardown, registered before the workers so it runs
-		// after their deferred Shutdowns: drain the assessment pipeline,
-		// checkpoint, close the journal.
-		defer func() {
-			if err := gw.Shutdown(); err != nil {
-				fmt.Fprintf(os.Stderr, "gatewayd: checkpoint: %v\n", err)
-			}
-			if err := st.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "gatewayd: state close: %v\n", err)
-				return
-			}
-			fmt.Fprintln(out, "state: checkpointed, clean shutdown")
-		}()
+		log.Printf("state: recovered %s", stats)
 	}
+	// Graceful teardown, registered before the workers so it runs after
+	// their deferred Shutdowns: drain the assessment pipeline and stop
+	// its goroutines; with a state dir, checkpoint and close the journal.
+	defer func() {
+		if err := gw.Shutdown(); err != nil {
+			fmt.Fprintf(os.Stderr, "gatewayd: checkpoint: %v\n", err)
+		}
+		if st == nil {
+			return
+		}
+		if err := st.Store.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "gatewayd: state close: %v\n", err)
+			return
+		}
+		log.Printf("state: checkpointed, clean shutdown")
+	}()
 
 	// SIGHUP: revalidate the on-disk model bank (checksum + structural
-	// load) and swap it in without dropping a packet. A bad model on
+	// load) and install it without dropping a packet. A bad model on
 	// disk is reported and the running bank stays.
 	if st != nil && svc != nil {
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
-		defer signal.Stop(hup)
+		reloads := make(chan struct{})
 		go func() {
+			defer close(reloads)
 			for range hup {
-				if err := reloadModel(out, st, svc, *workers, *cacheSize); err != nil {
-					fmt.Fprintf(out, "state: model reload rejected, keeping current bank: %v\n", err)
+				id, man, err := st.Store.Models().Load()
+				if err == nil {
+					err = svc.Install(id)
 				}
+				if err != nil {
+					log.Printf("state: model reload rejected, keeping current bank: %v", err)
+					continue
+				}
+				log.Printf("state: model bank hot-reloaded (%d types, sha256 %.8s)", man.Types, man.SHA256)
 			}
+		}()
+		defer func() {
+			signal.Stop(hup) // no send can follow, so the close is safe
+			close(hup)
+			<-reloads
 		}()
 	}
 
@@ -300,12 +317,16 @@ func run(args []string, out io.Writer) error {
 		if reg != nil {
 			capMetrics = capture.NewMetrics(reg)
 		}
-		drops, err := replay(out, gw, *replayDir, *capReaders, capMetrics)
+		drops, err := replay(log, gw, *replayDir, *capReaders, capMetrics)
 		if err != nil {
 			return err
 		}
-		hs.captureDrops.Store(drops)
-		health.Register("capture", false, hs.captureProbe)
+		health.Register("capture", false, func() (obs.HealthStatus, string) {
+			if drops > 0 {
+				return obs.HealthDegraded, fmt.Sprintf("%d frames shed during replay", drops)
+			}
+			return obs.HealthOK, ""
+		})
 		if learner != nil {
 			// Let replay-triggered clustering and promotions settle so a
 			// -oneshot exit (and its checkpoint) captures what the replay
@@ -318,313 +339,82 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if reg != nil {
-		mln, err := net.Listen("tcp", *metricsAddr)
+		closeMetrics, err := node.ServeMetrics(*metricsAddr, reg, health, log)
 		if err != nil {
-			return fmt.Errorf("metrics listen: %w", err)
+			return err
 		}
-		msrv := &http.Server{Handler: metricsMux(reg, health), ReadHeaderTimeout: 10 * time.Second}
-		fmt.Fprintf(out, "metrics listening on http://%s/metrics (plus /healthz, /readyz)\n", mln.Addr())
-		go func() { _ = msrv.Serve(mln) }()
-		defer func() { _ = msrv.Close() }()
+		defer closeMetrics()
 	}
 
 	// Housekeeping workers: flow-table sweep + idle-capture finalizer,
 	// and the quarantine drain that promotes devices once the IoTSSP
-	// recovers.
+	// recovers (or the assess queue's backlog clears).
 	expiry := gateway.NewExpiryWorker(gw, 5*time.Second)
 	defer expiry.Shutdown()
 	retry := gateway.NewRetryWorker(gw, *retryPeriod)
 	defer retry.Shutdown()
 
-	ln, err := net.Listen("tcp", *apiAddr)
-	if err != nil {
-		return fmt.Errorf("listen: %w", err)
-	}
-	srv := &http.Server{Handler: gw.APIHandler(nil), ReadHeaderTimeout: 10 * time.Second}
-	fmt.Fprintf(out, "management API listening on %s\n", ln.Addr())
-
-	// SIGTERM is what init systems and container runtimes send; treat it
-	// like ^C so the deferred drain + checkpoint above runs instead of
-	// the process dying with a dirty journal.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return srv.Shutdown(shutdownCtx)
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	}
+	return node.ServeUntilSignal("management API", *apiAddr, gw.APIHandler(nil), log)
 }
 
-// buildAssessor wires either the HTTP client for a remote service or an
-// in-process service trained on the reference dataset. The remote
-// client gets the full fault-tolerance stack: per-attempt timeout,
-// bounded retries with backoff, and a circuit breaker so a down service
-// fails fast instead of stalling the data path. With a state store, the
-// in-process path warm-boots from the persisted model bank (validated
-// before use) and falls back to training — then persists the result so
-// the next boot is warm. The returned *Service is nil for the remote
-// client (there is no local bank to hot-reload), and the breaker is
-// nil for the in-process path (there is no remote call to break).
-func buildAssessor(out io.Writer, reg *obs.Registry, st *store.Store, sspURL string, captures int, seed int64, workers, cacheSize int,
-	assessTimeout time.Duration, assessRetries int) (iotssp.Assessor, *iotssp.Service, *iotssp.CircuitBreaker, error) {
-	if sspURL != "" {
-		fmt.Fprintf(out, "using remote IoT Security Service at %s\n", sspURL)
-		if assessRetries < 0 {
-			assessRetries = 0
-		}
-		breaker := iotssp.NewCircuitBreaker(0, 0, nil)
-		client := &iotssp.Client{
-			BaseURL: strings.TrimRight(sspURL, "/"),
-			Timeout: assessTimeout,
-			Retry:   iotssp.RetryPolicy{MaxAttempts: assessRetries + 1, Seed: uint64(seed)},
-			Breaker: breaker,
-		}
-		if reg != nil {
-			client.Metrics = iotssp.NewClientMetrics(reg)
-			client.Metrics.ObserveBreaker(breaker)
-		}
-		return client, nil, breaker, nil
+// remoteClient builds the HTTP client for a remote service with the
+// full fault-tolerance stack: per-attempt timeout, bounded retries with
+// backoff, and a circuit breaker so a down service fails fast instead of
+// holding an assess queue for the whole retry budget.
+func remoteClient(sspURL string, seed int64, timeout time.Duration, retries int, reg *obs.Registry) *iotssp.Client {
+	if retries < 0 {
+		retries = 0
 	}
-
-	id, err := loadOrTrain(out, st, captures, seed, workers, cacheSize)
-	if err != nil {
-		return nil, nil, nil, err
+	client := &iotssp.Client{
+		BaseURL: strings.TrimRight(sspURL, "/"),
+		Timeout: timeout,
+		Retry:   iotssp.RetryPolicy{MaxAttempts: retries + 1, Seed: uint64(seed)},
+		Breaker: iotssp.NewCircuitBreaker(0, 0, nil),
 	}
 	if reg != nil {
-		id.SetMetrics(core.NewMetrics(reg))
+		client.Metrics = iotssp.NewClientMetrics(reg)
+		client.Metrics.ObserveBreaker(client.Breaker)
 	}
-	svc := iotssp.New(id, vulndb.NewDefault())
-	return svc, svc, nil, nil
+	return client
 }
 
-// loadOrTrain is the warm-boot path: a valid persisted model loads in
+// bootBank is the bank the in-process service boots on. With a model
+// store (ms is nil without -state-dir) a valid persisted bank loads in
 // milliseconds; anything else (cold start, checksum mismatch, stale
-// format) falls back to training and re-persists. Either way the
-// runtime knobs — worker pool and identification cache — are applied
-// to the bank that will serve: they are deployment configuration, not
-// model state, so the persisted form deliberately does not carry them
-// and every load site must re-apply them.
-func loadOrTrain(out io.Writer, st *store.Store, captures int, seed int64, workers, cacheSize int) (*core.Identifier, error) {
-	var ms *store.ModelStore
-	if st != nil {
-		ms = st.Models()
-		if ms.Exists() {
-			start := time.Now()
-			id, man, err := ms.Load()
-			if err == nil {
-				if err := id.ApplyRuntime(workers, cacheSize); err != nil {
-					return nil, err
-				}
-				fmt.Fprintf(out, "state: loaded model bank from disk in %v (%d types, sha256 %.8s)\n",
-					time.Since(start).Round(time.Millisecond), man.Types, man.SHA256)
-				return id, nil
+// format) falls back to training and re-persists, so the next boot is
+// warm. The persisted form deliberately carries no runtime knobs —
+// worker bound and identification cache are deployment configuration,
+// not model state — so the warm path applies them here, the one time
+// there is no serving bank to take them from; every later bank gets
+// them from iotssp.Service.Install.
+func bootBank(log *node.Log, ms *store.ModelStore, captures int, seed int64, workers, cacheSize int) (*core.Identifier, error) {
+	if ms != nil && ms.Exists() {
+		start := time.Now()
+		id, man, err := ms.Load()
+		if err == nil {
+			if err := id.ApplyRuntime(workers, cacheSize); err != nil {
+				return nil, err
 			}
-			fmt.Fprintf(out, "state: persisted model rejected (%v), retraining\n", err)
+			log.Printf("state: loaded model bank from disk in %v (%d types, sha256 %.8s)",
+				time.Since(start).Round(time.Millisecond), man.Types, man.SHA256)
+			return id, nil
 		}
+		log.Printf("state: persisted model rejected (%v), retraining", err)
 	}
-	fmt.Fprintf(out, "training in-process IoT Security Service (%d captures x 27 types)...\n", captures)
-	raw := devices.GenerateDataset(captures, seed)
-	ds := make(map[core.TypeID][]fingerprint.Fingerprint, len(raw))
-	for k, v := range raw {
-		ds[core.TypeID(k)] = v
-	}
-	id, err := core.Train(ds, core.Config{Seed: seed, Workers: workers, CacheSize: cacheSize})
+	log.Printf("training in-process IoT Security Service (%d captures x 27 types)...", captures)
+	id, err := node.TrainBank(captures, seed, workers, cacheSize)
 	if err != nil {
 		return nil, err
 	}
 	if ms != nil {
 		ms.LoadedFromTraining()
 		if man, err := ms.Save(id); err != nil {
-			fmt.Fprintf(out, "state: could not persist model bank: %v\n", err)
+			log.Printf("state: could not persist model bank: %v", err)
 		} else {
-			fmt.Fprintf(out, "state: persisted model bank (sha256 %.8s); next boot is warm\n", man.SHA256)
+			log.Printf("state: persisted model bank (sha256 %.8s); next boot is warm", man.SHA256)
 		}
 	}
 	return id, nil
-}
-
-// reloadModel is the SIGHUP hot-reload path: revalidate the on-disk
-// bank (checksum + structural load), re-apply the runtime knobs — the
-// persisted form carries no worker pool and no cache, so skipping this
-// would silently swap in an uncached single-threaded bank — and swap
-// it into the service. The cache attached here is fresh and empty:
-// entries from the outgoing bank must not answer for the new one.
-func reloadModel(out io.Writer, st *store.Store, svc *iotssp.Service, workers, cacheSize int) error {
-	id, man, err := st.Models().Load()
-	if err != nil {
-		return err
-	}
-	if err := id.ApplyRuntime(workers, cacheSize); err != nil {
-		return err
-	}
-	// Carry the outgoing bank's metrics bundle: counter series must
-	// continue across the swap, not silently stop.
-	id.SetMetrics(svc.Identifier().Metrics())
-	if err := svc.ReplaceIdentifier(id); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "state: model bank hot-reloaded (%d types, sha256 %.8s)\n", man.Types, man.SHA256)
-	return nil
-}
-
-// buildLearner wires the online-learning subsystem when -learn is set:
-// promotions train on a clone of the serving bank and hot-swap through
-// the service, the journal records cluster growth, and the model store
-// persists each promoted bank so the next boot serves the learned
-// types warm.
-func buildLearner(out io.Writer, reg *obs.Registry, st *store.Store, svc *iotssp.Service, enabled bool, k int) (*learn.Learner, error) {
-	if !enabled {
-		return nil, nil
-	}
-	if svc == nil {
-		return nil, fmt.Errorf("-learn requires the in-process service (remove -ssp)")
-	}
-	cfg := learn.Config{
-		K: k,
-		Promote: func(t core.TypeID, fps []fingerprint.Fingerprint) (*core.Identifier, error) {
-			return svc.PromoteType(t, fps, iotssp.PromoteOptions{})
-		},
-		Known: svc.HasType,
-		Store: st,
-		Logf:  func(format string, a ...any) { fmt.Fprintf(out, format+"\n", a...) },
-	}
-	if reg != nil {
-		cfg.Metrics = learn.NewMetrics(reg)
-	}
-	if st != nil {
-		ms := st.Models()
-		cfg.Persist = func(id *core.Identifier) error {
-			_, err := ms.Save(id)
-			return err
-		}
-	}
-	l, err := learn.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(out, "learn: online device-type learning enabled (k=%d)\n", cfg.K)
-	return l, nil
-}
-
-// fleetAssessor decorates the in-process service with the fleet link:
-// every assessment bumps the cumulative counters canary rollouts are
-// judged by, and every assessed fingerprint streams to the central
-// service. Streaming is fire-and-forget — a Degraded link spools the
-// observations for replay and never fails a local assessment.
-type fleetAssessor struct {
-	inner *iotssp.Service
-	cl    *fleet.Session
-}
-
-func (fa *fleetAssessor) Assess(fp fingerprint.Fingerprint) (iotssp.Assessment, error) {
-	a, err := fa.inner.Assess(fp)
-	if err == nil {
-		fa.cl.RecordAssessment(!a.Known)
-		_ = fa.cl.Observe(fp)
-	}
-	return a, err
-}
-
-func (fa *fleetAssessor) AssessBatch(fps []fingerprint.Fingerprint) ([]iotssp.Assessment, error) {
-	as, err := fa.inner.AssessBatch(fps)
-	if err == nil {
-		for i, a := range as {
-			fa.cl.RecordAssessment(!a.Known)
-			_ = fa.cl.Observe(fps[i])
-		}
-	}
-	return as, err
-}
-
-// applyFleetModel deserializes a pushed model blob, re-applies the
-// runtime knobs the wire form deliberately does not carry, carries the
-// outgoing bank's metrics bundle forward, and swaps it in through the
-// service's validated hot-swap path — the same sequence as the SIGHUP
-// reload, with the bytes arriving over the fleet link instead of from
-// disk.
-func applyFleetModel(svc *iotssp.Service, model []byte, workers, cacheSize int) error {
-	id, err := core.LoadIdentifier(bytes.NewReader(model))
-	if err != nil {
-		return err
-	}
-	if err := id.ApplyRuntime(workers, cacheSize); err != nil {
-		return err
-	}
-	id.SetMetrics(svc.Identifier().Metrics())
-	return svc.ReplaceIdentifier(id)
-}
-
-// metricsMux serves the observability endpoints: Prometheus-text
-// /metrics, /healthz + /readyz, plus the standard pprof handlers, on
-// their own listener so operational traffic never mixes with the
-// management API.
-func metricsMux(reg *obs.Registry, health *obs.Health) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.Handler(reg))
-	mux.Handle("/healthz", health.LiveHandler())
-	mux.Handle("/readyz", health.ReadyHandler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-// healthState is what the /healthz probes read: cheap atomics updated
-// from the subsystems' own callbacks, never a blocking call.
-type healthState struct {
-	storeErr     atomic.Value // string: last journal error or recovery degradation
-	session      *fleet.Session
-	fleetState   atomic.Int32
-	breaker      *iotssp.CircuitBreaker
-	captureDrops atomic.Uint64
-}
-
-// storeProbe: the durable store is the one critical subsystem — a
-// degraded journal means recovered state may be incomplete, and the
-// fail-closed posture wants traffic routed elsewhere.
-func (hs *healthState) storeProbe() (obs.HealthStatus, string) {
-	if msg, _ := hs.storeErr.Load().(string); msg != "" {
-		return obs.HealthDegraded, msg
-	}
-	return obs.HealthOK, ""
-}
-
-// fleetProbe is deliberately non-critical: a Degraded link spools and
-// redials while local serving continues fail-closed, so it must not
-// pull the gateway out of rotation.
-func (hs *healthState) fleetProbe() (obs.HealthStatus, string) {
-	stats := hs.session.Stats()
-	detail := fmt.Sprintf("reconnects %d, spool %d batches, dropped %d fingerprints",
-		stats.Reconnects, stats.SpoolDepth, stats.SpoolDropped)
-	if fleet.SessionState(hs.fleetState.Load()) != fleet.SessionConnected {
-		return obs.HealthDegraded, detail
-	}
-	return obs.HealthOK, detail
-}
-
-func (hs *healthState) breakerProbe() (obs.HealthStatus, string) {
-	state := hs.breaker.State()
-	if state != iotssp.BreakerClosed {
-		return obs.HealthDegraded, "circuit breaker " + state.String()
-	}
-	return obs.HealthOK, ""
-}
-
-func (hs *healthState) captureProbe() (obs.HealthStatus, string) {
-	if drops := hs.captureDrops.Load(); drops > 0 {
-		return obs.HealthDegraded, fmt.Sprintf("%d frames shed during replay", drops)
-	}
-	return obs.HealthOK, ""
 }
 
 // replay streams every pcap in dir through the capture front end —
@@ -633,7 +423,7 @@ func (hs *healthState) captureProbe() (obs.HealthStatus, string) {
 // same ingest pipeline a live interface feeds, just sourced from
 // disk. Returns how many frames the ring fanout shed (slow-consumer
 // drops, surfaced through the capture health probe).
-func replay(out io.Writer, gw *gateway.Gateway, dir string, readers int, cm *capture.Metrics) (uint64, error) {
+func replay(log *node.Log, gw *gateway.Gateway, dir string, readers int, cm *capture.Metrics) (uint64, error) {
 	src, err := capture.NewDirSource(dir)
 	if err != nil {
 		return 0, fmt.Errorf("replay: %w", err)
@@ -667,6 +457,9 @@ func replay(out io.Writer, gw *gateway.Gateway, dir string, readers int, cm *cap
 	if hpErr != nil {
 		return drops, fmt.Errorf("replay: %w", hpErr)
 	}
+	// Captures that completed mid-replay are on the assess queues: let
+	// them land before sweeping up, and before counting, what is left.
+	gw.WaitAssessIdle()
 	// Any devices still monitoring saw their whole capture: drain the
 	// monitoring queue as one batch so the pending fingerprints
 	// pipeline through the classifier bank's worker pool.
@@ -674,13 +467,9 @@ func replay(out io.Writer, gw *gateway.Gateway, dir string, readers int, cm *cap
 		return drops, fmt.Errorf("replay finish: %w", err)
 	}
 	quarantined := gw.QuarantineLen()
-	fmt.Fprintf(out, "replayed %d frames from %d captures; %d devices assessed, %d quarantined\n",
+	log.Printf("replayed %d frames from %d captures; %d devices assessed, %d quarantined",
 		frames, src.Files(), len(gw.Devices())-quarantined, quarantined)
 	return drops, nil
-}
-
-func mustPrefix() netip.Prefix {
-	return netip.MustParsePrefix("192.168.0.0/16")
 }
 
 func orUnknown(s string) string {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,8 +16,9 @@ import (
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/iotssp"
 	"iotsentinel/internal/learn"
-	"iotsentinel/internal/obs"
+	"iotsentinel/internal/node"
 	"iotsentinel/internal/store"
+	"iotsentinel/internal/testutil"
 	"iotsentinel/internal/vulndb"
 )
 
@@ -162,136 +164,64 @@ func TestGatewaydWarmBootFromStateDir(t *testing.T) {
 			t.Errorf("second boot output missing %q:\n%s", want, s)
 		}
 	}
-}
 
-func TestGatewaydBadReplayDir(t *testing.T) {
-	if err := run([]string{"-replay", "/nonexistent-dir-xyz", "-oneshot", "-captures", "4"}, &bytes.Buffer{}); err == nil {
-		t.Error("bad replay dir must fail")
-	}
-}
-
-// smallBank trains a compact bank for store-path tests.
-func smallBank(t *testing.T, cfg core.Config) *core.Identifier {
-	t.Helper()
-	raw := devices.GenerateDataset(8, 7)
-	ds := make(map[core.TypeID][]fingerprint.Fingerprint)
-	for _, typ := range []string{"Aria", "HueBridge", "EdnetCam"} {
-		ds[core.TypeID(typ)] = raw[typ]
-	}
-	id, err := core.Train(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
-}
-
-func probeFor(t *testing.T, typ string) fingerprint.Fingerprint {
-	t.Helper()
-	p, err := devices.ProfileByID(typ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fingerprint.FromPackets(devices.GenerateCaptures(p, 1, 41)[0].Packets)
-}
-
-// TestWarmBootAttachesCache is the regression test for the warm-boot
-// half of the ISSUE: ModelStore.Load returns a bank without runtime
-// configuration, and loadOrTrain used to hand it to the service as-is
-// — no worker pool, no identification cache. The warm path must
-// re-apply both, and must honor the "0 = disabled" flag contract.
-func TestWarmBootAttachesCache(t *testing.T) {
-	st, _, err := store.Open(t.TempDir(), store.Options{})
+	// The persisted bank carries no runtime configuration, and at boot
+	// there is no serving bank for Service.Install to take it from: the
+	// warm path itself must apply the flags, 0 = disabled included.
+	st, _, err := store.Open(stateDir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = st.Close() }()
-	if _, err := st.Models().Save(smallBank(t, core.Config{Seed: 2})); err != nil {
+	var boot bytes.Buffer
+	id, err := bootBank(node.NewLog(&boot), st.Models(), 10, 1, 3, 64)
+	if err != nil || !strings.Contains(boot.String(), "loaded model bank from disk") {
+		t.Fatalf("bootBank did not take the warm path: %v\n%s", err, boot.String())
+	}
+	if id.Workers() != 3 || id.Cache() == nil {
+		t.Fatalf("warm boot: workers %d, cache attached %v; want 3 and a cache", id.Workers(), id.Cache() != nil)
+	}
+	aria, err := devices.ProfileByID("Aria")
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	var out bytes.Buffer
-	id, err := loadOrTrain(&out, st, 8, 2, 2, 64)
-	if err != nil {
-		t.Fatalf("loadOrTrain: %v", err)
-	}
-	if !strings.Contains(out.String(), "loaded model bank from disk") {
-		t.Fatalf("expected the warm path, got:\n%s", out.String())
-	}
-	if id.Cache() == nil {
-		t.Fatal("warm boot left the bank without an identification cache")
-	}
-	fp := probeFor(t, "Aria")
+	fp := fingerprint.FromPackets(devices.GenerateCaptures(aria, 1, 41)[0].Packets)
 	id.Identify(fp)
 	id.Identify(fp)
 	if hits, _ := id.Cache().Stats(); hits == 0 {
 		t.Error("repeat identification after warm boot missed the cache")
 	}
-
-	// 0 = disabled is a flag contract, not an accident of the cold path.
-	id0, err := loadOrTrain(&bytes.Buffer{}, st, 8, 2, 0, 0)
-	if err != nil {
-		t.Fatalf("loadOrTrain(cache=0): %v", err)
-	}
-	if id0.Cache() != nil {
-		t.Error("cache-size 0 must disable the cache on the warm path")
+	if id, err = bootBank(node.NewLog(io.Discard), st.Models(), 10, 1, 0, 0); err != nil || id.Cache() != nil {
+		t.Errorf("warm boot with cache size 0: cache attached %v, err %v; want the cache disabled", id != nil && id.Cache() != nil, err)
 	}
 }
 
-// TestReloadModelAttachesFreshCache covers the SIGHUP half: the
-// hot-reload path must swap in the revalidated bank with the runtime
-// knobs re-applied and a fresh cache — not the old bank's cache (stale
-// answers) and not no cache at all (silent perf regression).
-func TestReloadModelAttachesFreshCache(t *testing.T) {
-	st, _, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestGatewaydRunLeavesNoGoroutines: run stops everything it starts —
+// the assess-queue drains, and with a state dir the SIGHUP reloader —
+// whether or not there is a store to shut down.
+func TestGatewaydRunLeavesNoGoroutines(t *testing.T) {
+	replayDir := writeReplayDir(t)
+	for name, extra := range map[string][]string{
+		"in-memory": nil,
+		"state-dir": {"-state-dir", t.TempDir()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer testutil.AssertNoGoroutineLeaks(t)()
+			var out bytes.Buffer
+			args := append([]string{"-replay", replayDir, "-oneshot", "-captures", "10"}, extra...)
+			if err := run(args, &out); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if !strings.Contains(out.String(), "3 devices assessed") {
+				t.Errorf("replay summary wrong:\n%s", out.String())
+			}
+		})
 	}
-	defer func() { _ = st.Close() }()
-	if _, err := st.Models().Save(smallBank(t, core.Config{Seed: 2})); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	old := smallBank(t, core.Config{Seed: 2, Workers: 1, CacheSize: 64})
-	old.SetMetrics(core.NewMetrics(obs.NewRegistry()))
-	svc := iotssp.New(old, vulndb.NewDefault())
-	fp := probeFor(t, "HueBridge")
-	old.Identify(fp)
-	old.Identify(fp) // warm the outgoing bank's cache
-
-	var out bytes.Buffer
-	if err := reloadModel(&out, st, svc, 1, 64); err != nil {
-		t.Fatalf("reloadModel: %v", err)
-	}
-	if !strings.Contains(out.String(), "hot-reloaded") {
-		t.Errorf("missing reload notice:\n%s", out.String())
-	}
-	next := svc.Identifier()
-	if next == old {
-		t.Fatal("reload did not swap the serving bank")
-	}
-	if next.Cache() == nil {
-		t.Fatal("hot-reloaded bank has no identification cache")
-	}
-	if next.Cache() == old.Cache() {
-		t.Fatal("hot-reloaded bank shares the outgoing bank's cache")
-	}
-	if next.Cache().Len() != 0 {
-		t.Errorf("hot-reloaded bank starts with %d cached entries, want 0", next.Cache().Len())
-	}
-	if next.Metrics() != old.Metrics() || next.Metrics() == nil {
-		t.Error("hot-reloaded bank did not carry the metrics bundle")
-	}
-	next.Identify(fp)
-	next.Identify(fp)
-	if hits, _ := next.Cache().Stats(); hits == 0 {
-		t.Error("repeat identification after hot reload missed the cache")
-	}
-
-	if err := reloadModel(&bytes.Buffer{}, st, svc, 1, 0); err != nil {
-		t.Fatalf("reloadModel(cache=0): %v", err)
-	}
-	if svc.Identifier().Cache() != nil {
-		t.Error("cache-size 0 must disable the cache on hot reload")
+func TestGatewaydBadReplayDir(t *testing.T) {
+	if err := run([]string{"-replay", "/nonexistent-dir-xyz", "-oneshot", "-captures", "4"}, &bytes.Buffer{}); err == nil {
+		t.Error("bad replay dir must fail")
 	}
 }
 

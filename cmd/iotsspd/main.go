@@ -28,25 +28,20 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"iotsentinel/internal/core"
-	"iotsentinel/internal/devices"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/fleet"
 	"iotsentinel/internal/iotssp"
 	"iotsentinel/internal/learn"
+	"iotsentinel/internal/node"
 	"iotsentinel/internal/obs"
 	"iotsentinel/internal/store"
 	"iotsentinel/internal/vulndb"
@@ -82,6 +77,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	log := node.NewLog(out)
 
 	var reg *obs.Registry
 	if *metricsAddr != "" {
@@ -102,23 +98,18 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// The saved form carries no runtime configuration: re-attach the
-		// worker pool and a fresh identification cache, exactly like the
-		// training path below gets them from its Config.
+		// The saved form carries no runtime configuration, and at boot
+		// there is no serving bank to take it from: attach the worker
+		// bound and a fresh identification cache, exactly like the
+		// training path below gets them.
 		if err := id.ApplyRuntime(*workers, *cacheSize); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "loaded model with %d device-types\n", id.NumTypes())
+		log.Printf("loaded model with %d device-types", id.NumTypes())
 	} else {
-		fmt.Fprintf(out, "training on the reference dataset (%d captures x 27 types)...\n", *captures)
-		raw := devices.GenerateDataset(*captures, *seed)
-		ds := make(map[core.TypeID][]fingerprint.Fingerprint, len(raw))
-		for k, v := range raw {
-			ds[core.TypeID(k)] = v
-		}
+		log.Printf("training on the reference dataset (%d captures x 27 types)...", *captures)
 		var err error
-		id, err = core.Train(ds, core.Config{Seed: *seed, Workers: *workers, CacheSize: *cacheSize})
-		if err != nil {
+		if id, err = node.TrainBank(*captures, *seed, *workers, *cacheSize); err != nil {
 			return err
 		}
 	}
@@ -130,29 +121,13 @@ func run(args []string, out io.Writer) error {
 	// Durable state for the fleet control plane and the learner: the
 	// rollout journal and the versioned model store live here so a
 	// crashed controller resumes mid-rollout.
-	var st *store.Store
-	var rec *store.Recovery
+	var st *node.State
 	if *stateDir != "" {
-		var stMetrics *store.Metrics
-		if reg != nil {
-			stMetrics = store.NewMetrics(reg)
-		}
 		var err error
-		st, rec, err = store.Open(*stateDir, store.Options{
-			Metrics: stMetrics,
-			Logf:    func(format string, a ...any) { fmt.Fprintf(out, "state: "+format+"\n", a...) },
-		})
-		if err != nil {
-			return fmt.Errorf("state dir: %w", err)
+		if st, err = node.OpenState(*stateDir, reg, health, log); err != nil {
+			return err
 		}
-		defer func() { _ = st.Close() }()
-		degraded := rec.Degraded
-		health.Register("store", true, func() (obs.HealthStatus, string) {
-			if degraded {
-				return obs.HealthDegraded, "recovery was degraded; fail-closed sweep applied"
-			}
-			return obs.HealthOK, ""
-		})
+		defer func() { _ = st.Store.Close() }()
 	}
 
 	// Fleet control plane: registry + rollout controller + binary
@@ -165,20 +140,13 @@ func run(args []string, out io.Writer) error {
 			fm = fleet.NewMetrics(reg)
 		}
 		registry := fleet.NewRegistry(*fleetLease, fm)
-		var models *store.ModelStore
-		if st != nil {
-			models = st.Models()
-		}
-		var err error
-		ctrl, err = fleet.NewController(fleet.ControllerConfig{
+		ccfg := fleet.ControllerConfig{
 			Registry: registry,
 			Policy: fleet.Policy{
 				CanaryFraction:  *canaryFrac,
 				MinSamples:      *canaryMin,
 				MaxUnknownDelta: *canaryDelta,
 			},
-			Store:  st,
-			Models: models,
 			// A rollback restores this daemon's own serving bank too:
 			// the candidate was hot-swapped in at promotion time, and a
 			// fleet that rejected it must not keep being served by it
@@ -187,16 +155,21 @@ func run(args []string, out io.Writer) error {
 				if model == nil {
 					return
 				}
-				if err := swapServingBank(svc, model, *workers, *cacheSize); err != nil {
-					fmt.Fprintf(out, "fleet: central bank rollback to %.12s failed: %v\n", sha, err)
+				if err := node.InstallModel(svc, model); err != nil {
+					log.Printf("fleet: central bank rollback to %.12s failed: %v", sha, err)
 					return
 				}
-				fmt.Fprintf(out, "fleet: central bank reverted to %.12s after rollback\n", sha)
+				log.Printf("fleet: central bank reverted to %.12s after rollback", sha)
 			},
 			Metrics: fm,
-			Logf:    func(format string, a ...any) { fmt.Fprintf(out, format+"\n", a...) },
-		})
-		if err != nil {
+			Logf:    log.Printf,
+		}
+		var rec *store.Recovery
+		if st != nil {
+			ccfg.Store, ccfg.Models, rec = st.Store, st.Store.Models(), st.Rec
+		}
+		var err error
+		if ctrl, err = fleet.NewController(ccfg); err != nil {
 			return err
 		}
 
@@ -210,7 +183,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("fleet: register serving bank: %w", err)
 		}
-		fmt.Fprintf(out, "fleet: serving bank is model %.12s\n", sha)
+		log.Printf("fleet: serving bank is model %.12s", sha)
 		if rec != nil {
 			if err := ctrl.Recover(rec); err != nil {
 				return fmt.Errorf("fleet recover: %w", err)
@@ -234,7 +207,7 @@ func run(args []string, out io.Writer) error {
 				return unknown
 			},
 			Metrics: fm,
-			Logf:    func(format string, a ...any) { fmt.Fprintf(out, format+"\n", a...) },
+			Logf:    log.Printf,
 		})
 		if err != nil {
 			return err
@@ -243,7 +216,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("fleet listen: %w", err)
 		}
-		fmt.Fprintf(out, "fleet control plane listening on %s (lease %s, canary %.0f%%)\n",
+		log.Printf("fleet control plane listening on %s (lease %s, canary %.0f%%)",
 			fln.Addr(), *fleetLease, *canaryFrac*100)
 		go func() { _ = fsrv.Serve(fln) }()
 		defer func() { _ = fsrv.Close() }()
@@ -260,87 +233,48 @@ func run(args []string, out io.Writer) error {
 		// into the serving bank. With -fleet-listen each promotion also
 		// becomes a canary rollout candidate for the gateway fleet; with
 		// -state-dir clusters and promotions are journaled.
-		cfg := learn.Config{
-			K: *learnK,
-			Promote: func(t core.TypeID, fps []fingerprint.Fingerprint) (*core.Identifier, error) {
-				return svc.PromoteType(t, fps, iotssp.PromoteOptions{})
-			},
-			Known: svc.HasType,
-			Store: st,
-			Logf:  func(format string, a ...any) { fmt.Fprintf(out, format+"\n", a...) },
-		}
+		cfg := learn.Config{K: *learnK}
 		if reg != nil {
 			cfg.Metrics = learn.NewMetrics(reg)
-		}
-		if st != nil {
-			ms := st.Models()
-			cfg.Persist = func(id *core.Identifier) error {
-				_, err := ms.Save(id)
-				return err
-			}
 		}
 		if ctrl != nil {
 			cfg.OnPromoted = func(t core.TypeID, bank *core.Identifier) {
 				var buf bytes.Buffer
 				if err := bank.Save(&buf); err != nil {
-					fmt.Fprintf(out, "fleet: serialize promoted bank: %v\n", err)
+					log.Printf("fleet: serialize promoted bank: %v", err)
 					return
 				}
 				sha, err := ctrl.StartRollout(buf.Bytes())
 				if err != nil {
 					// Typically ErrRolloutInFlight: the next promotion
 					// retries with an even newer bank.
-					fmt.Fprintf(out, "fleet: rollout of promoted type %q not started: %v\n", t, err)
+					log.Printf("fleet: rollout of promoted type %q not started: %v", t, err)
 					return
 				}
-				fmt.Fprintf(out, "fleet: promoted type %q canarying as model %.12s\n", t, sha)
+				log.Printf("fleet: promoted type %q canarying as model %.12s", t, sha)
 			}
 		}
-		l, err := learn.New(cfg)
+		l, err := node.NewLearner(svc, st, cfg, log)
 		if err != nil {
 			return err
 		}
 		defer l.Close()
-		if st != nil && rec != nil {
-			stats, err := l.Recover(rec)
-			if err != nil {
-				return fmt.Errorf("learn recover: %w", err)
-			}
-			fmt.Fprintf(out, "learn: recovered %s\n", stats)
-		}
 		svc.SetUnknownSink(l.Observe)
-		fmt.Fprintf(out, "learn: online device-type learning enabled (k=%d)\n", *learnK)
 	}
 
 	var srvMetrics *iotssp.ServerMetrics
 	if reg != nil {
 		srvMetrics = iotssp.NewServerMetrics(reg)
-		mln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listen: %w", err)
-		}
 		health.Register("serving_bank", true, func() (obs.HealthStatus, string) {
 			return obs.HealthOK, fmt.Sprintf("%d device-types", svc.Identifier().NumTypes())
 		})
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(reg))
-		mux.Handle("/healthz", health.LiveHandler())
-		mux.Handle("/readyz", health.ReadyHandler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		msrv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-		fmt.Fprintf(out, "metrics listening on http://%s/metrics (plus /healthz, /readyz)\n", mln.Addr())
-		go func() { _ = msrv.Serve(mln) }()
-		defer func() { _ = msrv.Close() }()
+		closeMetrics, err := node.ServeMetrics(*metricsAddr, reg, health, log)
+		if err != nil {
+			return err
+		}
+		defer closeMetrics()
 	}
 
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return fmt.Errorf("listen: %w", err)
-	}
 	handler := iotssp.HandlerWithMetrics(svc, srvMetrics)
 	if *assessTimeout > 0 {
 		// A wedged classification must not pin the connection forever:
@@ -348,44 +282,5 @@ func run(args []string, out io.Writer) error {
 		// takes over.
 		handler = http.TimeoutHandler(handler, *assessTimeout, "assessment timed out")
 	}
-	srv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	fmt.Fprintf(out, "IoT Security Service listening on %s\n", ln.Addr())
-
-	// SIGTERM is what init systems and container runtimes send; treat it
-	// like ^C so the server drains connections instead of dying mid-reply.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-
-	select {
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return srv.Shutdown(shutdownCtx)
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	}
-}
-
-// swapServingBank deserializes a model blob, re-applies the runtime
-// knobs the persisted form deliberately does not carry, carries the
-// outgoing bank's metrics bundle forward, and swaps it in through the
-// service's validated hot-swap path.
-func swapServingBank(svc *iotssp.Service, model []byte, workers, cacheSize int) error {
-	id, err := core.LoadIdentifier(bytes.NewReader(model))
-	if err != nil {
-		return err
-	}
-	if err := id.ApplyRuntime(workers, cacheSize); err != nil {
-		return err
-	}
-	id.SetMetrics(svc.Identifier().Metrics())
-	return svc.ReplaceIdentifier(id)
+	return node.ServeUntilSignal("IoT Security Service", *listen, handler, log)
 }

@@ -9,46 +9,6 @@ import (
 	"testing"
 )
 
-// TestStormJSONCarriesProcessFootprint pins the machine-readable
-// summary's resource fields: RSS and goroutine count are real
-// measurements (or -1 where /proc is unavailable), journal bytes are
-// -1 because storm runs carry no durable store.
-func TestStormJSONCarriesProcessFootprint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a service")
-	}
-	jsonPath := filepath.Join(t.TempDir(), "storm.json")
-	var out bytes.Buffer
-	err := run([]string{
-		"-profiles", "4", "-captures", "2", "-train-captures", "4",
-		"-feeders", "2", "-json", jsonPath,
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum summary
-	if err := json.Unmarshal(data, &sum); err != nil {
-		t.Fatalf("summary does not parse: %v", err)
-	}
-	if len(sum.Runs) != 1 {
-		t.Fatalf("got %d runs, want 1", len(sum.Runs))
-	}
-	r := sum.Runs[0]
-	if r.Goroutines <= 0 {
-		t.Errorf("goroutines = %d, want a live count", r.Goroutines)
-	}
-	if r.RSSBytes == 0 {
-		t.Errorf("rss_bytes = 0; want a measurement or -1")
-	}
-	if r.JournalBytes != -1 {
-		t.Errorf("journal_bytes = %d for a storeless storm, want -1", r.JournalBytes)
-	}
-}
-
 // TestSoakShortRun drives the full soak engine — capture fanout,
 // churn, flaky assessments, learner, gates, archive — at a small scale
 // and requires every gate to pass and the archive to parse.
@@ -59,7 +19,7 @@ func TestSoakShortRun(t *testing.T) {
 	outPath := filepath.Join(t.TempDir(), "SOAK_test.json")
 	var out bytes.Buffer
 	err := run([]string{
-		"-soak", "-soak-duration", "3s", "-soak-devices", "200",
+		"-soak-duration", "3s", "-soak-devices", "200",
 		"-soak-sample", "1s", "-train-captures", "4", "-soak-out", outPath,
 	}, &out)
 	if err != nil {
@@ -107,7 +67,7 @@ func TestSoakGateFailureDumpsProfiles(t *testing.T) {
 	outPath := filepath.Join(dir, "SOAK_fail.json")
 	var out bytes.Buffer
 	err := run([]string{
-		"-soak", "-soak-duration", "3s", "-soak-devices", "100",
+		"-soak-duration", "3s", "-soak-devices", "100",
 		"-soak-sample", "500ms", "-train-captures", "4",
 		"-soak-rss-mb", "1", // no process fits in 1 MB
 		"-soak-out", outPath,

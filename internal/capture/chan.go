@@ -15,8 +15,6 @@ type ChanSource struct {
 	ch        chan Frame
 	closeOnce sync.Once
 	done      chan struct{}
-	drops     uint64
-	mu        sync.Mutex
 }
 
 // NewChanSource builds a source with the given buffer depth (minimum 1).
@@ -42,31 +40,6 @@ func (s *ChanSource) Send(ts time.Time, frame []byte) error {
 	case <-s.done:
 		return ErrClosed
 	}
-}
-
-// TrySend offers one frame without blocking; a full buffer drops it
-// (counted) like a lossy ring.
-func (s *ChanSource) TrySend(ts time.Time, frame []byte) error {
-	select {
-	case <-s.done:
-		return ErrClosed
-	default:
-	}
-	select {
-	case s.ch <- Frame{Time: ts, Data: frame}:
-	default:
-		s.mu.Lock()
-		s.drops++
-		s.mu.Unlock()
-	}
-	return nil
-}
-
-// Drops returns frames shed by TrySend on a full buffer.
-func (s *ChanSource) Drops() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drops
 }
 
 // Recv returns the next frame, or io.EOF once closed and drained.

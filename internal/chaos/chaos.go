@@ -134,9 +134,6 @@ func (d *Dialer) Heal() { d.partitioned.Store(false) }
 // Resets reports connections torn down by the byte budget.
 func (d *Dialer) Resets() uint64 { return d.resets.Load() }
 
-// Conns reports connections successfully established.
-func (d *Dialer) Conns() uint64 { return d.conns.Load() }
-
 // Conn is one fault-injecting connection. It is safe for the usual
 // net.Conn concurrency (one reader, one writer, any goroutine closing
 // or setting deadlines).

@@ -322,12 +322,12 @@ func (id *Identifier) SetCache(c *IdentifyCache) {
 // bound and the identification cache — on a trained identifier.
 // Workers and CacheSize are deliberately excluded from serialization
 // (models trained at any worker count are identical, and cached
-// answers must not outlive the bank that produced them), which means
-// every load site — warm boot, SIGHUP hot reload, a model file handed
-// to iotsspd — gets an identifier with the *default* fan-out and no
-// cache at all. Callers that honor -workers/-cache-size flags must
-// call ApplyRuntime after LoadIdentifier, with cacheSize 0 keeping the
-// cache disabled (the flag contract).
+// answers must not outlive the bank that produced them), so a loaded
+// identifier has the *default* fan-out and no cache at all. A boot path
+// that honors -workers/-cache-size flags — warm boot, a model file
+// handed to iotsspd — calls ApplyRuntime after LoadIdentifier, with
+// cacheSize 0 keeping the cache disabled (the flag contract); a bank
+// that replaces a serving one takes them from it (AdoptRuntime).
 func (id *Identifier) ApplyRuntime(workers, cacheSize int) error {
 	if workers < 0 {
 		return fmt.Errorf("core: Workers must be >= 0, got %d", workers)
@@ -344,6 +344,23 @@ func (id *Identifier) ApplyRuntime(workers, cacheSize int) error {
 	} else {
 		id.cache = nil
 	}
+	return nil
+}
+
+// AdoptRuntime binds onto id everything a serving bank holds that is not
+// model state, taken from the bank it succeeds: from's worker bound, its
+// cache size — as a fresh, empty cache at both levels, never from's own,
+// whose entries answer for from's bank — and its metrics bundle, shared
+// so the counter series continue across the hand-over. Clone and
+// iotssp.Service's bank swap both go through it.
+func (id *Identifier) AdoptRuntime(from *Identifier) error {
+	from.mu.RLock()
+	workers, cacheSize, metrics := from.cfg.Workers, from.cfg.CacheSize, from.metrics
+	from.mu.RUnlock()
+	if err := id.ApplyRuntime(workers, cacheSize); err != nil {
+		return err
+	}
+	id.SetMetrics(metrics)
 	return nil
 }
 

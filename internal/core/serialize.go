@@ -126,9 +126,9 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 // round trip, so the copy shares no mutable state with the original:
 // AddType on the clone trains a new classifier (the training pool is
 // part of the wire format) while the original keeps serving. The
-// runtime-only settings — worker bound and cache size — are carried
-// over explicitly since they do not serialize; the clone gets a fresh,
-// empty cache rather than a view of the original's.
+// runtime-only settings do not serialize and are carried over by
+// AdoptRuntime: the original's worker bound and metrics bundle, and a
+// fresh, empty cache of its size rather than a view of the original's.
 func (id *Identifier) Clone() (*Identifier, error) {
 	var buf bytes.Buffer
 	if err := id.Save(&buf); err != nil {
@@ -138,14 +138,8 @@ func (id *Identifier) Clone() (*Identifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	id.mu.RLock()
-	workers, cacheSize, metrics := id.cfg.Workers, id.cfg.CacheSize, id.metrics
-	id.mu.RUnlock()
-	if err := out.ApplyRuntime(workers, cacheSize); err != nil {
+	if err := out.AdoptRuntime(id); err != nil {
 		return nil, err
 	}
-	// The metrics bundle is shared, not copied: a clone that replaces
-	// this bank continues the same counter series.
-	out.SetMetrics(metrics)
 	return out, nil
 }

@@ -30,6 +30,15 @@ import (
 // device states — so the default favors throughput.
 const DefaultShards = 8
 
+// DefaultAssessQueue is the per-shard assessment queue depth of a
+// deployed gateway (Config.AssessQueue; the zero value of that field
+// stays inline assessment, the reference the queue is tested against).
+// It is a constant and not a flag because a gateway must run the
+// pipeline the benchmark measures: bench/topology.go builds its
+// gateways at this depth, and internal/node builds the daemon's and the
+// soak's.
+const DefaultAssessQueue = 256
+
 // handleSampleEvery is the HandlePacket latency sampling period: one
 // frame in this many, per shard, is timed into
 // gateway_handle_packet_seconds.

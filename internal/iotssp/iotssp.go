@@ -102,19 +102,39 @@ func (s *Service) AddType(t core.TypeID, fps []fingerprint.Fingerprint) error {
 	return s.id.AddType(t, fps)
 }
 
-// ReplaceIdentifier atomically swaps in a new classifier bank — the
-// hot-reload path after the model store revalidates a model from disk.
-// The replacement must be non-nil and hold at least one trained type;
-// a rejected swap leaves the current bank untouched. In-flight
-// assessments finish against the bank they started with.
-func (s *Service) ReplaceIdentifier(id *core.Identifier) error {
+// Install puts a new classifier bank into service — the one way a bank
+// arrives after boot, whatever its source: the model store (SIGHUP), a
+// fleet push, a rollout rollback. The bank must be non-nil and hold at
+// least one trained type; a rejected install leaves the serving bank
+// untouched. In-flight assessments finish against the bank they started
+// with.
+func (s *Service) Install(id *core.Identifier) error {
 	if id == nil || id.NumTypes() == 0 {
-		return errors.New("iotssp: replacement identifier has no trained types")
+		return errors.New("iotssp: installed identifier has no trained types")
 	}
+	_, err := s.swap(nil, id)
+	return err
+}
+
+// swap is the only place the serving pointer moves after New, and it
+// dresses next for service as it does: next takes the outgoing bank's
+// worker bound, metrics bundle and cache size — as a fresh, empty cache
+// (core.Identifier.AdoptRuntime) — so no answer, at either cache level,
+// is ever served from a bank older than the last swap, and no caller
+// has to remember to make that so. A non-nil expect makes the swap
+// conditional on expect still serving; swapped reports whether it
+// happened.
+func (s *Service) swap(expect, next *core.Identifier) (swapped bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.id = id
-	return nil
+	if expect != nil && s.id != expect {
+		return false, nil
+	}
+	if err := next.AdoptRuntime(s.id); err != nil {
+		return false, err
+	}
+	s.id = next
+	return true, nil
 }
 
 // Types returns the known device-types.
@@ -137,7 +157,7 @@ func (s *Service) HasType(t core.TypeID) bool {
 }
 
 // Identifier returns the currently serving classifier bank. The bank
-// may be swapped out at any moment by ReplaceIdentifier or PromoteType;
+// may be swapped out at any moment by Install or PromoteType;
 // callers get a consistent snapshot, not a live view.
 func (s *Service) Identifier() *core.Identifier {
 	s.mu.RLock()
@@ -227,12 +247,11 @@ const promoteRetries = 3
 // current bank is cloned, the clone learns the type in the background
 // (AddType on the clone; the serving bank is untouched), the result is
 // validated against the cluster that proposed it, and only then is the
-// bank pointer swapped — through the same validated path as
-// ReplaceIdentifier. If another swap landed in the meantime, the
-// promotion re-clones from the new bank and retrains, up to
-// promoteRetries times (compare-and-swap on the bank pointer, with
-// training as the expensive "compute" step). On success the new bank is
-// returned so the caller can persist it.
+// bank pointer swapped — through the same step as Install (swap). If
+// another swap landed in the meantime, the promotion re-clones from the
+// new bank and retrains, up to promoteRetries times (compare-and-swap on
+// the bank pointer, with training as the expensive "compute" step). On
+// success the new bank is returned so the caller can persist it.
 func (s *Service) PromoteType(t core.TypeID, fps []fingerprint.Fingerprint, opts PromoteOptions) (*core.Identifier, error) {
 	if t == core.Unknown {
 		return nil, errors.New("iotssp: cannot promote the unknown type")
@@ -265,13 +284,13 @@ func (s *Service) PromoteType(t core.TypeID, fps []fingerprint.Fingerprint, opts
 			return nil, fmt.Errorf("%w: %q accepted %d/%d members (min %.2f)",
 				ErrValidationFailed, t, accepted, len(fps), minAccept)
 		}
-		s.mu.Lock()
-		if s.id == base {
-			s.id = next
-			s.mu.Unlock()
+		swapped, err := s.swap(base, next)
+		if err != nil {
+			return nil, err
+		}
+		if swapped {
 			return next, nil
 		}
-		s.mu.Unlock()
 		// The bank moved under us (concurrent promotion or hot reload):
 		// the clone is trained against a stale pool, throw it away and
 		// rebuild from the new bank.

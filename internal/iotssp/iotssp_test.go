@@ -327,8 +327,7 @@ func TestHTTPErrors(t *testing.T) {
 // accept set of the old bank behind. A device of a type the bank does
 // not know yet is assessed — which memoizes its head's accept set, one
 // without that type — then the type arrives by PromoteType or by
-// ReplaceIdentifier, and a capture sharing only the head must be
-// matched to it.
+// Install, and a capture sharing only the head must be matched to it.
 func TestHeadMemoPurgedOnBankChange(t *testing.T) {
 	cluster := devices.GenerateDataset(12, 33)["MAXGateway"]
 	var probe, variant fingerprint.Fingerprint
@@ -372,7 +371,7 @@ func TestHeadMemoPurgedOnBankChange(t *testing.T) {
 		}
 		check(t, svc)
 	})
-	t.Run("ReplaceIdentifier", func(t *testing.T) {
+	t.Run("Install", func(t *testing.T) {
 		svc := warm(t)
 		next, err := svc.Identifier().Clone()
 		if err != nil {
@@ -381,7 +380,7 @@ func TestHeadMemoPurgedOnBankChange(t *testing.T) {
 		if err := next.AddType("MAXGateway", cluster); err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.ReplaceIdentifier(next); err != nil {
+		if err := svc.Install(next); err != nil {
 			t.Fatal(err)
 		}
 		check(t, svc)

@@ -183,11 +183,6 @@ func (f *Forest) ProbaInto(x []float64, out []float64) []float64 {
 	return out
 }
 
-// PredictBatch classifies every row of xs.
-func (f *Forest) PredictBatch(xs [][]float64) []int {
-	return f.PredictBatchInto(xs, make([]int, len(xs)))
-}
-
 // PredictBatchInto classifies every row of xs into out, reusing its
 // backing array when it has capacity, and returns the slice. With a
 // pre-sized out it performs zero allocations.

@@ -296,9 +296,6 @@ func (t *Tree) Depth() int {
 	return depths[0]
 }
 
-// NumNodes returns the number of nodes in the tree.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
 // TrainTree builds a single CART tree on the full dataset; exported for
 // tests and for the forest-size ablation's single-tree baseline.
 func TrainTree(x [][]float64, y []int, maxDepth, minLeaf int, seed int64) (*Tree, error) {

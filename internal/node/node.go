@@ -1,0 +1,267 @@
+// Package node is the one assembly of the paper's two components — a
+// Security Gateway and an IoT Security Service (Sect. III) — out of the
+// internal packages: what cmd/gatewayd, cmd/iotsspd and the soak
+// (cmd/loadgen) each used to wire by hand. Every function here has at
+// least two of those three as callers, so a daemon and the harness that
+// gates it cannot drift apart, and the gateway they build is the one
+// bench/ measures: gateway.DefaultShards shards and a per-shard assess
+// queue of gateway.DefaultAssessQueue.
+package node
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/pprof"
+	"os"
+	"os/signal"
+	"sync"
+	"sync/atomic"
+	"syscall"
+	"time"
+
+	"iotsentinel/internal/core"
+	"iotsentinel/internal/devices"
+	"iotsentinel/internal/fingerprint"
+	"iotsentinel/internal/fleet"
+	"iotsentinel/internal/gateway"
+	"iotsentinel/internal/iotssp"
+	"iotsentinel/internal/learn"
+	"iotsentinel/internal/obs"
+	"iotsentinel/internal/store"
+)
+
+// Log is the process's line writer. A node's callbacks fire from capture
+// readers, assess-queue drains, the learner, the fleet session and
+// per-connection server goroutines; they all print through one Log, so
+// lines reach the underlying writer whole and one at a time.
+type Log struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+// NewLog wraps w.
+func NewLog(w io.Writer) *Log { return &Log{w: w} }
+
+// Printf writes one formatted line; the newline is added. It has the
+// shape of the packages' Logf callbacks.
+func (l *Log) Printf(format string, a ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	fmt.Fprintf(l.w, format+"\n", a...)
+}
+
+// TrainBank trains the reference bank a node serves on a cold start:
+// the synthetic dataset of the device catalog under seed, minus the
+// heldOut types (the soak keeps a few back so that their devices
+// assess as unknown).
+func TrainBank(captures int, seed int64, workers, cacheSize int, heldOut ...string) (*core.Identifier, error) {
+	raw := devices.GenerateDataset(captures, seed)
+	for _, t := range heldOut {
+		delete(raw, t)
+	}
+	ds := make(map[core.TypeID][]fingerprint.Fingerprint, len(raw))
+	for k, v := range raw {
+		ds[core.TypeID(k)] = v
+	}
+	return core.Train(ds, core.Config{Seed: seed, Workers: workers, CacheSize: cacheSize})
+}
+
+// InstallModel installs a bank that arrived as bytes — a fleet push, a
+// rollout's rollback baseline — into svc.
+func InstallModel(svc *iotssp.Service, model []byte) error {
+	id, err := core.LoadIdentifier(bytes.NewReader(model))
+	if err != nil {
+		return err
+	}
+	return svc.Install(id)
+}
+
+// State is an opened state directory: the durable store, what it
+// recovered, and the fault its health probe reports.
+type State struct {
+	Store *store.Store
+	Rec   *store.Recovery
+	// fault holds a string: the recovery degradation or the last
+	// journaling error. The probe reads it; nothing ever clears it,
+	// since either means the on-disk state may be incomplete.
+	fault atomic.Value
+}
+
+// OpenState opens (and recovers) the state directory and registers the
+// store as health's one critical subsystem: a degraded recovery or a
+// failed journal append means recovered state may be incomplete, and
+// the fail-closed posture wants traffic routed elsewhere. Open it
+// before anything that appends, so a torn journal is found — and
+// truncated — first. The caller closes st.Store.
+func OpenState(dir string, reg *obs.Registry, health *obs.Health, log *Log) (*State, error) {
+	opts := store.Options{Logf: func(format string, a ...any) { log.Printf("state: "+format, a...) }}
+	if reg != nil {
+		opts.Metrics = store.NewMetrics(reg)
+	}
+	db, rec, err := store.Open(dir, opts)
+	if err != nil {
+		return nil, fmt.Errorf("state dir: %w", err)
+	}
+	st := &State{Store: db, Rec: rec}
+	if rec.Degraded {
+		st.fault.Store("recovery was degraded; fail-closed sweep applied")
+	}
+	health.Register("store", true, func() (obs.HealthStatus, string) {
+		if msg, _ := st.fault.Load().(string); msg != "" {
+			return obs.HealthDegraded, msg
+		}
+		return obs.HealthOK, ""
+	})
+	return st, nil
+}
+
+// NewLearner starts the online learner over svc: cfg carries what
+// differs per node (K, Metrics, OnPromoted) and NewLearner wires the
+// rest — progress and errors go to log, promotions train on a clone of
+// the serving bank and swap in through the service, and with a state
+// directory (st may be nil) cluster growth is journaled, each promoted
+// bank is persisted so the next boot serves the learned types warm, and
+// the clusters the last run left are recovered.
+func NewLearner(svc *iotssp.Service, st *State, cfg learn.Config, log *Log) (*learn.Learner, error) {
+	cfg.Logf = log.Printf
+	cfg.Promote = func(t core.TypeID, fps []fingerprint.Fingerprint) (*core.Identifier, error) {
+		return svc.PromoteType(t, fps, iotssp.PromoteOptions{})
+	}
+	cfg.Known = svc.HasType
+	if st != nil {
+		cfg.Store = st.Store
+		cfg.Persist = func(id *core.Identifier) error {
+			_, err := st.Store.Models().Save(id)
+			return err
+		}
+	}
+	l, err := learn.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("learn: online device-type learning enabled (k=%d)", cfg.K)
+	if st != nil {
+		stats, err := l.Recover(st.Rec)
+		if err != nil {
+			l.Close()
+			return nil, fmt.Errorf("learn recover: %w", err)
+		}
+		log.Printf("learn: recovered %s", stats)
+	}
+	return l, nil
+}
+
+// FleetAssessor decorates the in-process service with the fleet link:
+// every assessment bumps the cumulative counters canary rollouts are
+// judged by, and every assessed fingerprint streams to the central
+// service. Streaming is fire-and-forget — a Degraded link spools the
+// observations for replay and never fails or slows a local verdict.
+type FleetAssessor struct {
+	Service *iotssp.Service
+	Link    *fleet.Session
+}
+
+// Assess implements iotssp.Assessor.
+func (fa *FleetAssessor) Assess(fp fingerprint.Fingerprint) (iotssp.Assessment, error) {
+	a, err := fa.Service.Assess(fp)
+	if err == nil {
+		fa.Link.RecordAssessment(!a.Known)
+		_ = fa.Link.Observe(fp) // a full spool sheds, and counts it
+	}
+	return a, err
+}
+
+// AssessBatch implements iotssp.BatchAssessor.
+func (fa *FleetAssessor) AssessBatch(fps []fingerprint.Fingerprint) ([]iotssp.Assessment, error) {
+	as, err := fa.Service.AssessBatch(fps)
+	if err == nil {
+		for i, a := range as {
+			fa.Link.RecordAssessment(!a.Known)
+			_ = fa.Link.Observe(fps[i])
+		}
+	}
+	return as, err
+}
+
+// GatewayConfig completes cfg — the caller's callbacks, metrics bundle
+// and timing — into the configuration every node's gateway runs with:
+// the shard count and the assess queue depth the benchmark measures
+// (neither has a flag), the journal with its failures fed to the store
+// probe and the log, and unknown devices fed to the learner, whose
+// cluster state rides in the gateway's checkpoints. st and learner may
+// each be nil.
+func GatewayConfig(cfg gateway.Config, st *State, learner *learn.Learner, log *Log) gateway.Config {
+	cfg.Shards = gateway.DefaultShards
+	cfg.AssessQueue = gateway.DefaultAssessQueue
+	if st != nil {
+		cfg.Store = st.Store
+		cfg.OnStoreError = func(err error) {
+			st.fault.Store("journal: " + err.Error())
+			log.Printf("state: journal: %v", err)
+		}
+	}
+	if learner != nil {
+		cfg.OnUnknown = func(_ gateway.DeviceInfo, fp fingerprint.Fingerprint) { learner.Observe(fp) }
+		cfg.LearnState = learner.SnapshotState
+	}
+	return cfg
+}
+
+// ServeMetrics serves the observability endpoints — Prometheus-text
+// /metrics, /healthz + /readyz, the standard pprof handlers — on their
+// own listener, so operational traffic never mixes with the node's API.
+// The returned function closes the listener.
+func ServeMetrics(addr string, reg *obs.Registry, health *obs.Health, log *Log) (func(), error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("metrics listen: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", obs.Handler(reg))
+	mux.Handle("/healthz", health.LiveHandler())
+	mux.Handle("/readyz", health.ReadyHandler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	log.Printf("metrics listening on http://%s/metrics (plus /healthz, /readyz)", ln.Addr())
+	go func() { _ = srv.Serve(ln) }()
+	return func() { _ = srv.Close() }, nil
+}
+
+// ServeUntilSignal serves h on addr until ^C or SIGTERM — what init
+// systems and container runtimes send — then drains connections for up
+// to five seconds, so the caller's deferred teardown runs instead of
+// the process dying mid-reply or with a dirty journal. what names the
+// listener in the log.
+func ServeUntilSignal(what, addr string, h http.Handler, log *Log) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("listen: %w", err)
+	}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	log.Printf("%s listening on %s", what, ln.Addr())
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(ln) }()
+	select {
+	case <-ctx.Done():
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		return srv.Shutdown(shutdownCtx)
+	case err := <-errCh:
+		if errors.Is(err, http.ErrServerClosed) {
+			return nil
+		}
+		return err
+	}
+}

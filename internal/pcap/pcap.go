@@ -106,10 +106,9 @@ func (w *Writer) Flush() error { return w.writeHeader() }
 
 // Reader parses pcap records from an underlying stream.
 type Reader struct {
-	r        io.Reader
-	order    binary.ByteOrder
-	snapLen  uint32
-	linkType uint32
+	r       io.Reader
+	order   binary.ByteOrder
+	snapLen uint32
 }
 
 // NewReader parses the global header and returns a Reader.
@@ -128,19 +127,15 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, ErrBadMagic
 	}
 	rd := &Reader{
-		r:        r,
-		order:    order,
-		snapLen:  order.Uint32(hdr[16:20]),
-		linkType: order.Uint32(hdr[20:24]),
+		r:       r,
+		order:   order,
+		snapLen: order.Uint32(hdr[16:20]),
 	}
 	if rd.snapLen == 0 || rd.snapLen > MaxSnapLen {
 		return nil, fmt.Errorf("pcap: implausible snap length %d", rd.snapLen)
 	}
 	return rd, nil
 }
-
-// LinkType returns the capture's data-link type.
-func (r *Reader) LinkType() uint32 { return r.linkType }
 
 // ReadRecord returns the next record, or io.EOF at end of file.
 func (r *Reader) ReadRecord() (Record, error) {

@@ -106,11 +106,9 @@ func (m *Metrics) modelSaved() {
 	}
 }
 
-// ModelLoaded counts one classifier-bank bring-up. Source is "disk"
-// for a warm boot from the model store (counted automatically by Load)
-// or "train" when the caller had to train from scratch.
-func (m *Metrics) ModelLoaded(source string) { m.modelLoaded(source) }
-
+// modelLoaded counts one classifier-bank bring-up. Source is "disk"
+// for a warm boot from the model store (counted by Load) or "train"
+// when the caller had to train from scratch (LoadedFromTraining).
 func (m *Metrics) modelLoaded(source string) {
 	if m != nil {
 		m.modelLoads.With(source).Inc()

@@ -194,19 +194,6 @@ func (ms *ModelStore) Load() (*core.Identifier, ModelManifest, error) {
 // warm boots actually skip retraining.
 func (ms *ModelStore) LoadedFromTraining() { ms.m.modelLoaded("train") }
 
-// Manifest reads the manifest without loading the model.
-func (ms *ModelStore) Manifest() (ModelManifest, error) {
-	var man ModelManifest
-	data, err := os.ReadFile(filepath.Join(ms.dir, manifestName))
-	if err != nil {
-		return ModelManifest{}, err
-	}
-	if err := json.Unmarshal(data, &man); err != nil {
-		return ModelManifest{}, fmt.Errorf("store: load manifest: %w", err)
-	}
-	return man, nil
-}
-
 // Versioned model blobs: the fleet controller keeps every bank it may
 // still distribute — the current fleet version, a canarying candidate,
 // and the rollback baseline — as content-addressed files, so a crashed
