@@ -11,7 +11,8 @@
 # sweep + the seeded fleet-link chaos sweep (see `make chaos`) + a
 # short fuzz pass over the capture ring and readers, the frame decoder,
 # the model deserializer, the packed-symbol codec, the fingerprint
-# head, the cluster-linkage input and the fleet wire decoders + the benchmark module's own vet and tests
+# head, the cluster-linkage input, the fleet wire decoders and the
+# store's record and snapshot-row decoders + the benchmark module's own vet and tests
 # (`make bench-smoke`) + a short sustained-load soak with its
 # leak/latency gates);
 # `make test-race` covers the concurrent
@@ -108,12 +109,18 @@ fuzz:
 	$(GO) test -fuzz='^FuzzClusterLinkage$$' -fuzztime=$(FUZZTIME) ./internal/learn/
 	$(GO) test -fuzz='^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -fuzz='^FuzzBatchDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
+	$(GO) test -run='^$$' -fuzz='^FuzzEventDecode$$' -fuzztime=$(FUZZTIME) ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRowDecode$$' -fuzztime=$(FUZZTIME) ./internal/store/
 
 # The crash fault-injection sweep: journal torn-tail truncation at
-# every byte, single-byte corruption at every byte, snapshot damage,
-# and the quarantined-before-crash -> promoted-after-restart flow.
+# every byte, single-byte corruption at every byte and snapshot damage
+# (each over the binary format across a segment boundary and over the
+# state directory the last JSON-writing commit left in
+# internal/store/testdata/legacy), the demotion-ordering crash test,
+# checkpoints beside churn and rotation, the legacy upgrade, and the
+# quarantined-before-crash -> promoted-after-restart flow.
 crash:
-	$(GO) test -count=1 -run 'TestCrashRecovery|TestRestartResumes|TestJournalTornTail|TestJournalCorruption|TestSnapshotCorruption' \
+	$(GO) test -count=1 -run 'TestCrashRecovery|TestRestartResumes|TestJournalTornTail|TestJournalCorruption|TestSnapshotCorruption|TestCheckpoint|TestCorruptSegment|TestLegacyState' \
 		./internal/gateway/ ./internal/store/
 
 # The fleet-link chaos sweep: the seed-driven fault middleware's own

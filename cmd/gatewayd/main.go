@@ -347,12 +347,15 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Housekeeping workers: flow-table sweep + idle-capture finalizer,
-	// and the quarantine drain that promotes devices once the IoTSSP
-	// recovers (or the assess queue's backlog clears).
+	// the quarantine drain that promotes devices once the IoTSSP
+	// recovers (or the assess queue's backlog clears), and the periodic
+	// checkpoint that keeps the journal short (idle without -state-dir).
 	expiry := gateway.NewExpiryWorker(gw, 5*time.Second)
 	defer expiry.Shutdown()
 	retry := gateway.NewRetryWorker(gw, *retryPeriod)
 	defer retry.Shutdown()
+	checkpoint := gateway.NewCheckpointWorker(gw, node.CheckpointEvery)
+	defer checkpoint.Shutdown()
 
 	return node.ServeUntilSignal("management API", *apiAddr, gw.APIHandler(nil), log)
 }

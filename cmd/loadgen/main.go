@@ -107,6 +107,11 @@ const heldOutProfiles = 3
 // times within a 30 s run.
 const soakRetryPeriod = 500 * time.Millisecond
 
+// soakCheckpointPeriod is the soak's checkpoint period, the benchmark's:
+// far shorter than the daemon's, so that a short run takes many
+// snapshots beside its churn.
+const soakCheckpointPeriod = 2 * time.Second
+
 // soakConfig is the soak's flags.
 type soakConfig struct {
 	duration     time.Duration
@@ -313,12 +318,15 @@ func dumpProfiles(log *node.Log, dir string) {
 	}
 }
 
-func journalBytes(dir string) int64 {
-	fi, err := os.Stat(filepath.Join(dir, "journal.wal"))
-	if err != nil {
-		return 0
+// journalBytes sums the journal's segment files.
+func journalBytes(dir string) (n int64) {
+	segments, _ := filepath.Glob(filepath.Join(dir, "journal-*.wal"))
+	for _, path := range segments {
+		if fi, err := os.Stat(path); err == nil {
+			n += fi.Size()
+		}
 	}
-	return fi.Size()
+	return n
 }
 
 // runSoak sustains a modeled device population with steady churn —
@@ -482,29 +490,12 @@ func runSoak(log *node.Log, cfg soakConfig) error {
 		}(f)
 	}
 
-	// Housekeeping. The quarantine drain is the daemon's RetryWorker at
-	// the soak's period. The daemon's other worker, ExpiryWorker, stays
+	// Housekeeping: the daemon's RetryWorker and CheckpointWorker at the
+	// soak's periods. The daemon's third worker, ExpiryWorker, stays
 	// out: the soak's device clocks are virtual (2016 epoch), so its
-	// wall-clock idle sweep would finalize every capture mid-setup. And
-	// the 2 s Checkpoint ticker is harness load, not daemon wiring —
-	// gatewayd checkpoints only at shutdown until a checkpoint stops
-	// stalling forwarding (ROADMAP item 1 adds the periodic one then).
+	// wall-clock idle sweep would finalize every capture mid-setup.
 	retry := gateway.NewRetryWorker(gw, soakRetryPeriod)
-	var housekeeping sync.WaitGroup
-	housekeeping.Add(1)
-	go func() {
-		defer housekeeping.Done()
-		checkpoint := time.NewTicker(2 * time.Second)
-		defer checkpoint.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-checkpoint.C:
-				_ = gw.Checkpoint() // the final one below is the one checked
-			}
-		}
-	}()
+	checkpoint := gateway.NewCheckpointWorker(gw, soakCheckpointPeriod)
 
 	// Sampler: measure and gate. Runs on the main goroutine.
 	sum := soakSummary{
@@ -580,7 +571,7 @@ sampleLoop:
 		failures = append(failures, fmt.Sprintf("pump: %v", err))
 	}
 	gw.WaitAssessIdle()
-	housekeeping.Wait()
+	checkpoint.Shutdown()
 	retry.Shutdown()
 	learner.Wait()
 	learner.Close()

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 
-	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 )
 
@@ -221,12 +220,19 @@ func negotiate(offered []uint32) (uint32, bool) {
 // Binary fingerprint-batch codec. Layout:
 //
 //	u16 count
-//	per fingerprint: u16 rows, then rows × u64 BE features.Packed
+//	per fingerprint: one packed F (fingerprint.AppendF / DecodeF)
 //
 // Only F travels; F′ is re-derived on the receiving side so the two
 // representations can never desynchronize (same rule as the HTTP JSON
-// API). A word with a reserved bit set is not a symbol the extractor
-// produces and fails the decode.
+// API).
+
+// checkRows bounds one fingerprint's row count on the wire.
+func checkRows(i, rows int) error {
+	if rows == 0 || rows > maxFingerprintRows {
+		return fmt.Errorf("fleet: fingerprint %d has %d rows (want 1..%d)", i, rows, maxFingerprintRows)
+	}
+	return nil
+}
 
 // encodeBatch appends the batch encoding to dst and returns it.
 func encodeBatch(dst []byte, fps []fingerprint.Fingerprint) ([]byte, error) {
@@ -235,14 +241,10 @@ func encodeBatch(dst []byte, fps []fingerprint.Fingerprint) ([]byte, error) {
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(fps)))
 	for i := range fps {
-		rows := fps[i].F
-		if len(rows) == 0 || len(rows) > maxFingerprintRows {
-			return nil, fmt.Errorf("fleet: fingerprint %d has %d rows (want 1..%d)", i, len(rows), maxFingerprintRows)
+		if err := checkRows(i, len(fps[i].F)); err != nil {
+			return nil, err
 		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(rows)))
-		for _, p := range rows {
-			dst = binary.BigEndian.AppendUint64(dst, uint64(p))
-		}
+		dst, _ = fingerprint.AppendF(dst, fps[i].F) // checkRows bounds it below the codec's limit
 	}
 	return dst, nil
 }
@@ -260,27 +262,15 @@ func decodeBatch(p []byte) ([]fingerprint.Fingerprint, error) {
 	}
 	fps := make([]fingerprint.Fingerprint, 0, count)
 	for i := 0; i < count; i++ {
-		if len(p) < 2 {
-			return nil, fmt.Errorf("fleet: batch truncated before fingerprint %d", i)
+		f, rest, err := fingerprint.DecodeF(p)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: fingerprint %d: %w", i, err)
 		}
-		rows := int(binary.BigEndian.Uint16(p))
-		p = p[2:]
-		if rows == 0 || rows > maxFingerprintRows {
-			return nil, fmt.Errorf("fleet: fingerprint %d has %d rows (want 1..%d)", i, rows, maxFingerprintRows)
+		if err := checkRows(i, len(f)); err != nil {
+			return nil, err
 		}
-		need := rows * 8
-		if len(p) < need {
-			return nil, fmt.Errorf("fleet: fingerprint %d truncated (%d of %d bytes)", i, len(p), need)
-		}
-		ps := make([]features.Packed, rows)
-		for r := range ps {
-			ps[r] = features.Packed(binary.BigEndian.Uint64(p))
-			if !ps[r].Valid() {
-				return nil, fmt.Errorf("fleet: fingerprint %d row %d: %#x is not a packed feature symbol", i, r, uint64(ps[r]))
-			}
-			p = p[8:]
-		}
-		fps = append(fps, fingerprint.FromPacked(ps))
+		fps = append(fps, fingerprint.FromPacked(f))
+		p = rest
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("fleet: %d trailing bytes after batch", len(p))

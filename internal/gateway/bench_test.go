@@ -13,7 +13,9 @@ import (
 	"iotsentinel/internal/obs"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/sdn"
+	"iotsentinel/internal/store"
 	"iotsentinel/internal/testutil"
+	"iotsentinel/internal/vulndb"
 )
 
 // nopAssessor returns a fixed clean assessment so the benchmarks
@@ -196,4 +198,103 @@ func BenchmarkPumpForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	forward(b.N)
+}
+
+// catalogAssessor answers like a small catalog: a third of the devices
+// restricted with a permitted endpoint and a vulnerability record, the
+// rest trusted — so a journaled or snapshotted device is the size a real
+// one is.
+type catalogAssessor struct{ calls atomic.Uint32 }
+
+func (a *catalogAssessor) Assess(fingerprint.Fingerprint) (iotssp.Assessment, error) {
+	if a.calls.Add(1)%3 != 0 {
+		return iotssp.Assessment{Type: "HueBridge", Known: true, Level: sdn.Trusted}, nil
+	}
+	return iotssp.Assessment{Type: "EdnetCam", Known: true, Level: sdn.Restricted,
+		PermittedIPs: []netip.Addr{netip.MustParseAddr("52.20.7.7")},
+		Vulnerabilities: []vulndb.Record{{ID: "RPR-2016-2201", DeviceType: "EdnetCam", Severity: vulndb.SeverityCritical,
+			Summary: "IP camera exposes video stream with hard-coded default credentials"}},
+	}, nil
+}
+
+// durableGateway10k journals 10,000 assessed devices into dir and
+// returns the gateway and its store.
+func durableGateway10k(b *testing.B, dir string) (*Gateway, *store.Store) {
+	b.Helper()
+	st, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctrl := sdn.NewController(sdn.NewRuleCache(), netip.Prefix{})
+	g := New(&catalogAssessor{}, sdn.NewSwitch(ctrl, time.Minute), Config{Store: st})
+	base := time.Unix(7000, 0)
+	for i := 0; i < 10000; i++ {
+		mac := packet.MAC{0x02, 0xBE, 0, byte(i >> 8), byte(i), 9}
+		arp := packet.NewARP(mac, netip.MustParseAddr("192.168.1.9"), netip.MustParseAddr("192.168.1.1"))
+		if _, err := g.HandlePacket(base, arp); err != nil {
+			b.Fatal(err)
+		}
+		if err := g.FinishSetup(mac, base.Add(time.Second)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return g, st
+}
+
+// BenchmarkCheckpoint10k is one checkpoint of 10,000 assessed devices:
+// the snapshot written and made durable, the journal it covers retired.
+// B/op is what a checkpoint holds at once beyond the live state.
+func BenchmarkCheckpoint10k(b *testing.B) {
+	g, st := durableGateway10k(b, b.TempDir())
+	defer st.Close()
+	if err := g.Checkpoint(); err != nil { // retires the 20,000 set-up records
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecover10k is a restart: store.Open of a state directory
+// holding a 10,000-device snapshot and a 2,000-record journal on top,
+// and Recover into a fresh gateway.
+func BenchmarkRecover10k(b *testing.B) {
+	dir := b.TempDir()
+	g, st := durableGateway10k(b, dir)
+	if err := g.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	base := time.Unix(8000, 0)
+	for i := 0; i < 1000; i++ {
+		mac := packet.MAC{0x02, 0xBF, 0, byte(i >> 8), byte(i), 9}
+		arp := packet.NewARP(mac, netip.MustParseAddr("192.168.1.9"), netip.MustParseAddr("192.168.1.1"))
+		if _, err := g.HandlePacket(base, arp); err != nil {
+			b.Fatal(err)
+		}
+		if err := g.FinishSetup(mac, base.Add(time.Second)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, rec, err := store.Open(dir, store.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fresh := benchGateway(DefaultShards, 0)
+		if stats, err := fresh.Recover(rec, base); err != nil || stats.Devices != 11000 || stats.Degraded {
+			b.Fatalf("recovered %s (%v)", stats, err)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -12,7 +14,7 @@ import (
 	"time"
 
 	"iotsentinel/internal/devices"
-	"iotsentinel/internal/features"
+	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/iotssp"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/sdn"
@@ -30,7 +32,90 @@ import (
 // device/quarantine/rule state or degrades to fail-closed strict —
 // never fail-open.
 
-const journalFile = "journal.wal" // mirrors store's journal name
+// stateFile is one file of a state directory.
+type stateFile struct {
+	name string
+	data []byte
+}
+
+// readState reads the files of a state directory that match pattern, in
+// name order — for "journal*.wal", the journal in record order.
+func readState(t *testing.T, dir, pattern string) []stateFile {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, pattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []stateFile
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, stateFile{filepath.Base(p), data})
+	}
+	return files
+}
+
+// writeState makes files the contents of the state directory dir (the
+// sweeps reuse one directory rather than make one per damaged byte).
+func writeState(t *testing.T, dir string, files ...stateFile) {
+	t.Helper()
+	for _, old := range readState(t, dir, "*.*") {
+		if err := os.Remove(filepath.Join(dir, old.name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range files {
+		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// crashCase is a reference run's on-disk state, to be damaged.
+type crashCase struct {
+	name     string
+	ref      *crashRef
+	snapshot []stateFile // snapshot.bin, if the run checkpointed
+	journal  []stateFile
+	// digest, if set, is the rule-table digest the commit that wrote the
+	// files recovered from them.
+	digest string
+}
+
+// crashCases are the states both sweeps run over: the reference run
+// journaled in the binary format across a segment boundary, and the
+// state directory the parent commit wrote for the same run with a real
+// checkpoint in the middle (JSON snapshot + JSON journal, see
+// store/testdata/legacy), checked against this commit's run of it.
+func crashCases(t *testing.T) []crashCase {
+	t.Helper()
+	dir := t.TempDir()
+	abandoned := errors.New("abandoned")
+	segments := crashCase{name: "segments", ref: buildCrashState(t, dir, func(g *Gateway) {
+		// A checkpoint that dies before its snapshot is renamed leaves
+		// the rotation behind: two segments, no snapshot.
+		err := g.cfg.Store.Checkpoint(func(*store.SnapshotWriter) error { return abandoned })
+		if !errors.Is(err, abandoned) {
+			t.Fatalf("abandoned checkpoint returned %v", err)
+		}
+	})}
+	if segments.journal = readState(t, dir, "journal*.wal"); len(segments.journal) != 2 {
+		t.Fatalf("reference journal has %d segments, want 2", len(segments.journal))
+	}
+
+	fixture := filepath.Join("..", "store", "testdata", "legacy")
+	legacy := crashCase{name: "legacy", ref: buildCrashState(t, t.TempDir(), func(g *Gateway) {
+		if err := g.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	})}
+	legacy.snapshot = readState(t, fixture, "snapshot.bin")
+	legacy.journal = readState(t, fixture, "journal.wal")
+	legacy.digest = strings.TrimSpace(string(readState(t, fixture, "digest")[0].data))
+	return []crashCase{segments, legacy}
+}
 
 // crashRef captures the reference run's final state plus every
 // legitimate assessment it ever produced (so a truncation that loses a
@@ -52,8 +137,10 @@ func arpPacket(mac packet.MAC) *packet.Packet {
 }
 
 // buildCrashState runs the reference scenario against a journaling
-// gateway rooted at dir and returns the pre-crash ground truth.
-func buildCrashState(t *testing.T, dir string) *crashRef {
+// gateway rooted at dir and returns the pre-crash ground truth. midway,
+// if set, runs in the middle of it — after device E was quarantined,
+// before it is promoted.
+func buildCrashState(t *testing.T, dir string, midway func(*Gateway)) *crashRef {
 	t.Helper()
 	st, rec, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -96,6 +183,9 @@ func buildCrashState(t *testing.T, dir string) *crashRef {
 	endE := capE.Times[len(capE.Times)-1]
 	if err := g.FinishSetup(capE.MAC, endE); err != nil {
 		t.Fatal(err)
+	}
+	if midway != nil {
+		midway(g)
 	}
 	if n, err := g.RetryQuarantined(endE.Add(10 * time.Second)); n != 1 || err != nil {
 		t.Fatalf("promote E: (%d, %v)", n, err)
@@ -156,15 +246,16 @@ func mustProfile(t *testing.T, id string) *devices.Profile {
 }
 
 // recoverInto opens the (possibly damaged) state dir and recovers a
-// fresh gateway from it.
+// fresh gateway from it. The gateway is for inspection: the store is
+// closed again before it is returned.
 func recoverInto(t *testing.T, dir string, ref *crashRef, now time.Time) (*Gateway, *store.Recovery, RecoveryStats) {
 	t.Helper()
 	st, rec, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatalf("Open after damage: %v", err)
 	}
-	t.Cleanup(func() { st.Close() })
-	g := newGatewayWithAssessor(ref.svc, Config{IdleGap: 5 * time.Second, Store: st})
+	defer st.Close()
+	g := newGatewayWithAssessor(ref.svc, Config{IdleGap: 5 * time.Second})
 	stats, err := g.Recover(rec, now)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -286,7 +377,7 @@ func checkExactRestore(t *testing.T, g *Gateway, ref *crashRef, recoverNow time.
 // devices).
 func TestCrashRecoveryExact(t *testing.T) {
 	dir := t.TempDir()
-	ref := buildCrashState(t, dir)
+	ref := buildCrashState(t, dir, nil)
 	recoverNow := time.Unix(20000, 0)
 	g, rec, stats := recoverInto(t, dir, ref, recoverNow)
 	if rec.Degraded {
@@ -300,29 +391,34 @@ func TestCrashRecoveryExact(t *testing.T) {
 }
 
 // TestCrashRecoveryTruncationSweep truncates the journal at every byte
-// offset — every possible torn write a crash can leave — and requires
-// each recovery to be clean (not degraded) and never fail-open.
+// offset — every possible torn write a crash can leave, in either
+// segment — and requires each recovery to be clean (not degraded) and
+// never fail-open, and the untruncated one to restore the run exactly.
 func TestCrashRecoveryTruncationSweep(t *testing.T) {
-	dir := t.TempDir()
-	ref := buildCrashState(t, dir)
-	full, err := os.ReadFile(filepath.Join(dir, journalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
 	recoverNow := time.Unix(20000, 0)
-	for cut := 0; cut <= len(full); cut++ {
-		tdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(tdir, journalFile), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		g, rec, _ := recoverInto(t, tdir, ref, recoverNow)
-		if rec.Degraded {
-			t.Fatalf("cut=%d: pure truncation must recover clean, got degraded: %v", cut, rec.Warnings)
-		}
-		checkNeverFailOpen(t, "cut", g, ref)
-		if cut == len(full) {
-			checkExactRestore(t, g, ref, recoverNow)
-		}
+	for _, tc := range crashCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for k, torn := range tc.journal {
+				newest := k == len(tc.journal)-1
+				for cut := 0; cut < len(torn.data) || (newest && cut == len(torn.data)); cut++ {
+					// The segments after a torn one did not exist yet.
+					files := append(append([]stateFile{}, tc.snapshot...), tc.journal[:k]...)
+					writeState(t, dir, append(files, stateFile{torn.name, torn.data[:cut]})...)
+					g, rec, _ := recoverInto(t, dir, tc.ref, recoverNow)
+					if rec.Degraded {
+						t.Fatalf("%s cut=%d: pure truncation must recover clean, got degraded: %v", torn.name, cut, rec.Warnings)
+					}
+					checkNeverFailOpen(t, "cut", g, tc.ref)
+					if newest && cut == len(torn.data) {
+						checkExactRestore(t, g, tc.ref, recoverNow)
+						if got := fmt.Sprintf("%016x", g.Switch().Controller().Rules().Digest()); tc.digest != "" && got != tc.digest {
+							t.Fatalf("recovered rule table digest %s, the commit that wrote the state recovered %s", got, tc.digest)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -331,31 +427,31 @@ func TestCrashRecoveryTruncationSweep(t *testing.T) {
 // fail-closed: the boot succeeds, but no recovered device keeps
 // network access on trust.
 func TestCrashRecoveryCorruptionSweep(t *testing.T) {
-	dir := t.TempDir()
-	ref := buildCrashState(t, dir)
-	full, err := os.ReadFile(filepath.Join(dir, journalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
 	recoverNow := time.Unix(20000, 0)
-	for pos := 0; pos < len(full); pos++ {
-		mut := append([]byte(nil), full...)
-		mut[pos] ^= 0xff
-		tdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(tdir, journalFile), mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		g, rec, _ := recoverInto(t, tdir, ref, recoverNow)
-		if !rec.Degraded {
-			t.Fatalf("pos=%d: corruption not flagged degraded", pos)
-		}
-		checkNeverFailOpen(t, "flip", g, ref)
-		// Degraded recovery: nothing recovered may be assessed.
-		for _, d := range g.Devices() {
-			if d.State != StateQuarantined || d.Level != sdn.Strict {
-				t.Fatalf("pos=%d: degraded recovery left %v at %v/%v", pos, d.MAC, d.State, d.Level)
+	for _, tc := range crashCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for k, f := range tc.journal {
+				for pos := range f.data {
+					files := append(append([]stateFile{}, tc.snapshot...), tc.journal...)
+					mut := append([]byte(nil), f.data...)
+					mut[pos] ^= 0xff
+					files[len(tc.snapshot)+k].data = mut
+					writeState(t, dir, files...)
+					g, rec, _ := recoverInto(t, dir, tc.ref, recoverNow)
+					if !rec.Degraded {
+						t.Fatalf("%s pos=%d: corruption not flagged degraded", f.name, pos)
+					}
+					checkNeverFailOpen(t, "flip", g, tc.ref)
+					// Degraded recovery: nothing recovered may be assessed.
+					for _, d := range g.Devices() {
+						if d.State != StateQuarantined || d.Level != sdn.Strict {
+							t.Fatalf("%s pos=%d: degraded recovery left %v at %v/%v", f.name, pos, d.MAC, d.State, d.Level)
+						}
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -366,7 +462,7 @@ func TestCrashRecoveryCorruptionSweep(t *testing.T) {
 // losing the journal suffix.
 func TestCrashRecoveryWithSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	ref := buildCrashState(t, dir)
+	ref := buildCrashState(t, dir, nil)
 
 	// Reopen and checkpoint the recovered state, then add one more
 	// quarantined device so the journal has a post-snapshot suffix.
@@ -398,25 +494,18 @@ func TestCrashRecoveryWithSnapshot(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snapBytes, err := os.ReadFile(filepath.Join(dir, "snapshot.bin"))
-	if err != nil {
-		t.Fatal(err)
+	snapshot := readState(t, dir, "snapshot.bin")[0]
+	journal := readState(t, dir, "journal*.wal")
+	if len(journal) != 1 {
+		t.Fatalf("%d journal segments after a checkpoint, want 1", len(journal))
 	}
-	jBytes, err := os.ReadFile(filepath.Join(dir, journalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
+	jBytes := journal[0].data
 
 	// Journal truncation sweep with the snapshot intact. The snapshot
 	// devices must survive every cut.
+	tdir := t.TempDir()
 	for cut := 0; cut <= len(jBytes); cut++ {
-		tdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(tdir, "snapshot.bin"), snapBytes, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(tdir, journalFile), jBytes[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeState(t, tdir, snapshot, stateFile{journal[0].name, jBytes[:cut]})
 		g2, rec2, _ := recoverInto(t, tdir, ref, recoverNow)
 		if rec2.Degraded {
 			t.Fatalf("cut=%d: truncation with intact snapshot degraded: %v", cut, rec2.Warnings)
@@ -439,15 +528,9 @@ func TestCrashRecoveryWithSnapshot(t *testing.T) {
 
 	// Corrupt the snapshot: recovery must degrade (fail-closed) but
 	// still boot and still replay the journal suffix.
-	tdir := t.TempDir()
-	mutSnap := append([]byte(nil), snapBytes...)
+	mutSnap := append([]byte(nil), snapshot.data...)
 	mutSnap[len(mutSnap)/2] ^= 0xff
-	if err := os.WriteFile(filepath.Join(tdir, "snapshot.bin"), mutSnap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(tdir, journalFile), jBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeState(t, tdir, stateFile{snapshot.name, mutSnap}, journal[0])
 	g3, rec3, _ := recoverInto(t, tdir, ref, recoverNow)
 	if !rec3.Degraded {
 		t.Fatal("corrupt snapshot must degrade recovery")
@@ -589,21 +672,22 @@ func TestRestartResumesQuarantineDrain(t *testing.T) {
 	}
 }
 
-// TestRecoverRejectsUnpackableJournaledRows: journal and snapshot keep
-// float rows, so replay is a boundary. A quarantine record whose rows
-// the extractor cannot have produced surfaces as store.RowsFingerprint's
-// error; Recover then keeps the device quarantined fail-closed but not
-// retryable, rather than parking some other fingerprint in its name.
+// TestRecoverRejectsUnpackableJournaledRows: journal and snapshot carry
+// packed words, and store.Open refuses a record holding one the
+// extractor cannot have produced; Recover is handed a *store.Recovery,
+// so it checks again (fingerprint.FromF). A quarantine record with such
+// a word keeps the device quarantined fail-closed but not retryable,
+// rather than parking some other fingerprint in its name.
 func TestRecoverRejectsUnpackableJournaledRows(t *testing.T) {
 	fp := devices.GenerateDataset(1, 5)["EdnetCam"][0]
-	good := store.FRows(fp)
-	if back, err := store.RowsFingerprint(good); err != nil || back.CanonicalKey() != fp.CanonicalKey() {
-		t.Fatalf("journal rows do not round-trip: %v", err)
+	good := fp.F
+	if back, err := fingerprint.FromF(good); err != nil || back.CanonicalKey() != fp.CanonicalKey() {
+		t.Fatalf("a journaled F does not round-trip: %v", err)
 	}
-	bad := store.FRows(fp)
-	bad[1][features.FeatSize] += 0.5
-	if _, err := store.RowsFingerprint(bad); err == nil || !strings.Contains(err.Error(), "store: fingerprint row 1") {
-		t.Fatalf("RowsFingerprint(fractional size) = %v, want a store error naming row 1", err)
+	bad := append(fingerprint.F(nil), fp.F...)
+	bad[1] |= 1 << 63 // the reserved bit
+	if _, err := fingerprint.FromF(bad); err == nil || !strings.Contains(err.Error(), "not a packed feature symbol") {
+		t.Fatalf("FromF(reserved-bit word) = %v, want an error naming the word", err)
 	}
 
 	at := time.Unix(7000, 0)

@@ -6,10 +6,9 @@
 package gateway
 
 import (
-	"bytes"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,8 +144,9 @@ type Config struct {
 	OnStoreError func(error)
 	// LearnState, if set, is sampled by Checkpoint so the online
 	// learner's cluster state rides in the gateway's snapshot (the
-	// journal is compacted up to the snapshot, so the snapshot must be
-	// self-contained). It is called without gateway locks held.
+	// journal segments the snapshot covers are unlinked, so the
+	// snapshot must be self-contained). It is called without gateway
+	// locks held.
 	LearnState func() *store.LearnState
 }
 
@@ -154,6 +154,11 @@ type Config struct {
 type quarantined struct {
 	fp    fingerprint.Fingerprint
 	since time.Time
+	// acked is set once the demotion that parked the fingerprint has
+	// been acknowledged (durable, OnQuarantined returned). The retry
+	// drain leaves the entry alone until then, so that a promotion is
+	// never acknowledged ahead of the demotion it undoes.
+	acked bool
 }
 
 // Gateway is the Security Gateway. Per-device state is striped across
@@ -176,6 +181,11 @@ type Gateway struct {
 	// (Config.AssessQueue > 0). Close swaps it to nil; a capture that
 	// finishes afterwards is assessed inline.
 	async atomic.Pointer[asyncAssess]
+
+	// checkpointHook is nil outside tests. Checkpoint calls it after
+	// each shard's rows are written — mid-file, no lock held — so a test
+	// can hold a snapshot open and show that nothing waits for it.
+	checkpointHook func()
 }
 
 // New wires a gateway to its switch and the security service, and
@@ -349,9 +359,7 @@ func (g *Gateway) FinishAllSetups(now time.Time) (int, error) {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(macs, func(i, j int) bool {
-		return bytes.Compare(macs[i][:], macs[j][:]) < 0
-	})
+	slices.SortFunc(macs, packet.MAC.Compare)
 	if len(macs) == 0 {
 		return 0, nil
 	}
@@ -432,22 +440,25 @@ func (g *Gateway) quarantineDevice(mac packet.MAC, fp *fingerprint.Fingerprint, 
 		info.QuarantinedAt = now
 	}
 	info.AssessAttempts++
-	// Journaled durably (fsync before the append returns): losing a
-	// demotion to a crash would bring the device back unrestricted.
-	g.record(store.Event{
+	// Journaled durably: losing a demotion to a crash would bring the
+	// device back unrestricted. The strict rule is already installed;
+	// the fsync is waited for below, with the shard lock released.
+	seq := g.record(store.Event{
 		Kind:         store.EvQuarantined,
 		MAC:          mac,
 		At:           now,
 		FirstSeen:    info.FirstSeen,
 		Attempts:     info.AssessAttempts,
 		SetupPackets: info.SetupPackets,
-		Fingerprint:  store.FRows(*fp),
+		Fingerprint:  fp.F,
 	})
 	g.qmu.Lock()
-	if q, queued := g.quarantine[mac]; queued {
-		q.fp = *fp
+	q := g.quarantine[mac]
+	if q != nil {
+		q.fp, q.acked = *fp, false
 	} else if len(g.quarantine) < g.maxQuarantined() {
-		g.quarantine[mac] = &quarantined{fp: *fp, since: now}
+		q = &quarantined{fp: *fp, since: now}
+		g.quarantine[mac] = q
 	}
 	g.cfg.Metrics.incAssess(false)
 	g.cfg.Metrics.setQuarantineDepth(len(g.quarantine))
@@ -455,8 +466,14 @@ func (g *Gateway) quarantineDevice(mac packet.MAC, fp *fingerprint.Fingerprint, 
 	snapshot := *info
 	s.mu.Unlock()
 
+	g.awaitDurable(seq)
 	if g.cfg.OnQuarantined != nil {
 		g.cfg.OnQuarantined(snapshot, cause)
+	}
+	if q != nil {
+		g.qmu.Lock()
+		q.acked = true
+		g.qmu.Unlock()
 	}
 }
 
@@ -483,12 +500,12 @@ func (g *Gateway) QuarantineLen() int {
 func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 	g.qmu.Lock()
 	macs := make([]packet.MAC, 0, len(g.quarantine))
-	for mac := range g.quarantine {
-		macs = append(macs, mac)
+	for mac, q := range g.quarantine {
+		if q.acked {
+			macs = append(macs, mac)
+		}
 	}
-	sort.Slice(macs, func(i, j int) bool {
-		return bytes.Compare(macs[i][:], macs[j][:]) < 0
-	})
+	slices.SortFunc(macs, packet.MAC.Compare)
 	entries := make([]*quarantined, len(macs))
 	fps := make([]fingerprint.Fingerprint, len(macs))
 	for i, mac := range macs {
@@ -549,9 +566,7 @@ func (g *Gateway) FinalizeIdleCaptures(now time.Time) int {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(jobs, func(i, j int) bool {
-		return bytes.Compare(jobs[i].mac[:], jobs[j].mac[:]) < 0
-	})
+	slices.SortFunc(jobs, func(a, b assessJob) int { return a.mac.Compare(b.mac) })
 	for _, job := range jobs {
 		job.assess(g)
 	}
@@ -637,10 +652,11 @@ func (g *Gateway) apply(mac packet.MAC, a iotssp.Assessment, fp *fingerprint.Fin
 // paper describes for departed devices).
 func (g *Gateway) RemoveDevice(mac packet.MAC) {
 	s := g.shardOf(mac)
+	var seq uint64
 	s.mu.Lock()
 	if info := s.devices[mac]; info != nil {
 		g.cfg.Metrics.stateChange(info.State, 0)
-		g.record(store.Event{Kind: store.EvRemoved, MAC: mac, At: time.Now()})
+		seq = g.record(store.Event{Kind: store.EvRemoved, MAC: mac, At: time.Now()})
 	}
 	delete(s.devices, mac)
 	delete(s.captures, mac)
@@ -649,6 +665,9 @@ func (g *Gateway) RemoveDevice(mac packet.MAC) {
 	g.cfg.Metrics.setQuarantineDepth(len(g.quarantine))
 	g.qmu.Unlock()
 	s.mu.Unlock()
+	// The removal is durable before its rule goes: a crash in between
+	// recovers the device as gone (no rule ⇒ strict), never the reverse.
+	g.awaitDurable(seq)
 	g.sw.Controller().Rules().Remove(mac)
 	g.sw.InvalidateDevice(mac)
 	g.monitor.Forget(mac)
@@ -679,8 +698,6 @@ func (g *Gateway) Devices() []DeviceInfo {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].MAC.String() < out[j].MAC.String()
-	})
+	slices.SortFunc(out, func(a, b DeviceInfo) int { return a.MAC.Compare(b.MAC) })
 	return out
 }

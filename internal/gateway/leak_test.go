@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,12 +13,14 @@ import (
 
 // TestGatewayShutdownLeaksNothing pins the managed-goroutine contract
 // of the full daemon assembly: a gateway with async assessment drains,
-// an expiry sweeper, a quarantine retry worker, and a journaling store
-// must leave zero goroutines behind after Shutdown/Close.
+// an expiry sweeper, a quarantine retry worker, a checkpoint worker and
+// a journaling store (with its committer) must leave zero goroutines
+// behind after Shutdown/Close.
 func TestGatewayShutdownLeaksNothing(t *testing.T) {
 	defer testutil.AssertNoGoroutineLeaks(t)()
 
-	st, _, err := store.Open(t.TempDir(), store.Options{})
+	dir := t.TempDir()
+	st, _, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,6 +32,7 @@ func TestGatewayShutdownLeaksNothing(t *testing.T) {
 	})
 	expiry := NewExpiryWorker(gw, 10*time.Millisecond)
 	retry := NewRetryWorker(gw, 10*time.Millisecond)
+	checkpoint := NewCheckpointWorker(gw, 10*time.Millisecond)
 
 	// Push real traffic through so drain goroutines, assessments, and
 	// journal appends are all live when teardown starts.
@@ -42,6 +47,17 @@ func TestGatewayShutdownLeaksNothing(t *testing.T) {
 
 	expiry.Shutdown()
 	retry.Shutdown()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(filepath.Join(dir, "snapshot.bin")); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the checkpoint worker wrote no snapshot in 5 s")
+		}
+	}
+	if n := checkpoint.Shutdown(); n < 1 {
+		t.Errorf("checkpoint worker reports %d snapshots beside the one on disk", n)
+	}
 	gw.Close()
 	if err := st.Close(); err != nil {
 		t.Errorf("store close: %v", err)

@@ -1,24 +1,28 @@
 package gateway
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"iotsentinel/internal/core"
+	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/sdn"
 	"iotsentinel/internal/store"
 )
 
 // Durable state & crash recovery. With Config.Store set, every device
-// lifecycle transition is journaled as it happens (inside the owning
-// shard's critical section, so journal order matches state order;
-// lock order stays shard.mu → qmu → store). Recover rebuilds the
-// device map, the quarantine retry queue, *and* the SDN rule table
-// from the snapshot + journal, so enforcement after a crash matches
-// enforcement before it — or fails closed:
+// lifecycle transition is enqueued in the journal as it happens (inside
+// the owning shard's critical section, so journal order matches state
+// order; lock order stays shard.mu → qmu → store) — enqueued, not
+// written: no shard lock is held across a disk write or an fsync. A
+// demotion (quarantine, removal) is waited for with the lock released
+// and acknowledged only once it is durable (DESIGN §11 states the
+// ordering). Recover rebuilds the device map, the quarantine retry
+// queue, *and* the SDN rule table from the snapshot + journal, so
+// enforcement after a crash matches enforcement before it — or fails
+// closed:
 //
 //   - A device that was mid-monitoring lost its setup capture with the
 //     process; it is demoted to strict quarantine rather than left in
@@ -30,16 +34,33 @@ import (
 //     Parked fingerprints stay in the retry queue, so the retry worker
 //     re-promotes what the service still vouches for.
 
-// record journals one lifecycle event. Persistence failures never
-// interrupt the data path: the gateway keeps enforcing from memory and
-// reports the error to Config.OnStoreError (which is called with shard
-// locks held — it must not call back into the gateway).
-func (g *Gateway) record(ev store.Event) {
-	if g.cfg.Store == nil {
-		return
-	}
-	if _, err := g.cfg.Store.Append(ev); err != nil && g.cfg.OnStoreError != nil {
+// storeError reports a persistence failure to Config.OnStoreError.
+// Persistence failures never interrupt the data path: the gateway keeps
+// enforcing from memory. The callback may run with shard locks held — it
+// must not call back into the gateway.
+func (g *Gateway) storeError(err error) {
+	if err != nil && g.cfg.OnStoreError != nil {
 		g.cfg.OnStoreError(err)
+	}
+}
+
+// record enqueues one lifecycle event in the journal and returns its
+// sequence number (0 when there is nothing to wait for).
+func (g *Gateway) record(ev store.Event) uint64 {
+	if g.cfg.Store == nil {
+		return 0
+	}
+	seq, err := g.cfg.Store.Enqueue(ev)
+	g.storeError(err)
+	return seq
+}
+
+// awaitDurable blocks until the demotion record returned as seq is on
+// disk. The caller has released its shard lock and has not yet
+// acknowledged the demotion.
+func (g *Gateway) awaitDurable(seq uint64) {
+	if seq != 0 {
+		g.storeError(g.cfg.Store.WaitDurable(seq))
 	}
 }
 
@@ -135,11 +156,11 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 			}
 		}
 		for _, q := range rec.Snapshot.Quarantine {
-			fp, err := store.RowsFingerprint(q.Fingerprint)
+			fp, err := fingerprint.FromF(q.Fingerprint)
 			if err != nil {
 				continue // device stays quarantined, just not retryable
 			}
-			parked[q.MAC] = &quarantined{fp: fp, since: q.Since}
+			parked[q.MAC] = &quarantined{fp: fp, since: q.Since, acked: true}
 		}
 	}
 
@@ -179,8 +200,8 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 			}
 			info.AssessAttempts = ev.Attempts
 			info.SetupPackets = ev.SetupPackets
-			if fp, err := store.RowsFingerprint(ev.Fingerprint); err == nil {
-				parked[ev.MAC] = &quarantined{fp: fp, since: ev.At}
+			if fp, err := fingerprint.FromF(ev.Fingerprint); err == nil {
+				parked[ev.MAC] = &quarantined{fp: fp, since: ev.At, acked: true}
 			}
 		case store.EvRemoved:
 			delete(devices, ev.MAC)
@@ -215,7 +236,7 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 	for mac := range devices {
 		macs = append(macs, mac)
 	}
-	sort.Slice(macs, func(i, j int) bool { return bytes.Compare(macs[i][:], macs[j][:]) < 0 })
+	slices.SortFunc(macs, packet.MAC.Compare)
 	for _, mac := range macs {
 		info := devices[mac]
 		s := g.shardOf(mac)
@@ -261,54 +282,66 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 	return stats, nil
 }
 
-// Checkpoint snapshots the gateway's durable state and compacts the
-// journal. The snapshot sequence number is sampled before state
-// collection, so transitions racing the checkpoint stay in the journal
-// and replay idempotently on top of the snapshot.
+// Checkpoint snapshots the gateway's durable state and retires the
+// journal segments it covers, beside live traffic: the store fixes the
+// snapshot's sequence number before anything is collected (so
+// transitions racing the checkpoint stay in the journal and replay
+// idempotently on top of it), each shard is locked only while its
+// devices are copied into a scratch slice, and rows are encoded and
+// written with no gateway or store lock held.
 func (g *Gateway) Checkpoint() error {
 	st := g.cfg.Store
 	if st == nil {
 		return nil
 	}
-	snap := &store.Snapshot{Seq: st.Seq(), TakenAt: time.Now()}
-	if g.cfg.LearnState != nil {
-		snap.Learn = g.cfg.LearnState()
-	}
-	for _, s := range g.shards {
-		s.mu.Lock()
-		for _, info := range s.devices {
-			snap.Devices = append(snap.Devices, store.DeviceRecord{
-				MAC:             info.MAC,
-				State:           info.State.String(),
-				Type:            string(info.Type),
-				Level:           int(info.Level),
-				PermittedIPs:    info.PermittedIPs,
-				Vulnerabilities: info.Vulnerabilities,
-				FirstSeen:       info.FirstSeen,
-				AssessedAt:      info.AssessedAt,
-				QuarantinedAt:   info.QuarantinedAt,
-				SetupPackets:    info.SetupPackets,
-				AssessAttempts:  info.AssessAttempts,
-			})
+	return st.Checkpoint(func(w *store.SnapshotWriter) error {
+		if g.cfg.LearnState != nil {
+			if err := w.Learn(g.cfg.LearnState()); err != nil {
+				return err
+			}
 		}
-		s.mu.Unlock()
-	}
-	sort.Slice(snap.Devices, func(i, j int) bool {
-		return bytes.Compare(snap.Devices[i].MAC[:], snap.Devices[j].MAC[:]) < 0
+		var devices []store.DeviceRecord
+		for _, s := range g.shards {
+			devices = devices[:0]
+			s.mu.Lock()
+			for _, info := range s.devices {
+				devices = append(devices, store.DeviceRecord{
+					MAC:             info.MAC,
+					State:           info.State.String(),
+					Type:            string(info.Type),
+					Level:           int(info.Level),
+					PermittedIPs:    info.PermittedIPs,
+					Vulnerabilities: info.Vulnerabilities,
+					FirstSeen:       info.FirstSeen,
+					AssessedAt:      info.AssessedAt,
+					QuarantinedAt:   info.QuarantinedAt,
+					SetupPackets:    info.SetupPackets,
+					AssessAttempts:  info.AssessAttempts,
+				})
+			}
+			s.mu.Unlock()
+			for i := range devices {
+				if err := w.Device(&devices[i]); err != nil {
+					return err
+				}
+			}
+			if g.checkpointHook != nil {
+				g.checkpointHook()
+			}
+		}
+		g.qmu.Lock()
+		parked := make([]store.QuarantineRecord, 0, len(g.quarantine))
+		for mac, q := range g.quarantine {
+			parked = append(parked, store.QuarantineRecord{MAC: mac, Since: q.since, Fingerprint: q.fp.F})
+		}
+		g.qmu.Unlock()
+		for i := range parked {
+			if err := w.Quarantine(&parked[i]); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
-	g.qmu.Lock()
-	for mac, q := range g.quarantine {
-		snap.Quarantine = append(snap.Quarantine, store.QuarantineRecord{
-			MAC:         mac,
-			Since:       q.since,
-			Fingerprint: store.FRows(q.fp),
-		})
-	}
-	g.qmu.Unlock()
-	sort.Slice(snap.Quarantine, func(i, j int) bool {
-		return bytes.Compare(snap.Quarantine[i].MAC[:], snap.Quarantine[j].MAC[:]) < 0
-	})
-	return st.Checkpoint(snap)
 }
 
 // Shutdown is the graceful stop: the caller has already stopped

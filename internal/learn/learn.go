@@ -254,7 +254,7 @@ func (l *Learner) process(fp fingerprint.Fingerprint) {
 		At:          time.Now(),
 		Cluster:     c.id,
 		Members:     members,
-		Fingerprint: store.FRows(fp),
+		Fingerprint: fp.F,
 	})
 	if proposed {
 		l.cfg.Metrics.incProposal()
@@ -475,9 +475,10 @@ func (l *Learner) Clusters() []ClusterInfo {
 }
 
 // SnapshotState captures the full cluster state for the gateway
-// snapshot (wire it to gateway.Config.LearnState). Checkpoint compacts
+// snapshot (wire it to gateway.Config.LearnState). Checkpoint retires
 // the journal up to the snapshot, so this must be self-contained: every
-// member fingerprint is included.
+// member fingerprint is included (its F, shared with the live member —
+// an F is never modified).
 func (l *Learner) SnapshotState() *store.LearnState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -488,10 +489,10 @@ func (l *Learner) SnapshotState() *store.LearnState {
 			Type:     string(c.typeName),
 			Proposed: c.proposed,
 			Promoted: c.promoted,
-			Members:  make([][][]float64, 0, len(c.members)),
+			Members:  make([]fingerprint.F, 0, len(c.members)),
 		}
 		for _, fp := range c.members {
-			cr.Members = append(cr.Members, store.FRows(fp))
+			cr.Members = append(cr.Members, fp.F)
 		}
 		ls.Clusters = append(ls.Clusters, cr)
 	}
@@ -549,8 +550,8 @@ func (l *Learner) Recover(rec *store.Recovery) (RecoverStats, error) {
 				proposed: cr.Proposed,
 				promoted: cr.Promoted,
 			}
-			for _, rows := range cr.Members {
-				fp, err := store.RowsFingerprint(rows)
+			for _, f := range cr.Members {
+				fp, err := fingerprint.FromF(f)
 				if err != nil {
 					continue // unusable member: the cluster just has less evidence
 				}
@@ -570,7 +571,7 @@ func (l *Learner) Recover(rec *store.Recovery) (RecoverStats, error) {
 	for _, ev := range rec.Events {
 		switch ev.Kind {
 		case store.EvUnknownObserved:
-			fp, err := store.RowsFingerprint(ev.Fingerprint)
+			fp, err := fingerprint.FromF(ev.Fingerprint)
 			if err != nil {
 				continue
 			}

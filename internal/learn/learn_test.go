@@ -316,11 +316,11 @@ func TestLearnSnapshotCheckpoint(t *testing.T) {
 		l.Observe(fp)
 	}
 	l.Wait()
-	// Checkpoint compacts the journal; the snapshot must carry the
+	// Checkpoint retires the journal; the snapshot must carry the
 	// clusters (this is what gateway.Checkpoint does via
 	// Config.LearnState).
-	snap := &store.Snapshot{Seq: st.Seq(), TakenAt: time.Now(), Learn: l.SnapshotState()}
-	if err := st.Checkpoint(snap); err != nil {
+	err := st.Checkpoint(func(w *store.SnapshotWriter) error { return w.Learn(l.SnapshotState()) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	l.Close()

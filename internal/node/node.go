@@ -188,6 +188,12 @@ func (fa *FleetAssessor) AssessBatch(fps []fingerprint.Fingerprint) ([]iotssp.As
 	return as, err
 }
 
+// CheckpointEvery is the period of a deployed gateway's
+// gateway.CheckpointWorker: how much churn a restart replays at most. A
+// constant and not a flag — a checkpoint runs beside traffic without
+// stalling it, and an idle period costs one sequence-number read.
+const CheckpointEvery = time.Minute
+
 // GatewayConfig completes cfg — the caller's callbacks, metrics bundle
 // and timing — into the configuration every node's gateway runs with:
 // the shard count and the assess queue depth the benchmark measures

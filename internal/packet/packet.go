@@ -12,6 +12,7 @@
 package packet
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 )
@@ -183,6 +184,10 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x",
 		m[0], m[1], m[2], m[3], m[4], m[5])
 }
+
+// Compare orders addresses by their bytes — the order of their String
+// forms, which are fixed-width lower-case hex.
+func (m MAC) Compare(o MAC) int { return bytes.Compare(m[:], o[:]) }
 
 // IsBroadcast reports whether the address is ff:ff:ff:ff:ff:ff.
 func (m MAC) IsBroadcast() bool {

@@ -95,7 +95,7 @@ func (m *TrafficMonitor) TopTalkers(n int) []DeviceStats {
 		if out[i].Bytes != out[j].Bytes {
 			return out[i].Bytes > out[j].Bytes
 		}
-		return out[i].MAC.String() < out[j].MAC.String()
+		return out[i].MAC.Compare(out[j].MAC) < 0
 	})
 	if n > 0 && len(out) > n {
 		out = out[:n]

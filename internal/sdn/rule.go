@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"iotsentinel/internal/packet"
@@ -174,9 +174,7 @@ func (c *RuleCache) Rules() []*EnforcementRule {
 		cp := *r
 		out = append(out, &cp)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].DeviceMAC.String() < out[j].DeviceMAC.String()
-	})
+	slices.SortFunc(out, func(a, b *EnforcementRule) int { return a.DeviceMAC.Compare(b.DeviceMAC) })
 	return out
 }
 

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"net/netip"
 	"time"
 
@@ -65,9 +64,17 @@ const (
 	EvRolloutRolledBack EventKind = "rollout_rolled_back"
 )
 
+// kindCodes maps each kind to its byte in a binary record (the index);
+// codes are part of the format and are never reused.
+var kindCodes = [...]EventKind{
+	1: EvCaptureStarted, 2: EvAssessed, 3: EvQuarantined, 4: EvPromoted, 5: EvRemoved,
+	6: EvUnknownObserved, 7: EvTypeProposed, 8: EvTypePromoted,
+	9: EvRolloutStarted, 10: EvRolloutPromoted, 11: EvRolloutRolledBack,
+}
+
 // Event is one journal record. Fields beyond Seq/Kind/MAC/At are
 // populated per kind; absolute values (not deltas) so replay is
-// idempotent.
+// idempotent. The JSON tags are the legacy journal's (legacy.go).
 type Event struct {
 	Seq  uint64     `json:"seq"`
 	Kind EventKind  `json:"kind"`
@@ -88,10 +95,10 @@ type Event struct {
 
 	// Quarantine fields (EvQuarantined).
 	Attempts int `json:"attempts,omitempty"`
-	// Fingerprint is the parked fingerprint's F matrix; F′ is
-	// re-derived on recovery. EvUnknownObserved reuses it for the
+	// Fingerprint is the parked fingerprint's F; F′ is re-derived on
+	// recovery (fingerprint.FromF). EvUnknownObserved reuses it for the
 	// cluster member's F.
-	Fingerprint [][]float64 `json:"fingerprint,omitempty"`
+	Fingerprint fingerprint.F `json:"-"`
 
 	// Online-learning fields (EvUnknownObserved, EvTypeProposed,
 	// EvTypePromoted). Cluster is the cluster's stable name; Members is
@@ -107,7 +114,7 @@ type Event struct {
 	Canaries      []string `json:"canaries,omitempty"`
 }
 
-// durable reports whether the event must be fsynced before Append
+// durable reports whether the event must be on disk before Append
 // returns. Security demotions are: losing one to a crash would let a
 // device the gateway decided to isolate come back unrestricted.
 // Promotions batch — losing one recovers the device at something
@@ -121,17 +128,4 @@ func (e *Event) durable() bool {
 		return true
 	}
 	return false
-}
-
-// FRows is a fingerprint's F as the float rows journal events carry.
-func FRows(fp fingerprint.Fingerprint) [][]float64 { return fp.F.Rows() }
-
-// RowsFingerprint rebuilds a Fingerprint from journaled F rows,
-// re-deriving F′; rows the extractor cannot have produced are an error.
-func RowsFingerprint(rows [][]float64) (fingerprint.Fingerprint, error) {
-	fp, err := fingerprint.FromRows(rows)
-	if err != nil {
-		return fingerprint.Fingerprint{}, fmt.Errorf("store: fingerprint %w", err)
-	}
-	return fp, nil
 }

@@ -1,37 +1,43 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
-// Journal wire format: a sequence of length-prefixed, CRC32C-framed
-// records. Each frame is
+// Journal wire format: segment files, each a sequence of
+// length-prefixed, CRC32C-framed records. A frame is
 //
 //	uint32 LE  payload length
 //	uint32 LE  CRC32C(payload)
 //	uint32 LE  CRC32C(first 8 header bytes)
-//	payload    JSON-encoded Event
+//	payload    one binary Event (codec.go)
 //
 // The header carries its own CRC so a flipped bit in the length field
 // is detected as corruption instead of silently re-framing the rest of
 // the file. Recovery distinguishes two kinds of damage:
 //
-//   - Torn tail: the final frame is incomplete (fewer than 12 header
-//     bytes remain, or the declared payload extends past EOF). This is
-//     the normal residue of a crash mid-append — the tail is truncated
-//     with a warning and recovery stays clean.
+//   - Torn tail: the final frame of the newest segment is incomplete.
+//     This is the normal residue of a crash mid-append — the tail is
+//     truncated with a warning and recovery stays clean.
 //   - Corruption: a CRC or decode failure on a frame whose bytes are
-//     all present. Frame boundaries after this point cannot be
-//     trusted, so the scan stops, the tail is truncated, and recovery
-//     is flagged degraded — the caller must fail closed for the state
-//     it rebuilds, because the lost suffix may have hidden a demotion.
+//     all present, or an incomplete frame in a segment that was rotated
+//     out (rotation fsyncs a segment before the next one exists). Frame
+//     boundaries after it in that segment cannot be trusted, so the
+//     segment's scan stops and recovery is flagged degraded — the caller
+//     must fail closed for the state it rebuilds, because the lost
+//     records may have hidden a demotion. Later segments have boundaries
+//     of their own and still replay.
+//
+// Segments are named after the first sequence number they may hold, so
+// name order is record order. A checkpoint rotates to a new segment at
+// the snapshot's sequence number and, once the snapshot is durable,
+// unlinks the older ones whole: no record is ever read back and
+// rewritten.
 
 var crc32c = crc32.MakeTable(crc32.Castagnoli)
 
@@ -41,267 +47,144 @@ const (
 	// corruption even if its CRC matches (defense in depth — it cannot
 	// happen through Append).
 	maxFrameLen = 16 << 20
+
+	segmentFormat = "journal-%016x.wal"
+	// legacyJournalName is the single journal file of the JSON format;
+	// it is read as the oldest segment and never appended to.
+	legacyJournalName = "journal.wal"
 )
 
-// journal is the append half of the wire format. Callers synchronize.
-type journal struct {
-	path    string
-	f       *os.File
-	w       *bufio.Writer
-	seq     uint64
-	pending int // appends since the last fsync
+func segmentName(first uint64) string { return fmt.Sprintf(segmentFormat, first) }
+
+// segmentFirst parses the sequence number out of a segment's file name;
+// 0 (never a first sequence number) for any other file.
+func segmentFirst(name string) (first uint64) {
+	if n, _ := fmt.Sscanf(name, segmentFormat, &first); n != 1 || segmentName(first) != name {
+		return 0
+	}
+	return first
 }
 
-// scanResult is what a journal scan found.
-type scanResult struct {
-	events    []Event
-	goodSize  int64 // offset of the first undecodable byte
-	tornBytes int64
-	corrupt   bool
-	warnings  []string
+// listSegments returns the journal files under dir in record order: the
+// legacy journal, if there is one, then the segments by name.
+func listSegments(dir string) (paths []string) {
+	if _, err := os.Stat(filepath.Join(dir, legacyJournalName)); err == nil {
+		paths = append(paths, filepath.Join(dir, legacyJournalName))
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.wal")) // the pattern is well-formed
+	sort.Strings(segs)
+	for _, path := range segs {
+		if segmentFirst(filepath.Base(path)) != 0 {
+			paths = append(paths, path)
+		}
+	}
+	return paths
 }
 
-// openJournal opens (creating if needed) the journal, scans every
-// decodable record, truncates any damaged tail, and leaves the file
-// positioned for appends.
-func openJournal(path string) (*journal, scanResult, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// damage is why a frame could not be read. torn means the bytes simply
+// end early — what a crash mid-write leaves; anything else is
+// corruption.
+type damage struct {
+	torn bool
+	msg  string
+}
+
+func (d *damage) String() string { return d.msg }
+
+// nextFrame returns the payload of the frame at data[off:], off <
+// len(data), as a slice of data, and the offset of the frame after it —
+// or the damage that keeps those bytes from being a frame of at most
+// max payload bytes.
+func nextFrame(data []byte, off, max int) (payload []byte, next int, dmg *damage) {
+	remain := len(data) - off
+	if remain < frameHeaderLen {
+		return nil, off, &damage{torn: true, msg: fmt.Sprintf("%d-byte partial frame header at offset %d", remain, off)}
+	}
+	hdr := data[off : off+frameHeaderLen]
+	length := int(binary.LittleEndian.Uint32(hdr[0:4]))
+	switch {
+	case crc32.Checksum(hdr[:8], crc32c) != binary.LittleEndian.Uint32(hdr[8:12]):
+		return nil, off, &damage{msg: fmt.Sprintf("corrupt frame header at offset %d", off)}
+	case length > max:
+		return nil, off, &damage{msg: fmt.Sprintf("implausible %d-byte frame at offset %d", length, off)}
+	case remain-frameHeaderLen < length:
+		return nil, off, &damage{torn: true, msg: fmt.Sprintf("frame at offset %d declares %d payload bytes, %d present",
+			off, length, remain-frameHeaderLen)}
+	}
+	next = off + frameHeaderLen + length
+	payload = data[off+frameHeaderLen : next]
+	if crc32.Checksum(payload, crc32c) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return nil, off, &damage{msg: fmt.Sprintf("corrupt frame payload at offset %d", off)}
+	}
+	return payload, next, nil
+}
+
+// scanSegment decodes the records of one journal file in order, handing
+// each to visit. It returns the offset of the first byte it could not
+// use, the file's size, and the damage found there (nil for a clean
+// file).
+func scanSegment(path string, visit func(*Event)) (good, size int, dmg *damage, err error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, scanResult{}, fmt.Errorf("store: open journal: %w", err)
+		return 0, 0, nil, fmt.Errorf("store: read journal: %w", err)
 	}
-	scan, err := scanJournal(f)
-	if err != nil {
-		_ = f.Close()
-		return nil, scanResult{}, err
-	}
-	if scan.tornBytes > 0 {
-		if err := f.Truncate(scan.goodSize); err != nil {
-			_ = f.Close()
-			return nil, scanResult{}, fmt.Errorf("store: truncate journal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(scan.goodSize, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, scanResult{}, fmt.Errorf("store: seek journal: %w", err)
-	}
-	j := &journal{path: path, f: f, w: bufio.NewWriter(f)}
-	for _, ev := range scan.events {
-		if ev.Seq > j.seq {
-			j.seq = ev.Seq
-		}
-	}
-	return j, scan, nil
-}
-
-// scanJournal decodes records from the start of f until EOF or damage.
-func scanJournal(f *os.File) (scanResult, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return scanResult{}, fmt.Errorf("store: stat journal: %w", err)
-	}
-	size := st.Size()
-	r := bufio.NewReader(io.NewSectionReader(f, 0, size))
-
-	var res scanResult
-	var off int64
-	hdr := make([]byte, frameHeaderLen)
-	for off < size {
-		remain := size - off
-		if remain < frameHeaderLen {
-			res.warnings = append(res.warnings,
-				fmt.Sprintf("torn tail: %d-byte partial frame header at offset %d, truncated", remain, off))
+	for good < len(data) && dmg == nil {
+		payload, next, d := nextFrame(data, good, maxFrameLen)
+		if dmg = d; dmg != nil {
 			break
 		}
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			return scanResult{}, fmt.Errorf("store: read journal: %w", err)
+		if ev, err := decodeEvent(payload); err != nil {
+			dmg = &damage{msg: fmt.Sprintf("undecodable record at offset %d (%v)", good, err)}
+		} else {
+			visit(&ev)
+			good = next
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		payloadCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		hdrCRC := binary.LittleEndian.Uint32(hdr[8:12])
-		if crc32.Checksum(hdr[:8], crc32c) != hdrCRC {
-			res.corrupt = true
-			res.warnings = append(res.warnings,
-				fmt.Sprintf("corrupt frame header at offset %d, journal suffix dropped (fail-closed recovery)", off))
-			break
-		}
-		if length > maxFrameLen {
-			res.corrupt = true
-			res.warnings = append(res.warnings,
-				fmt.Sprintf("implausible %d-byte frame at offset %d, journal suffix dropped (fail-closed recovery)", length, off))
-			break
-		}
-		if remain-frameHeaderLen < int64(length) {
-			res.warnings = append(res.warnings,
-				fmt.Sprintf("torn tail: frame at offset %d declares %d payload bytes, %d present, truncated",
-					off, length, remain-frameHeaderLen))
-			break
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return scanResult{}, fmt.Errorf("store: read journal: %w", err)
-		}
-		if crc32.Checksum(payload, crc32c) != payloadCRC {
-			res.corrupt = true
-			res.warnings = append(res.warnings,
-				fmt.Sprintf("corrupt record payload at offset %d, journal suffix dropped (fail-closed recovery)", off))
-			break
-		}
-		var ev Event
-		if err := json.Unmarshal(payload, &ev); err != nil {
-			res.corrupt = true
-			res.warnings = append(res.warnings,
-				fmt.Sprintf("undecodable record at offset %d (%v), journal suffix dropped (fail-closed recovery)", off, err))
-			break
-		}
-		res.events = append(res.events, ev)
-		off += frameHeaderLen + int64(length)
 	}
-	res.goodSize = off
-	res.tornBytes = size - off
-	return res, nil
+	return good, len(data), dmg, nil
 }
 
-// frame wraps a payload in the journal wire format.
-func frame(payload []byte) []byte {
-	out := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, crc32c))
-	binary.LittleEndian.PutUint32(out[8:12], crc32.Checksum(out[:8], crc32c))
-	copy(out[frameHeaderLen:], payload)
-	return out
+// beginFrame reserves a frame header at the end of b; the caller appends
+// the payload and seals the frame.
+func beginFrame(b []byte) []byte {
+	var hdr [frameHeaderLen]byte
+	return append(b, hdr[:]...)
 }
 
-// unframe verifies and strips one complete frame occupying data
-// exactly (the snapshot file is a single frame).
-func unframe(data []byte) ([]byte, error) {
-	if len(data) < frameHeaderLen {
-		return nil, fmt.Errorf("truncated frame header (%d bytes)", len(data))
-	}
-	length := binary.LittleEndian.Uint32(data[0:4])
-	payloadCRC := binary.LittleEndian.Uint32(data[4:8])
-	hdrCRC := binary.LittleEndian.Uint32(data[8:12])
-	if crc32.Checksum(data[:8], crc32c) != hdrCRC {
-		return nil, fmt.Errorf("corrupt frame header")
-	}
-	if int64(length) != int64(len(data)-frameHeaderLen) {
-		return nil, fmt.Errorf("frame declares %d payload bytes, %d present", length, len(data)-frameHeaderLen)
-	}
-	payload := data[frameHeaderLen:]
-	if crc32.Checksum(payload, crc32c) != payloadCRC {
-		return nil, fmt.Errorf("corrupt frame payload")
-	}
-	return payload, nil
+// sealFrame fills in the header of the frame that starts at b[start]
+// and runs to the end of b.
+func sealFrame(b []byte, start int) {
+	hdr, payload := b[start:start+frameHeaderLen], b[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crc32c))
+	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(hdr[:8], crc32c))
 }
 
-// append frames and writes one payload; the caller has already
-// assigned the sequence number inside it. Durable appends and every
-// syncEvery-th routine append flush and fsync.
-func (j *journal) append(payload []byte, durable bool, syncEvery int) error {
-	if _, err := j.w.Write(frame(payload)); err != nil {
-		return fmt.Errorf("store: append: %w", err)
-	}
-	j.seq++
-	j.pending++
-	if durable || j.pending >= syncEvery {
-		return j.sync()
-	}
-	return nil
-}
-
-// sync flushes buffered frames and fsyncs the file.
-func (j *journal) sync() error {
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("store: flush journal: %w", err)
-	}
-	if j.pending == 0 {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("store: fsync journal: %w", err)
-	}
-	j.pending = 0
-	return nil
-}
-
-// compact rewrites the journal keeping only records with Seq >
-// keepAfter (those a just-written snapshot does not cover), via the
-// same temp → fsync → rename dance as snapshots so a crash mid-compact
-// leaves the full journal in place. The sequence counter is preserved.
-func (j *journal) compact(keepAfter uint64) error {
-	if err := j.sync(); err != nil {
-		return err
-	}
-	scan, err := scanJournal(j.f)
+// writeAtomic replaces path with what write produces: a temp file in the
+// same directory, fsync, rename — a crash at any point leaves the old
+// file or the new one, never a torn one. The caller fsyncs the directory
+// (syncDir) once every file of its update is in place.
+func writeAtomic(path string, write func(f *os.File) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), ".journal-*")
+	if err = write(tmp); err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
 	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
+		_ = os.Remove(tmp.Name())
 	}
-	defer func() {
-		if tmp != nil {
-			_ = tmp.Close()
-			_ = os.Remove(tmp.Name())
-		}
-	}()
-	w := bufio.NewWriter(tmp)
-	for _, ev := range scan.events {
-		if ev.Seq <= keepAfter {
-			continue
-		}
-		payload, err := json.Marshal(ev)
-		if err != nil {
-			return fmt.Errorf("store: compact: %w", err)
-		}
-		if _, err := w.Write(frame(payload)); err != nil {
-			return fmt.Errorf("store: compact: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, j.path); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := syncDir(filepath.Dir(j.path)); err != nil {
-		return err
-	}
-	// Reopen the renamed file for appends; the old descriptor points at
-	// the unlinked inode.
-	f, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact: reopen: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	_ = j.f.Close()
-	j.f = f
-	j.w = bufio.NewWriter(f)
-	j.pending = 0
-	return nil
+	return err
 }
 
-// close fsyncs and closes the journal file.
-func (j *journal) close() error {
-	if err := j.sync(); err != nil {
-		_ = j.f.Close()
-		return err
-	}
-	return j.f.Close()
-}
-
-// syncDir fsyncs a directory so a just-renamed file is durable.
+// syncDir fsyncs a directory so a just-created or just-renamed file is
+// durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

@@ -41,7 +41,7 @@ type Metrics struct {
 // NewMetrics registers the store metric families on reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	appends := reg.CounterVec("store_journal_appends_total",
-		"Journal records appended, by durability class.", "durability")
+		"Journal records appended, by durability class (fsync: waited for; batched: group-committed).", "durability")
 	recoveries := reg.CounterVec("store_recoveries_total",
 		"Recovery passes at startup, by outcome.", "outcome")
 	return &Metrics{
@@ -50,9 +50,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		journalBytes: reg.Counter("store_journal_bytes_total",
 			"Journal payload bytes appended."),
 		snapshots: reg.Counter("store_snapshots_total",
-			"Snapshots checkpointed (each compacts the journal)."),
+			"Snapshots checkpointed (each retires the journal segments it covers)."),
 		snapshotSeconds: reg.Histogram("store_snapshot_seconds",
-			"Checkpoint latency: snapshot write plus journal compaction.", nil),
+			"Checkpoint latency: journal rotation, snapshot write, segment unlinks.", nil),
 		recoveryReplayed: reg.Counter("store_recovery_events_replayed_total",
 			"Journal events replayed during recovery."),
 		recoveryTorn: reg.Counter("store_recovery_torn_bytes_total",

@@ -73,73 +73,31 @@ func (ms *ModelStore) Exists() bool {
 
 // Save persists the identifier and its manifest atomically.
 func (ms *ModelStore) Save(id *core.Identifier) (ModelManifest, error) {
-	tmp, err := os.CreateTemp(ms.dir, ".model-*")
-	if err != nil {
-		return ModelManifest{}, fmt.Errorf("store: save model: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			_ = tmp.Close()
-			_ = os.Remove(tmp.Name())
+	man := ModelManifest{Version: manifestVersion, Types: id.NumTypes()}
+	err := writeAtomic(filepath.Join(ms.dir, modelName), func(f *os.File) error {
+		h := sha256.New()
+		w := bufio.NewWriter(io.MultiWriter(f, h))
+		if err := id.Save(w); err != nil {
+			return err
 		}
-	}()
-	h := sha256.New()
-	w := bufio.NewWriter(io.MultiWriter(tmp, h))
-	if err := id.Save(w); err != nil {
-		return ModelManifest{}, err
-	}
-	if err := w.Flush(); err != nil {
-		return ModelManifest{}, fmt.Errorf("store: save model: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return ModelManifest{}, fmt.Errorf("store: save model: %w", err)
-	}
-	st, err := tmp.Stat()
+		if err := w.Flush(); err != nil {
+			return err
+		}
+		st, err := f.Stat()
+		man.SHA256, man.Size, man.SavedAt = hex.EncodeToString(h.Sum(nil)), st.Size(), time.Now()
+		return err
+	})
 	if err != nil {
 		return ModelManifest{}, fmt.Errorf("store: save model: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return ModelManifest{}, fmt.Errorf("store: save model: %w", err)
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, filepath.Join(ms.dir, modelName)); err != nil {
-		return ModelManifest{}, fmt.Errorf("store: save model: %w", err)
-	}
-
-	man := ModelManifest{
-		Version: manifestVersion,
-		SHA256:  hex.EncodeToString(h.Sum(nil)),
-		Size:    st.Size(),
-		SavedAt: time.Now(),
-		Types:   id.NumTypes(),
 	}
 	payload, err := json.MarshalIndent(man, "", "  ")
+	if err == nil {
+		err = writeAtomic(filepath.Join(ms.dir, manifestName), func(f *os.File) error {
+			_, err := f.Write(append(payload, '\n'))
+			return err
+		})
+	}
 	if err != nil {
-		return ModelManifest{}, fmt.Errorf("store: save manifest: %w", err)
-	}
-	mtmp, err := os.CreateTemp(ms.dir, ".manifest-*")
-	if err != nil {
-		return ModelManifest{}, fmt.Errorf("store: save manifest: %w", err)
-	}
-	defer func() {
-		if mtmp != nil {
-			_ = mtmp.Close()
-			_ = os.Remove(mtmp.Name())
-		}
-	}()
-	if _, err := mtmp.Write(append(payload, '\n')); err != nil {
-		return ModelManifest{}, fmt.Errorf("store: save manifest: %w", err)
-	}
-	if err := mtmp.Sync(); err != nil {
-		return ModelManifest{}, fmt.Errorf("store: save manifest: %w", err)
-	}
-	if err := mtmp.Close(); err != nil {
-		return ModelManifest{}, fmt.Errorf("store: save manifest: %w", err)
-	}
-	mname := mtmp.Name()
-	mtmp = nil
-	if err := os.Rename(mname, filepath.Join(ms.dir, manifestName)); err != nil {
 		return ModelManifest{}, fmt.Errorf("store: save manifest: %w", err)
 	}
 	if err := syncDir(ms.dir); err != nil {
@@ -220,28 +178,11 @@ func (ms *ModelStore) SaveVersion(model []byte) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("store: save version: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".version-*")
+	err := writeAtomic(final, func(f *os.File) error {
+		_, err := f.Write(model)
+		return err
+	})
 	if err != nil {
-		return "", fmt.Errorf("store: save version: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			_ = tmp.Close()
-			_ = os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(model); err != nil {
-		return "", fmt.Errorf("store: save version: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return "", fmt.Errorf("store: save version: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("store: save version: %w", err)
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, final); err != nil {
 		return "", fmt.Errorf("store: save version: %w", err)
 	}
 	if err := syncDir(dir); err != nil {

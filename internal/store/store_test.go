@@ -1,11 +1,15 @@
 package store
 
 import (
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"iotsentinel/internal/features"
+	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/obs"
 	"iotsentinel/internal/packet"
 )
@@ -30,6 +34,126 @@ func appendT(t *testing.T, s *Store, ev Event) uint64 {
 	return seq
 }
 
+// checkpointT snapshots the given devices.
+func checkpointT(t *testing.T, s *Store, devices ...DeviceRecord) {
+	t.Helper()
+	err := s.Checkpoint(func(w *SnapshotWriter) error {
+		for i := range devices {
+			if err := w.Device(&devices[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+}
+
+// rotateT moves appends to a new journal segment without a snapshot —
+// the files a kill -9 in the middle of a checkpoint leaves behind.
+func rotateT(t *testing.T, s *Store) {
+	t.Helper()
+	abandoned := errors.New("abandoned")
+	if err := s.Checkpoint(func(*SnapshotWriter) error { return abandoned }); !errors.Is(err, abandoned) {
+		t.Fatalf("abandoned checkpoint returned %v", err)
+	}
+}
+
+// stateFile is one file of a state directory.
+type stateFile struct {
+	name string
+	data []byte
+}
+
+// journalFiles reads a state directory's journal in record order.
+func journalFiles(t *testing.T, dir string) []stateFile {
+	t.Helper()
+	var files []stateFile
+	for _, p := range listSegments(dir) {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, stateFile{filepath.Base(p), data})
+	}
+	return files
+}
+
+// writeState makes files the contents of the state directory dir, and
+// returns dir. (The sweeps reuse one directory: making a fresh one per
+// damaged byte is most of their run time.)
+func writeState(t *testing.T, dir string, files ...stateFile) string {
+	t.Helper()
+	old, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range old {
+		if !e.IsDir() {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, f := range files {
+		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// framePayloadLen reads the payload length of the frame data starts
+// with.
+func framePayloadLen(data []byte) int { return int(binary.LittleEndian.Uint32(data)) }
+
+// framesWithin counts the complete frames in data[:cut].
+func framesWithin(data []byte, cut int) int {
+	n := 0
+	for off := 0; off+frameHeaderLen <= len(data); n++ {
+		off += frameHeaderLen + framePayloadLen(data[off:])
+		if off > cut {
+			break
+		}
+	}
+	return n
+}
+
+// twoSegments journals five events across a segment boundary and
+// returns the closed state directory.
+func twoSegments(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	s, _ := openT(t, dir, Options{})
+	fp := fingerprint.F{features.Packed(7), features.Packed(9)}
+	for i := 0; i < 5; i++ {
+		if i == 3 {
+			rotateT(t, s)
+		}
+		appendT(t, s, Event{Kind: EvQuarantined, MAC: mac(byte(i)), Type: "T", Level: 1, Fingerprint: fp})
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if files := journalFiles(t, dir); len(files) != 2 {
+		t.Fatalf("journal has %d segments, want 2", len(files))
+	}
+	return dir
+}
+
+// legacyState reads the state directory the parent commit wrote
+// (testdata/legacy: a JSON snapshot at sequence number 4 and a JSON
+// journal.wal of records 5–17, every event kind among them).
+func legacyState(t *testing.T) (snapshot stateFile, journal []stateFile) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stateFile{snapshotName, data}, journalFiles(t, filepath.Join("testdata", "legacy"))
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, rec := openT(t, dir, Options{})
@@ -41,7 +165,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	appendT(t, s, Event{Kind: EvAssessed, MAC: mac(1), At: at.Add(time.Second),
 		Type: "DLinkCam", Level: 3, SetupPackets: 17, FirstSeen: at})
 	appendT(t, s, Event{Kind: EvQuarantined, MAC: mac(2), At: at.Add(2 * time.Second),
-		Attempts: 1, Fingerprint: [][]float64{}})
+		Attempts: 1, Fingerprint: fingerprint.F{}})
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -71,131 +195,127 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalTornTail truncates the journal at every byte offset and
-// checks recovery keeps exactly the complete frames, never flags the
+// TestJournalTornTail truncates the journal at every byte offset — of a
+// binary journal, across its segment boundary, and of the legacy one —
+// and checks recovery keeps exactly the complete frames, never flags the
 // truncation as degraded, and never fails the boot.
 func TestJournalTornTail(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openT(t, dir, Options{})
-	for i := 0; i < 5; i++ {
-		appendT(t, s, Event{Kind: EvAssessed, MAC: mac(byte(i)), Type: "T", Level: 1})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	full, err := os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacySnap, legacy := legacyState(t)
+	for _, tc := range []struct {
+		name     string
+		snapshot []stateFile
+		snapSeq  uint64
+		journal  []stateFile
+	}{
+		{"segments", nil, 0, journalFiles(t, twoSegments(t))},
+		{"legacy", []stateFile{legacySnap}, 4, legacy},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			before := 0 // records in the segments older than the torn one
+			for k, torn := range tc.journal {
+				for cut := 0; cut < len(torn.data); cut++ {
+					// A crash tears the newest segment only: the ones
+					// after it did not exist yet.
+					files := append(append([]stateFile{}, tc.snapshot...), tc.journal[:k]...)
+					writeState(t, dir, append(files, stateFile{torn.name, torn.data[:cut]})...)
+					want := before + framesWithin(torn.data, cut)
 
-	// Frame boundaries, to know how many events each cut preserves.
-	var bounds []int // bounds[k] = end offset of frame k
-	off := 0
-	for off < len(full) {
-		length := int(uint32(full[off]) | uint32(full[off+1])<<8 | uint32(full[off+2])<<16 | uint32(full[off+3])<<24)
-		off += frameHeaderLen + length
-		bounds = append(bounds, off)
-	}
-	wantEvents := func(cut int) int {
-		n := 0
-		for _, b := range bounds {
-			if b <= cut {
-				n++
+					s2, rec := openT(t, dir, Options{})
+					if rec.Degraded {
+						t.Fatalf("%s cut=%d: pure truncation flagged degraded: %v", torn.name, cut, rec.Warnings)
+					}
+					if len(rec.Events) != want {
+						t.Fatalf("%s cut=%d: recovered %d events, want %d", torn.name, cut, len(rec.Events), want)
+					}
+					// The journal must be appendable after a torn-tail truncation.
+					seq := appendT(t, s2, Event{Kind: EvRemoved, MAC: mac(9)})
+					if wantSeq := tc.snapSeq + uint64(want) + 1; seq != wantSeq {
+						t.Fatalf("%s cut=%d: post-recovery seq %d, want %d", torn.name, cut, seq, wantSeq)
+					}
+					if err := s2.Close(); err != nil {
+						t.Fatal(err)
+					}
+					s3, rec3 := openT(t, dir, Options{})
+					if len(rec3.Events) != want+1 || rec3.Degraded {
+						t.Fatalf("%s cut=%d: reopen got %d events degraded=%v", torn.name, cut, len(rec3.Events), rec3.Degraded)
+					}
+					s3.Close()
+				}
+				before += framesWithin(torn.data, len(torn.data))
 			}
-		}
-		return n
-	}
-
-	for cut := 0; cut < len(full); cut++ {
-		tdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(tdir, journalName), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s2, rec := openT(t, tdir, Options{})
-		if rec.Degraded {
-			t.Fatalf("cut=%d: pure truncation flagged degraded: %v", cut, rec.Warnings)
-		}
-		if want := wantEvents(cut); len(rec.Events) != want {
-			t.Fatalf("cut=%d: recovered %d events, want %d", cut, len(rec.Events), want)
-		}
-		// The journal must be appendable after a torn-tail truncation.
-		seq := appendT(t, s2, Event{Kind: EvRemoved, MAC: mac(9)})
-		if want := uint64(wantEvents(cut) + 1); seq != want {
-			t.Fatalf("cut=%d: post-recovery seq %d, want %d", cut, seq, want)
-		}
-		if err := s2.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s3, rec3 := openT(t, tdir, Options{})
-		if len(rec3.Events) != wantEvents(cut)+1 || rec3.Degraded {
-			t.Fatalf("cut=%d: reopen got %d events degraded=%v", cut, len(rec3.Events), rec3.Degraded)
-		}
-		s3.Close()
+		})
 	}
 }
 
-// TestJournalCorruption flips every byte of the journal in turn:
-// recovery must keep the frames before the damage, flag the pass
-// degraded, and keep booting.
+// TestJournalCorruption flips every byte of the journal in turn: recovery
+// must keep the frames before the damage, flag the pass degraded, and
+// keep booting. The header CRC covers the length and the payload CRC the
+// payload, so no flip can pass for a torn tail.
 func TestJournalCorruption(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openT(t, dir, Options{})
-	for i := 0; i < 4; i++ {
-		appendT(t, s, Event{Kind: EvAssessed, MAC: mac(byte(i)), Type: "T", Level: 2})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for pos := 0; pos < len(full); pos++ {
-		mut := append([]byte(nil), full...)
-		mut[pos] ^= 0xff
-		tdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(tdir, journalName), mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s2, rec := openT(t, tdir, Options{})
-		// A flipped bit can masquerade as a torn tail only by enlarging
-		// a length field — but the header CRC covers the length, so any
-		// in-file flip must surface as corruption (degraded), except
-		// flips inside a payload that keep... no: payload CRC covers
-		// payloads. Every flip must be detected.
-		if !rec.Degraded {
-			t.Fatalf("pos=%d: corruption not flagged degraded (got %d events, warnings %v)",
-				pos, len(rec.Events), rec.Warnings)
-		}
-		if len(rec.Events) >= 4 {
-			t.Fatalf("pos=%d: corrupt journal replayed all %d events", pos, len(rec.Events))
-		}
-		s2.Close()
+	legacySnap, legacy := legacyState(t)
+	for _, tc := range []struct {
+		name     string
+		snapshot []stateFile
+		journal  []stateFile
+	}{
+		{"segments", nil, journalFiles(t, twoSegments(t))},
+		{"legacy", []stateFile{legacySnap}, legacy},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, total := t.TempDir(), 0
+			for _, f := range tc.journal {
+				total += framesWithin(f.data, len(f.data))
+			}
+			for k, f := range tc.journal {
+				for pos := range f.data {
+					files := append(append([]stateFile{}, tc.snapshot...), tc.journal...)
+					mut := append([]byte(nil), f.data...)
+					mut[pos] ^= 0xff
+					files[len(tc.snapshot)+k].data = mut
+					s2, rec := openT(t, writeState(t, dir, files...), Options{})
+					if !rec.Degraded {
+						t.Fatalf("%s pos=%d: corruption not flagged degraded (got %d events, warnings %v)",
+							f.name, pos, len(rec.Events), rec.Warnings)
+					}
+					if len(rec.Events) >= total {
+						t.Fatalf("%s pos=%d: corrupt journal replayed all %d events", f.name, pos, len(rec.Events))
+					}
+					s2.Close()
+				}
+			}
+		})
 	}
 }
 
+// TestCheckpointCompactsJournal: a checkpoint rotates the journal at the
+// snapshot's sequence number and unlinks what the snapshot covers; a
+// record appended while the snapshot is being written lands in the new
+// segment and survives.
 func TestCheckpointCompactsJournal(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir, Options{})
 	for i := 0; i < 10; i++ {
 		appendT(t, s, Event{Kind: EvAssessed, MAC: mac(byte(i)), Type: "T", Level: 1})
 	}
-	seqBefore := s.Seq()
-	// Records appended after the caller sampled Seq must survive
-	// compaction: they are not covered by the snapshot.
-	appendT(t, s, Event{Kind: EvQuarantined, MAC: mac(200)})
-	if err := s.Checkpoint(&Snapshot{Seq: seqBefore, Devices: []DeviceRecord{{MAC: mac(1), State: "assessed"}}}); err != nil {
+	err := s.Checkpoint(func(w *SnapshotWriter) error {
+		appendT(t, s, Event{Kind: EvQuarantined, MAC: mac(200)})
+		return w.Device(&DeviceRecord{MAC: mac(1), State: "assessed"})
+	})
+	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	appendT(t, s, Event{Kind: EvRemoved, MAC: mac(3)})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if files := journalFiles(t, dir); len(files) != 1 || files[0].name != segmentName(11) {
+		t.Fatalf("journal after checkpoint: %d files, first %q; want the one segment from record 11", len(files), files[0].name)
+	}
 
 	s2, rec := openT(t, dir, Options{})
 	defer s2.Close()
-	if rec.Snapshot == nil || rec.Snapshot.Seq != seqBefore || len(rec.Snapshot.Devices) != 1 {
+	if rec.Snapshot == nil || rec.Snapshot.Seq != 10 || len(rec.Snapshot.Devices) != 1 {
 		t.Fatalf("snapshot not recovered: %+v", rec.Snapshot)
 	}
 	if len(rec.Events) != 2 {
@@ -204,45 +324,251 @@ func TestCheckpointCompactsJournal(t *testing.T) {
 	if rec.Events[0].Kind != EvQuarantined || rec.Events[1].Kind != EvRemoved {
 		t.Fatalf("wrong surviving events: %+v", rec.Events)
 	}
-	if got := s2.Seq(); got != seqBefore+2 {
-		t.Errorf("seq not preserved across compaction: %d, want %d", got, seqBefore+2)
+	if got := s2.Seq(); got != 12 {
+		t.Errorf("seq not preserved across the checkpoint: %d, want 12", got)
 	}
 }
 
-func TestSnapshotCorruptionDegrades(t *testing.T) {
+// TestCorruptSegmentIsNeverRewritten: a record damaged on disk while the
+// gateway runs used to be dropped — with every record after it — by the
+// checkpoint that rewrote the journal, and the next boot was clean. A
+// rotated-out segment is now never read back: the damage is still there
+// at the next Open, which comes back degraded with the records around
+// it.
+func TestCorruptSegmentIsNeverRewritten(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir, Options{})
 	appendT(t, s, Event{Kind: EvAssessed, MAC: mac(1), Type: "T", Level: 3})
-	seq := s.Seq()
-	if err := s.Checkpoint(&Snapshot{Seq: seq, Devices: []DeviceRecord{{MAC: mac(1), State: "assessed", Level: 3}}}); err != nil {
-		t.Fatal(err)
-	}
-	appendT(t, s, Event{Kind: EvQuarantined, MAC: mac(2)})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendT(t, s, Event{Kind: EvAssessed, MAC: mac(2), Type: "T", Level: 3})
+	appendT(t, s, Event{Kind: EvQuarantined, MAC: mac(1)})
 
-	path := filepath.Join(dir, snapshotName)
-	data, err := os.ReadFile(path)
+	// Bit rot in the second record, ahead of the demotion.
+	seg := filepath.Join(dir, segmentName(1))
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	second := frameHeaderLen + framePayloadLen(data)
+	data[second+frameHeaderLen+4] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A checkpoint whose snapshot does not cover the segment (it was
+	// abandoned): the parent's compaction rewrote the journal here.
+	rotateT(t, s)
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s2, rec := openT(t, dir, Options{})
 	defer s2.Close()
 	if !rec.Degraded {
-		t.Fatal("corrupt snapshot must flag recovery degraded")
+		t.Fatalf("damaged segment recovered clean: %d events, warnings %v", len(rec.Events), rec.Warnings)
 	}
+	if len(rec.Events) != 1 || rec.Events[0].MAC != mac(1) {
+		t.Fatalf("events before the damage lost: %+v", rec.Events)
+	}
+}
+
+// TestSnapshotCorruptionDegrades damages a snapshot every way — each
+// byte flipped, the file cut at each length — for a binary snapshot of
+// several rows and for the legacy one: recovery must flag degraded,
+// return no snapshot, and still replay the journal.
+func TestSnapshotCorruptionDegrades(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir, Options{})
+	appendT(t, s, Event{Kind: EvAssessed, MAC: mac(1), Type: "T", Level: 3})
+	err := s.Checkpoint(func(w *SnapshotWriter) error {
+		w.Device(&DeviceRecord{MAC: mac(1), State: "assessed", Level: 3})
+		w.Quarantine(&QuarantineRecord{MAC: mac(4), Fingerprint: fingerprint.F{1, 2, 3}})
+		return w.Learn(&LearnState{NextCluster: 2, Clusters: []ClusterRecord{{ID: "c-0001", Members: []fingerprint.F{{5, 6}}}}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendT(t, s, Event{Kind: EvQuarantined, MAC: mac(2)})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	binarySnap, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacySnap, legacy := legacyState(t)
+
+	for _, tc := range []struct {
+		name     string
+		snapshot []byte
+		journal  []stateFile
+		events   int
+	}{
+		{"rows", binarySnap, journalFiles(t, dir), 1},
+		{"legacy", legacySnap.data, legacy, 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			check := func(what string, damaged []byte) {
+				t.Helper()
+				files := append([]stateFile{{snapshotName, damaged}}, tc.journal...)
+				s2, rec := openT(t, writeState(t, dir, files...), Options{})
+				defer s2.Close()
+				if !rec.Degraded || rec.Snapshot != nil {
+					t.Fatalf("%s: damaged snapshot accepted (degraded=%v snapshot=%v)", what, rec.Degraded, rec.Snapshot != nil)
+				}
+				if len(rec.Events) != tc.events {
+					t.Fatalf("%s: journal replayed %d events beside the damaged snapshot, want %d", what, len(rec.Events), tc.events)
+				}
+			}
+			for pos := range tc.snapshot {
+				mut := append([]byte(nil), tc.snapshot...)
+				mut[pos] ^= 0xff
+				check("flip", mut)
+			}
+			// Cut at 0 is an empty file, not a missing one.
+			for cut := 0; cut < len(tc.snapshot); cut++ {
+				check("cut", tc.snapshot[:cut])
+			}
+		})
+	}
+}
+
+// TestLegacyStateUpgrades: a state directory the parent commit wrote
+// recovers in full, and its first checkpoint leaves only new-format
+// files behind.
+func TestLegacyStateUpgrades(t *testing.T) {
+	snap, journal := legacyState(t)
+	dir := writeState(t, t.TempDir(), append([]stateFile{snap}, journal...)...)
+	s, rec := openT(t, dir, Options{})
+	if rec.Degraded || rec.Snapshot == nil || rec.Snapshot.Seq != 4 {
+		t.Fatalf("legacy state: degraded=%v snapshot=%+v warnings=%v", rec.Degraded, rec.Snapshot, rec.Warnings)
+	}
+	if n := len(rec.Snapshot.Devices); n != 2 {
+		t.Errorf("legacy snapshot: %d devices, want 2", n)
+	}
+	if q := rec.Snapshot.Quarantine; len(q) != 1 || len(q[0].Fingerprint) != 17 {
+		t.Errorf("legacy snapshot: parked fingerprints %+v, want one of 17 rows", q)
+	}
+	if l := rec.Snapshot.Learn; l == nil || l.NextCluster != 3 || len(l.Clusters) != 2 || len(l.Clusters[0].Members) != 2 || !l.Clusters[0].Promoted {
+		t.Errorf("legacy snapshot: learn state %+v", l)
+	}
+	kinds := map[EventKind]int{}
+	for i, ev := range rec.Events {
+		if ev.Seq != uint64(5+i) {
+			t.Fatalf("legacy event %d has seq %d", i, ev.Seq)
+		}
+		kinds[ev.Kind]++
+	}
+	if len(rec.Events) != 13 || len(kinds) != len(kindCodes)-1 {
+		t.Errorf("legacy journal: %d events of %d kinds, want 13 of all %d", len(rec.Events), len(kinds), len(kindCodes)-1)
+	}
+	for _, ev := range rec.Events {
+		switch ev.Kind {
+		case EvQuarantined, EvUnknownObserved:
+			if len(ev.Fingerprint) == 0 || !ev.Fingerprint.Valid() {
+				t.Errorf("legacy %s record lost its fingerprint: %v", ev.Kind, ev.Fingerprint)
+			}
+		case EvRolloutStarted:
+			if ev.Model != "aa11" || ev.BaselineModel != "bb22" || len(ev.Canaries) != 2 {
+				t.Errorf("legacy rollout record: %+v", ev)
+			}
+		case EvRemoved:
+			if !ev.FirstSeen.IsZero() || ev.At.IsZero() {
+				t.Errorf("legacy removal's times: at %v, first seen %v", ev.At, ev.FirstSeen)
+			}
+		}
+	}
+
+	if seq := appendT(t, s, Event{Kind: EvRemoved, MAC: mac(1)}); seq != 18 {
+		t.Fatalf("first append after the upgrade got seq %d, want 18", seq)
+	}
+	checkpointT(t, s, rec.Snapshot.Devices...)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if files := journalFiles(t, dir); len(files) != 1 || files[0].name != segmentName(19) || len(files[0].data) != 0 {
+		t.Fatalf("journal after the first checkpoint: %+v, want one empty segment", files)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[frameHeaderLen] != codecVersion {
+		t.Fatalf("snapshot after the first checkpoint starts %q, want a binary header row", data[frameHeaderLen:frameHeaderLen+8])
+	}
+	s2, rec2 := openT(t, dir, Options{})
+	defer s2.Close()
+	if rec2.Degraded || rec2.Snapshot == nil || rec2.Snapshot.Seq != 18 || len(rec2.Snapshot.Devices) != 2 || len(rec2.Events) != 0 {
+		t.Fatalf("after the upgrade: degraded=%v snapshot=%+v events=%d", rec2.Degraded, rec2.Snapshot, len(rec2.Events))
+	}
+}
+
+// TestAppendWhileCommitting hammers the group commit: routine and
+// durable appenders, Sync and Checkpoint run together (under -race in
+// make verify), every durable Append returns only once its record is on
+// disk, and a reopen finds every record exactly once, in order.
+func TestAppendWhileCommitting(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir, Options{SyncEvery: 4})
+	const writers, each = 4, 200
+	done := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			for i := 0; i < each; i++ {
+				kind := EvAssessed
+				if i%5 == 0 {
+					kind = EvRemoved
+				}
+				seq, err := s.Append(Event{Kind: kind, MAC: mac(byte(w))})
+				if err == nil && kind == EvRemoved {
+					s.mu.Lock()
+					if s.durable < seq {
+						err = errors.New("durable Append returned before its record was committed")
+					}
+					s.mu.Unlock()
+				}
+				if err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}(w)
+	}
+	for running := writers; running > 0; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running--
+		default:
+			checkpointT(t, s)
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(Event{Kind: EvAssessed}); err == nil {
+		t.Error("Append after Close succeeded")
+	}
+	s2, rec := openT(t, dir, Options{})
+	defer s2.Close()
+	next := uint64(1)
 	if rec.Snapshot != nil {
-		t.Fatal("corrupt snapshot must not be returned")
+		next = rec.Snapshot.Seq + 1
 	}
-	// Journal events after the snapshot still replay.
-	if len(rec.Events) != 1 || rec.Events[0].Kind != EvQuarantined {
-		t.Fatalf("journal suffix lost: %+v", rec.Events)
+	for _, ev := range rec.Events {
+		if ev.Seq != next {
+			t.Fatalf("recovered record %d where %d was due", ev.Seq, next)
+		}
+		next++
+	}
+	if next != writers*each+1 || rec.Degraded {
+		t.Fatalf("recovered up to record %d of %d (degraded=%v)", next-1, writers*each, rec.Degraded)
 	}
 }
 
@@ -253,9 +579,7 @@ func TestStoreMetrics(t *testing.T) {
 	s, _ := openT(t, dir, Options{Metrics: m})
 	appendT(t, s, Event{Kind: EvAssessed, MAC: mac(1)})
 	appendT(t, s, Event{Kind: EvQuarantined, MAC: mac(2)})
-	if err := s.Checkpoint(&Snapshot{Seq: s.Seq()}); err != nil {
-		t.Fatal(err)
-	}
+	checkpointT(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
