@@ -97,18 +97,21 @@ test: vet build
 test-race:
 	$(GO) test -race ./internal/chaos/... ./internal/core/... ./internal/fleet/... ./internal/gateway/... ./internal/iotssp/... ./internal/learn/... ./internal/sdn/...
 
+# -run='^$$' on every line: without it each `go test -fuzz` first runs
+# its package's whole unit suite (internal/fleet's e2e and chaos tests,
+# twice), which is neither what this target is for nor quick.
 fuzz:
-	$(GO) test -fuzz='^FuzzRingDelivery$$' -fuzztime=$(FUZZTIME) ./internal/capture/
-	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/packet/
-	$(GO) test -fuzz='^FuzzReadPcap$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
-	$(GO) test -fuzz='^FuzzReadPcapNG$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
-	$(GO) test -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME) ./internal/ml/rf/
-	$(GO) test -fuzz='^FuzzPackRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/features/
-	$(GO) test -fuzz='^FuzzHead$$' -fuzztime=$(FUZZTIME) ./internal/fingerprint/
-	$(GO) test -fuzz='^FuzzBandedDistance$$' -fuzztime=$(FUZZTIME) ./internal/editdist/
-	$(GO) test -fuzz='^FuzzClusterLinkage$$' -fuzztime=$(FUZZTIME) ./internal/learn/
-	$(GO) test -fuzz='^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
-	$(GO) test -fuzz='^FuzzBatchDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
+	$(GO) test -run='^$$' -fuzz='^FuzzRingDelivery$$' -fuzztime=$(FUZZTIME) ./internal/capture/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/packet/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadPcap$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadPcapNG$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
+	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME) ./internal/ml/rf/
+	$(GO) test -run='^$$' -fuzz='^FuzzPackRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/features/
+	$(GO) test -run='^$$' -fuzz='^FuzzHead$$' -fuzztime=$(FUZZTIME) ./internal/fingerprint/
+	$(GO) test -run='^$$' -fuzz='^FuzzBandedDistance$$' -fuzztime=$(FUZZTIME) ./internal/editdist/
+	$(GO) test -run='^$$' -fuzz='^FuzzClusterLinkage$$' -fuzztime=$(FUZZTIME) ./internal/learn/
+	$(GO) test -run='^$$' -fuzz='^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz='^FuzzEventDecode$$' -fuzztime=$(FUZZTIME) ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRowDecode$$' -fuzztime=$(FUZZTIME) ./internal/store/
 
@@ -125,10 +128,12 @@ crash:
 
 # The fleet-link chaos sweep: the seed-driven fault middleware's own
 # suite plus the e2e canary-rollout-under-faults and half-open-peer
-# scenarios, pinned to CHAOS_SEED so a red run reproduces exactly.
+# scenarios, pinned to CHAOS_SEED so a red run reproduces exactly, and
+# under the race detector: an interleaving is what these suites are
+# for, and it is where the rollout's ack/counters race showed.
 chaos:
 	@echo "chaos: CHAOS_SEED=$(CHAOS_SEED)"
-	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -count=1 -run 'TestChaos' ./internal/chaos/ ./internal/fleet/
+	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestChaos' ./internal/chaos/ ./internal/fleet/
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -17,10 +17,10 @@
 // fingerprints stream up for central aggregation and learning,
 // heartbeats keep the registration lease alive, and versioned model
 // banks pushed down (including canary rollout candidates) hot-swap
-// into the local service without dropping a packet. The link is
-// managed by a fleet.Session: it auto-reconnects under jittered
-// backoff, spools un-acked fingerprint batches across disconnects and
-// replays them after the re-handshake, and surfaces Degraded through
+// into the local service without dropping a packet. The link is a
+// fleet.Session: it auto-reconnects under jittered backoff, keeps
+// un-acked fingerprint batches spooled across disconnects and writes
+// them again after the re-handshake, and surfaces Degraded through
 // /healthz — the local bank keeps serving fail-closed either way.
 //
 // With -metrics-addr, the metrics listener also serves /healthz

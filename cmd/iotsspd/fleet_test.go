@@ -16,7 +16,7 @@ import (
 	"iotsentinel/internal/fleet"
 )
 
-// modelRecorder collects every bank a fleet client applied.
+// modelRecorder collects every bank a fleet session applied.
 type modelRecorder struct {
 	mu   sync.Mutex
 	shas []string
@@ -104,19 +104,18 @@ func TestServerFleetCanaryRollout(t *testing.T) {
 	})
 
 	var rec1, rec2 modelRecorder
-	g1, err := fleet.Dial(fleet.ClientConfig{
-		Addr: fleetAddr, GatewayID: "g1", ApplyModel: rec1.apply,
-	})
-	if err != nil {
-		t.Fatalf("dial g1: %v", err)
+	link := func(id string, rec *modelRecorder) *fleet.Session {
+		sess, err := fleet.NewSession(fleet.SessionConfig{Client: fleet.ClientConfig{
+			Addr: fleetAddr, GatewayID: id, ApplyModel: rec.apply,
+		}})
+		if err != nil {
+			t.Fatalf("link %s: %v", id, err)
+		}
+		return sess
 	}
+	g1 := link("g1", &rec1)
 	defer g1.Close()
-	g2, err := fleet.Dial(fleet.ClientConfig{
-		Addr: fleetAddr, GatewayID: "g2", ApplyModel: rec2.apply,
-	})
-	if err != nil {
-		t.Fatalf("dial g2: %v", err)
-	}
+	g2 := link("g2", &rec2)
 	defer g2.Close()
 
 	// On connect both gateways converge onto the serving bank.

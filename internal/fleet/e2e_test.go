@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -8,13 +9,14 @@ import (
 	"time"
 
 	"iotsentinel/internal/fingerprint"
+	"iotsentinel/internal/iotssp"
 	"iotsentinel/internal/store"
 )
 
-// fakeGateway is a fleet client plus a recorder of every bank it was
+// fakeGateway is a fleet session plus a recorder of every bank it was
 // pushed (and applied).
 type fakeGateway struct {
-	cl *Client
+	sess *Session
 
 	mu      sync.Mutex
 	applied []string
@@ -102,22 +104,24 @@ func startFleet(t *testing.T, dir string) *testFleet {
 	return f
 }
 
+// dial links a gateway to the fleet and waits for its registration.
 func (f *testFleet) dial(t *testing.T, id, modelSHA string) *fakeGateway {
 	t.Helper()
 	g := &fakeGateway{}
-	cl, err := Dial(ClientConfig{
+	sess, err := NewSession(SessionConfig{Client: ClientConfig{
 		Addr:       f.addr,
 		GatewayID:  id,
 		ModelSHA:   modelSHA,
 		ApplyModel: g.ApplyModel,
 		BatchSize:  1024, // flush manually for determinism
 		Heartbeat:  25 * time.Millisecond,
-	})
+	}})
 	if err != nil {
-		t.Fatalf("Dial(%s): %v", id, err)
+		t.Fatalf("NewSession(%s): %v", id, err)
 	}
-	g.cl = cl
-	t.Cleanup(func() { cl.Close() })
+	g.sess = sess
+	t.Cleanup(func() { sess.Close() })
+	waitFor(t, id+" connecting", func() bool { return sess.State() == SessionConnected })
 	return g
 }
 
@@ -142,11 +146,11 @@ func TestFleetCanaryPromoteAndRollback(t *testing.T) {
 	// up the persistent connection.
 	for i, g := range []*fakeGateway{g1, g2, g3} {
 		for j := 0; j < 4; j++ {
-			if err := g.cl.Observe(testFingerprint(3+j, float64(i*100+j))); err != nil {
+			if err := g.sess.Observe(testFingerprint(3+j, float64(i*100+j))); err != nil {
 				t.Fatalf("Observe: %v", err)
 			}
 		}
-		if err := g.cl.Flush(); err != nil {
+		if err := g.sess.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
 		}
 	}
@@ -164,9 +168,9 @@ func TestFleetCanaryPromoteAndRollback(t *testing.T) {
 
 	// The canary holds: clean assessments beyond MinSamples.
 	for i := 0; i < 8; i++ {
-		g1.cl.RecordAssessment(false)
+		g1.sess.RecordAssessment(false)
 	}
-	if err := g1.cl.Flush(); err != nil {
+	if err := g1.sess.Flush(); err != nil {
 		t.Fatalf("Flush counters: %v", err)
 	}
 	waitFor(t, "promotion", func() bool {
@@ -185,9 +189,9 @@ func TestFleetCanaryPromoteAndRollback(t *testing.T) {
 	}
 	waitFor(t, "canary g1 applies the regressing candidate", func() bool { return g1.lastApplied() == shaC })
 	for i := 0; i < 8; i++ {
-		g1.cl.RecordAssessment(true) // injected regression: all unknown
+		g1.sess.RecordAssessment(true) // injected regression: all unknown
 	}
-	if err := g1.cl.Flush(); err != nil {
+	if err := g1.sess.Flush(); err != nil {
 		t.Fatalf("Flush counters: %v", err)
 	}
 	waitFor(t, "rollback", func() bool {
@@ -248,9 +252,9 @@ func TestFleetControllerCrashMidRolloutRecovers(t *testing.T) {
 	waitFor(t, "canary adopted", func() bool { return f2.ctrl.Status().Canaries["g1"] })
 
 	for i := 0; i < 8; i++ {
-		g1b.cl.RecordAssessment(false)
+		g1b.sess.RecordAssessment(false)
 	}
-	if err := g1b.cl.Flush(); err != nil {
+	if err := g1b.sess.Flush(); err != nil {
 		t.Fatalf("Flush counters: %v", err)
 	}
 	waitFor(t, "promotion after recovery", func() bool {
@@ -299,15 +303,24 @@ func TestFleetLeaseExpiryDropsGateway(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	cl, err := Dial(ClientConfig{
-		Addr:      ln.Addr().String(),
-		GatewayID: "g1",
-		Heartbeat: time.Hour, // never heartbeats: the lease must lapse
+	var dials atomic.Int32
+	sess, err := NewSession(SessionConfig{
+		Client: ClientConfig{
+			GatewayID: "g1",
+			Heartbeat: time.Hour, // never heartbeats: the lease must lapse
+			Dialer: func() (net.Conn, error) {
+				if dials.Add(1) > 1 {
+					return nil, errors.New("the dropped gateway stays away")
+				}
+				return net.Dial("tcp", ln.Addr().String())
+			},
+		},
+		Retry: iotssp.RetryPolicy{BaseDelay: time.Hour},
 	})
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatalf("NewSession: %v", err)
 	}
-	defer cl.Close()
+	defer sess.Close()
 	waitFor(t, "registration", func() bool { return len(reg.IDs()) == 1 })
 	waitFor(t, "lease expiry", func() bool { return len(reg.IDs()) == 0 })
 }

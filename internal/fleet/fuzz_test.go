@@ -20,7 +20,7 @@ func FuzzFrameDecoder(f *testing.F) {
 	seed(ftHeartbeat, nil)
 	seed(ftHello, []byte(`{"versions":[2],"gatewayId":"g1"}`))
 	seed(ftCounters, encodeCounters(42, 7))
-	if p, err := encodeBatch(nil, []fingerprint.Fingerprint{testFingerprint(3, 0)}); err == nil {
+	if p, err := encodeBatch([]fingerprint.Fingerprint{testFingerprint(3, 0)}); err == nil {
 		seed(ftBatch, p)
 	}
 	f.Add([]byte{0, 0, 0, 0})
@@ -46,16 +46,31 @@ func FuzzFrameDecoder(f *testing.F) {
 	})
 }
 
+// observedPayload is the frame payload a session seals after observing
+// fps one by one.
+func observedPayload(t *testing.T, fps []fingerprint.Fingerprint) []byte {
+	s := &Session{pending: make([]byte, batchHeader)}
+	s.cfg.Client.BatchSize, s.cfg.SpoolBatches = maxBatchFingerprints+1, 1
+	for _, fp := range fps {
+		if err := s.Observe(fp); err != nil {
+			t.Fatalf("Observe of a decoded fingerprint: %v", err)
+		}
+	}
+	s.Flush()
+	return s.spool[0]
+}
+
 // FuzzBatchDecoder throws arbitrary payloads at the batch decoder; any
 // batch it accepts must re-encode and re-decode to the same
 // fingerprints (decode canonicalizes via FromPacked, so the decoded
-// form is the fixed point).
+// form is the fixed point), and a session that observes them one by one
+// must seal the very bytes encodeBatch produces.
 func FuzzBatchDecoder(f *testing.F) {
 	for _, fps := range [][]fingerprint.Fingerprint{
 		{testFingerprint(1, 0)},
 		{testFingerprint(5, 10), testFingerprint(2, -3)},
 	} {
-		if p, err := encodeBatch(nil, fps); err == nil {
+		if p, err := encodeBatch(fps); err == nil {
 			f.Add(p)
 		}
 	}
@@ -67,9 +82,12 @@ func FuzzBatchDecoder(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := encodeBatch(nil, fps)
+		re, err := encodeBatch(fps)
 		if err != nil {
 			t.Fatalf("re-encode of accepted batch failed: %v", err)
+		}
+		if sealed := observedPayload(t, fps); !bytes.Equal(sealed, re) {
+			t.Fatalf("a session sealed %d bytes for these fingerprints, encodeBatch wrote %d others", len(sealed), len(re))
 		}
 		fps2, err := decodeBatch(re)
 		if err != nil {

@@ -11,9 +11,9 @@ import (
 )
 
 // TestFleetShutdownLeaksNothing pins the managed-goroutine contract of
-// the control plane's long-lived halves: after Client.Close and
+// the control plane's long-lived halves: after Session.Close and
 // Server.Close return, the accept loop, per-connection readers, the
-// lease sweeper, and the client's read/tick loops are all gone.
+// lease sweeper, and the session's run loop and reader are all gone.
 func TestFleetShutdownLeaksNothing(t *testing.T) {
 	defer testutil.AssertNoGoroutineLeaks(t)()
 
@@ -46,22 +46,23 @@ func TestFleetShutdownLeaksNothing(t *testing.T) {
 	}
 	go srv.Serve(ln)
 
-	cl, err := Dial(ClientConfig{
+	sess, err := NewSession(SessionConfig{Client: ClientConfig{
 		Addr:       ln.Addr().String(),
 		GatewayID:  "gw-leaktest",
 		ModelSHA:   "deadbeef",
 		ApplyModel: func(string, []byte) error { return nil },
 		Heartbeat:  10 * time.Millisecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, "connection", func() bool { return sess.State() == SessionConnected })
 	// Let heartbeats and the sweeper tick at least once so the steady
 	// state — not just construction — is what tears down.
 	time.Sleep(50 * time.Millisecond)
 
-	if err := cl.Close(); err != nil {
-		t.Errorf("client close: %v", err)
+	if err := sess.Close(); err != nil {
+		t.Errorf("session close: %v", err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Errorf("server close: %v", err)

@@ -38,6 +38,10 @@ type member struct {
 	modelSHA string
 	assessed uint64
 	unknown  uint64
+	// rebased is set by register and cleared by the first counters after
+	// it: only there may a gateway's cumulative counters move backwards
+	// (its process restarted).
+	rebased bool
 }
 
 // Registry tracks the registered gateway fleet: identity, lease,
@@ -78,6 +82,7 @@ func (r *Registry) register(id string, conn *serverConn, now time.Time) (displac
 		displaced = m.conn
 	}
 	m.conn = conn
+	m.rebased = true
 	m.lastSeen = now
 	m.expires = now.Add(r.lease)
 	r.metrics.setGateways(len(r.members))
@@ -105,13 +110,20 @@ func (r *Registry) disconnect(id string, conn *serverConn) {
 	}
 }
 
-// setCounters records a gateway's cumulative counters.
+// setCounters records a gateway's cumulative counters. A reading lower
+// than the last one on the same connection is stale, not news — the
+// gateway's flush path and its model ack, which carries a reading too,
+// are written by different goroutines and can overtake each other — and
+// is dropped, so that within a connection the counters only grow and a
+// drop across connections means what the rollout controller takes it to
+// mean: a restarted gateway.
 func (r *Registry) setCounters(id string, assessed, unknown uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.members[id]; ok {
+	if m, ok := r.members[id]; ok && (assessed >= m.assessed || m.rebased) {
 		m.assessed = assessed
 		m.unknown = unknown
+		m.rebased = false
 	}
 }
 

@@ -60,6 +60,20 @@ func TestRegistryCountersAndModel(t *testing.T) {
 		gws[0].Assessed != 10 || gws[0].Unknown != 3 || gws[0].Connected {
 		t.Fatalf("Gateways = %+v", gws)
 	}
+
+	// Within one connection the counters only grow: a lower reading was
+	// overtaken on the gateway and is dropped. A new registration may
+	// start lower once — the gateway restarted.
+	r.setCounters("g1", 8, 2)
+	if a, u, _ := r.counters("g1"); a != 10 || u != 3 {
+		t.Fatalf("a stale reading moved the counters back to %d,%d", a, u)
+	}
+	r.register("g1", nil, now)
+	r.setCounters("g1", 2, 1)
+	r.setCounters("g1", 1, 1)
+	if a, u, _ := r.counters("g1"); a != 2 || u != 1 {
+		t.Fatalf("counters after a re-registration = %d,%d, want the restarted gateway's 2,1", a, u)
+	}
 }
 
 func TestRegistryPushRequiresConnection(t *testing.T) {

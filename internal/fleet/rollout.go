@@ -64,9 +64,9 @@ var ErrRolloutInFlight = errors.New("fleet: a rollout is already in flight")
 
 // canaryState tracks one canary gateway through a rollout.
 type canaryState struct {
-	// applied flips when the gateway acks the candidate; the counter
-	// snapshot below is taken at that moment, so only assessments made
-	// *under the candidate* are judged.
+	// applied flips when the gateway acks the candidate; the counters
+	// below are where it stood when it applied it, so only assessments
+	// made *under the candidate* are judged.
 	applied                   bool
 	baseAssessed, baseUnknown uint64
 	// startAssessed/startUnknown snapshot non-canary gateways at
@@ -383,8 +383,10 @@ func (c *Controller) ModelForGateway(id, reportedSHA string) (string, []byte) {
 }
 
 // OnModelAck records a gateway's apply result. A canary that cannot
-// apply the candidate is a rollout failure: fail safe, roll back.
-func (c *Controller) OnModelAck(id, sha string, ok bool, errMsg string) {
+// apply the candidate is a rollout failure: fail safe, roll back. base
+// is the gateway's counters from just before it applied the bank, nil
+// from a gateway that does not report them.
+func (c *Controller) OnModelAck(id, sha string, ok bool, errMsg string, base *counterPair) {
 	c.cfg.Metrics.incModelAck(ok)
 	if ok {
 		c.cfg.Registry.setModel(id, sha)
@@ -407,9 +409,22 @@ func (c *Controller) OnModelAck(id, sha string, ok bool, errMsg string) {
 	}
 	if !cs.applied {
 		cs.applied = true
-		if a, u, ok := c.cfg.Registry.counters(id); ok {
-			cs.baseAssessed, cs.baseUnknown = a, u
+		a, u, _ := c.cfg.Registry.counters(id)
+		if base != nil {
+			// The ack and the counters frames are written by different
+			// goroutines of the gateway: assessments made under the
+			// candidate can be in the registry before the ack arrives,
+			// and a window based on the registry's figure would never
+			// see them. The gateway's own reading is the base, and it is
+			// offered to the registry as one more counters reading: kept
+			// where the registry is behind it or still holds the row of
+			// a previous process (a restarted canary must not be judged
+			// on assessments made under the old bank), dropped where the
+			// counters overtook the ack.
+			c.cfg.Registry.setCounters(id, base.Assessed, base.Unknown)
+			a, u = base.Assessed, base.Unknown
 		}
+		cs.baseAssessed, cs.baseUnknown = a, u
 	}
 	c.mu.Unlock()
 	c.evaluate()

@@ -89,7 +89,7 @@ func TestRolloutPromotesWhenCanaryHolds(t *testing.T) {
 
 	// The canary acks the candidate; its judgment window starts at the
 	// counters it had then.
-	ctrl.OnModelAck("g1", shaB, true, "")
+	ctrl.OnModelAck("g1", shaB, true, "", nil)
 	if !ctrl.Status().Canaries["g1"] {
 		t.Fatal("canary not marked applied after ack")
 	}
@@ -125,7 +125,7 @@ func TestRolloutRollsBackOnRegression(t *testing.T) {
 		reg.setCounters(id, 100, 5)
 	}
 	shaB, _ := ctrl.StartRollout([]byte("bank-B"))
-	ctrl.OnModelAck("g1", shaB, true, "")
+	ctrl.OnModelAck("g1", shaB, true, "", nil)
 
 	// 25 assessments, 20 unknown: an 80% unknown-rate regression.
 	reg.setCounters("g1", 125, 25)
@@ -141,13 +141,101 @@ func TestRolloutRollsBackOnRegression(t *testing.T) {
 	}
 }
 
+// TestRolloutWindowStartsAtTheAckedBase: a canary's flush path and its
+// reader write independently, so counters that already include
+// assessments made under the candidate can reach the service before the
+// ack does. The ack says where the canary stood when it applied the
+// bank, and the window starts there — not at whatever the registry holds
+// when the ack arrives, which would hide those assessments from the
+// judgment for good.
+func TestRolloutWindowStartsAtTheAckedBase(t *testing.T) {
+	ctrl, reg, _, _ := testController(t, t.TempDir(), "g1", "g2", "g3", "g4")
+	shaA, _ := ctrl.SetCurrent([]byte("bank-A"))
+	for _, id := range reg.IDs() {
+		reg.setCounters(id, 100, 5)
+	}
+	shaB, _ := ctrl.StartRollout([]byte("bank-B"))
+
+	// 25 assessments under the candidate, none known, overtake the ack.
+	reg.setCounters("g1", 125, 30)
+	ctrl.OnCounters("g1")
+	if got := ctrl.Status().Phase; got != PhaseCanarying {
+		t.Fatalf("phase before the ack = %v, want canarying", got)
+	}
+	ctrl.OnModelAck("g1", shaB, true, "", &counterPair{Assessed: 100, Unknown: 5})
+	if status := ctrl.Status(); status.Phase != PhaseIdle || status.Current != shaA {
+		t.Fatalf("status = %+v, want the regression judged at the ack and rolled back to %.12s", status, shaA)
+	}
+}
+
+// TestRolloutAckedBaseAheadOfTheRegistry is the opposite and usual
+// order: the canary assessed devices under the old bank since its last
+// counters frame, so its acked base is ahead of the registry. That gap
+// is not a restarted gateway, and what fills it is not evidence about
+// the candidate.
+func TestRolloutAckedBaseAheadOfTheRegistry(t *testing.T) {
+	ctrl, reg, _, _ := testController(t, t.TempDir(), "g1", "g2", "g3", "g4")
+	ctrl.SetCurrent([]byte("bank-A"))
+	for _, id := range reg.IDs() {
+		reg.setCounters(id, 100, 5)
+	}
+	shaB, _ := ctrl.StartRollout([]byte("bank-B"))
+	ctrl.OnModelAck("g1", shaB, true, "", &counterPair{Assessed: 140, Unknown: 5})
+	for _, c := range [][2]uint64{
+		{120, 5}, // read before the base, written after the ack: stale
+		{150, 5}, // 10 under the candidate: below MinSamples
+	} {
+		reg.setCounters("g1", c[0], c[1])
+		ctrl.OnCounters("g1")
+		if got := ctrl.Status().Phase; got != PhaseCanarying {
+			t.Fatalf("phase after counters %v = %v, want canarying: nothing under the candidate is judged yet", c, got)
+		}
+	}
+	reg.setCounters("g1", 165, 6) // 25 under the candidate, 1 unknown
+	ctrl.OnCounters("g1")
+	if status := ctrl.Status(); status.Phase != PhaseIdle || status.Current != shaB {
+		t.Fatalf("status = %+v, want %.12s promoted on the 25 assessments past the base", status, shaB)
+	}
+}
+
+// TestRolloutRestartedCanaryIsNotJudgedOnTheOldRow: a canary whose
+// process restarts mid-rollout re-registers with counters at zero, so it
+// has nothing to send before it acks the candidate with base (0,0), while
+// the registry keeps the previous process's row for the whole lease. That
+// row is assessments made under the old bank; the window must start from
+// the new process's zero and wait for evidence under the candidate.
+func TestRolloutRestartedCanaryIsNotJudgedOnTheOldRow(t *testing.T) {
+	ctrl, reg, _, _ := testController(t, t.TempDir(), "g1", "g2", "g3", "g4")
+	shaA, _ := ctrl.SetCurrent([]byte("bank-A"))
+	for _, id := range reg.IDs() {
+		reg.setCounters(id, 100, 5)
+	}
+	shaB, _ := ctrl.StartRollout([]byte("bank-B"))
+
+	reg.register("g1", nil, time.Now())
+	ctrl.OnModelAck("g1", shaB, true, "", &counterPair{})
+	if got := ctrl.Status().Phase; got != PhaseCanarying {
+		t.Fatalf("phase after the restarted canary's ack = %v, want canarying: the 100 assessments in the registry predate the candidate", got)
+	}
+	reg.setCounters("g1", 10, 0)
+	ctrl.OnCounters("g1")
+	if got := ctrl.Status().Phase; got != PhaseCanarying {
+		t.Fatalf("phase after 10 samples under the new process = %v, want canarying", got)
+	}
+	reg.setCounters("g1", 25, 20) // 25 under the candidate, 20 unknown
+	ctrl.OnCounters("g1")
+	if status := ctrl.Status(); status.Phase != PhaseIdle || status.Current != shaA {
+		t.Fatalf("status = %+v, want the regression rolled back to %.12s", status, shaA)
+	}
+}
+
 func TestRolloutRollsBackOnCanaryApplyFailure(t *testing.T) {
 	ctrl, reg, _, _ := testController(t, t.TempDir(), "g1", "g2")
 
 	shaA, _ := ctrl.SetCurrent([]byte("bank-A"))
 	reg.setCounters("g1", 50, 0)
 	shaB, _ := ctrl.StartRollout([]byte("bank-B"))
-	ctrl.OnModelAck("g1", shaB, false, "deserialize failed")
+	ctrl.OnModelAck("g1", shaB, false, "deserialize failed", nil)
 
 	status := ctrl.Status()
 	if status.Phase != PhaseIdle || status.Current != shaA {
@@ -160,7 +248,7 @@ func TestRolloutRollsBackWhenAllCanariesExpire(t *testing.T) {
 
 	ctrl.SetCurrent([]byte("bank-A"))
 	shaB, _ := ctrl.StartRollout([]byte("bank-B"))
-	ctrl.OnModelAck("g1", shaB, true, "")
+	ctrl.OnModelAck("g1", shaB, true, "", nil)
 	ctrl.OnExpire([]string{"g1"})
 
 	if got := ctrl.Status().Phase; got != PhaseIdle {
@@ -206,7 +294,7 @@ func TestRolloutRecoverResumesMidRollout(t *testing.T) {
 
 	// The resumed rollout completes normally: candidate bytes came
 	// back from the versioned model store, the canary acks and holds.
-	ctrl2.OnModelAck("g1", shaB, true, "")
+	ctrl2.OnModelAck("g1", shaB, true, "", nil)
 	reg2.setCounters("g1", 30, 0)
 	ctrl2.OnCounters("g1")
 	status = ctrl2.Status()
@@ -227,7 +315,7 @@ func TestRolloutRecoverWithResolvedJournalStaysIdle(t *testing.T) {
 
 	ctrl.SetCurrent([]byte("bank-A"))
 	shaB, _ := ctrl.StartRollout([]byte("bank-B"))
-	ctrl.OnModelAck("g1", shaB, true, "")
+	ctrl.OnModelAck("g1", shaB, true, "", nil)
 	reg.setCounters("g1", 30, 0)
 	ctrl.OnCounters("g1") // promotes
 	st.Close()

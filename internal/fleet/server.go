@@ -115,7 +115,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		sc := &serverConn{srv: s, c: c}
+		sc := &serverConn{srv: s, framedConn: framedConn{c: c, writeTimeout: s.cfg.WriteTimeout}}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -185,14 +185,11 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// serverConn is one gateway connection. Writes are serialized by
-// writeMu: the read loop's acks and the controller's model pushes
-// share the socket.
+// serverConn is one gateway connection; the read loop's acks and the
+// controller's model pushes share its serialized writes.
 type serverConn struct {
-	srv *Server
-	c   net.Conn
-
-	writeMu   sync.Mutex
+	framedConn
+	srv       *Server
 	closeOnce sync.Once
 }
 
@@ -200,27 +197,6 @@ func (sc *serverConn) remoteAddr() string { return sc.c.RemoteAddr().String() }
 
 func (sc *serverConn) close() {
 	sc.closeOnce.Do(func() { sc.c.Close() })
-}
-
-func (sc *serverConn) write(t frameType, payload []byte) error {
-	sc.writeMu.Lock()
-	defer sc.writeMu.Unlock()
-	sc.c.SetWriteDeadline(time.Now().Add(sc.srv.cfg.WriteTimeout))
-	return writeFrame(sc.c, t, payload)
-}
-
-// readFrame reads the next frame under the server's silence backstop.
-func (sc *serverConn) readFrame() (frameType, []byte, error) {
-	sc.c.SetReadDeadline(time.Now().Add(sc.srv.cfg.ReadTimeout))
-	return readFrame(sc.c)
-}
-
-func (sc *serverConn) writeJSON(t frameType, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("fleet: marshal %s: %w", t, err)
-	}
-	return sc.write(t, payload)
 }
 
 // pushModel sends one versioned bank down the connection. sha is the
@@ -251,8 +227,9 @@ func (sc *serverConn) run() {
 	defer sc.close()
 	s := sc.srv
 
-	// Handshake: the first frame must be a hello.
-	t, payload, err := sc.readFrame()
+	// Handshake: the first frame must be a hello. Every read runs under
+	// the server's silence backstop.
+	t, payload, err := sc.read(s.cfg.ReadTimeout)
 	if err != nil {
 		s.logf("fleet: %s: handshake read: %v", sc.remoteAddr(), err)
 		return
@@ -308,7 +285,7 @@ func (sc *serverConn) run() {
 	}
 
 	for {
-		t, payload, err := sc.readFrame()
+		t, payload, err := sc.read(s.cfg.ReadTimeout)
 		if err != nil {
 			s.logf("fleet: gateway %s disconnected: %v", id, err)
 			return
@@ -354,7 +331,7 @@ func (sc *serverConn) run() {
 				return
 			}
 			if s.cfg.Controller != nil {
-				s.cfg.Controller.OnModelAck(id, ack.SHA, ack.OK, ack.Error)
+				s.cfg.Controller.OnModelAck(id, ack.SHA, ack.OK, ack.Error, ack.Base)
 			} else if ack.OK {
 				s.cfg.Registry.setModel(id, ack.SHA)
 			}

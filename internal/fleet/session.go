@@ -2,7 +2,11 @@ package fleet
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -17,6 +21,50 @@ import (
 // ~16k observations — minutes of outage for a busy gateway — before
 // drop-oldest kicks in.
 const DefaultSpoolBatches = 256
+
+// ClientConfig is the link's connection parameters (the gateway side).
+type ClientConfig struct {
+	// Addr is the fleet server address (host:port). Ignored when
+	// Dialer is set.
+	Addr string
+	// GatewayID is this gateway's stable identity (required).
+	GatewayID string
+	// ModelSHA is the hex SHA-256 of the bank the gateway serves when
+	// the session starts ("" for none). Every hello offers the bank last
+	// applied — this one until a push lands — and the server pushes the
+	// fleet version when they differ.
+	ModelSHA string
+	// ApplyModel, if set, is called from the reader goroutine for each
+	// model push; a nil return acknowledges the bank as applied, an
+	// error is reported back to the service (and, for a canary,
+	// fails the rollout). A nil ApplyModel rejects every push.
+	ApplyModel func(sha string, model []byte) error
+	// BatchSize is how many observed fingerprints seal a batch (0
+	// selects 64; the wire carries at most 4096).
+	BatchSize int
+	// FlushInterval, if > 0, seals the open batch and sends changed
+	// counters on a timer while the link is up, and once on every new
+	// connection, even when BatchSize is never reached.
+	FlushInterval time.Duration
+	// Heartbeat overrides the heartbeat period (0 selects a third of
+	// the server-granted lease).
+	Heartbeat time.Duration
+	// WriteTimeout bounds every frame write, the TCP dial and the
+	// handshake's welcome read; 0 selects DefaultWriteTimeout.
+	WriteTimeout time.Duration
+	// ReadTimeout bounds how long the reader waits between frames;
+	// 0 derives it from the heartbeat (3 beats plus a second of
+	// slack). The server echoes every heartbeat, so a healthy link
+	// always has inbound traffic inside the window and a half-open
+	// peer is detected when it closes.
+	ReadTimeout time.Duration
+	// Dialer overrides how the connection is made (tests and the soak
+	// put fault injection here); nil dials TCP to Addr, cancelled by
+	// Close.
+	Dialer func() (net.Conn, error)
+	// Logf, if set, receives lifecycle lines.
+	Logf func(format string, args ...any)
+}
 
 // SessionState is the managed link's externally visible condition.
 type SessionState int32
@@ -44,13 +92,8 @@ func (s SessionState) String() string {
 
 // SessionConfig wires a managed fleet session.
 type SessionConfig struct {
-	// Client configures each underlying connection. GatewayID is
-	// required; Dialer/Addr, ApplyModel, BatchSize, FlushInterval,
-	// Heartbeat and the deadlines all mean what they mean on Client.
-	// The session takes over the client's ModelSHA (it re-offers the
-	// last applied bank on every redial so the registry's reconnect
-	// adoption works), its OnBatchAck (chained to any hook set here),
-	// and drives flushing itself when FlushInterval > 0.
+	// Client holds the connection parameters. GatewayID and one of
+	// Addr/Dialer are required.
 	Client ClientConfig
 	// Retry shapes the reconnect backoff; the zero value uses the
 	// iotssp defaults (100ms base, 5s cap, ×2, ±20% deterministic
@@ -87,45 +130,45 @@ type SessionStats struct {
 	SpoolDropped uint64
 }
 
-// Session is the resilient fleet link: it wraps Client with
-// auto-reconnect under jittered exponential backoff and a bounded
-// in-memory spool of un-acked fingerprint batches, replayed after
-// every hello/welcome re-handshake. Delivery is at-least-once — a
-// batch whose ack was lost in a disconnect is sent again, and the
-// central learner dedupes by canonical fingerprint key — and the
-// cumulative counters make counter resync idempotent. While no link
-// is up the session reports Degraded and keeps accepting
-// observations; the gateway's local serving is untouched either way.
+// Session is a gateway's link to the fleet server. It streams observed
+// fingerprints up in binary batches, reports cumulative assess/unknown
+// counters, refreshes its lease with heartbeats and applies the model
+// banks pushed down — over a connection it owns: dial, hello/welcome,
+// serve until a read or write fails, back off with jitter, redial.
+// Observations are encoded as they arrive into the payload of the open
+// batch; a sealed payload waits in a bounded spool until the server acks
+// it and is written again on every new connection until then. Delivery
+// is therefore at-least-once — a batch whose ack was lost in a
+// disconnect is sent again, and the central learner dedupes by canonical
+// fingerprint key — and the cumulative counters make counter resync
+// idempotent. While no link is up the session reports Degraded and
+// keeps accepting observations; the gateway's local serving is untouched
+// either way.
 type Session struct {
-	cfg       SessionConfig
-	clock     iotssp.Clock
-	batchSize int
-	maxSpool  int
-	stable    time.Duration
+	cfg SessionConfig // as given, defaults filled in
 
-	// Cumulative assessment counters live here, not on the client,
-	// so they survive reconnects; each fresh connection's first
-	// counter frame then carries the full totals (idempotent resync).
+	// Cumulative assessment counters: they outlive every connection,
+	// and each connection's first counters frame carries the full
+	// totals (idempotent resync).
 	assessed atomic.Uint64
 	unknown  atomic.Uint64
 
-	mu         sync.Mutex
-	cl         *Client // live connection, nil while degraded
-	pending    []fingerprint.Fingerprint
-	spool      [][]fingerprint.Fingerprint // sealed, oldest first
-	nextSend   int                         // spool batches already written on cl, awaiting ack
-	ackDebt    int                         // acks owed to batches dropped after being written
-	state      SessionState
-	closed     bool
-	modelSHA   string
-	everUp     bool
-	reconnects uint64
-	dropped    uint64
+	mu       sync.Mutex
+	link     *link    // live connection, nil while degraded
+	pending  []byte   // payload of the open batch, its count not yet written
+	pendingN int      // fingerprints in pending
+	spool    [][]byte // sealed payloads awaiting their ack, oldest first
+	nextSend int      // spool entries already written on link
+	ackDebt  int      // acks still due on link for entries dropped after being written
+	state    SessionState
+	closed   bool
+	modelSHA string
+	connects uint64 // successful handshakes
+	dropped  uint64
 
-	// sendMu serializes spool drains: the reconnect replay and the
-	// Observe/Flush paths must not interleave writes, or batches
-	// would hit the wire out of spool order and the FIFO ack
-	// matching would retire the wrong entries.
+	// sendMu serializes everything that writes spool entries or
+	// counters: batches must reach the wire in spool order, or the
+	// in-order acks would retire the wrong entries.
 	sendMu sync.Mutex
 
 	ctx    context.Context
@@ -133,45 +176,64 @@ type Session struct {
 	wg     sync.WaitGroup
 }
 
+// link is one connection's lifetime within a Session.
+type link struct {
+	framedConn
+	heartbeat   time.Duration
+	readTimeout time.Duration
+	// lost closes when the reader has exited, which every failure on
+	// the connection leads to.
+	lost chan struct{}
+	// err is the first failure (Session.mu).
+	err error
+	// sentAssessed/sentUnknown are the counters last written on this
+	// connection (Session.sendMu). They start at zero, so a fresh
+	// connection's first counters frame carries the totals.
+	sentAssessed, sentUnknown uint64
+}
+
 // NewSession starts the managed link. It returns immediately: the
 // first connection attempt happens in the background, and until it
 // succeeds the session is Degraded and spooling. Close releases it.
 func NewSession(cfg SessionConfig) (*Session, error) {
-	if cfg.Client.GatewayID == "" {
+	s := &Session{cfg: cfg, pending: make([]byte, batchHeader), modelSHA: cfg.Client.ModelSHA}
+	c := &s.cfg.Client
+	switch {
+	case c.GatewayID == "":
 		return nil, errors.New("fleet: SessionConfig.Client.GatewayID is required")
-	}
-	if cfg.Client.Dialer == nil && cfg.Client.Addr == "" {
+	case c.Dialer == nil && c.Addr == "":
 		return nil, errors.New("fleet: SessionConfig.Client needs an Addr or a Dialer")
+	case c.BatchSize > maxBatchFingerprints:
+		return nil, fmt.Errorf("fleet: BatchSize %d exceeds the %d fingerprints one batch frame carries", c.BatchSize, maxBatchFingerprints)
 	}
-	s := &Session{
-		cfg:       cfg,
-		clock:     cfg.Clock,
-		batchSize: cfg.Client.BatchSize,
-		maxSpool:  cfg.SpoolBatches,
-		stable:    cfg.Retry.BaseDelay,
-		state:     SessionDegraded,
-		modelSHA:  cfg.Client.ModelSHA,
+	if c.BatchSize <= 0 {
+		c.BatchSize = 64
 	}
-	if s.clock == nil {
-		s.clock = iotssp.SystemClock()
+	if c.WriteTimeout <= 0 {
+		c.WriteTimeout = DefaultWriteTimeout
 	}
-	if s.batchSize <= 0 {
-		s.batchSize = 64
+	if s.cfg.SpoolBatches <= 0 {
+		s.cfg.SpoolBatches = DefaultSpoolBatches
 	}
-	if s.maxSpool <= 0 {
-		s.maxSpool = DefaultSpoolBatches
+	if s.cfg.Retry.BaseDelay <= 0 {
+		// RetryPolicy's own default, spelled out because run also reads
+		// it as how long a connection must live to count as stable.
+		s.cfg.Retry.BaseDelay = 100 * time.Millisecond
 	}
-	if s.stable <= 0 {
-		s.stable = 100 * time.Millisecond // the RetryPolicy default BaseDelay
+	if s.cfg.Clock == nil {
+		s.cfg.Clock = iotssp.SystemClock()
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
+	if c.Dialer == nil {
+		// Bounded and cancellable, so Close never waits on a hung connect.
+		c.Dialer = func() (net.Conn, error) {
+			d := net.Dialer{Timeout: c.WriteTimeout}
+			return d.DialContext(s.ctx, "tcp", c.Addr)
+		}
+	}
 	s.cfg.Metrics.setLinkUp(false)
 	s.wg.Add(1)
 	go s.run()
-	if cfg.Client.FlushInterval > 0 {
-		s.wg.Add(1)
-		go s.flushLoop()
-	}
 	return s, nil
 }
 
@@ -181,133 +243,243 @@ func (s *Session) logf(format string, args ...any) {
 	}
 }
 
-// clientConfig builds the per-connection config: the session's current
-// model SHA rides in the hello (registry reconnect adoption), acks and
-// model applies route back through the session, and the dial itself is
-// bounded and cancellable so Close never waits on a hung connect.
-func (s *Session) clientConfig() ClientConfig {
-	cfg := s.cfg.Client
-	s.mu.Lock()
-	cfg.ModelSHA = s.modelSHA
-	s.mu.Unlock()
-	userAck := cfg.OnBatchAck
-	cfg.OnBatchAck = func(accepted, unknown int) {
-		s.onAck()
-		if userAck != nil {
-			userAck(accepted, unknown)
-		}
-	}
-	if userApply := cfg.ApplyModel; userApply != nil {
-		cfg.ApplyModel = func(sha string, model []byte) error {
-			if err := userApply(sha, model); err != nil {
-				return err
-			}
-			s.mu.Lock()
-			s.modelSHA = sha
-			s.mu.Unlock()
-			return nil
-		}
-	}
-	cfg.counterSrc = func() (uint64, uint64) {
-		// unknown first: RecordAssessment bumps assessed before
-		// unknown, so this read order keeps unknown ≤ assessed.
-		u := s.unknown.Load()
-		a := s.assessed.Load()
-		return a, u
-	}
-	// The session owns flush cadence; a per-client ticker would race
-	// the spool drain.
-	cfg.FlushInterval = 0
-	if cfg.Dialer == nil {
-		addr := cfg.Addr
-		timeout := cfg.WriteTimeout
-		if timeout <= 0 {
-			timeout = DefaultWriteTimeout
-		}
-		cfg.Dialer = func() (net.Conn, error) {
-			d := net.Dialer{Timeout: timeout}
-			return d.DialContext(s.ctx, "tcp", addr)
-		}
-	}
-	return cfg
-}
-
-// run is the reconnect loop: dial, replay, serve, back off, repeat.
+// run is the session's one long-lived goroutine: connect, serve the
+// connection until it is lost, back off, repeat.
 func (s *Session) run() {
 	defer s.wg.Done()
-	attempt := 0
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		default:
-		}
-		cl, err := Dial(s.clientConfig())
+	clock, retry := s.cfg.Clock, s.cfg.Retry
+	for attempt := 0; s.ctx.Err() == nil; {
+		l, err := s.connect()
 		if err != nil {
-			attempt++
-			s.logf("fleet: link dial failed (attempt %d): %v", attempt, err)
-			if s.clock.Sleep(s.ctx, s.cfg.Retry.Backoff(attempt)) != nil {
+			s.logf("fleet: link dial failed (attempt %d): %v", attempt+1, err)
+		} else {
+			connectedAt := clock.Now()
+			if closing := s.serve(l); closing {
 				return
 			}
-			continue
-		}
-		connectedAt := s.clock.Now()
-		s.mu.Lock()
-		s.cl = cl
-		s.nextSend = 0
-		reconnect := s.everUp
-		s.everUp = true
-		if reconnect {
-			s.reconnects++
-		}
-		s.mu.Unlock()
-		if reconnect {
-			s.cfg.Metrics.incReconnect()
-			s.logf("fleet: link re-established (reconnect #%d)", s.Stats().Reconnects)
-		}
-		s.setState(SessionConnected)
-		// Replay everything un-acked, then resync the cumulative
-		// counters; both are idempotent on the server side.
-		s.drain(cl)
-		cl.sendCounters()
-
-		select {
-		case <-s.ctx.Done():
-			// Best-effort tail delivery, deadline-bounded: Close sealed
-			// the pending batch before cancelling, so drain ships it.
-			s.flushInto(cl)
-			s.detach(cl)
-			cl.Close()
-			return
-		case <-cl.Done():
-			s.detach(cl)
-			cl.Close() // reap the connection's goroutines
 			s.setState(SessionDegraded)
-			s.logf("fleet: link lost: %v", cl.Err())
+			s.mu.Lock()
+			err = l.err
+			s.mu.Unlock()
+			s.logf("fleet: link lost: %v", err)
 			// A connection that died young counts as a failure so a
 			// flapping peer meets backoff, not a hot dial loop; one
 			// that lived resets the schedule.
-			if s.clock.Now().Sub(connectedAt) < s.stable {
-				attempt++
-				if s.clock.Sleep(s.ctx, s.cfg.Retry.Backoff(attempt)) != nil {
-					return
-				}
-			} else {
+			if clock.Now().Sub(connectedAt) >= retry.BaseDelay {
 				attempt = 0
+				continue
 			}
+		}
+		attempt++
+		if clock.Sleep(s.ctx, retry.Backoff(attempt)) != nil {
+			return
 		}
 	}
 }
 
-// detach forgets cl as the live connection; whatever it had written
-// without an ack stays in the spool for the next connection's replay.
-func (s *Session) detach(cl *Client) {
-	s.mu.Lock()
-	if s.cl == cl {
-		s.cl = nil
+// connect dials and registers. The hello offers the bank the session
+// last applied, so a service that already has this gateway on it adopts
+// that instead of pushing it again.
+func (s *Session) connect() (*link, error) {
+	c, err := s.cfg.Client.Dialer()
+	if err != nil {
+		return nil, fmt.Errorf("fleet: dial: %w", err)
 	}
-	s.nextSend = 0
+	l := &link{
+		framedConn: framedConn{c: c, writeTimeout: s.cfg.Client.WriteTimeout},
+		lost:       make(chan struct{}),
+	}
+	id := s.cfg.Client.GatewayID
+	w, err := handshake(&l.framedConn, helloMsg{Versions: supportedVersions, GatewayID: id, ModelSHA: s.ModelSHA()})
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	lease := time.Duration(w.LeaseMillis) * time.Millisecond
+	s.logf("fleet: registered as %s (protocol v%d, lease %s, fleet model %.12s)", id, w.Version, lease, w.ModelSHA)
+	// The heartbeat period, and from it the read deadline, depend on the
+	// lease the welcome granted.
+	l.heartbeat = s.cfg.Client.Heartbeat
+	if l.heartbeat <= 0 {
+		l.heartbeat = lease / 3
+	}
+	if l.heartbeat <= 0 {
+		l.heartbeat = DefaultLease / 3
+	}
+	l.readTimeout = s.cfg.Client.ReadTimeout
+	if l.readTimeout <= 0 {
+		l.readTimeout = 3*l.heartbeat + time.Second
+	}
+	return l, nil
+}
+
+// handshake sends the hello and reads the service's answer to it.
+func handshake(fc *framedConn, hello helloMsg) (welcomeMsg, error) {
+	var w welcomeMsg
+	if err := fc.writeJSON(ftHello, hello); err != nil {
+		return w, fmt.Errorf("fleet: hello: %w", err)
+	}
+	t, payload, err := fc.read(fc.writeTimeout)
+	if err != nil {
+		return w, fmt.Errorf("fleet: handshake: %w", err)
+	}
+	switch t {
+	case ftWelcome:
+		if err := json.Unmarshal(payload, &w); err != nil {
+			return w, fmt.Errorf("fleet: malformed welcome: %w", err)
+		}
+		if _, ok := negotiate([]uint32{w.Version}); !ok {
+			return w, fmt.Errorf("fleet: server picked unsupported protocol v%d", w.Version)
+		}
+		return w, nil
+	case ftError:
+		var em errorMsg
+		json.Unmarshal(payload, &em)
+		return w, fmt.Errorf("fleet: server rejected registration: %s", em.Msg)
+	default:
+		return w, fmt.Errorf("fleet: expected welcome, got %s", t)
+	}
+}
+
+// serve makes l the live connection and drives it — replay, then
+// heartbeats and timed flushes — until it is lost or the session closes
+// (closing). Either way l's reader has exited when serve returns.
+func (s *Session) serve(l *link) (closing bool) {
+	s.mu.Lock()
+	s.link = l
+	s.nextSend, s.ackDebt = 0, 0 // nothing is written or owed on a new connection
+	s.connects++
+	reconnects := s.connects - 1
 	s.mu.Unlock()
+	if reconnects > 0 {
+		s.cfg.Metrics.incReconnect()
+		s.logf("fleet: link re-established (reconnect #%d)", reconnects)
+	}
+	go s.readLoop(l)
+	defer func() {
+		<-l.lost
+		// Whatever was written without an ack stays in the spool for the
+		// next connection's replay.
+		s.mu.Lock()
+		s.link = nil
+		s.mu.Unlock()
+	}()
+	s.setState(SessionConnected)
+	heartbeat := time.NewTicker(l.heartbeat)
+	defer heartbeat.Stop()
+	var flush <-chan time.Time
+	if every := s.cfg.Client.FlushInterval; every > 0 {
+		t := time.NewTicker(every)
+		defer t.Stop()
+		flush = t.C
+		// The timer ran only while a link was up: what it would have
+		// sealed during the outage goes out with the replay.
+		s.mu.Lock()
+		s.sealLocked()
+		s.mu.Unlock()
+	}
+	// Replay everything un-acked, then resync the cumulative counters;
+	// both are idempotent on the server side.
+	s.flushLink(l)
+
+	for {
+		select {
+		case <-s.ctx.Done():
+			// Best-effort tail delivery, deadline-bounded: Close sealed
+			// the open batch before cancelling.
+			s.flushLink(l)
+			l.c.Close()
+			return true
+		case <-l.lost:
+			return false
+		case <-heartbeat.C:
+			if err := l.write(ftHeartbeat, nil); err != nil {
+				s.fail(l, err)
+			} else {
+				s.flushLink(l)
+			}
+		case <-flush:
+			s.Flush()
+		}
+	}
+}
+
+// fail tears l down: its socket closes, so its reader exits and serve
+// sees the loss. The first error to arrive is the one reported.
+func (s *Session) fail(l *link, err error) {
+	s.mu.Lock()
+	if l.err == nil {
+		l.err = err
+	}
+	s.mu.Unlock()
+	l.c.Close()
+}
+
+// readLoop handles frames from the service: heartbeat echoes, batch
+// acks, model pushes, errors. The per-frame read deadline is the
+// liveness detector: the server echoes heartbeats, so a healthy link
+// delivers something every beat and a half-open peer times the loop
+// out within ~3 beats instead of blocking forever.
+func (s *Session) readLoop(l *link) {
+	defer close(l.lost)
+	for {
+		t, payload, err := l.read(l.readTimeout)
+		if err != nil {
+			s.fail(l, fmt.Errorf("fleet: link read: %w", err))
+			return
+		}
+		switch t {
+		case ftHeartbeat:
+			// The server's echo; arriving at all is its whole content.
+		case ftBatchAck:
+			s.onAck()
+		case ftModelPush:
+			err = s.handleModelPush(l, payload)
+		case ftError:
+			var em errorMsg
+			json.Unmarshal(payload, &em)
+			err = fmt.Errorf("fleet: server error: %s", em.Msg)
+		default:
+			err = fmt.Errorf("fleet: unexpected frame %s from server", t)
+		}
+		if err != nil {
+			s.fail(l, err)
+			return
+		}
+	}
+}
+
+// handleModelPush verifies the pushed blob against its SHA, hands it
+// to ApplyModel, and acks the outcome.
+func (s *Session) handleModelPush(l *link, payload []byte) error {
+	sha, model, err := decodeModelPush(payload)
+	if err != nil {
+		return err
+	}
+	hexSHA := hex.EncodeToString(sha[:])
+	// The ack carries the counters as they stand before the bank is
+	// applied: assessments made under it reach the wire through the
+	// flush path, which can overtake the ack, and the service must be
+	// able to tell them from what came before.
+	assessed, unknown := s.counters()
+	ack := modelAckMsg{SHA: hexSHA, Base: &counterPair{Assessed: assessed, Unknown: unknown}}
+	if apply := s.cfg.Client.ApplyModel; sha256.Sum256(model) != sha {
+		ack.Error = "model blob does not match its SHA-256"
+	} else if apply == nil {
+		ack.Error = "gateway does not accept model pushes"
+	} else if err := apply(hexSHA, model); err != nil {
+		ack.Error = err.Error()
+	} else {
+		ack.OK = true
+		s.mu.Lock()
+		s.modelSHA = hexSHA
+		s.mu.Unlock()
+		s.logf("fleet: applied pushed model %.12s", hexSHA)
+	}
+	if ack.Error != "" {
+		s.logf("fleet: rejected pushed model %.12s: %s", hexSHA, ack.Error)
+	}
+	return l.writeJSON(ftModelAck, ack)
 }
 
 func (s *Session) setState(st SessionState) {
@@ -346,7 +518,7 @@ func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return SessionStats{
-		Reconnects:   s.reconnects,
+		Reconnects:   max(s.connects, 1) - 1,
 		SpoolDepth:   len(s.spool),
 		SpoolDropped: s.dropped,
 	}
@@ -362,36 +534,49 @@ func (s *Session) RecordAssessment(unknown bool) {
 	}
 }
 
-// Observe buffers one fingerprint. At BatchSize the pending batch is
-// sealed into the spool and — when a link is up — written out;
-// while degraded it just spools, bounded by SpoolBatches.
+// counters reads the cumulative counters, unknown first:
+// RecordAssessment bumps assessed before unknown, so this order keeps
+// unknown ≤ assessed.
+func (s *Session) counters() (assessed, unknown uint64) {
+	unknown = s.unknown.Load()
+	return s.assessed.Load(), unknown
+}
+
+// Observe adds one fingerprint to the open batch, failing — alone — one
+// the wire cannot carry. At BatchSize the batch is sealed into the
+// spool and, when a link is up, written out; while degraded it just
+// spools, bounded by SpoolBatches.
 func (s *Session) Observe(fp fingerprint.Fingerprint) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return errors.New("fleet: session closed")
 	}
-	s.pending = append(s.pending, fp)
-	var cl *Client
-	if len(s.pending) >= s.batchSize {
+	var err error
+	if s.pending, err = appendBatchFingerprint(s.pending, s.pendingN, fp); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	s.pendingN++
+	var l *link
+	if s.pendingN >= s.cfg.Client.BatchSize {
 		s.sealLocked()
-		cl = s.cl
+		l = s.link
 	}
 	s.mu.Unlock()
-	if cl != nil {
-		s.drain(cl)
-	}
+	s.flushLink(l)
 	return nil
 }
 
-// sealLocked moves the pending batch into the spool, dropping the
-// oldest sealed batch when the bound is hit. Callers hold s.mu.
+// sealLocked moves the open batch into the spool as its finished frame
+// payload, dropping the oldest sealed batch when the bound is hit.
+// Callers hold s.mu.
 func (s *Session) sealLocked() {
-	if len(s.pending) == 0 {
+	if s.pendingN == 0 {
 		return
 	}
-	if len(s.spool) >= s.maxSpool {
-		lost := len(s.spool[0])
+	if len(s.spool) >= s.cfg.SpoolBatches {
+		lost := batchCount(s.spool[0])
 		if s.nextSend > 0 {
 			// The dropped batch was already written on the live conn;
 			// its ack will still arrive and must not retire a
@@ -399,36 +584,56 @@ func (s *Session) sealLocked() {
 			s.nextSend--
 			s.ackDebt++
 		}
+		s.spool[0] = nil
 		s.spool = s.spool[1:]
 		s.dropped += uint64(lost)
 		s.cfg.Metrics.addSpoolDropped(lost)
 		s.logf("fleet: spool full, dropped oldest batch (%d fingerprints)", lost)
 	}
-	s.spool = append(s.spool, s.pending)
-	s.pending = nil
+	sealBatch(s.pending, s.pendingN)
+	// An exact-size copy goes to the spool; the open batch keeps its
+	// buffer, which therefore stops growing after the first batches.
+	s.spool = append(s.spool, append([]byte(nil), s.pending...))
+	s.pending, s.pendingN = s.pending[:batchHeader], 0
 	s.cfg.Metrics.setSpoolDepth(len(s.spool))
 }
 
-// drain writes every not-yet-written spooled batch to cl in order.
-// The FIFO ack contract retires them as the server responds.
-func (s *Session) drain(cl *Client) {
+// flushLink writes every not-yet-written spooled batch to l in order —
+// the in-order acks retire them as the server responds — and then the
+// counters, if they moved since they were last written on l. A failed
+// write tears l down and loses nothing: the spool keeps what is not
+// acked and the next connection resends the counters in full. No link
+// (nil), nothing to do.
+func (s *Session) flushLink(l *link) error {
+	if l == nil {
+		return nil
+	}
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	for {
 		s.mu.Lock()
-		if s.cl != cl || s.nextSend >= len(s.spool) {
+		if s.link != l || s.nextSend >= len(s.spool) {
 			s.mu.Unlock()
-			return
+			break
 		}
 		batch := s.spool[s.nextSend]
 		s.nextSend++
 		s.mu.Unlock()
-		if cl.writeBatch(batch) != nil {
-			// The client is dead; Done fires and the run loop resets
-			// nextSend so the next connection replays from the top.
-			return
+		if err := l.write(ftBatch, batch); err != nil {
+			s.fail(l, err)
+			return err
 		}
 	}
+	assessed, unknown := s.counters()
+	if assessed == l.sentAssessed && unknown == l.sentUnknown {
+		return nil
+	}
+	l.sentAssessed, l.sentUnknown = assessed, unknown
+	if err := l.write(ftCounters, encodeCounters(assessed, unknown)); err != nil {
+		s.fail(l, err)
+		return err
+	}
+	return nil
 }
 
 // onAck retires the oldest outstanding batch. The server acks batches
@@ -441,6 +646,7 @@ func (s *Session) onAck() {
 	case s.ackDebt > 0:
 		s.ackDebt--
 	case s.nextSend > 0 && len(s.spool) > 0:
+		s.spool[0] = nil
 		s.spool = s.spool[1:]
 		s.nextSend--
 	}
@@ -449,52 +655,25 @@ func (s *Session) onAck() {
 	s.cfg.Metrics.setSpoolDepth(depth)
 }
 
-// Flush seals whatever is pending and, when a link is up, drains the
-// spool and resyncs counters. Degraded sessions just spool — that is
-// the point.
+// Flush seals the open batch and, when a link is up, writes the spool
+// and the counters out, returning the write error that tore the link
+// down if one did. Degraded sessions just spool — that is the point.
 func (s *Session) Flush() error {
 	s.mu.Lock()
 	s.sealLocked()
-	cl := s.cl
+	l := s.link
 	s.mu.Unlock()
-	return s.flushInto(cl)
-}
-
-func (s *Session) flushInto(cl *Client) error {
-	if cl == nil {
-		return nil
-	}
-	s.drain(cl)
-	return cl.sendCounters()
-}
-
-// flushLoop is the session-owned flush ticker (the client's own is
-// disabled so timer flushes and reconnect replays share one path).
-func (s *Session) flushLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.Client.FlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-t.C:
-			s.Flush()
-		}
-	}
+	return s.flushLink(l)
 }
 
 // Close stops the reconnect loop, attempts a final deadline-bounded
 // flush over any live link, and releases every session goroutine.
 func (s *Session) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return nil
+	if !s.closed {
+		s.closed = true
+		s.sealLocked()
 	}
-	s.closed = true
-	s.sealLocked()
 	s.mu.Unlock()
 	s.cancel()
 	s.wg.Wait()

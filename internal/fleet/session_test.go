@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,7 +112,8 @@ func registryModel(reg *Registry, id string) string {
 // fingerprints and acking each batch, so client-focused tests need no
 // full fleet stack.
 type stubServer struct {
-	ln net.Listener
+	ln   net.Listener
+	mute atomic.Bool // set: batches are recorded but not acked
 
 	mu      sync.Mutex
 	batches [][]fingerprint.Fingerprint
@@ -164,8 +166,10 @@ func (s *stubServer) serve(c net.Conn) {
 			s.mu.Lock()
 			s.batches = append(s.batches, fps)
 			s.mu.Unlock()
-			ack, _ := json.Marshal(batchAckMsg{Accepted: len(fps)})
-			writeFrame(c, ftBatchAck, ack)
+			if !s.mute.Load() {
+				ack, _ := json.Marshal(batchAckMsg{Accepted: len(fps)})
+				writeFrame(c, ftBatchAck, ack)
+			}
 		}
 	}
 }
@@ -180,88 +184,171 @@ func (s *stubServer) received() []fingerprint.Fingerprint {
 	return all
 }
 
-// TestClientFlushRequeuesOnWriteError pins the Flush contract: a batch
-// the wire refused goes back to the front of the buffer — the link is
-// dead but the observations are not lost; a Session harvests them into
-// its spool for the next connection.
-func TestClientFlushRequeuesOnWriteError(t *testing.T) {
-	defer testutil.AssertNoGoroutineLeaks(t)()
-	srv, cli := net.Pipe()
-	go func() {
-		// One-shot handshake peer: welcome the client, then hang up so
-		// the next write fails.
-		t, _, err := readFrame(srv)
-		if err != nil || t != ftHello {
-			srv.Close()
-			return
-		}
-		payload, _ := json.Marshal(welcomeMsg{Version: supportedVersions[0], LeaseMillis: time.Hour.Milliseconds()})
-		writeFrame(srv, ftWelcome, payload)
-	}()
-	cl, err := Dial(ClientConfig{
-		GatewayID: "g1",
-		BatchSize: 1024,
-		Heartbeat: time.Hour,
-		Dialer:    func() (net.Conn, error) { return cli, nil },
+// brittleConn is a connection whose writes can be made to fail while
+// its reads keep waiting, which is how a write error reaches a link its
+// reader still takes for healthy.
+type brittleConn struct {
+	net.Conn
+	broken *atomic.Bool
+}
+
+func (c brittleConn) Write(p []byte) (int, error) {
+	if c.broken.Load() {
+		return 0, errors.New("write refused")
+	}
+	return c.Conn.Write(p)
+}
+
+// TestSessionFailedWriteStaysSpooledAndIsDeliveredOnce pins what a
+// write error costs: the link, and nothing else. The batch the wire
+// refused is still the spool's, whole and in order, and the next
+// connection delivers it exactly once.
+func TestSessionFailedWriteStaysSpooledAndIsDeliveredOnce(t *testing.T) {
+	t.Cleanup(testutil.AssertNoGoroutineLeaks(t))
+	srv := startStubServer(t)
+	var broken atomic.Bool
+	redial := make(chan struct{}) // holds the second dial back until the spool has been looked at
+	openRedial := sync.OnceFunc(func() { close(redial) })
+	dials := 0
+	sess, err := NewSession(SessionConfig{
+		Client: ClientConfig{
+			GatewayID: "g1",
+			BatchSize: 1024,
+			Heartbeat: time.Hour,
+			Dialer: func() (net.Conn, error) {
+				if dials++; dials > 1 {
+					<-redial
+				}
+				c, err := net.Dial("tcp", srv.ln.Addr().String())
+				if err != nil {
+					return nil, err
+				}
+				return brittleConn{Conn: c, broken: &broken}, nil
+			},
+		},
+		Retry: iotssp.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 	})
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatalf("NewSession: %v", err)
 	}
-	defer cl.Close()
+	defer sess.Close()
+	defer openRedial() // first, or a failed test would leave Close waiting on the held dial
+	waitFor(t, "connection", func() bool { return sess.State() == SessionConnected })
 
 	want := []fingerprint.Fingerprint{testFingerprint(3, 1), testFingerprint(3, 2), testFingerprint(4, 3)}
 	for _, fp := range want {
-		if err := cl.Observe(fp); err != nil {
+		if err := sess.Observe(fp); err != nil {
 			t.Fatalf("Observe: %v", err)
 		}
 	}
-	srv.Close()
-	waitFor(t, "client noticing the dead peer", func() bool {
-		select {
-		case <-cl.Done():
-			return true
-		default:
-			return false
-		}
-	})
-
-	if err := cl.Flush(); err == nil {
-		t.Fatal("Flush over a dead link reported success")
+	broken.Store(true)
+	if err := sess.Flush(); err == nil {
+		t.Fatal("Flush over a link that refuses writes reported success")
 	}
-	cl.mu.Lock()
-	got := append([]fingerprint.Fingerprint(nil), cl.buf...)
-	cl.mu.Unlock()
+	waitFor(t, "the write error degrading the link", func() bool { return sess.State() == SessionDegraded })
+	sess.mu.Lock()
+	depth := len(sess.spool)
+	held, err := decodeBatch(sess.spool[0])
+	sess.mu.Unlock()
+	if err != nil || depth != 1 || len(held) != len(want) {
+		t.Fatalf("spool holds %d batches, the first of %d fingerprints (%v); want the one refused batch of %d", depth, len(held), err, len(want))
+	}
+
+	broken.Store(false)
+	openRedial()
+	waitFor(t, "redelivery", func() bool { return len(srv.received()) >= len(want) })
+	waitFor(t, "the ack retiring the batch", func() bool { return sess.Stats().SpoolDepth == 0 })
+	got := srv.received()
 	if len(got) != len(want) {
-		t.Fatalf("buffer holds %d fingerprints after failed Flush, want %d requeued", len(got), len(want))
+		t.Fatalf("server received %d fingerprints, want %d exactly once", len(got), len(want))
 	}
 	for i := range want {
-		if seedOf(got[i]) != seedOf(want[i]) {
-			t.Fatalf("requeued fingerprint %d has seed %v, want %v (order lost)", i, seedOf(got[i]), seedOf(want[i]))
+		if seedOf(got[i]) != seedOf(want[i]) || seedOf(held[i]) != seedOf(want[i]) {
+			t.Fatalf("fingerprint %d: spooled seed %v, delivered seed %v, want %v (order lost)", i, seedOf(held[i]), seedOf(got[i]), seedOf(want[i]))
 		}
 	}
 }
 
-// TestClientCloseFlushesTail pins the clean-shutdown contract: Close
-// delivers whatever is buffered (deadline-bounded) instead of
-// discarding it.
-func TestClientCloseFlushesTail(t *testing.T) {
+// TestSessionAckDebtDiesWithItsConnection: an entry the bound drops
+// after it was written is still owed an ack, and that debt swallows one.
+// The debt belongs to the connection the entry was written on: carried
+// into the next one it would swallow the ack of a replayed batch, and
+// the spool would never drain again.
+func TestSessionAckDebtDiesWithItsConnection(t *testing.T) {
 	t.Cleanup(testutil.AssertNoGoroutineLeaks(t))
-	s := startStubServer(t)
-	cl, err := Dial(ClientConfig{
-		Addr:      s.ln.Addr().String(),
-		GatewayID: "g1",
-		BatchSize: 1024, // never auto-flushes: the tail is Close's job
-		Heartbeat: time.Hour,
+	srv := startStubServer(t)
+	srv.mute.Store(true)
+	var broken atomic.Bool
+	sess, err := NewSession(SessionConfig{
+		Client: ClientConfig{
+			GatewayID: "g1",
+			BatchSize: 1,
+			Heartbeat: time.Hour,
+			Dialer: func() (net.Conn, error) {
+				c, err := net.Dial("tcp", srv.ln.Addr().String())
+				if err != nil {
+					return nil, err
+				}
+				return brittleConn{Conn: c, broken: &broken}, nil
+			},
+		},
+		Retry:        iotssp.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+		SpoolBatches: 2,
 	})
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatalf("NewSession: %v", err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := cl.Observe(testFingerprint(3, float64(i))); err != nil {
+	defer sess.Close()
+	waitFor(t, "connection", func() bool { return sess.State() == SessionConnected })
+
+	// Three batches written and none acked: the third pushes the first,
+	// already on the wire, out of the spool.
+	for i := 1; i <= 3; i++ {
+		if err := sess.Observe(testFingerprint(3, float64(i))); err != nil {
 			t.Fatalf("Observe: %v", err)
 		}
 	}
-	if err := cl.Close(); err != nil {
+	waitFor(t, "three written batches", func() bool { return len(srv.received()) == 3 })
+	if st := sess.Stats(); st.SpoolDepth != 2 || st.SpoolDropped != 1 {
+		t.Fatalf("stats = %+v, want 2 spooled and 1 dropped", st)
+	}
+
+	// The link dies owing that ack; the next one replays the two
+	// survivors to a server that acks again.
+	broken.Store(true)
+	sess.RecordAssessment(false)
+	if err := sess.Flush(); err == nil {
+		t.Fatal("Flush over a link that refuses writes reported success")
+	}
+	waitFor(t, "the write error degrading the link", func() bool { return sess.State() == SessionDegraded })
+	srv.mute.Store(false)
+	broken.Store(false)
+	waitFor(t, "the replayed batches", func() bool { return len(srv.received()) == 5 })
+	waitFor(t, "both acks retiring them", func() bool { return sess.Stats().SpoolDepth == 0 })
+}
+
+// TestSessionCloseFlushesTail pins the clean-shutdown contract: Close
+// over a live link delivers the open batch (deadline-bounded) instead
+// of discarding it.
+func TestSessionCloseFlushesTail(t *testing.T) {
+	t.Cleanup(testutil.AssertNoGoroutineLeaks(t))
+	s := startStubServer(t)
+	sess, err := NewSession(SessionConfig{Client: ClientConfig{
+		Addr:      s.ln.Addr().String(),
+		GatewayID: "g1",
+		BatchSize: 1024, // never seals by itself: the tail is Close's job
+		Heartbeat: time.Hour,
+	}})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	waitFor(t, "connection", func() bool { return sess.State() == SessionConnected })
+	for i := 0; i < 3; i++ {
+		if err := sess.Observe(testFingerprint(3, float64(i))); err != nil {
+			t.Fatalf("Observe: %v", err)
+		}
+	}
+	if err := sess.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	waitFor(t, "tail batch delivery", func() bool { return len(s.received()) == 3 })
@@ -276,16 +363,19 @@ func chaosDialerTo(addr string, cfg chaos.Config) *chaos.Dialer {
 
 // TestSessionSpoolsWhileDegradedAndDrainsOnConnect: a session whose
 // first dials all fail buffers sealed batches (Degraded is a working
-// state, not an error), then ships everything once a dial lands.
+// state, not an error), then ships everything once a dial lands — the
+// part-full batch too when flushing is timed, since the timer does not
+// run without a link.
 func TestSessionSpoolsWhileDegradedAndDrainsOnConnect(t *testing.T) {
 	t.Cleanup(testutil.AssertNoGoroutineLeaks(t))
 	s := startStubServer(t)
 	var gate atomic.Bool // closed until the test opens it
 	sess, err := NewSession(SessionConfig{
 		Client: ClientConfig{
-			GatewayID: "g1",
-			BatchSize: 2,
-			Heartbeat: 50 * time.Millisecond,
+			GatewayID:     "g1",
+			BatchSize:     2,
+			FlushInterval: time.Hour, // its first tick is out of the test's reach
+			Heartbeat:     50 * time.Millisecond,
 			Dialer: func() (net.Conn, error) {
 				if !gate.Load() {
 					return nil, errors.New("refused")
@@ -303,7 +393,7 @@ func TestSessionSpoolsWhileDegradedAndDrainsOnConnect(t *testing.T) {
 	if got := sess.State(); got != SessionDegraded {
 		t.Fatalf("initial state = %v, want degraded", got)
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 7; i++ {
 		if err := sess.Observe(testFingerprint(3, float64(i))); err != nil {
 			t.Fatalf("Observe while degraded: %v", err)
 		}
@@ -312,7 +402,7 @@ func TestSessionSpoolsWhileDegradedAndDrainsOnConnect(t *testing.T) {
 
 	gate.Store(true)
 	waitFor(t, "connection", func() bool { return sess.State() == SessionConnected })
-	waitFor(t, "spool drained to the server", func() bool { return len(s.received()) == 6 })
+	waitFor(t, "spool and open batch drained to the server", func() bool { return len(s.received()) == 7 })
 	waitFor(t, "acks retire the spool", func() bool { return sess.Stats().SpoolDepth == 0 })
 	if d := sess.Stats().SpoolDropped; d != 0 {
 		t.Fatalf("SpoolDropped = %d below the bound, want 0", d)
@@ -353,10 +443,109 @@ func TestSessionSpoolBoundDropsOldest(t *testing.T) {
 		t.Fatalf("SpoolDropped = %d fingerprints, want 4 (two oldest batches of 2)", st.SpoolDropped)
 	}
 	sess.mu.Lock()
-	oldest := seedOf(sess.spool[0][0])
+	oldest, err := decodeBatch(sess.spool[0])
 	sess.mu.Unlock()
-	if oldest != 4 {
-		t.Fatalf("oldest surviving fingerprint seed = %v, want 4 (drop-oldest, not drop-newest)", oldest)
+	if err != nil || seedOf(oldest[0]) != 4 {
+		t.Fatalf("oldest surviving batch = %v (%v), want one starting at seed 4 (drop-oldest, not drop-newest)", oldest, err)
+	}
+}
+
+// TestSessionDegradedMemoryBound: the spool holds what the wire will
+// carry — 99 B for a 12-row setup capture, the soak's size — not the
+// fingerprints it was handed (2.2 KB each with their F′), so a gateway
+// whose uplink is down for good stays within a few megabytes at the
+// default bound, sheds oldest first beyond it and counts what it shed
+// in fingerprints.
+func TestSessionDegradedMemoryBound(t *testing.T) {
+	defer testutil.AssertNoGoroutineLeaks(t)()
+	sess, err := NewSession(SessionConfig{
+		Client: ClientConfig{
+			GatewayID: "g1",
+			Dialer:    func() (net.Conn, error) { return nil, errors.New("down") },
+		},
+		Retry: iotssp.RetryPolicy{BaseDelay: time.Hour},
+	})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	defer sess.Close()
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+
+	const (
+		batch    = 64 // the default BatchSize
+		overflow = 3  // batches beyond the bound
+		tail     = 10 // fingerprints left in the open batch
+	)
+	before := heap()
+	for i := 0; i < (DefaultSpoolBatches+overflow)*batch+tail; i++ {
+		if err := sess.Observe(testFingerprint(12, float64(i*16))); err != nil {
+			t.Fatalf("Observe: %v", err)
+		}
+	}
+	retained := float64(heap()-before) / (1 << 20)
+	t.Logf("a full spool of %d-fingerprint batches retains %.2f MB", batch, retained)
+	if retained > 4 {
+		t.Errorf("a full spool retains %.1f MB, want < 4 MB", retained)
+	}
+	st := sess.Stats()
+	if st.SpoolDepth != DefaultSpoolBatches || st.SpoolDropped != overflow*batch {
+		t.Fatalf("spool holds %d batches and dropped %d fingerprints, want %d and %d", st.SpoolDepth, st.SpoolDropped, DefaultSpoolBatches, overflow*batch)
+	}
+	sess.mu.Lock()
+	oldest, err := decodeBatch(sess.spool[0])
+	sess.mu.Unlock()
+	if err != nil || len(oldest) != batch || seedOf(oldest[0]) != overflow*batch*16 {
+		t.Fatalf("oldest surviving batch: %d fingerprints from seed %v (%v), want %d from %d", len(oldest), seedOf(oldest[0]), err, batch, overflow*batch*16)
+	}
+}
+
+// TestSessionBadFingerprintFailsAlone: a fingerprint the wire cannot
+// carry is refused when it is observed, where the caller can see which
+// one it was, and never reaches a batch: its neighbours are delivered
+// and acked as if it had not been there.
+func TestSessionBadFingerprintFailsAlone(t *testing.T) {
+	t.Cleanup(testutil.AssertNoGoroutineLeaks(t))
+	srv := startStubServer(t)
+	cfg := SessionConfig{Client: ClientConfig{
+		Addr:      srv.ln.Addr().String(),
+		GatewayID: "g1",
+		BatchSize: maxBatchFingerprints + 1,
+	}}
+	if _, err := NewSession(cfg); err == nil {
+		t.Fatal("NewSession accepted a BatchSize no batch frame can carry")
+	}
+	cfg.Client.BatchSize = 4
+	sess, err := NewSession(cfg)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	defer sess.Close()
+	waitFor(t, "connection", func() bool { return sess.State() == SessionConnected })
+
+	for i, fp := range []fingerprint.Fingerprint{
+		testFingerprint(3, 1),
+		{}, // no rows
+		testFingerprint(5, 2),
+		testFingerprint(maxFingerprintRows+1, 3),
+		testFingerprint(maxFingerprintRows, 4),
+		testFingerprint(1, 5),
+	} {
+		err := sess.Observe(fp)
+		if bad := len(fp.F) == 0 || len(fp.F) > maxFingerprintRows; bad != (err != nil) {
+			t.Fatalf("Observe of fingerprint %d (%d rows) = %v", i, len(fp.F), err)
+		}
+	}
+	waitFor(t, "the batch of the four good ones", func() bool { return len(srv.received()) == 4 })
+	waitFor(t, "its ack", func() bool { return sess.Stats().SpoolDepth == 0 })
+	for i, fp := range srv.received() {
+		if want := []float64{1, 2, 4, 5}[i]; seedOf(fp) != want {
+			t.Fatalf("delivered fingerprint %d has seed %v, want %v", i, seedOf(fp), want)
+		}
 	}
 }
 

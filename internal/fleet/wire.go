@@ -28,6 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"sync"
+	"time"
 
 	"iotsentinel/internal/fingerprint"
 )
@@ -115,7 +118,7 @@ var (
 )
 
 // writeFrame writes one frame. Callers serialize writes per
-// connection (see the write mutexes in client.go / server.go).
+// connection (framedConn does).
 func writeFrame(w io.Writer, t frameType, payload []byte) error {
 	if len(payload) > maxFramePayload {
 		return errFrameTooLarge
@@ -131,15 +134,6 @@ func writeFrame(w io.Writer, t frameType, payload []byte) error {
 	}
 	_, err := w.Write(payload)
 	return err
-}
-
-// writeJSONFrame marshals v and writes it as one frame of type t.
-func writeJSONFrame(w io.Writer, t frameType, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("fleet: marshal %s: %w", t, err)
-	}
-	return writeFrame(w, t, payload)
 }
 
 // readFrame reads one frame, enforcing the payload bound before
@@ -161,6 +155,43 @@ func readFrame(r io.Reader) (frameType, []byte, error) {
 		return 0, nil, fmt.Errorf("fleet: short frame: %w", err)
 	}
 	return frameType(buf[0]), buf[1:], nil
+}
+
+// DefaultWriteTimeout bounds fleet frame writes when the config does
+// not say otherwise.
+const DefaultWriteTimeout = 10 * time.Second
+
+// framedConn is either end of a fleet connection. Writers on any
+// goroutine share the socket — a gateway's heartbeats, batches and model
+// acks; a service's batch acks and model pushes — so frame writes are
+// serialized, and each is bounded by writeTimeout: a stalled peer
+// surfaces as a write error instead of wedging the writer.
+type framedConn struct {
+	c            net.Conn
+	writeTimeout time.Duration
+	wmu          sync.Mutex
+}
+
+func (fc *framedConn) write(t frameType, payload []byte) error {
+	fc.wmu.Lock()
+	defer fc.wmu.Unlock()
+	fc.c.SetWriteDeadline(time.Now().Add(fc.writeTimeout))
+	return writeFrame(fc.c, t, payload)
+}
+
+func (fc *framedConn) writeJSON(t frameType, v any) error {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("fleet: marshal %s: %w", t, err)
+	}
+	return fc.write(t, payload)
+}
+
+// read returns the next frame, or an error once the peer has been
+// silent for timeout.
+func (fc *framedConn) read(timeout time.Duration) (frameType, []byte, error) {
+	fc.c.SetReadDeadline(time.Now().Add(timeout))
+	return readFrame(fc.c)
 }
 
 // Control-frame payloads.
@@ -198,6 +229,17 @@ type modelAckMsg struct {
 	SHA   string `json:"sha"`
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
+	// Base is the gateway's cumulative counters as they stood before it
+	// applied the bank: where a canary's judgment window starts. Absent
+	// from a gateway that predates the field.
+	Base *counterPair `json:"base,omitempty"`
+}
+
+// counterPair is one reading of a gateway's cumulative assessment
+// counters.
+type counterPair struct {
+	Assessed uint64 `json:"assessed"`
+	Unknown  uint64 `json:"unknown"`
 }
 
 type errorMsg struct {
@@ -224,7 +266,13 @@ func negotiate(offered []uint32) (uint32, bool) {
 //
 // Only F travels; F′ is re-derived on the receiving side so the two
 // representations can never desynchronize (same rule as the HTTP JSON
-// API).
+// API). A payload is built in place: batchHeader bytes held back for the
+// count, appendBatchFingerprint once per fingerprint, sealBatch when the
+// count is known — Session does that as observations arrive, encodeBatch
+// for a batch it is handed whole.
+
+// batchHeader is the size of a batch payload's leading count.
+const batchHeader = 2
 
 // checkRows bounds one fingerprint's row count on the wire.
 func checkRows(i, rows int) error {
@@ -234,29 +282,49 @@ func checkRows(i, rows int) error {
 	return nil
 }
 
-// encodeBatch appends the batch encoding to dst and returns it.
-func encodeBatch(dst []byte, fps []fingerprint.Fingerprint) ([]byte, error) {
+// appendBatchFingerprint appends fingerprint i of a batch to its
+// payload; a fingerprint the wire cannot carry leaves dst as it was.
+func appendBatchFingerprint(dst []byte, i int, fp fingerprint.Fingerprint) ([]byte, error) {
+	if err := checkRows(i, len(fp.F)); err != nil {
+		return dst, err
+	}
+	dst, _ = fingerprint.AppendF(dst, fp.F) // checkRows bounds it below the codec's limit
+	return dst, nil
+}
+
+// sealBatch writes the count of a payload that holds count fingerprints
+// behind its header.
+func sealBatch(payload []byte, count int) {
+	binary.BigEndian.PutUint16(payload, uint16(count))
+}
+
+// batchCount reads a sealed payload's count back.
+func batchCount(payload []byte) int { return int(binary.BigEndian.Uint16(payload)) }
+
+// encodeBatch returns the payload of a batch handed over whole.
+func encodeBatch(fps []fingerprint.Fingerprint) ([]byte, error) {
 	if len(fps) == 0 || len(fps) > maxBatchFingerprints {
 		return nil, fmt.Errorf("fleet: batch of %d fingerprints (want 1..%d)", len(fps), maxBatchFingerprints)
 	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(fps)))
+	payload := make([]byte, batchHeader)
 	for i := range fps {
-		if err := checkRows(i, len(fps[i].F)); err != nil {
+		var err error
+		if payload, err = appendBatchFingerprint(payload, i, fps[i]); err != nil {
 			return nil, err
 		}
-		dst, _ = fingerprint.AppendF(dst, fps[i].F) // checkRows bounds it below the codec's limit
 	}
-	return dst, nil
+	sealBatch(payload, len(fps))
+	return payload, nil
 }
 
 // decodeBatch parses one ftBatch payload. Every length is validated
 // before allocation and the payload must be consumed exactly.
 func decodeBatch(p []byte) ([]fingerprint.Fingerprint, error) {
-	if len(p) < 2 {
+	if len(p) < batchHeader {
 		return nil, errors.New("fleet: batch truncated before count")
 	}
-	count := int(binary.BigEndian.Uint16(p))
-	p = p[2:]
+	count := batchCount(p)
+	p = p[batchHeader:]
 	if count == 0 || count > maxBatchFingerprints {
 		return nil, fmt.Errorf("fleet: batch of %d fingerprints (want 1..%d)", count, maxBatchFingerprints)
 	}

@@ -109,7 +109,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		testFingerprint(7, 100),
 		testFingerprint(23, 1e6),
 	}
-	payload, err := encodeBatch(nil, fps)
+	payload, err := encodeBatch(fps)
 	if err != nil {
 		t.Fatalf("encodeBatch: %v", err)
 	}
@@ -136,10 +136,10 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 func TestBatchCodecRejectsAbuse(t *testing.T) {
-	if _, err := encodeBatch(nil, nil); err == nil {
+	if _, err := encodeBatch(nil); err == nil {
 		t.Error("empty batch encoded")
 	}
-	if _, err := encodeBatch(nil, []fingerprint.Fingerprint{{}}); err == nil {
+	if _, err := encodeBatch([]fingerprint.Fingerprint{{}}); err == nil {
 		t.Error("zero-row fingerprint encoded")
 	}
 	if _, err := decodeBatch(nil); err == nil {
@@ -149,13 +149,13 @@ func TestBatchCodecRejectsAbuse(t *testing.T) {
 		t.Error("zero-count batch decoded")
 	}
 	// Count claims more fingerprints than the payload carries.
-	payload, _ := encodeBatch(nil, []fingerprint.Fingerprint{testFingerprint(2, 0)})
+	payload, _ := encodeBatch([]fingerprint.Fingerprint{testFingerprint(2, 0)})
 	payload[1] = 9
 	if _, err := decodeBatch(payload); err == nil {
 		t.Error("count/payload mismatch decoded")
 	}
 	// A word the extractor cannot produce (reserved bit set).
-	payload, _ = encodeBatch(nil, []fingerprint.Fingerprint{testFingerprint(2, 0)})
+	payload, _ = encodeBatch([]fingerprint.Fingerprint{testFingerprint(2, 0)})
 	payload[4] |= 0x80 // top byte of the first big-endian row
 	if _, err := decodeBatch(payload); err == nil {
 		t.Error("invalid packed symbol decoded")
@@ -169,7 +169,7 @@ func TestBatchCodecRejectsAbuse(t *testing.T) {
 		t.Error("V1 float-row batch decoded")
 	}
 	// Trailing junk after a valid batch.
-	payload, _ = encodeBatch(nil, []fingerprint.Fingerprint{testFingerprint(2, 0)})
+	payload, _ = encodeBatch([]fingerprint.Fingerprint{testFingerprint(2, 0)})
 	if _, err := decodeBatch(append(payload, 0xff)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
@@ -203,7 +203,7 @@ func TestModelPushCodec(t *testing.T) {
 // TestV1OnlyPeerIsRefused: V1 carried float rows and is gone, so a peer
 // that speaks nothing newer is turned away by the hello/welcome
 // negotiation itself — a V1-only gateway gets the server's
-// no-shared-version error frame and a close, and a client welcomed at
+// no-shared-version error frame and a close, and a gateway welcomed at
 // V1 fails its handshake — rather than by batches that no longer parse.
 func TestV1OnlyPeerIsRefused(t *testing.T) {
 	t.Cleanup(testutil.AssertNoGoroutineLeaks(t))
@@ -214,7 +214,8 @@ func TestV1OnlyPeerIsRefused(t *testing.T) {
 	}
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeJSONFrame(c, ftHello, helloMsg{Versions: []uint32{1}, GatewayID: "old-gw"}); err != nil {
+	old := &framedConn{c: c, writeTimeout: time.Second}
+	if err := old.writeJSON(ftHello, helloMsg{Versions: []uint32{1}, GatewayID: "old-gw"}); err != nil {
 		t.Fatal(err)
 	}
 	ft, payload, err := readFrame(c)
@@ -233,19 +234,21 @@ func TestV1OnlyPeerIsRefused(t *testing.T) {
 	}
 
 	srv, cli := net.Pipe()
+	defer cli.Close()
 	go func() {
 		defer srv.Close()
 		if ft, _, err := readFrame(srv); err != nil || ft != ftHello {
 			return
 		}
-		_ = writeJSONFrame(srv, ftWelcome, welcomeMsg{Version: 1, LeaseMillis: time.Hour.Milliseconds()})
+		peer := &framedConn{c: srv, writeTimeout: time.Second}
+		_ = peer.writeJSON(ftWelcome, welcomeMsg{Version: 1, LeaseMillis: time.Hour.Milliseconds()})
 	}()
-	cl, err := Dial(ClientConfig{GatewayID: "g1", Dialer: func() (net.Conn, error) { return cli, nil }})
+	_, err = handshake(&framedConn{c: cli, writeTimeout: time.Second},
+		helloMsg{Versions: supportedVersions, GatewayID: "g1"})
 	if err == nil {
-		cl.Close()
-		t.Fatal("client accepted a welcome at protocol v1")
+		t.Fatal("gateway accepted a welcome at protocol v1")
 	}
 	if !strings.Contains(err.Error(), "unsupported protocol v1") {
-		t.Errorf("client handshake error %q, want the unsupported-version refusal", err)
+		t.Errorf("gateway handshake error %q, want the unsupported-version refusal", err)
 	}
 }
