@@ -11,8 +11,9 @@
 # sweep + the seeded fleet-link chaos sweep (see `make chaos`) + a
 # short fuzz pass over the capture ring and readers, the frame decoder,
 # the model deserializer, the packed-symbol codec, the fingerprint
-# head, the cluster-linkage input, the fleet wire decoders and the
-# store's record and snapshot-row decoders + the benchmark module's own vet and tests
+# head, the cluster-linkage input, the fleet wire decoders, the HTTP
+# assess request body and the store's record and snapshot-row decoders +
+# the benchmark module's own vet and tests
 # (`make bench-smoke`) + a short sustained-load soak with its
 # leak/latency gates);
 # `make test-race` covers the concurrent
@@ -112,6 +113,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzClusterLinkage$$' -fuzztime=$(FUZZTIME) ./internal/learn/
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
+	$(GO) test -run='^$$' -fuzz='^FuzzAssessBody$$' -fuzztime=$(FUZZTIME) ./internal/iotssp/
 	$(GO) test -run='^$$' -fuzz='^FuzzEventDecode$$' -fuzztime=$(FUZZTIME) ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRowDecode$$' -fuzztime=$(FUZZTIME) ./internal/store/
 

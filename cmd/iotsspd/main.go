@@ -12,11 +12,15 @@
 //	iotsspd -fleet-listen :8478 -state-dir ./state
 //	                                           # fleet control plane + canary rollouts
 //
-// Endpoints: POST /v1/assess, GET /v1/types (see internal/iotssp).
+// Endpoints (see internal/iotssp): POST /v1/assess takes one fingerprint
+// as application/octet-stream — u16 rows, then rows × u64 packed
+// features, big-endian, the block fleet batches and the journal carry —
+// and answers a JSON verdict; any other content type is a 415, a
+// malformed block a 400 naming the row. GET /v1/types lists the bank.
 //
 // With -fleet-listen, gateways running `gatewayd -fleet` register over
 // a persistent binary-framed connection: they stream observed
-// fingerprints up (replacing per-fingerprint HTTP JSON for fleet
+// fingerprints up (replacing a per-fingerprint HTTP request for fleet
 // members), heartbeat to keep their lease, and receive versioned model
 // banks down. Combined with -learn, a locally promoted device-type
 // becomes a rollout candidate: it canaries to a fraction of the fleet,

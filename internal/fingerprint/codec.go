@@ -9,8 +9,9 @@ import (
 )
 
 // The packed-F codec: the one byte layout of an F outside the process,
-// shared by the fleet wire's batch frames and the store's journal
-// records and snapshot rows. Big-endian, as fleet protocol v2 fixed it:
+// shared by the fleet wire's batch frames, the store's journal records
+// and snapshot rows, and the body of the HTTP assess request. Big-endian,
+// as fleet protocol v2 fixed it:
 //
 //	u16 rows, then rows × u64 features.Packed
 //

@@ -94,9 +94,9 @@ func FromVectors(vs []features.Vector) Fingerprint {
 }
 
 // FromRows builds a Fingerprint from float feature rows read from
-// outside the program — the row format of the HTTP API, the journal and
-// the model file. A row of the wrong width, or one the extractor cannot
-// produce (features.Pack), is an error.
+// outside the program — the row format of the model file and of a
+// journal an older build wrote. A row of the wrong width, or one the
+// extractor cannot produce (features.Pack), is an error.
 func FromRows(rows [][]float64) (Fingerprint, error) {
 	ps := make([]features.Packed, len(rows))
 	for i, row := range rows {

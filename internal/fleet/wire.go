@@ -2,8 +2,8 @@
 // Service and N Security Gateways into a fleet, the multi-gateway
 // architecture of the paper's Fig. 1: gateways register with the
 // central service, hold a lease refreshed by heartbeats, stream the
-// fingerprints they observe up a persistent connection (replacing
-// per-fingerprint HTTP JSON for fleet members; the JSON API stays for
+// fingerprints they observe up a persistent connection (replacing a
+// per-fingerprint HTTP request for fleet members; the HTTP API stays for
 // one-shot clients), and receive versioned model banks down the same
 // connection. A rollout controller canaries every new bank on a
 // configurable fraction of the fleet, watches the canaries' streamed
@@ -265,11 +265,11 @@ func negotiate(offered []uint32) (uint32, bool) {
 //	per fingerprint: one packed F (fingerprint.AppendF / DecodeF)
 //
 // Only F travels; F′ is re-derived on the receiving side so the two
-// representations can never desynchronize (same rule as the HTTP JSON
-// API). A payload is built in place: batchHeader bytes held back for the
-// count, appendBatchFingerprint once per fingerprint, sealBatch when the
-// count is known — Session does that as observations arrive, encodeBatch
-// for a batch it is handed whole.
+// representations can never desynchronize (same rule, and same block,
+// as the HTTP assess request). A payload is built in place: batchHeader
+// bytes held back for the count, appendBatchFingerprint once per
+// fingerprint, sealBatch when the count is known — Session does that as
+// observations arrive, encodeBatch for a batch it is handed whole.
 
 // batchHeader is the size of a batch payload's leading count.
 const batchHeader = 2

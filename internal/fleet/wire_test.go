@@ -8,13 +8,17 @@ import (
 	"io"
 	"math"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"iotsentinel/internal/devices"
 	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
+	"iotsentinel/internal/iotssp"
 	"iotsentinel/internal/testutil"
 )
 
@@ -250,5 +254,53 @@ func TestV1OnlyPeerIsRefused(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unsupported protocol v1") {
 		t.Errorf("gateway handshake error %q, want the unsupported-version refusal", err)
+	}
+}
+
+// postedBody answers every request with a 400 after keeping its body:
+// what iotssp.Client put on the wire.
+type postedBody struct{ body []byte }
+
+func (p *postedBody) RoundTrip(r *http.Request) (*http.Response, error) {
+	var err error
+	if p.body, err = io.ReadAll(r.Body); err != nil {
+		return nil, err
+	}
+	rec := httptest.NewRecorder()
+	rec.WriteHeader(http.StatusBadRequest)
+	return rec.Result(), nil
+}
+
+// TestAssessBodyIsTheSharedFCodec: a fingerprint leaves the process in
+// one encoding. For a capture of each catalog profile, the body
+// iotssp.Client posts to /v1/assess is fingerprint.AppendF of its F, and
+// is the per-fingerprint block of this package's batch of one. (The test
+// lives here because fleet imports iotssp, not the reverse.)
+func TestAssessBodyIsTheSharedFCodec(t *testing.T) {
+	catalog := devices.Catalog()
+	if len(catalog) != 27 {
+		t.Errorf("catalog has %d profiles, the test was written for 27", len(catalog))
+	}
+	for i, p := range catalog {
+		fp := fingerprint.FromPackets(devices.GenerateCaptures(p, 1, int64(300+i))[0].Packets)
+		wire := &postedBody{}
+		client := &iotssp.Client{BaseURL: "http://ssp.test", HTTPClient: &http.Client{Transport: wire}}
+		if _, err := client.Assess(fp); err == nil {
+			t.Fatalf("%s: the stub's 400 came back as a verdict", p.ID)
+		}
+		block, err := fingerprint.AppendF(nil, fp.F)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wire.body, block) {
+			t.Errorf("%s: Client posted %d bytes, AppendF wrote %d others", p.ID, len(wire.body), len(block))
+		}
+		batch, err := encodeBatch([]fingerprint.Fingerprint{fp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wire.body, batch[batchHeader:]) {
+			t.Errorf("%s: Client posted %d bytes, the fleet batch carries %d others for the same fingerprint", p.ID, len(wire.body), len(batch)-batchHeader)
+		}
 	}
 }

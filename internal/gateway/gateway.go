@@ -421,18 +421,18 @@ func (g *Gateway) assess(mac packet.MAC, fp *fingerprint.Fingerprint, now time.T
 // quarantineDevice isolates a device whose assessment failed: a strict
 // fail-closed rule replaces whatever was installed, the device enters
 // StateQuarantined, and its fingerprint is parked (queue permitting)
-// for the retry worker to drain once the service recovers.
+// for the retry worker to drain once the service recovers. A device
+// that left while the assessment was in flight stays gone (see apply).
 func (g *Gateway) quarantineDevice(mac packet.MAC, fp *fingerprint.Fingerprint, now time.Time, cause error) {
-	g.sw.Controller().Quarantine(mac)
-	g.sw.InvalidateDevice(mac)
-
 	s := g.shardOf(mac)
 	s.mu.Lock()
 	info := s.devices[mac]
 	if info == nil {
-		info = &DeviceInfo{MAC: mac, FirstSeen: now}
-		s.devices[mac] = info
+		s.mu.Unlock()
+		return
 	}
+	g.sw.Controller().Quarantine(mac)
+	g.sw.InvalidateDevice(mac)
 	g.cfg.Metrics.stateChange(info.State, StateQuarantined)
 	info.State = StateQuarantined
 	info.Level = sdn.Strict
@@ -577,23 +577,34 @@ func (g *Gateway) FinalizeIdleCaptures(now time.Time) int {
 // gateway callbacks. fp is the fingerprint the assessment answered,
 // threaded through so an unrecognized device can hand its evidence to
 // the online learner.
+//
+// The verdict is for the device that was there when the assessment
+// began. Over the remote call that is a round trip ago — Timeout ×
+// attempts ago when the service is down — and RemoveDevice may have
+// landed since: then the verdict is dropped, with no state, rule,
+// journal record or callback, instead of resurrecting the device. The
+// rule goes in under the shard lock (order: shard.mu → rule cache, flow
+// table; nothing takes them the other way round — Switch.Process runs
+// after the shard unlock), so a RemoveDevice that finds the device evicts
+// its rule after this put, never before it. A device that left *and
+// rejoined* inside one in-flight call still takes the old incarnation's
+// verdict: telling the two apart needs an incarnation identity, which is
+// ROADMAP item 4's.
 func (g *Gateway) apply(mac packet.MAC, a iotssp.Assessment, fp *fingerprint.Fingerprint, now time.Time) {
-	rule := &sdn.EnforcementRule{
-		DeviceMAC:    mac,
-		Level:        a.Level,
-		PermittedIPs: a.PermittedIPs,
-		DeviceType:   string(a.Type),
-	}
-	g.sw.Controller().Rules().Put(rule)
-	g.sw.InvalidateDevice(mac)
-
 	s := g.shardOf(mac)
 	s.mu.Lock()
 	info := s.devices[mac]
 	if info == nil {
-		info = &DeviceInfo{MAC: mac, FirstSeen: now}
-		s.devices[mac] = info
+		s.mu.Unlock()
+		return
 	}
+	g.sw.Controller().Rules().Put(&sdn.EnforcementRule{
+		DeviceMAC:    mac,
+		Level:        a.Level,
+		PermittedIPs: a.PermittedIPs,
+		DeviceType:   string(a.Type),
+	})
+	g.sw.InvalidateDevice(mac)
 	kind := store.EvAssessed
 	if info.State == StateQuarantined {
 		kind = store.EvPromoted

@@ -507,6 +507,10 @@ func TestRetryQuarantinedConcurrentDrainsPromoteOnce(t *testing.T) {
 		}})
 		for i := range fps {
 			mac := packet.MAC{0x02, 0xaa, 0, 0, byte(i >> 8), byte(i)}
+			// A verdict lands only on a device the gateway holds.
+			if _, err := g.HandlePacket(now, arpPacket(mac)); err != nil {
+				t.Fatal(err)
+			}
 			g.quarantineDevice(mac, &fps[i], now, errors.New("iotssp unavailable"))
 		}
 		var wg sync.WaitGroup
@@ -540,5 +544,167 @@ func TestRetryQuarantinedConcurrentDrainsPromoteOnce(t *testing.T) {
 		if n != 1 {
 			t.Errorf("device %v promoted %d times, want exactly once", mac, n)
 		}
+	}
+}
+
+// TestRemoteOldServiceQuarantinesStrict: version skew fails closed. A
+// service from before the packed request answers the new body with its
+// "bad json" 400; the gateway makes the one attempt, keeps its breaker
+// closed (the service is alive) and holds that device at strict.
+func TestRemoteOldServiceQuarantinesStrict(t *testing.T) {
+	var wireCalls atomic.Int64
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		wireCalls.Add(1)
+		http.Error(w, "bad json: invalid character '\\x00' looking for beginning of value", http.StatusBadRequest)
+	}))
+	defer old.Close()
+	fc := &fakeClock{now: time.Unix(5000, 0)}
+	breaker := iotssp.NewCircuitBreaker(1, 30*time.Second, fc)
+	client := &iotssp.Client{
+		BaseURL: old.URL,
+		Retry:   iotssp.RetryPolicy{MaxAttempts: 3},
+		Breaker: breaker,
+		Clock:   fc,
+	}
+	g := newGatewayWithAssessor(client, Config{IdleGap: time.Hour})
+	mac := packet.MAC{0x02, 6, 6, 6, 6, 6}
+	base := time.Unix(100, 0)
+	if _, err := g.HandlePacket(base, arpPacket(mac)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.FinishSetup(mac, base.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := g.Device(mac); info.State != StateQuarantined || info.Level != sdn.Strict {
+		t.Errorf("device = %+v, want quarantined at strict", info)
+	}
+	if rule, ok := g.Switch().Controller().Rules().Get(mac); !ok || rule.Level != sdn.Strict || rule.DeviceType != sdn.QuarantineType {
+		t.Errorf("rule = %+v, ok=%v, want the strict quarantine rule", rule, ok)
+	}
+	if got := wireCalls.Load(); got != 1 {
+		t.Errorf("wire calls = %d, want 1 (a 4xx is not retried)", got)
+	}
+	if st := breaker.State(); st != iotssp.BreakerClosed {
+		t.Errorf("breaker = %v after a well-formed 400, want closed", st)
+	}
+}
+
+// gatedAssessor parks every call until release is closed, then answers
+// from inner, or with fail when that is set.
+type gatedAssessor struct {
+	inner   iotssp.Assessor
+	fail    error
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (a *gatedAssessor) Assess(fp fingerprint.Fingerprint) (iotssp.Assessment, error) {
+	a.entered <- struct{}{}
+	<-a.release
+	if a.fail != nil {
+		return iotssp.Assessment{}, a.fail
+	}
+	return a.inner.Assess(fp)
+}
+
+// digestFromDevices recomputes the rule table's digest from device
+// state alone: one rule per assessed device, the strict quarantine rule
+// per quarantined one, none for a device still monitored.
+func digestFromDevices(g *Gateway) uint64 {
+	want := sdn.NewRuleCache()
+	for _, d := range g.Devices() {
+		switch d.State {
+		case StateAssessed:
+			want.Put(&sdn.EnforcementRule{DeviceMAC: d.MAC, Level: d.Level, PermittedIPs: d.PermittedIPs, DeviceType: string(d.Type)})
+		case StateQuarantined:
+			want.Put(&sdn.EnforcementRule{DeviceMAC: d.MAC, Level: sdn.Strict, DeviceType: sdn.QuarantineType})
+		}
+	}
+	return want.Digest()
+}
+
+// TestVerdictForDepartedDeviceIsDropped removes a device while its
+// assessment is parked inside the assessor — over the remote call that
+// window is the round trip — and lets the verdict come back, the success
+// and the failure in turn. The device stays gone: no state, no rule, no
+// parked fingerprint, no journal record after the removal's, no callback.
+// It used to come back as an assessed (or quarantined) device.
+func TestVerdictForDepartedDeviceIsDropped(t *testing.T) {
+	svc := trainService(t)
+	for name, fail := range map[string]error{
+		"assessed":    nil,
+		"quarantined": errors.New("iotssp unavailable"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, _ := openStore(t, dir)
+			gate := &gatedAssessor{inner: svc, fail: fail, entered: make(chan struct{}), release: make(chan struct{})}
+			var (
+				mu    sync.Mutex
+				fired = make(map[packet.MAC]int) // callbacks, by device
+			)
+			callback := func(d DeviceInfo) {
+				mu.Lock()
+				fired[d.MAC]++
+				mu.Unlock()
+			}
+			g := newGatewayWithAssessor(gate, Config{
+				IdleGap:       time.Hour,
+				Store:         st,
+				OnAssessed:    callback,
+				OnQuarantined: func(d DeviceInfo, _ error) { callback(d) },
+				OnUnknown:     func(d DeviceInfo, _ fingerprint.Fingerprint) { callback(d) },
+			})
+			// A bystander joins first, so that "rule table = device
+			// state" is not the equality of two empty tables.
+			stays, leaves := testMAC(1), testMAC(2)
+			base := time.Unix(100, 0)
+			for _, mac := range []packet.MAC{stays, leaves} {
+				if _, err := g.HandlePacket(base, arpPacket(mac)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			finished := make(chan error, 2)
+			go func() { finished <- g.FinishSetup(stays, base.Add(time.Second)) }()
+			<-gate.entered
+			go func() { finished <- g.FinishSetup(leaves, base.Add(time.Second)) }()
+			<-gate.entered // both parked in Assess
+
+			g.RemoveDevice(leaves)
+			close(gate.release)
+			for i := 0; i < 2; i++ {
+				if err := <-finished; err != nil {
+					t.Fatalf("FinishSetup: %v", err)
+				}
+			}
+
+			if info, ok := g.Device(leaves); ok {
+				t.Errorf("removed device is back: %+v", info)
+			}
+			if rule, ok := g.Switch().Controller().Rules().Get(leaves); ok {
+				t.Errorf("removed device has a rule: %+v", rule)
+			}
+			if info, ok := g.Device(stays); !ok || info.State == StateMonitoring {
+				t.Errorf("bystander = %+v, ok=%v, want its verdict applied", info, ok)
+			}
+			if fired[leaves] != 0 || fired[stays] == 0 {
+				t.Errorf("callbacks fired: %d for the removed device, %d for the bystander; want none and some", fired[leaves], fired[stays])
+			}
+			wantParked := 0
+			if fail != nil {
+				wantParked = 1
+			}
+			if got := g.QuarantineLen(); got != wantParked {
+				t.Errorf("%d fingerprints parked, want %d", got, wantParked)
+			}
+			if got, want := g.Switch().Controller().Rules().Digest(), digestFromDevices(g); got != want {
+				t.Errorf("rule table digest %016x, recomputed from device state %016x", got, want)
+			}
+			// The journal agrees: what it recovers is the live gateway.
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			checkRecoversLive(t, dir, g)
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/netip"
 	"time"
@@ -17,14 +18,12 @@ import (
 	"iotsentinel/internal/vulndb"
 )
 
-// Wire types for the HTTP JSON API. Fingerprints travel as their raw
-// feature matrices; the service reconstructs F′ locally so clients
-// cannot desynchronize the two representations.
-
-type assessRequest struct {
-	// F is the variable-length fingerprint matrix, one row per packet.
-	F [][]float64 `json:"f"`
-}
+// The HTTP API's wire. A request is one fingerprint.AppendF block (u16
+// rows, then rows × u64 features.Packed, big-endian: the per-fingerprint
+// block of a fleet v2 batch and of a journal record). Only F travels; the
+// service re-derives F′, so clients cannot desynchronize the two
+// representations. The verdict comes back as JSON.
+const assessContentType = "application/octet-stream"
 
 type assessResponse struct {
 	Type            string     `json:"type"`
@@ -41,14 +40,15 @@ type vulnJSON struct {
 	FixedInUpdate bool   `json:"fixedInUpdate,omitempty"`
 }
 
-// maxAssessBody bounds an assess request body. A fingerprint matrix is
-// a few KiB; anything near the cap is misuse, and anything over it is
-// rejected with 413 rather than silently truncated into a JSON error.
-const maxAssessBody = 4 << 20
+// maxAssessBody bounds an assess request body at the largest block the
+// codec can carry: the row count and math.MaxUint16 words. A real
+// fingerprint is about a hundred bytes; anything over the cap is
+// rejected with 413 rather than truncated into a misleading 400.
+const maxAssessBody = 2 + 8*math.MaxUint16
 
 // Handler serves the service API:
 //
-//	POST /v1/assess  — assess one fingerprint
+//	POST /v1/assess  — assess one fingerprint (packed-F block in, JSON verdict out)
 //	GET  /v1/types   — list known device-types
 func Handler(s *Service) http.Handler {
 	return HandlerWithMetrics(s, nil)
@@ -60,43 +60,45 @@ func HandlerWithMetrics(s *Service, m *ServerMetrics) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/assess", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			refuse(w, m, http.StatusMethodNotAllowed, "method not allowed")
+			return
+		}
+		// One format, no negotiation: a gateway from before the packed
+		// request posts JSON and is told what the service takes.
+		if ct := r.Header.Get("Content-Type"); ct != assessContentType {
+			refuse(w, m, http.StatusUnsupportedMediaType,
+				fmt.Sprintf("content type %q: a fingerprint is posted as %s (u16 rows, then rows x u64 packed features, big-endian)", ct, assessContentType))
 			return
 		}
 		// Read one byte past the cap: exactly-at-cap bodies pass, and an
 		// over-cap body is reported as what it is (413) instead of being
-		// truncated into a misleading "bad json" 400.
+		// truncated into a misleading decode error.
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxAssessBody+1))
 		if err != nil {
-			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+			refuse(w, m, http.StatusBadRequest, "read body: "+err.Error())
 			return
 		}
 		if len(body) > maxAssessBody {
 			m.incOversized()
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxAssessBody),
-				http.StatusRequestEntityTooLarge)
+			refuse(w, m, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", maxAssessBody))
 			return
 		}
-		var req assessRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		fp, err := fingerprintFromRows(req.F)
+		fp, err := decodeAssessBody(body)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			refuse(w, m, http.StatusBadRequest, err.Error())
 			return
 		}
 		a, err := s.Assess(fp)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			refuse(w, m, http.StatusInternalServerError, err.Error())
 			return
 		}
 		writeJSON(w, toWire(a), m)
 	})
 	mux.HandleFunc("/v1/types", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			refuse(w, m, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
 		types := s.Types()
@@ -109,10 +111,36 @@ func HandlerWithMetrics(s *Service, m *ServerMetrics) http.Handler {
 	return mux
 }
 
+// decodeAssessBody reads an assess request body: exactly one packed-F
+// block (DecodeF checks the row count against the length before it
+// allocates, and names the row of a word the extractor cannot produce).
+func decodeAssessBody(body []byte) (fingerprint.Fingerprint, error) {
+	f, rest, err := fingerprint.DecodeF(body)
+	switch {
+	case err != nil:
+		return fingerprint.Fingerprint{}, err
+	case len(rest) != 0:
+		return fingerprint.Fingerprint{}, fmt.Errorf("%d bytes after the %d-row fingerprint block", len(rest), len(f))
+	case len(f) == 0:
+		// A zero-row block is not a fingerprint: letting it through
+		// would feed an empty F/F′ into the classifier bank and come
+		// back as a meaningless "unknown" instead of a client error.
+		return fingerprint.Fingerprint{}, errors.New("empty fingerprint: at least one feature row required")
+	}
+	return fingerprint.FromPacked(f), nil
+}
+
+// refuse answers a request with an error status and counts it.
+func refuse(w http.ResponseWriter, m *ServerMetrics, code int, msg string) {
+	m.incRequest(code)
+	http.Error(w, msg, code)
+}
+
 // writeJSON encodes the response, counting (rather than swallowing)
 // encode failures: once the header is out there is nothing useful to
 // send the client, but a broken response path must show in /metrics.
 func writeJSON(w http.ResponseWriter, v any, m *ServerMetrics) {
+	m.incRequest(http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		m.incEncodeError()
@@ -135,16 +163,6 @@ func toWire(a Assessment) assessResponse {
 		})
 	}
 	return resp
-}
-
-func fingerprintFromRows(rows [][]float64) (fingerprint.Fingerprint, error) {
-	if len(rows) == 0 {
-		// A zero-row matrix is not a fingerprint: letting it through
-		// would feed an empty F/F′ into the classifier bank and come
-		// back as a meaningless "unknown" instead of a client error.
-		return fingerprint.Fingerprint{}, errors.New("empty fingerprint: at least one feature row required")
-	}
-	return fingerprint.FromRows(rows)
 }
 
 // Client is the gateway-side HTTP client for a remote service. The
@@ -237,9 +255,9 @@ func (c *Client) Assess(fp fingerprint.Fingerprint) (Assessment, error) {
 // context bounds the whole call including backoff sleeps, while
 // c.Timeout bounds each individual HTTP attempt.
 func (c *Client) AssessContext(ctx context.Context, fp fingerprint.Fingerprint) (Assessment, error) {
-	payload, err := json.Marshal(assessRequest{F: fp.F.Rows()})
+	payload, err := fingerprint.AppendF(make([]byte, 0, 2+8*len(fp.F)), fp.F)
 	if err != nil {
-		return Assessment{}, fmt.Errorf("iotssp client: marshal: %w", err)
+		return Assessment{}, fmt.Errorf("iotssp client: %w", err)
 	}
 	clock := c.Clock
 	if clock == nil {
@@ -293,7 +311,7 @@ func (c *Client) post(ctx context.Context, payload []byte) (Assessment, error) {
 	if err != nil {
 		return Assessment{}, fmt.Errorf("iotssp client: request: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", assessContentType)
 	hc := c.HTTPClient
 	if hc == nil {
 		hc = http.DefaultClient
@@ -305,6 +323,9 @@ func (c *Client) post(ctx context.Context, payload []byte) (Assessment, error) {
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		// The rest of a longer error page is read off, bounded too: a
+		// body closed unread takes its keep-alive connection with it.
+		_, _ = io.CopyN(io.Discard, resp.Body, 64<<10)
 		return Assessment{}, &statusError{code: resp.StatusCode, msg: string(msg)}
 	}
 	var wire assessResponse

@@ -18,7 +18,7 @@ import (
 
 // testService trains a small identifier over a handful of catalog
 // device-types and wires the default vulnerability DB.
-func testService(t *testing.T) (*Service, devices.Dataset) {
+func testService(t testing.TB) (*Service, devices.Dataset) {
 	t.Helper()
 	types := []string{"Aria", "HueBridge", "EdnetCam", "iKettle2", "WeMoSwitch"}
 	ds := make(devices.Dataset)
@@ -40,7 +40,7 @@ func testService(t *testing.T) (*Service, devices.Dataset) {
 	return svc, ds
 }
 
-func probeFor(t *testing.T, typ string, seed int64) fingerprint.Fingerprint {
+func probeFor(t testing.TB, typ string, seed int64) fingerprint.Fingerprint {
 	t.Helper()
 	p, err := devices.ProfileByID(typ)
 	if err != nil {
@@ -294,26 +294,27 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("GET /v1/assess status = %d", resp.StatusCode)
 	}
 
-	// Malformed JSON.
-	resp, err = srv.Client().Post(srv.URL+"/v1/assess", "application/json",
-		strings.NewReader("{not json"))
+	// Not a fingerprint block: the two bytes read as a row count promise
+	// more than the body holds.
+	resp, err = srv.Client().Post(srv.URL+"/v1/assess", assessContentType,
+		strings.NewReader("{not a block"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad json status = %d", resp.StatusCode)
+		t.Errorf("malformed block status = %d", resp.StatusCode)
 	}
 
-	// Wrong feature width.
+	// The request format of the releases before this one.
 	resp, err = srv.Client().Post(srv.URL+"/v1/assess", "application/json",
 		strings.NewReader(`{"f":[[1,2,3]]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad width status = %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Errorf("json request status = %d", resp.StatusCode)
 	}
 
 	// Client against a dead server errors cleanly.

@@ -1,6 +1,8 @@
 package iotssp
 
 import (
+	"strconv"
+
 	"iotsentinel/internal/obs"
 )
 
@@ -9,20 +11,38 @@ import (
 //
 // Exported series:
 //
-//	iotssp_server_encode_errors_total       counter
-//	iotssp_server_oversized_requests_total  counter
+//	iotssp_server_requests_total{code="200|400|405|413|415|500"}  counter
+//	iotssp_server_encode_errors_total                             counter
+//	iotssp_server_oversized_requests_total                        counter
 type ServerMetrics struct {
+	requests     map[int]*obs.Counter
 	encodeErrors *obs.Counter
 	oversized    *obs.Counter
 }
 
 // NewServerMetrics registers the server metric family on reg.
 func NewServerMetrics(reg *obs.Registry) *ServerMetrics {
+	byCode := reg.CounterVec("iotssp_server_requests_total",
+		"Requests the service's HTTP handler answered, by status code.", "code")
+	// Every status the handler answers with has its series from the
+	// start: gateways from before the packed request show as a 415 count
+	// that was zero and is not.
+	requests := make(map[int]*obs.Counter)
+	for _, code := range []int{200, 400, 405, 413, 415, 500} {
+		requests[code] = byCode.With(strconv.Itoa(code))
+	}
 	return &ServerMetrics{
+		requests: requests,
 		encodeErrors: reg.Counter("iotssp_server_encode_errors_total",
 			"Assessment responses whose JSON encode failed mid-write."),
 		oversized: reg.Counter("iotssp_server_oversized_requests_total",
 			"Assessment requests rejected with 413 for exceeding the body cap."),
+	}
+}
+
+func (m *ServerMetrics) incRequest(code int) {
+	if m != nil {
+		m.requests[code].Inc()
 	}
 }
 

@@ -223,21 +223,31 @@ func TestClientExhaustsRetries(t *testing.T) {
 	}
 }
 
+// TestClientDoesNotRetryClientErrors: a well-formed 4xx is one attempt
+// and counts as service-alive for the breaker. The stub answers what a
+// service from before the packed request says to the new body — version
+// skew costs that one device its verdict, not the gateway its service.
 func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	calls := 0
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls++
-		http.Error(w, "bad request", http.StatusBadRequest)
+		http.Error(w, "bad json: invalid character '\\x00' looking for beginning of value", http.StatusBadRequest)
 	}))
 	defer srv.Close()
 
-	c := &Client{BaseURL: srv.URL, Retry: RetryPolicy{MaxAttempts: 5}, Clock: newFakeClock()}
+	clock := newFakeClock()
+	breaker := NewCircuitBreaker(1, 0, clock)
+	c := &Client{BaseURL: srv.URL, Retry: RetryPolicy{MaxAttempts: 5}, Breaker: breaker, Clock: clock}
 	_, err := c.Assess(fingerprint.Fingerprint{})
-	if err == nil {
-		t.Fatal("400 must surface as an error")
+	var se *statusError
+	if !errors.As(err, &se) || se.code != http.StatusBadRequest || !strings.Contains(se.msg, "bad json") {
+		t.Fatalf("err = %v, want the service's 400 and its message", err)
 	}
 	if calls != 1 {
 		t.Errorf("calls = %d, want 1 (4xx is not retryable)", calls)
+	}
+	if st := breaker.State(); st != BreakerClosed {
+		t.Errorf("breaker = %v after one well-formed 400 at threshold 1, want closed", st)
 	}
 }
 
