@@ -7,6 +7,7 @@ import "iotsentinel/internal/obs"
 // disables every observation at a single branch.
 type Metrics struct {
 	frames       *obs.Counter
+	blocks       *obs.Counter
 	bytes        *obs.Counter
 	decodeErrors *obs.Counter
 	readers      *obs.Gauge
@@ -17,6 +18,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		frames: reg.Counter("capture_frames_total",
 			"Frames decoded and delivered to the data path."),
+		blocks: reg.Counter("capture_blocks_total",
+			"Ring blocks the readers walked; frames over blocks is the batching the ring reached."),
 		bytes: reg.Counter("capture_bytes_total",
 			"Bytes of delivered frames."),
 		decodeErrors: reg.Counter("capture_decode_errors_total",
@@ -26,11 +29,13 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-// addFrames adds one consumed block's delivered frames and bytes.
-func (m *Metrics) addFrames(frames, bytes uint64) {
-	if m == nil || frames == 0 {
+// addBlock counts one walked block and the frames and bytes delivered
+// out of it.
+func (m *Metrics) addBlock(frames, bytes uint64) {
+	if m == nil {
 		return
 	}
+	m.blocks.Inc()
 	m.frames.Add(frames)
 	m.bytes.Add(bytes)
 }

@@ -130,7 +130,7 @@ func (p *Pump) read(r *Ring, h Handler) {
 			// One counter update per block, and always before the
 			// reader can park: the shared counters lag a reader by at
 			// most the block it is walking.
-			p.metrics.addFrames(frames, bytes)
+			p.metrics.addBlock(frames, bytes)
 			frames, bytes = 0, 0
 		}
 	}

@@ -14,13 +14,15 @@ import (
 // either the producer (the kernel side in a real socket) or the
 // consumer (user space), with ownership flipping through one atomic
 // status word. The producer appends frames into its current block and
-// publishes the block when it fills, when a reader is parked waiting,
-// or when the retire timeout elapses (tp_retire_blk_tov); the consumer
-// walks a published block's frames without any lock and releases the
-// whole block back in one store. A full ring never blocks the producer
-// unless it asked for lossless delivery: frames are dropped and
-// counted, exactly the kernel's behaviour when user space falls
-// behind.
+// publishes it when it fills, or at once when the frame is the first
+// into a ring whose reader is parked; the consumer walks a published
+// block's frames without any lock, releases the whole block back in one
+// store, and out of published blocks takes the producer's partial block
+// itself — so no frame waits on a timer (tp_retire_blk_tov exists
+// because user space cannot reach into the kernel's block). A full ring
+// never blocks the producer unless it asked for lossless delivery:
+// frames are dropped and counted, exactly the kernel's behaviour when
+// user space falls behind.
 
 // Block ownership states (tp_block_status).
 const (
@@ -43,6 +45,10 @@ const (
 // ErrFrameTooBig reports a frame larger than one block.
 var ErrFrameTooBig = errors.New("capture: frame exceeds ring block size")
 
+// cacheLine pads what the producer writes away from what the consumer
+// writes.
+const cacheLine = 64
+
 type ringBlock struct {
 	status atomic.Uint32
 	buf    []byte
@@ -50,7 +56,7 @@ type ringBlock struct {
 	// status word is flipped (the atomic store/load pair orders them).
 	w       int
 	nframes int
-	firstAt time.Time
+	_       [cacheLine]byte // keeps the next block's status off this line
 }
 
 // RingConfig tunes one ring (zero values select the defaults).
@@ -58,10 +64,6 @@ type RingConfig struct {
 	// Blocks and BlockSize fix the arena geometry.
 	Blocks    int
 	BlockSize int
-	// Retire bounds how long a partially filled block may hold frames
-	// back from the consumer (default 10ms). Checked on Inject — an
-	// idle producer publishes on Flush or Close instead.
-	Retire time.Duration
 	// Lossless makes Inject wait for the consumer instead of dropping
 	// when the ring is full. Replay and conformance runs use it; live
 	// capture keeps the kernel's drop semantics.
@@ -75,41 +77,45 @@ func (c RingConfig) withDefaults() RingConfig {
 	if c.BlockSize <= 0 {
 		c.BlockSize = DefaultBlockSize
 	}
-	if c.Retire <= 0 {
-		c.Retire = 10 * time.Millisecond
-	}
 	return c
 }
 
 // Ring is one producer→consumer block ring. Any number of goroutines
 // may Inject (a short mutex serializes the fill, as the kernel's
 // per-CPU queue discipline does); exactly one goroutine must Recv.
+// The fields are grouped by who writes them, a cache line apart.
 type Ring struct {
+	// Set by NewRing, read-only afterwards. wake carries the token an
+	// Inject or Close owes a parked consumer; space signals producers
+	// that a block was released (capacity 1: a signal nobody waits for
+	// is kept).
 	cfg    RingConfig
 	blocks []ringBlock
+	wake   chan struct{}
+	space  chan struct{}
+	_      [cacheLine]byte
 
 	// Producer state, under mu. timer is the stopped wait timer a
 	// blocked lossless Inject takes and puts back (nil while taken).
-	mu    sync.Mutex
-	pi    int
-	timer *time.Timer
-
-	// Consumer state, single-goroutine.
-	ci   int
-	cur  int // block being read, -1 when none
-	roff int
-	rem  int
-
-	// wake signals the consumer that a block was published (or the
-	// ring closed); space signals producers that a block was released.
-	// Both are capacity-1 so a signal sent while nobody waits is kept.
-	wake  chan struct{}
-	space chan struct{}
-
-	waiting atomic.Int32
-	closed  atomic.Bool
-	drops   atomic.Uint64
+	// waiting is set by the consumer as it parks on an empty ring.
+	mu      sync.Mutex
+	pi      int
+	timer   *time.Timer
+	waiting bool
+	closed  bool
 	frames  atomic.Uint64
+	drops   atomic.Uint64
+	_       [cacheLine]byte
+
+	// Consumer state, single-goroutine: the next block to take, the
+	// block being read (-1 when none), its unread bytes — a slice of
+	// the consumer's own, so walking a block reads nothing the producer
+	// writes — and the frames left in them.
+	ci   int
+	cur  int
+	rest []byte
+	rem  int
+	_    [cacheLine]byte
 }
 
 // NewRing allocates the block arena.
@@ -139,7 +145,7 @@ func (r *Ring) Inject(ts time.Time, frame []byte) error {
 	}
 	r.mu.Lock()
 	for {
-		if r.closed.Load() {
+		if r.closed {
 			r.mu.Unlock()
 			return ErrClosed
 		}
@@ -149,17 +155,16 @@ func (r *Ring) Inject(ts time.Time, frame []byte) error {
 				r.publishLocked(b)
 				continue
 			}
-			if b.nframes == 0 {
-				b.firstAt = time.Now()
-			}
 			putFrame(b.buf[b.w:], ts, frame)
 			b.w += need
 			b.nframes++
 			r.frames.Add(1)
-			// Publish early when a reader is parked (latency) or the
-			// block has been brewing past the retire bound.
-			if r.waiting.Load() > 0 || time.Since(b.firstAt) >= r.cfg.Retire {
+			// A parked reader gets this frame at once, and only this
+			// one: those behind it gather in the next block until the
+			// reader comes back and claims it (awaitBlock).
+			if r.waiting {
 				r.publishLocked(b)
+				r.wakeLocked()
 			}
 			r.mu.Unlock()
 			return nil
@@ -228,13 +233,17 @@ func (r *Ring) publishLocked(b *ringBlock) {
 	}
 	b.status.Store(blockConsumer)
 	r.pi = (r.pi + 1) % len(r.blocks)
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
 }
 
-// Flush publishes the partially filled current block, if any.
+// wakeLocked hands the parked consumer its token: one per park, so the
+// send finds the slot free.
+func (r *Ring) wakeLocked() {
+	r.waiting = false
+	r.wake <- struct{}{}
+}
+
+// Flush publishes the partially filled current block, if any. No
+// reader needs it: one that runs dry claims the partial block itself.
 func (r *Ring) Flush() {
 	r.mu.Lock()
 	r.publishLocked(&r.blocks[r.pi])
@@ -246,15 +255,14 @@ func (r *Ring) Flush() {
 // returns io.EOF. Safe to call more than once and from either side.
 func (r *Ring) Close() error {
 	r.mu.Lock()
-	if !r.closed.Load() {
+	if !r.closed {
 		r.publishLocked(&r.blocks[r.pi])
-		r.closed.Store(true)
+		r.closed = true
+		if r.waiting {
+			r.wakeLocked()
+		}
 	}
 	r.mu.Unlock()
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
 	return nil
 }
 
@@ -270,9 +278,8 @@ var releaseHook func(block []byte)
 func (r *Ring) Recv() (Frame, error) {
 	for {
 		if r.rem > 0 {
-			b := &r.blocks[r.cur]
-			ts, data, adv := getFrame(b.buf[r.roff:])
-			r.roff += adv
+			ts, data, adv := getFrame(r.rest)
+			r.rest = r.rest[adv:]
 			r.rem--
 			return Frame{Time: ts, Data: data}, nil
 		}
@@ -292,33 +299,45 @@ func (r *Ring) Recv() (Frame, error) {
 			}
 		}
 		b := &r.blocks[r.ci]
-		if b.status.Load() == blockConsumer {
-			r.cur = r.ci
-			r.ci = (r.ci + 1) % len(r.blocks)
-			r.roff = 0
-			r.rem = b.nframes
-			continue
-		}
-		if r.closed.Load() {
-			// Close publishes before setting closed (both under mu), so
-			// one status re-check after observing closed cannot miss a
-			// final block.
-			if b.status.Load() == blockConsumer {
-				continue
-			}
+		if !r.awaitBlock(b) {
 			return Frame{}, io.EOF
 		}
-		// Park until a block is published. The re-check between
-		// registering as waiting and sleeping, plus the buffered wake
-		// slot, closes the lost-wakeup window.
-		r.waiting.Add(1)
-		if b.status.Load() == blockConsumer || r.closed.Load() {
-			r.waiting.Add(-1)
+		r.cur = r.ci
+		r.ci = (r.ci + 1) % len(r.blocks)
+		r.rest = b.buf[:b.w]
+		r.rem = b.nframes
+	}
+}
+
+// awaitBlock returns once b, the consumer's next block, is published,
+// or reports false at the end of a closed ring. Out of published blocks
+// b is the block being filled, and under the producer's lock the
+// consumer either publishes it to itself or, finding it empty, sets
+// waiting and parks: every Inject takes that lock, so a frame is in the
+// block claimed here or finds waiting set — a reader never parks on
+// frames, and none waits for a later Inject or a Flush to be seen.
+func (r *Ring) awaitBlock(b *ringBlock) bool {
+	for b.status.Load() != blockConsumer {
+		r.mu.Lock()
+		switch {
+		case b.status.Load() == blockConsumer:
+			// Filled and published while the lock was taken.
+		case b.nframes > 0:
+			r.publishLocked(b)
+		case r.closed:
+			// Close publishes before it sets closed, so an empty block
+			// on a closed ring is the end.
+			r.mu.Unlock()
+			return false
+		default:
+			r.waiting = true
+			r.mu.Unlock()
+			<-r.wake
 			continue
 		}
-		<-r.wake
-		r.waiting.Add(-1)
+		r.mu.Unlock()
 	}
+	return true
 }
 
 // blockDone reports whether the frame Recv last returned was the last

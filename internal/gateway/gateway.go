@@ -8,6 +8,7 @@ package gateway
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -297,7 +298,8 @@ func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Pa
 		return sdn.ActionForward, nil
 	}
 	job := assessJob{mac: pk.SrcMAC, cap: finished, ts: ts}
-	if a := g.async.Load(); a != nil {
+	a := g.async.Load()
+	if a != nil {
 		// Off-path identification: park the fingerprint on the
 		// shard's bounded queue and keep forwarding.
 		a.enqueue(g, idx, job)
@@ -311,10 +313,20 @@ func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Pa
 	s.mu.Lock()
 	monitoring := info.State == StateMonitoring
 	s.mu.Unlock()
-	if monitoring {
-		return sdn.ActionForward, nil
+	if !monitoring {
+		return g.sw.Process(pk, ts), nil
 	}
-	return g.sw.Process(pk, ts), nil
+	if a != nil {
+		// enqueue's send left the shard's drain worker next in line on
+		// this processor, and a capture reader with a ring of frames
+		// ahead of it does not stop: step aside, once per finished
+		// capture, so the assessment starts now. Only after this frame's
+		// action is settled — a yield before the re-read lets the verdict
+		// land first, and the frame is then switched under the new rule
+		// (a flow entry and a monitor record per join; DESIGN §10).
+		runtime.Gosched()
+	}
+	return sdn.ActionForward, nil
 }
 
 // FinishSetup force-completes the setup phase of a monitored device

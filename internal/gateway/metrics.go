@@ -21,6 +21,7 @@ import (
 //	gateway_handle_packet_seconds                             histogram
 //	gateway_assess_queue_depth                                gauge
 //	gateway_assess_queue_drops_total                          counter
+//	gateway_assess_queue_wait_seconds                         histogram
 type Metrics struct {
 	devices         map[DeviceState]*obs.Gauge
 	quarantineDepth *obs.Gauge
@@ -35,6 +36,7 @@ type Metrics struct {
 	handleSeconds   *obs.Histogram
 	queueDepth      *obs.Gauge
 	queueDrops      *obs.Counter
+	queueWait       *obs.Histogram
 }
 
 // NewMetrics registers the gateway metric family on reg.
@@ -69,6 +71,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Fingerprints waiting on the asynchronous assessment queues, all shards."),
 		queueDrops: reg.Counter("gateway_assess_queue_drops_total",
 			"Pending assessments evicted (drop-oldest) from a full shard queue and parked in quarantine."),
+		queueWait: reg.Histogram("gateway_assess_queue_wait_seconds",
+			"Time a finished capture sat on its shard's assessment queue before a drain worker took it.", nil),
 	}
 }
 
@@ -93,6 +97,23 @@ func (m *Metrics) HandleLatency() *obs.Histogram {
 func (m *Metrics) queueDepthAdd(d int64) {
 	if m != nil {
 		m.queueDepth.Add(d)
+	}
+}
+
+// queueClock is when a job enters an assessment queue: no clock is read,
+// and the zero time returned, on a nil bundle.
+func (m *Metrics) queueClock() time.Time {
+	if m == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeQueueWait records the wait of a job queued at since, as its
+// drain worker takes it. Safe on nil.
+func (m *Metrics) observeQueueWait(since time.Time) {
+	if m != nil {
+		m.queueWait.ObserveDuration(time.Since(since))
 	}
 }
 

@@ -106,9 +106,10 @@ var ErrAssessBacklog = errors.New("gateway: assessment queue backlog, fingerprin
 // pointers, and the drain worker builds the fingerprint off the packet
 // path.
 type assessJob struct {
-	mac packet.MAC
-	cap *fingerprint.SetupCapture
-	ts  time.Time
+	mac    packet.MAC
+	cap    *fingerprint.SetupCapture
+	ts     time.Time
+	queued time.Time // Metrics.queueClock at enqueue
 }
 
 func (j assessJob) assess(g *Gateway) {
@@ -154,6 +155,7 @@ func (a *asyncAssess) drain(g *Gateway, q chan assessJob) {
 		select {
 		case job := <-q:
 			g.cfg.Metrics.queueDepthAdd(-1)
+			g.cfg.Metrics.observeQueueWait(job.queued)
 			job.assess(g)
 			a.inflight.Add(-1)
 		case <-a.stop:
@@ -184,6 +186,7 @@ func (a *asyncAssess) parkQueued(g *Gateway, q chan assessJob) {
 // quarantined for retry. The caller must not hold any shard lock.
 func (a *asyncAssess) enqueue(g *Gateway, i uint32, job assessJob) {
 	a.inflight.Add(1)
+	job.queued = g.cfg.Metrics.queueClock()
 	for {
 		select {
 		case a.queues[i] <- job:
