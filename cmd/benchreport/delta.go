@@ -118,10 +118,11 @@ func runDelta(out io.Writer, arg string, threshold float64, gate, allow string) 
 	type entry struct {
 		ns     float64
 		allocs *int64
+		short  string
 	}
 	base := make(map[string]entry, len(oldDoc.Benchmarks))
 	for _, b := range oldDoc.Benchmarks {
-		base[b.Pkg+"."+b.Name] = entry{b.NsPerOp, b.AllocsPerOp}
+		base[b.Pkg+"."+b.Name] = entry{b.NsPerOp, b.AllocsPerOp, shortKey(b.Pkg, b.Name)}
 	}
 
 	fmt.Fprintf(out, "Benchmark delta: %s (%s) -> %s (%s), regression threshold %.0f%%\n",
@@ -131,19 +132,19 @@ func runDelta(out io.Writer, arg string, threshold float64, gate, allow string) 
 	var regressions []string
 	seen := make(map[string]bool, len(newDoc.Benchmarks))
 	for _, b := range newDoc.Benchmarks {
-		key := b.Pkg + "." + b.Name
+		key, short := b.Pkg+"."+b.Name, shortKey(b.Pkg, b.Name)
 		seen[key] = true
 		old, ok := base[key]
 		if !ok {
-			fmt.Fprintf(out, "%-50s %14s %14.1f %9s\n", shortKey(key), "-", b.NsPerOp, "new")
+			fmt.Fprintf(out, "%-50s %14s %14.1f %9s\n", short, "-", b.NsPerOp, "new")
 			continue
 		}
 		pct := 0.0
 		if old.ns > 0 {
 			pct = (b.NsPerOp - old.ns) / old.ns * 100
 		}
-		enforced := gateRe == nil || gateRe.MatchString(shortKey(key))
-		allowed := allowRe != nil && allowRe.MatchString(shortKey(key))
+		enforced := gateRe == nil || gateRe.MatchString(short)
+		allowed := allowRe != nil && allowRe.MatchString(short)
 		suffix := ""
 		if pct > threshold {
 			switch {
@@ -153,22 +154,22 @@ func runDelta(out io.Writer, arg string, threshold float64, gate, allow string) 
 				suffix = "  (ungated)"
 			}
 		}
-		fmt.Fprintf(out, "%-50s %14.1f %14.1f %+8.1f%%%s\n", shortKey(key), old.ns, b.NsPerOp, pct, suffix)
+		fmt.Fprintf(out, "%-50s %14.1f %14.1f %+8.1f%%%s\n", short, old.ns, b.NsPerOp, pct, suffix)
 		if allowed || !enforced {
 			continue
 		}
 		if pct > threshold {
 			regressions = append(regressions,
-				fmt.Sprintf("%s: %.1f -> %.1f ns/op (%+.1f%%)", shortKey(key), old.ns, b.NsPerOp, pct))
+				fmt.Sprintf("%s: %.1f -> %.1f ns/op (%+.1f%%)", short, old.ns, b.NsPerOp, pct))
 		}
 		if old.allocs != nil && b.AllocsPerOp != nil && *old.allocs == 0 && *b.AllocsPerOp > 0 {
 			regressions = append(regressions,
-				fmt.Sprintf("%s: 0 -> %d allocs/op", shortKey(key), *b.AllocsPerOp))
+				fmt.Sprintf("%s: 0 -> %d allocs/op", short, *b.AllocsPerOp))
 		}
 	}
-	for key := range base {
+	for key, old := range base {
 		if !seen[key] {
-			fmt.Fprintf(out, "%-50s %14s %14s %9s\n", shortKey(key), "-", "-", "removed")
+			fmt.Fprintf(out, "%-50s %14s %14s %9s\n", old.short, "-", "-", "removed")
 		}
 	}
 
@@ -187,11 +188,10 @@ func coresLabel(n int) string {
 	return fmt.Sprintf("%d cores", n)
 }
 
-// shortKey drops the module prefix so the table stays readable:
-// "iotsentinel/internal/editdist.Distance32" -> "editdist.Distance32".
-func shortKey(key string) string {
-	if i := strings.LastIndexByte(key, '/'); i >= 0 {
-		return key[i+1:]
-	}
-	return key
+// shortKey names a benchmark by its package's last path element, so the
+// table stays readable and a sub-benchmark keeps its own slashes:
+// "iotsentinel/internal/sdn", "SwitchProcess10k/peer" ->
+// "sdn.SwitchProcess10k/peer".
+func shortKey(pkg, name string) string {
+	return pkg[strings.LastIndexByte(pkg, '/')+1:] + "." + name
 }

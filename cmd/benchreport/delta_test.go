@@ -99,6 +99,13 @@ func TestDeltaGateEnforcesOnlyNamedBenchmarks(t *testing.T) {
 	if err := run([]string{"-delta", pair, "-delta-gate", `^b\.`}, &out); err != nil {
 		t.Fatalf("no gated benchmark regressed, want pass: %v", err)
 	}
+	// A sub-benchmark is gated under its package and whole name.
+	if got := shortKey("iotsentinel/internal/sdn", "SwitchProcess10k/peer"); got != "sdn.SwitchProcess10k/peer" {
+		t.Errorf("shortKey of a sub-benchmark = %q", got)
+	}
+	if got := shortKey("iotsentinel", "ClassifySingle"); got != "iotsentinel.ClassifySingle" {
+		t.Errorf("shortKey of a root-package benchmark = %q", got)
+	}
 }
 
 func TestDeltaAllowListSparesNamedRegressions(t *testing.T) {

@@ -143,7 +143,7 @@ func (g *Gateway) APIHandler(now func() time.Time) http.Handler {
 			Dropped      uint64 `json:"dropped"`
 			Destinations int    `json:"destinations"`
 		}
-		top := g.Traffic().TopTalkers(50)
+		top := g.sw.TopTalkers(50)
 		out := make([]trafficJSON, 0, len(top))
 		for _, d := range top {
 			out = append(out, trafficJSON{

@@ -169,7 +169,6 @@ type Gateway struct {
 	cfg      Config
 	assessor iotssp.Assessor
 	sw       *sdn.Switch
-	monitor  *sdn.TrafficMonitor
 
 	shards    []*shard
 	shardMask uint32
@@ -189,17 +188,13 @@ type Gateway struct {
 	checkpointHook func()
 }
 
-// New wires a gateway to its switch and the security service, and
-// attaches the controller's traffic-monitoring module to the switch.
+// New wires a gateway to its switch and the security service.
 func New(assessor iotssp.Assessor, sw *sdn.Switch, cfg Config) *Gateway {
-	mon := sdn.NewTrafficMonitor()
-	sw.SetMonitor(mon)
 	n := shardCount(cfg.Shards)
 	g := &Gateway{
 		cfg:        cfg,
 		assessor:   assessor,
 		sw:         sw,
-		monitor:    mon,
 		shards:     make([]*shard, n),
 		shardMask:  uint32(n - 1),
 		quarantine: make(map[packet.MAC]*quarantined),
@@ -212,9 +207,6 @@ func New(assessor iotssp.Assessor, sw *sdn.Switch, cfg Config) *Gateway {
 	}
 	return g
 }
-
-// Traffic exposes the per-device traffic monitor.
-func (g *Gateway) Traffic() *sdn.TrafficMonitor { return g.monitor }
 
 // Switch exposes the enforcement switch.
 func (g *Gateway) Switch() *sdn.Switch { return g.sw }
@@ -323,7 +315,7 @@ func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Pa
 		// capture, so the assessment starts now. Only after this frame's
 		// action is settled — a yield before the re-read lets the verdict
 		// land first, and the frame is then switched under the new rule
-		// (a flow entry and a monitor record per join; DESIGN §10).
+		// (a flow entry and a counted frame per join; DESIGN §10).
 		runtime.Gosched()
 	}
 	return sdn.ActionForward, nil
@@ -601,7 +593,7 @@ func (g *Gateway) FinalizeIdleCaptures(now time.Time) int {
 // its rule after this put, never before it. A device that left *and
 // rejoined* inside one in-flight call still takes the old incarnation's
 // verdict: telling the two apart needs an incarnation identity, which is
-// ROADMAP item 4's.
+// ROADMAP item 2's.
 func (g *Gateway) apply(mac packet.MAC, a iotssp.Assessment, fp *fingerprint.Fingerprint, now time.Time) {
 	s := g.shardOf(mac)
 	s.mu.Lock()
@@ -692,8 +684,7 @@ func (g *Gateway) RemoveDevice(mac packet.MAC) {
 	// recovers the device as gone (no rule ⇒ strict), never the reverse.
 	g.awaitDurable(seq)
 	g.sw.Controller().Rules().Remove(mac)
-	g.sw.InvalidateDevice(mac)
-	g.monitor.Forget(mac)
+	g.sw.ForgetDevice(mac)
 	if g.cfg.Keystore != nil {
 		g.cfg.Keystore.Revoke(mac)
 	}

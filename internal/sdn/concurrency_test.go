@@ -27,6 +27,12 @@ func TestConcurrentSwitchProcessing(t *testing.T) {
 				src := packet.MAC{0x02, byte(w), 0, 0, 0, byte(i % 7)}
 				dst := netip.AddrFrom4([4]byte{52, 20, byte(w), byte(i % 250)})
 				pk := packet.NewTCPSyn(src, gwMAC, ipA, dst, uint16(30000+i), 443)
+				if i%3 == 0 {
+					// Device to device: the flow remembers the peer's rule,
+					// which the churn below keeps replacing.
+					peer := packet.MAC{0x02, byte((w + 1) % 8), 0, 0, 0, byte(i % 7)}
+					pk = packet.NewTCPSyn(src, peer, ipA, ipB, uint16(30000+i%5), 443)
+				}
 				sw.Process(pk, now.Add(time.Duration(i)*time.Millisecond))
 			}
 		}(w)
@@ -42,7 +48,12 @@ func TestConcurrentSwitchProcessing(t *testing.T) {
 			if i%3 == 0 {
 				ctrl.Rules().Remove(mac)
 			}
+			if i%5 == 0 {
+				sw.ForgetDevice(mac)
+			}
+			_, _ = sw.Device(mac)
 		}
+		_ = sw.TopTalkers(3)
 	}()
 	// Concurrent expiry sweeps.
 	wg.Add(1)
@@ -52,19 +63,17 @@ func TestConcurrentSwitchProcessing(t *testing.T) {
 			sw.Table().Expire(now.Add(time.Duration(i) * 10 * time.Millisecond))
 		}
 	}()
-	// Concurrent attach/detach of the monitor and metrics bundle, and
-	// counter snapshots: Process reads both attachments and bumps the
-	// counters without a lock.
+	// Concurrent attach/detach of the metrics bundle, and counter
+	// snapshots: Process reads the attachment and bumps the counters
+	// without a lock.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		mon, met := NewTrafficMonitor(), NewSwitchMetrics(obs.NewRegistry())
+		met := NewSwitchMetrics(obs.NewRegistry())
 		for i := 0; i < 300; i++ {
 			if i%2 == 0 {
-				sw.SetMonitor(mon)
 				sw.SetMetrics(met)
 			} else {
-				sw.SetMonitor(nil)
 				sw.SetMetrics(nil)
 			}
 			_ = sw.Stats()

@@ -1,7 +1,11 @@
 package sdn
 
 import (
+	"encoding/binary"
+	"net/netip"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"iotsentinel/internal/packet"
@@ -24,8 +28,8 @@ func (a Action) String() string {
 	return "drop"
 }
 
-// FlowEntry is one installed micro-flow: an exact-match key plus the
-// action the controller decided.
+// FlowEntry is one installed micro-flow as Entry reports it: an
+// exact-match key plus the action the controller decided.
 type FlowEntry struct {
 	Key      packet.FlowKey
 	Action   Action
@@ -33,41 +37,60 @@ type FlowEntry struct {
 	Bytes    uint64
 	Created  time.Time
 	LastUsed time.Time
-
-	// links chain the entry into the FlowTable's per-MAC lists: links[0]
-	// in the list of Key.SrcMAC, links[1] in that of Key.DstMAC.
-	links [2]flowLink
 }
 
-type flowLink struct{ prev, next *FlowEntry }
-
-// side says which of e's links belongs to mac's list.
-func (e *FlowEntry) side(mac packet.MAC) int {
-	if e.Key.SrcMAC == mac {
-		return 0
-	}
-	return 1
+// entry is a FlowEntry as a port holds it, in 128 bytes: timestamps as
+// Unix nanoseconds (the LRU scan compares 64 of them), the action in a
+// byte.
+type entry struct {
+	key      packet.FlowKey
+	packets  uint64
+	bytes    uint64
+	created  int64
+	lastUsed int64
+	// peer marks a decision that read the destination's rule, dstRule
+	// (nil: it had none): a hit only while the rule cache still holds
+	// exactly that pointer for the destination. Put stores a fresh copy
+	// per put, so the pointer is the rule's identity (DESIGN §10).
+	dstRule *EnforcementRule
+	peer    bool
+	action  uint8
 }
 
-// FlowTable is the switch's exact-match flow table. All methods are
-// safe for concurrent use.
+// The ports are striped over portStripes locks (a power of two), and a
+// port holds at most portFlows flows, as hardware and OVS tables are
+// bounded: past that a device recycles its own least recently used one.
+const portStripes, portFlows = 64, 64
+
+// port is what the switch keeps per source MAC: the device's flows,
+// scanned linearly, and the traffic counters of the controller's
+// monitoring module (Sect. V). dsts is the set behind
+// DeviceStats.Destinations; a new destination address is a new flow key,
+// so only the miss path touches it.
+type port struct {
+	flows []entry
+	stats DeviceStats
+	dsts  map[netip.Addr]struct{}
+}
+
+type portStripe struct {
+	mu    sync.Mutex
+	ports map[macKey]*port
+	flows int      // installed over all ports, for Len
+	_     [40]byte // a cache line per stripe
+}
+
+// FlowTable is the switch's exact-match flow table, kept per source MAC
+// and striped by it. All methods are safe for concurrent use.
 type FlowTable struct {
-	mu      sync.RWMutex
-	entries map[packet.FlowKey]*FlowEntry
-	// byMAC heads, per MAC, a doubly linked list threaded through the
-	// installed entries that have it as source or destination, so
-	// RemoveByMAC — run under the write lock on every join and removal
-	// — walks only that device's flows instead of scanning the table.
-	// The lists are intrusive (FlowEntry.links): keeping them in step
-	// costs Install and remove two pointer splices each, no allocation.
-	byMAC map[packet.MAC]*FlowEntry
+	stripes [portStripes]portStripe
 	// IdleTimeout evicts entries not used for this long (checked by
 	// Expire, driven by the caller's clock).
 	IdleTimeout time.Duration
-	// MaxFlows caps the table size, as hardware and OVS tables are
-	// bounded; 0 means unbounded. When full, Install evicts the
-	// least-recently-used entry.
-	MaxFlows int
+
+	// rules is nil for a table without a switch: Install remembers no rule.
+	rules   *RuleCache
+	metrics atomic.Pointer[SwitchMetrics]
 }
 
 // NewFlowTable returns an empty table with the given idle timeout
@@ -76,130 +99,205 @@ func NewFlowTable(idleTimeout time.Duration) *FlowTable {
 	if idleTimeout <= 0 {
 		idleTimeout = 30 * time.Second
 	}
-	return &FlowTable{
-		entries:     make(map[packet.FlowKey]*FlowEntry),
-		byMAC:       make(map[packet.MAC]*FlowEntry),
-		IdleTimeout: idleTimeout,
+	t := &FlowTable{IdleTimeout: idleTimeout}
+	for i := range t.stripes {
+		t.stripes[i].ports = make(map[macKey]*port)
 	}
+	return t
 }
 
-// Install adds or replaces the entry for key, evicting the least-
-// recently-used entry when the table is at MaxFlows capacity.
-func (t *FlowTable) Install(key packet.FlowKey, action Action, now time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if old, exists := t.entries[key]; exists {
-		t.remove(old)
-	} else if t.MaxFlows > 0 && len(t.entries) >= t.MaxFlows {
-		var lru *FlowEntry
-		for _, e := range t.entries {
-			if lru == nil || e.LastUsed.Before(lru.LastUsed) {
-				lru = e
+// macKey is a MAC's six bytes as an integer, hashed once for its stripe
+// and once, on the runtime's 64-bit map fast path, for its port.
+type macKey uint64
+
+func keyOf(mac packet.MAC) macKey {
+	return macKey(binary.LittleEndian.Uint32(mac[:4])) | macKey(binary.LittleEndian.Uint16(mac[4:]))<<32
+}
+
+func (t *FlowTable) stripe(k macKey) *portStripe {
+	return &t.stripes[k*0x9e3779b97f4a7c15>>58] // top 6 bits: portStripes
+}
+
+// port returns mac's port, opening it at its first frame.
+func (st *portStripe) port(mac packet.MAC, now time.Time) *port {
+	k := keyOf(mac)
+	p := st.ports[k]
+	if p == nil {
+		p = &port{stats: DeviceStats{MAC: mac, FirstSeen: now}, dsts: make(map[netip.Addr]struct{})}
+		st.ports[k] = p
+	}
+	return p
+}
+
+// find scans for k's flow, discriminating fields first; the source MAC
+// is the port's.
+func (p *port) find(k *packet.FlowKey) *entry {
+	for i := range p.flows {
+		if f := &p.flows[i].key; f.DstPort == k.DstPort && f.SrcPort == k.SrcPort && f.DstIP == k.DstIP &&
+			f.DstMAC == k.DstMAC && f.Proto == k.Proto && f.SrcIP == k.SrcIP && f.Ethertype == k.Ethertype {
+			return &p.flows[i]
+		}
+	}
+	return nil
+}
+
+// put installs or replaces k's flow in p, which is st's; at the bound it
+// takes the place of p's least recently used one.
+func (t *FlowTable) put(st *portStripe, p *port, k *packet.FlowKey, act Action, on basis, now int64) {
+	f := p.find(k)
+	switch {
+	case f != nil:
+	case len(p.flows) < portFlows:
+		p.flows = append(p.flows, entry{})
+		f = &p.flows[len(p.flows)-1]
+		st.flows++
+	default:
+		f = &p.flows[0]
+		for i := range p.flows {
+			if p.flows[i].lastUsed < f.lastUsed {
+				f = &p.flows[i]
 			}
 		}
-		t.remove(lru)
+		t.metrics.Load().evicted(evictBound, 1)
 	}
-	e := &FlowEntry{Key: key, Action: action, Created: now, LastUsed: now}
-	t.entries[key] = e
-	t.link(e, key.SrcMAC)
-	if key.DstMAC != key.SrcMAC {
-		t.link(e, key.DstMAC)
-	}
+	*f = entry{key: *k, action: uint8(act), created: now, lastUsed: now, peer: on.peer, dstRule: on.dst}
 }
 
-// remove deletes an installed entry from the table and the per-MAC
-// lists; the caller holds the write lock.
-func (t *FlowTable) remove(e *FlowEntry) {
-	delete(t.entries, e.Key)
-	t.unlink(e, e.Key.SrcMAC)
-	if e.Key.DstMAC != e.Key.SrcMAC {
-		t.unlink(e, e.Key.DstMAC)
-	}
+// Install adds or replaces the entry for key. A device at its bound of
+// 64 flows has its least-recently-used one replaced.
+func (t *FlowTable) Install(key packet.FlowKey, action Action, now time.Time) {
+	st := t.stripe(keyOf(key.SrcMAC))
+	st.mu.Lock()
+	t.put(st, st.port(key.SrcMAC, now), &key, action, basis{}, now.UnixNano())
+	st.mu.Unlock()
 }
 
-// link pushes e onto the front of mac's list.
-func (t *FlowTable) link(e *FlowEntry, mac packet.MAC) {
-	head := t.byMAC[mac]
-	e.links[e.side(mac)] = flowLink{next: head}
-	if head != nil {
-		head.links[head.side(mac)].prev = e
+// admit is the second lock hold of a miss: it counts the frame, notes
+// its destination, and installs the decision — unless the source's rule
+// is no longer the one the decision read: a rule change and its
+// InvalidateDevice ran in between, and the flow would outlive the sweep
+// meant for it. The frame keeps its verdict either way.
+func (t *FlowTable) admit(k *packet.FlowKey, act Action, on basis, size int, now time.Time) {
+	st := t.stripe(keyOf(k.SrcMAC))
+	st.mu.Lock()
+	p := st.port(k.SrcMAC, now)
+	p.count(size, act, now)
+	if k.DstIP.IsValid() {
+		p.dsts[k.DstIP] = struct{}{}
 	}
-	t.byMAC[mac] = e
+	if t.rules.peek(k.SrcMAC) == on.src {
+		t.put(st, p, k, act, on, now.UnixNano())
+	}
+	st.mu.Unlock()
 }
 
-// unlink splices e out of mac's list.
-func (t *FlowTable) unlink(e *FlowEntry, mac packet.MAC) {
-	l := e.links[e.side(mac)]
-	switch {
-	case l.prev != nil:
-		l.prev.links[l.prev.side(mac)].next = l.next
-	case l.next != nil:
-		t.byMAC[mac] = l.next
-	default:
-		delete(t.byMAC, mac)
-	}
-	if l.next != nil {
-		l.next.links[l.next.side(mac)].prev = l.prev
+func (p *port) count(size int, act Action, now time.Time) {
+	p.stats.Packets++
+	p.stats.Bytes += uint64(size)
+	p.stats.LastSeen = now
+	if act == ActionDrop {
+		p.stats.Dropped++
 	}
 }
 
 // Match looks up the flow for key and, on a hit, updates its counters.
 func (t *FlowTable) Match(key packet.FlowKey, size int, now time.Time) (Action, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[key]
-	if !ok {
-		return 0, false
-	}
-	e.Packets++
-	e.Bytes += uint64(size)
-	e.LastUsed = now
-	return e.Action, true
+	return t.match(&key, size, now)
 }
 
-// Expire removes entries idle longer than IdleTimeout and returns the
-// number evicted.
-func (t *FlowTable) Expire(now time.Time) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	evicted := 0
-	for _, e := range t.entries {
-		if now.Sub(e.LastUsed) >= t.IdleTimeout {
-			t.remove(e)
-			evicted++
+// match is the forward path: one stripe lock, one lookup, a scan of the
+// device's flows, the flow's and the device's counters in the same hold.
+func (t *FlowTable) match(k *packet.FlowKey, size int, now time.Time) (Action, bool) {
+	src := keyOf(k.SrcMAC)
+	st := t.stripe(src)
+	st.mu.Lock()
+	if p := st.ports[src]; p != nil {
+		if f := p.find(k); f != nil && (!f.peer || t.rules.peek(k.DstMAC) == f.dstRule) {
+			f.packets++
+			f.bytes += uint64(size)
+			f.lastUsed = now.UnixNano()
+			act := Action(f.action)
+			p.count(size, act, now)
+			st.mu.Unlock()
+			return act, true
 		}
 	}
+	st.mu.Unlock()
+	return 0, false
+}
+
+// Expire removes entries idle for IdleTimeout or longer and returns the
+// number evicted. It holds one stripe at a time; DeleteFunc moves nothing
+// in a port that loses nothing and zeroes what it drops.
+func (t *FlowTable) Expire(now time.Time) int {
+	cutoff := now.UnixNano() - int64(t.IdleTimeout)
+	idle := func(f entry) bool { return f.lastUsed <= cutoff }
+	evicted := 0
+	for i := range t.stripes {
+		st := &t.stripes[i]
+		st.mu.Lock()
+		before := st.flows
+		for _, p := range st.ports {
+			n := len(p.flows)
+			p.flows = slices.DeleteFunc(p.flows, idle)
+			st.flows -= n - len(p.flows)
+		}
+		evicted += before - st.flows
+		st.mu.Unlock()
+	}
+	t.metrics.Load().evicted(evictIdle, evicted)
 	return evicted
 }
 
-// RemoveByMAC evicts all flows involving the MAC (both directions),
-// used when a device's isolation level changes.
-func (t *FlowTable) RemoveByMAC(mac packet.MAC) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	removed := 0
-	for e := t.byMAC[mac]; e != nil; removed++ {
-		next := e.links[e.side(mac)].next
-		t.remove(e)
-		e = next
+// RemoveByMAC evicts the flows mac is the source of and returns their
+// number; flows towards mac stop matching once its rule changes.
+func (t *FlowTable) RemoveByMAC(mac packet.MAC) int { return t.drop(mac, false) }
+
+// drop evicts mac's flows and, with forget, its port and counters.
+func (t *FlowTable) drop(mac packet.MAC, forget bool) int {
+	k := keyOf(mac)
+	st := t.stripe(k)
+	st.mu.Lock()
+	n := 0
+	if p := st.ports[k]; p != nil {
+		n = len(p.flows)
+		clear(p.flows) // the rules they remember can go
+		p.flows = p.flows[:0]
+		st.flows -= n
+		if forget {
+			delete(st.ports, k)
+		}
 	}
-	return removed
+	st.mu.Unlock()
+	t.metrics.Load().evicted(evictInvalidated, n)
+	return n
 }
 
 // Len returns the number of installed flows.
 func (t *FlowTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.entries)
+	n := 0
+	for i := range t.stripes {
+		st := &t.stripes[i]
+		st.mu.Lock()
+		n += st.flows
+		st.mu.Unlock()
+	}
+	return n
 }
 
 // Entry returns a copy of the entry for key, if installed.
 func (t *FlowTable) Entry(key packet.FlowKey) (FlowEntry, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	e, ok := t.entries[key]
-	if !ok {
-		return FlowEntry{}, false
+	src := keyOf(key.SrcMAC)
+	st := t.stripe(src)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if p := st.ports[src]; p != nil {
+		if f := p.find(&key); f != nil {
+			return FlowEntry{
+				Key: f.key, Action: Action(f.action), Packets: f.packets, Bytes: f.bytes,
+				Created: time.Unix(0, f.created), LastUsed: time.Unix(0, f.lastUsed),
+			}, true
+		}
 	}
-	return *e, true
+	return FlowEntry{}, false
 }

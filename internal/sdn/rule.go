@@ -60,11 +60,7 @@ type EnforcementRule struct {
 
 // Hash returns the rule's cache key (Fig 2's hash value), an FNV-1a
 // digest of the device MAC.
-func (r *EnforcementRule) Hash() uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(r.DeviceMAC[:])
-	return h.Sum64()
-}
+func (r *EnforcementRule) Hash() uint64 { return macHash(r.DeviceMAC) }
 
 // Permits reports whether the rule allows the device to reach the
 // given remote address.
@@ -127,6 +123,16 @@ func (c *RuleCache) Get(mac packet.MAC) (*EnforcementRule, bool) {
 		c.misses++
 	}
 	return r, ok
+}
+
+// peek is Get for the flow table, which compares the stored pointer: no
+// hit/miss accounting, so the read lock does. It is called holding a port
+// stripe; nothing takes a stripe while holding c.mu.
+func (c *RuleCache) peek(mac packet.MAC) *EnforcementRule {
+	c.mu.RLock()
+	r := c.rules[macHash(mac)]
+	c.mu.RUnlock()
+	return r
 }
 
 // Remove deletes the rule for a device that left the network.
@@ -206,8 +212,11 @@ func (c *RuleCache) Digest() uint64 {
 	return h.Sum64()
 }
 
+// macHash is hash/fnv's New64a over the six bytes, spelled out for peek.
 func macHash(mac packet.MAC) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(mac[:])
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for _, b := range mac {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h
 }

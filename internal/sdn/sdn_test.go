@@ -1,11 +1,13 @@
 package sdn
 
 import (
+	"hash/fnv"
 	"net/netip"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"iotsentinel/internal/obs"
 	"iotsentinel/internal/packet"
 )
 
@@ -169,6 +171,64 @@ func TestSwitchInvalidateDevice(t *testing.T) {
 	}
 }
 
+// TestNoStaleFlowAcrossRuleChange puts a rule change and its
+// invalidation between a miss's decision and its install: the frame
+// keeps the verdict it was decided under, but no flow may survive to
+// apply it to the next one.
+func TestNoStaleFlowAcrossRuleChange(t *testing.T) {
+	now := time.Unix(0, 0)
+	t.Run("source quarantined", func(t *testing.T) {
+		ctrl := newTestController()
+		sw := NewSwitch(ctrl, time.Minute)
+		pk := packet.NewTCPSyn(devC, gwMAC, ipC, other, 40000, 443)
+		sw.processHook = func() {
+			sw.processHook = nil
+			ctrl.Quarantine(devC)
+			sw.InvalidateDevice(devC)
+		}
+		if act := sw.Process(pk, now); act != ActionForward {
+			t.Fatalf("frame decided under Trusted: %v", act)
+		}
+		if n := sw.Table().Len(); n != 0 {
+			t.Errorf("%d flows installed after the sweep", n)
+		}
+		if act := sw.Process(pk, now); act != ActionDrop {
+			t.Errorf("quarantined device's next frame: %v", act)
+		}
+		if act := sw.Process(pk, now); act != ActionDrop || sw.Stats().TableHits != 1 {
+			t.Errorf("third frame: %v, stats %+v", act, sw.Stats())
+		}
+	})
+	t.Run("destination changes overlay", func(t *testing.T) {
+		ctrl := newTestController()
+		sw := NewSwitch(ctrl, time.Minute)
+		pk := packet.NewTCPSyn(devA, devB, ipA, ipB, 40000, 443)
+		sw.processHook = func() {
+			sw.processHook = nil
+			ctrl.Rules().Put(&EnforcementRule{DeviceMAC: devB, Level: Trusted})
+			sw.InvalidateDevice(devB)
+		}
+		if act := sw.Process(pk, now); act != ActionForward {
+			t.Fatalf("frame decided with both untrusted: %v", act)
+		}
+		if act := sw.Process(pk, now); act != ActionDrop {
+			t.Errorf("untrusted to newly trusted peer: %v", act)
+		}
+		if act := sw.Process(pk, now); act != ActionDrop || sw.Stats().TableHits != 1 {
+			t.Errorf("third frame: %v, stats %+v", act, sw.Stats())
+		}
+		// The same change outside the window: the flow towards devB is
+		// listed nowhere, yet stops matching.
+		ctrl.Rules().Put(&EnforcementRule{DeviceMAC: devB, Level: Strict})
+		if n := sw.InvalidateDevice(devB); n != 0 {
+			t.Errorf("InvalidateDevice(devB) = %d, devB sources no flow", n)
+		}
+		if act := sw.Process(pk, now); act != ActionForward || sw.Stats().PacketIns != 3 {
+			t.Errorf("after devB returned to the untrusted overlay: %v, stats %+v", act, sw.Stats())
+		}
+	})
+}
+
 func TestFlowTableExpiry(t *testing.T) {
 	ft := NewFlowTable(10 * time.Second)
 	base := time.Unix(0, 0)
@@ -276,8 +336,11 @@ func TestRuleHashStable(t *testing.T) {
 		r1 := &EnforcementRule{DeviceMAC: packet.MAC(mac), Level: Strict}
 		r2 := &EnforcementRule{DeviceMAC: packet.MAC(mac), Level: Trusted,
 			PermittedIPs: []netip.Addr{cloud}}
-		// Hash depends only on the MAC, so updates address the same slot.
-		return r1.Hash() == r2.Hash() && r1.Hash() == macHash(packet.MAC(mac))
+		// Hash depends only on the MAC, so updates address the same slot,
+		// and is Fig 2's FNV-1a whoever spells it.
+		h := fnv.New64a()
+		_, _ = h.Write(mac[:])
+		return r1.Hash() == r2.Hash() && r1.Hash() == macHash(packet.MAC(mac)) && r1.Hash() == h.Sum64()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -293,8 +356,6 @@ func TestActionString(t *testing.T) {
 func TestTrafficMonitor(t *testing.T) {
 	ctrl := newTestController()
 	sw := NewSwitch(ctrl, time.Minute)
-	mon := NewTrafficMonitor()
-	sw.SetMonitor(mon)
 	now := time.Unix(100, 0)
 
 	// devB (restricted): one permitted flow, one dropped flow.
@@ -307,70 +368,96 @@ func TestTrafficMonitor(t *testing.T) {
 	bigPkt := packet.NewTCP(devC, gwMAC, ipC, other, 40002, 443, make([]byte, 1200))
 	sw.Process(bigPkt, now.Add(3*time.Second))
 
-	st, ok := mon.Device(devB)
+	st, ok := sw.Device(devB)
 	if !ok {
 		t.Fatal("devB untracked")
 	}
-	if st.Packets != 3 || st.Dropped != 1 || st.Destinations != 2 {
+	if st.Packets != 3 || st.Dropped != 1 || st.Destinations != 2 || st.Bytes != uint64(2*okPkt.Size+badPkt.Size) {
 		t.Errorf("devB stats = %+v", st)
 	}
-	if !st.LastSeen.After(st.FirstSeen) {
-		t.Error("timestamps not updated")
+	if !st.FirstSeen.Equal(now) || !st.LastSeen.Equal(now.Add(2*time.Second)) {
+		t.Errorf("devB seen %v to %v", st.FirstSeen, st.LastSeen)
 	}
 
-	top := mon.TopTalkers(1)
+	top := sw.TopTalkers(1)
 	if len(top) != 1 || top[0].MAC != devC {
 		t.Errorf("top talker = %+v", top)
 	}
-	if mon.Len() != 2 {
-		t.Errorf("Len = %d", mon.Len())
+	if all := sw.TopTalkers(0); len(all) != 2 || all[1].MAC != devB {
+		t.Errorf("all talkers = %+v", all)
 	}
-	mon.Forget(devB)
-	if _, ok := mon.Device(devB); ok || mon.Len() != 1 {
-		t.Error("Forget failed")
+	// The counters outlive the flows: an invalidation and an idle sweep
+	// take the flows only.
+	sw.InvalidateDevice(devB)
+	sw.Table().Expire(now.Add(time.Hour))
+	if st, ok := sw.Device(devB); !ok || st.Packets != 3 || sw.Table().Len() != 0 {
+		t.Errorf("after invalidation and expiry: %+v (tracked %v), %d flows", st, ok, sw.Table().Len())
 	}
-	if _, ok := mon.Device(devA); ok {
+	sw.Process(okPkt, now.Add(4*time.Second))
+	sw.ForgetDevice(devB)
+	if _, ok := sw.Device(devB); ok || len(sw.TopTalkers(0)) != 1 || sw.Table().Len() != 0 {
+		t.Error("ForgetDevice left counters or flows behind")
+	}
+	if _, ok := sw.Device(devA); ok {
 		t.Error("untracked device reported")
 	}
-	sw.SetMonitor(nil) // detaching must not panic subsequent packets
-	sw.Process(okPkt, now.Add(4*time.Second))
+	sw.Process(okPkt, now.Add(5*time.Second)) // a forgotten device starts over
+	if st, _ := sw.Device(devB); st.Packets != 1 || !st.FirstSeen.Equal(now.Add(5*time.Second)) {
+		t.Errorf("devB after forget = %+v", st)
+	}
 }
 
+// TestFlowTableCapacityEviction: a device's 65th flow replaces that
+// device's least-recently-used one and leaves another device's alone.
 func TestFlowTableCapacityEviction(t *testing.T) {
-	ft := NewFlowTable(time.Minute)
-	ft.MaxFlows = 3
+	reg := obs.NewRegistry()
+	sw := NewSwitch(newTestController(), time.Minute)
+	sw.SetMetrics(NewSwitchMetrics(reg))
+	ft := sw.Table()
 	base := time.Unix(0, 0)
-	keys := make([]packet.FlowKey, 4)
-	for i := range keys {
-		keys[i] = flow(packet.MAC{byte(i), 1, 1, 1, 1, 1}, devB, ipA, ipB)
-		ft.Install(keys[i], ActionForward, base.Add(time.Duration(i)*time.Second))
+	key := func(src packet.MAC, i int) packet.FlowKey {
+		k := flow(src, devB, ipA, ipB)
+		k.SrcPort = uint16(1000 + i)
+		return k
 	}
-	if ft.Len() != 3 {
-		t.Fatalf("len = %d, want 3 (capacity)", ft.Len())
+	for i := 0; i < portFlows; i++ {
+		ft.Install(key(devA, i), ActionForward, base.Add(time.Duration(i)*time.Second))
 	}
-	// keys[0] is the LRU and must be gone; the rest remain.
-	if _, ok := ft.Entry(keys[0]); ok {
+	ft.Install(key(devC, 0), ActionForward, base)
+	if ft.Len() != portFlows+1 {
+		t.Fatalf("len = %d, want %d", ft.Len(), portFlows+1)
+	}
+	// Touching key 0 makes key 1 devA's LRU.
+	ft.Match(key(devA, 0), 10, base.Add(time.Hour))
+	ft.Install(key(devA, portFlows), ActionForward, base.Add(2*time.Hour))
+	if ft.Len() != portFlows+1 {
+		t.Fatalf("len after the 65th flow = %d, want %d", ft.Len(), portFlows+1)
+	}
+	if _, ok := ft.Entry(key(devA, 1)); ok {
 		t.Error("LRU entry not evicted")
 	}
-	for _, k := range keys[1:] {
-		if _, ok := ft.Entry(k); !ok {
-			t.Errorf("entry %v evicted", k.SrcMAC)
+	for _, i := range []int{0, 2, portFlows - 1, portFlows} {
+		if _, ok := ft.Entry(key(devA, i)); !ok {
+			t.Errorf("devA flow %d evicted", i)
 		}
 	}
-	// Touching keys[1] makes keys[2] the LRU for the next install.
-	ft.Match(keys[1], 10, base.Add(time.Hour))
-	extra := flow(packet.MAC{9, 1, 1, 1, 1, 1}, devB, ipA, ipB)
-	ft.Install(extra, ActionForward, base.Add(2*time.Hour))
-	if _, ok := ft.Entry(keys[1]); !ok {
-		t.Error("recently-used entry evicted")
+	if e, ok := ft.Entry(key(devC, 0)); !ok || !e.Created.Equal(base) {
+		t.Error("another device's older flow evicted")
 	}
-	if _, ok := ft.Entry(keys[2]); ok {
-		t.Error("LRU after touch not evicted")
+	// Reinstalling an existing key at the bound must not evict anyone.
+	ft.Install(key(devA, 5), ActionDrop, base.Add(3*time.Hour))
+	if e, _ := ft.Entry(key(devA, 5)); ft.Len() != portFlows+1 || e.Action != ActionDrop {
+		t.Errorf("len after reinstall = %d, action %v", ft.Len(), e.Action)
 	}
-	// Reinstalling an existing key at capacity must not evict anyone.
-	ft.Install(extra, ActionDrop, base.Add(3*time.Hour))
-	if ft.Len() != 3 {
-		t.Errorf("len after reinstall = %d", ft.Len())
+	// The switch's own miss path is bounded the same way, and counted.
+	for i := 0; i < 3; i++ {
+		sw.Process(packet.NewTCPSyn(devA, gwMAC, ipA, other, uint16(2000+i), 443), base.Add(4*time.Hour))
+	}
+	if ft.Len() != portFlows+1 {
+		t.Errorf("len after 3 more flows through Process = %d", ft.Len())
+	}
+	if got := reg.Snapshot().Value("sdn_switch_flow_evictions_total", "reason", "bound"); got != 4 {
+		t.Errorf("bound evictions counted = %v, want 4", got)
 	}
 }
 

@@ -1,7 +1,9 @@
 package sdn
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,23 +139,22 @@ func (c *Controller) PacketIns() uint64 {
 	return c.packetIns
 }
 
-// overlayOf returns the overlay a device belongs to: the overlay of its
-// rule's level, or untrusted when the device has no rule yet (unknown
-// devices are assigned strict isolation, Sect. III-B).
-func (c *Controller) overlayOf(mac packet.MAC) Overlay {
-	if r, ok := c.rules.Get(mac); ok {
-		return OverlayFor(r.Level)
+// levelOf is the effective isolation level under a device's rule: Strict,
+// and so the untrusted overlay, for an unknown device's nil (Sect. III-B).
+func levelOf(r *EnforcementRule) IsolationLevel {
+	if r == nil {
+		return Strict
 	}
-	return OverlayUntrusted
+	return r.Level
 }
 
-// levelOf returns the effective isolation level for a device: its rule,
-// or Strict when unknown.
-func (c *Controller) levelOf(mac packet.MAC) (IsolationLevel, *EnforcementRule) {
-	if r, ok := c.rules.Get(mac); ok {
-		return r.Level, r
-	}
-	return Strict, nil
+// basis is what a decision read of the rule cache, by which the flow
+// table tells whether it still stands: the source's rule (nil: none) and,
+// with peer — a unicast, non-infrastructure, local destination — the
+// destination's. It rides beside the exported Decision, not in it.
+type basis struct {
+	src, dst *EnforcementRule
+	peer     bool
 }
 
 // PacketIn decides the fate of a new flow. It implements Fig 3:
@@ -166,6 +167,11 @@ func (c *Controller) levelOf(mac packet.MAC) (IsolationLevel, *EnforcementRule) 
 // in the same overlay, so a compromised untrusted device can never
 // reach a trusted one.
 func (c *Controller) PacketIn(key packet.FlowKey, _ time.Time) Decision {
+	dec, _ := c.decide(&key)
+	return dec
+}
+
+func (c *Controller) decide(key *packet.FlowKey) (Decision, basis) {
 	c.mu.Lock()
 	c.packetIns++
 	filtering := c.filtering
@@ -173,47 +179,52 @@ func (c *Controller) PacketIn(key packet.FlowKey, _ time.Time) Decision {
 	dstInfra := c.infra[key.DstMAC]
 	c.mu.Unlock()
 
-	if !filtering {
-		return Decision{Action: ActionForward, Reason: "filtering disabled"}
+	var exempt string
+	switch {
+	case !filtering:
+		exempt = "filtering disabled"
+	case srcInfra:
+		exempt = "infrastructure source"
+	case key.DstMAC.IsBroadcast() || key.DstMAC.IsMulticast():
+		// Broadcast and multicast control traffic (DHCP, ARP, SSDP,
+		// mDNS) must flow for devices to function at all; it stays on
+		// the local segment.
+		exempt = "local broadcast/multicast"
 	}
-	if srcInfra {
-		return Decision{Action: ActionForward, Reason: "infrastructure source"}
-	}
-	// Broadcast and multicast control traffic (DHCP, ARP, SSDP, mDNS)
-	// must flow for devices to function at all; it stays on the local
-	// segment.
-	if key.DstMAC.IsBroadcast() || key.DstMAC.IsMulticast() {
-		return Decision{Action: ActionForward, Reason: "local broadcast/multicast"}
+	if exempt != "" {
+		return Decision{Action: ActionForward, Reason: exempt}, basis{src: c.rules.peek(key.SrcMAC)}
 	}
 
-	level, rule := c.levelOf(key.SrcMAC)
+	src, _ := c.rules.Get(key.SrcMAC)
+	level := levelOf(src)
 
 	// Internet-bound traffic is recognized by destination address, not
 	// MAC: the next-hop MAC of an outbound packet is the gateway's own
 	// interface, so the infrastructure check must not short-circuit it.
 	if !key.DstIP.IsValid() || c.isLocal(key.DstIP) {
 		if dstInfra {
-			return Decision{Action: ActionForward, Reason: "infrastructure destination"}
+			return Decision{Action: ActionForward, Reason: "infrastructure destination"}, basis{src: src}
 		}
-		srcOverlay := OverlayFor(level)
-		dstOverlay := c.overlayOf(key.DstMAC)
-		if srcOverlay == dstOverlay {
-			return Decision{Action: ActionForward, Reason: "same overlay (" + srcOverlay.String() + ")"}
+		dst, _ := c.rules.Get(key.DstMAC)
+		on := basis{src: src, dst: dst, peer: true}
+		if o := OverlayFor(level); o == OverlayFor(levelOf(dst)) {
+			return Decision{Action: ActionForward, Reason: "same overlay (" + o.String() + ")"}, on
 		}
-		return Decision{Action: ActionDrop, Reason: "cross-overlay isolation"}
+		return Decision{Action: ActionDrop, Reason: "cross-overlay isolation"}, on
 	}
 
 	// Internet-bound traffic.
+	on := basis{src: src}
 	switch level {
 	case Trusted:
-		return Decision{Action: ActionForward, Reason: "trusted: full internet access"}
+		return Decision{Action: ActionForward, Reason: "trusted: full internet access"}, on
 	case Restricted:
-		if rule != nil && rule.Permits(key.DstIP) {
-			return Decision{Action: ActionForward, Reason: "restricted: permitted endpoint"}
+		if src != nil && src.Permits(key.DstIP) {
+			return Decision{Action: ActionForward, Reason: "restricted: permitted endpoint"}, on
 		}
-		return Decision{Action: ActionDrop, Reason: "restricted: endpoint not permitted"}
+		return Decision{Action: ActionDrop, Reason: "restricted: endpoint not permitted"}, on
 	default:
-		return Decision{Action: ActionDrop, Reason: "strict: no internet access"}
+		return Decision{Action: ActionDrop, Reason: "strict: no internet access"}, on
 	}
 }
 
@@ -225,16 +236,29 @@ type SwitchStats struct {
 	TableHits uint64
 }
 
+// DeviceStats aggregates per-device traffic counters maintained by the
+// controller's monitoring module (Sect. V: "network monitoring tasks").
+type DeviceStats struct {
+	MAC       packet.MAC
+	Packets   uint64
+	Bytes     uint64
+	Dropped   uint64
+	FirstSeen time.Time
+	LastSeen  time.Time
+	// Destinations counts distinct remote endpoints contacted.
+	Destinations int
+}
+
 // Switch is the Open vSwitch analogue: an exact-match flow table in
 // front of the controller. The first packet of each flow goes to the
 // controller (packet-in); the decision is installed as a micro-flow and
 // subsequent packets are switched in the fast path.
 //
-// The counters and the monitor/metrics attachments are atomics, so
-// concurrent Process calls share no lock of the switch's own (the flow
-// table and the monitor keep theirs). Each counter is exact; a Stats
-// snapshot taken while packets are in flight can split one packet
-// across its two counters.
+// The counters and the metrics attachment are atomics, so concurrent
+// Process calls share no lock of the switch's own; frames of one source
+// MAC share that port's stripe of the flow table. Each counter is
+// exact; a Stats snapshot taken while packets are in flight can split
+// one packet across its two counters.
 type Switch struct {
 	table *FlowTable
 	ctrl  *Controller
@@ -244,13 +268,16 @@ type Switch struct {
 	packetIns atomic.Uint64
 	tableHits atomic.Uint64
 
-	monitor atomic.Pointer[TrafficMonitor]
-	metrics atomic.Pointer[SwitchMetrics]
+	// processHook is nil outside tests: Process calls it on a miss between
+	// the decision and its install, no lock held.
+	processHook func()
 }
 
 // NewSwitch wires a switch to its controller.
 func NewSwitch(ctrl *Controller, idleTimeout time.Duration) *Switch {
-	return &Switch{table: NewFlowTable(idleTimeout), ctrl: ctrl}
+	t := NewFlowTable(idleTimeout)
+	t.rules = ctrl.rules
+	return &Switch{table: t, ctrl: ctrl}
 }
 
 // Table exposes the flow table.
@@ -259,15 +286,19 @@ func (s *Switch) Table() *FlowTable { return s.table }
 // Controller exposes the controller.
 func (s *Switch) Controller() *Controller { return s.ctrl }
 
-// Process forwards or drops one packet, installing a flow on miss.
+// Process forwards or drops one packet, installing a flow on miss. It
+// also counts the packet against its source device (Device, TopTalkers).
 func (s *Switch) Process(pk *packet.Packet, now time.Time) Action {
 	key := pk.Flow()
-	act, hit := s.table.Match(key, pk.Size, now)
+	act, hit := s.table.match(&key, pk.Size, now)
 	if hit {
 		s.tableHits.Add(1)
 	} else {
-		dec := s.ctrl.PacketIn(key, now)
-		s.table.Install(key, dec.Action, now)
+		dec, on := s.ctrl.decide(&key)
+		if s.processHook != nil {
+			s.processHook()
+		}
+		s.table.admit(&key, dec.Action, on, pk.Size, now)
 		act = dec.Action
 		s.packetIns.Add(1)
 	}
@@ -276,15 +307,12 @@ func (s *Switch) Process(pk *packet.Packet, now time.Time) Action {
 	} else {
 		s.dropped.Add(1)
 	}
-	s.metrics.Load().observe(act, hit)
-	if monitor := s.monitor.Load(); monitor != nil {
-		monitor.Observe(pk, act, now)
-	}
+	s.table.metrics.Load().observe(act, hit)
 	return act
 }
 
 // SetMetrics attaches an instrumentation bundle (nil detaches it).
-func (s *Switch) SetMetrics(m *SwitchMetrics) { s.metrics.Store(m) }
+func (s *Switch) SetMetrics(m *SwitchMetrics) { s.table.metrics.Store(m) }
 
 // Stats returns a snapshot of switch counters.
 func (s *Switch) Stats() SwitchStats {
@@ -296,8 +324,52 @@ func (s *Switch) Stats() SwitchStats {
 	}
 }
 
-// InvalidateDevice removes installed flows for a device whose isolation
-// level changed, forcing fresh controller decisions.
+// InvalidateDevice removes the flows a device is the source of, after
+// its rule changed, and returns their number. Flows towards it remember
+// the rule they were decided under and are decided afresh.
 func (s *Switch) InvalidateDevice(mac packet.MAC) int {
 	return s.table.RemoveByMAC(mac)
+}
+
+// ForgetDevice drops a departed device's flows and traffic counters.
+func (s *Switch) ForgetDevice(mac packet.MAC) { s.table.drop(mac, true) }
+
+// Device returns the traffic counters of one source MAC.
+func (s *Switch) Device(mac packet.MAC) (DeviceStats, bool) {
+	k := keyOf(mac)
+	st := s.table.stripe(k)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	p := st.ports[k]
+	if p == nil {
+		return DeviceStats{}, false
+	}
+	return p.snapshot(), true
+}
+
+func (p *port) snapshot() DeviceStats {
+	ds := p.stats
+	ds.Destinations = len(p.dsts)
+	return ds
+}
+
+// TopTalkers returns up to n devices ordered by descending byte count
+// (all of them for n <= 0).
+func (s *Switch) TopTalkers(n int) []DeviceStats {
+	var out []DeviceStats
+	for i := range s.table.stripes {
+		st := &s.table.stripes[i]
+		st.mu.Lock()
+		for _, p := range st.ports {
+			out = append(out, p.snapshot())
+		}
+		st.mu.Unlock()
+	}
+	slices.SortFunc(out, func(a, b DeviceStats) int {
+		return cmp.Or(cmp.Compare(b.Bytes, a.Bytes), a.MAC.Compare(b.MAC))
+	})
+	if n > 0 && len(out) > n {
+		out = out[:n]
+	}
+	return out
 }
