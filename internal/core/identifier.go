@@ -107,9 +107,9 @@ type typeModel struct {
 type Identifier struct {
 	cfg Config
 
-	// mu guards models, pool, types, bank and metrics. Models themselves
-	// are immutable after construction, so readers only need the
-	// map/slice snapshot.
+	// mu guards models, pool, types, bank, compiled and metrics. Models
+	// themselves are immutable after construction, so readers only need
+	// the map/slice snapshot.
 	mu     sync.RWMutex
 	models map[TypeID]*typeModel
 	pool   map[TypeID][]fingerprint.Fingerprint
@@ -119,6 +119,10 @@ type Identifier struct {
 	// model and its bit in an accept set.
 	types []TypeID
 	bank  []*typeModel
+	// compiled is the bank's forests as the one-pass scan every
+	// first-seen head pays for (rf.Bank); reindex builds it beside bank,
+	// so it is never older than the forests. Derived, never serialized.
+	compiled *rf.Bank
 	// metrics, when non-nil, receives one observation per
 	// identification (see SetMetrics); updates are atomic adds.
 	metrics *Metrics
@@ -142,6 +146,8 @@ type identifyScratch struct {
 	// probe's own FPrime field: the cache keys cover F alone, so what
 	// the forests see must be a function of F.
 	fprime fingerprint.FPrime
+	// words is the compiled scan's bit-vector (rf.Bank.Scan).
+	words []uint64
 }
 
 // acceptSet returns the scratch accept set sized for n types, cleared.
@@ -220,14 +226,24 @@ func Train(samples map[TypeID][]fingerprint.Fingerprint, cfg Config) (*Identifie
 	return id, nil
 }
 
-// reindex rebuilds types (sorted) and bank (the models in that order):
+// reindex rebuilds types (sorted), bank (the models in that order) and
+// compiled (their forests, for class 1 at the configured threshold):
 // called wherever the set of trained types changes, with the write lock
 // held or before the identifier is shared.
 func (id *Identifier) reindex() {
 	id.types = sortedKeys(id.pool)
 	id.bank = make([]*typeModel, len(id.types))
+	forests := make([]*rf.Forest, len(id.types))
 	for i, t := range id.types {
 		id.bank[i] = id.models[t]
+		forests[i] = id.bank[i].forest
+	}
+	var err error
+	id.compiled, err = rf.CompileBank(forests, 1, id.cfg.AcceptThreshold, fingerprint.FPrimeLen)
+	if err != nil {
+		// Training yields class 1 and splits inside F′; LoadIdentifier
+		// checked loaded forests for both. Only a bug gets here.
+		panic("core: " + err.Error())
 	}
 }
 
@@ -592,23 +608,19 @@ func (id *Identifier) identifyObserved(fp *fingerprint.Fingerprint, res *Result)
 }
 
 // scanBank scores every classifier in the bank on the F′ of head and
-// sets bit i of accepted when bank[i] accepts.
+// sets bit i of accepted when bank[i] accepts: one compiled scan, which
+// decides exactly as bank[i].forest.AcceptSoft on that F′ would.
 func (id *Identifier) scanBank(head *fingerprint.Head, sc *identifyScratch, accepted []uint64) {
 	head.Prime(&sc.fprime)
-	prime := sc.fprime[:]
-	for i, m := range id.bank {
-		if m.forest.AcceptSoft(prime, 1, id.cfg.AcceptThreshold) {
-			accepted[i/64] |= 1 << (i % 64)
-		}
-	}
+	sc.words = id.compiled.Scan(sc.fprime[:], sc.words, accepted)
 }
 
 // IdentifyBatch runs the pipeline over many fingerprints at once,
 // pipelining them across Config.Workers goroutines — the right call
 // shape when several devices finish their setup phase together (a
-// gateway draining its monitoring queue, or bulk evaluation). Results
-// are returned in input order and are element-wise identical to calling
-// Identify on each fingerprint.
+// gateway draining its monitoring queue, or bulk evaluation); a goroutine
+// gets at least minBatchPerWorker of them. Results are returned in input
+// order and are element-wise identical to calling Identify on each.
 func (id *Identifier) IdentifyBatch(fps []fingerprint.Fingerprint) []Result {
 	if len(fps) == 0 {
 		return nil
@@ -616,10 +628,7 @@ func (id *Identifier) IdentifyBatch(fps []fingerprint.Fingerprint) []Result {
 	id.mu.RLock()
 	defer id.mu.RUnlock()
 	out := make([]Result, len(fps))
-	workers := id.cfg.workers()
-	if workers > len(fps) {
-		workers = len(fps)
-	}
+	workers := min(id.cfg.workers(), len(fps)/minBatchPerWorker)
 	forEachIndexed(workers, len(fps), func(i int) {
 		id.identifyObserved(&fps[i], &out[i])
 	})

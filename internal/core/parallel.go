@@ -12,12 +12,18 @@ import (
 // per device-type and identifying each fingerprint of a batch are
 // independent, coarse work items, so Train and IdentifyBatch share one
 // bounded fan-out primitive. (One identification is not: splitting its
-// ~10 µs bank scan across goroutines cost more in wake-ups than the
+// ~5 µs bank scan across goroutines cost more in wake-ups than the
 // scan itself, so it runs on the caller's goroutine.) Determinism is
 // preserved by construction: work items never share mutable state, every
 // per-type RNG is derived from the top-level seed by a stable hash of
 // the type ID (not from shared stream order), and results are merged in
 // canonical (sorted type / input index) order.
+
+// minBatchPerWorker is the fewest fingerprints IdentifyBatch hands a
+// goroutine: waking a processor costs tens of µs, an identification
+// 0.4–6. Split two ways on the 2-core host, a batch of 16 read 66 →
+// 87–102 µs, 64 read 398–570 → 232–367 µs (ROADMAP item 6(c)).
+const minBatchPerWorker = 16
 
 // workers resolves the configured worker bound: 0 selects
 // runtime.GOMAXPROCS(0), anything positive is taken as-is. Negative

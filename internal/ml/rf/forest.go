@@ -241,10 +241,7 @@ func (f *Forest) SoftProbaInto(x []float64, out []float64) []float64 {
 // final comparison runs, so the decision is always bit-identical to
 // SoftProba's.
 func (f *Forest) AcceptSoft(x []float64, class int, thr float64) bool {
-	nt := float64(len(f.trees))
-	slack := 1e-9 * nt
-	acceptBound := thr*nt + slack
-	rejectBound := thr*nt - slack
+	acceptBound, rejectBound := softBounds(len(f.trees), thr)
 	partial := 0.0
 	for i, t := range f.trees {
 		n := &t.nodes[t.leafIndex(x)]
@@ -258,7 +255,15 @@ func (f *Forest) AcceptSoft(x []float64, class int, thr float64) bool {
 			return false
 		}
 	}
-	return partial/nt >= thr
+	return partial/float64(len(f.trees)) >= thr
+}
+
+// softBounds returns AcceptSoft's early-exit bounds on the partial sum;
+// one function, so the compiled scan (Bank) decides on the same values.
+func softBounds(nTrees int, thr float64) (accept, reject float64) {
+	nt := float64(nTrees)
+	slack := 1e-9 * nt
+	return thr*nt + slack, thr*nt - slack
 }
 
 // sizedFloats returns out resized to n (reusing capacity) and zeroed.

@@ -10,7 +10,7 @@ import (
 // model file is the one input the classifier bank takes from disk, so
 // Load must be total: reject or accept, never panic — and anything it
 // accepts must classify without panicking or producing non-finite
-// probabilities.
+// probabilities, and must compile into a Bank that decides as it does.
 func FuzzLoad(f *testing.F) {
 	// Seed with a real trained forest so the fuzzer starts from valid
 	// wire bytes and mutates inward.
@@ -34,6 +34,8 @@ func FuzzLoad(f *testing.F) {
 			`{"f":0,"t":1,"l":1,"r":2},{"f":0,"t":2,"l":2,"r":2},{"f":-1,"c":[1,1],"n":2,"l":-1,"r":-1}]}]}`,
 		`{"version":1,"nClasses":2,"trees":[{"nodes":[` +
 			`{"f":999,"t":1,"l":1,"r":2},{"f":-1,"c":[1,0],"n":1,"l":-1,"r":-1},{"f":-1,"c":[0,1],"n":1,"l":-1,"r":-1}]}]}`,
+		// Accepted, and not preorder: the compiled scan must follow it.
+		`{"version":1,"nClasses":2,"trees":[` + breadthFirstTree + `]}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -47,6 +49,12 @@ func FuzzLoad(f *testing.F) {
 		const width = 64
 		if err := forest.ValidateFeatures(width); err != nil {
 			return // splits wider than our probe vectors; bound enforced
+		}
+		// ...and must compile, the compiled scan deciding as AcceptSoft.
+		forests := []*Forest{forest}
+		bank, err := CompileBank(forests, 1, 0.5, width)
+		if err != nil {
+			t.Fatalf("CompileBank on an accepted model: %v", err)
 		}
 		for _, probe := range [][]float64{
 			make([]float64, width),
@@ -73,6 +81,7 @@ func FuzzLoad(f *testing.F) {
 				t.Fatalf("probabilities sum to %v", sum)
 			}
 			forest.Predict(probe)
+			checkBankScan(t, forests, bank, probe, 1, 0.5, nil)
 		}
 	})
 }

@@ -105,9 +105,11 @@ func Load(r io.Reader) (*Forest, error) {
 // indices in bounds and strictly forward (no self references, no
 // cycles), every node with exactly one parent (no DAG sharing) and
 // reachable from the root (no orphans), and leaf counts non-negative
-// with a consistent total. Because runtime and wire share the preorder
-// layout, validation is a pair of linear passes — no recursive rebuild,
-// so a hostile deep tree cannot blow the stack.
+// with a consistent total. That is less than preorder, which is what
+// Save writes: a level-by-level array passes, and walks correctly,
+// because everything downstream follows the indices. Runtime and wire
+// share the layout, so validation is a pair of linear passes — no
+// recursive rebuild, so a hostile deep tree cannot blow the stack.
 func buildTree(nodes []wireNode, nClasses int) (*Tree, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("empty node array")
@@ -161,8 +163,8 @@ func buildTree(nodes []wireNode, nClasses int) (*Tree, error) {
 		if wn.Feature < 0 {
 			continue
 		}
-		// Preorder layout: children strictly after their parent. This
-		// rules out self references, backward references, and cycles.
+		// Children strictly after their parent: this rules out self
+		// references, backward references, and cycles.
 		if wn.Left <= i || wn.Left >= len(nodes) || wn.Right <= i || wn.Right >= len(nodes) || wn.Left == wn.Right {
 			return nil, fmt.Errorf("node %d: invalid child indices (%d, %d)", i, wn.Left, wn.Right)
 		}

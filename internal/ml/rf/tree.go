@@ -12,6 +12,12 @@
 // transcription instead of a recursive rebuild. Training still grows
 // pointer nodes (the builder needs cheap splicing) and flattens once at
 // the end.
+//
+// A caller that asks many forests one acceptance question about one
+// vector — core's classifier bank, per first-seen fingerprint head —
+// compiles them once (CompileBank) and scans (Bank.Scan): one pass over
+// the vector replaces the tree walks, the decisions are AcceptSoft's bit
+// for bit, and AcceptSoft stays as the reference the scan is tested to.
 package rf
 
 import (
@@ -49,10 +55,12 @@ type flatNode struct {
 	threshold float64
 }
 
-// Tree is a single trained CART decision tree in flat-array form. The
-// nodes are stored in preorder (node, left subtree, right subtree), so
-// both children of node i sit at indices > i — the invariant the
-// loader's structural validation and the iterative walks rely on.
+// Tree is a single trained CART decision tree in flat-array form. A
+// trained tree is stored, and saved, in preorder (node, left subtree,
+// right subtree). The loader checks less, and consumers may rely only on
+// that: both children of node i sit at indices > i and every node but the
+// root has one parent. A breadth-first file loads, so a subtree is found
+// by following left/right, never assumed to be an index range.
 type Tree struct {
 	nodes []flatNode
 	// leafCounts concatenates every leaf's per-class sample counts
@@ -275,11 +283,10 @@ func (t *Tree) Predict(x []float64) int {
 	return best
 }
 
-// Depth returns the depth of the tree (a single leaf has depth 0). The
-// preorder layout puts both children after their parent, so one reverse
-// pass computes every node's subtree depth before its parent reads it —
-// no recursion over a (possibly adversarial, loaded-from-disk) tree
-// shape.
+// Depth returns the depth of the tree (a single leaf has depth 0). Both
+// children sit after their parent, so one reverse pass computes every
+// node's subtree depth before its parent reads it — no recursion over a
+// (possibly adversarial, loaded-from-disk) tree shape.
 func (t *Tree) Depth() int {
 	depths := make([]int, len(t.nodes))
 	for i := len(t.nodes) - 1; i >= 0; i-- {
