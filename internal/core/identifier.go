@@ -400,10 +400,14 @@ func (id *Identifier) buildModel(t TypeID) (*typeModel, error) {
 	pos := id.pool[t]
 	// Build the negative pool in sorted type order: map iteration
 	// order would make the negative subsample nondeterministic.
-	var negPool []fingerprint.Fingerprint
+	var negPool []*fingerprint.Fingerprint
 	for _, ot := range sortedKeys(id.pool) {
-		if ot != t {
-			negPool = append(negPool, id.pool[ot]...)
+		if ot == t {
+			continue
+		}
+		fps := id.pool[ot]
+		for i := range fps {
+			negPool = append(negPool, &fps[i])
 		}
 	}
 	if len(negPool) == 0 {

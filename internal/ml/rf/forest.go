@@ -89,14 +89,14 @@ func Train(x [][]float64, y []int, cfg Config) (*Forest, error) {
 	}
 	f := &Forest{trees: make([]*Tree, cfg.Trees), nClasses: nClasses}
 	n := len(x)
-	growOne := func(t int) {
+	growOne := func(g *grower, t int) {
 		trng := rand.New(rand.NewSource(seeds[t]))
 		// Bootstrap sample with replacement.
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = trng.Intn(n)
 		}
-		f.trees[t] = flatten(growTree(x, y, idx, p, trng), nClasses)
+		f.trees[t] = flatten(g.growTree(idx, trng), nClasses)
 	}
 	workers := cfg.Workers
 	if workers == 0 {
@@ -106,8 +106,9 @@ func Train(x [][]float64, y []int, cfg Config) (*Forest, error) {
 		workers = cfg.Trees
 	}
 	if workers <= 1 {
+		g := newGrower(x, y, p)
 		for t := 0; t < cfg.Trees; t++ {
-			growOne(t)
+			growOne(g, t)
 		}
 		return f, nil
 	}
@@ -117,12 +118,13 @@ func Train(x [][]float64, y []int, cfg Config) (*Forest, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			g := newGrower(x, y, p)
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= cfg.Trees {
 					return
 				}
-				growOne(t)
+				growOne(g, t)
 			}
 		}()
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"iotsentinel/internal/testutil"
@@ -335,5 +337,189 @@ func BenchmarkAcceptSoft(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.AcceptSoft(probe, 1, 0.5)
+	}
+}
+
+// The trainer's oracle: the split search and node growth as they stood
+// before the histogram sweep — one closure sort of the node's rows per
+// tried feature — kept verbatim, and the grower held to it split for
+// split and random draw for random draw.
+
+func refBestSplit(x [][]float64, y []int, idx []int, p treeParams, rng *rand.Rand) (feat int, thr float64, ok bool) {
+	nFeat := len(x[idx[0]])
+	order := rng.Perm(nFeat)
+	tried := 0
+
+	bestGini := math.Inf(1)
+	vals := make([]float64, 0, len(idx))
+	sorted := make([]int, len(idx))
+
+	for _, f := range order {
+		if tried >= p.maxFeatures && ok {
+			break
+		}
+		tried++
+
+		copy(sorted, idx)
+		sort.Slice(sorted, func(a, b int) bool { return x[sorted[a]][f] < x[sorted[b]][f] })
+		vals = vals[:0]
+		for _, i := range sorted {
+			vals = append(vals, x[i][f])
+		}
+		if vals[0] == vals[len(vals)-1] {
+			continue // constant feature in this node
+		}
+
+		leftCounts := make([]int, p.nClasses)
+		rightCounts := refClassCounts(y, sorted, p.nClasses)
+		nLeft := 0
+		for i := 0; i < len(sorted)-1; i++ {
+			c := y[sorted[i]]
+			leftCounts[c]++
+			rightCounts[c]--
+			nLeft++
+			if vals[i] == vals[i+1] {
+				continue
+			}
+			g := weightedGini(leftCounts, nLeft, rightCounts, len(sorted)-nLeft)
+			if g < bestGini {
+				bestGini = g
+				feat = f
+				thr = (vals[i] + vals[i+1]) / 2
+				ok = true
+			}
+		}
+	}
+	return feat, thr, ok
+}
+
+func refClassCounts(y []int, idx []int, nClasses int) []int {
+	counts := make([]int, nClasses)
+	for _, i := range idx {
+		counts[y[i]]++
+	}
+	return counts
+}
+
+func refGrowNode(x [][]float64, y []int, idx []int, p treeParams, rng *rand.Rand, depth int) *treeNode {
+	counts := refClassCounts(y, idx, p.nClasses)
+	if depth >= p.maxDepth || len(idx) < 2*p.minLeaf || isPure(counts) {
+		return &treeNode{feature: -1, counts: counts, total: len(idx)}
+	}
+	feat, thr, ok := refBestSplit(x, y, idx, p, rng)
+	if !ok {
+		return &treeNode{feature: -1, counts: counts, total: len(idx)}
+	}
+	var left, right []int
+	for _, i := range idx {
+		if x[i][feat] <= thr {
+			left = append(left, i)
+		} else {
+			right = append(right, i)
+		}
+	}
+	if len(left) < p.minLeaf || len(right) < p.minLeaf {
+		return &treeNode{feature: -1, counts: counts, total: len(idx)}
+	}
+	return &treeNode{
+		feature:   feat,
+		threshold: thr,
+		left:      refGrowNode(x, y, left, p, rng, depth+1),
+		right:     refGrowNode(x, y, right, p, rng, depth+1),
+	}
+}
+
+// splitCase is one seeded training set and node for the trainer oracle.
+// Its columns cover what the histogram must get right: flags, small and
+// negative integers, a column holding both zeros, exactly maxDistinct and
+// maxDistinct+1 values (the last that fits, the first that is sorted),
+// continuous values and a constant. Seeds rotate through three kinds of
+// node: a large one, a bootstrap on top of one copy of every row, so the
+// two boundary columns hold every value they can; a small one, two to
+// nine draws, where impurities tie within and across columns and the
+// first must win; and one in which no column varies.
+func splitCase(seed int64) (x [][]float64, y []int, idx []int, p treeParams) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2*(maxDistinct+1) + rng.Intn(80)
+	p = treeParams{maxDepth: 24, minLeaf: 1 + rng.Intn(3), nClasses: 2 + rng.Intn(4)}
+	negZero := math.Copysign(0, -1)
+	x = make([][]float64, n)
+	y = make([]int, n)
+	for i := range x {
+		x[i] = []float64{
+			float64(rng.Intn(2)),
+			float64(rng.Intn(6)),
+			float64(rng.Intn(7) - 3),
+			[]float64{negZero, 0, 1, -1}[rng.Intn(4)],
+			float64(i % maxDistinct),
+			float64(i % (maxDistinct + 1)),
+			rng.NormFloat64(),
+			-rng.ExpFloat64(),
+			7,
+			float64(rng.Intn(2)),
+		}
+		if seed%3 == 0 {
+			x[i] = []float64{1, negZero, -4}
+		}
+		y[i] = rng.Intn(p.nClasses)
+	}
+	p.maxFeatures = []int{1, 3, len(x[0])}[rng.Intn(3)]
+	draws := n
+	if seed%3 == 2 {
+		draws = 2 + rng.Intn(8)
+	} else {
+		for i := range x {
+			idx = append(idx, i)
+		}
+	}
+	for i := 0; i < draws; i++ {
+		idx = append(idx, rng.Intn(n))
+	}
+	return x, y, idx, p
+}
+
+func TestBestSplitMatchesSortOracle(t *testing.T) {
+	found := 0
+	for seed := int64(1); seed <= 600; seed++ {
+		x, y, idx, p := splitCase(seed)
+		refRNG := rand.New(rand.NewSource(seed))
+		wantFeat, wantThr, wantOK := refBestSplit(x, y, idx, p, refRNG)
+
+		g := newGrower(x, y, p)
+		g.rng = rand.New(rand.NewSource(seed))
+		copy(g.counts, refClassCounts(y, idx, p.nClasses))
+		feat, thr, ok := g.bestSplit(idx)
+
+		if feat != wantFeat || math.Float64bits(thr) != math.Float64bits(wantThr) || ok != wantOK {
+			t.Fatalf("seed %d: bestSplit = (%d, %v, %v), sort oracle (%d, %v, %v)",
+				seed, feat, thr, ok, wantFeat, wantThr, wantOK)
+		}
+		if got, want := g.rng.Int63(), refRNG.Int63(); got != want {
+			t.Fatalf("seed %d: the RNG stands at %d after bestSplit, at %d after the oracle", seed, got, want)
+		}
+		if ok && seed%3 == 0 {
+			t.Fatalf("seed %d: a split of a node in which no column varies", seed)
+		}
+		if ok {
+			found++
+		}
+	}
+	if found < 350 {
+		t.Fatalf("only %d nodes had a split", found)
+	}
+}
+
+// TestGrowTreeMatchesSortOracle grows whole trees both ways — MinLeaf
+// above 1, in-place partition against appended halves — and compares the
+// flattened result, leaf counts and all.
+func TestGrowTreeMatchesSortOracle(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		x, y, idx, p := splitCase(seed)
+		want := flatten(refGrowNode(x, y, idx, p, rand.New(rand.NewSource(seed)), 0), p.nClasses)
+		got := flatten(newGrower(x, y, p).growTree(append([]int(nil), idx...), rand.New(rand.NewSource(seed))), p.nClasses)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d (minLeaf %d, %d classes): tree of %d nodes, sort oracle's has %d",
+				seed, p.minLeaf, p.nClasses, len(got.nodes), len(want.nodes))
+		}
 	}
 }

@@ -14,8 +14,10 @@ func TestTrainWorkersDeterministic(t *testing.T) {
 	x := make([][]float64, 120)
 	y := make([]int, 120)
 	for i := range x {
-		x[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		if x[i][0]+x[i][1] > 0 {
+		// Two continuous columns (sorted) and two of few values (swept from
+		// the histogram), so each worker's grower reuses both scratches.
+		x[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), float64(rng.Intn(2)), float64(rng.Intn(5))}
+		if x[i][0]+x[i][1]+x[i][2] > x[i][3]/2 {
 			y[i] = 1
 		}
 	}

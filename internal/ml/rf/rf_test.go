@@ -3,6 +3,7 @@ package rf
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -164,6 +165,21 @@ func TestTrainErrors(t *testing.T) {
 				t.Error("want error")
 			}
 		})
+	}
+}
+
+// TestTrainRejectsNonFiniteFeatures: a NaN compares unequal to itself
+// and unordered with everything, so no split search can place it.
+func TestTrainRejectsNonFiniteFeatures(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x := [][]float64{{0, 1}, {1, bad}, {2, 3}}
+		y := []int{0, 1, 0}
+		if _, err := Train(x, y, Config{Trees: 2}); err == nil || !strings.Contains(err.Error(), "sample 1 feature 1") {
+			t.Errorf("Train with a %v feature: err = %v, want one naming sample 1 feature 1", bad, err)
+		}
+		if _, err := TrainTree(x, y, 4, 1, 1); err == nil {
+			t.Errorf("TrainTree with a %v feature: no error", bad)
+		}
 	}
 }
 

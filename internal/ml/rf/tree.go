@@ -21,10 +21,11 @@
 package rf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // treeNode is one node of a CART tree during induction. Leaves have
@@ -84,37 +85,104 @@ type treeParams struct {
 	nClasses    int
 }
 
-// growTree builds a CART tree on the sample indices idx.
-func growTree(x [][]float64, y []int, idx []int, p treeParams, rng *rand.Rand) *treeNode {
-	return growNode(x, y, idx, p, rng, 0)
+// maxDistinct is how many distinct values of one column in one node the
+// split search keeps in its histogram. F′ columns are flags and small
+// integers — a handful of values each — so nearly every (node, feature)
+// fits; one that does not is sorted instead (sweepSorted).
+const maxDistinct = 16
+
+// grower grows CART trees over one training set. It owns every piece of
+// working memory the split search needs, sized once, so growing a node
+// allocates only what the tree keeps (its nodes and their leaf counts).
+// One grower serves one goroutine, tree after tree.
+type grower struct {
+	x [][]float64
+	y []int
+	p treeParams
+
+	rng *rand.Rand
+	// order is the node's feature permutation, spill the right-hand rows
+	// of a node while it is partitioned in place.
+	order []int
+	spill []int
+	// counts are the node's per-class sample counts; left and right the
+	// sweep's running counts either side of the candidate threshold.
+	counts, left, right []int
+	// vals are the distinct values of one column in one node in order of
+	// first appearance, hist their per-class counts (nClasses per value)
+	// and rank the indices of vals in ascending value order.
+	vals [maxDistinct]float64
+	hist []int
+	rank [maxDistinct]int
+	// pairs is the sort path's (value, class) list.
+	pairs []valueClass
 }
 
-func growNode(x [][]float64, y []int, idx []int, p treeParams, rng *rand.Rand, depth int) *treeNode {
-	counts := classCounts(y, idx, p.nClasses)
-	if depth >= p.maxDepth || len(idx) < 2*p.minLeaf || isPure(counts) {
-		return &treeNode{feature: -1, counts: counts, total: len(idx)}
+type valueClass struct {
+	v float64
+	c int
+}
+
+func newGrower(x [][]float64, y []int, p treeParams) *grower {
+	return &grower{
+		x: x, y: y, p: p,
+		order:  make([]int, len(x[0])),
+		counts: make([]int, p.nClasses),
+		left:   make([]int, p.nClasses),
+		right:  make([]int, p.nClasses),
+		hist:   make([]int, maxDistinct*p.nClasses),
 	}
-	feat, thr, ok := bestSplit(x, y, idx, p, rng)
-	if !ok {
-		return &treeNode{feature: -1, counts: counts, total: len(idx)}
+}
+
+// growTree builds a CART tree on the sample indices idx, which it
+// reorders, drawing from rng.
+func (g *grower) growTree(idx []int, rng *rand.Rand) *treeNode {
+	g.rng = rng
+	if len(g.spill) < len(idx) {
+		g.spill = make([]int, len(idx))
 	}
-	var left, right []int
+	return g.growNode(idx, 0)
+}
+
+func (g *grower) growNode(idx []int, depth int) *treeNode {
+	clear(g.counts)
 	for _, i := range idx {
-		if x[i][feat] <= thr {
-			left = append(left, i)
+		g.counts[g.y[i]]++
+	}
+	if depth >= g.p.maxDepth || len(idx) < 2*g.p.minLeaf || isPure(g.counts) {
+		return g.leaf(len(idx))
+	}
+	feat, thr, ok := g.bestSplit(idx)
+	if !ok {
+		return g.leaf(len(idx))
+	}
+	// Partition idx in place, both sides in their original order: the
+	// left rows close up at the front, the right rows wait in spill.
+	nl, nr := 0, 0
+	for _, i := range idx {
+		if g.x[i][feat] <= thr {
+			idx[nl] = i
+			nl++
 		} else {
-			right = append(right, i)
+			g.spill[nr] = i
+			nr++
 		}
 	}
-	if len(left) < p.minLeaf || len(right) < p.minLeaf {
-		return &treeNode{feature: -1, counts: counts, total: len(idx)}
+	copy(idx[nl:], g.spill[:nr])
+	if nl < g.p.minLeaf || nr < g.p.minLeaf {
+		return g.leaf(len(idx))
 	}
 	return &treeNode{
 		feature:   feat,
 		threshold: thr,
-		left:      growNode(x, y, left, p, rng, depth+1),
-		right:     growNode(x, y, right, p, rng, depth+1),
+		left:      g.growNode(idx[:nl], depth+1),
+		right:     g.growNode(idx[nl:], depth+1),
 	}
+}
+
+// leaf makes a leaf of the node whose class counts are in g.counts.
+func (g *grower) leaf(total int) *treeNode {
+	return &treeNode{feature: -1, counts: append([]int(nil), g.counts...), total: total}
 }
 
 // flatten converts a freshly grown pointer tree into its flat preorder
@@ -163,63 +231,127 @@ func (t *Tree) buildLeafProbs() {
 }
 
 // bestSplit scans a random subset of maxFeatures features and returns
-// the split with the lowest weighted Gini impurity.
-func bestSplit(x [][]float64, y []int, idx []int, p treeParams, rng *rand.Rand) (feat int, thr float64, ok bool) {
-	nFeat := len(x[idx[0]])
-	order := rng.Perm(nFeat)
+// the split with the lowest weighted Gini impurity over the node's rows
+// idx, whose class counts are in g.counts.
+//
+// A candidate threshold lies midway between two adjacent distinct values
+// of a column, and its impurity depends only on the class counts either
+// side of it. So a column is swept from its histogram — the node's
+// distinct values with per-class counts, in ascending order — and the
+// rows themselves are sorted only when a column holds more than
+// maxDistinct values. Both sweeps hand weightedGini the operands a sweep
+// over the sorted rows would, in the same order, and keep the first
+// strictly lowest: the split is the same down to the tie.
+func (g *grower) bestSplit(idx []int) (feat int, thr float64, ok bool) {
+	// rand.Perm's algorithm, draw for draw, into a reused slice.
+	order := g.order
+	for i := range order {
+		j := g.rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = i
+	}
 	tried := 0
-
 	bestGini := math.Inf(1)
-	vals := make([]float64, 0, len(idx))
-	sorted := make([]int, len(idx))
-
 	for _, f := range order {
-		if tried >= p.maxFeatures && ok {
+		if tried >= g.p.maxFeatures && ok {
 			break
 		}
 		tried++
-
-		copy(sorted, idx)
-		sort.Slice(sorted, func(a, b int) bool { return x[sorted[a]][f] < x[sorted[b]][f] })
-		vals = vals[:0]
-		for _, i := range sorted {
-			vals = append(vals, x[i][f])
+		var fg, fthr float64
+		var found bool
+		if nd, fits := g.histogram(idx, f); !fits {
+			fg, fthr, found = g.sweepSorted(idx, f)
+		} else if nd > 1 { // else constant in this node
+			fg, fthr, found = g.sweepHistogram(nd, len(idx))
 		}
-		if vals[0] == vals[len(vals)-1] {
-			continue // constant feature in this node
-		}
-
-		// Sweep thresholds between distinct consecutive values,
-		// maintaining incremental left/right class counts.
-		leftCounts := make([]int, p.nClasses)
-		rightCounts := classCounts(y, sorted, p.nClasses)
-		nLeft := 0
-		for i := 0; i < len(sorted)-1; i++ {
-			c := y[sorted[i]]
-			leftCounts[c]++
-			rightCounts[c]--
-			nLeft++
-			if vals[i] == vals[i+1] {
-				continue
-			}
-			g := weightedGini(leftCounts, nLeft, rightCounts, len(sorted)-nLeft)
-			if g < bestGini {
-				bestGini = g
-				feat = f
-				thr = (vals[i] + vals[i+1]) / 2
-				ok = true
-			}
+		if found && fg < bestGini {
+			bestGini, feat, thr, ok = fg, f, fthr, true
 		}
 	}
 	return feat, thr, ok
 }
 
-func classCounts(y []int, idx []int, nClasses int) []int {
-	counts := make([]int, nClasses)
+// histogram collects column f's distinct values over the rows idx into
+// g.vals, with their per-class counts in g.hist, and returns how many
+// there are; fits is false when there are more than maxDistinct. Values
+// are matched with ==, which validate's refusal of NaN makes sound, and
+// which folds -0 into +0 exactly as the sweep's own comparisons do.
+func (g *grower) histogram(idx []int, f int) (nd int, fits bool) {
+	x, y, hist, nc := g.x, g.y, g.hist, g.p.nClasses
+rows:
 	for _, i := range idx {
-		counts[y[i]]++
+		v := x[i][f]
+		for k, u := range g.vals[:nd] {
+			if u == v {
+				hist[k*nc+y[i]]++
+				continue rows
+			}
+		}
+		if nd == maxDistinct {
+			return nd, false
+		}
+		g.vals[nd] = v
+		clear(hist[nd*nc : (nd+1)*nc])
+		hist[nd*nc+y[i]]++
+		nd++
 	}
-	return counts
+	return nd, true
+}
+
+// sweepHistogram returns the lowest-impurity threshold among the nd
+// distinct values histogram collected from n rows: the first one, in
+// ascending order, when several tie.
+func (g *grower) sweepHistogram(nd, n int) (best, thr float64, ok bool) {
+	rank := g.rank[:nd]
+	for k := range rank {
+		j := k
+		for ; j > 0 && g.vals[rank[j-1]] > g.vals[k]; j-- {
+			rank[j] = rank[j-1]
+		}
+		rank[j] = k
+	}
+	nc := g.p.nClasses
+	clear(g.left)
+	copy(g.right, g.counts)
+	nLeft := 0
+	best = math.Inf(1)
+	for r, k := range rank[:nd-1] {
+		for c, cnt := range g.hist[k*nc : (k+1)*nc] {
+			g.left[c] += cnt
+			g.right[c] -= cnt
+			nLeft += cnt
+		}
+		if gi := weightedGini(g.left, nLeft, g.right, n-nLeft); gi < best {
+			best, thr, ok = gi, (g.vals[k]+g.vals[rank[r+1]])/2, true
+		}
+	}
+	return best, thr, ok
+}
+
+// sweepSorted is the sweep for a column with more than maxDistinct
+// values in the node: the rows' (value, class) pairs sorted by value,
+// thresholds tried between distinct consecutive values.
+func (g *grower) sweepSorted(idx []int, f int) (best, thr float64, ok bool) {
+	g.pairs = g.pairs[:0]
+	for _, i := range idx {
+		g.pairs = append(g.pairs, valueClass{g.x[i][f], g.y[i]})
+	}
+	slices.SortFunc(g.pairs, func(a, b valueClass) int { return cmp.Compare(a.v, b.v) })
+	clear(g.left)
+	copy(g.right, g.counts)
+	best = math.Inf(1)
+	for i, p := range g.pairs[:len(g.pairs)-1] {
+		g.left[p.c]++
+		g.right[p.c]--
+		next := g.pairs[i+1].v
+		if p.v == next {
+			continue
+		}
+		if gi := weightedGini(g.left, i+1, g.right, len(g.pairs)-i-1); gi < best {
+			best, thr, ok = gi, (p.v+next)/2, true
+		}
+	}
+	return best, thr, ok
 }
 
 func isPure(counts []int) bool {
@@ -321,7 +453,7 @@ func TrainTree(x [][]float64, y []int, maxDepth, minLeaf int, seed int64) (*Tree
 		nClasses:    nClasses,
 	}
 	rng := rand.New(rand.NewSource(seed))
-	return flatten(growNode(x, y, idx, p, rng, 0), nClasses), nil
+	return flatten(newGrower(x, y, p).growTree(idx, rng), nClasses), nil
 }
 
 func validate(x [][]float64, y []int) (nClasses int, err error) {
@@ -338,6 +470,12 @@ func validate(x [][]float64, y []int) (nClasses int, err error) {
 	for i, row := range x {
 		if len(row) != width {
 			return 0, fmt.Errorf("rf: sample %d has width %d, want %d", i, len(row), width)
+		}
+		// The split search matches and orders values with == and <.
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0, fmt.Errorf("rf: sample %d feature %d is %v, want a finite value", i, f, v)
+			}
 		}
 	}
 	for i, c := range y {
