@@ -10,7 +10,7 @@
 # fault-injection
 # sweep + the seeded fleet-link chaos sweep (see `make chaos`) + a
 # short fuzz pass over the capture ring and readers, the frame decoder,
-# the model deserializer, the packed-symbol codec, the fingerprint
+# the forest and model-file deserializers, the packed-symbol codec, the fingerprint
 # head, the cluster-linkage input, the fleet wire decoders, the HTTP
 # assess request body and the store's record and snapshot-row decoders +
 # the benchmark module's own vet and tests
@@ -39,10 +39,11 @@
 GO ?= go
 BENCH_PKGS ?= ./internal/...
 # The root-package paper benchmarks worth archiving: the single-probe
-# and batch identification hot paths over the full 27-type bank. The
+# and batch identification hot paths over the full 27-type bank, and
+# what building one costs (train, add a type, load, clone). The
 # heavyweight figure/table benchmarks (cross-validation sweeps) stay
 # out of the archive — `make bench` still runs them all.
-BENCH_ROOT ?= ^Benchmark(ClassifySingle|EditDistanceSingle|TypeIdentification|FingerprintExtraction)$$
+BENCH_ROOT ?= ^Benchmark(ClassifySingle|EditDistanceSingle|TypeIdentification|FingerprintExtraction|TrainIdentifier|AddType|LoadIdentifier|CloneIdentifier)$$
 # bench-json runs each benchmark BENCH_COUNT times; cmd/benchjson keeps
 # the minimum ns/op per benchmark, damping scheduler noise on busy
 # hosts so `make bench-check` compares capability, not luck.
@@ -79,7 +80,7 @@ vulncheck:
 
 verify: vet fmt-check build vulncheck
 	$(GO) test -shuffle=on ./...
-	$(GO) test -race -count=1 ./cmd/... ./internal/capture/... ./internal/chaos/... ./internal/core/... ./internal/fleet/... ./internal/gateway/... ./internal/iotssp/... ./internal/learn/... ./internal/node/... ./internal/obs/... ./internal/packet/... ./internal/sdn/... ./internal/store/...
+	$(GO) test -race -count=1 ./cmd/... ./internal/capture/... ./internal/chaos/... ./internal/core/... ./internal/fleet/... ./internal/gateway/... ./internal/iotssp/... ./internal/learn/... ./internal/ml/rf/... ./internal/node/... ./internal/obs/... ./internal/packet/... ./internal/sdn/... ./internal/store/...
 	$(MAKE) crash
 	$(MAKE) chaos
 	$(MAKE) fuzz
@@ -107,6 +108,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPcap$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPcapNG$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME) ./internal/ml/rf/
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadIdentifier$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzPackRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/features/
 	$(GO) test -run='^$$' -fuzz='^FuzzHead$$' -fuzztime=$(FUZZTIME) ./internal/fingerprint/
 	$(GO) test -run='^$$' -fuzz='^FuzzBandedDistance$$' -fuzztime=$(FUZZTIME) ./internal/editdist/
@@ -125,7 +127,7 @@ fuzz:
 # checkpoints beside churn and rotation, the legacy upgrade, and the
 # quarantined-before-crash -> promoted-after-restart flow.
 crash:
-	$(GO) test -count=1 -run 'TestCrashRecovery|TestRestartResumes|TestJournalTornTail|TestJournalCorruption|TestSnapshotCorruption|TestCheckpoint|TestCorruptSegment|TestLegacyState' \
+	$(GO) test -count=1 -run 'TestCrashRecovery|TestRestartResumes|TestJournalTornTail|TestJournalCorruption|TestSnapshotCorruption|TestCheckpoint|TestCorruptSegment' \
 		./internal/gateway/ ./internal/store/
 
 # The fleet-link chaos sweep: the seed-driven fault middleware's own

@@ -7,6 +7,7 @@ package iotsentinel
 // paper reports on and produces comparable per-operation numbers.
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"runtime"
@@ -259,6 +260,7 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 // bank, the operational cost of onboarding a new IoTSSP model.
 func BenchmarkTrainIdentifier(b *testing.B) {
 	benchSetup(b)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Train(benchDataset, core.Config{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
@@ -270,6 +272,7 @@ func BenchmarkTrainIdentifier(b *testing.B) {
 // new classifier without touching the existing bank.
 func BenchmarkAddType(b *testing.B) {
 	benchSetup(b)
+	b.ReportAllocs()
 	newFPs := benchDataset["Aria"]
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -285,6 +288,37 @@ func BenchmarkAddType(b *testing.B) {
 		}
 		b.StartTimer()
 		if err := id.AddType("Aria", newFPs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadIdentifier measures reading the 27-type bank back from
+// its model file: what a warm boot pays instead of training, and what
+// every gateway pays for a pushed bank.
+func BenchmarkLoadIdentifier(b *testing.B) {
+	benchSetup(b)
+	var model bytes.Buffer
+	if err := benchID.Save(&model); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.LoadIdentifier(bytes.NewReader(model.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(model.Len()), "file-B")
+}
+
+// BenchmarkCloneIdentifier measures the deep copy (save + load) every
+// learner promotion starts with.
+func BenchmarkCloneIdentifier(b *testing.B) {
+	benchSetup(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := benchID.Clone(); err != nil {
 			b.Fatal(err)
 		}
 	}

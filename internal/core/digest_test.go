@@ -9,40 +9,50 @@ import (
 	"iotsentinel/internal/fingerprint"
 )
 
-// modelDigest trains the 27-type bank on devices.GenerateDataset(20,
-// seed) and returns the SHA-256 of its model file.
-func modelDigest(t *testing.T, seed int64) string {
-	t.Helper()
-	samples := make(map[TypeID][]fingerprint.Fingerprint)
-	for k, v := range devices.GenerateDataset(20, seed) {
-		samples[TypeID(k)] = v
-	}
-	id, err := Train(samples, Config{Seed: seed})
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	h := sha256.New()
-	if err := id.Save(h); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// TestModelFileDigests pins the model file of the reference bank, byte
-// for byte, at four seeds. The file holds every forest, every reference
-// and the pool, so a trainer that draws one random number differently or
-// breaks one tie the other way fails here. The digests were taken at
-// commit 8dbd77a (the sort-per-feature trainer); this file drops into
-// that commit unchanged.
+// TestModelFileDigests pins what training the 27-type bank on
+// devices.GenerateDataset(20, seed) produces, at four seeds, two ways.
+//
+// forests is the SHA-256 of every forest's own wire bytes, each after its
+// type's name, in type order: it does not depend on the model file's
+// format, and its values were taken at commit 8dbd77a, whose trainer
+// sorted the node's rows per tried feature. A trainer that draws one
+// random number differently or breaks one tie the other way fails here.
+//
+// file is the SHA-256 of the version-2 model file (Identifier.Save):
+// forests, references and pool. With version 1 and the same forests,
+// 8dbd77a and the commit that changed the trainer both wrote
+// 4a8e5510…ec4acb8, 5e472d23…254c6fe1, 0ab91d7f…20c85d5e and
+// 863cc4d7…ca75899.
 func TestModelFileDigests(t *testing.T) {
-	for seed, want := range map[int64]string{
-		1: "4a8e5510e1c53907e5851286df0a5741ba571062dd0ae3deb9ac4ea81ec4acb8",
-		2: "5e472d2339f2f920b95f380af3683db8c0346b73a7f9a6151f7d3c65254c6fe1",
-		3: "0ab91d7f997016d0f13e22dde25149a83db14fad4fc80eda04f17b6020c85d5e",
-		4: "863cc4d7de3d28dcbaa24deb4829f2f195713882eedbfc7276f417347ca75899",
+	for seed, want := range map[int64]struct{ file, forests string }{
+		1: {"df9797963fe912d572e305ee494ae542e3a24760cc20ac23d79d61a4d667f8cb", "384c5c34cb669aebff55ed052e3728ec546aecb45162c11b1b75dfb7d8dcbdea"},
+		2: {"38d88b200b4750e7ae32caf8caa01824891be86a6c0bc243b4fa52196617bd40", "d9577c3ce652c287bb8c26177f60a20d9934406915ac4b2f15e4bac27bef83e7"},
+		3: {"caab554c3e9905352080bd10e38bb619840accbc5008c158bf0e66fbf3a91391", "ffd9324c96ed96a3fc3cdabc2965435ee159850be11f9d6b27eeefd2bb75e20c"},
+		4: {"dcc63049a7bfa2996744fb13c324ad76b4a3ba8c6c2196f6a55bbc46fde70e8a", "516a00c87d3aef1781d333b24df2a0dc97ace064bd0c68ad52a12a0c77ed96f6"},
 	} {
-		if got := modelDigest(t, seed); got != want {
-			t.Errorf("seed %d: model file SHA-256 = %s, want %s", seed, got, want)
+		samples := make(map[TypeID][]fingerprint.Fingerprint)
+		for k, v := range devices.GenerateDataset(20, seed) {
+			samples[TypeID(k)] = v
+		}
+		id, err := Train(samples, Config{Seed: seed})
+		if err != nil {
+			t.Fatalf("seed %d: Train: %v", seed, err)
+		}
+		file, forests := sha256.New(), sha256.New()
+		if err := id.Save(file); err != nil {
+			t.Fatalf("seed %d: Save: %v", seed, err)
+		}
+		for _, ty := range id.types {
+			forests.Write([]byte(ty))
+			if err := id.models[ty].forest.Save(forests); err != nil {
+				t.Fatalf("seed %d: save forest %q: %v", seed, ty, err)
+			}
+		}
+		if got := hex.EncodeToString(forests.Sum(nil)); got != want.forests {
+			t.Errorf("seed %d: forests SHA-256 = %s, want %s", seed, got, want.forests)
+		}
+		if got := hex.EncodeToString(file.Sum(nil)); got != want.file {
+			t.Errorf("seed %d: model file SHA-256 = %s, want %s", seed, got, want.file)
 		}
 	}
 }

@@ -15,7 +15,9 @@ import (
 // discrimination references and the training pool are saved so a
 // reloaded identifier answers identically and still supports AddType.
 
-const wireVersion = 1
+// Version 2 carries fingerprints in the packed-F codec; version 1 wrote
+// them as float rows and is refused by name.
+const wireVersion = 2
 
 type wireIdentifier struct {
 	Version int            `json:"version"`
@@ -27,10 +29,11 @@ type wireTypeData struct {
 	ID string `json:"id"`
 	// Forest is the rf wire format, embedded verbatim.
 	Forest json.RawMessage `json:"forest"`
-	// Refs and Pool carry fingerprints F as float row lists
-	// (fingerprint.F.Rows / FromRows); F′ is derived on load.
-	Refs [][][]float64 `json:"refs"`
-	Pool [][][]float64 `json:"pool"`
+	// Refs and Pool carry fingerprints F back to back, each in the
+	// packed-F codec (fingerprint.AppendF), base64 in the JSON; F′ is
+	// derived on load.
+	Refs []byte `json:"refs"`
+	Pool []byte `json:"pool"`
 }
 
 // Save serializes the identifier to w as versioned JSON. The worker
@@ -48,11 +51,16 @@ func (id *Identifier) Save(w io.Writer) error {
 			return fmt.Errorf("core: save %q: %w", t, err)
 		}
 		td := wireTypeData{ID: string(t), Forest: fbuf.Bytes()}
+		var err error
 		for _, ref := range m.refs.Refs() {
-			td.Refs = append(td.Refs, ref.Rows())
+			if td.Refs, err = fingerprint.AppendF(td.Refs, ref); err != nil {
+				return fmt.Errorf("core: save %q: %w", t, err)
+			}
 		}
 		for _, fp := range id.pool[t] {
-			td.Pool = append(td.Pool, fp.F.Rows())
+			if td.Pool, err = fingerprint.AppendF(td.Pool, fp.F); err != nil {
+				return fmt.Errorf("core: save %q: %w", t, err)
+			}
 		}
 		out.Types = append(out.Types, td)
 	}
@@ -65,7 +73,14 @@ func (id *Identifier) Save(w io.Writer) error {
 // LoadIdentifier deserializes an identifier previously written by Save.
 func LoadIdentifier(r io.Reader) (*Identifier, error) {
 	var in wireIdentifier
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	err := json.NewDecoder(r).Decode(&in)
+	// Checked before err: version 1's float rows fail the decode as
+	// mistyped fields, which encoding/json reports only after filling in
+	// every other field, the version among them.
+	if in.Version == 1 {
+		return nil, fmt.Errorf("core: load: model file version 1 (fingerprints as float rows) is no longer read: retrain the bank and save it again (version %d)", wireVersion)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
 	if in.Version != wireVersion {
@@ -98,21 +113,17 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 		if err := forest.ValidateFeatures(fingerprint.FPrimeLen); err != nil {
 			return nil, fmt.Errorf("core: load %q: %w", t, err)
 		}
-		var refs []fingerprint.F
-		for i, rows := range td.Refs {
-			fp, err := fingerprint.FromRows(rows)
-			if err != nil {
-				return nil, fmt.Errorf("core: load %q ref %d: %w", t, i, err)
-			}
-			refs = append(refs, fp.F)
+		refs, err := decodeFs(td.Refs)
+		if err != nil {
+			return nil, fmt.Errorf("core: load %q refs: %w", t, err)
 		}
 		id.models[t] = &typeModel{forest: forest, refs: editdist.NewRefSet(refs)}
-		for i, rows := range td.Pool {
-			fp, err := fingerprint.FromRows(rows)
-			if err != nil {
-				return nil, fmt.Errorf("core: load %q pool %d: %w", t, i, err)
-			}
-			id.pool[t] = append(id.pool[t], fp)
+		pool, err := decodeFs(td.Pool)
+		if err != nil {
+			return nil, fmt.Errorf("core: load %q pool: %w", t, err)
+		}
+		for _, f := range pool {
+			id.pool[t] = append(id.pool[t], fingerprint.FromPacked(f))
 		}
 		if len(id.pool[t]) == 0 {
 			return nil, fmt.Errorf("core: load %q: empty training pool", t)
@@ -120,6 +131,20 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 	}
 	id.reindex()
 	return id, nil
+}
+
+// decodeFs reads the fingerprints packed back to back in p.
+func decodeFs(p []byte) ([]fingerprint.F, error) {
+	var out []fingerprint.F
+	for len(p) > 0 {
+		f, rest, err := fingerprint.DecodeF(p)
+		if err != nil {
+			return nil, fmt.Errorf("fingerprint %d: %w", len(out), err)
+		}
+		out = append(out, f)
+		p = rest
+	}
+	return out, nil
 }
 
 // Clone deep-copies the identifier through an in-memory serialization

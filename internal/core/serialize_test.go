@@ -2,12 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
 
-	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 )
 
@@ -23,6 +23,15 @@ func TestIdentifierSaveLoad(t *testing.T) {
 	}
 	if re.NumTypes() != id.NumTypes() {
 		t.Fatalf("NumTypes: %d vs %d", re.NumTypes(), id.NumTypes())
+	}
+	// Forests, references and pool all came back: the copy saves as the
+	// original did.
+	var again bytes.Buffer
+	if err := re.Save(&again); err != nil {
+		t.Fatalf("Save after reload: %v", err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Error("a reloaded identifier saves to different bytes")
 	}
 	// Identical predictions on fresh probes.
 	probes := synthType([]float64{60, 70, 80}, 10, 15, 500)
@@ -165,51 +174,83 @@ func TestCloneIsIndependent(t *testing.T) {
 }
 
 func TestLoadIdentifierErrors(t *testing.T) {
+	block := func(f ...fingerprint.F) string {
+		var raw []byte
+		for _, one := range f {
+			raw, _ = fingerprint.AppendF(raw, one)
+		}
+		return base64.StdEncoding.EncodeToString(raw)
+	}
+	leaf := `{"version":1,"nClasses":2,"trees":[{"nodes":[{"f":-1,"c":[1,1],"n":2,"l":-1,"r":-1}]}]}`
+	model := func(refs, pool string) string {
+		return `{"version":2,"config":{},"types":[{"id":"a","forest":` + leaf + `,"refs":"` + refs + `","pool":"` + pool + `"}]}`
+	}
+	good := block(fingerprint.F{7, 9}, fingerprint.F{11})
+	if _, err := LoadIdentifier(strings.NewReader(model(good, good))); err != nil {
+		t.Fatalf("the well-formed model the bad ones are cut from: %v", err)
+	}
 	tests := []struct {
 		name string
 		give string
+		want string // in the error
 	}{
-		{"garbage", "{nope"},
-		{"bad-version", `{"version":9,"config":{},"types":[{"id":"a"}]}`},
-		{"no-types", `{"version":1,"config":{},"types":[]}`},
-		{"bad-forest", `{"version":1,"config":{},"types":[{"id":"a","forest":{},"pool":[[[1]]]}]}`},
+		{"garbage", "{nope", ""},
+		{"bad-version", `{"version":9,"config":{},"types":[{"id":"a"}]}`, "version 9"},
+		{"version-1", `{"version":1,"config":{},"types":[{"id":"a","forest":` + leaf + `,"refs":[[[1]]],"pool":[[[1]]]}]}`, "retrain"},
+		{"no-types", `{"version":2,"config":{},"types":[]}`, "no types"},
+		{"bad-forest", `{"version":2,"config":{},"types":[{"id":"a","forest":{},"pool":"` + good + `"}]}`, ""},
+		{"empty-pool", model(good, ""), "empty training pool"},
+		{"float-rows-in-version-2", `{"version":2,"config":{},"types":[{"id":"a","forest":` + leaf + `,"pool":[[[1]]]}]}`, ""},
+		{"not-base64", model(good, "@@@@"), ""},
+		// A block cut inside a row, inside the next block's row count, and
+		// one whose count promises rows that are not there.
+		{"pool-cut-in-row", model(good, good[:len(good)-4]), `"a" pool: fingerprint 1: fingerprint: F truncated`},
+		{"refs-cut-in-count", model(base64.StdEncoding.EncodeToString([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0}), good), `"a" refs: fingerprint 1`},
+		{"pool-count-tampered", model(good, base64.StdEncoding.EncodeToString([]byte{0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 7})), "fingerprint 0: fingerprint: F truncated"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := LoadIdentifier(strings.NewReader(tt.give)); err == nil {
-				t.Error("want error")
+			_, err := LoadIdentifier(strings.NewReader(tt.give))
+			if err == nil {
+				t.Fatal("want error")
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error %q does not mention %q", err, tt.want)
 			}
 		})
 	}
 }
 
-// TestLoadIdentifierRejectsUnpackableRows: the model file keeps float
-// rows, so loading is a boundary — a row the extractor cannot have
-// produced is reported with its type and position, never rounded into
-// some other symbol.
+// TestLoadIdentifierRejectsUnpackableRows: loading is a boundary — a
+// word the extractor cannot have produced is reported with its type,
+// block and position, never carried into the pool as some other symbol.
 func TestLoadIdentifierRejectsUnpackableRows(t *testing.T) {
 	id, _ := trainedIdentifier(t)
 	var buf bytes.Buffer
 	if err := id.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for field, where := range map[string]string{"refs": "ref 0", "pool": "pool 0"} {
+	for _, field := range []string{"refs", "pool"} {
 		var model map[string]any
 		if err := json.Unmarshal(buf.Bytes(), &model); err != nil {
 			t.Fatal(err)
 		}
 		typ := model["types"].([]any)[0].(map[string]any)
-		row := typ[field].([]any)[0].([]any)[0].([]any)
-		row[features.FeatSize] = row[features.FeatSize].(float64) + 0.5
+		raw, err := base64.StdEncoding.DecodeString(typ[field].(string))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[2] |= 0x80 // the reserved bit of the first fingerprint's first word
+		typ[field] = base64.StdEncoding.EncodeToString(raw)
 		tampered, err := json.Marshal(model)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = LoadIdentifier(bytes.NewReader(tampered))
 		if err == nil {
-			t.Fatalf("%s: model with a fractional size loaded", field)
+			t.Fatalf("%s: model with a reserved bit set loaded", field)
 		}
-		for _, want := range []string{where, "row 0", features.Names[features.FeatSize]} {
+		for _, want := range []string{`"alpha" ` + field, "fingerprint 0", "row 0", "not a packed feature symbol"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: error %q does not mention %q", field, err, want)
 			}
