@@ -79,8 +79,8 @@ func FromPacked(ps []features.Packed) Fingerprint {
 
 // FromVectors is FromPacked over the float view, for rows that came
 // from the extractor (features.ExtractAll). It panics on a row
-// features.Pack rejects; rows from outside the program go through
-// FromRows instead.
+// features.Pack rejects; fingerprints from outside the program arrive
+// packed (DecodeF, FromF).
 func FromVectors(vs []features.Vector) Fingerprint {
 	ps := make([]features.Packed, len(vs))
 	for i, v := range vs {
@@ -91,36 +91,6 @@ func FromVectors(vs []features.Vector) Fingerprint {
 		ps[i] = p
 	}
 	return FromPacked(ps)
-}
-
-// FromRows builds a Fingerprint from float feature rows read from
-// outside the program — the row format of the model file and of a
-// journal an older build wrote. A row of the wrong width, or one the
-// extractor cannot produce (features.Pack), is an error.
-func FromRows(rows [][]float64) (Fingerprint, error) {
-	ps := make([]features.Packed, len(rows))
-	for i, row := range rows {
-		if len(row) != features.Count {
-			return Fingerprint{}, fmt.Errorf("row %d has %d features, want %d", i, len(row), features.Count)
-		}
-		p, err := features.Pack(features.Vector(row))
-		if err != nil {
-			return Fingerprint{}, fmt.Errorf("row %d: %w", i, err)
-		}
-		ps[i] = p
-	}
-	return FromPacked(ps), nil
-}
-
-// Rows is the inverse of FromRows: the float rows of f.
-func (f F) Rows() [][]float64 {
-	flat := make([]float64, len(f)*features.Count)
-	rows := make([][]float64, len(f))
-	for i, p := range f {
-		rows[i] = flat[i*features.Count : (i+1)*features.Count : (i+1)*features.Count]
-		p.PutVector(rows[i])
-	}
-	return rows
 }
 
 // FromPackets extracts features (with fresh destination-IP counter

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -73,48 +72,24 @@ func writeState(t *testing.T, dir string, files ...stateFile) {
 	}
 }
 
-// crashCase is a reference run's on-disk state, to be damaged.
-type crashCase struct {
-	name     string
-	ref      *crashRef
-	snapshot []stateFile // snapshot.bin, if the run checkpointed
-	journal  []stateFile
-	// digest, if set, is the rule-table digest the commit that wrote the
-	// files recovered from them.
-	digest string
-}
-
-// crashCases are the states both sweeps run over: the reference run
-// journaled in the binary format across a segment boundary, and the
-// state directory the parent commit wrote for the same run with a real
-// checkpoint in the middle (JSON snapshot + JSON journal, see
-// store/testdata/legacy), checked against this commit's run of it.
-func crashCases(t *testing.T) []crashCase {
+// crashSegments is the state both sweeps damage: the reference run
+// journaled across a segment boundary.
+func crashSegments(t *testing.T) (ref *crashRef, journal []stateFile) {
 	t.Helper()
 	dir := t.TempDir()
 	abandoned := errors.New("abandoned")
-	segments := crashCase{name: "segments", ref: buildCrashState(t, dir, func(g *Gateway) {
+	ref = buildCrashState(t, dir, func(g *Gateway) {
 		// A checkpoint that dies before its snapshot is renamed leaves
 		// the rotation behind: two segments, no snapshot.
 		err := g.cfg.Store.Checkpoint(func(*store.SnapshotWriter) error { return abandoned })
 		if !errors.Is(err, abandoned) {
 			t.Fatalf("abandoned checkpoint returned %v", err)
 		}
-	})}
-	if segments.journal = readState(t, dir, "journal*.wal"); len(segments.journal) != 2 {
-		t.Fatalf("reference journal has %d segments, want 2", len(segments.journal))
+	})
+	if journal = readState(t, dir, "journal*.wal"); len(journal) != 2 {
+		t.Fatalf("reference journal has %d segments, want 2", len(journal))
 	}
-
-	fixture := filepath.Join("..", "store", "testdata", "legacy")
-	legacy := crashCase{name: "legacy", ref: buildCrashState(t, t.TempDir(), func(g *Gateway) {
-		if err := g.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	})}
-	legacy.snapshot = readState(t, fixture, "snapshot.bin")
-	legacy.journal = readState(t, fixture, "journal.wal")
-	legacy.digest = strings.TrimSpace(string(readState(t, fixture, "digest")[0].data))
-	return []crashCase{segments, legacy}
+	return ref, journal
 }
 
 // crashRef captures the reference run's final state plus every
@@ -396,30 +371,26 @@ func TestCrashRecoveryExact(t *testing.T) {
 // never fail-open, and the untruncated one to restore the run exactly.
 func TestCrashRecoveryTruncationSweep(t *testing.T) {
 	recoverNow := time.Unix(20000, 0)
-	for _, tc := range crashCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			for k, torn := range tc.journal {
-				newest := k == len(tc.journal)-1
-				for cut := 0; cut < len(torn.data) || (newest && cut == len(torn.data)); cut++ {
-					// The segments after a torn one did not exist yet.
-					files := append(append([]stateFile{}, tc.snapshot...), tc.journal[:k]...)
-					writeState(t, dir, append(files, stateFile{torn.name, torn.data[:cut]})...)
-					g, rec, _ := recoverInto(t, dir, tc.ref, recoverNow)
-					if rec.Degraded {
-						t.Fatalf("%s cut=%d: pure truncation must recover clean, got degraded: %v", torn.name, cut, rec.Warnings)
-					}
-					checkNeverFailOpen(t, "cut", g, tc.ref)
-					if newest && cut == len(torn.data) {
-						checkExactRestore(t, g, tc.ref, recoverNow)
-						if got := fmt.Sprintf("%016x", g.Switch().Controller().Rules().Digest()); tc.digest != "" && got != tc.digest {
-							t.Fatalf("recovered rule table digest %s, the commit that wrote the state recovered %s", got, tc.digest)
-						}
-					}
+	ref, journal := crashSegments(t)
+	t.Run("segments", func(t *testing.T) {
+		dir := t.TempDir()
+		for k, torn := range journal {
+			newest := k == len(journal)-1
+			for cut := 0; cut < len(torn.data) || (newest && cut == len(torn.data)); cut++ {
+				// The segments after a torn one did not exist yet.
+				files := append([]stateFile{}, journal[:k]...)
+				writeState(t, dir, append(files, stateFile{torn.name, torn.data[:cut]})...)
+				g, rec, _ := recoverInto(t, dir, ref, recoverNow)
+				if rec.Degraded {
+					t.Fatalf("%s cut=%d: pure truncation must recover clean, got degraded: %v", torn.name, cut, rec.Warnings)
+				}
+				checkNeverFailOpen(t, "cut", g, ref)
+				if newest && cut == len(torn.data) {
+					checkExactRestore(t, g, ref, recoverNow)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestCrashRecoveryCorruptionSweep flips every journal byte in turn —
@@ -428,31 +399,30 @@ func TestCrashRecoveryTruncationSweep(t *testing.T) {
 // network access on trust.
 func TestCrashRecoveryCorruptionSweep(t *testing.T) {
 	recoverNow := time.Unix(20000, 0)
-	for _, tc := range crashCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			for k, f := range tc.journal {
-				for pos := range f.data {
-					files := append(append([]stateFile{}, tc.snapshot...), tc.journal...)
-					mut := append([]byte(nil), f.data...)
-					mut[pos] ^= 0xff
-					files[len(tc.snapshot)+k].data = mut
-					writeState(t, dir, files...)
-					g, rec, _ := recoverInto(t, dir, tc.ref, recoverNow)
-					if !rec.Degraded {
-						t.Fatalf("%s pos=%d: corruption not flagged degraded", f.name, pos)
-					}
-					checkNeverFailOpen(t, "flip", g, tc.ref)
-					// Degraded recovery: nothing recovered may be assessed.
-					for _, d := range g.Devices() {
-						if d.State != StateQuarantined || d.Level != sdn.Strict {
-							t.Fatalf("%s pos=%d: degraded recovery left %v at %v/%v", f.name, pos, d.MAC, d.State, d.Level)
-						}
+	ref, journal := crashSegments(t)
+	t.Run("segments", func(t *testing.T) {
+		dir := t.TempDir()
+		for k, f := range journal {
+			for pos := range f.data {
+				files := append([]stateFile{}, journal...)
+				mut := append([]byte(nil), f.data...)
+				mut[pos] ^= 0xff
+				files[k].data = mut
+				writeState(t, dir, files...)
+				g, rec, _ := recoverInto(t, dir, ref, recoverNow)
+				if !rec.Degraded {
+					t.Fatalf("%s pos=%d: corruption not flagged degraded", f.name, pos)
+				}
+				checkNeverFailOpen(t, "flip", g, ref)
+				// Degraded recovery: nothing recovered may be assessed.
+				for _, d := range g.Devices() {
+					if d.State != StateQuarantined || d.Level != sdn.Strict {
+						t.Fatalf("%s pos=%d: degraded recovery left %v at %v/%v", f.name, pos, d.MAC, d.State, d.Level)
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestCrashRecoveryWithSnapshot checkpoints mid-run, appends more

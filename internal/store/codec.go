@@ -291,9 +291,11 @@ func appendEvent(b []byte, ev *Event) ([]byte, error) {
 	return c.b, c.err
 }
 
-// decodeBinaryEvent parses a record appendEvent wrote (the caller has
-// checked its version byte).
-func decodeBinaryEvent(payload []byte) (ev Event, err error) {
+// decodeEvent parses a record appendEvent wrote.
+func decodeEvent(payload []byte) (ev Event, err error) {
+	if len(payload) == 0 || payload[0] != codecVersion {
+		return Event{}, errors.New("unknown record version")
+	}
 	c := codec{b: payload[1:], decode: true}
 	c.event(&ev)
 	return ev, c.end()

@@ -74,44 +74,44 @@ var kindCodes = [...]EventKind{
 
 // Event is one journal record. Fields beyond Seq/Kind/MAC/At are
 // populated per kind; absolute values (not deltas) so replay is
-// idempotent. The JSON tags are the legacy journal's (legacy.go).
+// idempotent.
 type Event struct {
-	Seq  uint64     `json:"seq"`
-	Kind EventKind  `json:"kind"`
-	MAC  packet.MAC `json:"mac"`
+	Seq  uint64
+	Kind EventKind
+	MAC  packet.MAC
 	// At is the gateway-time of the transition.
-	At time.Time `json:"at"`
+	At time.Time
 
 	// FirstSeen carries the device's first-packet time (capture,
 	// assessed, quarantined).
-	FirstSeen time.Time `json:"firstSeen"`
+	FirstSeen time.Time
 
 	// Assessment fields (EvAssessed, EvPromoted).
-	Type         string          `json:"type,omitempty"`
-	Level        int             `json:"level,omitempty"`
-	PermittedIPs []netip.Addr    `json:"permittedIPs,omitempty"`
-	Vulns        []vulndb.Record `json:"vulns,omitempty"`
-	SetupPackets int             `json:"setupPackets,omitempty"`
+	Type         string
+	Level        int
+	PermittedIPs []netip.Addr
+	Vulns        []vulndb.Record
+	SetupPackets int
 
 	// Quarantine fields (EvQuarantined).
-	Attempts int `json:"attempts,omitempty"`
+	Attempts int
 	// Fingerprint is the parked fingerprint's F; F′ is re-derived on
 	// recovery (fingerprint.FromF). EvUnknownObserved reuses it for the
 	// cluster member's F.
-	Fingerprint fingerprint.F `json:"-"`
+	Fingerprint fingerprint.F
 
 	// Online-learning fields (EvUnknownObserved, EvTypeProposed,
 	// EvTypePromoted). Cluster is the cluster's stable name; Members is
 	// its size when the event fired.
-	Cluster string `json:"cluster,omitempty"`
-	Members int    `json:"members,omitempty"`
+	Cluster string
+	Members int
 
 	// Fleet-rollout fields (EvRolloutStarted, EvRolloutPromoted,
 	// EvRolloutRolledBack). Model and BaselineModel are SHA-256 hex of
 	// the versioned model blobs; Canaries the selected gateway IDs.
-	Model         string   `json:"model,omitempty"`
-	BaselineModel string   `json:"baselineModel,omitempty"`
-	Canaries      []string `json:"canaries,omitempty"`
+	Model         string
+	BaselineModel string
+	Canaries      []string
 }
 
 // durable reports whether the event must be on disk before Append

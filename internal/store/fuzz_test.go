@@ -3,8 +3,6 @@ package store
 import (
 	"bytes"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -55,8 +53,7 @@ func TestEventCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzEventDecode throws arbitrary payloads — binary and legacy JSON —
-// at the record decoder. It must not panic, and whatever it accepts must
+// FuzzEventDecode throws arbitrary payloads at the record decoder. It must not panic, and whatever it accepts must
 // re-encode to a record that decodes to the same event and re-encodes to
 // the same bytes.
 func FuzzEventDecode(f *testing.F) {
@@ -67,15 +64,21 @@ func FuzzEventDecode(f *testing.F) {
 		}
 		f.Add(payload)
 	}
-	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy", legacyJournalName))
-	if err != nil {
-		f.Fatal(err)
+	// One record of every kind, every field set: the per-kind coverage
+	// the JSON journal fixture used to seed.
+	for _, kind := range kindCodes[1:] {
+		ev := fullEvent()
+		ev.Kind = kind
+		payload, err := appendEvent(nil, &ev)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
 	}
-	for off := 0; off < len(legacy); {
-		end := off + frameHeaderLen + framePayloadLen(legacy[off:])
-		f.Add(legacy[off+frameHeaderLen : end])
-		off = end
-	}
+	// Refused: a JSON record as releases before the binary format wrote
+	// them, no payload at all, and a count that runs past the end.
+	f.Add([]byte(`{"seq":5,"kind":"assessed","mac":"02:00:00:00:00:01","at":"2026-10-02T08:00:00Z","type":"EdnetCam","level":2}`))
+	f.Add([]byte{})
 	f.Add([]byte{codecVersion, 2, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -85,13 +88,13 @@ func FuzzEventDecode(f *testing.F) {
 		}
 		first, err := appendEvent(nil, &ev)
 		if err != nil {
-			return // a legacy record can hold what the binary widths cannot
+			t.Fatalf("re-encode failed: %v", err)
 		}
 		again, err := decodeEvent(first)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if payload[0] == codecVersion && !reflect.DeepEqual(again, ev) {
+		if !reflect.DeepEqual(again, ev) {
 			t.Fatalf("round trip changed the event:\n got %+v\nwant %+v", again, ev)
 		}
 		if second, err := appendEvent(nil, &again); err != nil || !bytes.Equal(second, first) {

@@ -49,9 +49,6 @@ const (
 	maxFrameLen = 16 << 20
 
 	segmentFormat = "journal-%016x.wal"
-	// legacyJournalName is the single journal file of the JSON format;
-	// it is read as the oldest segment and never appended to.
-	legacyJournalName = "journal.wal"
 )
 
 func segmentName(first uint64) string { return fmt.Sprintf(segmentFormat, first) }
@@ -65,12 +62,9 @@ func segmentFirst(name string) (first uint64) {
 	return first
 }
 
-// listSegments returns the journal files under dir in record order: the
-// legacy journal, if there is one, then the segments by name.
+// listSegments returns the journal's segments under dir in record
+// order, which is name order.
 func listSegments(dir string) (paths []string) {
-	if _, err := os.Stat(filepath.Join(dir, legacyJournalName)); err == nil {
-		paths = append(paths, filepath.Join(dir, legacyJournalName))
-	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.wal")) // the pattern is well-formed
 	sort.Strings(segs)
 	for _, path := range segs {
@@ -93,9 +87,8 @@ func (d *damage) String() string { return d.msg }
 
 // nextFrame returns the payload of the frame at data[off:], off <
 // len(data), as a slice of data, and the offset of the frame after it —
-// or the damage that keeps those bytes from being a frame of at most
-// max payload bytes.
-func nextFrame(data []byte, off, max int) (payload []byte, next int, dmg *damage) {
+// or the damage that keeps those bytes from being a frame.
+func nextFrame(data []byte, off int) (payload []byte, next int, dmg *damage) {
 	remain := len(data) - off
 	if remain < frameHeaderLen {
 		return nil, off, &damage{torn: true, msg: fmt.Sprintf("%d-byte partial frame header at offset %d", remain, off)}
@@ -105,7 +98,7 @@ func nextFrame(data []byte, off, max int) (payload []byte, next int, dmg *damage
 	switch {
 	case crc32.Checksum(hdr[:8], crc32c) != binary.LittleEndian.Uint32(hdr[8:12]):
 		return nil, off, &damage{msg: fmt.Sprintf("corrupt frame header at offset %d", off)}
-	case length > max:
+	case length > maxFrameLen:
 		return nil, off, &damage{msg: fmt.Sprintf("implausible %d-byte frame at offset %d", length, off)}
 	case remain-frameHeaderLen < length:
 		return nil, off, &damage{torn: true, msg: fmt.Sprintf("frame at offset %d declares %d payload bytes, %d present",
@@ -129,7 +122,7 @@ func scanSegment(path string, visit func(*Event)) (good, size int, dmg *damage, 
 		return 0, 0, nil, fmt.Errorf("store: read journal: %w", err)
 	}
 	for good < len(data) && dmg == nil {
-		payload, next, d := nextFrame(data, good, maxFrameLen)
+		payload, next, d := nextFrame(data, good)
 		if dmg = d; dmg != nil {
 			break
 		}

@@ -14,23 +14,22 @@ import (
 	"iotsentinel/internal/vulndb"
 )
 
-// DeviceRecord is one device's durable state inside a snapshot. (The
-// JSON tags here and below are the legacy snapshot's, see legacy.go.)
+// DeviceRecord is one device's durable state inside a snapshot.
 type DeviceRecord struct {
-	MAC   packet.MAC `json:"mac"`
-	State string     `json:"state"` // monitoring | assessed | quarantined
-	Type  string     `json:"type,omitempty"`
-	Level int        `json:"level,omitempty"`
+	MAC   packet.MAC
+	State string // monitoring | assessed | quarantined
+	Type  string
+	Level int
 
-	PermittedIPs    []netip.Addr    `json:"permittedIPs,omitempty"`
-	Vulnerabilities []vulndb.Record `json:"vulns,omitempty"`
+	PermittedIPs    []netip.Addr
+	Vulnerabilities []vulndb.Record
 
-	FirstSeen     time.Time `json:"firstSeen"`
-	AssessedAt    time.Time `json:"assessedAt"`
-	QuarantinedAt time.Time `json:"quarantinedAt"`
+	FirstSeen     time.Time
+	AssessedAt    time.Time
+	QuarantinedAt time.Time
 
-	SetupPackets   int `json:"setupPackets,omitempty"`
-	AssessAttempts int `json:"assessAttempts,omitempty"`
+	SetupPackets   int
+	AssessAttempts int
 }
 
 // QuarantineRecord is one parked fingerprint awaiting retry.
@@ -46,11 +45,11 @@ type QuarantineRecord struct {
 // complete — a checkpoint retires the journal segments that held the
 // per-member records, so the snapshot is the only copy.
 type ClusterRecord struct {
-	ID       string          `json:"id"`
-	Type     string          `json:"type,omitempty"`
-	Proposed bool            `json:"proposed,omitempty"`
-	Promoted bool            `json:"promoted,omitempty"`
-	Members  []fingerprint.F `json:"-"`
+	ID       string
+	Type     string
+	Proposed bool
+	Promoted bool
+	Members  []fingerprint.F
 }
 
 // LearnState is the online-learning subsystem's durable state.
@@ -188,21 +187,11 @@ func loadSnapshot(path string) (*Snapshot, error) {
 	}
 	snap := &Snapshot{}
 	for row, off := uint64(0), 0; off < len(data); row++ {
-		// A legacy snapshot is one frame however large; a row is bounded.
-		max := maxFrameLen
-		if off == 0 {
-			max = len(data)
-		}
-		payload, next, dmg := nextFrame(data, off, max)
+		payload, next, dmg := nextFrame(data, off)
 		if dmg != nil {
 			return nil, errors.New(dmg.msg)
 		}
-		if off = next; row == 0 && len(payload) > 0 && payload[0] == '{' {
-			if off != len(data) {
-				return nil, errors.New("bytes after the legacy snapshot frame")
-			}
-			return decodeLegacySnapshot(payload)
-		}
+		off = next
 		last, err := snap.addRow(payload, row)
 		switch {
 		case err != nil:

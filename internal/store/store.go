@@ -192,7 +192,7 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 			s.retired = append(s.retired, path)
 		}
 	}
-	fresh := s.first == 0 // nothing to continue: the journal's first segment, or the first after a legacy journal
+	fresh := s.first == 0 // nothing to continue: the journal's first segment
 	if fresh {
 		s.first = s.seq + 1
 	}

@@ -142,18 +142,6 @@ func twoSegments(t *testing.T) string {
 	return dir
 }
 
-// legacyState reads the state directory the parent commit wrote
-// (testdata/legacy: a JSON snapshot at sequence number 4 and a JSON
-// journal.wal of records 5–17, every event kind among them).
-func legacyState(t *testing.T) (snapshot stateFile, journal []stateFile) {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "legacy", snapshotName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stateFile{snapshotName, data}, journalFiles(t, filepath.Join("testdata", "legacy"))
-}
-
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, rec := openT(t, dir, Options{})
@@ -195,57 +183,47 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalTornTail truncates the journal at every byte offset — of a
-// binary journal, across its segment boundary, and of the legacy one —
-// and checks recovery keeps exactly the complete frames, never flags the
-// truncation as degraded, and never fails the boot.
+// TestJournalTornTail truncates the journal at every byte offset, across
+// its segment boundary, and checks recovery keeps exactly the complete
+// frames, never flags the truncation as degraded, and never fails the
+// boot.
 func TestJournalTornTail(t *testing.T) {
-	legacySnap, legacy := legacyState(t)
-	for _, tc := range []struct {
-		name     string
-		snapshot []stateFile
-		snapSeq  uint64
-		journal  []stateFile
-	}{
-		{"segments", nil, 0, journalFiles(t, twoSegments(t))},
-		{"legacy", []stateFile{legacySnap}, 4, legacy},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			before := 0 // records in the segments older than the torn one
-			for k, torn := range tc.journal {
-				for cut := 0; cut < len(torn.data); cut++ {
-					// A crash tears the newest segment only: the ones
-					// after it did not exist yet.
-					files := append(append([]stateFile{}, tc.snapshot...), tc.journal[:k]...)
-					writeState(t, dir, append(files, stateFile{torn.name, torn.data[:cut]})...)
-					want := before + framesWithin(torn.data, cut)
+	journal := journalFiles(t, twoSegments(t))
+	t.Run("segments", func(t *testing.T) {
+		dir := t.TempDir()
+		before := 0 // records in the segments older than the torn one
+		for k, torn := range journal {
+			for cut := 0; cut < len(torn.data); cut++ {
+				// A crash tears the newest segment only: the ones
+				// after it did not exist yet.
+				files := append([]stateFile{}, journal[:k]...)
+				writeState(t, dir, append(files, stateFile{torn.name, torn.data[:cut]})...)
+				want := before + framesWithin(torn.data, cut)
 
-					s2, rec := openT(t, dir, Options{})
-					if rec.Degraded {
-						t.Fatalf("%s cut=%d: pure truncation flagged degraded: %v", torn.name, cut, rec.Warnings)
-					}
-					if len(rec.Events) != want {
-						t.Fatalf("%s cut=%d: recovered %d events, want %d", torn.name, cut, len(rec.Events), want)
-					}
-					// The journal must be appendable after a torn-tail truncation.
-					seq := appendT(t, s2, Event{Kind: EvRemoved, MAC: mac(9)})
-					if wantSeq := tc.snapSeq + uint64(want) + 1; seq != wantSeq {
-						t.Fatalf("%s cut=%d: post-recovery seq %d, want %d", torn.name, cut, seq, wantSeq)
-					}
-					if err := s2.Close(); err != nil {
-						t.Fatal(err)
-					}
-					s3, rec3 := openT(t, dir, Options{})
-					if len(rec3.Events) != want+1 || rec3.Degraded {
-						t.Fatalf("%s cut=%d: reopen got %d events degraded=%v", torn.name, cut, len(rec3.Events), rec3.Degraded)
-					}
-					s3.Close()
+				s2, rec := openT(t, dir, Options{})
+				if rec.Degraded {
+					t.Fatalf("%s cut=%d: pure truncation flagged degraded: %v", torn.name, cut, rec.Warnings)
 				}
-				before += framesWithin(torn.data, len(torn.data))
+				if len(rec.Events) != want {
+					t.Fatalf("%s cut=%d: recovered %d events, want %d", torn.name, cut, len(rec.Events), want)
+				}
+				// The journal must be appendable after a torn-tail truncation.
+				seq := appendT(t, s2, Event{Kind: EvRemoved, MAC: mac(9)})
+				if wantSeq := uint64(want) + 1; seq != wantSeq {
+					t.Fatalf("%s cut=%d: post-recovery seq %d, want %d", torn.name, cut, seq, wantSeq)
+				}
+				if err := s2.Close(); err != nil {
+					t.Fatal(err)
+				}
+				s3, rec3 := openT(t, dir, Options{})
+				if len(rec3.Events) != want+1 || rec3.Degraded {
+					t.Fatalf("%s cut=%d: reopen got %d events degraded=%v", torn.name, cut, len(rec3.Events), rec3.Degraded)
+				}
+				s3.Close()
 			}
-		})
-	}
+			before += framesWithin(torn.data, len(torn.data))
+		}
+	})
 }
 
 // TestJournalCorruption flips every byte of the journal in turn: recovery
@@ -253,39 +231,30 @@ func TestJournalTornTail(t *testing.T) {
 // keep booting. The header CRC covers the length and the payload CRC the
 // payload, so no flip can pass for a torn tail.
 func TestJournalCorruption(t *testing.T) {
-	legacySnap, legacy := legacyState(t)
-	for _, tc := range []struct {
-		name     string
-		snapshot []stateFile
-		journal  []stateFile
-	}{
-		{"segments", nil, journalFiles(t, twoSegments(t))},
-		{"legacy", []stateFile{legacySnap}, legacy},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir, total := t.TempDir(), 0
-			for _, f := range tc.journal {
-				total += framesWithin(f.data, len(f.data))
-			}
-			for k, f := range tc.journal {
-				for pos := range f.data {
-					files := append(append([]stateFile{}, tc.snapshot...), tc.journal...)
-					mut := append([]byte(nil), f.data...)
-					mut[pos] ^= 0xff
-					files[len(tc.snapshot)+k].data = mut
-					s2, rec := openT(t, writeState(t, dir, files...), Options{})
-					if !rec.Degraded {
-						t.Fatalf("%s pos=%d: corruption not flagged degraded (got %d events, warnings %v)",
-							f.name, pos, len(rec.Events), rec.Warnings)
-					}
-					if len(rec.Events) >= total {
-						t.Fatalf("%s pos=%d: corrupt journal replayed all %d events", f.name, pos, len(rec.Events))
-					}
-					s2.Close()
+	journal := journalFiles(t, twoSegments(t))
+	t.Run("segments", func(t *testing.T) {
+		dir, total := t.TempDir(), 0
+		for _, f := range journal {
+			total += framesWithin(f.data, len(f.data))
+		}
+		for k, f := range journal {
+			for pos := range f.data {
+				files := append([]stateFile{}, journal...)
+				mut := append([]byte(nil), f.data...)
+				mut[pos] ^= 0xff
+				files[k].data = mut
+				s2, rec := openT(t, writeState(t, dir, files...), Options{})
+				if !rec.Degraded {
+					t.Fatalf("%s pos=%d: corruption not flagged degraded (got %d events, warnings %v)",
+						f.name, pos, len(rec.Events), rec.Warnings)
 				}
+				if len(rec.Events) >= total {
+					t.Fatalf("%s pos=%d: corrupt journal replayed all %d events", f.name, pos, len(rec.Events))
+				}
+				s2.Close()
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestCheckpointCompactsJournal: a checkpoint rotates the journal at the
@@ -372,9 +341,9 @@ func TestCorruptSegmentIsNeverRewritten(t *testing.T) {
 }
 
 // TestSnapshotCorruptionDegrades damages a snapshot every way — each
-// byte flipped, the file cut at each length — for a binary snapshot of
-// several rows and for the legacy one: recovery must flag degraded,
-// return no snapshot, and still replay the journal.
+// byte flipped, the file cut at each length — for a snapshot of several
+// rows: recovery must flag degraded, return no snapshot, and still replay
+// the journal.
 func TestSnapshotCorruptionDegrades(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir, Options{})
@@ -395,112 +364,37 @@ func TestSnapshotCorruptionDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacySnap, legacy := legacyState(t)
 
-	for _, tc := range []struct {
-		name     string
-		snapshot []byte
-		journal  []stateFile
-		events   int
-	}{
-		{"rows", binarySnap, journalFiles(t, dir), 1},
-		{"legacy", legacySnap.data, legacy, 13},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			check := func(what string, damaged []byte) {
-				t.Helper()
-				files := append([]stateFile{{snapshotName, damaged}}, tc.journal...)
-				s2, rec := openT(t, writeState(t, dir, files...), Options{})
-				defer s2.Close()
-				if !rec.Degraded || rec.Snapshot != nil {
-					t.Fatalf("%s: damaged snapshot accepted (degraded=%v snapshot=%v)", what, rec.Degraded, rec.Snapshot != nil)
-				}
-				if len(rec.Events) != tc.events {
-					t.Fatalf("%s: journal replayed %d events beside the damaged snapshot, want %d", what, len(rec.Events), tc.events)
-				}
+	journal := journalFiles(t, dir)
+	t.Run("rows", func(t *testing.T) {
+		dir := t.TempDir()
+		check := func(what string, damaged []byte) {
+			t.Helper()
+			files := append([]stateFile{{snapshotName, damaged}}, journal...)
+			s2, rec := openT(t, writeState(t, dir, files...), Options{})
+			defer s2.Close()
+			if !rec.Degraded || rec.Snapshot != nil {
+				t.Fatalf("%s: damaged snapshot accepted (degraded=%v snapshot=%v)", what, rec.Degraded, rec.Snapshot != nil)
 			}
-			for pos := range tc.snapshot {
-				mut := append([]byte(nil), tc.snapshot...)
-				mut[pos] ^= 0xff
-				check("flip", mut)
-			}
-			// Cut at 0 is an empty file, not a missing one.
-			for cut := 0; cut < len(tc.snapshot); cut++ {
-				check("cut", tc.snapshot[:cut])
-			}
-		})
-	}
-}
-
-// TestLegacyStateUpgrades: a state directory the parent commit wrote
-// recovers in full, and its first checkpoint leaves only new-format
-// files behind.
-func TestLegacyStateUpgrades(t *testing.T) {
-	snap, journal := legacyState(t)
-	dir := writeState(t, t.TempDir(), append([]stateFile{snap}, journal...)...)
-	s, rec := openT(t, dir, Options{})
-	if rec.Degraded || rec.Snapshot == nil || rec.Snapshot.Seq != 4 {
-		t.Fatalf("legacy state: degraded=%v snapshot=%+v warnings=%v", rec.Degraded, rec.Snapshot, rec.Warnings)
-	}
-	if n := len(rec.Snapshot.Devices); n != 2 {
-		t.Errorf("legacy snapshot: %d devices, want 2", n)
-	}
-	if q := rec.Snapshot.Quarantine; len(q) != 1 || len(q[0].Fingerprint) != 17 {
-		t.Errorf("legacy snapshot: parked fingerprints %+v, want one of 17 rows", q)
-	}
-	if l := rec.Snapshot.Learn; l == nil || l.NextCluster != 3 || len(l.Clusters) != 2 || len(l.Clusters[0].Members) != 2 || !l.Clusters[0].Promoted {
-		t.Errorf("legacy snapshot: learn state %+v", l)
-	}
-	kinds := map[EventKind]int{}
-	for i, ev := range rec.Events {
-		if ev.Seq != uint64(5+i) {
-			t.Fatalf("legacy event %d has seq %d", i, ev.Seq)
-		}
-		kinds[ev.Kind]++
-	}
-	if len(rec.Events) != 13 || len(kinds) != len(kindCodes)-1 {
-		t.Errorf("legacy journal: %d events of %d kinds, want 13 of all %d", len(rec.Events), len(kinds), len(kindCodes)-1)
-	}
-	for _, ev := range rec.Events {
-		switch ev.Kind {
-		case EvQuarantined, EvUnknownObserved:
-			if len(ev.Fingerprint) == 0 || !ev.Fingerprint.Valid() {
-				t.Errorf("legacy %s record lost its fingerprint: %v", ev.Kind, ev.Fingerprint)
-			}
-		case EvRolloutStarted:
-			if ev.Model != "aa11" || ev.BaselineModel != "bb22" || len(ev.Canaries) != 2 {
-				t.Errorf("legacy rollout record: %+v", ev)
-			}
-		case EvRemoved:
-			if !ev.FirstSeen.IsZero() || ev.At.IsZero() {
-				t.Errorf("legacy removal's times: at %v, first seen %v", ev.At, ev.FirstSeen)
+			if len(rec.Events) != 1 {
+				t.Fatalf("%s: journal replayed %d events beside the damaged snapshot, want 1", what, len(rec.Events))
 			}
 		}
-	}
-
-	if seq := appendT(t, s, Event{Kind: EvRemoved, MAC: mac(1)}); seq != 18 {
-		t.Fatalf("first append after the upgrade got seq %d, want 18", seq)
-	}
-	checkpointT(t, s, rec.Snapshot.Devices...)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if files := journalFiles(t, dir); len(files) != 1 || files[0].name != segmentName(19) || len(files[0].data) != 0 {
-		t.Fatalf("journal after the first checkpoint: %+v, want one empty segment", files)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[frameHeaderLen] != codecVersion {
-		t.Fatalf("snapshot after the first checkpoint starts %q, want a binary header row", data[frameHeaderLen:frameHeaderLen+8])
-	}
-	s2, rec2 := openT(t, dir, Options{})
-	defer s2.Close()
-	if rec2.Degraded || rec2.Snapshot == nil || rec2.Snapshot.Seq != 18 || len(rec2.Snapshot.Devices) != 2 || len(rec2.Events) != 0 {
-		t.Fatalf("after the upgrade: degraded=%v snapshot=%+v events=%d", rec2.Degraded, rec2.Snapshot, len(rec2.Events))
-	}
+		for pos := range binarySnap {
+			mut := append([]byte(nil), binarySnap...)
+			mut[pos] ^= 0xff
+			check("flip", mut)
+		}
+		// Cut at 0 is an empty file, not a missing one.
+		for cut := 0; cut < len(binarySnap); cut++ {
+			check("cut", binarySnap[:cut])
+		}
+		// What a release before the binary format wrote — one intact
+		// frame of JSON — is damage too: no release reads it any more.
+		jsonSnap := append(beginFrame(nil), `{"version":1,"seq":4,"devices":[]}`...)
+		sealFrame(jsonSnap, 0)
+		check("JSON snapshot", jsonSnap)
+	})
 }
 
 // TestAppendWhileCommitting hammers the group commit: routine and
