@@ -1,13 +1,7 @@
 # IoT Sentinel build/test entry points. `make verify` is the tier-1
 # gate (vet + gofmt check + build + a vulnerability/static-analysis
-# pass when the tooling is installed + shuffled full test suite + a
-# short -race pass over the gateway, online learner, durable store,
-# metrics registry, fleet control plane, the two packages that share the
-# identification cache across goroutines (core, iotssp), the three
-# that share ring memory and lock-free counters on the forwarding path
-# (capture, packet, sdn), the node assembly and the commands built on it
-# (cmd/..., whose callbacks all print through one writer) + the crash
-# fault-injection
+# pass when the tooling is installed + shuffled full test suite + the
+# full suite under -race (`make test-race`) + the crash fault-injection
 # sweep + the seeded fleet-link chaos sweep (see `make chaos`) + a
 # short fuzz pass over the capture ring and readers, the frame decoder,
 # the forest and model-file deserializers, the packed-symbol codec, the fingerprint
@@ -16,9 +10,7 @@
 # the benchmark module's own vet and tests
 # (`make bench-smoke`) + a short sustained-load soak with its
 # leak/latency gates);
-# `make test-race` covers the concurrent
-# classifier bank, gateway, online learner, fleet control plane and
-# enforcement plane in full;
+# `make test-race` runs every package's tests under the race detector;
 # `make fuzz` runs each fuzz target for FUZZTIME; `make crash` runs the
 # journal truncation/corruption sweeps and restart differential tests;
 # `make chaos` runs the fleet-link fault-injection suites under a
@@ -80,7 +72,7 @@ vulncheck:
 
 verify: vet fmt-check build vulncheck
 	$(GO) test -shuffle=on ./...
-	$(GO) test -race -count=1 ./cmd/... ./internal/capture/... ./internal/chaos/... ./internal/core/... ./internal/fleet/... ./internal/gateway/... ./internal/iotssp/... ./internal/learn/... ./internal/ml/rf/... ./internal/node/... ./internal/obs/... ./internal/packet/... ./internal/sdn/... ./internal/store/...
+	$(MAKE) test-race
 	$(MAKE) crash
 	$(MAKE) chaos
 	$(MAKE) fuzz
@@ -97,7 +89,7 @@ test: vet build
 	$(GO) test -shuffle=on ./...
 
 test-race:
-	$(GO) test -race ./internal/chaos/... ./internal/core/... ./internal/fleet/... ./internal/gateway/... ./internal/iotssp/... ./internal/learn/... ./internal/sdn/...
+	$(GO) test -race -count=1 ./...
 
 # -run='^$$' on every line: without it each `go test -fuzz` first runs
 # its package's whole unit suite (internal/fleet's e2e and chaos tests,
@@ -121,11 +113,9 @@ fuzz:
 
 # The crash fault-injection sweep: journal torn-tail truncation at
 # every byte, single-byte corruption at every byte and snapshot damage
-# (each over the binary format across a segment boundary and over the
-# state directory the last JSON-writing commit left in
-# internal/store/testdata/legacy), the demotion-ordering crash test,
-# checkpoints beside churn and rotation, the legacy upgrade, and the
-# quarantined-before-crash -> promoted-after-restart flow.
+# (each over the binary format across a segment boundary), the
+# demotion-ordering crash test, checkpoints beside churn and rotation,
+# and the quarantined-before-crash -> promoted-after-restart flow.
 crash:
 	$(GO) test -count=1 -run 'TestCrashRecovery|TestRestartResumes|TestJournalTornTail|TestJournalCorruption|TestSnapshotCorruption|TestCheckpoint|TestCorruptSegment' \
 		./internal/gateway/ ./internal/store/
@@ -163,7 +153,7 @@ bench-json:
 # sub-microsecond non-serving benchmarks (packet codecs, convenience
 # APIs, device-churn stress loops) swing far past any sane threshold
 # with host load, and training is a one-time boot cost.
-BENCH_GATE ?= ^(capture\.RingHandoff|core\.(ScanBank27|IdentifySteadyState|IdentifyBatchSteadyState|IdentifyCacheHit|IdentifyHeadHit|IdentifyWarmBootCached)|editdist\.DiscriminateRefSet|fingerprint\.CanonicalKey|gateway\.(HandlePacketSteadyState|PumpForward)|rf\.(PredictBatchInto|AcceptSoft)|sdn\.SwitchProcess10k/(internet|peer)|iotsentinel\.(ClassifySingle|TypeIdentification))$$
+BENCH_GATE ?= ^(capture\.RingHandoff|core\.(ScanBank27|IdentifySteadyState|IdentifyBatchSteadyState|IdentifyCacheHit|IdentifyHeadHit|IdentifyWarmBootCached)|editdist\.DiscriminateRefSet|fingerprint\.CanonicalKey|gateway\.(HandlePacketSteadyState|PumpForward)|rf\.BankScan|sdn\.SwitchProcess10k/(internet|peer)|iotsentinel\.(ClassifySingle|TypeIdentification))$$
 
 bench-check:
 	$(GO) run ./cmd/benchreport -delta . -delta-gate '$(BENCH_GATE)'

@@ -366,7 +366,7 @@ func BenchmarkIdentifyBatch(b *testing.B) {
 	benchSetup(b)
 	restore := func(b *testing.B) {
 		b.Helper()
-		if err := benchID.SetWorkers(0); err != nil {
+		if err := benchID.ApplyRuntime(0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -382,7 +382,7 @@ func BenchmarkIdentifyBatch(b *testing.B) {
 	})
 	for _, w := range benchWorkerSweep() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			if err := benchID.SetWorkers(w); err != nil {
+			if err := benchID.ApplyRuntime(w, 0); err != nil {
 				b.Fatal(err)
 			}
 			defer restore(b)

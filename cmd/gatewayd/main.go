@@ -82,7 +82,7 @@ func run(args []string, out io.Writer) error {
 		capReaders    = fs.Int("capture-readers", 0, "capture reader goroutines feeding the data path (0 = GOMAXPROCS)")
 		captures      = fs.Int("captures", 20, "training captures per type for the in-process service")
 		seed          = fs.Int64("seed", 1, "random seed")
-		workers       = fs.Int("workers", 0, "goroutines for training and batch assessment (0 = GOMAXPROCS); one identification never fans out")
+		workers       = fs.Int("workers", 0, "goroutines for training (0 = GOMAXPROCS); one identification never fans out")
 		oneshot       = fs.Bool("oneshot", false, "exit after replay instead of serving the API")
 		assessTimeout = fs.Duration("assess-timeout", 10*time.Second, "per-attempt timeout for remote IoTSSP calls")
 		assessRetries = fs.Int("assess-retries", 3, "additional attempts after a failed remote IoTSSP call")
@@ -463,12 +463,9 @@ func replay(log *node.Log, gw *gateway.Gateway, dir string, readers int, cm *cap
 	// Captures that completed mid-replay are on the assess queues: let
 	// them land before sweeping up, and before counting, what is left.
 	gw.WaitAssessIdle()
-	// Any devices still monitoring saw their whole capture: drain the
-	// monitoring queue as one batch so the pending fingerprints
-	// pipeline through the classifier bank's worker pool.
-	if _, err := gw.FinishAllSetups(last.Add(time.Minute)); err != nil {
-		return drops, fmt.Errorf("replay finish: %w", err)
-	}
+	// Any devices still monitoring saw their whole capture: finish each
+	// one the way the expiry worker finishes an idle capture.
+	gw.FinishAllSetups(last.Add(time.Minute))
 	quarantined := gw.QuarantineLen()
 	log.Printf("replayed %d frames from %d captures; %d devices assessed, %d quarantined",
 		frames, src.Files(), len(gw.Devices())-quarantined, quarantined)

@@ -90,7 +90,7 @@ func run(args []string, out io.Writer) error {
 		}
 		// The worker bound is runtime state, not model state, so it is
 		// not serialized — rebind it for this process.
-		if err := id.SetWorkers(*workers); err != nil {
+		if err := id.ApplyRuntime(*workers, 0); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "loaded model with %d device-types from %s\n", id.NumTypes(), *loadFile)

@@ -204,23 +204,29 @@ func TestCachePurgedOnAddType(t *testing.T) {
 	}
 }
 
-// TestSetCachePurgesWarmCache pins the stale-answer guard: a cache that
-// already holds entries answered by some other bank must come up empty
-// when attached, or a bank swap could serve results the new bank would
-// never produce.
-func TestSetCachePurgesWarmCache(t *testing.T) {
+// TestRuntimeRebindDropsWarmCache pins the stale-answer guard: the two
+// ways a cache is attached after training — ApplyRuntime, and
+// AdoptRuntime from the bank being replaced — attach a fresh, empty one,
+// never a cache holding what some bank answered, which a bank swap could
+// serve as results the new bank would never produce.
+func TestRuntimeRebindDropsWarmCache(t *testing.T) {
 	cached, plain, probes := trainedPair(t, 1024)
 	cached.Identify(probes[0])
 	warm := cached.Cache()
 	if warm.Len() == 0 {
 		t.Fatal("cache empty after identification")
 	}
-	plain.SetCache(warm)
-	if n := warm.Len(); n != 0 {
-		t.Errorf("SetCache attached a warm cache with %d entries, want purge to 0", n)
+	if err := plain.AdoptRuntime(cached); err != nil {
+		t.Fatal(err)
 	}
-	if plain.Cache() != warm {
-		t.Error("SetCache did not attach the cache")
+	if c := plain.Cache(); c == nil || c == warm || c.Len() != 0 {
+		t.Errorf("AdoptRuntime attached cache %p (the warm one is %p), want a fresh, empty one", c, warm)
+	}
+	if err := cached.ApplyRuntime(0, 1024); err != nil {
+		t.Fatal(err)
+	}
+	if c := cached.Cache(); c == nil || c == warm || c.Len() != 0 {
+		t.Errorf("ApplyRuntime attached cache %p (the warm one is %p), want a fresh, empty one", c, warm)
 	}
 }
 

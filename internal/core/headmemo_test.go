@@ -94,8 +94,8 @@ func TestHeadMemoDifferential(t *testing.T) {
 // TestHeadMemoPurgedOnBankChange: an accept set memoized before the
 // bank changed is never served after. Each case memoizes the head of a
 // probe the old bank answers without the type about to be added, then
-// changes the bank (or moves the cache to a changed bank) and asks for
-// a fingerprint that shares only the head: the added type must be among
+// changes the bank (or puts a changed bank in its place) and asks for a
+// fingerprint that shares only the head: the added type must be among
 // its matches, as it is for a bank with no cache at all.
 func TestHeadMemoPurgedOnBankChange(t *testing.T) {
 	samples := parallelSamples()
@@ -161,13 +161,15 @@ func TestHeadMemoPurgedOnBankChange(t *testing.T) {
 		}
 		check(t, id)
 	})
-	t.Run("SetCache", func(t *testing.T) {
-		c := warm(t).Cache()
+	t.Run("AdoptRuntime", func(t *testing.T) {
 		grown, err := ref.Clone()
 		if err != nil {
 			t.Fatal(err)
 		}
-		grown.SetCache(c) // a warm cache moved to another bank
+		// The grown bank replaces the warm one, as a service's swap does.
+		if err := grown.AdoptRuntime(warm(t)); err != nil {
+			t.Fatal(err)
+		}
 		check(t, grown)
 	})
 	t.Run("ApplyRuntime", func(t *testing.T) {

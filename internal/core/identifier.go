@@ -277,21 +277,6 @@ func (id *Identifier) Workers() int {
 	return id.cfg.workers()
 }
 
-// SetWorkers rebinds the worker bound on a trained identifier (0 =
-// GOMAXPROCS, 1 = sequential). The bound is a runtime setting with no
-// effect on results, so it may be changed at any time — e.g. after
-// LoadIdentifier, which restores models but not the saving process's
-// fan-out.
-func (id *Identifier) SetWorkers(n int) error {
-	if n < 0 {
-		return fmt.Errorf("core: Workers must be >= 0, got %d", n)
-	}
-	id.mu.Lock()
-	defer id.mu.Unlock()
-	id.cfg.Workers = n
-	return nil
-}
-
 // AddType trains a classifier for a new device-type without touching
 // the existing classifiers — the incremental-learning property of the
 // one-classifier-per-type design. The bank is write-locked for the
@@ -319,19 +304,6 @@ func (id *Identifier) AddType(t TypeID, fps []fingerprint.Fingerprint) error {
 	// and bank indices moved).
 	id.cache.Purge()
 	return nil
-}
-
-// SetCache attaches (or, with nil, detaches) an identification cache.
-// Like SetWorkers it is a runtime rebinding with no effect on answers —
-// e.g. after LoadIdentifier, which restores models but not caches. A
-// cache is purged on attach: whatever it holds was computed by the bank
-// it was attached to before, and a warm cache carried across a bank
-// swap could serve results the new bank would never produce.
-func (id *Identifier) SetCache(c *IdentifyCache) {
-	c.Purge()
-	id.mu.Lock()
-	defer id.mu.Unlock()
-	id.cache = c
 }
 
 // ApplyRuntime re-binds the runtime-only configuration — the worker
@@ -431,7 +403,6 @@ func (id *Identifier) buildModel(t TypeID) (*typeModel, error) {
 	}
 	fcfg := id.cfg.Forest
 	fcfg.Seed = rng.Int63()
-	fcfg.Workers = 1 // the bank parallelizes across types, not trees
 	forest, err := rf.Train(x, y, fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: train classifier for %q: %w", t, err)

@@ -9,11 +9,13 @@ import (
 )
 
 // Differential oracle for the zero-allocation identification hot path:
-// the retired pipeline — exhaustive SoftProba acceptance and exhaustive
-// DistanceSum discrimination with full per-candidate score maps — lives
-// on here, and the production path (AcceptSoft early exit, F′ derived
-// from F, budgeted sequential discrimination) is checked against it
-// on every probe class the pipeline distinguishes.
+// the retired pipeline — a forest walk per type (AcceptSoft, which
+// decides exactly as the exhaustive soft-probability comparison it
+// replaced) and exhaustive DistanceSum discrimination with full
+// per-candidate score maps — lives on here, and the production path (the
+// compiled bank scan, F′ derived from F, budgeted sequential
+// discrimination) is checked against it on every probe class the
+// pipeline distinguishes.
 
 // refIdentify is the retired Identify, verbatim up to the removed
 // fan-out plumbing (the parallel and sequential paths were already
@@ -25,7 +27,7 @@ func refIdentify(id *Identifier, fp fingerprint.Fingerprint) Result {
 	var matches []TypeID
 	for _, t := range id.types {
 		m := id.models[t]
-		if m.forest.SoftProba(fp.FPrime[:])[1] >= id.cfg.AcceptThreshold {
+		if m.forest.AcceptSoft(fp.FPrime[:], 1, id.cfg.AcceptThreshold) {
 			matches = append(matches, t)
 		}
 	}

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -10,11 +9,10 @@ import (
 	"iotsentinel/internal/devices"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/iotssp"
-	"iotsentinel/internal/sdn"
 )
 
-// TestFinishAllSetups drains several still-monitoring devices as one
-// batch and checks each gets the same assessment a per-device
+// TestFinishAllSetups drains several still-monitoring devices in one
+// sweep and checks each gets the same assessment a per-device
 // FinishSetup would have produced.
 func TestFinishAllSetups(t *testing.T) {
 	var assessed []DeviceInfo
@@ -44,11 +42,7 @@ func TestFinishAllSetups(t *testing.T) {
 		}
 	}
 
-	n, err := g.FinishAllSetups(last.Add(time.Minute))
-	if err != nil {
-		t.Fatalf("FinishAllSetups: %v", err)
-	}
-	if n != len(types) {
+	if n := g.FinishAllSetups(last.Add(time.Minute)); n != len(types) {
 		t.Fatalf("assessed %d devices, want %d", n, len(types))
 	}
 	if len(assessed) != len(types) {
@@ -67,28 +61,24 @@ func TestFinishAllSetups(t *testing.T) {
 		}
 	}
 
-	// Draining an empty queue is a no-op, not an error.
-	n, err = g.FinishAllSetups(last.Add(2 * time.Minute))
-	if err != nil || n != 0 {
-		t.Errorf("empty drain: n=%d err=%v", n, err)
+	// Draining an empty queue is a no-op.
+	if n := g.FinishAllSetups(last.Add(2 * time.Minute)); n != 0 {
+		t.Errorf("empty drain finished %d captures", n)
 	}
 }
 
-// assessOnly hides the BatchAssessor capability of the wrapped service,
-// forcing the gateway onto its per-fingerprint fallback.
+// assessOnly exposes nothing of the wrapped service but Assess, the
+// way a remote client does.
 type assessOnly struct{ inner iotssp.Assessor }
 
 func (a assessOnly) Assess(fp fingerprint.Fingerprint) (iotssp.Assessment, error) {
 	return a.inner.Assess(fp)
 }
 
-// TestFinishAllSetupsFallback exercises the per-fingerprint fallback
-// for assessors without the batch capability (e.g. the HTTP client).
+// TestFinishAllSetupsFallback drains a capture through an assessor that
+// offers only Assess (e.g. the HTTP client) and checks it is identified.
 func TestFinishAllSetupsFallback(t *testing.T) {
-	cache := sdn.NewRuleCache()
-	ctrl := sdn.NewController(cache, netip.Prefix{})
-	sw := sdn.NewSwitch(ctrl, time.Minute)
-	g := New(assessOnly{trainService(t)}, sw, Config{IdleGap: time.Minute})
+	g := newGatewayWithAssessor(assessOnly{trainService(t)}, Config{IdleGap: time.Minute})
 
 	p, err := devices.ProfileByID("HueBridge")
 	if err != nil {
@@ -97,11 +87,7 @@ func TestFinishAllSetupsFallback(t *testing.T) {
 	cap := devices.GenerateCaptures(p, 1, 77)[0]
 	playCapture(t, g, cap)
 
-	n, err := g.FinishAllSetups(cap.Times[len(cap.Times)-1].Add(time.Minute))
-	if err != nil {
-		t.Fatalf("FinishAllSetups: %v", err)
-	}
-	if n != 1 {
+	if n := g.FinishAllSetups(cap.Times[len(cap.Times)-1].Add(time.Minute)); n != 1 {
 		t.Fatalf("assessed %d devices, want 1", n)
 	}
 	if info, _ := g.Device(cap.MAC); info.Type != "HueBridge" {
@@ -111,7 +97,7 @@ func TestFinishAllSetupsFallback(t *testing.T) {
 
 // TestGatewayConcurrentTraffic hammers the gateway data path from many
 // goroutines while devices onboard, then drains the monitoring queue
-// as a batch; run with -race to validate the gateway's locking against
+// in one sweep; run with -race to validate the gateway's locking against
 // the identifier's concurrent bank access.
 func TestGatewayConcurrentTraffic(t *testing.T) {
 	g := newGateway(t, Config{IdleGap: time.Minute})
@@ -135,9 +121,7 @@ func TestGatewayConcurrentTraffic(t *testing.T) {
 		}(cap)
 	}
 	wg.Wait()
-	if _, err := g.FinishAllSetups(time.Unix(1e6, 0)); err != nil {
-		t.Fatalf("FinishAllSetups: %v", err)
-	}
+	g.FinishAllSetups(time.Unix(1e6, 0))
 	for _, d := range g.Devices() {
 		if d.State != StateAssessed {
 			t.Errorf("device %v still %v after drain", d.MAC, d.State)

@@ -105,12 +105,8 @@ func TestShardedDifferentialIdentical(t *testing.T) {
 		}
 	}
 	end := stream[len(stream)-1].ts.Add(time.Minute)
-	if _, err := single.FinishAllSetups(end); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sharded.FinishAllSetups(end); err != nil {
-		t.Fatal(err)
-	}
+	single.FinishAllSetups(end)
+	sharded.FinishAllSetups(end)
 
 	d1, d2 := single.Devices(), sharded.Devices()
 	if !reflect.DeepEqual(d1, d2) {
@@ -149,12 +145,8 @@ func TestAsyncQueueDifferentialIdentical(t *testing.T) {
 	}
 	async.WaitAssessIdle()
 	end := stream[len(stream)-1].ts.Add(time.Minute)
-	if _, err := sync.FinishAllSetups(end); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := async.FinishAllSetups(end); err != nil {
-		t.Fatal(err)
-	}
+	sync.FinishAllSetups(end)
+	async.FinishAllSetups(end)
 	async.WaitAssessIdle()
 
 	d1, d2 := sync.Devices(), async.Devices()
@@ -187,12 +179,8 @@ func TestCachedServiceDifferentialIdentical(t *testing.T) {
 		}
 	}
 	end := stream[len(stream)-1].ts.Add(time.Minute)
-	if _, err := plain.FinishAllSetups(end); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cached.FinishAllSetups(end); err != nil {
-		t.Fatal(err)
-	}
+	plain.FinishAllSetups(end)
+	cached.FinishAllSetups(end)
 	if !reflect.DeepEqual(plain.Devices(), cached.Devices()) {
 		t.Fatal("device states diverge between cached and uncached service")
 	}

@@ -269,10 +269,10 @@ func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Pa
 		return g.sw.Process(pk, ts), nil
 	}
 	// Monitoring. The capture can be gone while the state is still
-	// monitoring: a concurrent FinishSetup/FinishAllSetups/
-	// FinalizeIdleCaptures claimed it (or the assessment queue holds
-	// it) and the result has not been applied yet. Skip observation
-	// instead of nil-dereferencing the capture.
+	// monitoring: a concurrent FinishSetup or capture sweep claimed it
+	// (or the assessment queue holds it) and the result has not been
+	// applied yet. Skip observation instead of nil-dereferencing the
+	// capture.
 	var finished *fingerprint.SetupCapture
 	if cap := s.captures[pk.SrcMAC]; cap != nil {
 		if done := cap.Observe(ts, pk); done {
@@ -343,83 +343,47 @@ func (g *Gateway) FinishSetup(mac packet.MAC, now time.Time) error {
 }
 
 // FinishAllSetups force-completes the setup phase of every device still
-// being monitored and assesses them as one batch: when the service
-// supports iotssp.BatchAssessor the pending fingerprints are pipelined
-// through the identifier's worker pool instead of being scored one by
-// one. Devices are processed in MAC order regardless of which shard
-// holds them; the count of assessed devices is returned. It is the bulk
-// analogue of FinishSetup — use it when draining the monitoring queue
-// (replay end, shutdown, operator "finish all").
-func (g *Gateway) FinishAllSetups(now time.Time) (int, error) {
-	var macs []packet.MAC
-	byMAC := make(map[packet.MAC]fingerprint.Fingerprint)
+// being monitored, in MAC order whichever shard holds it, and assesses
+// each (or quarantines it, if the service fails). It returns the number
+// of captures finished. It is the bulk analogue of FinishSetup — use it
+// when draining the monitoring queue (replay end, shutdown, operator
+// "finish all").
+func (g *Gateway) FinishAllSetups(now time.Time) int {
+	return g.finishCaptures(now, triggerForced, func(*fingerprint.SetupCapture) bool { return true })
+}
+
+// FinalizeIdleCaptures completes the setup phase of monitored devices
+// whose capture has been idle past its IdleGap. Completion is normally
+// detected on the device's *next* packet; a device that sends a few
+// packets and goes silent would otherwise pin its capture forever, so
+// the expiry worker sweeps these. Returns the number of devices
+// finalized (each is assessed, or quarantined if the service is down).
+func (g *Gateway) FinalizeIdleCaptures(now time.Time) int {
+	return g.finishCaptures(now, triggerIdle, func(cap *fingerprint.SetupCapture) bool {
+		return cap.Len() > 0 && now.Sub(cap.LastSeen()) >= cap.IdleGap
+	})
+}
+
+// finishCaptures claims every capture done selects, one shard at a time,
+// and assesses them in MAC order. It returns how many it claimed.
+func (g *Gateway) finishCaptures(now time.Time, trigger captureTrigger, done func(*fingerprint.SetupCapture) bool) int {
+	var jobs []assessJob
 	for _, s := range g.shards {
 		s.mu.Lock()
 		for mac, cap := range s.captures {
-			macs = append(macs, mac)
-			byMAC[mac] = cap.Fingerprint()
-			delete(s.captures, mac)
-			g.cfg.Metrics.captureCompleted(triggerForced)
+			if done(cap) {
+				jobs = append(jobs, assessJob{mac: mac, cap: cap, ts: now})
+				delete(s.captures, mac)
+				g.cfg.Metrics.captureCompleted(trigger)
+			}
 		}
 		s.mu.Unlock()
 	}
-	slices.SortFunc(macs, packet.MAC.Compare)
-	if len(macs) == 0 {
-		return 0, nil
+	slices.SortFunc(jobs, func(a, b assessJob) int { return a.mac.Compare(b.mac) })
+	for _, job := range jobs {
+		job.assess(g)
 	}
-	fps := make([]fingerprint.Fingerprint, len(macs))
-	for i, mac := range macs {
-		fps[i] = byMAC[mac]
-	}
-	assessments, err := assessAll(g.assessor, fps)
-	if err == nil {
-		for i, a := range assessments {
-			g.apply(macs[i], a, &fps[i], now)
-		}
-		return len(macs), nil
-	}
-	// Degraded path: the batch failed, so fall back to per-fingerprint
-	// calls, quarantining each failure individually — a flaky service
-	// loses some assessments to the retry queue, not the whole batch.
-	assessed := 0
-	for i, mac := range macs {
-		a, aerr := g.assessor.Assess(fps[i])
-		if aerr != nil {
-			g.quarantineDevice(mac, &fps[i], now, aerr)
-			continue
-		}
-		g.apply(mac, a, &fps[i], now)
-		assessed++
-	}
-	return assessed, nil
-}
-
-// assessAll uses the service's batch capability when it has one and
-// falls back to per-fingerprint calls (e.g. the remote HTTP client).
-func assessAll(assessor iotssp.Assessor, fps []fingerprint.Fingerprint) ([]iotssp.Assessment, error) {
-	if b, ok := assessor.(iotssp.BatchAssessor); ok {
-		return b.AssessBatch(fps)
-	}
-	out := make([]iotssp.Assessment, len(fps))
-	for i, fp := range fps {
-		a, err := assessor.Assess(fp)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = a
-	}
-	return out, nil
-}
-
-// assess queries the IoTSSP and installs the enforcement rule; on
-// failure the device is quarantined fail-closed instead.
-func (g *Gateway) assess(mac packet.MAC, fp *fingerprint.Fingerprint, now time.Time) {
-	a, err := g.assessor.Assess(*fp)
-	if err != nil {
-		g.quarantineDevice(mac, fp, now, err)
-		return
-	}
-	g.apply(mac, a, fp, now)
+	return len(jobs)
 }
 
 // quarantineDevice isolates a device whose assessment failed: a strict
@@ -549,32 +513,6 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 		promoted++
 	}
 	return promoted, nil
-}
-
-// FinalizeIdleCaptures completes the setup phase of monitored devices
-// whose capture has been idle past its IdleGap. Completion is normally
-// detected on the device's *next* packet; a device that sends a few
-// packets and goes silent would otherwise pin its capture forever, so
-// the expiry worker sweeps these. Returns the number of devices
-// finalized (each is assessed, or quarantined if the service is down).
-func (g *Gateway) FinalizeIdleCaptures(now time.Time) int {
-	var jobs []assessJob
-	for _, s := range g.shards {
-		s.mu.Lock()
-		for mac, cap := range s.captures {
-			if cap.Len() > 0 && now.Sub(cap.LastSeen()) >= cap.IdleGap {
-				jobs = append(jobs, assessJob{mac: mac, cap: cap, ts: now})
-				delete(s.captures, mac)
-				g.cfg.Metrics.captureCompleted(triggerIdle)
-			}
-		}
-		s.mu.Unlock()
-	}
-	slices.SortFunc(jobs, func(a, b assessJob) int { return a.mac.Compare(b.mac) })
-	for _, job := range jobs {
-		job.assess(g)
-	}
-	return len(jobs)
 }
 
 // apply installs the enforcement rule for one assessment and fires the

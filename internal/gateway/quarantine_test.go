@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,37 +198,41 @@ func TestHandlePacketSurvivesMissingCapture(t *testing.T) {
 	}
 }
 
+// TestFinishAllSetupsQuarantinesFailures: the sweep assesses device by
+// device in MAC order, so a service that fails some of the calls
+// quarantines exactly those devices, at strict, and assesses the rest as
+// their types; the count is every capture finished.
 func TestFinishAllSetupsQuarantinesFailures(t *testing.T) {
-	flaky := &flakyAssessor{failures: 1000}
-	g := newGatewayWithAssessor(flaky, Config{IdleGap: time.Hour})
-	base := time.Unix(100, 0)
-	macs := []packet.MAC{{0x02, 0, 0, 0, 0, 1}, {0x02, 0, 0, 0, 0, 2}}
-	for _, mac := range macs {
-		pk := packet.NewARP(mac, netip.MustParseAddr("192.168.1.9"),
-			netip.MustParseAddr("192.168.1.1"))
-		if _, err := g.HandlePacket(base, pk); err != nil {
-			t.Fatal(err)
+	g := newGatewayWithAssessor(&everyNthFails{inner: trainService(t), n: 2}, Config{IdleGap: time.Hour})
+	types := make(map[packet.MAC]string)
+	var macs []packet.MAC
+	var last time.Time
+	for i, typ := range []string{"HueBridge", "Aria", "EdnetCam", "iKettle2"} {
+		cap := devices.GenerateCaptures(mustProfile(t, typ), 1, int64(60+i))[0]
+		playCapture(t, g, cap)
+		types[cap.MAC] = typ
+		macs = append(macs, cap.MAC)
+		if end := cap.Times[len(cap.Times)-1]; end.After(last) {
+			last = end
 		}
 	}
-	n, err := g.FinishAllSetups(base.Add(time.Minute))
-	if err != nil {
-		t.Fatalf("FinishAllSetups must degrade, not fail: %v", err)
+	slices.SortFunc(macs, packet.MAC.Compare)
+	if n := g.FinishAllSetups(last.Add(time.Minute)); n != len(macs) {
+		t.Errorf("finished %d captures, want %d", n, len(macs))
 	}
-	if n != 0 {
-		t.Errorf("assessed = %d, want 0", n)
-	}
-	if g.QuarantineLen() != 2 {
-		t.Errorf("queue len = %d, want 2", g.QuarantineLen())
-	}
-	for _, mac := range macs {
-		info, ok := g.Device(mac)
-		if !ok || info.State != StateQuarantined {
-			t.Errorf("device %v = %+v, ok=%v", mac, info, ok)
-		}
+	for i, mac := range macs {
+		info, _ := g.Device(mac)
 		rule, ok := g.Switch().Controller().Rules().Get(mac)
-		if !ok || rule.Level != sdn.Strict {
-			t.Errorf("rule for %v = %+v, ok=%v", mac, rule, ok)
+		if i%2 == 1 { // every second call fails
+			if info.State != StateQuarantined || !ok || rule.Level != sdn.Strict {
+				t.Errorf("device %v = %+v, rule %+v (ok=%v); want quarantined at strict", mac, info, rule, ok)
+			}
+		} else if info.State != StateAssessed || string(info.Type) != types[mac] || !ok {
+			t.Errorf("device %v = %+v, rule ok=%v; want assessed as %s", mac, info, ok, types[mac])
 		}
+	}
+	if n := g.QuarantineLen(); n != len(macs)/2 {
+		t.Errorf("queue len = %d, want %d", n, len(macs)/2)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // strictly after any shard lock.
 //
 // Lock order: shard.mu → Gateway.qmu. A thread never holds two shard
-// locks at once; sweeps (FinishAllSetups, Devices, …) lock shards one
+// locks at once; sweeps (finishCaptures, Devices, …) lock shards one
 // at a time and merge in MAC order so their results stay deterministic
 // regardless of the shard count.
 
@@ -101,10 +101,11 @@ func (g *Gateway) shardOf(mac packet.MAC) *shard {
 // worker re-submits it once the backlog clears.
 var ErrAssessBacklog = errors.New("gateway: assessment queue backlog, fingerprint parked for retry")
 
-// assessJob is one finished setup capture awaiting identification. It
-// carries the capture, not the 2.2 KB fingerprint: the queues hold
-// pointers, and the drain worker builds the fingerprint off the packet
-// path.
+// assessJob is one finished setup capture awaiting identification, and
+// every capture finishes as one: completed by a packet (HandlePacket),
+// forced (FinishSetup) or swept (finishCaptures). It carries the capture,
+// not the 2.2 KB fingerprint: the queues hold pointers, and the drain
+// worker builds the fingerprint off the packet path.
 type assessJob struct {
 	mac    packet.MAC
 	cap    *fingerprint.SetupCapture
@@ -112,9 +113,16 @@ type assessJob struct {
 	queued time.Time // Metrics.queueClock at enqueue
 }
 
+// assess queries the IoTSSP and installs the enforcement rule; on
+// failure the device is quarantined fail-closed instead.
 func (j assessJob) assess(g *Gateway) {
 	fp := j.cap.Fingerprint()
-	g.assess(j.mac, &fp, j.ts)
+	a, err := g.assessor.Assess(fp)
+	if err != nil {
+		g.quarantineDevice(j.mac, &fp, j.ts, err)
+		return
+	}
+	g.apply(j.mac, a, &fp, j.ts)
 }
 
 func (j assessJob) park(g *Gateway) {

@@ -43,15 +43,6 @@ type Assessor interface {
 	Assess(fp fingerprint.Fingerprint) (Assessment, error)
 }
 
-// BatchAssessor is the optional bulk capability: assess many pending
-// fingerprints in one call so the identifier can pipeline them across
-// its worker pool. Results are returned in input order. Gateways probe
-// for it with a type assertion and fall back to per-fingerprint Assess
-// (the HTTP client, for instance, stays sequential on the wire).
-type BatchAssessor interface {
-	AssessBatch(fps []fingerprint.Fingerprint) ([]Assessment, error)
-}
-
 // Service is the in-process IoT Security Service.
 type Service struct {
 	mu        sync.RWMutex
@@ -69,10 +60,7 @@ type Service struct {
 	results sync.Pool
 }
 
-var (
-	_ Assessor      = (*Service)(nil)
-	_ BatchAssessor = (*Service)(nil)
-)
+var _ Assessor = (*Service)(nil)
 
 // New assembles a service from a trained identifier and a vulnerability
 // database.

@@ -64,7 +64,7 @@ func bankTestForests(t testing.TB) []*Forest {
 	hand := loadTrees(t, breadthFirstTree, singleLeafTree, emptyLeafTree)
 	out := []*Forest{hand}
 	for _, n := range []int{1, 2, 25, 40} {
-		f, err := Train(x, y, Config{Trees: n, Seed: int64(n), Workers: 1})
+		f, err := Train(x, y, Config{Trees: n, Seed: int64(n)})
 		if err != nil {
 			t.Fatalf("Train(%d trees): %v", n, err)
 		}
@@ -254,7 +254,7 @@ func BenchmarkBankScan(b *testing.B) {
 	x, y := twoBlobs(80, 4, 11)
 	forests := make([]*Forest, 27)
 	for i := range forests {
-		f, err := Train(x, y, Config{Trees: 25, Seed: int64(5 + i), Workers: 1})
+		f, err := Train(x, y, Config{Trees: 25, Seed: int64(5 + i)})
 		if err != nil {
 			b.Fatalf("Train: %v", err)
 		}

@@ -9,8 +9,9 @@ import (
 // FuzzLoad feeds arbitrary bytes through the forest deserializer. The
 // model file is the one input the classifier bank takes from disk, so
 // Load must be total: reject or accept, never panic — and anything it
-// accepts must classify without panicking or producing non-finite
-// probabilities, and must compile into a Bank that decides as it does.
+// accepts within the probe width must do what production does with a
+// loaded file: compile into a Bank, at every class, whose scan decides as
+// AcceptSoft does.
 func FuzzLoad(f *testing.F) {
 	// Seed with a real trained forest so the fuzzer starts from valid
 	// wire bytes and mutates inward.
@@ -52,36 +53,20 @@ func FuzzLoad(f *testing.F) {
 		}
 		// ...and must compile, the compiled scan deciding as AcceptSoft.
 		forests := []*Forest{forest}
-		bank, err := CompileBank(forests, 1, 0.5, width)
-		if err != nil {
-			t.Fatalf("CompileBank on an accepted model: %v", err)
+		probes := [][]float64{make([]float64, width), make([]float64, width)}
+		for i := range probes[1] {
+			probes[1][i] = math.MaxFloat64
 		}
-		for _, probe := range [][]float64{
-			make([]float64, width),
-			func() []float64 {
-				v := make([]float64, width)
-				for i := range v {
-					v[i] = math.MaxFloat64
+		for class := 0; class < forest.nClasses; class++ {
+			for _, thr := range []float64{0.5, 0.9} {
+				bank, err := CompileBank(forests, class, thr, width)
+				if err != nil {
+					t.Fatalf("CompileBank(class %d) on an accepted model: %v", class, err)
 				}
-				return v
-			}(),
-		} {
-			probs := forest.SoftProba(probe)
-			if len(probs) != forest.NumClasses() {
-				t.Fatalf("SoftProba returned %d classes, forest has %d", len(probs), forest.NumClasses())
-			}
-			sum := 0.0
-			for _, p := range probs {
-				if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
-					t.Fatalf("non-finite or negative probability %v from accepted model", probs)
+				for _, probe := range probes {
+					checkBankScan(t, forests, bank, probe, class, thr, nil)
 				}
-				sum += p
 			}
-			if sum > 1+1e-9 {
-				t.Fatalf("probabilities sum to %v", sum)
-			}
-			forest.Predict(probe)
-			checkBankScan(t, forests, bank, probe, 1, 0.5, nil)
 		}
 	})
 }

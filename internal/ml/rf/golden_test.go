@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,9 +17,11 @@ import (
 // testdata/golden_forest_pred.json records that implementation's
 // Predict / Proba / SoftProba outputs on a fixed probe set. Any change
 // to the inference engine or the wire format must keep (a) the golden
-// file loadable, (b) every prediction bit-identical, and (c) Save
-// reproducing the golden bytes exactly — which is what keeps on-disk
-// models from the PR 5 model store loadable across the flat-layout
+// file loadable, (b) every prediction bit-identical — read through the
+// test-local walkers (oracle_test.go) and, for the soft probability,
+// decided on by AcceptSoft and a compiled Bank at every class — and
+// (c) Save reproducing the golden bytes exactly, which is what keeps
+// on-disk models from the model store loadable across the flat-layout
 // rewrite.
 
 var updateGolden = flag.Bool("update-golden", false, "regenerate rf golden model fixtures")
@@ -64,7 +67,7 @@ func goldenDataset() (x [][]float64, y []int, probes [][]float64) {
 func goldenForest(t testing.TB) *Forest {
 	t.Helper()
 	x, y, _ := goldenDataset()
-	f, err := Train(x, y, Config{Trees: 15, MaxDepth: 12, Seed: 99, Workers: 1})
+	f, err := Train(x, y, Config{Trees: 15, MaxDepth: 12, Seed: 99})
 	if err != nil {
 		t.Fatalf("train golden forest: %v", err)
 	}
@@ -97,12 +100,26 @@ func TestGoldenForestRoundTrip(t *testing.T) {
 	if len(want.Predict) != len(probes) {
 		t.Fatalf("golden fixture has %d predictions, want %d", len(want.Predict), len(probes))
 	}
+	forests := []*Forest{f}
 	for i, probe := range probes {
-		if got := f.Predict(probe); got != want.Predict[i] {
+		if got := walkPredict(f, probe); got != want.Predict[i] {
 			t.Errorf("probe %d: Predict = %d, golden %d", i, got, want.Predict[i])
 		}
-		checkFloats(t, fmt.Sprintf("probe %d Proba", i), f.Proba(probe), want.Proba[i])
-		checkFloats(t, fmt.Sprintf("probe %d SoftProba", i), f.SoftProba(probe), want.SoftProba[i])
+		checkFloats(t, fmt.Sprintf("probe %d Proba", i), walkProba(f, probe), want.Proba[i])
+		checkFloats(t, fmt.Sprintf("probe %d SoftProba", i), walkSoftProba(f, probe), want.SoftProba[i])
+		// Accepted at the golden probability, rejected one ulp above it.
+		for class, p := range want.SoftProba[i] {
+			for _, thr := range []float64{p, math.Nextafter(p, 2)} {
+				if got := f.AcceptSoft(probe, class, thr); got != (p >= thr) {
+					t.Errorf("probe %d class %d thr %v: AcceptSoft = %v, golden probability %v", i, class, thr, got, p)
+				}
+				b, err := CompileBank(forests, class, thr, len(probe))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkBankScan(t, forests, b, probe, class, thr, nil)
+			}
+		}
 	}
 
 	// Save must reproduce the pre-flattening wire bytes exactly, so a
@@ -148,9 +165,9 @@ func writeGolden(t *testing.T) {
 	_, _, probes := goldenDataset()
 	var preds goldenPredictions
 	for _, probe := range probes {
-		preds.Predict = append(preds.Predict, f.Predict(probe))
-		preds.Proba = append(preds.Proba, f.Proba(probe))
-		preds.SoftProba = append(preds.SoftProba, f.SoftProba(probe))
+		preds.Predict = append(preds.Predict, walkPredict(f, probe))
+		preds.Proba = append(preds.Proba, walkProba(f, probe))
+		preds.SoftProba = append(preds.SoftProba, walkSoftProba(f, probe))
 	}
 	if err := os.MkdirAll(filepath.Dir(goldenForestFile), 0o755); err != nil {
 		t.Fatal(err)

@@ -8,8 +8,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"iotsentinel/internal/testutil"
 )
 
 // Differential oracles for the flat-array inference engine: the
@@ -18,6 +16,90 @@ import (
 // path is checked bit-for-bit against it. The wire format doubles as
 // the interface between the two implementations, so these tests also
 // pin that Save still emits everything the old engine needed.
+
+// The walk-and-vote predictor, over the flat arrays production keeps
+// (leafIndex, leafCounts, leafProbs): what the golden fixture recorded
+// and what the accuracy tests score. Production asks only AcceptSoft's
+// question, through a Bank.
+
+// leafMajority is the class with the most samples in x's leaf, the
+// lowest on a tie.
+func leafMajority(t *Tree, x []float64) int {
+	n := &t.nodes[t.leafIndex(x)]
+	best, bestCount := 0, int32(-1)
+	for c, cnt := range t.leafCounts[n.countsOff : int(n.countsOff)+t.nClasses] {
+		if cnt > bestCount {
+			best, bestCount = c, cnt
+		}
+	}
+	return best
+}
+
+// walkProba is each class's share of the trees' leaf majorities.
+func walkProba(f *Forest, x []float64) []float64 {
+	out := make([]float64, f.nClasses)
+	for _, t := range f.trees {
+		out[leafMajority(t, x)]++
+	}
+	for c := range out {
+		out[c] /= float64(len(f.trees))
+	}
+	return out
+}
+
+// walkPredict is the majority vote, the lowest class on a tie.
+func walkPredict(f *Forest, x []float64) int {
+	best, bestP := 0, -1.0
+	for c, p := range walkProba(f, x) {
+		if p > bestP {
+			best, bestP = c, p
+		}
+	}
+	return best
+}
+
+// walkSoftProba averages each tree's leaf class fractions, in tree
+// order: the value AcceptSoft compares with its threshold.
+func walkSoftProba(f *Forest, x []float64) []float64 {
+	out := make([]float64, f.nClasses)
+	for _, t := range f.trees {
+		n := &t.nodes[t.leafIndex(x)]
+		if n.total == 0 {
+			continue
+		}
+		for c, p := range t.leafProbs[n.countsOff : int(n.countsOff)+t.nClasses] {
+			out[c] += p
+		}
+	}
+	for c := range out {
+		out[c] /= float64(len(f.trees))
+	}
+	return out
+}
+
+// depth is a tree's depth (a single leaf has depth 0). Both children sit
+// after their parent, so one reverse pass computes every node's subtree
+// depth before its parent reads it.
+func depth(t *Tree) int {
+	depths := make([]int, len(t.nodes))
+	for i := len(t.nodes) - 1; i >= 0; i-- {
+		if n := &t.nodes[i]; n.feature >= 0 {
+			depths[i] = max(depths[n.left], depths[n.right]) + 1
+		}
+	}
+	return depths[0]
+}
+
+// trainTree grows one tree on every row of x, trying every feature at
+// each split.
+func trainTree(x [][]float64, y []int, nClasses, maxDepth int, seed int64) *Tree {
+	idx := make([]int, len(x))
+	for i := range idx {
+		idx[i] = i
+	}
+	p := treeParams{maxDepth: maxDepth, minLeaf: 1, maxFeatures: len(x[0]), nClasses: nClasses}
+	return flatten(newGrower(x, y, p).growTree(idx, rand.New(rand.NewSource(seed))), nClasses)
+}
 
 // refNode mirrors the retired pointer-chased treeNode.
 type refNode struct {
@@ -206,9 +288,9 @@ func oracleForests(t *testing.T) []*Forest {
 	t.Helper()
 	var out []*Forest
 	for _, cfg := range []Config{
-		{Trees: 7, MaxDepth: 6, Seed: 3, Workers: 1},
-		{Trees: 25, Seed: 44, Workers: 1},
-		{Trees: 3, MaxDepth: 2, MinLeaf: 5, Seed: 7, Workers: 1},
+		{Trees: 7, MaxDepth: 6, Seed: 3},
+		{Trees: 25, Seed: 44},
+		{Trees: 3, MaxDepth: 2, MinLeaf: 5, Seed: 7},
 	} {
 		x, y := twoBlobs(60, 3, cfg.Seed)
 		f, err := Train(x, y, cfg)
@@ -233,11 +315,11 @@ func TestFlatEngineMatchesPointerOracle(t *testing.T) {
 	for fi, f := range oracleForests(t) {
 		ref := refForestOf(t, f)
 		for pi, x := range oracleProbes(200, int64(100+fi)) {
-			if got, want := f.Predict(x), ref.predict(x); got != want {
-				t.Fatalf("forest %d probe %d: Predict = %d, oracle %d", fi, pi, got, want)
+			if got, want := walkPredict(f, x), ref.predict(x); got != want {
+				t.Fatalf("forest %d probe %d: predict = %d, oracle %d", fi, pi, got, want)
 			}
-			checkFloats(t, "Proba", f.Proba(x), ref.proba(x))
-			checkFloats(t, "SoftProba", f.SoftProba(x), ref.softProba(x))
+			checkFloats(t, "proba", walkProba(f, x), ref.proba(x))
+			checkFloats(t, "soft proba", walkSoftProba(f, x), ref.softProba(x))
 		}
 	}
 }
@@ -246,8 +328,8 @@ func TestDepthMatchesOracle(t *testing.T) {
 	for fi, f := range oracleForests(t) {
 		ref := refForestOf(t, f)
 		for ti, tree := range f.trees {
-			if got, want := tree.Depth(), refDepth(ref.trees[ti].root); got != want {
-				t.Errorf("forest %d tree %d: Depth = %d, oracle %d", fi, ti, got, want)
+			if got, want := depth(tree), refDepth(ref.trees[ti].root); got != want {
+				t.Errorf("forest %d tree %d: depth = %d, oracle %d", fi, ti, got, want)
 			}
 		}
 	}
@@ -267,15 +349,16 @@ func TestFeatureImportanceMatchesOracle(t *testing.T) {
 }
 
 // TestAcceptSoftMatchesSoftProba stresses the early-exit acceptance
-// against the exact decision, including thresholds placed exactly on
-// and one ulp around observed probabilities, where an unsound bound
-// would flip the outcome.
+// against the exact decision on the pointer oracle's soft probability,
+// including thresholds placed exactly on and one ulp around it, where an
+// unsound bound would flip the outcome.
 func TestAcceptSoftMatchesSoftProba(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for fi, f := range oracleForests(t) {
+		ref := refForestOf(t, f)
 		for _, x := range oracleProbes(100, int64(500+fi)) {
-			probs := f.SoftProba(x)
-			for class := 0; class < f.NumClasses(); class++ {
+			probs := ref.softProba(x)
+			for class := 0; class < f.nClasses; class++ {
 				p := probs[class]
 				thrs := []float64{
 					p, math.Nextafter(p, 2), math.Nextafter(p, -1),
@@ -293,42 +376,9 @@ func TestAcceptSoftMatchesSoftProba(t *testing.T) {
 	}
 }
 
-func TestPredictionPathsZeroAlloc(t *testing.T) {
-	x, y := twoBlobs(80, 4, 11)
-	f, err := Train(x, y, Config{Trees: 25, Seed: 5, Workers: 1})
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	probe := []float64{1.5, 2.5}
-	batch := oracleProbes(64, 77)
-	out := make([]int, len(batch))
-	probs := make([]float64, f.NumClasses())
-
-	testutil.AssertZeroAllocs(t, "Predict", func() { f.Predict(probe) })
-	testutil.AssertZeroAllocs(t, "ProbaInto", func() { f.ProbaInto(probe, probs) })
-	testutil.AssertZeroAllocs(t, "SoftProbaInto", func() { f.SoftProbaInto(probe, probs) })
-	testutil.AssertZeroAllocs(t, "AcceptSoft", func() { f.AcceptSoft(probe, 1, 0.5) })
-	testutil.AssertZeroAllocs(t, "PredictBatchInto", func() { f.PredictBatchInto(batch, out) })
-}
-
-func BenchmarkPredictBatchInto(b *testing.B) {
-	x, y := twoBlobs(80, 4, 11)
-	f, err := Train(x, y, Config{Trees: 25, Seed: 5, Workers: 1})
-	if err != nil {
-		b.Fatalf("Train: %v", err)
-	}
-	batch := oracleProbes(64, 77)
-	out := make([]int, len(batch))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.PredictBatchInto(batch, out)
-	}
-}
-
 func BenchmarkAcceptSoft(b *testing.B) {
 	x, y := twoBlobs(80, 4, 11)
-	f, err := Train(x, y, Config{Trees: 25, Seed: 5, Workers: 1})
+	f, err := Train(x, y, Config{Trees: 25, Seed: 5})
 	if err != nil {
 		b.Fatalf("Train: %v", err)
 	}

@@ -1,6 +1,7 @@
 package rf
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"strings"
@@ -30,7 +31,7 @@ func TestForestSeparableData(t *testing.T) {
 	}
 	errs := 0
 	for i := range x {
-		if f.Predict(x[i]) != y[i] {
+		if walkPredict(f, x[i]) != y[i] {
 			errs++
 		}
 	}
@@ -48,7 +49,7 @@ func TestForestGeneralization(t *testing.T) {
 	}
 	errs := 0
 	for i := range xTest {
-		if f.Predict(xTest[i]) != yTest[i] {
+		if walkPredict(f, xTest[i]) != yTest[i] {
 			errs++
 		}
 	}
@@ -73,7 +74,7 @@ func TestForestXOR(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	for _, c := range [][3]float64{{0, 0, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0}} {
-		if got := f.Predict([]float64{c[0], c[1]}); got != int(c[2]) {
+		if got := walkPredict(f, []float64{c[0], c[1]}); got != int(c[2]) {
 			t.Errorf("XOR(%v,%v) = %d, want %d", c[0], c[1], got, int(c[2]))
 		}
 	}
@@ -93,12 +94,12 @@ func TestForestMultiClass(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	if f.NumClasses() != 4 {
-		t.Errorf("NumClasses = %d, want 4", f.NumClasses())
+	if f.nClasses != 4 {
+		t.Errorf("nClasses = %d, want 4", f.nClasses)
 	}
 	errs := 0
 	for i := range x {
-		if f.Predict(x[i]) != y[i] {
+		if walkPredict(f, x[i]) != y[i] {
 			errs++
 		}
 	}
@@ -114,7 +115,7 @@ func TestProbaSumsToOne(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	for i := 0; i < 10; i++ {
-		p := f.Proba(x[i])
+		p := walkProba(f, x[i])
 		sum := 0.0
 		for _, v := range p {
 			if v < 0 || v > 1 {
@@ -138,11 +139,15 @@ func TestTrainDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	probe := [][]float64{{0, 0}, {3, 3}, {1.5, 1.5}, {-1, 4}}
-	for _, p := range probe {
-		if a, b := f1.Proba(p), f2.Proba(p); a[0] != b[0] || a[1] != b[1] {
-			t.Errorf("same seed, different proba at %v: %v vs %v", p, a, b)
-		}
+	var b1, b2 bytes.Buffer
+	if err := f1.Save(&b1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f2.Save(&b2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+		t.Error("same seed, different forests")
 	}
 }
 
@@ -177,24 +182,18 @@ func TestTrainRejectsNonFiniteFeatures(t *testing.T) {
 		if _, err := Train(x, y, Config{Trees: 2}); err == nil || !strings.Contains(err.Error(), "sample 1 feature 1") {
 			t.Errorf("Train with a %v feature: err = %v, want one naming sample 1 feature 1", bad, err)
 		}
-		if _, err := TrainTree(x, y, 4, 1, 1); err == nil {
-			t.Errorf("TrainTree with a %v feature: no error", bad)
-		}
 	}
 }
 
 func TestSingleTree(t *testing.T) {
 	x, y := twoBlobs(60, 8, 23)
-	tree, err := TrainTree(x, y, 10, 1, 4)
-	if err != nil {
-		t.Fatalf("TrainTree: %v", err)
-	}
-	if tree.Depth() < 1 {
+	tree := trainTree(x, y, 2, 10, 4)
+	if depth(tree) < 1 {
 		t.Error("tree did not split")
 	}
 	errs := 0
 	for i := range x {
-		if tree.Predict(x[i]) != y[i] {
+		if leafMajority(tree, x[i]) != y[i] {
 			errs++
 		}
 	}
@@ -207,12 +206,8 @@ func TestTreePureLeafStopsEarly(t *testing.T) {
 	// All samples in one class region: root must be a leaf for a pure y.
 	x := [][]float64{{1}, {2}, {3}, {4}}
 	y := []int{1, 1, 1, 1}
-	tree, err := TrainTree(x, y, 10, 1, 0)
-	if err != nil {
-		t.Fatalf("TrainTree: %v", err)
-	}
-	if tree.Depth() != 0 {
-		t.Errorf("pure dataset grew depth %d", tree.Depth())
+	if d := depth(trainTree(x, y, 2, 10, 0)); d != 0 {
+		t.Errorf("pure dataset grew depth %d", d)
 	}
 }
 
@@ -247,7 +242,7 @@ func TestQuickPredictInRange(t *testing.T) {
 		if math.IsNaN(a) || math.IsInf(a, 0) || math.IsNaN(b) || math.IsInf(b, 0) {
 			return true
 		}
-		c := f.Predict([]float64{a, b})
+		c := walkPredict(f, []float64{a, b})
 		return c == 0 || c == 1
 	}
 	if err := quick.Check(check, nil); err != nil {
@@ -265,34 +260,6 @@ func BenchmarkTrainForest(b *testing.B) {
 	}
 }
 
-func BenchmarkPredict(b *testing.B) {
-	x, y := twoBlobs(110, 4, 1)
-	f, err := Train(x, y, Config{Trees: 25, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	probe := []float64{2, 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = f.Predict(probe)
-	}
-}
-
-func BenchmarkSoftProba(b *testing.B) {
-	x, y := twoBlobs(110, 4, 1)
-	f, err := Train(x, y, Config{Trees: 25, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	probe := []float64{2, 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = f.SoftProba(probe)
-	}
-}
-
 func TestSoftProbaSumsToOne(t *testing.T) {
 	x, y := twoBlobs(50, 4, 3)
 	f, err := Train(x, y, Config{Trees: 9, Seed: 2})
@@ -300,7 +267,7 @@ func TestSoftProbaSumsToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		p := f.SoftProba(x[i])
+		p := walkSoftProba(f, x[i])
 		sum := 0.0
 		for _, v := range p {
 			if v < 0 || v > 1 {
@@ -322,8 +289,8 @@ func TestSoftProbaSmoother(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		hard := f.Proba(x[i])
-		soft := f.SoftProba(x[i])
+		hard := walkProba(f, x[i])
+		soft := walkSoftProba(f, x[i])
 		hc, sc := 0, 0
 		if hard[1] > hard[0] {
 			hc = 1

@@ -188,9 +188,9 @@ func buildTree(nodes []wireNode, nClasses int) (*Tree, error) {
 
 // ValidateFeatures checks that every split in the forest tests a
 // feature index in [0, n): a loaded model whose splits reference
-// features wider than the caller's vectors would make Predict panic on
-// the first classification. Callers that know their feature width must
-// invoke this after Load.
+// features wider than the caller's vectors would make AcceptSoft or a
+// Bank scan panic on the first classification. Callers that know their
+// feature width must invoke this after Load.
 func (f *Forest) ValidateFeatures(n int) error {
 	for ti, t := range f.trees {
 		for i := range t.nodes {

@@ -20,12 +20,12 @@ func TestForestSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if g.NumTrees() != f.NumTrees() || g.NumClasses() != f.NumClasses() {
-		t.Fatalf("shape: %d/%d vs %d/%d", g.NumTrees(), g.NumClasses(), f.NumTrees(), f.NumClasses())
+	if len(g.trees) != len(f.trees) || g.nClasses != f.nClasses {
+		t.Fatalf("shape: %d/%d vs %d/%d", len(g.trees), g.nClasses, len(f.trees), f.nClasses)
 	}
 	// Predictions must be bit-identical.
 	for i := range x {
-		pf, pg := f.SoftProba(x[i]), g.SoftProba(x[i])
+		pf, pg := walkSoftProba(f, x[i]), walkSoftProba(g, x[i])
 		if pf[0] != pg[0] || pf[1] != pg[1] {
 			t.Fatalf("sample %d: proba %v vs %v", i, pf, pg)
 		}
@@ -66,7 +66,7 @@ func TestForestLoadErrors(t *testing.T) {
 // TestValidateFeatures pins the remaining hole Load alone cannot
 // close: the wire format does not record the feature-vector width, so
 // a split on an out-of-width feature loads fine but would panic on the
-// first Predict. ValidateFeatures bounds it.
+// first walk. ValidateFeatures bounds it.
 func TestValidateFeatures(t *testing.T) {
 	const give = `{"version":1,"nClasses":2,"trees":[{"nodes":[` +
 		`{"f":7,"t":1,"l":1,"r":2},{"f":-1,"c":[1,0],"n":1,"l":-1,"r":-1},{"f":-1,"c":[0,1],"n":1,"l":-1,"r":-1}]}]}`

@@ -4,20 +4,20 @@
 // substrate behind IoT Sentinel's one-classifier-per-device-type design
 // (Sect. IV-B1), replacing the Weka implementation the paper used.
 //
-// Inference runs on a flat node layout: each tree is one contiguous
-// []flatNode array in preorder, walked by index. Compared to the
-// pointer-chased node graph it replaced, the flat walk touches one
-// cache-resident array instead of scattered heap objects, allocates
-// nothing, and makes the preorder serialization (serialize.go) a direct
-// transcription instead of a recursive rebuild. Training still grows
+// The package holds what core's classifier bank runs and nothing else:
+// Train, Save/Load/ValidateFeatures, CompileBank/Bank.Scan,
+// FeatureImportance, and AcceptSoft. The bank asks every forest one
+// acceptance question about one vector — per first-seen fingerprint head
+// — so it compiles them once (CompileBank) and scans (Bank.Scan): one pass
+// over the vector replaces the tree walks, the decisions are AcceptSoft's
+// bit for bit, and AcceptSoft stays as the reference the scan is tested
+// to.
+//
+// A trained tree is one contiguous []flatNode array in preorder, walked
+// by index, which makes the preorder serialization (serialize.go) a
+// direct transcription instead of a recursive rebuild. Training grows
 // pointer nodes (the builder needs cheap splicing) and flattens once at
 // the end.
-//
-// A caller that asks many forests one acceptance question about one
-// vector — core's classifier bank, per first-seen fingerprint head —
-// compiles them once (CompileBank) and scans (Bank.Scan): one pass over
-// the vector replaces the tree walks, the decisions are AcceptSoft's bit
-// for bit, and AcceptSoft stays as the reference the scan is tested to.
 package rf
 
 import (
@@ -68,11 +68,8 @@ type Tree struct {
 	// (nClasses entries per leaf, addressed by flatNode.countsOff).
 	leafCounts []int32
 	// leafProbs caches float64(count)/float64(total) for every
-	// leafCounts entry (zero where total == 0), so the probability-
-	// averaging hot path does no division per tree walk. The quotients
-	// are computed once with the exact same operands the old
-	// per-prediction division used, so averaged probabilities are
-	// bit-identical.
+	// leafCounts entry (zero where total == 0), so neither AcceptSoft nor
+	// the compiled scan divides per tree.
 	leafProbs []float64
 	nClasses  int
 }
@@ -398,62 +395,6 @@ func (t *Tree) leafIndex(x []float64) int32 {
 			i = n.right
 		}
 	}
-}
-
-// Predict returns the majority class at the leaf x falls into.
-func (t *Tree) Predict(x []float64) int {
-	n := &t.nodes[t.leafIndex(x)]
-	// One sub-slice, then range: the bounds check happens once at the
-	// slicing instead of on every class.
-	counts := t.leafCounts[n.countsOff : int(n.countsOff)+t.nClasses]
-	best, bestCount := 0, int32(-1)
-	for c, cnt := range counts {
-		if cnt > bestCount {
-			best, bestCount = c, cnt
-		}
-	}
-	return best
-}
-
-// Depth returns the depth of the tree (a single leaf has depth 0). Both
-// children sit after their parent, so one reverse pass computes every
-// node's subtree depth before its parent reads it — no recursion over a
-// (possibly adversarial, loaded-from-disk) tree shape.
-func (t *Tree) Depth() int {
-	depths := make([]int, len(t.nodes))
-	for i := len(t.nodes) - 1; i >= 0; i-- {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			continue
-		}
-		d := depths[n.left]
-		if r := depths[n.right]; r > d {
-			d = r
-		}
-		depths[i] = d + 1
-	}
-	return depths[0]
-}
-
-// TrainTree builds a single CART tree on the full dataset; exported for
-// tests and for the forest-size ablation's single-tree baseline.
-func TrainTree(x [][]float64, y []int, maxDepth, minLeaf int, seed int64) (*Tree, error) {
-	nClasses, err := validate(x, y)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	p := treeParams{
-		maxDepth:    maxDepth,
-		minLeaf:     minLeaf,
-		maxFeatures: len(x[0]),
-		nClasses:    nClasses,
-	}
-	rng := rand.New(rand.NewSource(seed))
-	return flatten(newGrower(x, y, p).growTree(idx, rng), nClasses), nil
 }
 
 func validate(x [][]float64, y []int) (nClasses int, err error) {

@@ -176,18 +176,6 @@ func (fa *FleetAssessor) Assess(fp fingerprint.Fingerprint) (iotssp.Assessment, 
 	return a, err
 }
 
-// AssessBatch implements iotssp.BatchAssessor.
-func (fa *FleetAssessor) AssessBatch(fps []fingerprint.Fingerprint) ([]iotssp.Assessment, error) {
-	as, err := fa.Service.AssessBatch(fps)
-	if err == nil {
-		for i, a := range as {
-			fa.Link.RecordAssessment(!a.Known)
-			_ = fa.Link.Observe(fps[i])
-		}
-	}
-	return as, err
-}
-
 // CheckpointEvery is the period of a deployed gateway's
 // gateway.CheckpointWorker: how much churn a restart replays at most. A
 // constant and not a flag — a checkpoint runs beside traffic without
