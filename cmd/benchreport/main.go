@@ -60,92 +60,29 @@ func run(args []string, out io.Writer) error {
 	}
 
 	experiments := map[string]func() error{
-		"fig5":   func() error { return runFig5(out, opts, false) },
-		"table3": func() error { return runFig5(out, opts, true) },
-		"table4": func() error {
-			r, err := report.Table4(opts)
+		"fig5":                    experiment(out, opts, report.Fig5),
+		"table4":                  experiment(out, opts, report.Table4),
+		"table5":                  experiment(out, opts, report.Table5),
+		"table6":                  experiment(out, opts, report.Table6),
+		"fig6a":                   experiment(out, opts, report.Fig6a),
+		"fig6b":                   experiment(out, opts, report.Fig6b),
+		"fig6c":                   experiment(out, opts, report.Fig6c),
+		"ablation-trees":          experiment(out, opts, report.AblateForestSize),
+		"ablation-negratio":       experiment(out, opts, report.AblateNegativeRatio),
+		"ablation-refs":           experiment(out, opts, report.AblateReferenceCount),
+		"ablation-discrimination": experiment(out, opts, report.AblateDiscrimination),
+		"ablation-fplen":          experiment(out, opts, report.AblateFingerprintLength),
+		"ablation-threshold":      experiment(out, opts, report.AblateAcceptThreshold),
+		"tradeoff":                experiment(out, opts, report.Tradeoff),
+		"remote-controller":       experiment(out, opts, report.RemoteController),
+		"unknown":                 experiment(out, opts, report.Unknown),
+		"features":                experiment(out, opts, report.FeatureImportance),
+		"table3": func() error {
+			r, err := report.Fig5(opts)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintln(out, r.Render())
-			return nil
-		},
-		"table5": func() error {
-			r, err := report.Table5(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, r.Render())
-			return nil
-		},
-		"table6": func() error {
-			r, err := report.Table6(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, r.Render())
-			return nil
-		},
-		"fig6a": func() error {
-			r, err := report.Fig6a(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, r.Render())
-			return nil
-		},
-		"fig6b": func() error {
-			r, err := report.Fig6b(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, r.Render())
-			return nil
-		},
-		"fig6c": func() error {
-			r, err := report.Fig6c(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, r.Render())
-			return nil
-		},
-		"ablation-trees":          ablation(out, opts, report.AblateForestSize),
-		"ablation-negratio":       ablation(out, opts, report.AblateNegativeRatio),
-		"ablation-refs":           ablation(out, opts, report.AblateReferenceCount),
-		"ablation-discrimination": ablation(out, opts, report.AblateDiscrimination),
-		"ablation-fplen":          ablation(out, opts, report.AblateFingerprintLength),
-		"ablation-threshold":      ablation(out, opts, report.AblateAcceptThreshold),
-		"tradeoff": func() error {
-			r, err := report.Tradeoff(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, r.Render())
-			return nil
-		},
-		"remote-controller": func() error {
-			r, err := report.RemoteController(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, r.Render())
-			return nil
-		},
-		"unknown": func() error {
-			r, err := report.Unknown(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, r.Render())
-			return nil
-		},
-		"features": func() error {
-			r, err := report.FeatureImportance(opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, r.Render())
+			fmt.Fprintln(out, report.Table3(r))
 			return nil
 		},
 	}
@@ -178,19 +115,6 @@ func run(args []string, out io.Writer) error {
 	return fn()
 }
 
-func runFig5(out io.Writer, opts report.Options, table3 bool) error {
-	r, err := report.Fig5(opts)
-	if err != nil {
-		return err
-	}
-	if table3 {
-		fmt.Fprintln(out, report.Table3(r))
-	} else {
-		fmt.Fprintln(out, r.Render())
-	}
-	return nil
-}
-
 func runFig5Both(out io.Writer, opts report.Options) error {
 	r, err := report.Fig5(opts)
 	if err != nil {
@@ -202,7 +126,8 @@ func runFig5Both(out io.Writer, opts report.Options) error {
 	return nil
 }
 
-func ablation(out io.Writer, opts report.Options, fn func(report.Options) (*report.AblationResult, error)) func() error {
+// experiment runs one report and prints its rendering.
+func experiment[R interface{ Render() string }](out io.Writer, opts report.Options, fn func(report.Options) (R, error)) func() error {
 	return func() error {
 		r, err := fn(opts)
 		if err != nil {

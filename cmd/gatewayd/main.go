@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"net/netip"
 	"os"
 	"os/signal"
@@ -79,16 +80,13 @@ func run(args []string, out io.Writer) error {
 		apiAddr       = fs.String("api", "127.0.0.1:8080", "management API listen address")
 		sspURL        = fs.String("ssp", "", "remote IoT Security Service base URL (default: in-process)")
 		replayDir     = fs.String("replay", "", "directory of pcap captures to replay on startup")
-		capReaders    = fs.Int("capture-readers", 0, "capture reader goroutines feeding the data path (0 = GOMAXPROCS)")
 		captures      = fs.Int("captures", 20, "training captures per type for the in-process service")
 		seed          = fs.Int64("seed", 1, "random seed")
-		workers       = fs.Int("workers", 0, "goroutines for training (0 = GOMAXPROCS); one identification never fans out")
 		oneshot       = fs.Bool("oneshot", false, "exit after replay instead of serving the API")
 		assessTimeout = fs.Duration("assess-timeout", 10*time.Second, "per-attempt timeout for remote IoTSSP calls")
 		assessRetries = fs.Int("assess-retries", 3, "additional attempts after a failed remote IoTSSP call")
 		retryPeriod   = fs.Duration("retry-period", 5*time.Second, "how often quarantined devices are re-assessed")
 		metricsAddr   = fs.String("metrics-addr", "", "listen address for /metrics and /debug/pprof (default: disabled)")
-		cacheSize     = fs.Int("cache-size", core.DefaultCacheSize, "identification-cache entries for the in-process service (0 = disabled)")
 		stateDir      = fs.String("state-dir", "", "directory for the durable journal, snapshots, and model store (default: in-memory only)")
 		learnOn       = fs.Bool("learn", false, "learn new device-types online from clusters of unknown devices (in-process service only)")
 		learnK        = fs.Int("learn-k", learn.DefaultK, "unknown-cluster size that proposes a new device-type")
@@ -99,7 +97,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	log := node.NewLog(out)
+	log := log.New(out, "", 0)
 
 	// reg stays nil without -metrics-addr, and every bundle below with it.
 	var reg *obs.Registry
@@ -126,6 +124,7 @@ func run(args []string, out io.Writer) error {
 	// remote client (there is no local bank to learn into or hot-swap).
 	var assessor iotssp.Assessor
 	var svc *iotssp.Service
+	var bootSHA string // the model store's SHA-256 of the booted bank; "" when not persisted
 	if *sspURL != "" {
 		client := remoteClient(*sspURL, *seed, *assessTimeout, *assessRetries, reg)
 		log.Printf("using remote IoT Security Service at %s", *sspURL)
@@ -141,7 +140,7 @@ func run(args []string, out io.Writer) error {
 		if st != nil {
 			ms = st.Store.Models()
 		}
-		id, err := bootBank(log, ms, *captures, *seed, *workers, *cacheSize)
+		id, sha, err := bootBank(log, ms, *captures, *seed)
 		if err != nil {
 			return err
 		}
@@ -150,6 +149,7 @@ func run(args []string, out io.Writer) error {
 		}
 		svc = iotssp.New(id, vulndb.NewDefault())
 		assessor = svc
+		bootSHA = sha
 	}
 
 	// Online learning: unknown fingerprints flow from the gateway's
@@ -198,6 +198,9 @@ func run(args []string, out io.Writer) error {
 			Client: fleet.ClientConfig{
 				Addr:      *fleetAddr,
 				GatewayID: gwID,
+				// The hello names the bank this gateway already serves, so a
+				// fleet on that version pushes nothing.
+				ModelSHA: bootSHA,
 				ApplyModel: func(sha string, model []byte) error {
 					if err := node.InstallModel(svc, model); err != nil {
 						return err
@@ -317,7 +320,7 @@ func run(args []string, out io.Writer) error {
 		if reg != nil {
 			capMetrics = capture.NewMetrics(reg)
 		}
-		drops, err := replay(log, gw, *replayDir, *capReaders, capMetrics)
+		drops, err := replay(log, gw, *replayDir, capMetrics)
 		if err != nil {
 			return err
 		}
@@ -385,39 +388,41 @@ func remoteClient(sspURL string, seed int64, timeout time.Duration, retries int,
 // store (ms is nil without -state-dir) a valid persisted bank loads in
 // milliseconds; anything else (cold start, checksum mismatch, stale
 // format) falls back to training and re-persists, so the next boot is
-// warm. The persisted form deliberately carries no runtime knobs —
-// worker bound and identification cache are deployment configuration,
-// not model state — so the warm path applies them here, the one time
-// there is no serving bank to take them from; every later bank gets
-// them from iotssp.Service.Install.
-func bootBank(log *node.Log, ms *store.ModelStore, captures int, seed int64, workers, cacheSize int) (*core.Identifier, error) {
+// warm. The persisted form deliberately carries no runtime
+// configuration — worker bound and identification cache are not model
+// state — so the warm path binds the defaults here, the one time there
+// is no serving bank to take them from; every later bank gets them from
+// iotssp.Service.Install. sha is the model store's SHA-256 of the bank
+// ("" when it was not persisted).
+func bootBank(log *log.Logger, ms *store.ModelStore, captures int, seed int64) (id *core.Identifier, sha string, err error) {
 	if ms != nil && ms.Exists() {
 		start := time.Now()
 		id, man, err := ms.Load()
 		if err == nil {
-			if err := id.ApplyRuntime(workers, cacheSize); err != nil {
-				return nil, err
+			if err := id.ApplyRuntime(0, core.DefaultCacheSize); err != nil {
+				return nil, "", err
 			}
 			log.Printf("state: loaded model bank from disk in %v (%d types, sha256 %.8s)",
 				time.Since(start).Round(time.Millisecond), man.Types, man.SHA256)
-			return id, nil
+			return id, man.SHA256, nil
 		}
 		log.Printf("state: persisted model rejected (%v), retraining", err)
 	}
 	log.Printf("training in-process IoT Security Service (%d captures x 27 types)...", captures)
-	id, err := node.TrainBank(captures, seed, workers, cacheSize)
-	if err != nil {
-		return nil, err
+	if id, err = node.TrainBank(captures, seed); err != nil {
+		return nil, "", err
 	}
 	if ms != nil {
 		ms.LoadedFromTraining()
-		if man, err := ms.Save(id); err != nil {
+		man, err := ms.Save(id)
+		if err != nil {
 			log.Printf("state: could not persist model bank: %v", err)
-		} else {
-			log.Printf("state: persisted model bank (sha256 %.8s); next boot is warm", man.SHA256)
+			return id, "", nil
 		}
+		log.Printf("state: persisted model bank (sha256 %.8s); next boot is warm", man.SHA256)
+		sha = man.SHA256
 	}
-	return id, nil
+	return id, sha, nil
 }
 
 // replay streams every pcap in dir through the capture front end —
@@ -426,7 +431,7 @@ func bootBank(log *node.Log, ms *store.ModelStore, captures int, seed int64, wor
 // same ingest pipeline a live interface feeds, just sourced from
 // disk. Returns how many frames the ring fanout shed (slow-consumer
 // drops, surfaced through the capture health probe).
-func replay(log *node.Log, gw *gateway.Gateway, dir string, readers int, cm *capture.Metrics) (uint64, error) {
+func replay(log *log.Logger, gw *gateway.Gateway, dir string, cm *capture.Metrics) (uint64, error) {
 	src, err := capture.NewDirSource(dir)
 	if err != nil {
 		return 0, fmt.Errorf("replay: %w", err)
@@ -452,7 +457,7 @@ func replay(log *node.Log, gw *gateway.Gateway, dir string, readers int, cm *cap
 			last = ts
 		}
 		mu.Unlock()
-	}, capture.PumpConfig{Readers: readers, Metrics: cm})
+	}, capture.PumpConfig{Metrics: cm})
 	if err := pump.Wait(); err != nil {
 		return 0, fmt.Errorf("replay: %w", err)
 	}

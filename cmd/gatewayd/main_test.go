@@ -4,19 +4,23 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"iotsentinel/internal/core"
 	"iotsentinel/internal/devices"
 	"iotsentinel/internal/fingerprint"
+	"iotsentinel/internal/fleet"
 	"iotsentinel/internal/iotssp"
 	"iotsentinel/internal/learn"
-	"iotsentinel/internal/node"
+	"iotsentinel/internal/obs"
 	"iotsentinel/internal/store"
 	"iotsentinel/internal/testutil"
 	"iotsentinel/internal/vulndb"
@@ -167,19 +171,23 @@ func TestGatewaydWarmBootFromStateDir(t *testing.T) {
 
 	// The persisted bank carries no runtime configuration, and at boot
 	// there is no serving bank for Service.Install to take it from: the
-	// warm path itself must apply the flags, 0 = disabled included.
+	// warm path itself must attach the identification cache. It reports
+	// the SHA-256 the model store recorded for the bank.
 	st, _, err := store.Open(stateDir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = st.Close() }()
 	var boot bytes.Buffer
-	id, err := bootBank(node.NewLog(&boot), st.Models(), 10, 1, 3, 64)
+	id, sha, err := bootBank(log.New(&boot, "", 0), st.Models(), 10, 1)
 	if err != nil || !strings.Contains(boot.String(), "loaded model bank from disk") {
 		t.Fatalf("bootBank did not take the warm path: %v\n%s", err, boot.String())
 	}
-	if id.Workers() != 3 || id.Cache() == nil {
-		t.Fatalf("warm boot: workers %d, cache attached %v; want 3 and a cache", id.Workers(), id.Cache() != nil)
+	if id.Cache() == nil {
+		t.Fatal("warm boot: no identification cache attached")
+	}
+	if _, man, err := st.Models().Load(); err != nil || sha != man.SHA256 {
+		t.Fatalf("warm boot reported sha %.12s, the store has %.12s (%v)", sha, man.SHA256, err)
 	}
 	aria, err := devices.ProfileByID("Aria")
 	if err != nil {
@@ -191,8 +199,107 @@ func TestGatewaydWarmBootFromStateDir(t *testing.T) {
 	if hits, _ := id.Cache().Stats(); hits == 0 {
 		t.Error("repeat identification after warm boot missed the cache")
 	}
-	if id, err = bootBank(node.NewLog(io.Discard), st.Models(), 10, 1, 0, 0); err != nil || id.Cache() != nil {
-		t.Errorf("warm boot with cache size 0: cache attached %v, err %v; want the cache disabled", id != nil && id.Cache() != nil, err)
+}
+
+// TestGatewaydWarmBootOffersItsBankToTheFleet: a warm-booted gateway
+// names the bank it loaded in its fleet hello, so a fleet whose current
+// version is that bank pushes nothing — no second decode, hot-swap and
+// fsync of a bank the gateway already serves.
+func TestGatewaydWarmBootOffersItsBankToTheFleet(t *testing.T) {
+	stateDir := t.TempDir()
+	if err := run([]string{"-oneshot", "-captures", "4", "-state-dir", stateDir}, io.Discard); err != nil {
+		t.Fatalf("first boot: %v", err)
+	}
+	st, _, err := store.Open(stateDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank, man, err := st.Models().Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var model bytes.Buffer
+	if err := bank.Save(&model); err != nil {
+		t.Fatal(err)
+	}
+
+	// The fleet serves the stored bank. A short lease makes the gateway
+	// heartbeat every 100 ms.
+	reg := obs.NewRegistry()
+	fm := fleet.NewMetrics(reg)
+	registry := fleet.NewRegistry(300*time.Millisecond, fm)
+	ctrl, err := fleet.NewController(fleet.ControllerConfig{Registry: registry, Metrics: fm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sha, err := ctrl.SetCurrent(model.Bytes()); err != nil || sha != man.SHA256 {
+		t.Fatalf("fleet current %.12s, stored bank %.12s (%v)", sha, man.SHA256, err)
+	}
+	srv, err := fleet.NewServer(fleet.ServerConfig{
+		Registry:   registry,
+		Controller: ctrl,
+		Ingest:     func([]fingerprint.Fingerprint) int { return 0 },
+		Metrics:    fm,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	defer func() { _ = srv.Close() }()
+
+	const api = "127.0.0.1:8498"
+	var out bytes.Buffer
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- run([]string{"-api", api, "-state-dir", stateDir,
+			"-fleet", ln.Addr().String(), "-fleet-id", "gw-warm"}, &out)
+	}()
+	// The server decides on a push before it reads the gateway's first
+	// heartbeat; an answered API request means the daemon's interrupt
+	// handler is installed.
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the gateway's API and first heartbeat")
+		}
+		resp, err := http.Get("http://" + api + "/v1/devices")
+		if err == nil {
+			_ = resp.Body.Close()
+			if reg.Snapshot().Value("fleet_frames_total", "type", "heartbeat") > 0 {
+				break
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	pushes := reg.Snapshot().Value("fleet_model_pushes_total")
+
+	p, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("gatewayd did not shut down")
+	}
+	if pushes != 0 {
+		t.Errorf("fleet pushed %v models to a gateway already serving the current one", pushes)
+	}
+	if s := out.String(); strings.Contains(s, "hot-swapped pushed model") || !strings.Contains(s, "loaded model bank from disk") {
+		t.Errorf("gateway output:\n%s", s)
 	}
 }
 
@@ -371,11 +478,9 @@ func TestGatewaydRemoteLearnEndToEnd(t *testing.T) {
 	}
 	svc := iotssp.New(bank, vulndb.NewDefault())
 	learner, err := learn.New(learn.Config{
-		K: 3,
-		Promote: func(typ core.TypeID, fps []fingerprint.Fingerprint) (*core.Identifier, error) {
-			return svc.PromoteType(typ, fps, iotssp.PromoteOptions{})
-		},
-		Known: svc.HasType,
+		K:       3,
+		Promote: svc.PromoteType,
+		Known:   svc.HasType,
 	})
 	if err != nil {
 		t.Fatal(err)

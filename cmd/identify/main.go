@@ -8,7 +8,7 @@
 //
 //	identify -data ./dataset -evaluate
 //	identify -data ./dataset -pcap unknown.pcap -mac 20:bb:c0:aa:bb:cc
-//	identify -data ./dataset -pcap a.pcap,b.pcap,c.pcap -workers 8
+//	identify -data ./dataset -pcap a.pcap,b.pcap,c.pcap
 package main
 
 import (
@@ -43,7 +43,6 @@ func run(args []string, out io.Writer) error {
 		pcapFile = fs.String("pcap", "", "pcap capture(s) to identify, comma-separated")
 		mac      = fs.String("mac", "", "device MAC inside the capture (empty: all frames)")
 		seed     = fs.Int64("seed", 1, "random seed")
-		workers  = fs.Int("workers", 0, "goroutines for training and batch identification (0 = GOMAXPROCS); one identification never fans out")
 		saveFile = fs.String("save", "", "save the trained model to this file")
 		loadFile = fs.String("load", "", "load a trained model instead of training")
 	)
@@ -61,7 +60,6 @@ func run(args []string, out io.Writer) error {
 	if *evaluate {
 		res, err := eval.CrossValidate(ds, eval.CVConfig{
 			Folds: *folds, Repeats: *repeats, Seed: *seed,
-			Identifier: core.Config{Workers: *workers},
 		})
 		if err != nil {
 			return err
@@ -88,15 +86,10 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// The worker bound is runtime state, not model state, so it is
-		// not serialized — rebind it for this process.
-		if err := id.ApplyRuntime(*workers, 0); err != nil {
-			return err
-		}
 		fmt.Fprintf(out, "loaded model with %d device-types from %s\n", id.NumTypes(), *loadFile)
 	} else {
 		var err error
-		id, err = core.Train(ds, core.Config{Seed: *seed, Workers: *workers})
+		id, err = core.Train(ds, core.Config{Seed: *seed})
 		if err != nil {
 			return err
 		}

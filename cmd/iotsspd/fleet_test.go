@@ -88,7 +88,7 @@ func TestServerFleetCanaryRollout(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- run([]string{
-			"-listen", httpAddr, "-model", model, "-workers", "1",
+			"-listen", httpAddr, "-model", model,
 			"-learn", "-learn-k", "3",
 			"-fleet-listen", fleetAddr, "-state-dir", t.TempDir(),
 			"-canary-fraction", "0.4", "-canary-min-samples", "3", "-canary-max-unknown", "0.2",

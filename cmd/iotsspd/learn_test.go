@@ -76,7 +76,7 @@ func TestServerOnlineLearning(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- run([]string{"-listen", addr, "-model", model,
-			"-workers", "1", "-cache-size", "64", "-learn", "-learn-k", "3"}, &out)
+			"-learn", "-learn-k", "3"}, &out)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"os"
@@ -67,8 +68,6 @@ func run(args []string, out io.Writer) error {
 		seed          = fs.Int64("seed", 1, "random seed")
 		assessTimeout = fs.Duration("assess-timeout", 30*time.Second, "server-side cap per assessment request (0 = unlimited); gateways retry 503s")
 		metricsAddr   = fs.String("metrics-addr", "", "listen address for /metrics and /debug/pprof (default: disabled)")
-		workers       = fs.Int("workers", 0, "goroutines for training and batch assessment (0 = GOMAXPROCS); one identification never fans out")
-		cacheSize     = fs.Int("cache-size", core.DefaultCacheSize, "identification-cache entries (0 = disabled)")
 		learnOn       = fs.Bool("learn", false, "learn new device-types online from clusters of unknown devices")
 		learnK        = fs.Int("learn-k", learn.DefaultK, "unknown-cluster size that proposes a new device-type")
 		fleetListen   = fs.String("fleet-listen", "", "listen address for the binary fleet protocol (default: disabled)")
@@ -81,7 +80,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	log := node.NewLog(out)
+	log := log.New(out, "", 0)
 
 	var reg *obs.Registry
 	if *metricsAddr != "" {
@@ -103,17 +102,17 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		// The saved form carries no runtime configuration, and at boot
-		// there is no serving bank to take it from: attach the worker
-		// bound and a fresh identification cache, exactly like the
+		// there is no serving bank to take it from: attach the default
+		// worker bound and a fresh identification cache, exactly like the
 		// training path below gets them.
-		if err := id.ApplyRuntime(*workers, *cacheSize); err != nil {
+		if err := id.ApplyRuntime(0, core.DefaultCacheSize); err != nil {
 			return err
 		}
 		log.Printf("loaded model with %d device-types", id.NumTypes())
 	} else {
 		log.Printf("training on the reference dataset (%d captures x 27 types)...", *captures)
 		var err error
-		if id, err = node.TrainBank(*captures, *seed, *workers, *cacheSize); err != nil {
+		if id, err = node.TrainBank(*captures, *seed); err != nil {
 			return err
 		}
 	}
@@ -136,7 +135,7 @@ func run(args []string, out io.Writer) error {
 
 	// Fleet control plane: registry + rollout controller + binary
 	// protocol server. Streamed fingerprints flow through the same
-	// AssessBatch path (and unknown sink) as the HTTP API.
+	// Assess path (and unknown sink) as the HTTP API.
 	var ctrl *fleet.Controller
 	if *fleetListen != "" {
 		var fm *fleet.Metrics
@@ -197,14 +196,13 @@ func run(args []string, out io.Writer) error {
 		fsrv, err := fleet.NewServer(fleet.ServerConfig{
 			Registry:   registry,
 			Controller: ctrl,
+			// One Assess per fingerprint: each gateway connection ingests
+			// on its own goroutine, which is the parallelism a loaded
+			// service has.
 			Ingest: func(fps []fingerprint.Fingerprint) int {
-				as, err := svc.AssessBatch(fps)
-				if err != nil {
-					return 0
-				}
 				unknown := 0
-				for _, a := range as {
-					if !a.Known {
+				for _, fp := range fps {
+					if a, err := svc.Assess(fp); err == nil && !a.Known {
 						unknown++
 					}
 				}

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"math/rand"
 	"net"
@@ -77,7 +78,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	return runSoak(node.NewLog(out), cfg)
+	return runSoak(log.New(out, "", 0), cfg)
 }
 
 // soakFleetCut is the chaos byte budget on the soak fleet link: each
@@ -303,7 +304,7 @@ func (cfg *soakConfig) gates(s soakSample, steadyGoroutines int) []string {
 
 // dumpProfiles writes pprof goroutine and heap profiles into dir so a
 // failed gate ships with the evidence needed to debug it.
-func dumpProfiles(log *node.Log, dir string) {
+func dumpProfiles(log *log.Logger, dir string) {
 	runtime.GC() // the heap profile is as of the last collection
 	for _, p := range []struct {
 		name  string
@@ -335,14 +336,14 @@ func journalBytes(dir string) (n int64) {
 // and a gateway assembled by internal/node exactly as gatewayd's is,
 // gating continuously on tail latency, RSS, goroutine growth and
 // state-dir fd leaks.
-func runSoak(log *node.Log, cfg soakConfig) error {
+func runSoak(log *log.Logger, cfg soakConfig) error {
 	baseline := runtime.NumGoroutine()
 
 	pool, heldOut, unknownCount, err := buildSoakPool(cfg)
 	if err != nil {
 		return err
 	}
-	id, err := node.TrainBank(cfg.trainCaps, cfg.seed, 0, core.DefaultCacheSize, heldOut...)
+	id, err := node.TrainBank(cfg.trainCaps, cfg.seed, heldOut...)
 	if err != nil {
 		return err
 	}

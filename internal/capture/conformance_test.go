@@ -52,8 +52,8 @@ func conformanceService(t *testing.T) *iotssp.Service {
 }
 
 // recordingAssessor wraps a service and keeps the canonical key of
-// every fingerprint it is asked to assess. Implementing only Assess
-// (not AssessBatch) keeps all three paths on the identical code path.
+// every fingerprint it is asked to assess, so all three paths run the
+// identical code path.
 type recordingAssessor struct {
 	svc  *iotssp.Service
 	mu   sync.Mutex

@@ -312,10 +312,10 @@ func (id *Identifier) AddType(t TypeID, fps []fingerprint.Fingerprint) error {
 // (models trained at any worker count are identical, and cached
 // answers must not outlive the bank that produced them), so a loaded
 // identifier has the *default* fan-out and no cache at all. A boot path
-// that honors -workers/-cache-size flags — warm boot, a model file
-// handed to iotsspd — calls ApplyRuntime after LoadIdentifier, with
-// cacheSize 0 keeping the cache disabled (the flag contract); a bank
-// that replaces a serving one takes them from it (AdoptRuntime).
+// that serves a loaded bank — warm boot, a model file handed to iotsspd
+// — calls ApplyRuntime after LoadIdentifier, with cacheSize 0 keeping
+// the cache disabled; a bank that replaces a serving one takes them
+// from it (AdoptRuntime).
 func (id *Identifier) ApplyRuntime(workers, cacheSize int) error {
 	if workers < 0 {
 		return fmt.Errorf("core: Workers must be >= 0, got %d", workers)

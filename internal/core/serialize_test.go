@@ -117,7 +117,7 @@ func TestRuntimeConfigDoesNotSurviveLoad(t *testing.T) {
 	if hits, _ := re.Cache().Stats(); hits == 0 {
 		t.Error("replayed probe did not hit the re-attached cache")
 	}
-	// cacheSize 0 = disabled, matching the -cache-size flag contract.
+	// cacheSize 0 = disabled.
 	if err := re.ApplyRuntime(0, 0); err != nil {
 		t.Fatalf("ApplyRuntime(0, 0): %v", err)
 	}

@@ -10,7 +10,7 @@ package devices
 // physical devices share hardware and firmware. Everything else gets a
 // distinct protocol mix, reproducing Fig 5 / Table III's structure.
 func Catalog() []*Profile {
-	profiles := []*Profile{
+	return []*Profile{
 		aria(), homeMaticPlug(), withings(), maxGateway(), hueBridge(),
 		hueSwitch(), ednetGateway(), ednetCam(), edimaxCam(), lightify(),
 		wemoInsightSwitch(), wemoLink(), wemoSwitch(), dlinkHomeHub(),
@@ -20,15 +20,6 @@ func Catalog() []*Profile {
 		edimaxPlug1101W(), edimaxPlug2101W(),
 		smarterCoffee(), iKettle2(),
 	}
-	for _, p := range profiles {
-		if p.traits.dropProb == 0 {
-			// Real captures occasionally miss non-essential exchanges
-			// (lost frames, app races); a small uniform drop rate makes
-			// some captures look generic, as the paper's data does.
-			p.traits.dropProb = 0
-		}
-	}
-	return profiles
 }
 
 // SiblingGroups lists the same-vendor sibling clusters whose members the

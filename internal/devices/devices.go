@@ -105,10 +105,6 @@ type traits struct {
 	optional    []optionalStep
 	// dupProb is the per-packet retransmission probability.
 	dupProb float64
-	// dropProb is the probability that each non-essential step is
-	// omitted from a capture (lost frames, races with the app). The
-	// association and DHCP steps are never dropped.
-	dropProb float64
 	// swapProb is the probability of swapping each pair of adjacent
 	// steps (models reordering between independent protocol exchanges).
 	swapProb float64
@@ -244,7 +240,6 @@ func (p *Profile) buildSteps(rng *rand.Rand) []stepFunc {
 		steps = append(steps, stepLLC(t.llcFrames))
 	}
 	steps = append(steps, stepDHCP(t.dhcpHost))
-	mandatory := len(steps)
 	if t.arpProbes > 0 {
 		steps = append(steps, stepARP(t.arpProbes))
 	}
@@ -273,15 +268,6 @@ func (p *Profile) buildSteps(rng *rand.Rand) []stepFunc {
 		if rng.Float64() < opt.prob {
 			steps = append(steps, opt.step)
 		}
-	}
-	if t.dropProb > 0 {
-		kept := steps[:mandatory]
-		for _, s := range steps[mandatory:] {
-			if rng.Float64() >= t.dropProb {
-				kept = append(kept, s)
-			}
-		}
-		steps = kept
 	}
 	return steps
 }

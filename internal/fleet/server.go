@@ -23,7 +23,7 @@ type ServerConfig struct {
 	// many of the fingerprints no central classifier accepted (the
 	// per-batch unknown count echoed in the ack). Required. It is the
 	// seam to internal/iotssp: the daemon wires a closure over
-	// Service.AssessBatch so fleet does not import the service layer.
+	// Service.Assess so fleet does not import the service layer.
 	Ingest func(fps []fingerprint.Fingerprint) (unknown int)
 	// SweepInterval is how often expired leases are collected
 	// (0 selects half the registry lease).

@@ -120,11 +120,6 @@ type Config struct {
 	// OnQuarantined, if set, is called each time an assessment fails
 	// and the device is isolated fail-closed pending retry.
 	OnQuarantined func(DeviceInfo, error)
-	// MaxQuarantined bounds the quarantine retry queue (default 1024).
-	// Devices quarantined beyond the bound stay isolated at strict but
-	// are not retried automatically; the operator can remove and
-	// re-introduce them.
-	MaxQuarantined int
 	// Keystore, if set, enables WPS credential management: every new
 	// device is enrolled with a device-specific WPA2 PSK on first
 	// sight (Sect. III-A), and legacy migration re-keys WPS-capable
@@ -424,7 +419,7 @@ func (g *Gateway) quarantineDevice(mac packet.MAC, fp *fingerprint.Fingerprint, 
 	q := g.quarantine[mac]
 	if q != nil {
 		q.fp, q.acked = *fp, false
-	} else if len(g.quarantine) < g.maxQuarantined() {
+	} else if len(g.quarantine) < maxQuarantined {
 		q = &quarantined{fp: *fp, since: now}
 		g.quarantine[mac] = q
 	}
@@ -445,12 +440,10 @@ func (g *Gateway) quarantineDevice(mac packet.MAC, fp *fingerprint.Fingerprint, 
 	}
 }
 
-func (g *Gateway) maxQuarantined() int {
-	if g.cfg.MaxQuarantined > 0 {
-		return g.cfg.MaxQuarantined
-	}
-	return 1024
-}
+// maxQuarantined bounds the quarantine retry queue. Devices quarantined
+// beyond the bound stay isolated at strict but are not retried
+// automatically; the operator can remove and re-introduce them.
+const maxQuarantined = 1024
 
 // QuarantineLen returns the number of fingerprints parked for retry.
 func (g *Gateway) QuarantineLen() int {

@@ -271,7 +271,7 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 		if devices[mac] == nil || devices[mac].State != StateQuarantined {
 			continue
 		}
-		if len(g.quarantine) >= g.maxQuarantined() {
+		if len(g.quarantine) >= maxQuarantined {
 			break
 		}
 		g.quarantine[mac] = q

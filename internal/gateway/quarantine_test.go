@@ -237,10 +237,13 @@ func TestFinishAllSetupsQuarantinesFailures(t *testing.T) {
 }
 
 func TestQuarantineQueueBounded(t *testing.T) {
-	flaky := &flakyAssessor{failures: 1000, inner: trainService(t)}
-	g := newGatewayWithAssessor(flaky, Config{IdleGap: time.Hour, MaxQuarantined: 1})
+	flaky := &flakyAssessor{failures: 2 * maxQuarantined, inner: trainService(t)}
+	g := newGatewayWithAssessor(flaky, Config{IdleGap: time.Hour})
 	base := time.Unix(100, 0)
-	macs := []packet.MAC{{0x02, 0, 0, 0, 0, 1}, {0x02, 0, 0, 0, 0, 2}, {0x02, 0, 0, 0, 0, 3}}
+	macs := make([]packet.MAC, maxQuarantined+1)
+	for i := range macs {
+		macs[i] = packet.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)}
+	}
 	for _, mac := range macs {
 		pk := packet.NewARP(mac, netip.MustParseAddr("192.168.1.9"),
 			netip.MustParseAddr("192.168.1.1"))
@@ -251,23 +254,23 @@ func TestQuarantineQueueBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := g.QuarantineLen(); got != 1 {
-		t.Fatalf("queue len = %d, want bound of 1", got)
+	if got := g.QuarantineLen(); got != maxQuarantined {
+		t.Fatalf("queue len = %d, want bound of %d", got, maxQuarantined)
 	}
-	// Every device is still isolated even though only one is queued.
+	// Every device is still isolated, the one past the bound included.
 	for _, mac := range macs {
 		info, _ := g.Device(mac)
 		if info.State != StateQuarantined {
 			t.Errorf("device %v state = %v", mac, info.State)
 		}
 	}
-	// Recovery promotes only the queued device; the rest stay strict
+	// Recovery promotes only the queued devices; the rest stay strict
 	// until the operator intervenes (documented bound behaviour).
 	flaky.mu.Lock()
 	flaky.failures = 0
 	flaky.mu.Unlock()
 	n, err := g.RetryQuarantined(base.Add(time.Minute))
-	if err != nil || n != 1 {
+	if err != nil || n != maxQuarantined {
 		t.Fatalf("RetryQuarantined = (%d, %v)", n, err)
 	}
 	if g.QuarantineLen() != 0 {

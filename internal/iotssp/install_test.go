@@ -97,7 +97,7 @@ func TestInstallCarriesRuntime(t *testing.T) {
 		}},
 		{"rollback", func(t *testing.T, svc *Service) int {
 			baseline := bankBytes(t, svc.Identifier())
-			if _, err := svc.PromoteType("MAXGateway", cluster, PromoteOptions{}); err != nil {
+			if _, err := svc.PromoteType("MAXGateway", cluster); err != nil {
 				t.Fatal(err)
 			}
 			if err := installBytes(svc, baseline); err != nil {
@@ -106,7 +106,7 @@ func TestInstallCarriesRuntime(t *testing.T) {
 			return 5
 		}},
 		{"PromoteType", func(t *testing.T, svc *Service) int {
-			if _, err := svc.PromoteType("MAXGateway", cluster, PromoteOptions{}); err != nil {
+			if _, err := svc.PromoteType("MAXGateway", cluster); err != nil {
 				t.Fatal(err)
 			}
 			return 6
@@ -280,12 +280,6 @@ func TestInstallAssessPromoteConcurrently(t *testing.T) {
 					t.Errorf("Assess: %v", err)
 					return
 				}
-				if i%8 == 0 {
-					if _, err := svc.AssessBatch(probes); err != nil {
-						t.Errorf("AssessBatch: %v", err)
-						return
-					}
-				}
 			}
 		}(g)
 	}
@@ -304,7 +298,7 @@ func TestInstallAssessPromoteConcurrently(t *testing.T) {
 			// An install landing on every attempt, or a promotion that
 			// already landed and was not yet rolled back, are both fair
 			// outcomes of the race.
-			_, err := svc.PromoteType("MAXGateway", cluster, PromoteOptions{})
+			_, err := svc.PromoteType("MAXGateway", cluster)
 			if err != nil && !errors.Is(err, ErrBankChanged) && !strings.Contains(err.Error(), "already trained") {
 				t.Errorf("PromoteType: %v", err)
 			}

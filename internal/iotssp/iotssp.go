@@ -184,36 +184,11 @@ func (s *Service) Assess(fp fingerprint.Fingerprint) (Assessment, error) {
 	return a, nil
 }
 
-// AssessBatch classifies many fingerprints in one call, pipelining the
-// identifications across the identifier's worker pool. Assessments are
-// returned in input order and match element-wise what Assess would
-// return for each fingerprint.
-func (s *Service) AssessBatch(fps []fingerprint.Fingerprint) ([]Assessment, error) {
-	s.mu.RLock()
-	out := make([]Assessment, len(fps))
-	for i, res := range s.id.IdentifyBatch(fps) {
-		out[i] = s.assessmentLocked(res.Type)
-	}
-	sink := s.unknownSink
-	s.mu.RUnlock()
-	if sink != nil {
-		for i, a := range out {
-			if !a.Known {
-				sink(fps[i])
-			}
-		}
-	}
-	return out, nil
-}
-
-// PromoteOptions tunes PromoteType's validation gate.
-type PromoteOptions struct {
-	// MinAccept is the minimum fraction of the promoted cluster's
-	// fingerprints the freshly trained bank must identify as the new
-	// type for the swap to happen (0 selects the default 0.5). A cluster
-	// whose members scatter across existing types would only add noise.
-	MinAccept float64
-}
+// promoteMinAccept is PromoteType's validation gate: the minimum
+// fraction of the promoted cluster's fingerprints the freshly trained
+// bank must identify as the new type for the swap to happen. A cluster
+// whose members scatter across existing types would only add noise.
+const promoteMinAccept = 0.5
 
 var (
 	// ErrBankChanged reports that the serving bank was replaced
@@ -240,16 +215,12 @@ const promoteRetries = 3
 // new bank and retrains, up to promoteRetries times (compare-and-swap on
 // the bank pointer, with training as the expensive "compute" step). On
 // success the new bank is returned so the caller can persist it.
-func (s *Service) PromoteType(t core.TypeID, fps []fingerprint.Fingerprint, opts PromoteOptions) (*core.Identifier, error) {
+func (s *Service) PromoteType(t core.TypeID, fps []fingerprint.Fingerprint) (*core.Identifier, error) {
 	if t == core.Unknown {
 		return nil, errors.New("iotssp: cannot promote the unknown type")
 	}
 	if len(fps) == 0 {
 		return nil, errors.New("iotssp: no fingerprints to promote")
-	}
-	minAccept := opts.MinAccept
-	if minAccept <= 0 {
-		minAccept = 0.5
 	}
 	for attempt := 0; attempt < promoteRetries; attempt++ {
 		s.mu.RLock()
@@ -268,9 +239,9 @@ func (s *Service) PromoteType(t core.TypeID, fps []fingerprint.Fingerprint, opts
 				accepted++
 			}
 		}
-		if frac := float64(accepted) / float64(len(fps)); frac < minAccept {
+		if frac := float64(accepted) / float64(len(fps)); frac < promoteMinAccept {
 			return nil, fmt.Errorf("%w: %q accepted %d/%d members (min %.2f)",
-				ErrValidationFailed, t, accepted, len(fps), minAccept)
+				ErrValidationFailed, t, accepted, len(fps), promoteMinAccept)
 		}
 		swapped, err := s.swap(base, next)
 		if err != nil {

@@ -138,13 +138,6 @@ func TestUnknownSink(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("sink saw %d fingerprints after one unknown assessment", len(got))
 	}
-	// Batch path must feed the sink identically.
-	if _, err := svc.AssessBatch([]fingerprint.Fingerprint{known, unknown, unknown}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("sink saw %d fingerprints after batch, want 3", len(got))
-	}
 	// A sink that calls back into the service must not deadlock — the
 	// online-learning loop does exactly this.
 	svc.SetUnknownSink(func(fp fingerprint.Fingerprint) {
@@ -166,7 +159,7 @@ func TestPromoteType(t *testing.T) {
 	full := devices.GenerateDataset(12, 33)
 	cluster := full["MAXGateway"]
 	before := svc.Identifier()
-	next, err := svc.PromoteType("MAXGateway", cluster, PromoteOptions{})
+	next, err := svc.PromoteType("MAXGateway", cluster)
 	if err != nil {
 		t.Fatalf("PromoteType: %v", err)
 	}
@@ -199,7 +192,7 @@ func TestPromoteTypeValidationGate(t *testing.T) {
 	// and the serving bank must be left alone.
 	full := devices.GenerateDataset(12, 33)
 	before := svc.Identifier()
-	_, err := svc.PromoteType("HueBridgeClone", full["HueBridge"], PromoteOptions{MinAccept: 0.9})
+	_, err := svc.PromoteType("HueBridgeClone", full["HueBridge"])
 	if err == nil {
 		t.Fatal("promotion of a shadowed cluster passed validation")
 	}
@@ -216,13 +209,13 @@ func TestPromoteTypeValidationGate(t *testing.T) {
 
 func TestPromoteTypeRejectsBadInput(t *testing.T) {
 	svc, _ := testService(t)
-	if _, err := svc.PromoteType(core.Unknown, devices.GenerateDataset(2, 1)["Aria"], PromoteOptions{}); err == nil {
+	if _, err := svc.PromoteType(core.Unknown, devices.GenerateDataset(2, 1)["Aria"]); err == nil {
 		t.Error("promoting the unknown type must fail")
 	}
-	if _, err := svc.PromoteType("X", nil, PromoteOptions{}); err == nil {
+	if _, err := svc.PromoteType("X", nil); err == nil {
 		t.Error("promoting an empty cluster must fail")
 	}
-	if _, err := svc.PromoteType("Aria", devices.GenerateDataset(2, 1)["Aria"], PromoteOptions{}); err == nil {
+	if _, err := svc.PromoteType("Aria", devices.GenerateDataset(2, 1)["Aria"]); err == nil {
 		t.Error("promoting an already-trained type must fail")
 	}
 }
@@ -367,7 +360,7 @@ func TestHeadMemoPurgedOnBankChange(t *testing.T) {
 	}
 	t.Run("PromoteType", func(t *testing.T) {
 		svc := warm(t)
-		if _, err := svc.PromoteType("MAXGateway", cluster, PromoteOptions{}); err != nil {
+		if _, err := svc.PromoteType("MAXGateway", cluster); err != nil {
 			t.Fatal(err)
 		}
 		check(t, svc)

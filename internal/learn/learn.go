@@ -26,7 +26,7 @@ import (
 	"iotsentinel/internal/store"
 )
 
-// DefaultLinkage is the default single-linkage threshold on the
+// DefaultLinkage is the single-linkage threshold on the
 // normalized edit distance between a new fingerprint and a cluster
 // member. Measured on the device catalog over canonically-distinct
 // captures (the learner dedupes exact replays, so these are the pairs
@@ -41,6 +41,11 @@ const DefaultLinkage = 0.5
 // DefaultK is the default cluster size that triggers a type proposal.
 const DefaultK = 3
 
+// queueDepth bounds the observation queue between the assessment path
+// and the clustering goroutine. A full queue drops observations
+// (counted) rather than ever blocking serving.
+const queueDepth = 256
+
 // maxClusterMembers caps the fingerprints retained per cluster; growth
 // past the cap still counts members for bookkeeping but stops storing
 // evidence (training gains little from hundreds of near-duplicates,
@@ -49,22 +54,10 @@ const maxClusterMembers = 64
 
 // Config wires a Learner to its collaborators. Promote and Known are
 // plain funcs rather than an interface so the learner stays decoupled
-// from iotssp: daemons pass closures over Service.PromoteType and
-// Service.HasType.
+// from iotssp: daemons pass Service.PromoteType and Service.HasType.
 type Config struct {
 	// K is the cluster size that triggers a proposal (0 = DefaultK).
 	K int
-	// Linkage is the single-linkage normalized-distance threshold
-	// (0 = DefaultLinkage).
-	Linkage float64
-	// NamePrefix prefixes proposed type names (default "learned"); the
-	// full name is "<prefix>-<nnnn>" from a counter that survives
-	// restart.
-	NamePrefix string
-	// QueueDepth bounds the observation queue between the assessment
-	// path and the clustering goroutine (default 256). A full queue
-	// drops observations (counted) rather than ever blocking serving.
-	QueueDepth int
 	// Promote trains and hot-swaps a classifier for the proposed type,
 	// returning the new serving bank (iotssp.Service.PromoteType).
 	// Required.
@@ -108,10 +101,8 @@ type cluster struct {
 // background goroutine, so promotions are serialized and the cluster
 // state needs only one mutex (held briefly — never across training).
 type Learner struct {
-	cfg     Config
-	k       int
-	linkage float64
-	prefix  string
+	cfg Config
+	k   int
 
 	mu       sync.Mutex
 	clusters []*cluster
@@ -140,28 +131,14 @@ func New(cfg Config) (*Learner, error) {
 	if k <= 0 {
 		k = DefaultK
 	}
-	linkage := cfg.Linkage
-	if linkage <= 0 {
-		linkage = DefaultLinkage
-	}
-	prefix := cfg.NamePrefix
-	if prefix == "" {
-		prefix = "learned"
-	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 256
-	}
 	l := &Learner{
-		cfg:     cfg,
-		k:       k,
-		linkage: linkage,
-		prefix:  prefix,
-		seen:    make(map[fingerprint.Key]*cluster),
-		nextID:  1,
-		queue:   make(chan fingerprint.Fingerprint, depth),
-		sweep:   make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		cfg:    cfg,
+		k:      k,
+		seen:   make(map[fingerprint.Key]*cluster),
+		nextID: 1,
+		queue:  make(chan fingerprint.Fingerprint, queueDepth),
+		sweep:  make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
 	l.idle = sync.NewCond(&l.pendingMu)
 	l.wg.Add(1)
@@ -288,7 +265,7 @@ func (l *Learner) observeLocked(fp fingerprint.Fingerprint) (c *cluster, dup boo
 	var linked []*cluster
 	for _, cand := range l.clusters {
 		for i := range cand.members {
-			if _, ok := editdist.NormalizedBounded(fp.F, cand.members[i].F, l.linkage); ok {
+			if _, ok := editdist.NormalizedBounded(fp.F, cand.members[i].F, DefaultLinkage); ok {
 				linked = append(linked, cand)
 				break
 			}
@@ -314,7 +291,9 @@ func (l *Learner) observeLocked(fp fingerprint.Fingerprint) (c *cluster, dup boo
 			}
 		}
 	} else {
-		c = &cluster{id: fmt.Sprintf("%s-%04d", l.prefix, l.nextID)}
+		// Proposed types are named after their cluster, from a counter
+		// that survives restart.
+		c = &cluster{id: fmt.Sprintf("learned-%04d", l.nextID)}
 		l.nextID++
 		l.clusters = append(l.clusters, c)
 	}

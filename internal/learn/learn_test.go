@@ -66,9 +66,7 @@ func uniqueProbes(t testing.TB, typ string, n int) []fingerprint.Fingerprint {
 // serviceLearner wires a learner to a service the way the daemons do.
 func serviceLearner(t testing.TB, svc *iotssp.Service, cfg Config) *Learner {
 	t.Helper()
-	cfg.Promote = func(typ core.TypeID, fps []fingerprint.Fingerprint) (*core.Identifier, error) {
-		return svc.PromoteType(typ, fps, iotssp.PromoteOptions{})
-	}
+	cfg.Promote = svc.PromoteType
 	cfg.Known = svc.HasType
 	l, err := New(cfg)
 	if err != nil {
@@ -389,12 +387,6 @@ func TestTrainWhileServingRace(t *testing.T) {
 					t.Errorf("Assess: %v", err)
 					return
 				}
-				if i%7 == 0 {
-					if _, err := svc.AssessBatch([]fingerprint.Fingerprint{fp, known[0]}); err != nil {
-						t.Errorf("AssessBatch: %v", err)
-						return
-					}
-				}
 			}
 		}(w)
 	}
@@ -423,8 +415,7 @@ func TestTrainWhileServingRace(t *testing.T) {
 func TestLearnQueueOverflowDrops(t *testing.T) {
 	block := make(chan struct{})
 	cfg := Config{
-		K:          2,
-		QueueDepth: 1,
+		K: 2,
 		Promote: func(core.TypeID, []fingerprint.Fingerprint) (*core.Identifier, error) {
 			<-block // wedge the background goroutine
 			return nil, errors.New("blocked")
@@ -439,10 +430,11 @@ func TestLearnQueueOverflowDrops(t *testing.T) {
 
 	probes := uniqueProbes(t, "MAXGateway", 4)
 	// Two observations propose the cluster and wedge the runner in
-	// Promote; the rest must return immediately, queue full or not.
+	// Promote; the rest overrun the queue's queueDepth and must return
+	// immediately, queue full or not.
 	done := make(chan struct{})
 	go func() {
-		for i := 0; i < 50; i++ {
+		for i := 0; i < queueDepth+44; i++ {
 			l.Observe(probes[i%len(probes)])
 		}
 		close(done)

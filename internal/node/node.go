@@ -13,13 +13,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -35,31 +34,12 @@ import (
 	"iotsentinel/internal/store"
 )
 
-// Log is the process's line writer. A node's callbacks fire from capture
-// readers, assess-queue drains, the learner, the fleet session and
-// per-connection server goroutines; they all print through one Log, so
-// lines reach the underlying writer whole and one at a time.
-type Log struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewLog wraps w.
-func NewLog(w io.Writer) *Log { return &Log{w: w} }
-
-// Printf writes one formatted line; the newline is added. It has the
-// shape of the packages' Logf callbacks.
-func (l *Log) Printf(format string, a ...any) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	fmt.Fprintf(l.w, format+"\n", a...)
-}
-
 // TrainBank trains the reference bank a node serves on a cold start:
 // the synthetic dataset of the device catalog under seed, minus the
 // heldOut types (the soak keeps a few back so that their devices
-// assess as unknown).
-func TrainBank(captures int, seed int64, workers, cacheSize int, heldOut ...string) (*core.Identifier, error) {
+// assess as unknown). Training fans out over GOMAXPROCS, and the bank
+// serves with an identification cache of core.DefaultCacheSize.
+func TrainBank(captures int, seed int64, heldOut ...string) (*core.Identifier, error) {
 	raw := devices.GenerateDataset(captures, seed)
 	for _, t := range heldOut {
 		delete(raw, t)
@@ -68,7 +48,7 @@ func TrainBank(captures int, seed int64, workers, cacheSize int, heldOut ...stri
 	for k, v := range raw {
 		ds[core.TypeID(k)] = v
 	}
-	return core.Train(ds, core.Config{Seed: seed, Workers: workers, CacheSize: cacheSize})
+	return core.Train(ds, core.Config{Seed: seed, CacheSize: core.DefaultCacheSize})
 }
 
 // InstallModel installs a bank that arrived as bytes — a fleet push, a
@@ -98,7 +78,7 @@ type State struct {
 // the fail-closed posture wants traffic routed elsewhere. Open it
 // before anything that appends, so a torn journal is found — and
 // truncated — first. The caller closes st.Store.
-func OpenState(dir string, reg *obs.Registry, health *obs.Health, log *Log) (*State, error) {
+func OpenState(dir string, reg *obs.Registry, health *obs.Health, log *log.Logger) (*State, error) {
 	opts := store.Options{Logf: func(format string, a ...any) { log.Printf("state: "+format, a...) }}
 	if reg != nil {
 		opts.Metrics = store.NewMetrics(reg)
@@ -127,11 +107,9 @@ func OpenState(dir string, reg *obs.Registry, health *obs.Health, log *Log) (*St
 // directory (st may be nil) cluster growth is journaled, each promoted
 // bank is persisted so the next boot serves the learned types warm, and
 // the clusters the last run left are recovered.
-func NewLearner(svc *iotssp.Service, st *State, cfg learn.Config, log *Log) (*learn.Learner, error) {
+func NewLearner(svc *iotssp.Service, st *State, cfg learn.Config, log *log.Logger) (*learn.Learner, error) {
 	cfg.Logf = log.Printf
-	cfg.Promote = func(t core.TypeID, fps []fingerprint.Fingerprint) (*core.Identifier, error) {
-		return svc.PromoteType(t, fps, iotssp.PromoteOptions{})
-	}
+	cfg.Promote = svc.PromoteType
 	cfg.Known = svc.HasType
 	if st != nil {
 		cfg.Store = st.Store
@@ -189,7 +167,7 @@ const CheckpointEvery = time.Minute
 // probe and the log, and unknown devices fed to the learner, whose
 // cluster state rides in the gateway's checkpoints. st and learner may
 // each be nil.
-func GatewayConfig(cfg gateway.Config, st *State, learner *learn.Learner, log *Log) gateway.Config {
+func GatewayConfig(cfg gateway.Config, st *State, learner *learn.Learner, log *log.Logger) gateway.Config {
 	cfg.Shards = gateway.DefaultShards
 	cfg.AssessQueue = gateway.DefaultAssessQueue
 	if st != nil {
@@ -210,7 +188,7 @@ func GatewayConfig(cfg gateway.Config, st *State, learner *learn.Learner, log *L
 // /metrics, /healthz + /readyz, the standard pprof handlers — on their
 // own listener, so operational traffic never mixes with the node's API.
 // The returned function closes the listener.
-func ServeMetrics(addr string, reg *obs.Registry, health *obs.Health, log *Log) (func(), error) {
+func ServeMetrics(addr string, reg *obs.Registry, health *obs.Health, log *log.Logger) (func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("metrics listen: %w", err)
@@ -235,7 +213,7 @@ func ServeMetrics(addr string, reg *obs.Registry, health *obs.Health, log *Log) 
 // to five seconds, so the caller's deferred teardown runs instead of
 // the process dying mid-reply or with a dirty journal. what names the
 // listener in the log.
-func ServeUntilSignal(what, addr string, h http.Handler, log *Log) error {
+func ServeUntilSignal(what, addr string, h http.Handler, log *log.Logger) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)

@@ -3,9 +3,10 @@ package node
 import (
 	"bytes"
 	"errors"
-	"fmt"
+	"io"
+	"log"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"iotsentinel/internal/gateway"
@@ -14,36 +15,6 @@ import (
 	"iotsentinel/internal/obs"
 	"iotsentinel/internal/vulndb"
 )
-
-// TestLogKeepsLinesWhole: every callback of a node prints through one
-// Log from its own goroutine; under -race this is the daemons' writer
-// race, and in any mode no line may be torn or lost.
-func TestLogKeepsLinesWhole(t *testing.T) {
-	var buf bytes.Buffer
-	log := NewLog(&buf)
-	const writers, lines = 8, 200
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < lines; i++ {
-				log.Printf("writer %d line %d of %s", w, i, "a line long enough to be split")
-			}
-		}(w)
-	}
-	wg.Wait()
-	got := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(got) != writers*lines {
-		t.Fatalf("%d lines written, want %d", len(got), writers*lines)
-	}
-	for _, line := range got {
-		var w, i int
-		if _, err := fmt.Sscanf(line, "writer %d line %d of a line long enough to be split", &w, &i); err != nil {
-			t.Fatalf("torn line %q", line)
-		}
-	}
-}
 
 // TestGatewayConfigIsTheMeasuredOne pins the daemon's and the soak's
 // gateway to the pipeline bench/topology.go builds: DefaultShards
@@ -55,7 +26,7 @@ func TestGatewayConfigIsTheMeasuredOne(t *testing.T) {
 			gateway.DefaultShards, gateway.DefaultAssessQueue)
 	}
 	health := obs.NewHealth()
-	log := NewLog(&bytes.Buffer{})
+	log := log.New(io.Discard, "", 0)
 	st, err := OpenState(t.TempDir(), nil, health, log)
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +62,11 @@ func TestGatewayConfigIsTheMeasuredOne(t *testing.T) {
 // the reference bank minus held-out types, a learner wired to promote
 // into it and persist to the state dir, and a bank arriving as bytes.
 func TestTrainBankLearnerAndInstall(t *testing.T) {
-	id, err := TrainBank(4, 1, 2, 32, "Aria", "HueBridge")
+	id, err := TrainBank(4, 1, "Aria", "HueBridge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id.NumTypes() != 25 || id.Workers() != 2 || id.Cache() == nil {
+	if id.NumTypes() != 25 || id.Workers() != runtime.GOMAXPROCS(0) || id.Cache() == nil {
 		t.Fatalf("bank: %d types, %d workers, cache %v", id.NumTypes(), id.Workers(), id.Cache() != nil)
 	}
 	for _, typ := range id.Types() {
@@ -106,7 +77,7 @@ func TestTrainBankLearnerAndInstall(t *testing.T) {
 	svc := iotssp.New(id, vulndb.NewDefault())
 
 	var out bytes.Buffer
-	log := NewLog(&out)
+	log := log.New(&out, "", 0)
 	st, err := OpenState(t.TempDir(), nil, obs.NewHealth(), log)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +88,7 @@ func TestTrainBankLearnerAndInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	full, err := TrainBank(4, 1, 1, 0)
+	full, err := TrainBank(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +99,7 @@ func TestTrainBankLearnerAndInstall(t *testing.T) {
 	if err := InstallModel(svc, model.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if now := svc.Identifier(); now.NumTypes() != 27 || now.Workers() != 2 || now.Cache() == nil {
+	if now := svc.Identifier(); now.NumTypes() != 27 || now.Workers() != runtime.GOMAXPROCS(0) || now.Cache() == nil {
 		t.Errorf("installed bank: %d types, %d workers, cache %v; want 27 with the serving bank's runtime",
 			now.NumTypes(), now.Workers(), now.Cache() != nil)
 	}

@@ -20,8 +20,8 @@
 //     order, without touching the disk — then durable, once the
 //     committer has written and fsynced it. Security demotions
 //     (quarantine, removal) are waited for and acknowledged only when
-//     durable; routine events are committed in groups (Options.
-//     SyncEvery), so a crash can lose recent promotions — which recover
+//     durable; routine events are committed in groups of
+//     DefaultSyncEvery, so a crash can lose recent promotions — which recover
 //     as something stricter — but never an acknowledged demotion.
 //   - Snapshots and model files are written temp → fsync → rename, so
 //     a crash mid-checkpoint leaves the previous snapshot intact, and
@@ -37,23 +37,18 @@ import (
 	"time"
 )
 
-// Default tuning knobs.
 const (
-	// DefaultSyncEvery is the number of routine appends batched between
-	// fsyncs when Options.SyncEvery is 0.
+	// DefaultSyncEvery batches fsyncs for routine (non-durable) appends:
+	// the committer writes and fsyncs the journal once this many are
+	// enqueued, for any durable append, and on Close/Checkpoint.
 	DefaultSyncEvery = 64
 
 	snapshotName = "snapshot.bin"
 	modelsDir    = "models"
 )
 
-// Options tunes a Store.
+// Options wires a Store to its instrumentation.
 type Options struct {
-	// SyncEvery batches fsyncs for routine (non-durable) appends: the
-	// committer writes and fsyncs the journal once this many are
-	// enqueued, for any durable append, and on Close/Checkpoint. 0
-	// selects DefaultSyncEvery; 1 commits after every append.
-	SyncEvery int
 	// Metrics, if set, receives journal/snapshot/recovery
 	// instrumentation.
 	Metrics *Metrics
@@ -130,9 +125,6 @@ var errClosed = errors.New("store: closed")
 // returned Recovery is the caller's rebuild input; the store is ready
 // for appends.
 func Open(dir string, opts Options) (*Store, *Recovery, error) {
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = DefaultSyncEvery
-	}
 	if err := os.MkdirAll(filepath.Join(dir, modelsDir), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
@@ -245,7 +237,7 @@ func (s *Store) Append(ev Event) (uint64, error) {
 // to the order of its own state changes by enqueueing inside its
 // critical section, and calls WaitDurable after leaving it for an event
 // that must survive a crash before it is acted on. The committer is
-// woken for a durable event, and once SyncEvery routine ones are
+// woken for a durable event, and once DefaultSyncEvery routine ones are
 // pending.
 func (s *Store) Enqueue(ev Event) (uint64, error) {
 	s.mu.Lock()
@@ -270,7 +262,7 @@ func (s *Store) Enqueue(ev Event) (uint64, error) {
 	} else {
 		s.pending++
 	}
-	if durable || s.pending >= s.opts.SyncEvery {
+	if durable || s.pending >= DefaultSyncEvery {
 		s.work.Signal()
 	}
 	s.opts.Metrics.appended(len(b)-start-frameHeaderLen, durable)
@@ -303,7 +295,7 @@ func (s *Store) commitLoop() {
 	defer close(s.done)
 	for {
 		s.mu.Lock()
-		for !s.closed && s.err == nil && s.want <= s.durable && s.pending < s.opts.SyncEvery {
+		for !s.closed && s.err == nil && s.want <= s.durable && s.pending < DefaultSyncEvery {
 			s.work.Wait()
 		}
 		stop := s.closed || s.err != nil

@@ -403,14 +403,16 @@ func TestSnapshotCorruptionDegrades(t *testing.T) {
 // disk, and a reopen finds every record exactly once, in order.
 func TestAppendWhileCommitting(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openT(t, dir, Options{SyncEvery: 4})
+	s, _ := openT(t, dir, Options{})
 	const writers, each = 4, 200
 	done := make(chan error, writers)
 	for w := 0; w < writers; w++ {
 		go func(w int) {
 			for i := 0; i < each; i++ {
+				// Durable appends are sparse enough that the routine ones
+				// between them pass DefaultSyncEvery and commit on their own.
 				kind := EvAssessed
-				if i%5 == 0 {
+				if i%50 == 0 {
 					kind = EvRemoved
 				}
 				seq, err := s.Append(Event{Kind: kind, MAC: mac(byte(w))})
