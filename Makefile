@@ -50,7 +50,7 @@ SOAK_DEVICES ?= 10000
 # re-running with the seed it logged.
 CHAOS_SEED ?= $(shell date +%Y%m%d)
 
-.PHONY: all build vet fmt-check vulncheck verify test test-race fuzz crash chaos soak bench bench-parallel bench-json bench-check bench-smoke clean
+.PHONY: all build vet fmt-check vulncheck verify test test-race fuzz crash chaos soak bench bench-parallel bench-json bench-check bench-smoke size clean
 
 all: verify
 
@@ -177,6 +177,10 @@ bench-smoke:
 # pass writes nothing (pass -soak-out to loadgen for an archive).
 soak:
 	$(GO) run ./cmd/loadgen -soak-duration $(SOAK_DURATION) -soak-devices $(SOAK_DEVICES)
+
+# The size figure ROADMAP.md quotes: non-test Go lines outside bench/.
+size:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -48,6 +48,7 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -320,16 +321,9 @@ func run(args []string, out io.Writer) error {
 		if reg != nil {
 			capMetrics = capture.NewMetrics(reg)
 		}
-		drops, err := replay(log, gw, *replayDir, capMetrics)
-		if err != nil {
+		if err := replay(log, gw, *replayDir, capMetrics); err != nil {
 			return err
 		}
-		health.Register("capture", false, func() (obs.HealthStatus, string) {
-			if drops > 0 {
-				return obs.HealthDegraded, fmt.Sprintf("%d frames shed during replay", drops)
-			}
-			return obs.HealthOK, ""
-		})
 		if learner != nil {
 			// Let replay-triggered clustering and promotions settle so a
 			// -oneshot exit (and its checkpoint) captures what the replay
@@ -425,45 +419,39 @@ func bootBank(log *log.Logger, ms *store.ModelStore, captures int, seed int64) (
 	return id, sha, nil
 }
 
-// replay streams every pcap in dir through the capture front end —
-// demux, MAC-hash fanout, per-CPU readers — into the gateway's data
-// path, then force-finishes any still-monitoring devices. This is the
-// same ingest pipeline a live interface feeds, just sourced from
-// disk. Returns how many frames the ring fanout shed (slow-consumer
-// drops, surfaced through the capture health probe).
-func replay(log *log.Logger, gw *gateway.Gateway, dir string, cm *capture.Metrics) (uint64, error) {
-	src, err := capture.NewDirSource(dir)
+// replay plays every *.pcap / *.pcapng in dir, in name order, through
+// the capture front end — MAC-hash fanout, per-CPU readers — into the
+// gateway's data path, then force-finishes any still-monitoring
+// devices. This is the same ingest pipeline a live interface feeds,
+// just sourced from disk.
+func replay(log *log.Logger, gw *gateway.Gateway, dir string, cm *capture.Metrics) error {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, fmt.Errorf("replay: %w", err)
+		return fmt.Errorf("replay: %w", err)
+	}
+	var paths []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".pcap") || strings.HasSuffix(e.Name(), ".pcapng") {
+			paths = append(paths, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(paths) == 0 {
+		return fmt.Errorf("replay: no pcap files under %s", dir)
 	}
 	var (
-		mu     sync.Mutex
-		frames int
-		last   time.Time
-		hpErr  error
+		once  sync.Once
+		hpErr error
 	)
-	pump := capture.Start(src, func(ts time.Time, pk *packet.Packet) {
+	frames, last, err := capture.Replay(paths, func(ts time.Time, pk *packet.Packet) {
 		if _, err := gw.HandlePacket(ts, pk); err != nil {
-			mu.Lock()
-			if hpErr == nil {
-				hpErr = err
-			}
-			mu.Unlock()
-			return
+			once.Do(func() { hpErr = err })
 		}
-		mu.Lock()
-		frames++
-		if ts.After(last) {
-			last = ts
-		}
-		mu.Unlock()
-	}, capture.PumpConfig{Metrics: cm})
-	if err := pump.Wait(); err != nil {
-		return 0, fmt.Errorf("replay: %w", err)
+	}, cm)
+	if err == nil {
+		err = hpErr
 	}
-	drops := pump.Fanout().Drops()
-	if hpErr != nil {
-		return drops, fmt.Errorf("replay: %w", hpErr)
+	if err != nil {
+		return fmt.Errorf("replay: %w", err)
 	}
 	// Captures that completed mid-replay are on the assess queues: let
 	// them land before sweeping up, and before counting, what is left.
@@ -473,8 +461,8 @@ func replay(log *log.Logger, gw *gateway.Gateway, dir string, cm *capture.Metric
 	gw.FinishAllSetups(last.Add(time.Minute))
 	quarantined := gw.QuarantineLen()
 	log.Printf("replayed %d frames from %d captures; %d devices assessed, %d quarantined",
-		frames, src.Files(), len(gw.Devices())-quarantined, quarantined)
-	return drops, nil
+		frames, len(paths), len(gw.Devices())-quarantined, quarantined)
+	return nil
 }
 
 func orUnknown(s string) string {

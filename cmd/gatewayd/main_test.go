@@ -332,6 +332,32 @@ func TestGatewaydBadReplayDir(t *testing.T) {
 	}
 }
 
+// TestGatewaydTruncatedReplayFileFails cuts one capture off mid-record:
+// the replay must fail, and its error must name the damaged file.
+func TestGatewaydTruncatedReplayFileFails(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "service down", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+
+	dir := writeReplayDir(t)
+	bad := filepath.Join(dir, "HueBridge.pcap")
+	fi, err := os.Stat(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(bad, fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-replay", dir, "-oneshot", "-ssp", srv.URL, "-assess-retries", "0"}, &bytes.Buffer{})
+	if err == nil {
+		t.Fatal("replay of a truncated capture must fail")
+	}
+	if !strings.Contains(err.Error(), bad) {
+		t.Fatalf("error %q does not name %s", err, bad)
+	}
+}
+
 // writeDistinctCaptures writes n captures of one device type whose
 // fingerprints are canonically distinct (the learner dedupes exact
 // repeats, so only distinct observations grow a cluster).

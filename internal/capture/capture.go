@@ -1,9 +1,8 @@
 // Package capture is the gateway's live-ingestion front end: the seam
 // between "frames arrive from somewhere" and the sharded HandlePacket
 // data path. The paper's Security Gateway sits inline on the home
-// network and observes device setup traffic as it happens; this package
-// models that position with a small Source interface and three
-// interchangeable implementations:
+// network and observes device setup traffic as it happens. Frames have
+// one way in: a producer injects them into a Fanout.
 //
 //   - Ring / Fanout: an AF_PACKET-TPACKET_V3-style block ring buffer —
 //     frames are appended into fixed-size blocks whose ownership flips
@@ -15,17 +14,14 @@
 //     same hash the gateway shards device state by — so every device's
 //     packets stay in order on one reader while readers scale across
 //     CPUs (PACKET_FANOUT_HASH semantics).
-//   - PcapSource: streams records out of classic pcap / pcapng files,
-//     so recorded traces replay through exactly the code path live
-//     traffic takes.
-//   - ChanSource: a portable channel-backed fallback, and the adapter
-//     the netsim lab's mirror tap feeds (see netsim.Tap).
+//   - Replay is such a producer for classic pcap / pcapng files, so a
+//     recorded trace takes exactly the path live traffic takes.
 //
-// A Pump owns the reader side: per-CPU goroutines pull frames from
-// their source, decode them in place out of the ring block, and hand
-// (timestamp, packet) pairs to the gateway — each valid until the
-// handler returns (see Handler). The conformance suite proves the three delivery paths
-// produce bit-identical fingerprints and device states.
+// A Pump (Attach) owns the reader side: one goroutine per ring decodes
+// frames in place out of the ring block and hands (timestamp, packet)
+// pairs to the gateway — each valid until the handler returns (see
+// Handler). The conformance suite proves a replayed file and direct
+// injection produce bit-identical fingerprints and device states.
 package capture
 
 import (
@@ -37,25 +33,15 @@ import (
 //
 // Data returned by Ring.Recv is valid only until the next Recv call on
 // that ring (zero-copy out of the block buffer, like an AF_PACKET
-// mmap); decode or copy before receiving again. PcapSource and
-// ChanSource hand out owned slices.
+// mmap); decode or copy before receiving again.
 type Frame struct {
 	Time time.Time
 	Data []byte
 }
 
-// Source is one stream of captured frames. Recv blocks until a frame
-// is available and returns io.EOF once the source is closed and
-// drained. Implementations are safe for a single receiving goroutine;
-// use a Fanout to spread one traffic stream across several readers.
-type Source interface {
-	Recv() (Frame, error)
-	Close() error
-}
-
-// ErrClosed is returned by producer-side operations (Inject, Send)
-// after the source has been closed.
-var ErrClosed = errors.New("capture: source closed")
+// ErrClosed is returned by Inject after the ring (or fanout) has been
+// closed.
+var ErrClosed = errors.New("capture: ring closed")
 
 // macHash is 32-bit FNV-1a over the frame's source MAC (Ethernet
 // bytes 6..12) — deliberately the same function the gateway stripes

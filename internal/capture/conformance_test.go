@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -17,7 +18,6 @@ import (
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/gateway"
 	"iotsentinel/internal/iotssp"
-	"iotsentinel/internal/netsim"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/pcap"
 	"iotsentinel/internal/sdn"
@@ -25,11 +25,10 @@ import (
 	"iotsentinel/internal/vulndb"
 )
 
-// Source conformance: the same traffic delivered through a replayed
-// pcap file, the netsim lab's mirror tap, and a raw ring fanout must
-// leave a gateway in bit-identical state. This is what makes the
-// Source seam trustworthy — every test that runs against the lab or a
-// trace is evidence about the live path too.
+// Delivery conformance: the same traffic replayed from a pcap file and
+// injected straight into a fanout must leave a gateway in bit-identical
+// state. Both are producers on the one way in (Fanout.Inject), so every
+// test that runs against a trace is evidence about the live path too.
 
 // conformanceService trains a fresh, deterministically seeded service.
 // Each delivery path gets its own instance so no shared classifier
@@ -52,7 +51,7 @@ func conformanceService(t *testing.T) *iotssp.Service {
 }
 
 // recordingAssessor wraps a service and keeps the canonical key of
-// every fingerprint it is asked to assess, so all three paths run the
+// every fingerprint it is asked to assess, so every path runs the
 // identical code path.
 type recordingAssessor struct {
 	svc  *iotssp.Service
@@ -75,30 +74,29 @@ func (r *recordingAssessor) sortedKeys() []fingerprint.Key {
 	return out
 }
 
-type timedPacket struct {
-	ts time.Time
-	pk *packet.Packet
-}
-
 // conformanceStream merges captures from several profiles into one
-// deterministic timeline. Timestamps are microsecond-aligned by
-// construction (the generator works in millisecond gaps), so the pcap
-// format's microsecond resolution loses nothing — a prerequisite for
-// bit-identity across paths.
-func conformanceStream(t *testing.T) []timedPacket {
+// deterministic timeline of wire frames. Timestamps are
+// microsecond-aligned by construction (the generator works in
+// millisecond gaps), so the pcap format's microsecond resolution loses
+// nothing — a prerequisite for bit-identity across paths.
+func conformanceStream(t *testing.T) []pcap.Record {
 	t.Helper()
-	var stream []timedPacket
+	var stream []pcap.Record
 	for pi, p := range devices.Catalog()[:5] {
 		for _, cap := range devices.GenerateCaptures(p, 2, 31+int64(pi)) {
-			for i := range cap.Packets {
-				stream = append(stream, timedPacket{ts: cap.Times[i], pk: cap.Packets[i]})
+			for i, pk := range cap.Packets {
+				frame, err := pk.Marshal()
+				if err != nil {
+					t.Fatalf("marshal: %v", err)
+				}
+				stream = append(stream, pcap.Record{Time: cap.Times[i], Data: frame})
 			}
 		}
 	}
-	sort.SliceStable(stream, func(i, j int) bool { return stream[i].ts.Before(stream[j].ts) })
-	for _, tp := range stream {
-		if us := tp.ts.UnixNano() % int64(time.Microsecond); us != 0 {
-			t.Fatalf("generator produced sub-microsecond timestamp %v; pcap would truncate it", tp.ts)
+	sort.SliceStable(stream, func(i, j int) bool { return stream[i].Time.Before(stream[j].Time) })
+	for _, rec := range stream {
+		if us := rec.Time.UnixNano() % int64(time.Microsecond); us != 0 {
+			t.Fatalf("generator produced sub-microsecond timestamp %v; pcap would truncate it", rec.Time)
 		}
 	}
 	return stream
@@ -110,9 +108,13 @@ type pathResult struct {
 	keys    []fingerprint.Key
 }
 
-// runPath builds a fresh service and gateway, pumps frames delivered
-// by feed through cap readers, and snapshots the end state.
-func runPath(t *testing.T, stream []timedPacket, readers int, feed func(t *testing.T, stream []timedPacket) capture.Source) pathResult {
+// deliverFunc hands every frame of stream to h through readers pump
+// readers, and returns once they have all drained.
+type deliverFunc func(t *testing.T, stream []pcap.Record, readers int, h capture.Handler)
+
+// runPath builds a fresh service and gateway, delivers the stream into
+// its data path, and snapshots the end state.
+func runPath(t *testing.T, stream []pcap.Record, readers int, deliver deliverFunc) pathResult {
 	t.Helper()
 	rec := &recordingAssessor{svc: conformanceService(t)}
 	cache := sdn.NewRuleCache()
@@ -121,95 +123,58 @@ func runPath(t *testing.T, stream []timedPacket, readers int, feed func(t *testi
 	gw := gateway.New(rec, sw, gateway.Config{IdleGap: 5 * time.Second, Shards: 8})
 	defer gw.Close()
 
-	src := feed(t, stream)
-	p := capture.Start(src, func(ts time.Time, pk *packet.Packet) {
+	deliver(t, stream, readers, func(ts time.Time, pk *packet.Packet) {
 		if _, err := gw.HandlePacket(ts, pk); err != nil {
 			t.Errorf("HandlePacket: %v", err)
 		}
-	}, capture.PumpConfig{Readers: readers})
-	if err := p.Wait(); err != nil {
-		t.Fatalf("pump: %v", err)
-	}
-	end := stream[len(stream)-1].ts.Add(time.Minute)
-	gw.FinishAllSetups(end)
+	})
+	gw.FinishAllSetups(stream[len(stream)-1].Time.Add(time.Minute))
 	return pathResult{devices: gw.Devices(), keys: rec.sortedKeys()}
 }
 
-func pcapPath(t *testing.T, stream []timedPacket) capture.Source {
+// replayPath writes the stream to a pcap file and plays it with
+// capture.Replay, whose fanout has one ring per GOMAXPROCS.
+func replayPath(t *testing.T, stream []pcap.Record, readers int, h capture.Handler) {
 	t.Helper()
-	recs := make([]pcap.Record, 0, len(stream))
-	for _, tp := range stream {
-		frame, err := tp.pk.Marshal()
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		recs = append(recs, pcap.Record{Time: tp.ts, Data: frame})
-	}
 	path := filepath.Join(t.TempDir(), "conformance.pcap")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pcap.WriteAll(f, recs); err != nil {
+	if err := pcap.WriteAll(f, stream); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	src, err := capture.NewFileSource(path)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(readers))
+	frames, last, err := capture.Replay([]string{path}, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return src
+	if frames != len(stream) || !last.Equal(stream[len(stream)-1].Time) {
+		t.Fatalf("replay reported %d frames up to %v, want %d up to %v", frames, last, len(stream), stream[len(stream)-1].Time)
+	}
 }
 
-func netsimPath(t *testing.T, stream []timedPacket) capture.Source {
+// injectPath injects the stream straight into a fanout, the way a live
+// producer does.
+func injectPath(t *testing.T, stream []pcap.Record, readers int, h capture.Handler) {
 	t.Helper()
-	cache := sdn.NewRuleCache()
-	ctrl := sdn.NewController(cache, netip.Prefix{})
-	sw := sdn.NewSwitch(ctrl, time.Minute)
-	n := netsim.New(sw, netsim.DefaultModel(), 7)
-	tap := n.NewTap(256)
-	go func() {
-		defer tap.Close()
-		for _, tp := range stream {
-			if err := tap.Deliver(tp.ts, tp.pk); err != nil {
-				t.Errorf("tap deliver: %v", err)
-				return
-			}
+	f := capture.NewFanout(readers, capture.RingConfig{Lossless: true})
+	p := capture.Attach(f, h, capture.PumpConfig{})
+	defer p.Close()
+	for _, rec := range stream {
+		if err := f.Inject(rec.Time, rec.Data); err != nil {
+			t.Fatalf("inject: %v", err)
 		}
-	}()
-	return tap.Source()
-}
-
-// ringSource adapts a directly injected ring to the Source seam so the
-// raw-ring path reuses runPath unchanged.
-type ringSource struct{ *capture.Ring }
-
-func ringPath(t *testing.T, stream []timedPacket) capture.Source {
-	t.Helper()
-	r := capture.NewRing(capture.RingConfig{Blocks: 8, BlockSize: 64 << 10, Lossless: true})
-	go func() {
-		defer r.Close()
-		for _, tp := range stream {
-			frame, err := tp.pk.Marshal()
-			if err != nil {
-				t.Errorf("marshal: %v", err)
-				return
-			}
-			if err := r.Inject(tp.ts, frame); err != nil {
-				t.Errorf("ring inject: %v", err)
-				return
-			}
-		}
-	}()
-	return ringSource{r}
+	}
 }
 
 // TestSourceConformance is the differential guarantee of this layer:
-// pcap replay, lab mirror tap, and ring fallback, each through 1, 2 and
-// 4 readers, land the gateway in identical device state and assess the
-// identical fingerprint multiset.
+// pcap replay and direct injection, each through 1, 2 and 4 readers,
+// land the gateway in identical device state and assess the identical
+// fingerprint multiset.
 //
 // It is also the proof that decoding in place is safe. The reference
 // run is ordinary; every other run has the rings overwrite each block
@@ -220,7 +185,7 @@ func TestSourceConformance(t *testing.T) {
 	defer testutil.AssertNoGoroutineLeaks(t)()
 
 	stream := conformanceStream(t)
-	ref := runPath(t, stream, 1, pcapPath)
+	ref := runPath(t, stream, 1, replayPath)
 	if len(ref.devices) == 0 {
 		t.Fatal("conformance stream produced no devices")
 	}
@@ -230,16 +195,15 @@ func TestSourceConformance(t *testing.T) {
 
 	defer capture.PoisonReleasedBlocks(0xDB)()
 	paths := []struct {
-		name string
-		feed func(*testing.T, []timedPacket) capture.Source
+		name    string
+		deliver deliverFunc
 	}{
-		{"pcap", pcapPath},
-		{"netsim", netsimPath},
-		{"ring", ringPath},
+		{"pcap", replayPath},
+		{"inject", injectPath},
 	}
 	for _, p := range paths {
 		for _, readers := range []int{1, 2, 4} {
-			got := runPath(t, stream, readers, p.feed)
+			got := runPath(t, stream, readers, p.deliver)
 			if !reflect.DeepEqual(ref.devices, got.devices) {
 				t.Errorf("device states diverge between the reference and poisoned %s/%d readers:\nref: %+v\ngot: %+v",
 					p.name, readers, ref.devices, got.devices)

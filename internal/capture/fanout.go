@@ -36,7 +36,7 @@ func (f *Fanout) Inject(ts time.Time, frame []byte) error {
 	return f.rings[macHash(frame)&f.mask].Inject(ts, frame)
 }
 
-// Rings exposes the per-reader rings; ring i is reader i's Source.
+// Rings exposes the per-reader rings; Attach runs one reader per ring.
 func (f *Fanout) Rings() []*Ring { return f.rings }
 
 // Flush publishes every ring's partial block.
@@ -59,15 +59,6 @@ func (f *Fanout) Drops() uint64 {
 	var n uint64
 	for _, r := range f.rings {
 		n += r.Drops()
-	}
-	return n
-}
-
-// Frames sums the per-ring accepted-frame counters.
-func (f *Fanout) Frames() uint64 {
-	var n uint64
-	for _, r := range f.rings {
-		n += r.Frames()
 	}
 	return n
 }

@@ -1,9 +1,6 @@
 package capture
 
 import (
-	"errors"
-	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -25,69 +22,27 @@ type Handler func(ts time.Time, pk *packet.Packet)
 
 // PumpConfig tunes the reader side.
 type PumpConfig struct {
-	// Readers is the reader-goroutine count (0 = GOMAXPROCS), the
-	// per-CPU parallelism of the ingest path.
+	// Readers is read by nothing: Attach runs one reader per ring of
+	// the fanout it is given, and the fanout's ring count was fixed by
+	// NewFanout. The field stays because the benchmark harness sets it.
 	Readers int
-	// Ring is the per-reader ring geometry for pumps that demux a
-	// single Source (Start). Attach ignores it — the Fanout was built
-	// with its own geometry.
-	Ring RingConfig
 	// Metrics, if set, receives frame/decode/drop instrumentation.
 	Metrics *Metrics
 }
 
-// Pump drives reader goroutines over a fanout's rings, decoding frames
-// into gateway-ready packets. Construction starts the readers; Wait
-// blocks until the traffic stream ends; Close aborts early. Either
-// way every goroutine has exited before Wait/Close returns, so the
-// pump is leak-clean by construction.
+// Pump drives one reader goroutine per ring of a fanout, decoding
+// frames into gateway-ready packets. Attach starts the readers; Close
+// ends the stream, and every goroutine has exited before it returns,
+// so the pump is leak-clean by construction.
 type Pump struct {
 	fanout  *Fanout
-	src     Source // nil for Attach pumps; closed by Close
 	readers sync.WaitGroup
-	demux   sync.WaitGroup
-
-	mu      sync.Mutex
-	err     error
 	metrics *Metrics
 }
 
-// Start pumps a single Source through per-reader rings: one demux
-// goroutine pulls frames and fans them out by source-MAC hash, and
-// cfg.Readers goroutines decode and deliver. The demux is lossless —
-// replayed traces and lab feeds must not shed frames; a live
-// AF_PACKET-style producer injects into a Fanout directly (Attach)
-// and keeps drop semantics there.
-func Start(src Source, h Handler, cfg PumpConfig) *Pump {
-	cfg.Ring.Lossless = true
-	p := Attach(NewFanout(readerCount(cfg.Readers), cfg.Ring), h, cfg)
-	p.src = src
-	p.demux.Add(1)
-	go func() {
-		defer p.demux.Done()
-		defer p.fanout.Close()
-		for {
-			f, err := src.Recv()
-			if err != nil {
-				if !errors.Is(err, io.EOF) {
-					p.fail(err)
-				}
-				return
-			}
-			if err := p.fanout.Inject(f.Time, f.Data); err != nil {
-				if !errors.Is(err, ErrClosed) {
-					p.fail(err)
-				}
-				return
-			}
-		}
-	}()
-	return p
-}
-
-// Attach starts reader goroutines over an existing fanout whose
-// producer side the caller drives (soak injection, a live socket).
-// The caller closes the fanout to end the stream.
+// Attach starts reader goroutines over a fanout whose producer side
+// the caller drives (a live socket, a replayed trace, soak injection).
+// It is the only way to build a Pump.
 func Attach(f *Fanout, h Handler, cfg PumpConfig) *Pump {
 	p := &Pump{fanout: f, metrics: cfg.Metrics}
 	p.metrics.setReaders(len(f.rings))
@@ -96,13 +51,6 @@ func Attach(f *Fanout, h Handler, cfg PumpConfig) *Pump {
 		go p.read(r, h)
 	}
 	return p
-}
-
-func readerCount(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (p *Pump) read(r *Ring, h Handler) {
@@ -136,37 +84,13 @@ func (p *Pump) read(r *Ring, h Handler) {
 	}
 }
 
-func (p *Pump) fail(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-}
-
-// Fanout exposes the pump's fanout (drop counters, direct injection).
-func (p *Pump) Fanout() *Fanout { return p.fanout }
-
-// Wait blocks until the source is exhausted (Start) or the fanout
-// closed (Attach) and every reader has drained and exited, then
-// reports the first source error, if any.
-func (p *Pump) Wait() error {
-	p.demux.Wait()
+// Close ends the stream: the fanout is closed, frames already ringed
+// are still delivered (rings drain to EOF, they never discard on
+// close), and every reader has exited before Close returns. The error
+// is always nil; Close keeps io.Closer's shape.
+func (p *Pump) Close() error {
+	_ = p.fanout.Close()
 	p.readers.Wait()
 	p.metrics.setReaders(0)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-// Close ends the pump early: the source (for Start pumps) and the
-// fanout are closed, frames already ringed are still delivered (rings
-// drain to EOF, they never discard on close), and every goroutine has
-// exited before Close returns.
-func (p *Pump) Close() error {
-	if p.src != nil {
-		_ = p.src.Close()
-	}
-	_ = p.fanout.Close()
-	return p.Wait()
+	return nil
 }

@@ -22,9 +22,9 @@ func marshalARP(t *testing.T, mac packet.MAC, seq int) []byte {
 	return frame
 }
 
-// TestPumpStartDelivers feeds frames from several MACs through a
-// Start pump with parallel readers and requires per-MAC in-order
-// delivery and a full frame count.
+// TestPumpStartDelivers injects frames from several MACs into a fanout
+// of four rings and requires per-MAC in-order delivery and a full
+// frame count.
 func TestPumpStartDelivers(t *testing.T) {
 	defer testutil.AssertNoGoroutineLeaks(t)()
 
@@ -35,26 +35,13 @@ func TestPumpStartDelivers(t *testing.T) {
 		{0x02, 0, 0, 0, 0, 4},
 	}
 	const per = 200
-	src := NewChanSource(64)
-	go func() {
-		for i := 0; i < per; i++ {
-			for _, mac := range macs {
-				// The source IP's low bytes carry the sequence number.
-				if err := src.Send(time.Unix(0, int64(i)), marshalARP(t, mac, i)); err != nil {
-					t.Errorf("send: %v", err)
-					return
-				}
-			}
-		}
-		src.Close()
-	}()
-
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	var mu sync.Mutex
 	lastSeq := make(map[packet.MAC]int)
 	total := 0
-	p := Start(src, func(ts time.Time, pk *packet.Packet) {
+	f := NewFanout(4, RingConfig{Lossless: true})
+	p := Attach(f, func(ts time.Time, pk *packet.Packet) {
 		seq := int(pk.SrcIP.As4()[2])<<8 | int(pk.SrcIP.As4()[3])
 		mu.Lock()
 		if last, ok := lastSeq[pk.SrcMAC]; ok && seq != last+1 {
@@ -63,8 +50,16 @@ func TestPumpStartDelivers(t *testing.T) {
 		lastSeq[pk.SrcMAC] = seq
 		total++
 		mu.Unlock()
-	}, PumpConfig{Readers: 4, Metrics: m})
-	if err := p.Wait(); err != nil {
+	}, PumpConfig{Metrics: m})
+	for i := 0; i < per; i++ {
+		for _, mac := range macs {
+			// The source IP's low bytes carry the sequence number.
+			if err := f.Inject(time.Unix(0, int64(i)), marshalARP(t, mac, i)); err != nil {
+				t.Fatalf("inject: %v", err)
+			}
+		}
+	}
+	if err := p.Close(); err != nil {
 		t.Fatalf("pump: %v", err)
 	}
 	if total != per*len(macs) {
@@ -80,26 +75,20 @@ func TestPumpStartDelivers(t *testing.T) {
 func TestPumpCountsDecodeErrors(t *testing.T) {
 	defer testutil.AssertNoGoroutineLeaks(t)()
 
-	src := NewChanSource(8)
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	var mu sync.Mutex
 	delivered := 0
-	p := Start(src, func(time.Time, *packet.Packet) {
-		mu.Lock()
-		delivered++
-		mu.Unlock()
-	}, PumpConfig{Readers: 1, Metrics: m})
+	f := NewFanout(1, RingConfig{Lossless: true})
+	p := Attach(f, func(time.Time, *packet.Packet) { delivered++ }, PumpConfig{Metrics: m})
 
 	mac := packet.MAC{0x02, 0, 0, 0, 0, 9}
-	if err := src.Send(time.Now(), []byte{0xde, 0xad}); err != nil { // runt
+	if err := f.Inject(time.Now(), []byte{0xde, 0xad}); err != nil { // runt
 		t.Fatal(err)
 	}
-	if err := src.Send(time.Now(), marshalARP(t, mac, 1)); err != nil {
+	if err := f.Inject(time.Now(), marshalARP(t, mac, 1)); err != nil {
 		t.Fatal(err)
 	}
-	src.Close()
-	if err := p.Wait(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatalf("pump: %v", err)
 	}
 	if delivered != 1 {
@@ -107,26 +96,6 @@ func TestPumpCountsDecodeErrors(t *testing.T) {
 	}
 	if v := m.decodeErrors.Value(); v != 1 {
 		t.Fatalf("decode errors %d, want 1", v)
-	}
-}
-
-// TestPumpCloseUnblocksStalledSource proves Close tears down a pump
-// whose demux is parked in Recv on an idle source.
-func TestPumpCloseUnblocksStalledSource(t *testing.T) {
-	defer testutil.AssertNoGoroutineLeaks(t)()
-
-	src := NewChanSource(1)
-	p := Start(src, func(time.Time, *packet.Packet) {}, PumpConfig{Readers: 2})
-	time.Sleep(10 * time.Millisecond) // let the demux park in Recv
-	done := make(chan error, 1)
-	go func() { done <- p.Close() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("close: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung on a stalled source")
 	}
 }
 
@@ -155,33 +124,6 @@ func TestPumpAttachDrainsOnClose(t *testing.T) {
 	}
 	if got != n {
 		t.Fatalf("delivered %d of %d frames after close", got, n)
-	}
-}
-
-// TestChanSourceDrainsBufferedAfterClose pins the close-then-drain
-// contract the netsim tap relies on.
-func TestChanSourceDrainsBufferedAfterClose(t *testing.T) {
-	s := NewChanSource(4)
-	for i := 0; i < 3; i++ {
-		if err := s.Send(time.Unix(0, int64(i)), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-	for i := 0; i < 3; i++ {
-		f, err := s.Recv()
-		if err != nil {
-			t.Fatalf("recv %d after close: %v", i, err)
-		}
-		if f.Data[0] != byte(i) {
-			t.Fatalf("frame %d out of order", i)
-		}
-	}
-	if _, err := s.Recv(); err == nil {
-		t.Fatal("want EOF after drain")
-	}
-	if err := s.Send(time.Now(), []byte{9}); err != ErrClosed {
-		t.Fatalf("send after close: want ErrClosed, got %v", err)
 	}
 }
 

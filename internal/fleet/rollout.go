@@ -86,9 +86,6 @@ type ControllerConfig struct {
 	// still need (candidate, baseline) content-addressed by SHA-256;
 	// without it a crashed controller cannot re-push after Recover.
 	Models *store.ModelStore
-	// OnPromote, if set, runs after a fleet-wide promotion with the
-	// promoted bank's SHA and bytes.
-	OnPromote func(sha string, model []byte)
 	// OnRollback, if set, runs after a rollback with the SHA and bytes
 	// of the baseline the fleet was restored to (the central daemon
 	// uses them to revert its own serving bank through the validated
@@ -276,9 +273,6 @@ func (c *Controller) StartRollout(model []byte) (string, error) {
 		c.mu.Unlock()
 		c.cfg.Metrics.incRollout(true)
 		c.logf("fleet: rollout %.12s promoted on an empty fleet", sha)
-		if c.cfg.OnPromote != nil {
-			c.cfg.OnPromote(sha, model)
-		}
 		return sha, nil
 	}
 
@@ -566,9 +560,6 @@ func (c *Controller) promote() {
 		c.logf("fleet: promote: %v", err)
 	}
 	c.logf("fleet: rollout %.12s promoted fleet-wide", sha)
-	if c.cfg.OnPromote != nil {
-		c.cfg.OnPromote(sha, model)
-	}
 }
 
 // rollBack re-pushes the baseline to the canary set and closes the

@@ -511,7 +511,8 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 // apply installs the enforcement rule for one assessment and fires the
 // gateway callbacks. fp is the fingerprint the assessment answered,
 // threaded through so an unrecognized device can hand its evidence to
-// the online learner.
+// the online learner; it is nil for a legacy device's standby
+// fingerprint, which the learner must not see.
 //
 // The verdict is for the device that was there when the assessment
 // began. Over the remote call that is a round trip ago — Timeout ×
@@ -575,7 +576,7 @@ func (g *Gateway) apply(mac packet.MAC, a iotssp.Assessment, fp *fingerprint.Fin
 	if g.cfg.OnAssessed != nil {
 		g.cfg.OnAssessed(snapshot)
 	}
-	if !a.Known && g.cfg.OnUnknown != nil {
+	if !a.Known && fp != nil && g.cfg.OnUnknown != nil {
 		g.cfg.OnUnknown(snapshot, *fp)
 	}
 	if g.cfg.OnNotify != nil {

@@ -2,13 +2,11 @@ package gateway
 
 import (
 	"fmt"
-	"net/netip"
 	"time"
 
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/sdn"
-	"iotsentinel/internal/store"
 )
 
 // LegacyDevice describes a device that was already installed before the
@@ -82,38 +80,20 @@ func (g *Gateway) MigrateLegacy(devs []LegacyDevice, now time.Time) ([]LegacyOut
 				o.ManualReauthRequired = true
 			}
 		}
-		rule := &sdn.EnforcementRule{
-			DeviceMAC:    d.MAC,
-			Level:        o.Level,
-			PermittedIPs: a.PermittedIPs,
-			DeviceType:   string(a.Type),
-		}
-		g.sw.Controller().Rules().Put(rule)
-		g.sw.InvalidateDevice(d.MAC)
-
+		// The verdict lands like any other: a tracked device keeps its
+		// record, and an open capture is dropped so the idle sweep never
+		// re-assesses the device from setup traffic over this verdict.
 		s := g.shardOf(d.MAC)
 		s.mu.Lock()
-		s.devices[d.MAC] = &DeviceInfo{
-			MAC:             d.MAC,
-			State:           StateAssessed,
-			Type:            a.Type,
-			Level:           o.Level,
-			FirstSeen:       now,
-			AssessedAt:      now,
-			PermittedIPs:    append([]netip.Addr(nil), a.PermittedIPs...),
-			Vulnerabilities: a.Vulnerabilities,
+		if s.devices[d.MAC] == nil {
+			s.devices[d.MAC] = &DeviceInfo{MAC: d.MAC, FirstSeen: now}
 		}
-		g.record(store.Event{
-			Kind:         store.EvAssessed,
-			MAC:          d.MAC,
-			At:           now,
-			FirstSeen:    now,
-			Type:         string(a.Type),
-			Level:        int(o.Level),
-			PermittedIPs: a.PermittedIPs,
-			Vulns:        a.Vulnerabilities,
-		})
+		delete(s.captures, d.MAC)
 		s.mu.Unlock()
+		a.Level = o.Level
+		// No fingerprint for the learner: it clusters setup traffic, and
+		// this one is standby traffic.
+		g.apply(d.MAC, a, nil, now)
 		out = append(out, o)
 	}
 	return out, nil

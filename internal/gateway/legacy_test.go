@@ -10,6 +10,7 @@ import (
 	"iotsentinel/internal/devices"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/iotssp"
+	"iotsentinel/internal/obs"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/sdn"
 	"iotsentinel/internal/vulndb"
@@ -86,6 +87,53 @@ func TestMigrateLegacy(t *testing.T) {
 		if !ok || info.State != StateAssessed {
 			t.Errorf("device %d: info = %+v", i, info)
 		}
+	}
+}
+
+// TestMigrateLegacyCountsAssessed requires migrated devices in the
+// per-state gauge, like any other assessed device.
+func TestMigrateLegacyCountsAssessed(t *testing.T) {
+	svc := standbyService(t, []string{"HueBridge", "EdnetCam"})
+	sw := sdn.NewSwitch(sdn.NewController(sdn.NewRuleCache(), netip.Prefix{}), time.Minute)
+	reg := obs.NewRegistry()
+	g := New(svc, sw, Config{Metrics: NewMetrics(reg)})
+
+	if _, err := g.MigrateLegacy([]LegacyDevice{
+		{MAC: [6]byte{2, 5, 0, 0, 0, 1}, Fingerprint: standbyFP(t, "HueBridge", 70), SupportsWPS: true},
+		{MAC: [6]byte{2, 5, 0, 0, 0, 2}, Fingerprint: standbyFP(t, "EdnetCam", 72)},
+	}, time.Unix(5000, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Value("gateway_devices", "state", "assessed"); got != 2 {
+		t.Errorf("assessed gauge = %v, want 2", got)
+	}
+}
+
+// TestMigrateLegacyDropsOpenCapture migrates a device the gateway is
+// still capturing: the idle sweep must not re-assess it afterwards and
+// overwrite the legacy verdict.
+func TestMigrateLegacyDropsOpenCapture(t *testing.T) {
+	svc := standbyService(t, []string{"HueBridge", "EdnetCam"})
+	sw := sdn.NewSwitch(sdn.NewController(sdn.NewRuleCache(), netip.Prefix{}), time.Minute)
+	g := New(svc, sw, Config{IdleGap: 5 * time.Second})
+
+	mac := packet.MAC{2, 5, 0, 0, 0, 3}
+	pk := packet.NewARP(mac, netip.MustParseAddr("192.168.1.5"), netip.MustParseAddr("192.168.1.1"))
+	if _, err := g.HandlePacket(time.Unix(5000, 0), pk); err != nil {
+		t.Fatal(err)
+	}
+	out, err := g.MigrateLegacy([]LegacyDevice{
+		{MAC: mac, Fingerprint: standbyFP(t, "HueBridge", 70), SupportsWPS: true},
+	}, time.Unix(5001, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := g.FinalizeIdleCaptures(time.Unix(6000, 0)); n != 0 {
+		t.Errorf("idle sweep finished %d captures after migration, want 0", n)
+	}
+	info, _ := g.Device(mac)
+	if info.State != StateAssessed || string(info.Type) != out[0].Type || info.Level != out[0].Level {
+		t.Errorf("device %+v, want the legacy verdict %+v", info, out[0])
 	}
 }
 

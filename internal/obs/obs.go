@@ -260,15 +260,6 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	return v.f.get(labelValues).gauge
 }
 
-// HistogramVec is a histogram family partitioned by label values.
-type HistogramVec struct{ f *family }
-
-// With returns the histogram for the given label values, creating it
-// on first use.
-func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	return v.f.get(labelValues).histogram
-}
-
 // Registry holds named metric families. Registration is idempotent:
 // asking for an existing name with the same kind and label schema
 // returns the existing family, so independent components can share a
@@ -339,12 +330,4 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 		bounds = DefLatencyBuckets
 	}
 	return r.family(name, help, KindHistogram, nil, bounds).get(nil).histogram
-}
-
-// HistogramVec registers (or returns) a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	if bounds == nil {
-		bounds = DefLatencyBuckets
-	}
-	return &HistogramVec{f: r.family(name, help, KindHistogram, labels, bounds)}
 }
