@@ -5,7 +5,8 @@
 # sweep + the seeded fleet-link chaos sweep (see `make chaos`) + a
 # short fuzz pass over the capture ring and readers, the frame decoder,
 # the forest and model-file deserializers, the packed-symbol codec, the fingerprint
-# head, the cluster-linkage input, the fleet wire decoders, the HTTP
+# head, the edit-distance kernel and discrimination scoring, the
+# cluster-linkage input, the fleet wire decoders, the HTTP
 # assess request body and the store's record and snapshot-row decoders +
 # the benchmark module's own vet and tests
 # (`make bench-smoke`) + a short sustained-load soak with its
@@ -107,6 +108,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzPackRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/features/
 	$(GO) test -run='^$$' -fuzz='^FuzzHead$$' -fuzztime=$(FUZZTIME) ./internal/fingerprint/
 	$(GO) test -run='^$$' -fuzz='^FuzzBandedDistance$$' -fuzztime=$(FUZZTIME) ./internal/editdist/
+	$(GO) test -run='^$$' -fuzz='^FuzzDistanceSum$$' -fuzztime=$(FUZZTIME) ./internal/editdist/
 	$(GO) test -run='^$$' -fuzz='^FuzzClusterLinkage$$' -fuzztime=$(FUZZTIME) ./internal/learn/
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
@@ -156,7 +158,7 @@ bench-json:
 # sub-microsecond non-serving benchmarks (packet codecs, convenience
 # APIs, device-churn stress loops) swing far past any sane threshold
 # with host load, and training is a one-time boot cost.
-BENCH_GATE ?= ^(capture\.RingHandoff|core\.(ScanBank27|IdentifySteadyState|IdentifyBatchSteadyState|IdentifyCacheHit|IdentifyHeadHit|IdentifyWarmBootCached)|editdist\.DiscriminateRefSet|fingerprint\.CanonicalKey|gateway\.(HandlePacketSteadyState|PumpForward)|rf\.BankScan|sdn\.SwitchProcess10k/(internet|peer)|iotsentinel\.(ClassifySingle|TypeIdentification))$$
+BENCH_GATE ?= ^(capture\.RingHandoff|core\.(ScanBank27|IdentifySteadyState|IdentifyBatchSteadyState|IdentifyCacheHit|IdentifyHeadHit|IdentifyWarmBootCached)|editdist\.DiscriminateRefSet(Exact)?|fingerprint\.CanonicalKey|gateway\.(HandlePacketSteadyState|PumpForward)|rf\.BankScan|sdn\.SwitchProcess10k/(internet|peer)|iotsentinel\.(ClassifySingle|TypeIdentification))$$
 
 bench-check:
 	$(GO) run ./cmd/benchreport -delta . -delta-gate '$(BENCH_GATE)'

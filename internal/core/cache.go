@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"sync"
 
 	"iotsentinel/internal/fingerprint"
@@ -38,12 +37,16 @@ import (
 // short mutex hold; the heavy work (hashing the probe) happens outside
 // the lock.
 type IdentifyCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[fingerprint.Key]*list.Element
-	order   *list.List // front = most recently used
-	hits    uint64
-	misses  uint64
+	mu  sync.Mutex
+	cap int
+	// The first level: at most cap slots, linked from the most recently
+	// used (mru) to the least (lru); -1 ends the list. An evicted slot is
+	// reused, containers and all, by the entry that evicted it.
+	index    map[fingerprint.Key]int32
+	slots    []cacheSlot
+	mru, lru int32
+	hits     uint64
+	misses   uint64
 
 	// heads maps a head to its slot in accepts; slot i is the words
 	// accepts[i*words:(i+1)*words], one bit per bank index. At most cap
@@ -56,9 +59,10 @@ type IdentifyCache struct {
 	headMisses uint64
 }
 
-type cacheEntry struct {
-	key fingerprint.Key
-	res Result
+type cacheSlot struct {
+	key        fingerprint.Key
+	res        Result
+	prev, next int32 // toward mru, toward lru
 }
 
 // DefaultCacheSize is the entry bound selected by NewIdentifyCache when
@@ -72,10 +76,12 @@ func NewIdentifyCache(capacity int) *IdentifyCache {
 		capacity = DefaultCacheSize
 	}
 	return &IdentifyCache{
-		cap:     capacity,
-		entries: make(map[fingerprint.Key]*list.Element, capacity),
-		order:   list.New(),
-		heads:   make(map[fingerprint.Head]uint32),
+		cap:   capacity,
+		index: make(map[fingerprint.Key]int32, capacity),
+		slots: make([]cacheSlot, 0, capacity),
+		mru:   -1,
+		lru:   -1,
+		heads: make(map[fingerprint.Head]uint32),
 	}
 }
 
@@ -154,14 +160,14 @@ func (c *IdentifyCache) getInto(key fingerprint.Key, res *Result) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	i, ok := c.index[key]
 	if !ok {
 		c.misses++
 		return false
 	}
 	c.hits++
-	c.order.MoveToFront(el)
-	copyResultInto(&el.Value.(*cacheEntry).res, res)
+	c.moveToFront(i)
+	copyResultInto(&c.slots[i].res, res)
 	return true
 }
 
@@ -171,26 +177,55 @@ func (c *IdentifyCache) put(key fingerprint.Key, res Result) {
 	if c == nil {
 		return
 	}
-	stored := copyResult(res)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i, ok := c.index[key]
+	switch {
+	case ok:
+		c.moveToFront(i)
+	case len(c.slots) < c.cap:
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, cacheSlot{key: key, prev: -1, next: -1})
+		c.index[key] = i
+		c.pushFront(i)
+	default:
+		i = c.lru
+		delete(c.index, c.slots[i].key)
+		c.slots[i].key = key
+		c.index[key] = i
+		c.moveToFront(i)
+	}
+	stored := &c.slots[i].res
+	copyResultInto(&res, stored)
 	// Timings are run-dependent measurements, not part of the answer;
 	// zero them so a hit cannot masquerade as classifier work.
 	stored.ClassifyTime = 0
 	stored.DiscriminateTime = 0
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = stored
-		c.order.MoveToFront(el)
+}
+
+func (c *IdentifyCache) moveToFront(i int32) {
+	if c.mru == i {
 		return
 	}
-	if c.order.Len() >= c.cap {
-		oldest := c.order.Back()
-		if oldest != nil {
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*cacheEntry).key)
-		}
+	s := &c.slots[i]
+	c.slots[s.prev].next = s.next
+	if s.next >= 0 {
+		c.slots[s.next].prev = s.prev
+	} else {
+		c.lru = s.prev
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: stored})
+	c.pushFront(i)
+}
+
+func (c *IdentifyCache) pushFront(i int32) {
+	s := &c.slots[i]
+	s.prev, s.next = -1, c.mru
+	if c.mru >= 0 {
+		c.slots[c.mru].prev = i
+	} else {
+		c.lru = i
+	}
+	c.mru = i
 }
 
 // Purge drops every entry of both levels; called when the classifier
@@ -202,8 +237,9 @@ func (c *IdentifyCache) Purge() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[fingerprint.Key]*list.Element, c.cap)
-	c.order.Init()
+	clear(c.index)
+	c.slots = c.slots[:0]
+	c.mru, c.lru = -1, -1
 	c.purgeHeadsLocked()
 }
 
@@ -214,7 +250,7 @@ func (c *IdentifyCache) Len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return len(c.slots)
 }
 
 // Stats returns the cumulative first-level (full-key) hit and miss
@@ -240,30 +276,22 @@ func (c *IdentifyCache) HeadStats() (hits, misses uint64) {
 	return c.headHits, c.headMisses
 }
 
-// copyResult deep-copies the mutable fields of a Result so cached
-// values cannot alias caller-visible ones.
-func copyResult(res Result) Result {
-	var out Result
-	copyResultInto(&res, &out)
-	return out
-}
-
 // copyResultInto deep-copies src into dst, reusing dst's Matches
-// backing array and Scores map where possible. A nil src.Matches or
-// src.Scores stays nil in a fresh dst; a reused dst keeps its
-// (emptied) containers, which callers must treat as equivalent.
+// backing array and Scores map where possible. An empty src.Matches or
+// src.Scores leaves a nil one in dst nil, allocating nothing: a stored
+// undiscriminated result holds nil Scores, the answer of a fresh
+// Identify. A reused dst keeps its (emptied) containers, which callers
+// must treat as equivalent.
 func copyResultInto(src, dst *Result) {
 	dst.Type = src.Type
 	dst.Discriminated = src.Discriminated
 	dst.EditDistances = src.EditDistances
 	dst.ClassifyTime = src.ClassifyTime
 	dst.DiscriminateTime = src.DiscriminateTime
-	if src.Matches == nil && dst.Matches == nil {
-		// keep nil: Identify's zero-value Result round-trips exactly
-	} else {
+	if len(src.Matches) > 0 || dst.Matches != nil {
 		dst.Matches = append(dst.Matches[:0], src.Matches...)
 	}
-	if src.Scores == nil && dst.Scores == nil {
+	if len(src.Scores) == 0 && dst.Scores == nil {
 		return
 	}
 	if dst.Scores == nil {

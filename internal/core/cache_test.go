@@ -1,13 +1,17 @@
 package core
 
 import (
+	"container/list"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"iotsentinel/internal/devices"
 	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
+	"iotsentinel/internal/testutil"
 )
 
 func trainedPair(t *testing.T, cacheSize int) (cached, plain *Identifier, probes []fingerprint.Fingerprint) {
@@ -264,5 +268,143 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	}
 	if c.Len() > 64 {
 		t.Errorf("cache exceeded its bound: %d entries", c.Len())
+	}
+}
+
+// refLRU is the retired first level, a container/list LRU, kept as the
+// reference the slab is held to. It stores only a result's Type.
+type refLRU struct {
+	cap                     int
+	entries                 map[fingerprint.Key]*list.Element
+	order                   *list.List // front = most recently used
+	hits, misses, evictions int
+}
+
+type refEntry struct {
+	key fingerprint.Key
+	typ TypeID
+}
+
+func newRefLRU(capacity int) *refLRU {
+	return &refLRU{cap: capacity, entries: make(map[fingerprint.Key]*list.Element), order: list.New()}
+}
+
+func (r *refLRU) get(key fingerprint.Key) (TypeID, bool) {
+	el, ok := r.entries[key]
+	if !ok {
+		r.misses++
+		return "", false
+	}
+	r.hits++
+	r.order.MoveToFront(el)
+	return el.Value.(*refEntry).typ, true
+}
+
+func (r *refLRU) put(key fingerprint.Key, typ TypeID) {
+	if el, ok := r.entries[key]; ok {
+		el.Value.(*refEntry).typ = typ
+		r.order.MoveToFront(el)
+		return
+	}
+	if r.order.Len() >= r.cap {
+		oldest := r.order.Back()
+		r.order.Remove(oldest)
+		delete(r.entries, oldest.Value.(*refEntry).key)
+		r.evictions++
+	}
+	r.entries[key] = r.order.PushFront(&refEntry{key: key, typ: typ})
+}
+
+func (r *refLRU) purge() {
+	r.entries = make(map[fingerprint.Key]*list.Element)
+	r.order.Init()
+}
+
+func (r *refLRU) keys() []fingerprint.Key {
+	var out []fingerprint.Key
+	for el := r.order.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*refEntry).key)
+	}
+	return out
+}
+
+// lruKeys walks the slab's links from most to least recently used.
+func lruKeys(c *IdentifyCache) []fingerprint.Key {
+	var out []fingerprint.Key
+	for i := c.mru; i >= 0; i = c.slots[i].next {
+		out = append(out, c.slots[i].key)
+	}
+	return out
+}
+
+// TestCacheMatchesListLRU drives the slab cache and the retired
+// container/list LRU through one seeded sequence of gets, puts and
+// purges: every answer, the hit, miss and eviction counts and Len must
+// agree after every step, and so must the full recency order.
+func TestCacheMatchesListLRU(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 4096} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		c, ref := NewIdentifyCache(capacity), newRefLRU(capacity)
+		keys := make([]fingerprint.Key, 2*capacity+3)
+		for i := range keys {
+			keys[i] = (&fingerprint.Fingerprint{F: fingerprint.F{features.Packed(i)}}).CanonicalKey()
+		}
+		evictions := 0
+		for step := 0; step < 30000; step++ {
+			key := keys[rng.Intn(len(keys))]
+			switch {
+			case rng.Intn(100+10*capacity) == 0:
+				c.Purge()
+				ref.purge()
+			case rng.Intn(2) == 0:
+				got, ok := c.get(key)
+				want, wantOK := ref.get(key)
+				if ok != wantOK || got.Type != want {
+					t.Fatalf("cap %d step %d: get = (%q, %v), list LRU (%q, %v)", capacity, step, got.Type, ok, want, wantOK)
+				}
+			default:
+				typ := TypeID(fmt.Sprintf("t%d", step))
+				if _, resident := c.index[key]; !resident && c.Len() == capacity {
+					evictions++
+				}
+				c.put(key, Result{Type: typ, Matches: []TypeID{typ}})
+				ref.put(key, typ)
+			}
+			hits, misses := c.Stats()
+			if int(hits) != ref.hits || int(misses) != ref.misses || evictions != ref.evictions || c.Len() != ref.order.Len() {
+				t.Fatalf("cap %d step %d: %d hits, %d misses, %d evictions, Len %d; list LRU %d, %d, %d, %d",
+					capacity, step, hits, misses, evictions, c.Len(), ref.hits, ref.misses, ref.evictions, ref.order.Len())
+			}
+			// Walking a large cache every step is quadratic: sample it.
+			if step%(1+capacity/8) == 0 && !slices.Equal(lruKeys(c), ref.keys()) {
+				t.Fatalf("cap %d step %d: recency order differs from the list LRU", capacity, step)
+			}
+		}
+		if ref.evictions == 0 || ref.hits == 0 {
+			t.Fatalf("cap %d: sequence made %d evictions, %d hits; nothing exercised", capacity, ref.evictions, ref.hits)
+		}
+	}
+}
+
+// TestCachePutAllocatesOnlyMatches pins what storing an undiscriminated
+// answer costs: its Matches copy in a fresh slot, nothing in one reused
+// by eviction — never a map for its empty Scores, which IdentifyInto
+// leaves non-nil in a reused Result.
+func TestCachePutAllocatesOnlyMatches(t *testing.T) {
+	res := Result{Type: "a", Matches: []TypeID{"a"}, Scores: map[TypeID]float64{}}
+	keys := make([]fingerprint.Key, 1000)
+	for i := range keys {
+		keys[i] = (&fingerprint.Fingerprint{UniqueCount: i}).CanonicalKey()
+	}
+	c := NewIdentifyCache(len(keys))
+	i := 0
+	testutil.AssertAllocs(t, "put/fresh slot", 1, func() { c.put(keys[i], res); i++ })
+	c = NewIdentifyCache(2)
+	for _, k := range keys[:2] {
+		c.put(k, res)
+	}
+	testutil.AssertAllocs(t, "put/evicting", 0, func() { c.put(keys[i%len(keys)], res); i++ })
+	if got, _ := c.get(keys[(i-1)%len(keys)]); got.Scores != nil {
+		t.Errorf("undiscriminated answer came back with Scores %v, want nil", got.Scores)
 	}
 }

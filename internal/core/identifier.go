@@ -432,7 +432,7 @@ type Result struct {
 	// Scores holds the per-candidate dissimilarity score in [0,
 	// RefFingerprints] for every candidate whose discrimination scoring
 	// ran to completion. Candidates that were abandoned early — the
-	// banded scorer proved their sum could not beat the running best —
+	// budgeted scorer proved their sum could not beat the running best —
 	// are absent; the winner's score is always present and always
 	// exact. Scores is nil when discrimination did not run (it may be
 	// an empty non-nil map when a Result is reused via IdentifyInto).

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"iotsentinel/internal/devices"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/testutil"
 )
@@ -164,6 +168,128 @@ func TestIdentifyMatchesRetiredPipeline(t *testing.T) {
 		}
 		if !sawDiscrimination && !cfg.DisableDiscrimination {
 			t.Fatalf("cfg %+v: no probe exercised discrimination; oracle coverage drifted", cfg)
+		}
+	}
+}
+
+// naiveDistance is the restricted Damerau-Levenshtein distance by the
+// full O(n·m) matrix: the textbook recurrence, independent of the
+// bit-vector kernel editdist runs.
+func naiveDistance(a, b fingerprint.F) int {
+	d := make([][]int, len(a)+1)
+	for i := range d {
+		d[i] = make([]int, len(b)+1)
+		d[i][0] = i
+	}
+	for j := range d[0] {
+		d[0][j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			d[i][j] = min(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
+			if i > 1 && j > 1 && a[i-1] == b[j-2] && a[i-2] == b[j-1] {
+				d[i][j] = min(d[i][j], d[i-2][j-2]+1)
+			}
+		}
+	}
+	return d[len(a)][len(b)]
+}
+
+// naiveIdentify is Identify with discrimination by naiveDistance: the
+// forests walked per type, then the candidates scored in match order
+// under the running best sum, each abandoned before a reference once
+// its sum has reached the best, or at a reference that would take it
+// there — the budgeted scoring's contract, with no budgets and no
+// cut-offs. Every field but the timings is what Identify must answer.
+func naiveIdentify(id *Identifier, fp fingerprint.Fingerprint) Result {
+	var res Result
+	for _, t := range id.types {
+		if id.models[t].forest.AcceptSoft(fp.FPrime[:], 1, id.cfg.AcceptThreshold) {
+			res.Matches = append(res.Matches, t)
+		}
+	}
+	switch len(res.Matches) {
+	case 0:
+		res.Type = Unknown
+		return res
+	case 1:
+		res.Type = res.Matches[0]
+		return res
+	}
+	res.Discriminated = true
+	res.Scores = make(map[TypeID]float64)
+	best := math.Inf(1)
+	res.Type = res.Matches[0]
+	for _, t := range res.Matches {
+		sum, completed := 0.0, true
+		for _, ref := range id.models[t].refs.Refs() {
+			if sum >= best {
+				completed = false
+				break
+			}
+			res.EditDistances++
+			ml := max(len(fp.F), len(ref))
+			if ml == 0 {
+				continue
+			}
+			next := sum + float64(naiveDistance(fp.F, ref))/float64(ml)
+			if next >= best {
+				completed = false
+				break
+			}
+			sum = next
+		}
+		if completed {
+			res.Scores[t] = sum
+			if sum < best {
+				best, res.Type = sum, t
+			}
+		}
+	}
+	return res
+}
+
+// TestBank27MatchesNaiveDiscrimination holds the production pipeline —
+// the bit-vector kernel, its cut-offs and the budgets — to naiveIdentify
+// over every distinct fingerprint of 640 setup captures per catalog
+// profile (drawn as bench/ draws service_identify's), on the 27-type
+// bank at seeds 1–3: every Result field but the timings equal.
+func TestBank27MatchesNaiveDiscrimination(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		samples := make(map[TypeID][]fingerprint.Fingerprint)
+		for k, v := range devices.GenerateDataset(20, seed) {
+			samples[TypeID(k)] = v
+		}
+		id, err := Train(samples, Config{Seed: seed})
+		if err != nil {
+			t.Fatalf("seed %d: Train: %v", seed, err)
+		}
+		seen := make(map[fingerprint.Key]bool)
+		discriminated := 0
+		for pi, prof := range devices.Catalog() {
+			rng := rand.New(rand.NewSource(seed*1000003 + int64(pi)*7919 + 2))
+			for i := 0; i < 640; i++ {
+				fp := fingerprint.FromPackets(prof.Generate(rng).Packets)
+				if k := fp.CanonicalKey(); seen[k] {
+					continue
+				}
+				seen[fp.CanonicalKey()] = true
+				got, want := semantic(id.Identify(fp)), naiveIdentify(id, fp)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, %s capture %d:\n  Identify: %+v\n  naive:    %+v", seed, prof.ID, i, got, want)
+				}
+				if want.Discriminated {
+					discriminated++
+				}
+			}
+		}
+		t.Logf("seed %d: %d distinct fingerprints, %d discriminated", seed, len(seen), discriminated)
+		if discriminated == 0 {
+			t.Fatalf("seed %d: no fingerprint was discriminated", seed)
 		}
 	}
 }

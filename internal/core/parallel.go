@@ -22,7 +22,8 @@ import (
 // minBatchPerWorker is the fewest fingerprints IdentifyBatch hands a
 // goroutine: waking a processor costs tens of µs, an identification
 // 0.4–6. Split two ways on the 2-core host, a batch of 16 read 66 →
-// 87–102 µs, 64 read 398–570 → 232–367 µs (ROADMAP item 6(c)).
+// 87–102 µs, 64 read 398–570 → 232–367 µs (CHANGES.md, the entry
+// that compiled the bank scan).
 const minBatchPerWorker = 16
 
 // workers resolves the configured worker bound: 0 selects

@@ -368,3 +368,16 @@ func BenchmarkDiscriminateRefSetExact(b *testing.B) {
 		_, _ = rs.DistanceSum(cand)
 	}
 }
+
+// BenchmarkDiscriminateRefSetBlocked is BenchmarkDiscriminateRefSetExact
+// over words of 90 to 130 symbols: every reference runs the blocked
+// kernel, two or three 64-symbol blocks per text symbol.
+func BenchmarkDiscriminateRefSetBlocked(b *testing.B) {
+	rs := NewRefSet([]fingerprint.F{mkF(120, 5), mkF(105, 9), mkF(130, 2), mkF(90, 7), mkF(110, 3)})
+	cand := mkF(120, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = rs.DistanceSum(cand)
+	}
+}

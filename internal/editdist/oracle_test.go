@@ -11,8 +11,8 @@ import (
 )
 
 // naiveDistance is the retired full-matrix implementation, kept
-// verbatim (but for its element type) as the oracle for the banded
-// walk: the entire O(n·m) DP, no band, no early exit.
+// verbatim (but for its element type) as the oracle for the bit-vector
+// kernel and its cut-offs: the entire O(n·m) DP, no early exit.
 func naiveDistance[S comparable](a, b []S) int {
 	la, lb := len(a), len(b)
 	if la == 0 {
@@ -34,7 +34,7 @@ func naiveDistance[S comparable](a, b []S) int {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			d := min3(
+			d := min(
 				prev[j]+1,
 				cur[j-1]+1,
 				prev[j-1]+cost,
@@ -78,9 +78,12 @@ func (in *interner) word(f fingerprint.F) []int {
 }
 
 // naiveDistanceSum is the retired discrimination scoring: references
-// and candidate interned through one table, then every reference fully
-// computed by the naive DP and accumulated in order.
-func naiveDistanceSum(rs *RefSet, f fingerprint.F) (sum float64, n int) {
+// and candidate interned through one table, every distance computed by
+// the naive DP and accumulated in order, stopping (pruned) before a
+// reference when the sum has reached limit, or at one whose distance
+// would take it there. n counts the references reached, that one
+// included. This is DistanceSumBounded's contract with no budgets.
+func naiveDistanceSum(rs *RefSet, f fingerprint.F, limit float64) (sum float64, n int, pruned bool) {
 	in := newInterner()
 	words := make([][]int, len(rs.refs))
 	for i, ref := range rs.refs {
@@ -88,16 +91,21 @@ func naiveDistanceSum(rs *RefSet, f fingerprint.F) (sum float64, n int) {
 	}
 	word := in.word(f)
 	for _, rw := range words {
-		ml := len(word)
-		if len(rw) > ml {
-			ml = len(rw)
+		if sum >= limit {
+			return sum, n, true
 		}
+		n++
+		ml := max(len(word), len(rw))
 		if ml == 0 {
 			continue
 		}
-		sum += float64(naiveDistance(word, rw)) / float64(ml)
+		next := sum + float64(naiveDistance(word, rw))/float64(ml)
+		if next >= limit {
+			return sum, n, true
+		}
+		sum = next
 	}
-	return sum, len(words)
+	return sum, n, false
 }
 
 func randWord(rng *rand.Rand, n, alphabet int) fingerprint.F {
@@ -108,13 +116,23 @@ func randWord(rng *rand.Rand, n, alphabet int) fingerprint.F {
 	return w
 }
 
-// TestDistanceMatchesNaive checks the full-band Distance against the
-// retired full-matrix DP across random word shapes and alphabet sizes
-// (small alphabets force matches and transpositions).
+// wordLen draws a word length: mostly catalog-sized, one draw in four
+// up to three 64-symbol blocks, so the blocked kernel and its carries
+// are exercised too.
+func wordLen(rng *rand.Rand) int {
+	if rng.Intn(4) == 0 {
+		return rng.Intn(200)
+	}
+	return rng.Intn(40)
+}
+
+// TestDistanceMatchesNaive checks Distance against the retired
+// full-matrix DP across random word shapes and alphabet sizes (small
+// alphabets force matches and transpositions).
 func TestDistanceMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
-		la, lb := rng.Intn(40), rng.Intn(40)
+		la, lb := wordLen(rng), wordLen(rng)
 		alpha := 1 + rng.Intn(6)
 		a, b := randWord(rng, la, alpha), randWord(rng, lb, alpha)
 		if got, want := Distance(a, b), naiveDistance(a, b); got != want {
@@ -123,13 +141,16 @@ func TestDistanceMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestDistanceBoundedMatchesNaive checks the banded contract at every
+// TestDistanceBoundedMatchesNaive checks the bounded contract at every
 // limit: exact when the true distance fits the bound, strictly above
 // the bound otherwise.
 func TestDistanceBoundedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 1500; trial++ {
 		la, lb := rng.Intn(32), rng.Intn(32)
+		if trial%10 == 0 {
+			la, lb = 50+rng.Intn(100), 50+rng.Intn(100)
+		}
 		alpha := 1 + rng.Intn(5)
 		a, b := randWord(rng, la, alpha), randWord(rng, lb, alpha)
 		want := naiveDistance(a, b)
@@ -147,19 +168,19 @@ func TestDistanceBoundedMatchesNaive(t *testing.T) {
 }
 
 // TestDistanceSumBoundedContract checks discrimination scoring against
-// the retired implementation: un-pruned sums bit-identical, pruned
-// candidates only when the exact sum indeed reaches the limit.
+// the retired implementation at limits around the exact sum: sum, n and
+// pruned all equal, the sum bit-identical.
 func TestDistanceSumBoundedContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
 		nRefs := 1 + rng.Intn(5)
 		refs := make([]fingerprint.F, nRefs)
 		for i := range refs {
-			refs[i] = mkF(1+rng.Intn(30), rng.Intn(7))
+			refs[i] = mkF(1+wordLen(rng), rng.Intn(7))
 		}
 		rs := NewRefSet(refs)
-		cand := mkF(1+rng.Intn(30), rng.Intn(9))
-		exact, exactN := naiveDistanceSum(rs, cand)
+		cand := mkF(1+wordLen(rng), rng.Intn(9))
+		exact, exactN, _ := naiveDistanceSum(rs, cand, math.Inf(1))
 
 		if got, n := rs.DistanceSum(cand); got != exact || n != exactN {
 			t.Fatalf("DistanceSum = (%v, %d), naive (%v, %d)", got, n, exact, exactN)
@@ -171,29 +192,36 @@ func TestDistanceSumBoundedContract(t *testing.T) {
 			0, float64(rng.Intn(4)) * rng.Float64(),
 		}
 		for _, limit := range limits {
-			sum, _, pruned := rs.DistanceSumBounded(cand, limit)
-			if pruned {
-				if exact < limit {
-					t.Fatalf("limit %v: pruned although exact sum %v < limit", limit, exact)
-				}
-			} else {
-				if sum != exact {
-					t.Fatalf("limit %v: completed sum %v, naive %v (must be bit-identical)", limit, sum, exact)
-				}
-			}
+			checkDistanceSum(t, rs, cand, limit)
 		}
 	}
 }
 
+// checkDistanceSum holds DistanceSumBounded to naiveDistanceSum.
+func checkDistanceSum(t *testing.T, rs *RefSet, f fingerprint.F, limit float64) {
+	t.Helper()
+	sum, n, pruned := rs.DistanceSumBounded(f, limit)
+	wsum, wn, wpruned := naiveDistanceSum(rs, f, limit)
+	if math.Float64bits(sum) != math.Float64bits(wsum) || n != wn || pruned != wpruned {
+		t.Fatalf("limit %v: DistanceSumBounded = (%v, %d, %v), naive (%v, %d, %v)", limit, sum, n, pruned, wsum, wn, wpruned)
+	}
+}
+
+// The zero-allocation tests include pairs past 64 symbols: the blocked
+// kernel's state comes from the same pooled scratch.
 func TestDistanceBoundedZeroAlloc(t *testing.T) {
-	a, b := benchWord(64, 1), benchWord(64, 3)
-	testutil.AssertZeroAllocs(t, "Distance", func() { Distance(a, b) })
-	testutil.AssertZeroAllocs(t, "DistanceBounded", func() { DistanceBounded(a, b, 8) })
+	for _, n := range []int{64, 130} {
+		a, b := benchWord(n, 1), benchWord(n+5, 3)
+		testutil.AssertZeroAllocs(t, "Distance", func() { Distance(a, b) })
+		testutil.AssertZeroAllocs(t, "DistanceBounded", func() { DistanceBounded(a, b, 8) })
+		testutil.AssertZeroAllocs(t, "DistanceBounded/kernel", func() { DistanceBounded(a, b, n) })
+	}
 }
 
 func TestDistanceSumZeroAlloc(t *testing.T) {
-	rs := NewRefSet([]fingerprint.F{mkF(40, 5), mkF(35, 9), mkF(40, 2), mkF(12, 7), mkF(28, 3)})
-	cand := mkF(40, 1)
-	testutil.AssertZeroAllocs(t, "DistanceSum", func() { rs.DistanceSum(cand) })
-	testutil.AssertZeroAllocs(t, "DistanceSumBounded", func() { rs.DistanceSumBounded(cand, 1.0) })
+	rs := NewRefSet([]fingerprint.F{mkF(40, 5), mkF(35, 9), mkF(40, 2), mkF(12, 7), mkF(28, 3), mkF(100, 4)})
+	for _, cand := range []fingerprint.F{mkF(40, 1), mkF(90, 1)} {
+		testutil.AssertZeroAllocs(t, "DistanceSum", func() { rs.DistanceSum(cand) })
+		testutil.AssertZeroAllocs(t, "DistanceSumBounded", func() { rs.DistanceSumBounded(cand, 1.0) })
+	}
 }
