@@ -12,7 +12,7 @@ import (
 // per device-type and identifying each fingerprint of a batch are
 // independent, coarse work items, so Train and IdentifyBatch share one
 // bounded fan-out primitive. (One identification is not: splitting its
-// ~5 µs bank scan across goroutines cost more in wake-ups than the
+// ~4 µs bank scan across goroutines cost more in wake-ups than the
 // scan itself, so it runs on the caller's goroutine.) Determinism is
 // preserved by construction: work items never share mutable state, every
 // per-type RNG is derived from the top-level seed by a stable hash of

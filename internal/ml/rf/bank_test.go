@@ -1,6 +1,7 @@
 package rf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -111,7 +112,10 @@ func bankTestProbes(forests []*Forest, n int) [][]float64 {
 	for len(probes) < n {
 		x := make([]float64, bankTestWidth)
 		for j := range x {
-			thr := thrs[j][rng.Intn(len(thrs[j]))]
+			thr := 0.0 // for a feature no split tests
+			if len(thrs[j]) > 0 {
+				thr = thrs[j][rng.Intn(len(thrs[j]))]
+			}
 			switch rng.Intn(10) {
 			case 0:
 				x[j] = 0
@@ -216,6 +220,190 @@ func TestBankScanBreadthFirstTree(t *testing.T) {
 			}
 			for _, x := range probes {
 				checkBankScan(t, forests, b, x, class, thr, nil)
+			}
+		}
+	}
+}
+
+// combTree is a chain of splits on feature feat, each sending x[feat] <=
+// j+0.5 left to leaf j, one leaf per byte of leaves: x[feat] = k exits at
+// leaf min(k, len(leaves)-1). Leaf bytes give the class-1 value: '1' is
+// 1, '0' is 0, 'h' is 1/2, 'e' an empty leaf (total 0, which AcceptSoft
+// skips). Split j is node 2j, its left leaf node 2j+1.
+func combTree(feat int, leaves string) string {
+	var sb strings.Builder
+	sb.WriteString(`{"nodes":[`)
+	leaf := func(c byte) string {
+		return map[byte]string{'0': `[1,0],"n":1`, '1': `[0,1],"n":1`, 'h': `[1,1],"n":2`, 'e': `[0,0]`}[c]
+	}
+	for j := 0; j < len(leaves)-1; j++ {
+		fmt.Fprintf(&sb, `{"f":%d,"t":%d.5,"l":%d,"r":%d},{"f":-1,"c":%s,"l":-1,"r":-1},`, feat, j, 2*j+1, 2*j+2, leaf(leaves[j]))
+	}
+	fmt.Fprintf(&sb, `{"f":-1,"c":%s,"l":-1,"r":-1}]}`, leaf(leaves[len(leaves)-1]))
+	return sb.String()
+}
+
+// combLeaves is n leaves alternating 0 and 1, from 0.
+func combLeaves(n int) string { return strings.Repeat("01", n/2+1)[:n] }
+
+// checkBankAll holds a bank of forests to AcceptSoft at both classes and
+// several thresholds, on bankTestProbes drawn from the forests' own splits.
+func checkBankAll(t *testing.T, forests []*Forest) {
+	t.Helper()
+	probes := bankTestProbes(forests, 300)
+	for _, thr := range []float64{0.5, 0.3, 0.9, math.NaN()} {
+		for class := 0; class < 2; class++ {
+			b, err := CompileBank(forests, class, thr, bankTestWidth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var words []uint64
+			for _, x := range probes {
+				words = checkBankScan(t, forests, b, x, class, thr, words)
+			}
+		}
+	}
+}
+
+// TestBankPacksTreesIntoWords pins where trees land: side by side in a
+// word while they fit, a new word for one that does not, a word of its
+// own (and no vote words for its forest) for one wider than 64 leaves,
+// and a new word for every forest.
+func TestBankPacksTreesIntoWords(t *testing.T) {
+	forests := []*Forest{
+		// 5 trees at 0.5: the first 3 compiled.
+		loadTrees(t, combTree(0, combLeaves(64)), combTree(1, "10"), combTree(2, "011"), combTree(3, "1"), combTree(4, "01")),
+		loadTrees(t, combTree(0, combLeaves(63)), combTree(1, "01"), combTree(2, "1"), combTree(3, "0"), combTree(4, "10")),
+		loadTrees(t, combTree(5, "10"), combTree(0, combLeaves(70)), combTree(1, "011"), combTree(2, "1"), combTree(3, "1")),
+		loadTrees(t, combTree(0, combLeaves(62)), combTree(1, "01")),
+	}
+	b, err := CompileBank(forests, 1, 0.5, bankTestWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type at struct{ word, shift int32 }
+	for i, want := range []struct {
+		trees  []at
+		lo, hi int32
+	}{
+		{[]at{{0, 0}, {1, 0}, {1, 2}}, 0, 2}, // 64 leaves fill word 0
+		{[]at{{2, 0}, {3, 0}, {3, 2}}, 2, 4}, // 63 + 2 > 64
+		{[]at{{4, 0}, {5, 0}, {7, 0}}, 0, 0}, // 70 leaves: words 5 and 6, no votes
+		{[]at{{8, 0}, {8, 62}}, 8, 9},        // 62 + 2 = 64 share word 8
+	} {
+		bf := &b.forests[i]
+		for j, ct := range bf.compiled {
+			if got := (at{ct.word, ct.shift}); got != want.trees[j] {
+				t.Errorf("forest %d tree %d at word %d bit %d, want word %d bit %d", i, j, got.word, got.shift, want.trees[j].word, want.trees[j].shift)
+			}
+		}
+		if bf.votes.lo != want.lo || bf.votes.hi != want.hi {
+			t.Errorf("forest %d: vote words [%d, %d), want [%d, %d)", i, bf.votes.lo, bf.votes.hi, want.lo, want.hi)
+		}
+	}
+	if len(b.init) != 9 {
+		t.Errorf("%d words, want 9", len(b.init))
+	}
+	checkBankAll(t, forests)
+}
+
+// TestBankCountsVotes drives one 25-tree forest of 0/1 leaves (K = 13
+// compiled) to vote counts of 0 (rejected at tree 13), 13 (accepted there)
+// and 6 (the tail decides): x[0] picks the compiled trees' exits, x[1]
+// the tail's. A fractional exit must leave the count to the sequential
+// sum, which then decides on the 1/2 a count would have dropped.
+func TestBankCountsVotes(t *testing.T) {
+	votes := []int{0, 6, 13}
+	trees := make([]string, 25)
+	for j := range trees {
+		if j >= 13 {
+			trees[j] = combTree(1, "01")
+			continue
+		}
+		leaves := []byte("000")
+		for k, n := range votes {
+			if j < n {
+				leaves[k] = '1'
+			}
+		}
+		trees[j] = combTree(0, string(leaves))
+	}
+	counted := loadTrees(t, trees...)
+	// Twelve compiled trees vote 1 at x[0] = 1, the thirteenth 1/2 and
+	// the tail 0: 12.5 of 25, accepted only by the final comparison.
+	for j := range trees {
+		switch {
+		case j < 12:
+			trees[j] = combTree(0, "01")
+		case j == 12:
+			trees[j] = combTree(0, "0h")
+		default:
+			trees[j] = combTree(0, "00")
+		}
+	}
+	frac := loadTrees(t, trees...)
+	forests := []*Forest{counted, frac}
+	b, err := CompileBank(forests, 1, 0.5, bankTestWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var words []uint64
+	for x0 := range votes {
+		for x1 := 0; x1 < 2; x1++ {
+			x := []float64{float64(x0), float64(x1), 0, 0, 0, 0}
+			words = checkBankScan(t, forests, b, x, 1, 0.5, words)
+			if n, ok := b.countVotes(&b.forests[0], words); !ok || n != votes[x0] {
+				t.Errorf("x=%v: countVotes = %d, %v; want %d, true", x, n, ok, votes[x0])
+			}
+			_, ok := b.countVotes(&b.forests[1], words)
+			if fracExit := x0 >= 1; ok == fracExit {
+				t.Errorf("x=%v: countVotes ok = %v with a fractional exit %v", x, ok, fracExit)
+			}
+		}
+	}
+	if !frac.AcceptSoft([]float64{1, 0, 0, 0, 0, 0}, 1, 0.5) {
+		t.Fatal("the fractional forest does not sit on the threshold")
+	}
+	checkBankAll(t, forests)
+}
+
+// TestBankNonFiniteSplits puts ±Inf and NaN thresholds, which no model
+// file can carry, into packed trees, and ±Inf, NaN and the largest
+// finite values into every coordinate. The trees share one word, so a
+// split on feature 0 at a threshold tree 0 already tests merges into
+// tree 0's op.
+func TestBankNonFiniteSplits(t *testing.T) {
+	f := loadTrees(t, combTree(0, "0110"), combTree(0, "1001"), combTree(1, "011"), combTree(0, "01"), combTree(0, "10"))
+	inf, nan := math.Inf(1), math.NaN()
+	for i, thrs := range [][]float64{{-inf, 1.5, inf}, {nan, inf, -inf}, {nan, inf}, {1.5}, {1.5}} {
+		for j, thr := range thrs {
+			f.trees[i].nodes[2*j].threshold = thr
+		}
+	}
+	forests := []*Forest{f}
+	b, err := CompileBank(forests, 1, math.NaN(), bankTestWidth) // every tree compiled
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.init) != 1 {
+		t.Fatalf("%d words, want 1", len(b.init))
+	}
+	// 3 + 3 + 2 + 1 + 1 splits: the three NaN ones fold into init, and
+	// tree 1's ±Inf and the two 1.5s merge into tree 0's ops.
+	if len(b.ops) != 4 {
+		t.Errorf("%d ops, want 4", len(b.ops))
+	}
+	vals := []float64{-inf, -math.MaxFloat64, -1, 0, 1, 1.5, 2, math.MaxFloat64, inf, nan}
+	var words []uint64
+	for _, x0 := range vals {
+		for _, x1 := range vals {
+			x := []float64{x0, x1, 0, 0, 0, 0}
+			for _, thr := range []float64{0.5, 0.3, 0.9} {
+				b, err := CompileBank(forests, 1, thr, bankTestWidth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				words = checkBankScan(t, forests, b, x, 1, thr, words)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package rf
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -39,6 +40,17 @@ func FuzzLoad(f *testing.F) {
 		`{"version":1,"nClasses":2,"trees":[` + breadthFirstTree + `]}`,
 	} {
 		f.Add([]byte(s))
+	}
+	// The word-packing shapes of bank_test.go: a tree that fills a word, one
+	// that does not fit beside the one before, a wide tree between packed
+	// ones, 0/1 votes with an empty leaf, a fractional exit.
+	for _, trees := range [][]string{
+		{combTree(0, combLeaves(64)), combTree(1, "10"), combTree(2, "011")},
+		{combTree(0, combLeaves(63)), combTree(1, "01")},
+		{combTree(5, "10"), combTree(0, combLeaves(70)), combTree(1, "011"), combTree(2, "1"), combTree(3, "1")},
+		{combTree(0, "01"), combTree(1, "10"), combTree(0, "e1"), combTree(0, "0h"), combTree(2, "11")},
+	} {
+		f.Add([]byte(`{"version":1,"nClasses":2,"trees":[` + strings.Join(trees, ",") + `]}`))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -14,6 +14,7 @@ import (
 //
 //	store_journal_appends_total{durability="batched|fsync"}  counter
 //	store_journal_bytes_total                                counter
+//	store_journal_commits_total                              counter
 //	store_snapshots_total                                    counter
 //	store_snapshot_seconds                                   histogram
 //	store_recovery_events_replayed_total                     counter
@@ -25,6 +26,7 @@ type Metrics struct {
 	appendBatched *obs.Counter
 	appendFsync   *obs.Counter
 	journalBytes  *obs.Counter
+	commits       *obs.Counter
 
 	snapshots       *obs.Counter
 	snapshotSeconds *obs.Histogram
@@ -49,6 +51,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		appendFsync:   appends.With("fsync"),
 		journalBytes: reg.Counter("store_journal_bytes_total",
 			"Journal payload bytes appended."),
+		commits: reg.Counter("store_journal_commits_total",
+			"Journal group commits: one write and one fsync of every record enqueued before it."),
 		snapshots: reg.Counter("store_snapshots_total",
 			"Snapshots checkpointed (each retires the journal segments it covers)."),
 		snapshotSeconds: reg.Histogram("store_snapshot_seconds",
@@ -76,6 +80,12 @@ func (m *Metrics) appended(payloadBytes int, durable bool) {
 		m.appendBatched.Inc()
 	}
 	m.journalBytes.Add(uint64(payloadBytes))
+}
+
+func (m *Metrics) committed() {
+	if m != nil {
+		m.commits.Inc()
+	}
 }
 
 func (m *Metrics) snapshotted(d time.Duration) {

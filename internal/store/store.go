@@ -333,6 +333,8 @@ func (s *Store) commit() (uint64, error) {
 		}
 		if err != nil {
 			err = fmt.Errorf("store: commit journal: %w", err)
+		} else {
+			s.opts.Metrics.committed()
 		}
 	}
 	s.mu.Lock()

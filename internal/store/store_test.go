@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -491,5 +492,41 @@ func TestStoreMetrics(t *testing.T) {
 	}
 	if got := snap.Value("store_recoveries_total", "outcome", "clean"); got != 1 {
 		t.Errorf("clean recoveries = %v, want 1", got)
+	}
+}
+
+// TestStoreCountsGroupCommits appends N durable records at once: each
+// Append returns only once a commit covered it, and the committer may
+// cover several with one, so 1 to N commits ran.
+func TestStoreCountsGroupCommits(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, _ := openT(t, t.TempDir(), Options{Metrics: NewMetrics(reg)})
+	defer s.Close()
+	const n = 32
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, err := s.Append(Event{Kind: EvQuarantined, MAC: mac(byte(i))})
+			errs <- err
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Snapshot()
+	if got := snap.Value("store_journal_appends_total", "durability", "fsync"); got != n {
+		t.Fatalf("fsync appends = %v, want %d", got, n)
+	}
+	if got := snap.Value("store_journal_commits_total"); got < 1 || got > n {
+		t.Errorf("commits = %v for %d durable appends, want 1 to %d", got, n, n)
+	} else {
+		t.Logf("%d durable appends, %v commits", n, got)
 	}
 }
