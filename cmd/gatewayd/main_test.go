@@ -196,7 +196,7 @@ func TestGatewaydWarmBootFromStateDir(t *testing.T) {
 	fp := fingerprint.FromPackets(devices.GenerateCaptures(aria, 1, 41)[0].Packets)
 	id.Identify(fp)
 	id.Identify(fp)
-	if hits, _ := id.Cache().Stats(); hits == 0 {
+	if hits, _ := id.Cache().HeadStats(); hits == 0 {
 		t.Error("repeat identification after warm boot missed the cache")
 	}
 }

@@ -7,41 +7,46 @@ import (
 )
 
 // IdentifyCache is the identifier's two-level memo, each level keyed by
-// exactly what the stage it spares reads.
+// exactly what the stage it spares reads, and asked in the order the
+// stages run.
 //
-// The first level is a bounded LRU of whole identification results
-// keyed by the canonical fingerprint hash. IoT devices replay
-// near-identical setup sequences — the same firmware walks the same
-// DHCP/DNS/NTP/cloud choreography on every power cycle — so a gateway
-// that has already identified one probe can answer the replay without
-// touching the classifier bank at all.
+// The head memo maps a fingerprint's head (fingerprint.Head: the first
+// 12 unique symbols, all the forests read of a probe) to the bank's
+// accept set. Every identification asks it first. Captures of one
+// device mostly differ after their head, so a probe usually finds its
+// accept set here and skips the classifier bank. With zero or one match
+// the accept set is the whole answer. The key is the head itself, not a
+// hash of it: no collision can hand one device another's accept set.
 //
-// The second level maps a fingerprint's head (fingerprint.Head: the
-// first 12 unique symbols, all the forests read of a probe) to the
-// bank's accept set. Captures of one device mostly differ after their
-// head, so a probe that misses the first level usually finds its accept
-// set here and pays only for discrimination, which reads all of F and
-// always runs. The key is the head itself, not a hash of it: no
-// collision can hand one device another's accept set.
+// The full-key level is a bounded LRU of the answers discrimination
+// produced, keyed by the canonical fingerprint hash. Discrimination
+// reads all of F, and only a probe that several classifiers accept
+// runs it, so only such a probe computes the key and looks it up. IoT
+// devices replay near-identical setup sequences — the same firmware
+// walks the same DHCP/DNS/NTP/cloud choreography on every power cycle —
+// so a replayed discriminated probe is answered here without computing
+// an edit distance.
 //
 // Cached answers are bit-identical to uncached ones in every semantic
 // field (Type, Matches, Scores, Discriminated, EditDistances): the
-// first-level key covers the full fingerprint (see
-// fingerprint.CanonicalKey), results and accept sets are copied in and
-// out so callers can never mutate or alias a stored one, and the
-// identifier purges both levels whenever the bank changes (AddType).
-// Only the stage timings differ — a first-level hit reports zero
-// ClassifyTime/DiscriminateTime, which is also the honest measurement.
+// full key covers the whole fingerprint (see fingerprint.CanonicalKey),
+// results and accept sets are copied in and out so callers can never
+// mutate or alias a stored one, and the identifier purges both levels
+// whenever the bank changes (AddType). Only the stage timings differ —
+// an answer from the full key reports zero DiscriminateTime, which is
+// also the honest measurement.
 //
 // The cache is safe for concurrent use. Lookups and inserts take one
 // short mutex hold; the heavy work (hashing the probe) happens outside
-// the lock.
+// the lock. Both levels grow as entries arrive, up to one capacity
+// each.
 type IdentifyCache struct {
 	mu  sync.Mutex
 	cap int
-	// The first level: at most cap slots, linked from the most recently
-	// used (mru) to the least (lru); -1 ends the list. An evicted slot is
-	// reused, containers and all, by the entry that evicted it.
+	// The full-key level: at most cap slots, linked from the most
+	// recently used (mru) to the least (lru); -1 ends the list. An
+	// evicted slot is reused, containers and all, by the entry that
+	// evicted it.
 	index    map[fingerprint.Key]int32
 	slots    []cacheSlot
 	mru, lru int32
@@ -77,8 +82,7 @@ func NewIdentifyCache(capacity int) *IdentifyCache {
 	}
 	return &IdentifyCache{
 		cap:   capacity,
-		index: make(map[fingerprint.Key]int32, capacity),
-		slots: make([]cacheSlot, 0, capacity),
+		index: make(map[fingerprint.Key]int32),
 		mru:   -1,
 		lru:   -1,
 		heads: make(map[fingerprint.Head]uint32),
@@ -153,7 +157,8 @@ func (c *IdentifyCache) get(key fingerprint.Key) (Result, bool) {
 
 // getInto copies the cached result for key into *res, reusing res's
 // Matches backing array and Scores map — the zero-allocation variant of
-// get for steady-state callers. It reports whether key was present.
+// get for steady-state callers — and leaving res's timings alone. It
+// reports whether key was present.
 func (c *IdentifyCache) getInto(key fingerprint.Key, res *Result) bool {
 	if c == nil {
 		return false
@@ -195,12 +200,7 @@ func (c *IdentifyCache) put(key fingerprint.Key, res Result) {
 		c.index[key] = i
 		c.moveToFront(i)
 	}
-	stored := &c.slots[i].res
-	copyResultInto(&res, stored)
-	// Timings are run-dependent measurements, not part of the answer;
-	// zero them so a hit cannot masquerade as classifier work.
-	stored.ClassifyTime = 0
-	stored.DiscriminateTime = 0
+	copyResultInto(&res, &c.slots[i].res)
 }
 
 func (c *IdentifyCache) moveToFront(i int32) {
@@ -243,7 +243,7 @@ func (c *IdentifyCache) Purge() {
 	c.purgeHeadsLocked()
 }
 
-// Len returns the current first-level (full-key) entry count.
+// Len returns the current full-key entry count: discriminated answers.
 func (c *IdentifyCache) Len() int {
 	if c == nil {
 		return 0
@@ -253,8 +253,8 @@ func (c *IdentifyCache) Len() int {
 	return len(c.slots)
 }
 
-// Stats returns the cumulative first-level (full-key) hit and miss
-// counts.
+// Stats returns the cumulative full-key hit and miss counts. Only a
+// probe that several classifiers accept looks its full key up.
 func (c *IdentifyCache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
@@ -264,9 +264,9 @@ func (c *IdentifyCache) Stats() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
-// HeadStats returns the cumulative head-memo hit and miss counts. The
-// memo is consulted only after a first-level miss, so hits+misses here
-// equals Stats' misses.
+// HeadStats returns the cumulative head-memo hit and miss counts. Every
+// identification asks the memo first, so hits+misses here counts them
+// all.
 func (c *IdentifyCache) HeadStats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
@@ -276,9 +276,12 @@ func (c *IdentifyCache) HeadStats() (hits, misses uint64) {
 	return c.headHits, c.headMisses
 }
 
-// copyResultInto deep-copies src into dst, reusing dst's Matches
-// backing array and Scores map where possible. An empty src.Matches or
-// src.Scores leaves a nil one in dst nil, allocating nothing: a stored
+// copyResultInto deep-copies the answer in src into dst, reusing dst's
+// Matches backing array and Scores map where possible. The timings are
+// not copied: they are run-dependent measurements, not part of the
+// answer, so a stored one never carries any and a hit cannot
+// masquerade as classifier work. An empty src.Matches or src.Scores
+// leaves a nil one in dst nil, allocating nothing: a stored
 // undiscriminated result holds nil Scores, the answer of a fresh
 // Identify. A reused dst keeps its (emptied) containers, which callers
 // must treat as equivalent.
@@ -286,8 +289,6 @@ func copyResultInto(src, dst *Result) {
 	dst.Type = src.Type
 	dst.Discriminated = src.Discriminated
 	dst.EditDistances = src.EditDistances
-	dst.ClassifyTime = src.ClassifyTime
-	dst.DiscriminateTime = src.DiscriminateTime
 	if len(src.Matches) > 0 || dst.Matches != nil {
 		dst.Matches = append(dst.Matches[:0], src.Matches...)
 	}

@@ -67,19 +67,58 @@ func TestCacheDifferentialIdentical(t *testing.T) {
 		}
 	}
 	// Some device profiles replay bit-identical setup sequences across
-	// captures, so distinct probes can share a canonical key — count
-	// unique keys rather than probes.
-	unique := make(map[fingerprint.Key]struct{}, len(probes))
+	// captures, so distinct probes can share a key — count unique keys
+	// rather than probes. Every probe asks the head memo; only a
+	// discriminated one asks the full key.
+	heads := make(map[fingerprint.Head]struct{}, len(probes))
+	keys := make(map[fingerprint.Key]struct{}, len(probes))
+	discriminated := 0
 	for _, fp := range probes {
-		unique[fp.CanonicalKey()] = struct{}{}
+		heads[fp.F.Head()] = struct{}{}
+		if plain.Identify(fp).Discriminated {
+			discriminated++
+			keys[fp.CanonicalKey()] = struct{}{}
+		}
 	}
-	hits, misses := cached.Cache().Stats()
-	wantMisses := uint64(len(unique))
-	wantHits := uint64(2*len(probes)) - wantMisses
-	if misses != wantMisses || hits != wantHits {
-		t.Errorf("cache stats = %d hits / %d misses, want %d / %d",
-			hits, misses, wantHits, wantMisses)
+	if discriminated == 0 {
+		t.Fatal("no probe was discriminated: the full key is unexercised")
 	}
+	for _, level := range []struct {
+		name              string
+		stats             func() (uint64, uint64)
+		lookups, distinct int
+	}{
+		{"head memo", cached.Cache().HeadStats, 2 * len(probes), len(heads)},
+		{"full key", cached.Cache().Stats, 2 * discriminated, len(keys)},
+	} {
+		hits, misses := level.stats()
+		wantMisses := uint64(level.distinct)
+		wantHits := uint64(level.lookups) - wantMisses
+		if misses != wantMisses || hits != wantHits {
+			t.Errorf("%s stats = %d hits / %d misses, want %d / %d",
+				level.name, hits, misses, wantHits, wantMisses)
+		}
+	}
+}
+
+// discriminatedProbe returns a probe plain discriminates: the kind whose
+// answer the full-key level stores.
+func discriminatedProbe(t *testing.T, plain *Identifier, probes []fingerprint.Fingerprint) fingerprint.Fingerprint {
+	t.Helper()
+	for _, fp := range probes {
+		if plain.Identify(fp).Discriminated {
+			return fp
+		}
+	}
+	t.Fatal("no probe was discriminated; test setup drifted")
+	return fingerprint.Fingerprint{}
+}
+
+// cacheEntries returns how many entries both levels of c hold.
+func cacheEntries(c *IdentifyCache) (full, heads int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.slots), len(c.heads)
 }
 
 // TestCacheBatchIdentical: IdentifyBatch must cache exactly like
@@ -189,10 +228,10 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCachePurgedOnAddType(t *testing.T) {
-	cached, _, probes := trainedPair(t, 1024)
-	cached.Identify(probes[0])
-	if cached.Cache().Len() == 0 {
-		t.Fatal("cache empty after identification")
+	cached, plain, probes := trainedPair(t, 1024)
+	cached.Identify(discriminatedProbe(t, plain, probes))
+	if full, heads := cacheEntries(cached.Cache()); full == 0 || heads == 0 {
+		t.Fatalf("cache holds %d full-key entries and %d heads after a discriminated identification", full, heads)
 	}
 	extra := devices.GenerateDataset(3, 9)
 	var fps []fingerprint.Fingerprint
@@ -203,8 +242,8 @@ func TestCachePurgedOnAddType(t *testing.T) {
 	if err := cached.AddType("brand-new-type", fps); err != nil {
 		t.Fatal(err)
 	}
-	if n := cached.Cache().Len(); n != 0 {
-		t.Errorf("cache holds %d entries after AddType, want 0", n)
+	if full, heads := cacheEntries(cached.Cache()); full != 0 || heads != 0 {
+		t.Errorf("cache holds %d full-key entries and %d heads after AddType, want 0 and 0", full, heads)
 	}
 }
 
@@ -215,21 +254,28 @@ func TestCachePurgedOnAddType(t *testing.T) {
 // serve as results the new bank would never produce.
 func TestRuntimeRebindDropsWarmCache(t *testing.T) {
 	cached, plain, probes := trainedPair(t, 1024)
-	cached.Identify(probes[0])
+	cached.Identify(discriminatedProbe(t, plain, probes))
 	warm := cached.Cache()
-	if warm.Len() == 0 {
-		t.Fatal("cache empty after identification")
+	if full, heads := cacheEntries(warm); full == 0 || heads == 0 {
+		t.Fatalf("cache holds %d full-key entries and %d heads after a discriminated identification", full, heads)
+	}
+	fresh := func(c *IdentifyCache) bool {
+		if c == nil || c == warm {
+			return false
+		}
+		full, heads := cacheEntries(c)
+		return full == 0 && heads == 0
 	}
 	if err := plain.AdoptRuntime(cached); err != nil {
 		t.Fatal(err)
 	}
-	if c := plain.Cache(); c == nil || c == warm || c.Len() != 0 {
+	if c := plain.Cache(); !fresh(c) {
 		t.Errorf("AdoptRuntime attached cache %p (the warm one is %p), want a fresh, empty one", c, warm)
 	}
 	if err := cached.ApplyRuntime(0, 1024); err != nil {
 		t.Fatal(err)
 	}
-	if c := cached.Cache(); c == nil || c == warm || c.Len() != 0 {
+	if c := cached.Cache(); !fresh(c) {
 		t.Errorf("ApplyRuntime attached cache %p (the warm one is %p), want a fresh, empty one", c, warm)
 	}
 }

@@ -61,13 +61,23 @@ func TestHeadMemoDifferential(t *testing.T) {
 	want := make([]Result, len(probes))
 	keys := make(map[fingerprint.Key]struct{})
 	heads := make(map[fingerprint.Head]struct{})
+	// Only discriminated answers are looked up, and stored, under the
+	// full key.
+	discriminated, discriminatedKeys := 0, make(map[fingerprint.Key]struct{})
 	for i, fp := range probes {
 		want[i] = semantic(plain.Identify(fp))
 		keys[fp.CanonicalKey()] = struct{}{}
 		heads[fp.F.Head()] = struct{}{}
+		if want[i].Discriminated {
+			discriminated++
+			discriminatedKeys[fp.CanonicalKey()] = struct{}{}
+		}
 	}
 	if len(heads) >= len(keys) {
 		t.Fatalf("%d heads for %d fingerprints: the memo is unexercised", len(heads), len(keys))
+	}
+	if discriminated == 0 {
+		t.Fatal("no probe was discriminated: the full key is unexercised")
 	}
 	for _, order := range []string{"forward", "reverse"} {
 		if err := cached.ApplyRuntime(1, 4096); err != nil { // a fresh, empty cache
@@ -82,11 +92,12 @@ func TestHeadMemoDifferential(t *testing.T) {
 				t.Fatalf("%s, probe %d: memoized answer differs:\n  cached: %+v\n  plain:  %+v", order, i, got, want[i])
 			}
 		}
-		_, misses := cached.Cache().Stats()
+		hits, misses := cached.Cache().Stats()
 		headHits, headMisses := cached.Cache().HeadStats()
-		if misses != uint64(len(keys)) || headMisses != uint64(len(heads)) || headHits+headMisses != misses {
-			t.Errorf("%s: %d full-key misses, %d head hits, %d head misses; want %d misses of which %d head misses",
-				order, misses, headHits, headMisses, len(keys), len(heads))
+		if headHits+headMisses != uint64(len(probes)) || headMisses != uint64(len(heads)) ||
+			hits+misses != uint64(discriminated) || misses != uint64(len(discriminatedKeys)) {
+			t.Errorf("%s: %d head hits, %d head misses, %d full-key hits, %d full-key misses; want %d head lookups of which %d misses, %d full-key lookups of which %d misses",
+				order, headHits, headMisses, hits, misses, len(probes), len(heads), discriminated, len(discriminatedKeys))
 		}
 	}
 }
@@ -248,9 +259,12 @@ func TestHeadHitReturnsIndependentCopies(t *testing.T) {
 			r.Scores[k] = -1
 		}
 	}
+	headHits0, _ := id.Cache().HeadStats()
+	_, misses0 := id.Cache().Stats()
 	got := id.Identify(variants[1]) // full-key miss, head hit
-	if hits, _ := id.Cache().HeadStats(); hits != 2 {
-		t.Fatalf("%d head hits, want 2", hits)
+	headHits, _ := id.Cache().HeadStats()
+	if _, misses := id.Cache().Stats(); headHits != headHits0+1 || misses != misses0+1 {
+		t.Fatalf("%d head hits and %d full-key misses, want 1 and 1", headHits-headHits0, misses-misses0)
 	}
 	if !reflect.DeepEqual(got.Matches, want.Matches) || slices.Contains(got.Matches, "CORRUPTED") {
 		t.Errorf("head hit returned Matches %v, want %v", got.Matches, want.Matches)
@@ -397,7 +411,98 @@ func TestMetricsRecordOnlyWorkDone(t *testing.T) {
 	if hits, misses := id.Cache().Stats(); hits != 8 || misses != 2 {
 		t.Errorf("Stats() = %d hits, %d misses; its meaning is the full key: want 8, 2", hits, misses)
 	}
-	if hits, misses := id.Cache().HeadStats(); hits != 1 || misses != 1 {
-		t.Errorf("HeadStats() = %d hits, %d misses, want 1, 1", hits, misses)
+	if hits, misses := id.Cache().HeadStats(); hits != 9 || misses != 1 {
+		t.Errorf("HeadStats() = %d hits, %d misses; every identification asks the memo first: want 9, 1", hits, misses)
+	}
+}
+
+// TestHeadDecidedAnswersSkipTheFullKey: on the benchmark's working set —
+// the 27-type reference bank and one probe per distinct head — a probe
+// with zero or one match is answered from its accept set alone, so only
+// probes that several classifiers accept ask the full key. A first pass
+// answers like the uncached bank; a second runs neither the forests nor
+// discrimination, and the full key answers every discriminated probe.
+func TestHeadDecidedAnswersSkipTheFullKey(t *testing.T) {
+	id, probes := referenceBank(t)
+	want := make([]Result, len(probes))
+	multi := 0
+	for i, fp := range probes {
+		want[i] = semantic(id.Identify(fp))
+		if len(want[i].Matches) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 || multi == len(probes) {
+		t.Fatalf("%d of %d probes match several types: both kinds are needed", multi, len(probes))
+	}
+	if err := id.ApplyRuntime(0, DefaultCacheSize); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	id.SetMetrics(NewMetrics(reg))
+	c := id.Cache()
+
+	for i, fp := range probes {
+		if got := semantic(id.Identify(fp)); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("pass 1, probe %d: cached answer differs:\n  cached: %+v\n  plain:  %+v", i, got, want[i])
+		}
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != uint64(multi) {
+		t.Fatalf("pass 1: %d full-key hits, %d misses; want 0 and one per multi-match probe (%d)", hits, misses, multi)
+	}
+	if n := c.Len(); n != multi {
+		t.Errorf("pass 1: %d full-key entries, want %d", n, multi)
+	}
+
+	classified := reg.Snapshot().Value("core_classify_seconds_count")
+	discriminations := reg.Snapshot().Value("core_discriminate_seconds_count")
+	for i, fp := range probes {
+		if got := semantic(id.Identify(fp)); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("pass 2, probe %d: cached answer differs:\n  cached: %+v\n  plain:  %+v", i, got, want[i])
+		}
+	}
+	snap := reg.Snapshot()
+	if n := snap.Value("core_classify_seconds_count") - classified; n != 0 {
+		t.Errorf("pass 2 ran the forests %v times, want 0", n)
+	}
+	if n := snap.Value("core_discriminate_seconds_count") - discriminations; n != 0 {
+		t.Errorf("pass 2 ran discrimination %v times, want 0", n)
+	}
+	if hits, misses := c.Stats(); hits != uint64(multi) || misses != uint64(multi) {
+		t.Errorf("after pass 2: %d full-key hits, %d misses; want %d and %d", hits, misses, multi, multi)
+	}
+	if hits, misses := c.HeadStats(); hits != uint64(len(probes)) || misses != uint64(len(probes)) {
+		t.Errorf("after pass 2: %d head hits, %d misses; want %d and %d", hits, misses, len(probes), len(probes))
+	}
+}
+
+// BenchmarkIdentifyHeadDecided is the answer of most identifications on
+// the reference working set: a replayed single-match probe of the
+// 27-type bank, answered from the accept set the head memo holds — no
+// forest, no full key, no discrimination.
+func BenchmarkIdentifyHeadDecided(b *testing.B) {
+	id, probes := referenceBank(b)
+	var singles []fingerprint.Fingerprint
+	for _, fp := range probes {
+		if len(id.Identify(fp).Matches) == 1 {
+			singles = append(singles, fp)
+		}
+	}
+	if err := id.ApplyRuntime(0, DefaultCacheSize); err != nil {
+		b.Fatal(err)
+	}
+	var res Result
+	for _, fp := range singles {
+		id.IdentifyInto(fp, &res)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id.IdentifyInto(singles[i%len(singles)], &res)
+	}
+	b.StopTimer()
+	hits, misses := id.Cache().Stats()
+	if _, headMisses := id.Cache().HeadStats(); hits+misses != 0 || headMisses != uint64(len(singles)) {
+		b.Fatalf("%d full-key lookups, %d head misses: the benchmark is not timing head-decided answers", hits+misses, headMisses)
 	}
 }

@@ -9,6 +9,13 @@
 // pipelines many fingerprints at once, both bit-for-bit deterministic
 // with their sequential counterparts (see parallel.go). One
 // identification scans the bank on the calling goroutine.
+//
+// With a cache attached (Config.CacheSize), an identification takes its
+// accept set from the head memo when the fingerprint's head was
+// classified before. A fingerprint that zero or one classifier accepts
+// is answered from that set alone; only one that several accept
+// computes the canonical key of F, to reuse or store the answer its
+// discrimination produced (see IdentifyCache).
 package core
 
 import (
@@ -59,12 +66,13 @@ type Config struct {
 	// models trained at any worker count are identical.
 	Workers int `json:"-"`
 	// CacheSize, when positive, attaches an identification cache of
-	// that many entries (see IdentifyCache): probes whose canonical
-	// fingerprint hash was already answered return the stored result,
-	// and probes whose head (fingerprint.Head, all the forests read)
-	// was already classified skip the classifier bank. 0 disables both
-	// levels. Like Workers, the cache is a runtime concern with no
-	// effect on answers, so it is excluded from serialization.
+	// that many entries at each level (see IdentifyCache): probes whose
+	// head (fingerprint.Head, all the forests read) was already
+	// classified skip the classifier bank, and probes whose discriminated
+	// answer is stored under their canonical fingerprint hash skip
+	// discrimination too. 0 disables both levels. Like Workers, the
+	// cache is a runtime concern with no effect on answers, so it is
+	// excluded from serialization.
 	CacheSize int `json:"-"`
 	// DisableDiscrimination skips the edit-distance tie-break and
 	// resolves multi-matches by taking the first accepted type in
@@ -126,10 +134,11 @@ type Identifier struct {
 	// metrics, when non-nil, receives one observation per
 	// identification (see SetMetrics); updates are atomic adds.
 	metrics *Metrics
-	// cache, when non-nil, short-circuits identifications whose
-	// canonical fingerprint hash was already answered, and the bank
-	// scan of those whose head was. The cache is internally
-	// synchronized; mu only guards the pointer.
+	// cache, when non-nil, short-circuits the bank scan of
+	// identifications whose head was already classified, and the
+	// discrimination of those whose canonical fingerprint hash was
+	// already discriminated. The cache is internally synchronized; mu
+	// only guards the pointer.
 	cache *IdentifyCache
 	// scratch pools per-identification working memory (the accept set,
 	// the derived F′) so the steady-state hot path does not allocate.
@@ -482,14 +491,49 @@ func (id *Identifier) IdentifyInto(fp fingerprint.Fingerprint, res *Result) {
 	id.identifyObserved(&fp, res)
 }
 
-// identifyLocked is the pipeline with the read lock already held. Each
-// stage is keyed by exactly what it reads: the accept set is a function
-// of f's head and comes from the cache's head memo when that head was
-// classified before (reported as byHeadMemo); discrimination reads all
-// of f and always runs.
-func (id *Identifier) identifyLocked(f fingerprint.F, sc *identifyScratch, res *Result) answeredBy {
-	res.reset()
+// identifyObserved is the pipeline, with the read lock already held:
+// classify, then discriminate when several types accept, then the
+// metrics observation. Every public identification path funnels through
+// it so batch and single calls account — and cache — identically. The
+// caller's read lock is what makes the cache lookups sound: AddType (the
+// only bank mutation) write-locks, purges the cache, and therefore
+// cannot interleave between a stale read and our insert.
+//
+// Each cache level is keyed by exactly what its stage reads. The accept
+// set is a function of F's head, so it comes from the head memo when
+// that head was classified before. With zero or one match the answer is
+// the accept set's, and no full key is computed. Discrimination reads
+// all of F, so its answer is looked up, and stored, under the canonical
+// key of F. Only fp.F is read — by both keys and by the bank — so a
+// cached answer is the bank's answer for every fingerprint sharing the
+// key, whatever its other fields hold.
+func (id *Identifier) identifyObserved(fp *fingerprint.Fingerprint, res *Result) {
+	sc := id.getScratch()
+	defer id.scratch.Put(sc)
+	matched, classified := id.classify(fp.F, sc, res)
+	by := classified
+	if len(matched) > 1 && !id.cfg.DisableDiscrimination {
+		if id.cache == nil {
+			id.discriminate(fp.F, matched, res)
+		} else if key := fp.CanonicalKey(); id.cache.getInto(key, res) {
+			by = byCache
+		} else {
+			id.discriminate(fp.F, matched, res)
+			id.cache.put(key, *res)
+		}
+	}
+	if id.cache != nil {
+		id.metrics.observeCache(by)
+	}
+	id.metrics.observe(res, classified, by)
+}
 
+// classify resets res and fills its Matches from the accept set of f's
+// head: the head memo's when the cache holds that head (byHeadMemo),
+// the bank's otherwise (byBank). It returns the matches' bank indices
+// and sets res.Type unless discrimination has to choose among them.
+func (id *Identifier) classify(f fingerprint.F, sc *identifyScratch, res *Result) ([]int, answeredBy) {
+	res.reset()
 	start := time.Now()
 	by := byBank
 	head := f.Head()
@@ -505,31 +549,25 @@ func (id *Identifier) identifyLocked(f fingerprint.F, sc *identifyScratch, res *
 		res.Matches = append(res.Matches, id.types[i])
 	}
 	res.ClassifyTime = time.Since(start)
-
-	switch len(res.Matches) {
-	case 0:
-		res.Type = Unknown
-		return by
-	case 1:
+	// With several matches and discrimination disabled, the first
+	// accepted type in sorted order wins.
+	if len(res.Matches) > 0 {
 		res.Type = res.Matches[0]
-		return by
 	}
+	return matched, by
+}
 
-	if id.cfg.DisableDiscrimination {
-		res.Type = res.Matches[0]
-		return by
-	}
-
-	// Multiple matches: discriminate by summed normalized edit distance
-	// to each candidate's reference fingerprints. Candidates are
-	// scored sequentially in canonical match order with the running
-	// best sum as each scorer's budget: a candidate that provably
-	// cannot beat the best is abandoned mid-scoring. The first
-	// candidate (and any new best) always completes exactly, and ties
-	// resolve to the earliest candidate — completed-equal and
-	// abandoned-at-the-bound candidates lose alike — so the winner and
-	// its score are bit-identical to exhaustive scoring.
-	start = time.Now()
+// discriminate chooses among several matches by summed normalized edit
+// distance to each candidate's reference fingerprints. Candidates are
+// scored sequentially in canonical match order with the running best
+// sum as each scorer's budget: a candidate that provably cannot beat
+// the best is abandoned mid-scoring. The first candidate (and any new
+// best) always completes exactly, and ties resolve to the earliest
+// candidate — completed-equal and abandoned-at-the-bound candidates
+// lose alike — so the winner and its score are bit-identical to
+// exhaustive scoring.
+func (id *Identifier) discriminate(f fingerprint.F, matched []int, res *Result) {
+	start := time.Now()
 	res.Discriminated = true
 	if res.Scores == nil {
 		res.Scores = make(map[TypeID]float64, len(res.Matches))
@@ -550,36 +588,6 @@ func (id *Identifier) identifyLocked(f fingerprint.F, sc *identifyScratch, res *
 	}
 	res.DiscriminateTime = time.Since(start)
 	res.Type = bestType
-	return by
-}
-
-// identifyObserved is identifyLocked plus the full-key cache probe and
-// metrics observation; every public identification path funnels through
-// it so batch and single calls account — and cache — identically. The
-// caller holds at least a read lock, which is what makes both lookups
-// sound: AddType (the only bank mutation) write-locks, purges the
-// cache, and therefore cannot interleave between a stale read and our
-// insert.
-//
-// Only fp.F is read — by both keys and by the bank — so a cached answer
-// is the bank's answer for every fingerprint sharing the key, whatever
-// its other fields hold.
-func (id *Identifier) identifyObserved(fp *fingerprint.Fingerprint, res *Result) {
-	sc := id.getScratch()
-	defer id.scratch.Put(sc)
-	if id.cache == nil {
-		by := id.identifyLocked(fp.F, sc, res)
-		id.metrics.observe(res, by)
-		return
-	}
-	key := fp.CanonicalKey()
-	by := byCache
-	if !id.cache.getInto(key, res) {
-		by = id.identifyLocked(fp.F, sc, res)
-		id.cache.put(key, *res)
-	}
-	id.metrics.observeCache(by)
-	id.metrics.observe(res, by)
 }
 
 // scanBank scores every classifier in the bank on the F′ of head and

@@ -14,8 +14,8 @@ const (
 	// byHeadMemo: the accept set came from the cache's head memo;
 	// discrimination, if it was needed, ran.
 	byHeadMemo
-	// byCache: the whole Result came from the full-key cache; no stage
-	// ran.
+	// byCache: a discriminated Result came from the full-key cache;
+	// discrimination did not run.
 	byCache
 )
 
@@ -56,7 +56,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Number of accepting classifiers per identification.", obs.CountBuckets),
 	}
 	lookups := reg.CounterVec("core_identify_cache_total",
-		"Identification-cache lookups, by what answered: hit (full key), head_hit (accept set memoized for the head), miss (the forests ran).", "outcome")
+		"Identification-cache lookups, by what answered: hit (a discriminated answer stored under the full key), head_hit (the accept set memoized for the head), miss (the forests ran).", "outcome")
 	m.cache[byCache] = lookups.With("hit")
 	m.cache[byHeadMemo] = lookups.With("head_hit")
 	m.cache[byBank] = lookups.With("miss")
@@ -72,8 +72,10 @@ func (m *Metrics) observeCache(by answeredBy) {
 }
 
 // observe records one identification: the outcome series always, the
-// stage series only for the stages that ran. Safe on a nil receiver.
-func (m *Metrics) observe(res *Result, by answeredBy) {
+// stage series only for the stages that ran — the forests when they
+// classified it, discrimination unless the full key answered. Safe on a
+// nil receiver.
+func (m *Metrics) observe(res *Result, classified, by answeredBy) {
 	if m == nil {
 		return
 	}
@@ -82,15 +84,12 @@ func (m *Metrics) observe(res *Result, by answeredBy) {
 		m.unknown.Inc()
 	}
 	m.matchCount.Observe(float64(len(res.Matches)))
-	if by == byCache {
-		return
+	if classified == byBank {
+		m.classifySec.ObserveDuration(res.ClassifyTime)
 	}
-	if res.Discriminated {
+	if res.Discriminated && by != byCache {
 		m.editDistances.Add(uint64(res.EditDistances))
 		m.discriminateSec.ObserveDuration(res.DiscriminateTime)
-	}
-	if by == byBank {
-		m.classifySec.ObserveDuration(res.ClassifyTime)
 	}
 }
 

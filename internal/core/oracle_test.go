@@ -323,17 +323,38 @@ func TestIdentifyIntoZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestIdentifyCacheHitZeroAlloc asserts the cached steady state: once a
-// probe's answer is stored, repeats served from the cache allocate
-// nothing (canonical hashing included).
+// probe has been identified, its replays allocate nothing — a
+// single-match replay answered by the head memo alone, and a
+// discriminated replay answered under the full key (canonical hashing
+// included).
 func TestIdentifyCacheHitZeroAlloc(t *testing.T) {
-	id := oracleIdentifier(t, Config{Seed: 7, NegativeRatio: 4, Workers: 1, CacheSize: 64})
-	sibling := synthType([]float64{100, 110}, 1, 15, 50)[0]
-	var res Result
-	id.IdentifyInto(sibling, &res) // miss fills the cache
-	testutil.AssertZeroAllocs(t, "IdentifyInto/cache-hit", func() { id.IdentifyInto(sibling, &res) })
-	if hits, _ := id.Cache().Stats(); hits == 0 {
-		t.Fatal("steady-state calls did not hit the cache")
-	}
+	t.Run("head-decided", func(t *testing.T) {
+		id := oracleIdentifier(t, Config{Seed: 7, NegativeRatio: 4, Workers: 1, CacheSize: 64})
+		single := synthType([]float64{300, 310}, 1, 15, 51)[0]
+		var res Result
+		id.IdentifyInto(single, &res) // the forests fill the head memo
+		if len(res.Matches) != 1 {
+			t.Fatalf("%d matches, want a single-match probe", len(res.Matches))
+		}
+		testutil.AssertZeroAllocs(t, "IdentifyInto/head-decided", func() { id.IdentifyInto(single, &res) })
+		hits, misses := id.Cache().Stats()
+		if headHits, _ := id.Cache().HeadStats(); headHits == 0 || hits+misses != 0 {
+			t.Fatalf("%d head hits and %d full-key lookups: want replays answered by the head memo alone", headHits, hits+misses)
+		}
+	})
+	t.Run("discriminated", func(t *testing.T) {
+		id := oracleIdentifier(t, Config{Seed: 7, NegativeRatio: 4, Workers: 1, CacheSize: 64})
+		probe := discriminatingProbe(t, id) // stores the answer under the full key
+		var res Result
+		id.IdentifyInto(probe, &res)
+		if !res.Discriminated || res.DiscriminateTime != 0 {
+			t.Fatalf("replay: Discriminated %v, DiscriminateTime %v; want a stored answer that ran no discrimination", res.Discriminated, res.DiscriminateTime)
+		}
+		testutil.AssertZeroAllocs(t, "IdentifyInto/full-key-hit", func() { id.IdentifyInto(probe, &res) })
+		if hits, _ := id.Cache().Stats(); hits == 0 {
+			t.Fatal("steady-state calls did not hit the full key")
+		}
+	})
 }
 
 // TestIdentifyBatchAllocatesOnlyItsAnswers bounds the batch path: what
@@ -390,7 +411,8 @@ func BenchmarkIdentifyBatchSteadyState(b *testing.B) {
 }
 
 // BenchmarkIdentifyCacheHit is the replayed-probe path: answers served
-// from the identification cache without touching the bank.
+// from the identification cache without touching the bank. The probe
+// matches one type, so the head memo answers it.
 func BenchmarkIdentifyCacheHit(b *testing.B) {
 	id := oracleIdentifier(b, Config{Seed: 7, NegativeRatio: 4, CacheSize: 64})
 	probe := synthType([]float64{100, 110}, 1, 15, 50)[0]
@@ -423,9 +445,9 @@ func BenchmarkIdentifyWarmBootCached(b *testing.B) {
 	}
 	probe := synthType([]float64{100, 110}, 1, 15, 50)[0]
 	var res Result
-	id.IdentifyInto(probe, &res) // miss fills the cache
+	id.IdentifyInto(probe, &res) // the forests fill the head memo
 	id.IdentifyInto(probe, &res)
-	if hits, _ := id.Cache().Stats(); hits == 0 {
+	if hits, _ := id.Cache().HeadStats(); hits == 0 {
 		b.Fatal("warm-boot identifier is not serving from its cache")
 	}
 	b.ReportAllocs()

@@ -114,7 +114,7 @@ func TestRuntimeConfigDoesNotSurviveLoad(t *testing.T) {
 	probe := synthType([]float64{60, 70, 80}, 1, 15, 77)[0]
 	re.Identify(probe)
 	re.Identify(probe)
-	if hits, _ := re.Cache().Stats(); hits == 0 {
+	if hits, _ := re.Cache().HeadStats(); hits == 0 {
 		t.Error("replayed probe did not hit the re-attached cache")
 	}
 	// cacheSize 0 = disabled.
