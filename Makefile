@@ -5,9 +5,9 @@
 # sweep + the seeded fleet-link chaos sweep (see `make chaos`) + a
 # short fuzz pass over the capture ring and readers, the frame decoder,
 # the forest and model-file deserializers, the packed-symbol codec, the fingerprint
-# head, the edit-distance kernel and discrimination scoring, the
-# cluster-linkage input, the fleet wire decoders, the HTTP
-# assess request body and the store's record and snapshot-row decoders +
+# head and packed-F decoder, the edit-distance kernel and discrimination
+# scoring, the cluster-linkage input, the fleet wire decoders and the
+# store's record and snapshot-row decoders +
 # the benchmark module's own vet and tests
 # (`make bench-smoke`) + a short sustained-load soak with its
 # leak/latency gates);
@@ -107,12 +107,12 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadIdentifier$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzPackRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/features/
 	$(GO) test -run='^$$' -fuzz='^FuzzHead$$' -fuzztime=$(FUZZTIME) ./internal/fingerprint/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeF$$' -fuzztime=$(FUZZTIME) ./internal/fingerprint/
 	$(GO) test -run='^$$' -fuzz='^FuzzBandedDistance$$' -fuzztime=$(FUZZTIME) ./internal/editdist/
 	$(GO) test -run='^$$' -fuzz='^FuzzDistanceSum$$' -fuzztime=$(FUZZTIME) ./internal/editdist/
 	$(GO) test -run='^$$' -fuzz='^FuzzClusterLinkage$$' -fuzztime=$(FUZZTIME) ./internal/learn/
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchDecoder$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
-	$(GO) test -run='^$$' -fuzz='^FuzzAssessBody$$' -fuzztime=$(FUZZTIME) ./internal/iotssp/
 	$(GO) test -run='^$$' -fuzz='^FuzzEventDecode$$' -fuzztime=$(FUZZTIME) ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRowDecode$$' -fuzztime=$(FUZZTIME) ./internal/store/
 

@@ -46,7 +46,7 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "training IoT Security Service on %d captures x 27 device-types...\n", *captures)
 	ds := iotsentinel.ReferenceDataset(*captures, *seed)
-	ks := iotsentinel.NewKeystore("")
+	ks := iotsentinel.NewKeystore()
 	s, err := iotsentinel.NewSentinel(ds,
 		iotsentinel.WithSeed(*seed),
 		iotsentinel.WithKeystore(ks),

@@ -80,10 +80,10 @@ func ExampleFingerprintPCAP() {
 }
 
 // ExampleNewKeystore shows WPS credential management: a device-specific
-// PSK is issued on enrollment and the shared legacy key can be
-// deprecated during migration.
+// PSK is issued on enrollment, admits only its own device, and stops
+// working once revoked.
 func ExampleNewKeystore() {
-	ks := iotsentinel.NewKeystore("old-shared-psk")
+	ks := iotsentinel.NewKeystore()
 	mac := iotsentinel.MAC{0x02, 0x11, 0x22, 0x33, 0x44, 0x55}
 	cred, err := ks.Enroll(mac)
 	if err != nil {
@@ -91,8 +91,8 @@ func ExampleNewKeystore() {
 		return
 	}
 	fmt.Println(len(cred.PSK), ks.Authenticate(mac, cred.PSK))
-	ks.DeprecateLegacyPSK()
-	fmt.Println(ks.Authenticate(mac, "old-shared-psk"))
+	ks.Revoke(mac)
+	fmt.Println(ks.Authenticate(mac, cred.PSK))
 	// Output:
 	// 64 true
 	// false

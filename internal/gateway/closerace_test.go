@@ -22,10 +22,9 @@ func TestCloseRacingFinishingCaptures(t *testing.T) {
 	devIP, gwIP := netip.MustParseAddr("192.168.1.77"), netip.MustParseAddr("192.168.1.1")
 	for round := 0; round < 20; round++ {
 		g := newGatewayWithAssessor(nopAssessor{}, Config{
-			IdleGap:         time.Hour,
-			MaxSetupPackets: 2,
-			Shards:          4,
-			AssessQueue:     2,
+			IdleGap:     time.Millisecond,
+			Shards:      4,
+			AssessQueue: 2,
 		})
 		var (
 			stop    atomic.Bool
@@ -43,8 +42,9 @@ func TestCloseRacingFinishingCaptures(t *testing.T) {
 					mac := packet.MAC{0x02, 0xCE, byte(w), byte(i >> 16), byte(i >> 8), byte(i)}
 					pk := packet.NewUDP(mac, gwMAC, devIP, gwIP, 40000, 53, []byte("q"))
 					ts := time.Unix(9000, int64(i))
-					for n := 0; n < 2; n++ { // the second packet finishes the capture
-						if _, err := g.HandlePacket(ts, pk); err != nil {
+					// The second packet, an IdleGap later, finishes the capture.
+					for _, at := range []time.Time{ts, ts.Add(time.Millisecond)} {
+						if _, err := g.HandlePacket(at, pk); err != nil {
 							t.Errorf("HandlePacket: %v", err)
 							return
 						}

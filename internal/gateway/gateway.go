@@ -89,8 +89,6 @@ type Config struct {
 	// IdleGap ends a device's setup phase after this much silence
 	// (default 10 s).
 	IdleGap time.Duration
-	// MaxSetupPackets caps the capture (default 300).
-	MaxSetupPackets int
 	// Shards stripes per-device state across this many locks (rounded
 	// up to a power of two; 0 selects DefaultShards). Packets from
 	// devices on different shards never contend; 1 reproduces the
@@ -122,8 +120,7 @@ type Config struct {
 	OnQuarantined func(DeviceInfo, error)
 	// Keystore, if set, enables WPS credential management: every new
 	// device is enrolled with a device-specific WPA2 PSK on first
-	// sight (Sect. III-A), and legacy migration re-keys WPS-capable
-	// devices (Sect. VIII-A).
+	// sight (Sect. III-A) and revoked when RemoveDevice drops it.
 	Keystore *wps.Keystore
 	// Metrics, if set, receives device-state, quarantine, setup-
 	// capture, queue and packet-latency instrumentation (see
@@ -243,7 +240,7 @@ func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Pa
 	if info == nil && !pk.SrcMAC.IsMulticast() {
 		info = &DeviceInfo{MAC: pk.SrcMAC, State: StateMonitoring, FirstSeen: ts}
 		s.devices[pk.SrcMAC] = info
-		s.captures[pk.SrcMAC] = fingerprint.NewSetupCapture(g.cfg.IdleGap, g.cfg.MaxSetupPackets)
+		s.captures[pk.SrcMAC] = fingerprint.NewSetupCapture(g.cfg.IdleGap, 0)
 		g.cfg.Metrics.stateChange(0, StateMonitoring)
 		g.cfg.Metrics.captureOpened()
 		g.record(store.Event{Kind: store.EvCaptureStarted, MAC: pk.SrcMAC, At: ts, FirstSeen: ts})
@@ -511,8 +508,7 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 // apply installs the enforcement rule for one assessment and fires the
 // gateway callbacks. fp is the fingerprint the assessment answered,
 // threaded through so an unrecognized device can hand its evidence to
-// the online learner; it is nil for a legacy device's standby
-// fingerprint, which the learner must not see.
+// the online learner.
 //
 // The verdict is for the device that was there when the assessment
 // began. Over the remote call that is a round trip ago — Timeout ×
@@ -576,7 +572,7 @@ func (g *Gateway) apply(mac packet.MAC, a iotssp.Assessment, fp *fingerprint.Fin
 	if g.cfg.OnAssessed != nil {
 		g.cfg.OnAssessed(snapshot)
 	}
-	if !a.Known && fp != nil && g.cfg.OnUnknown != nil {
+	if !a.Known && g.cfg.OnUnknown != nil {
 		g.cfg.OnUnknown(snapshot, *fp)
 	}
 	if g.cfg.OnNotify != nil {

@@ -13,6 +13,7 @@ import (
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/sdn"
 	"iotsentinel/internal/vulndb"
+	"iotsentinel/internal/wps"
 )
 
 // trainService builds an IoTSSP over a few device-types.
@@ -259,7 +260,7 @@ func TestAssessorFailureQuarantines(t *testing.T) {
 	cache := sdn.NewRuleCache()
 	ctrl := sdn.NewController(cache, netip.Prefix{})
 	sw := sdn.NewSwitch(ctrl, time.Minute)
-	g := New(failingAssessor{}, sw, Config{IdleGap: time.Second, MaxSetupPackets: 2})
+	g := New(failingAssessor{}, sw, Config{IdleGap: time.Second})
 
 	mac := packet.MAC{0x02, 9, 9, 9, 9, 9}
 	pk := packet.NewARP(mac, netip.MustParseAddr("192.168.1.9"),
@@ -268,10 +269,11 @@ func TestAssessorFailureQuarantines(t *testing.T) {
 	if _, err := g.HandlePacket(base, pk); err != nil {
 		t.Fatal(err)
 	}
-	// Second packet hits MaxSetupPackets and triggers the failing
-	// assessment: the device must be quarantined fail-closed, not left
-	// wedged in monitoring with a surfaced error.
-	if _, err := g.HandlePacket(base.Add(time.Millisecond), pk); err != nil {
+	// Second packet, an IdleGap later, ends the setup phase and triggers
+	// the failing assessment: the device must be quarantined
+	// fail-closed, not left wedged in monitoring with a surfaced error.
+	base = base.Add(time.Second)
+	if _, err := g.HandlePacket(base, pk); err != nil {
 		t.Fatalf("assessor failure must quarantine, not error: %v", err)
 	}
 	info, ok := g.Device(mac)
@@ -285,12 +287,30 @@ func TestAssessorFailureQuarantines(t *testing.T) {
 	// Internet-bound traffic from the quarantined device is dropped.
 	blocked := packet.NewTCPSyn(mac, packet.MAC{2, 2, 2, 2, 2, 2},
 		netip.MustParseAddr("192.168.1.9"), netip.MustParseAddr("93.184.216.34"), 40000, 443)
-	act, err := g.HandlePacket(base.Add(2*time.Millisecond), blocked)
+	act, err := g.HandlePacket(base.Add(time.Millisecond), blocked)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if act != sdn.ActionDrop {
 		t.Error("quarantined device reached the internet")
+	}
+}
+
+func TestGatewayEnrollsNewDevices(t *testing.T) {
+	ks := wps.NewKeystore()
+	g := newGateway(t, Config{IdleGap: time.Hour, Keystore: ks})
+
+	mac := packet.MAC{2, 4, 0, 0, 0, 9}
+	pk := packet.NewARP(mac, netip.MustParseAddr("192.168.1.5"), netip.MustParseAddr("192.168.1.1"))
+	if _, err := g.HandlePacket(time.Unix(0, 0), pk); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ks.Lookup(mac); !ok {
+		t.Error("new device not enrolled")
+	}
+	g.RemoveDevice(mac)
+	if _, ok := ks.Lookup(mac); ok {
+		t.Error("credential not revoked on removal")
 	}
 }
 

@@ -18,7 +18,10 @@ import (
 // that every surviving device landed in a legal state.
 func TestConcurrentGatewayOperations(t *testing.T) {
 	flaky := &flakyAssessor{failures: 40, inner: trainService(t)}
-	g := newGatewayWithAssessor(flaky, Config{IdleGap: time.Second, MaxSetupPackets: 4})
+	// Each MAC hears four feeders' packets 10 ms apart, then nothing for
+	// 50 ms: the packet after that pause ends the capture on the data
+	// path, racing everything below.
+	g := newGatewayWithAssessor(flaky, Config{IdleGap: 50 * time.Millisecond})
 
 	base := time.Unix(1000, 0)
 	macs := make([]packet.MAC, 8)

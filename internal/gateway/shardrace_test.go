@@ -24,12 +24,15 @@ func TestShardedGatewayRaceHammer(t *testing.T) {
 	reg := obs.NewRegistry()
 	gm := NewMetrics(reg)
 	flaky := &flakyAssessor{failures: 60, inner: trainService(t)}
+	// Each feeder reaches a given hot device every 24 ms of its own
+	// clock, and the feeders' clocks sit 0.9 s apart: whichever packet
+	// comes an IdleGap or more after the device's last one ends its
+	// capture on the data path.
 	g := newGatewayWithAssessor(flaky, Config{
-		IdleGap:         time.Second,
-		MaxSetupPackets: 4,
-		Shards:          8,
-		AssessQueue:     4, // tiny on purpose: overflow must drop-oldest, not block or lose state
-		Metrics:         gm,
+		IdleGap:     24 * time.Millisecond,
+		Shards:      8,
+		AssessQueue: 4, // tiny on purpose: overflow must drop-oldest, not block or lose state
+		Metrics:     gm,
 	})
 	defer g.Close()
 

@@ -82,14 +82,6 @@ func (s *Service) SetEndpoints(t core.TypeID, ips []netip.Addr) {
 	s.endpoints[t] = sorted
 }
 
-// AddType forwards to the identifier, letting the service learn new
-// device-types without retraining existing classifiers.
-func (s *Service) AddType(t core.TypeID, fps []fingerprint.Fingerprint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.id.AddType(t, fps)
-}
-
 // Install puts a new classifier bank into service — the one way a bank
 // arrives after boot, whatever its source: the model store (SIGHUP), a
 // fleet push, a rollout rollback. The bank must be non-nil and hold at

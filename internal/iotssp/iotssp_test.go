@@ -102,24 +102,6 @@ func TestAssessUnknownDeviceStrict(t *testing.T) {
 	}
 }
 
-func TestAddType(t *testing.T) {
-	svc, _ := testService(t)
-	full := devices.GenerateDataset(12, 33)
-	if err := svc.AddType("MAXGateway", full["MAXGateway"]); err != nil {
-		t.Fatalf("AddType: %v", err)
-	}
-	a, err := svc.Assess(probeFor(t, "MAXGateway", 103))
-	if err != nil {
-		t.Fatalf("Assess: %v", err)
-	}
-	if a.Type != "MAXGateway" {
-		t.Errorf("after AddType identified as %q", a.Type)
-	}
-	if len(svc.Types()) != 6 {
-		t.Errorf("Types = %v", svc.Types())
-	}
-}
-
 func TestUnknownSink(t *testing.T) {
 	svc, _ := testService(t)
 	var got []fingerprint.Fingerprint
@@ -171,6 +153,9 @@ func TestPromoteType(t *testing.T) {
 	}
 	if !svc.HasType("MAXGateway") {
 		t.Fatal("promoted type missing from the bank")
+	}
+	if len(svc.Types()) != 6 {
+		t.Errorf("Types = %v", svc.Types())
 	}
 	// The pre-promotion bank must be untouched: train-while-serving.
 	if before.NumTypes() != 5 {

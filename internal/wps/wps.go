@@ -2,15 +2,11 @@
 // Sect. III-A: the Security Gateway issues each wireless device a
 // device-specific WPA2 pre-shared key through WiFi Protected Setup, so
 // a compromised device cannot impersonate its neighbours or decrypt
-// their traffic. It also implements the re-keying flow of Sect. VIII-A
-// used when legacy devices migrate into the trusted overlay: the shared
-// legacy PSK is deprecated and WPS-capable devices obtain fresh
-// device-specific keys.
+// their traffic.
 package wps
 
 import (
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sync"
@@ -33,53 +29,23 @@ type Credential struct {
 	Generation int
 }
 
-// Fingerprint returns a short non-sensitive digest of the PSK for logs.
-func (c Credential) Fingerprint() string {
-	sum := sha256.Sum256([]byte(c.PSK))
-	return hex.EncodeToString(sum[:4])
-}
-
-// Keystore manages per-device PSKs plus the network-wide legacy PSK.
-// All methods are safe for concurrent use.
+// Keystore manages per-device PSKs. All methods are safe for concurrent
+// use.
 type Keystore struct {
 	mu sync.Mutex
 	// creds maps device MAC to its current credential.
-	creds map[packet.MAC]Credential
-	// legacyPSK is the shared WPA2-Personal key of a pre-Sentinel
-	// installation; empty once deprecated.
-	legacyPSK string
-	now       func() time.Time
-	randRead  func([]byte) (int, error)
-}
-
-// Option configures a Keystore.
-type Option interface{ apply(*Keystore) }
-
-type optionFunc func(*Keystore)
-
-func (f optionFunc) apply(k *Keystore) { f(k) }
-
-// WithClock overrides the time source (tests, simulations).
-func WithClock(now func() time.Time) Option {
-	return optionFunc(func(k *Keystore) { k.now = now })
-}
-
-// WithLegacyPSK seeds the store with a pre-existing shared network key.
-func WithLegacyPSK(psk string) Option {
-	return optionFunc(func(k *Keystore) { k.legacyPSK = psk })
+	creds    map[packet.MAC]Credential
+	now      func() time.Time
+	randRead func([]byte) (int, error)
 }
 
 // NewKeystore returns an empty store.
-func NewKeystore(opts ...Option) *Keystore {
-	k := &Keystore{
+func NewKeystore() *Keystore {
+	return &Keystore{
 		creds:    make(map[packet.MAC]Credential),
 		now:      time.Now,
 		randRead: rand.Read,
 	}
-	for _, o := range opts {
-		o.apply(k)
-	}
-	return k
 }
 
 // Enroll issues a fresh device-specific PSK for a device joining via
@@ -121,63 +87,13 @@ func (k *Keystore) Revoke(mac packet.MAC) bool {
 	return true
 }
 
-// Authenticate checks a presented PSK: a device-specific key must match
-// the device's own credential; the legacy PSK (while not deprecated)
-// admits any device into the untrusted overlay.
+// Authenticate checks a presented PSK: it must match the device's own
+// credential.
 func (k *Keystore) Authenticate(mac packet.MAC, psk string) bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if c, ok := k.creds[mac]; ok && c.PSK == psk {
-		return true
-	}
-	return k.legacyPSK != "" && psk == k.legacyPSK
-}
-
-// LegacyPSKActive reports whether the shared legacy key still admits
-// devices.
-func (k *Keystore) LegacyPSKActive() bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.legacyPSK != ""
-}
-
-// DeprecateLegacyPSK invalidates the shared key, triggering WPS
-// re-keying on devices that support it (Sect. VIII-A).
-func (k *Keystore) DeprecateLegacyPSK() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.legacyPSK = ""
-}
-
-// ReKeyOutcome reports the result of a bulk re-keying pass.
-type ReKeyOutcome struct {
-	MAC packet.MAC
-	// Credential is set when re-keying succeeded.
-	Credential Credential
-	// ReKeyed is false for devices without WPS support, which need
-	// manual re-introduction once the legacy PSK is deprecated.
-	ReKeyed bool
-}
-
-// ReKeyAll deprecates the legacy PSK and issues fresh device-specific
-// keys to every WPS-capable device in the list; non-WPS devices are
-// reported for manual handling.
-func (k *Keystore) ReKeyAll(devices map[packet.MAC]bool) ([]ReKeyOutcome, error) {
-	k.DeprecateLegacyPSK()
-	out := make([]ReKeyOutcome, 0, len(devices))
-	for mac, supportsWPS := range devices {
-		o := ReKeyOutcome{MAC: mac}
-		if supportsWPS {
-			cred, err := k.Enroll(mac)
-			if err != nil {
-				return nil, fmt.Errorf("wps: re-key %v: %w", mac, err)
-			}
-			o.Credential = cred
-			o.ReKeyed = true
-		}
-		out = append(out, o)
-	}
-	return out, nil
+	c, ok := k.creds[mac]
+	return ok && c.PSK == psk
 }
 
 // Len returns the number of enrolled devices.

@@ -57,9 +57,6 @@ func TestPSKsAreUnique(t *testing.T) {
 	if a.PSK == b.PSK {
 		t.Error("two devices received the same PSK")
 	}
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Error("fingerprints collide")
-	}
 }
 
 func TestReEnrollIncrementsGeneration(t *testing.T) {
@@ -104,59 +101,6 @@ func TestRevoke(t *testing.T) {
 	}
 }
 
-func TestLegacyPSKFlow(t *testing.T) {
-	k := NewKeystore(WithLegacyPSK("hunter2hunter2"))
-	if !k.LegacyPSKActive() {
-		t.Fatal("legacy PSK inactive")
-	}
-	// Any device can join with the shared key.
-	if !k.Authenticate(macA, "hunter2hunter2") || !k.Authenticate(macB, "hunter2hunter2") {
-		t.Error("legacy PSK rejected")
-	}
-	k.DeprecateLegacyPSK()
-	if k.LegacyPSKActive() {
-		t.Error("legacy PSK still active")
-	}
-	if k.Authenticate(macA, "hunter2hunter2") {
-		t.Error("deprecated legacy PSK still authenticates")
-	}
-}
-
-func TestReKeyAll(t *testing.T) {
-	k := NewKeystore(WithLegacyPSK("sharedkey123"))
-	outcomes, err := k.ReKeyAll(map[packet.MAC]bool{
-		macA: true,  // WPS-capable
-		macB: false, // needs manual re-introduction
-	})
-	if err != nil {
-		t.Fatalf("ReKeyAll: %v", err)
-	}
-	if len(outcomes) != 2 {
-		t.Fatalf("outcomes = %d", len(outcomes))
-	}
-	if k.LegacyPSKActive() {
-		t.Error("legacy PSK survived re-keying")
-	}
-	for _, o := range outcomes {
-		switch o.MAC {
-		case macA:
-			if !o.ReKeyed || o.Credential.PSK == "" {
-				t.Errorf("WPS device not re-keyed: %+v", o)
-			}
-			if !k.Authenticate(macA, o.Credential.PSK) {
-				t.Error("new credential rejected")
-			}
-		case macB:
-			if o.ReKeyed {
-				t.Error("non-WPS device re-keyed")
-			}
-			if k.Authenticate(macB, "sharedkey123") {
-				t.Error("non-WPS device still admitted with legacy PSK")
-			}
-		}
-	}
-}
-
 func TestGenerateFailure(t *testing.T) {
 	k := NewKeystore()
 	k.randRead = func([]byte) (int, error) { return 0, errors.New("entropy exhausted") }
@@ -167,7 +111,8 @@ func TestGenerateFailure(t *testing.T) {
 
 func TestWithClock(t *testing.T) {
 	fixed := time.Unix(12345, 0)
-	k := NewKeystore(WithClock(func() time.Time { return fixed }))
+	k := NewKeystore()
+	k.now = func() time.Time { return fixed }
 	cred, err := k.Enroll(macA)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +123,7 @@ func TestWithClock(t *testing.T) {
 }
 
 func TestConcurrentKeystore(t *testing.T) {
-	k := NewKeystore(WithLegacyPSK("x"))
+	k := NewKeystore()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -28,7 +28,6 @@ import (
 	"io"
 	"math/rand"
 	"net/netip"
-	"time"
 
 	"iotsentinel/internal/core"
 	"iotsentinel/internal/devices"
@@ -92,11 +91,6 @@ type Option interface {
 type options struct {
 	coreCfg core.Config
 	gwCfg   gateway.Config
-	db      *vulndb.DB
-}
-
-func defaultOptions() options {
-	return options{db: vulndb.NewDefault()}
 }
 
 type optionFunc func(*options)
@@ -106,14 +100,6 @@ func (f optionFunc) apply(o *options) { f(o) }
 // WithSeed makes training deterministic.
 func WithSeed(seed int64) Option {
 	return optionFunc(func(o *options) { o.coreCfg.Seed = seed })
-}
-
-// WithWorkers bounds the goroutines of training and IdentifyBatch, where
-// the work items — one classifier, one fingerprint — are independent
-// (0 = GOMAXPROCS, 1 = sequential). A single Identify scans the bank on
-// the caller's goroutine. Results are identical at every worker count.
-func WithWorkers(n int) Option {
-	return optionFunc(func(o *options) { o.coreCfg.Workers = n })
 }
 
 // WithForestTrees sets the per-type Random Forest size (default 25).
@@ -139,16 +125,10 @@ func WithAcceptThreshold(t float64) Option {
 	return optionFunc(func(o *options) { o.coreCfg.AcceptThreshold = t })
 }
 
-// WithVulnerabilityDB replaces the default vulnerability database used
-// by NewSentinel.
-func WithVulnerabilityDB(db *vulndb.DB) Option {
-	return optionFunc(func(o *options) { o.db = db })
-}
-
 // TrainIdentifier builds the one-classifier-per-type identification
 // pipeline from a labelled dataset.
 func TrainIdentifier(ds Dataset, opts ...Option) (*Identifier, error) {
-	o := defaultOptions()
+	var o options
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
@@ -220,7 +200,7 @@ type Sentinel struct {
 // the identifier, wires the vulnerability database, and connects a
 // switch + controller + gateway stack.
 func NewSentinel(ds Dataset, opts ...Option) (*Sentinel, error) {
-	o := defaultOptions()
+	var o options
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
@@ -228,7 +208,7 @@ func NewSentinel(ds Dataset, opts ...Option) (*Sentinel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("iotsentinel: %w", err)
 	}
-	svc := iotssp.New(id, o.db)
+	svc := iotssp.New(id, vulndb.NewDefault())
 	cache := sdn.NewRuleCache()
 	ctrl := sdn.NewController(cache, sdnLocalPrefix())
 	sw := sdn.NewSwitch(ctrl, 0)
@@ -301,18 +281,6 @@ func WithNotifyHook(fn func(Notification)) Option {
 	return optionFunc(func(o *options) { o.gwCfg.OnNotify = fn })
 }
 
-// WithQuarantineHook installs a callback fired each time a device
-// assessment fails and the device is isolated at Strict pending retry.
-func WithQuarantineHook(fn func(DeviceInfo, error)) Option {
-	return optionFunc(func(o *options) { o.gwCfg.OnQuarantined = fn })
-}
-
-// WithSetupIdleGap sets how long a device must stay silent before its
-// setup phase is considered over (default 10s).
-func WithSetupIdleGap(d time.Duration) Option {
-	return optionFunc(func(o *options) { o.gwCfg.IdleGap = d })
-}
-
 // SaveIdentifier serializes a trained identifier to w (versioned JSON);
 // LoadIdentifier restores it with bit-identical predictions.
 func SaveIdentifier(id *Identifier, w io.Writer) error {
@@ -334,14 +302,9 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 // Keystore manages device-specific WPA2 pre-shared keys (Sect. III-A).
 type Keystore = wps.Keystore
 
-// NewKeystore returns a WPS credential store. Pass the pre-existing
-// shared network key as legacyPSK for legacy installations, or "" for
-// a fresh deployment.
-func NewKeystore(legacyPSK string) *Keystore {
-	if legacyPSK == "" {
-		return wps.NewKeystore()
-	}
-	return wps.NewKeystore(wps.WithLegacyPSK(legacyPSK))
+// NewKeystore returns an empty WPS credential store.
+func NewKeystore() *Keystore {
+	return wps.NewKeystore()
 }
 
 // WithKeystore enables WPS credential management on the assembled
@@ -349,20 +312,4 @@ func NewKeystore(legacyPSK string) *Keystore {
 // removed devices are revoked.
 func WithKeystore(ks *Keystore) Option {
 	return optionFunc(func(o *options) { o.gwCfg.Keystore = ks })
-}
-
-// GenerateOperationTraffic synthesizes n normal-operation captures
-// (app-command bursts) for one reference device-type — the third
-// traffic mode of Sect. VIII-A alongside setup and standby.
-func GenerateOperationTraffic(typ DeviceType, n int, seed int64) ([]SetupCapture, error) {
-	p, err := devices.ProfileByID(string(typ))
-	if err != nil {
-		return nil, fmt.Errorf("iotsentinel: %w", err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]SetupCapture, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, p.GenerateOperation(rng, 5))
-	}
-	return out, nil
 }

@@ -168,7 +168,7 @@ func TestNewSentinelEndToEnd(t *testing.T) {
 
 func TestSentinelWithKeystore(t *testing.T) {
 	ds := smallDataset(t)
-	ks := NewKeystore("legacy-shared")
+	ks := NewKeystore()
 	s, err := NewSentinel(ds, WithSeed(7), WithKeystore(ks))
 	if err != nil {
 		t.Fatalf("NewSentinel: %v", err)
@@ -184,21 +184,9 @@ func TestSentinelWithKeystore(t *testing.T) {
 	if _, ok := ks.Lookup(c.MAC); !ok {
 		t.Error("device not enrolled on first packet")
 	}
-	if !ks.LegacyPSKActive() {
-		t.Error("legacy PSK should remain active until deprecated")
-	}
-}
-
-func TestGenerateOperationTrafficFacade(t *testing.T) {
-	caps, err := GenerateOperationTraffic("WeMoSwitch", 2, 4)
-	if err != nil {
-		t.Fatalf("GenerateOperationTraffic: %v", err)
-	}
-	if len(caps) != 2 || len(caps[0].Packets) == 0 {
-		t.Fatalf("captures = %+v", caps)
-	}
-	if _, err := GenerateOperationTraffic("Nope", 1, 1); err == nil {
-		t.Error("unknown type must fail")
+	s.Gateway.RemoveDevice(c.MAC)
+	if _, ok := ks.Lookup(c.MAC); ok {
+		t.Error("credential not revoked on RemoveDevice")
 	}
 }
 
