@@ -33,10 +33,10 @@ GO ?= go
 BENCH_PKGS ?= ./internal/...
 # The root-package paper benchmarks worth archiving: the single-probe
 # and batch identification hot paths over the full 27-type bank, and
-# what building one costs (train, add a type, load, clone). The
+# what building one costs (train, add a type, load). The
 # heavyweight figure/table benchmarks (cross-validation sweeps) stay
 # out of the archive — `make bench` still runs them all.
-BENCH_ROOT ?= ^Benchmark(ClassifySingle|EditDistanceSingle|TypeIdentification|FingerprintExtraction|TrainIdentifier|AddType|LoadIdentifier|CloneIdentifier)$$
+BENCH_ROOT ?= ^Benchmark(ClassifySingle|EditDistanceSingle|TypeIdentification|FingerprintExtraction|TrainIdentifier|AddType|LoadIdentifier)$$
 # bench-json runs each benchmark BENCH_COUNT times; cmd/benchjson keeps
 # the minimum ns/op per benchmark, damping scheduler noise on busy
 # hosts so `make bench-check` compares capability, not luck.

@@ -31,8 +31,10 @@ import (
 // field (Type, Matches, Scores, Discriminated, EditDistances): the
 // full key covers the whole fingerprint (see fingerprint.CanonicalKey),
 // results and accept sets are copied in and out so callers can never
-// mutate or alias a stored one, and the identifier purges both levels
-// whenever the bank changes (AddType). Only the stage timings differ —
+// mutate or alias a stored one, and a cache serves one bank for its
+// whole life: a bank never changes, and every runtime binding that
+// attaches a cache makes a new one (see Identifier.ApplyRuntime), so no
+// entry outlives the model that produced it. Only the stage timings differ —
 // an answer from the full key reports zero DiscriminateTime, which is
 // also the honest measurement.
 //
@@ -54,12 +56,11 @@ type IdentifyCache struct {
 	misses   uint64
 
 	// heads maps a head to its slot in accepts; slot i is the words
-	// accepts[i*words:(i+1)*words], one bit per bank index. At most cap
-	// heads are held. Slots are dense: an evicted head's slot goes to
-	// the head that evicted it.
+	// accepts[i*w:(i+1)*w], one bit per bank index, w the bank's accept
+	// set width. At most cap heads are held. Slots are dense: an evicted
+	// head's slot goes to the head that evicted it.
 	heads      map[fingerprint.Head]uint32
 	accepts    []uint64
-	words      int
 	headHits   uint64
 	headMisses uint64
 }
@@ -90,8 +91,7 @@ func NewIdentifyCache(capacity int) *IdentifyCache {
 }
 
 // getHead copies the accept set memoized for head into dst and reports
-// whether there was one. An accept set of another width than dst was
-// stored for another bank and is never returned.
+// whether there was one.
 func (c *IdentifyCache) getHead(head *fingerprint.Head, dst []uint64) bool {
 	if c == nil {
 		return false
@@ -99,12 +99,12 @@ func (c *IdentifyCache) getHead(head *fingerprint.Head, dst []uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	slot, ok := c.heads[*head]
-	if !ok || c.words != len(dst) {
+	if !ok {
 		c.headMisses++
 		return false
 	}
 	c.headHits++
-	copy(dst, c.accepts[int(slot)*c.words:])
+	copy(dst, c.accepts[int(slot)*len(dst):])
 	return true
 }
 
@@ -118,13 +118,6 @@ func (c *IdentifyCache) putHead(head *fingerprint.Head, accepted []uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.words != len(accepted) {
-		// The first accept set after a purge fixes the width; one of a
-		// different width later means the cache changed banks without
-		// one, and nothing stored for the old bank may be served.
-		c.purgeHeadsLocked()
-		c.words = len(accepted)
-	}
 	slot, ok := c.heads[*head]
 	if !ok {
 		if len(c.heads) < c.cap {
@@ -139,13 +132,7 @@ func (c *IdentifyCache) putHead(head *fingerprint.Head, accepted []uint64) {
 		}
 		c.heads[*head] = slot
 	}
-	copy(c.accepts[int(slot)*c.words:], accepted)
-}
-
-func (c *IdentifyCache) purgeHeadsLocked() {
-	clear(c.heads)
-	c.accepts = c.accepts[:0]
-	c.words = 0
+	copy(c.accepts[int(slot)*len(accepted):], accepted)
 }
 
 // get returns a deep copy of the cached result for key, if present.
@@ -226,21 +213,6 @@ func (c *IdentifyCache) pushFront(i int32) {
 		c.lru = i
 	}
 	c.mru = i
-}
-
-// Purge drops every entry of both levels; called when the classifier
-// bank changes so a stale answer or accept set can never outlive the
-// model that produced it.
-func (c *IdentifyCache) Purge() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.index)
-	c.slots = c.slots[:0]
-	c.mru, c.lru = -1, -1
-	c.purgeHeadsLocked()
 }
 
 // Len returns the current full-key entry count: discriminated answers.

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
 	"iotsentinel/internal/devices"
 	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
+	"iotsentinel/internal/obs"
 	"iotsentinel/internal/testutil"
 )
 
@@ -186,8 +188,11 @@ func TestCacheIgnoresHandBuiltFPrime(t *testing.T) {
 		forged.FPrime, forged.UniqueCount = donor.FPrime, donor.UniqueCount
 
 		cold := cached.Identify(forged) // miss: the bank derives F′ from F
-		cached.Cache().Purge()
-		cached.Identify(honest)         // warm the cache with the honest twin
+		// A fresh, empty cache, warmed with the honest twin.
+		if err := cached.ApplyRuntime(1, 1024); err != nil {
+			t.Fatal(err)
+		}
+		cached.Identify(honest)
 		warm := cached.Identify(forged) // hit on the shared key
 		for name, got := range map[string]Result{"uncached": plain.Identify(forged), "cold": cold, "warm": warm} {
 			if !reflect.DeepEqual(semantic(got), semantic(want)) {
@@ -227,23 +232,43 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCachePurgedOnAddType(t *testing.T) {
+// TestWithTypeStartsUnbound: the bank WithType builds is unbound, as a
+// loaded one is — default workers, no cache, no metrics — however the
+// bank it grew from is bound, and identifying on it touches neither the
+// parent's cache nor its metrics.
+func TestWithTypeStartsUnbound(t *testing.T) {
 	cached, plain, probes := trainedPair(t, 1024)
-	cached.Identify(discriminatedProbe(t, plain, probes))
-	if full, heads := cacheEntries(cached.Cache()); full == 0 || heads == 0 {
+	if err := cached.ApplyRuntime(2, 1024); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cached.SetMetrics(NewMetrics(reg))
+	probe := discriminatedProbe(t, plain, probes)
+	cached.Identify(probe)
+	full, heads := cacheEntries(cached.Cache())
+	if full == 0 || heads == 0 {
 		t.Fatalf("cache holds %d full-key entries and %d heads after a discriminated identification", full, heads)
 	}
-	extra := devices.GenerateDataset(3, 9)
+	counted := reg.Counter("core_identifications_total", "").Value()
 	var fps []fingerprint.Fingerprint
-	for _, v := range extra {
+	for _, v := range devices.GenerateDataset(3, 9) {
 		fps = v
 		break
 	}
-	if err := cached.AddType("brand-new-type", fps); err != nil {
+	grown, err := cached.WithType("brand-new-type", fps)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if full, heads := cacheEntries(cached.Cache()); full != 0 || heads != 0 {
-		t.Errorf("cache holds %d full-key entries and %d heads after AddType, want 0 and 0", full, heads)
+	if grown.Cache() != nil || grown.Metrics() != nil || grown.Workers() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("WithType bank bound: cache %v, metrics %v, %d workers", grown.Cache() != nil, grown.Metrics() != nil, grown.Workers())
+	}
+	grown.Identify(probe)
+	grown.IdentifyBatch(probes)
+	if f, h := cacheEntries(cached.Cache()); f != full || h != heads {
+		t.Errorf("parent cache went from %d/%d to %d/%d entries", full, heads, f, h)
+	}
+	if got := reg.Counter("core_identifications_total", "").Value(); got != counted {
+		t.Errorf("core_identifications_total = %d after identifying on the new bank, want %d", got, counted)
 	}
 }
 
@@ -266,9 +291,7 @@ func TestRuntimeRebindDropsWarmCache(t *testing.T) {
 		full, heads := cacheEntries(c)
 		return full == 0 && heads == 0
 	}
-	if err := plain.AdoptRuntime(cached); err != nil {
-		t.Fatal(err)
-	}
+	plain.AdoptRuntime(cached)
 	if c := plain.Cache(); !fresh(c) {
 		t.Errorf("AdoptRuntime attached cache %p (the warm one is %p), want a fresh, empty one", c, warm)
 	}
@@ -286,7 +309,6 @@ func TestCacheNilSafe(t *testing.T) {
 	if _, ok := c.get(fingerprint.Key{}); ok {
 		t.Error("nil cache reported a hit")
 	}
-	c.Purge()
 	if c.Len() != 0 {
 		t.Error("nil cache has nonzero length")
 	}
@@ -361,11 +383,6 @@ func (r *refLRU) put(key fingerprint.Key, typ TypeID) {
 	r.entries[key] = r.order.PushFront(&refEntry{key: key, typ: typ})
 }
 
-func (r *refLRU) purge() {
-	r.entries = make(map[fingerprint.Key]*list.Element)
-	r.order.Init()
-}
-
 func (r *refLRU) keys() []fingerprint.Key {
 	var out []fingerprint.Key
 	for el := r.order.Front(); el != nil; el = el.Next() {
@@ -384,9 +401,9 @@ func lruKeys(c *IdentifyCache) []fingerprint.Key {
 }
 
 // TestCacheMatchesListLRU drives the slab cache and the retired
-// container/list LRU through one seeded sequence of gets, puts and
-// purges: every answer, the hit, miss and eviction counts and Len must
-// agree after every step, and so must the full recency order.
+// container/list LRU through one seeded sequence of gets and puts:
+// every answer, the hit, miss and eviction counts and Len must agree
+// after every step, and so must the full recency order.
 func TestCacheMatchesListLRU(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, 4096} {
 		rng := rand.New(rand.NewSource(int64(capacity)))
@@ -399,9 +416,6 @@ func TestCacheMatchesListLRU(t *testing.T) {
 		for step := 0; step < 30000; step++ {
 			key := keys[rng.Intn(len(keys))]
 			switch {
-			case rng.Intn(100+10*capacity) == 0:
-				c.Purge()
-				ref.purge()
 			case rng.Intn(2) == 0:
 				got, ok := c.get(key)
 				want, wantOK := ref.get(key)

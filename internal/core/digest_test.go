@@ -56,3 +56,41 @@ func TestModelFileDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestWithTypeDigests pins the bank WithType grows: the 27-type dataset
+// of devices.GenerateDataset(20, 1) with one type held out, trained at
+// seed 7, then given the held-out type. Each value is the SHA-256 of the
+// grown bank's model file. They were taken from the bank the
+// predecessor built, Clone (a Save/Load round trip) followed by an
+// in-place AddType, so WithType adds a type exactly as that did.
+func TestWithTypeDigests(t *testing.T) {
+	data := devices.GenerateDataset(20, 1)
+	for held, want := range map[TypeID]string{
+		"Aria":        "c29fd946ed1da5d932259398dbcc06953eae3dd76a8d9a2bb75c2a7ecd3d1a4a",
+		"D-LinkSiren": "2a882becaf609214e11ad900be432c8e0e8ef123ba7f0a33c29f872385d33ab7",
+		"iKettle2":    "ea8f692dabe62f7e33090ee5602ba568d3a7b1b811a9c5653738582864fd4b21",
+		"HueBridge":   "658d79ffa5e42898eb569ef9c9de7d9e95a66c109dbfbc4f205e36a76dc7ddcc",
+	} {
+		samples := make(map[TypeID][]fingerprint.Fingerprint)
+		for k, v := range data {
+			if TypeID(k) != held {
+				samples[TypeID(k)] = v
+			}
+		}
+		id, err := Train(samples, Config{Seed: 7})
+		if err != nil {
+			t.Fatalf("without %s: Train: %v", held, err)
+		}
+		grown, err := id.WithType(held, data[string(held)])
+		if err != nil {
+			t.Fatalf("WithType(%s): %v", held, err)
+		}
+		file := sha256.New()
+		if err := grown.Save(file); err != nil {
+			t.Fatalf("WithType(%s): Save: %v", held, err)
+		}
+		if got := hex.EncodeToString(file.Sum(nil)); got != want {
+			t.Errorf("WithType(%s): model file SHA-256 = %s, want %s", held, got, want)
+		}
+	}
+}

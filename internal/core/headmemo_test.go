@@ -102,12 +102,12 @@ func TestHeadMemoDifferential(t *testing.T) {
 	}
 }
 
-// TestHeadMemoPurgedOnBankChange: an accept set memoized before the
-// bank changed is never served after. Each case memoizes the head of a
-// probe the old bank answers without the type about to be added, then
-// changes the bank (or puts a changed bank in its place) and asks for a
-// fingerprint that shares only the head: the added type must be among
-// its matches, as it is for a bank with no cache at all.
+// TestHeadMemoPurgedOnBankChange: an accept set memoized by one bank is
+// never served by the bank that replaces it. Each case memoizes the head
+// of a probe the old bank answers without the type about to be added,
+// then binds a grown bank from it, as a service's swap does, and asks
+// for a fingerprint that shares only the head: the added type must be
+// among its matches, as it is for a bank with no cache at all.
 func TestHeadMemoPurgedOnBankChange(t *testing.T) {
 	samples := parallelSamples()
 	added := samples["plug-b"]
@@ -120,7 +120,8 @@ func TestHeadMemoPurgedOnBankChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.AddType("plug-b", added); err != nil {
+	ref, err = ref.WithType("plug-b", added)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var probe fingerprint.Fingerprint
@@ -165,22 +166,40 @@ func TestHeadMemoPurgedOnBankChange(t *testing.T) {
 		}
 	}
 
-	t.Run("AddType", func(t *testing.T) {
-		id := warm(t)
-		if err := id.AddType("plug-b", added); err != nil {
-			t.Fatal(err)
-		}
-		check(t, id)
-	})
-	t.Run("AdoptRuntime", func(t *testing.T) {
-		grown, err := ref.Clone()
+	// grow builds the grown bank from id and binds it from id.
+	grow := func(t *testing.T, id *Identifier) *Identifier {
+		t.Helper()
+		grown, err := id.WithType("plug-b", added)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The grown bank replaces the warm one, as a service's swap does.
-		if err := grown.AdoptRuntime(warm(t)); err != nil {
+		grown.AdoptRuntime(id)
+		return grown
+	}
+
+	t.Run("WithType", func(t *testing.T) {
+		id := warm(t)
+		check(t, grow(t, id))
+		// The warm bank itself never changed: it still knows no plug-b
+		// and answers from its memo.
+		if id.NumTypes() != len(samples) {
+			t.Fatalf("WithType changed its receiver: %d types, want %d", id.NumTypes(), len(samples))
+		}
+		id.Identify(variants[1])
+		if hits, _ := id.Cache().HeadStats(); hits != 2 {
+			t.Fatalf("warm bank's memo: %d head hits, want 2", hits)
+		}
+	})
+	t.Run("AdoptRuntime", func(t *testing.T) {
+		// An independently built bank replaces the warm one.
+		grown, err := Train(samples, fastConfig(1))
+		if err != nil {
 			t.Fatal(err)
 		}
+		if grown, err = grown.WithType("plug-b", added); err != nil {
+			t.Fatal(err)
+		}
+		grown.AdoptRuntime(warm(t))
 		check(t, grown)
 	})
 	t.Run("ApplyRuntime", func(t *testing.T) {
@@ -192,10 +211,7 @@ func TestHeadMemoPurgedOnBankChange(t *testing.T) {
 		if hits, misses := id.Cache().HeadStats(); hits != 0 || misses != 1 {
 			t.Fatalf("ApplyRuntime kept the head memo: %d hits, %d misses on the first lookup after", hits, misses)
 		}
-		if err := id.AddType("plug-b", added); err != nil {
-			t.Fatal(err)
-		}
-		check(t, id)
+		check(t, grow(t, id))
 	})
 }
 
@@ -231,7 +247,7 @@ func TestHeadMemoBounded(t *testing.T) {
 			c.mu.Lock()
 			n, words := len(c.heads), len(c.accepts)
 			c.mu.Unlock()
-			if n > capacity || words > capacity*c.words {
+			if n > capacity || words > capacity*((len(id.bank)+63)/64) {
 				t.Fatalf("probe %d: memo holds %d heads in %d words, capacity %d", i, n, words, capacity)
 			}
 		}

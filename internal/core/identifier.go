@@ -16,15 +16,23 @@
 // is answered from that set alone; only one that several accept
 // computes the canonical key of F, to reuse or store the answer its
 // discrimination produced (see IdentifyCache).
+//
+// A bank is built, never changed: Train, LoadIdentifier and WithType
+// are the only ways to make one, and adding a type builds the next bank
+// beside the old one. Only a bank's runtime binding — worker bound,
+// cache, metrics — is ever swapped (ApplyRuntime, SetMetrics,
+// AdoptRuntime).
 package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"iotsentinel/internal/editdist"
@@ -98,27 +106,25 @@ func (c Config) normalize() (Config, error) {
 }
 
 // typeModel is the per-type classifier plus its discrimination
-// references. A typeModel is immutable once built, which is what lets
-// concurrent Identify calls read the bank without per-model locking.
+// references. A typeModel is immutable once built, so banks share them.
 type typeModel struct {
 	forest *rf.Forest
 	refs   *editdist.RefSet
 }
 
 // Identifier is a trained device-type identification pipeline. The
-// "one classifier per device-type" design lets new types be added with
-// AddType without retraining existing classifiers.
+// "one classifier per device-type" design lets WithType add a type
+// without retraining the existing classifiers.
 //
-// An Identifier is safe for concurrent use: Identify, IdentifyBatch and
-// the read-only accessors may run from any number of goroutines, and
-// AddType serializes against them.
+// An Identifier is a value: nothing writes its model state after Train,
+// LoadIdentifier or WithType returns, so identifications and the
+// read-only accessors run from any number of goroutines without a lock.
+// The one thing that changes on a bank in service is its runtime
+// binding, replaced whole by an atomic store.
 type Identifier struct {
-	cfg Config
-
-	// mu guards models, pool, types, bank, compiled and metrics. Models
-	// themselves are immutable after construction, so readers only need
-	// the map/slice snapshot.
-	mu     sync.RWMutex
+	// cfg is the model configuration. Its runtime fields, Workers and
+	// CacheSize, are read once, by Train, into the binding.
+	cfg    Config
 	models map[TypeID]*typeModel
 	pool   map[TypeID][]fingerprint.Fingerprint
 	// types is the sorted type list and bank the models in that order
@@ -128,21 +134,63 @@ type Identifier struct {
 	types []TypeID
 	bank  []*typeModel
 	// compiled is the bank's forests as the one-pass scan every
-	// first-seen head pays for (rf.Bank); reindex builds it beside bank,
-	// so it is never older than the forests. Derived, never serialized.
+	// first-seen head pays for (rf.Bank); reindex builds it beside bank.
+	// Derived, never serialized.
 	compiled *rf.Bank
-	// metrics, when non-nil, receives one observation per
-	// identification (see SetMetrics); updates are atomic adds.
-	metrics *Metrics
-	// cache, when non-nil, short-circuits the bank scan of
-	// identifications whose head was already classified, and the
-	// discrimination of those whose canonical fingerprint hash was
-	// already discriminated. The cache is internally synchronized; mu
-	// only guards the pointer.
-	cache *IdentifyCache
+	// rt is the runtime binding; nil reads as unbound (see binding).
+	rt atomic.Pointer[runtimeBinding]
 	// scratch pools per-identification working memory (the accept set,
 	// the derived F′) so the steady-state hot path does not allocate.
 	scratch sync.Pool
+}
+
+// runtimeBinding is everything an identification uses that is not model
+// state. A binding never changes once stored: ApplyRuntime, SetMetrics
+// and AdoptRuntime store a new one, and each identification loads the
+// pointer once, so it runs against one cache and one metrics bundle
+// from start to end.
+type runtimeBinding struct {
+	// workers bounds IdentifyBatch's goroutines; 0 selects
+	// runtime.GOMAXPROCS(0).
+	workers int
+	// cache, when non-nil, short-circuits the bank scan of
+	// identifications whose head was already classified, and the
+	// discrimination of those whose canonical fingerprint hash was
+	// already discriminated. It is internally synchronized and belongs
+	// to this bank alone: every binding that attaches one makes it.
+	cache *IdentifyCache
+	// metrics, when non-nil, receives one observation per
+	// identification; updates are atomic adds.
+	metrics *Metrics
+}
+
+// unbound is the binding of a bank never bound: default workers, no
+// cache, no metrics.
+var unbound runtimeBinding
+
+// binding returns the bank's current runtime binding.
+func (id *Identifier) binding() *runtimeBinding {
+	if rt := id.rt.Load(); rt != nil {
+		return rt
+	}
+	return &unbound
+}
+
+// rebind stores a copy of the binding with edit applied, retrying when
+// another store landed between the load and its own, so concurrent
+// ApplyRuntime and SetMetrics calls never undo each other.
+func (id *Identifier) rebind(edit func(*runtimeBinding)) {
+	for {
+		old := id.rt.Load()
+		var next runtimeBinding
+		if old != nil {
+			next = *old
+		}
+		edit(&next)
+		if id.rt.CompareAndSwap(old, &next) {
+			return
+		}
+	}
 }
 
 // identifyScratch is the reusable working memory of one identification.
@@ -213,14 +261,11 @@ func Train(samples map[TypeID][]fingerprint.Fingerprint, cfg Config) (*Identifie
 		id.pool[t] = append([]fingerprint.Fingerprint(nil), fps...)
 	}
 	types := sortedKeys(id.pool)
-	if cfg.CacheSize > 0 {
-		id.cache = NewIdentifyCache(cfg.CacheSize)
-	}
 	// Per-type training is independent (hash-derived seeds, read-only
 	// pool), so the bank trains concurrently; results merge into the
 	// model map in canonical order afterwards.
 	built := make([]*typeModel, len(types))
-	err = runIndexed(cfg.workers(), len(types), func(i int) error {
+	err = runIndexed(workerBound(cfg.Workers), len(types), func(i int) error {
 		m, err := id.buildModel(types[i])
 		built[i] = m
 		return err
@@ -232,13 +277,17 @@ func Train(samples map[TypeID][]fingerprint.Fingerprint, cfg Config) (*Identifie
 		id.models[t] = built[i]
 	}
 	id.reindex()
+	rt := &runtimeBinding{workers: cfg.Workers}
+	if cfg.CacheSize > 0 {
+		rt.cache = NewIdentifyCache(cfg.CacheSize)
+	}
+	id.rt.Store(rt)
 	return id, nil
 }
 
-// reindex rebuilds types (sorted), bank (the models in that order) and
+// reindex builds types (sorted), bank (the models in that order) and
 // compiled (their forests, for class 1 at the configured threshold):
-// called wherever the set of trained types changes, with the write lock
-// held or before the identifier is shared.
+// the last step of building a bank, before anyone else sees it.
 func (id *Identifier) reindex() {
 	id.types = sortedKeys(id.pool)
 	id.bank = make([]*typeModel, len(id.types))
@@ -267,64 +316,54 @@ func sortedKeys(m map[TypeID][]fingerprint.Fingerprint) []TypeID {
 
 // Types returns the known device-types in sorted order.
 func (id *Identifier) Types() []TypeID {
-	id.mu.RLock()
-	defer id.mu.RUnlock()
 	return append([]TypeID(nil), id.types...)
 }
 
 // NumTypes returns the number of known device-types.
 func (id *Identifier) NumTypes() int {
-	id.mu.RLock()
-	defer id.mu.RUnlock()
-	return len(id.models)
+	return len(id.types)
 }
 
-// Workers reports the resolved worker bound of Train and IdentifyBatch.
+// Workers reports the resolved worker bound of IdentifyBatch.
 func (id *Identifier) Workers() int {
-	id.mu.RLock()
-	defer id.mu.RUnlock()
-	return id.cfg.workers()
+	return workerBound(id.binding().workers)
 }
 
-// AddType trains a classifier for a new device-type without touching
-// the existing classifiers — the incremental-learning property of the
-// one-classifier-per-type design. The bank is write-locked for the
-// duration, so in-flight Identify calls finish against the old bank and
-// later ones see the new type.
-func (id *Identifier) AddType(t TypeID, fps []fingerprint.Fingerprint) error {
+// WithType returns a new bank: this one plus a classifier for t, trained
+// on fps — the incremental-learning property of the
+// one-classifier-per-type design. The existing classifiers and training
+// pool are shared, not copied or retrained, and the receiver is left as
+// it was, so it keeps serving while the next bank trains. The new bank
+// is unbound, as a loaded one is: default workers, no cache, no metrics;
+// whoever puts it into service binds it (AdoptRuntime, ApplyRuntime).
+func (id *Identifier) WithType(t TypeID, fps []fingerprint.Fingerprint) (*Identifier, error) {
 	if len(fps) == 0 {
-		return fmt.Errorf("core: type %q has no fingerprints", t)
+		return nil, fmt.Errorf("core: type %q has no fingerprints", t)
 	}
-	id.mu.Lock()
-	defer id.mu.Unlock()
 	if _, ok := id.pool[t]; ok {
-		return fmt.Errorf("core: type %q already trained", t)
+		return nil, fmt.Errorf("core: type %q already trained", t)
 	}
-	id.pool[t] = append([]fingerprint.Fingerprint(nil), fps...)
-	m, err := id.buildModel(t)
+	next := &Identifier{cfg: id.cfg, models: maps.Clone(id.models), pool: maps.Clone(id.pool)}
+	next.pool[t] = append([]fingerprint.Fingerprint(nil), fps...)
+	m, err := next.buildModel(t)
 	if err != nil {
-		delete(id.pool, t)
-		return err
+		return nil, err
 	}
-	id.models[t] = m
-	id.reindex()
-	// The bank changed: every cached answer and accept set is now stale
-	// (the new type could accept fingerprints an old answer rejected,
-	// and bank indices moved).
-	id.cache.Purge()
-	return nil
+	next.models[t] = m
+	next.reindex()
+	return next, nil
 }
 
 // ApplyRuntime re-binds the runtime-only configuration — the worker
-// bound and the identification cache — on a trained identifier.
+// bound and the identification cache — keeping the metrics bundle.
 // Workers and CacheSize are deliberately excluded from serialization
-// (models trained at any worker count are identical, and cached
-// answers must not outlive the bank that produced them), so a loaded
-// identifier has the *default* fan-out and no cache at all. A boot path
-// that serves a loaded bank — warm boot, a model file handed to iotsspd
-// — calls ApplyRuntime after LoadIdentifier, with cacheSize 0 keeping
-// the cache disabled; a bank that replaces a serving one takes them
-// from it (AdoptRuntime).
+// (models trained at any worker count are identical, and cached answers
+// must not outlive the bank that produced them), so a loaded identifier
+// has the *default* fan-out and no cache at all. A boot path that
+// serves a loaded bank — warm boot, a model file handed to iotsspd —
+// calls ApplyRuntime after LoadIdentifier, with cacheSize 0 keeping the
+// cache disabled; a bank that replaces a serving one takes them from it
+// (AdoptRuntime). The cache attached is always a fresh, empty one.
 func (id *Identifier) ApplyRuntime(workers, cacheSize int) error {
 	if workers < 0 {
 		return fmt.Errorf("core: Workers must be >= 0, got %d", workers)
@@ -332,48 +371,39 @@ func (id *Identifier) ApplyRuntime(workers, cacheSize int) error {
 	if cacheSize < 0 {
 		return fmt.Errorf("core: CacheSize must be >= 0, got %d", cacheSize)
 	}
-	id.mu.Lock()
-	defer id.mu.Unlock()
-	id.cfg.Workers = workers
-	id.cfg.CacheSize = cacheSize
+	var cache *IdentifyCache
 	if cacheSize > 0 {
-		id.cache = NewIdentifyCache(cacheSize)
-	} else {
-		id.cache = nil
+		cache = NewIdentifyCache(cacheSize)
 	}
+	id.rebind(func(rt *runtimeBinding) { rt.workers, rt.cache = workers, cache })
 	return nil
 }
 
 // AdoptRuntime binds onto id everything a serving bank holds that is not
 // model state, taken from the bank it succeeds: from's worker bound, its
-// cache size — as a fresh, empty cache at both levels, never from's own,
-// whose entries answer for from's bank — and its metrics bundle, shared
-// so the counter series continue across the hand-over. Clone and
-// iotssp.Service's bank swap both go through it.
-func (id *Identifier) AdoptRuntime(from *Identifier) error {
-	from.mu.RLock()
-	workers, cacheSize, metrics := from.cfg.Workers, from.cfg.CacheSize, from.metrics
-	from.mu.RUnlock()
-	if err := id.ApplyRuntime(workers, cacheSize); err != nil {
-		return err
+// cache size — as a fresh, empty cache, never from's own, whose entries
+// answer for from's bank — and its metrics bundle, shared so the counter
+// series continue across the hand-over. iotssp.Service's bank swap goes
+// through it.
+func (id *Identifier) AdoptRuntime(from *Identifier) {
+	rt := *from.binding()
+	if rt.cache != nil {
+		rt.cache = NewIdentifyCache(rt.cache.cap)
 	}
-	id.SetMetrics(metrics)
-	return nil
+	id.rt.Store(&rt)
 }
 
 // Cache returns the attached identification cache (nil when caching is
 // disabled).
 func (id *Identifier) Cache() *IdentifyCache {
-	id.mu.RLock()
-	defer id.mu.RUnlock()
-	return id.cache
+	return id.binding().cache
 }
 
 // buildModel fits the one-vs-rest classifier for t: all of t's
 // fingerprints as the positive class, and NegativeRatio×n fingerprints
-// sampled from the other types as the negative class. The caller must
-// hold the write lock or otherwise guarantee the pool is stable; the
-// RNG is derived from the top-level seed by type-ID hash, so the result
+// sampled from the other types as the negative class. It runs while the
+// bank is being built, before anyone else sees the pool; the RNG is
+// derived from the top-level seed by type-ID hash, so the result
 // depends only on (seed, t, pool contents) — never on training order or
 // concurrency.
 func (id *Identifier) buildModel(t TypeID) (*typeModel, error) {
@@ -486,18 +516,15 @@ func (id *Identifier) Identify(fp fingerprint.Fingerprint) Result {
 // identical to Identify's, except that a reused Scores map is cleared
 // rather than set to nil when discrimination does not run.
 func (id *Identifier) IdentifyInto(fp fingerprint.Fingerprint, res *Result) {
-	id.mu.RLock()
-	defer id.mu.RUnlock()
-	id.identifyObserved(&fp, res)
+	id.identifyObserved(id.binding(), &fp, res)
 }
 
-// identifyObserved is the pipeline, with the read lock already held:
-// classify, then discriminate when several types accept, then the
-// metrics observation. Every public identification path funnels through
-// it so batch and single calls account — and cache — identically. The
-// caller's read lock is what makes the cache lookups sound: AddType (the
-// only bank mutation) write-locks, purges the cache, and therefore
-// cannot interleave between a stale read and our insert.
+// identifyObserved is the pipeline under one runtime binding: classify,
+// then discriminate when several types accept, then the metrics
+// observation. Every public identification path funnels through it so
+// batch and single calls account — and cache — identically. The cache
+// lookups are sound because rt's cache has only ever seen this bank,
+// which never changes.
 //
 // Each cache level is keyed by exactly what its stage reads. The accept
 // set is a function of F's head, so it comes from the head memo when
@@ -507,42 +534,43 @@ func (id *Identifier) IdentifyInto(fp fingerprint.Fingerprint, res *Result) {
 // key of F. Only fp.F is read — by both keys and by the bank — so a
 // cached answer is the bank's answer for every fingerprint sharing the
 // key, whatever its other fields hold.
-func (id *Identifier) identifyObserved(fp *fingerprint.Fingerprint, res *Result) {
+func (id *Identifier) identifyObserved(rt *runtimeBinding, fp *fingerprint.Fingerprint, res *Result) {
 	sc := id.getScratch()
 	defer id.scratch.Put(sc)
-	matched, classified := id.classify(fp.F, sc, res)
+	cache := rt.cache
+	matched, classified := id.classify(fp.F, cache, sc, res)
 	by := classified
 	if len(matched) > 1 && !id.cfg.DisableDiscrimination {
-		if id.cache == nil {
+		if cache == nil {
 			id.discriminate(fp.F, matched, res)
-		} else if key := fp.CanonicalKey(); id.cache.getInto(key, res) {
+		} else if key := fp.CanonicalKey(); cache.getInto(key, res) {
 			by = byCache
 		} else {
 			id.discriminate(fp.F, matched, res)
-			id.cache.put(key, *res)
+			cache.put(key, *res)
 		}
 	}
-	if id.cache != nil {
-		id.metrics.observeCache(by)
+	if cache != nil {
+		rt.metrics.observeCache(by)
 	}
-	id.metrics.observe(res, classified, by)
+	rt.metrics.observe(res, classified, by)
 }
 
 // classify resets res and fills its Matches from the accept set of f's
-// head: the head memo's when the cache holds that head (byHeadMemo),
-// the bank's otherwise (byBank). It returns the matches' bank indices
+// head: the head memo's when cache holds that head (byHeadMemo), the
+// bank's otherwise (byBank). It returns the matches' bank indices
 // and sets res.Type unless discrimination has to choose among them.
-func (id *Identifier) classify(f fingerprint.F, sc *identifyScratch, res *Result) ([]int, answeredBy) {
+func (id *Identifier) classify(f fingerprint.F, cache *IdentifyCache, sc *identifyScratch, res *Result) ([]int, answeredBy) {
 	res.reset()
 	start := time.Now()
 	by := byBank
 	head := f.Head()
 	accepted := sc.acceptSet(len(id.bank))
-	if id.cache.getHead(&head, accepted) {
+	if cache.getHead(&head, accepted) {
 		by = byHeadMemo
 	} else {
 		id.scanBank(&head, sc, accepted)
-		id.cache.putHead(&head, accepted)
+		cache.putHead(&head, accepted)
 	}
 	matched := sc.setMatched(accepted)
 	for _, i := range matched {
@@ -608,12 +636,11 @@ func (id *Identifier) IdentifyBatch(fps []fingerprint.Fingerprint) []Result {
 	if len(fps) == 0 {
 		return nil
 	}
-	id.mu.RLock()
-	defer id.mu.RUnlock()
+	rt := id.binding()
 	out := make([]Result, len(fps))
-	workers := min(id.cfg.workers(), len(fps)/minBatchPerWorker)
+	workers := min(workerBound(rt.workers), len(fps)/minBatchPerWorker)
 	forEachIndexed(workers, len(fps), func(i int) {
-		id.identifyObserved(&fps[i], &out[i])
+		id.identifyObserved(rt, &fps[i], &out[i])
 	})
 	return out
 }
@@ -623,8 +650,6 @@ func (id *Identifier) IdentifyBatch(fps []fingerprint.Fingerprint) []Result {
 // timing, so it always runs the forests: the head memo is neither read
 // nor filled.
 func (id *Identifier) ClassifyOnly(fp fingerprint.Fingerprint) []TypeID {
-	id.mu.RLock()
-	defer id.mu.RUnlock()
 	sc := id.getScratch()
 	defer id.scratch.Put(sc)
 	head := fp.F.Head()
@@ -643,8 +668,6 @@ func (id *Identifier) ClassifyOnly(fp fingerprint.Fingerprint) []TypeID {
 // packet features of Table I (each feature appears once per packet
 // slot).
 func (id *Identifier) FeatureImportance() [features.Count]float64 {
-	id.mu.RLock()
-	defer id.mu.RUnlock()
 	var out [features.Count]float64
 	for _, m := range id.bank {
 		imp := m.forest.FeatureImportance(fingerprint.FPrimeLen)

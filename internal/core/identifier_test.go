@@ -166,13 +166,14 @@ func TestDiscriminationBetweenSiblings(t *testing.T) {
 }
 
 func TestAddTypeIncremental(t *testing.T) {
-	id, _ := trainedIdentifier(t)
+	base, _ := trainedIdentifier(t)
 	newType := synthType([]float64{1500, 1510, 1520}, 20, 15, 9)
-	if err := id.AddType("delta", newType); err != nil {
-		t.Fatalf("AddType: %v", err)
+	id, err := base.WithType("delta", newType)
+	if err != nil {
+		t.Fatalf("WithType: %v", err)
 	}
-	if id.NumTypes() != 4 {
-		t.Fatalf("NumTypes = %d, want 4", id.NumTypes())
+	if id.NumTypes() != 4 || base.NumTypes() != 3 {
+		t.Fatalf("NumTypes = %d, receiver %d; want 4 and 3", id.NumTypes(), base.NumTypes())
 	}
 	correct := 0
 	for _, fp := range synthType([]float64{1500, 1510, 1520}, 5, 15, 300) {
@@ -191,16 +192,16 @@ func TestAddTypeIncremental(t *testing.T) {
 		}
 	}
 	if ok < 4 {
-		t.Errorf("alpha after AddType: %d/5", ok)
+		t.Errorf("alpha after WithType: %d/5", ok)
 	}
 }
 
 func TestAddTypeErrors(t *testing.T) {
 	id, _ := trainedIdentifier(t)
-	if err := id.AddType("alpha", synthType([]float64{60}, 3, 5, 1)); err == nil {
+	if _, err := id.WithType("alpha", synthType([]float64{60}, 3, 5, 1)); err == nil {
 		t.Error("duplicate type must fail")
 	}
-	if err := id.AddType("empty", nil); err == nil {
+	if _, err := id.WithType("empty", nil); err == nil {
 		t.Error("empty fingerprint set must fail")
 	}
 }

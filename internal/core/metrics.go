@@ -94,20 +94,16 @@ func (m *Metrics) observe(res *Result, classified, by answeredBy) {
 }
 
 // SetMetrics attaches (or, with nil, detaches) an instrumentation
-// bundle to the identifier. Like the worker bound, metrics are a
-// runtime concern with no effect on results and may be changed at any
-// time.
+// bundle to the identifier, keeping the rest of its runtime binding.
+// Like the worker bound, metrics are a runtime concern with no effect on
+// results and may be changed at any time.
 func (id *Identifier) SetMetrics(m *Metrics) {
-	id.mu.Lock()
-	defer id.mu.Unlock()
-	id.metrics = m
+	id.rebind(func(rt *runtimeBinding) { rt.metrics = m })
 }
 
 // Metrics returns the attached instrumentation bundle, nil when
 // detached. Banks that replace this one (hot reload, promotion) carry
 // the bundle over so counter series continue across swaps.
 func (id *Identifier) Metrics() *Metrics {
-	id.mu.RLock()
-	defer id.mu.RUnlock()
-	return id.metrics
+	return id.binding().metrics
 }

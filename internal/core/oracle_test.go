@@ -22,11 +22,9 @@ import (
 // pipeline distinguishes.
 
 // refIdentify is the retired Identify, verbatim up to the removed
-// fan-out plumbing (the parallel and sequential paths were already
+// fan-out plumbing and the bank lock (the parallel and sequential paths were already
 // proven bit-identical, so the sequential body is the oracle).
 func refIdentify(id *Identifier, fp fingerprint.Fingerprint) Result {
-	id.mu.RLock()
-	defer id.mu.RUnlock()
 	var res Result
 	var matches []TypeID
 	for _, t := range id.types {

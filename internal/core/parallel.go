@@ -26,12 +26,12 @@ import (
 // that compiled the bank scan).
 const minBatchPerWorker = 16
 
-// workers resolves the configured worker bound: 0 selects
+// workerBound resolves a configured worker bound: 0 selects
 // runtime.GOMAXPROCS(0), anything positive is taken as-is. Negative
-// values are rejected earlier by Config.normalize.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
+// values are rejected earlier, by Config.normalize and ApplyRuntime.
+func workerBound(n int) int {
+	if n > 0 {
+		return n
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -40,7 +40,7 @@ func (c Config) workers() int {
 // top-level seed. Hash-based derivation (FNV-1a over seed ‖ type ID)
 // makes each type's RNG independent of how many other types exist and
 // of the order they are trained in, so sequential and parallel training
-// produce bit-identical models and AddType is reproducible even after a
+// produce bit-identical models and WithType is reproducible even after a
 // Save/Load round trip.
 func typeSeed(seed int64, t TypeID) int64 {
 	h := fnv.New64a()

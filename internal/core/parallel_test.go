@@ -10,6 +10,7 @@ import (
 	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/ml/rf"
+	"iotsentinel/internal/obs"
 )
 
 // fastConfig keeps parallel-suite training cheap: the determinism and
@@ -148,8 +149,8 @@ func TestAddTypeOrderIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inc.AddType("extra", samples["extra"]); err != nil {
-		t.Fatalf("AddType: %v", err)
+	if inc, err = inc.WithType("extra", samples["extra"]); err != nil {
+		t.Fatalf("WithType: %v", err)
 	}
 	var fb, ib bytes.Buffer
 	if err := full.models["extra"].forest.Save(&fb); err != nil {
@@ -159,10 +160,10 @@ func TestAddTypeOrderIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fb.Bytes(), ib.Bytes()) {
-		t.Error("classifier for the added type differs between Train(all) and AddType")
+		t.Error("classifier for the added type differs between Train(all) and WithType")
 	}
 	if !reflect.DeepEqual(full.models["extra"].refs, inc.models["extra"].refs) {
-		t.Error("discrimination references for the added type differ between Train(all) and AddType")
+		t.Error("discrimination references for the added type differ between Train(all) and WithType")
 	}
 }
 
@@ -252,20 +253,10 @@ func TestConfigRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
-// TestConcurrentIdentifierUse hammers one shared, cached Identifier
-// with concurrent Identify, IdentifyBatch, ClassifyOnly, reads and
-// AddType calls; run with -race to validate the bank's locking
-// discipline (this caught the unsynchronized model-map write in
-// AddType). Half the probes share their head with another and differ in
-// F, so head-memo reads and fills race each AddType's purge; once the
-// churn ends, no answer may come from an accept set of an earlier bank.
-func TestConcurrentIdentifierUse(t *testing.T) {
-	cfg := fastConfig(4)
-	cfg.CacheSize = 16 // smaller than the probe set: eviction races too
-	id, err := Train(parallelSamples(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+// headSharingProbes returns up to 40 probes in pairs that share their
+// head and differ in F, so head-memo reads and fills race each other.
+func headSharingProbes(t *testing.T) []fingerprint.Fingerprint {
+	t.Helper()
 	var probes []fingerprint.Fingerprint
 	for _, fp := range parallelProbes() {
 		if len(probes) == 40 {
@@ -275,19 +266,63 @@ func TestConcurrentIdentifierUse(t *testing.T) {
 			probes = append(probes, fp, sameHeadVariants(t, fp, 1)[0])
 		}
 	}
+	return probes
+}
 
+// TestConcurrentIdentifierUse hammers one shared, cached Identifier
+// with concurrent Identify, IdentifyBatch, ClassifyOnly, reads and
+// Save; run with -race. Half the probes share their head with another
+// and differ in F, so head-memo reads and fills race each other, and
+// every answer must be the uncached bank's.
+func TestConcurrentIdentifierUse(t *testing.T) {
+	cfg := fastConfig(4)
+	cfg.CacheSize = 16 // smaller than the probe set: eviction races too
+	id, err := Train(parallelSamples(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncached, err := Train(parallelSamples(), fastConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := headSharingProbes(t)
+	hammer(t, id, uncached, probes, func() {
+		for i := 0; i < 4; i++ {
+			_ = id.Types()
+			_ = id.NumTypes()
+			var buf bytes.Buffer
+			if err := id.Save(&buf); err != nil {
+				t.Errorf("Save during churn: %v", err)
+			}
+		}
+	})
+	for i, fp := range probes {
+		if got, want := id.Identify(fp), uncached.Identify(fp); !resultsEquivalent(got, want) {
+			t.Errorf("probe %d after churn: cached %+v, uncached bank %+v", i, got, want)
+		}
+	}
+}
+
+// hammer runs Identify, ClassifyOnly and IdentifyBatch over probes on id
+// from several goroutines, beside churn on one more, holding every
+// answer to plain's.
+func hammer(t *testing.T, id, plain *Identifier, probes []fingerprint.Fingerprint, churn func()) {
+	t.Helper()
+	want := make([]Result, len(probes))
+	for i, fp := range probes {
+		want[i] = plain.Identify(fp)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				fp := probes[(w*20+i)%len(probes)]
-				res := id.Identify(fp)
-				if res.Type == Unknown && len(res.Matches) != 0 {
-					t.Error("Unknown result carries matches")
+				k := (w*20 + i) % len(probes)
+				if got := id.Identify(probes[k]); !resultsEquivalent(got, want[k]) {
+					t.Errorf("probe %d: %+v, uncached bank %+v", k, got, want[k])
 				}
-				_ = id.ClassifyOnly(fp)
+				_ = id.ClassifyOnly(probes[k])
 			}
 		}(w)
 	}
@@ -297,46 +332,115 @@ func TestConcurrentIdentifierUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				lo := (w*6 + i) % (len(probes) - 8)
-				out := id.IdentifyBatch(probes[lo : lo+8])
-				if len(out) != 8 {
-					t.Errorf("batch returned %d results", len(out))
+				for j, got := range id.IdentifyBatch(probes[lo : lo+8]) {
+					if !resultsEquivalent(got, want[lo+j]) {
+						t.Errorf("batch probe %d: %+v, uncached bank %+v", lo+j, got, want[lo+j])
+					}
 				}
 			}
 		}(w)
 	}
-	// Concurrent bank growth plus read-only accessors.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 4; i++ {
-			typ := TypeID(fmt.Sprintf("new-%d", i))
-			fps := synthType([]float64{1500 + float64(i*50), 1510 + float64(i*50)}, 8, 12, int64(900+i))
-			if err := id.AddType(typ, fps); err != nil {
-				t.Errorf("AddType %s: %v", typ, err)
-			}
-			_ = id.Types()
-			_ = id.NumTypes()
-			var buf bytes.Buffer
-			if err := id.Save(&buf); err != nil {
-				t.Errorf("Save during churn: %v", err)
-			}
-		}
+		churn()
 	}()
 	wg.Wait()
+}
 
-	if got := id.NumTypes(); got != len(parallelSamples())+4 {
-		t.Errorf("NumTypes after churn = %d, want %d", got, len(parallelSamples())+4)
-	}
-	uncached, err := id.Clone()
+// TestRuntimeRebindConcurrent: the runtime binding is the one write left
+// on a bank once it is shared. ApplyRuntime, SetMetrics and AdoptRuntime
+// replace it while Identify, IdentifyBatch, ClassifyOnly, Save and
+// WithType run on the bank, with head-sharing probes; run with -race.
+// Every answer must be the uncached bank's. Then ApplyRuntime and
+// SetMetrics race each other alone, and the binding must end holding
+// the last word of each: neither store may undo the other.
+func TestRuntimeRebindConcurrent(t *testing.T) {
+	cfg := fastConfig(4)
+	cfg.CacheSize = 16
+	id, err := Train(parallelSamples(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := uncached.ApplyRuntime(1, 0); err != nil {
+	uncached, err := Train(parallelSamples(), fastConfig(4))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, fp := range probes {
-		if got, want := id.Identify(fp), uncached.Identify(fp); !resultsEquivalent(got, want) {
-			t.Errorf("probe %d after churn: cached %+v, uncached bank %+v", i, got, want)
+	donor, err := Train(parallelSamples(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor.SetMetrics(NewMetrics(obs.NewRegistry()))
+	metrics := []*Metrics{NewMetrics(obs.NewRegistry()), NewMetrics(obs.NewRegistry())}
+	probes := headSharingProbes(t)
+
+	hammer(t, id, uncached, probes, func() {
+		var wg sync.WaitGroup
+		wg.Add(4)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				if err := id.ApplyRuntime(1+i%3, 8+i%9); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				id.SetMetrics(metrics[i%2])
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				id.AdoptRuntime(donor)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2; i++ {
+				var buf bytes.Buffer
+				if err := id.Save(&buf); err != nil {
+					t.Errorf("Save during rebinds: %v", err)
+				}
+				typ := TypeID(fmt.Sprintf("new-%d", i))
+				grown, err := id.WithType(typ, synthType([]float64{1500 + float64(i*50), 1510 + float64(i*50)}, 8, 12, int64(900+i)))
+				if err != nil {
+					t.Errorf("WithType %s: %v", typ, err)
+					continue
+				}
+				grown.AdoptRuntime(id)
+				grown.IdentifyBatch(probes)
+			}
+		}()
+		wg.Wait()
+	})
+	if id.NumTypes() != len(parallelSamples()) {
+		t.Errorf("NumTypes after rebinds = %d, want %d", id.NumTypes(), len(parallelSamples()))
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if err := id.ApplyRuntime(1+i%3, 8+i%9); err != nil {
+				t.Error(err)
+			}
 		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			id.SetMetrics(metrics[i%2])
+		}
+	}()
+	wg.Wait()
+	// The last ApplyRuntime was ApplyRuntime(2, 9), the last SetMetrics
+	// metrics[1].
+	if id.Workers() != 2 || id.Cache().cap != 9 || id.Metrics() != metrics[1] {
+		t.Errorf("binding after racing rebinds: %d workers, cache of %d, metrics[1] %v; want 2, 9, true",
+			id.Workers(), id.Cache().cap, id.Metrics() == metrics[1])
 	}
 }

@@ -63,8 +63,6 @@ func referenceBank(t testing.TB) (*Identifier, []fingerprint.Fingerprint) {
 // (probe, forest) pairs accepted.
 func checkScanBank(t *testing.T, stage string, id *Identifier, probes []fingerprint.Fingerprint) (accepts int) {
 	t.Helper()
-	id.mu.RLock()
-	defer id.mu.RUnlock()
 	sc := id.getScratch()
 	defer id.scratch.Put(sc)
 	var prime fingerprint.FPrime
@@ -87,26 +85,27 @@ func checkScanBank(t *testing.T, stage string, id *Identifier, probes []fingerpr
 }
 
 // TestScanBankMatchesForests: the compiled form is rebuilt wherever the
-// bank is — Train, AddType (a type sorting into the middle, so every
+// bank is — Train, WithType (a type sorting into the middle, so every
 // later bank index moves), LoadIdentifier — and after each the scan
 // accepts exactly what the forests accept.
 func TestScanBankMatchesForests(t *testing.T) {
-	id, probes := referenceBank(t)
-	if n := checkScanBank(t, "trained", id, probes); n < len(probes)/2 {
+	ref, probes := referenceBank(t)
+	if n := checkScanBank(t, "trained", ref, probes); n < len(probes)/2 {
 		t.Fatalf("only %d accepts over %d heads: the probes do not exercise the accept path", n, len(probes))
 	}
 
 	extra := synthType([]float64{1500, 1510}, 20, 15, 77)
-	if err := id.AddType("H-extra", extra); err != nil {
-		t.Fatalf("AddType: %v", err)
+	id, err := ref.WithType("H-extra", extra)
+	if err != nil {
+		t.Fatalf("WithType: %v", err)
 	}
 	if id.types[0] >= "H-extra" || id.types[len(id.types)-1] <= "H-extra" {
 		t.Fatalf("H-extra does not sort inside %v", id.types)
 	}
-	if checkScanBank(t, "after AddType, its own", id, extra) == 0 {
+	if checkScanBank(t, "after WithType, its own", id, extra) == 0 {
 		t.Fatal("the added type accepts none of its own fingerprints: a stale scan would pass")
 	}
-	checkScanBank(t, "after AddType", id, probes)
+	checkScanBank(t, "after WithType", id, probes)
 	probes = append(append([]fingerprint.Fingerprint(nil), probes...), extra...)
 
 	var buf bytes.Buffer

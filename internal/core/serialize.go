@@ -13,7 +13,7 @@ import (
 
 // Identifier persistence: the trained classifier bank, the
 // discrimination references and the training pool are saved so a
-// reloaded identifier answers identically and still supports AddType.
+// reloaded identifier answers identically and still supports WithType.
 
 // Version 2 carries fingerprints in the packed-F codec; version 1 wrote
 // them as float rows and is refused by name.
@@ -41,8 +41,6 @@ type wireTypeData struct {
 // identifiers trained at different Workers values serialize to
 // identical bytes.
 func (id *Identifier) Save(w io.Writer) error {
-	id.mu.RLock()
-	defer id.mu.RUnlock()
 	out := wireIdentifier{Version: wireVersion, Config: id.cfg}
 	for _, t := range id.types {
 		m := id.models[t]
@@ -143,28 +141,6 @@ func decodeFs(p []byte) ([]fingerprint.F, error) {
 		}
 		out = append(out, f)
 		p = rest
-	}
-	return out, nil
-}
-
-// Clone deep-copies the identifier through an in-memory serialization
-// round trip, so the copy shares no mutable state with the original:
-// AddType on the clone trains a new classifier (the training pool is
-// part of the wire format) while the original keeps serving. The
-// runtime-only settings do not serialize and are carried over by
-// AdoptRuntime: the original's worker bound and metrics bundle, and a
-// fresh, empty cache of its size rather than a view of the original's.
-func (id *Identifier) Clone() (*Identifier, error) {
-	var buf bytes.Buffer
-	if err := id.Save(&buf); err != nil {
-		return nil, err
-	}
-	out, err := LoadIdentifier(&buf)
-	if err != nil {
-		return nil, err
-	}
-	if err := out.AdoptRuntime(id); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -53,8 +53,9 @@ func TestIdentifierLoadSupportsAddType(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadIdentifier: %v", err)
 	}
-	if err := re.AddType("delta", synthType([]float64{1500, 1510}, 20, 15, 9)); err != nil {
-		t.Fatalf("AddType after reload: %v", err)
+	re, err = re.WithType("delta", synthType([]float64{1500, 1510}, 20, 15, 9))
+	if err != nil {
+		t.Fatalf("WithType after reload: %v", err)
 	}
 	hits := 0
 	for _, fp := range synthType([]float64{1500, 1510}, 5, 15, 600) {
@@ -132,10 +133,11 @@ func TestRuntimeConfigDoesNotSurviveLoad(t *testing.T) {
 	}
 }
 
-// TestCloneIsIndependent pins Clone's contract: identical answers, no
-// shared mutable state (AddType on the clone must not leak into the
-// original), runtime settings carried over with a fresh empty cache.
-func TestCloneIsIndependent(t *testing.T) {
+// TestWithTypeLeavesReceiver pins WithType's contract: the bank it
+// grows from is a value — same types, same saved bytes, same cache
+// still warm — while the new bank shares the trained models and answers
+// as the receiver does on the types they share.
+func TestWithTypeLeavesReceiver(t *testing.T) {
 	samples := map[TypeID][]fingerprint.Fingerprint{
 		"alpha": synthType([]float64{60, 70, 80}, 10, 15, 1),
 		"beta":  synthType([]float64{200, 210, 220}, 10, 15, 2),
@@ -145,31 +147,40 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	probe := synthType([]float64{60, 70, 80}, 1, 15, 88)[0]
-	id.Identify(probe) // warm the original's cache
-	cl, err := id.Clone()
+	want := id.Identify(probe) // warm the receiver's cache
+	var before bytes.Buffer
+	if err := id.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	cache := id.Cache()
+	grown, err := id.WithType("gamma", synthType([]float64{1500, 1510}, 10, 15, 9))
 	if err != nil {
-		t.Fatalf("Clone: %v", err)
+		t.Fatalf("WithType: %v", err)
 	}
-	if cl.Workers() != id.Workers() {
-		t.Errorf("clone Workers = %d, original %d", cl.Workers(), id.Workers())
+	if id.NumTypes() != 2 || grown.NumTypes() != 3 {
+		t.Errorf("NumTypes: receiver %d (want 2), new bank %d (want 3)", id.NumTypes(), grown.NumTypes())
 	}
-	if cl.Cache() == nil {
-		t.Fatal("clone must carry a cache when the original is configured with one")
+	var after bytes.Buffer
+	if err := id.Save(&after); err != nil {
+		t.Fatal(err)
 	}
-	if cl.Cache() == id.Cache() {
-		t.Fatal("clone shares the original's cache")
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Error("WithType changed the receiver's saved bytes")
 	}
-	if n := cl.Cache().Len(); n != 0 {
-		t.Errorf("clone cache has %d entries, want a fresh empty cache", n)
+	if grown.models["alpha"] != id.models["alpha"] {
+		t.Error("WithType retrained (or copied) an existing classifier")
 	}
-	if a, b := id.Identify(probe).Type, cl.Identify(probe).Type; a != b {
-		t.Errorf("clone identifies %q, original %q", b, a)
+	if id.Cache() != cache || id.Workers() != 2 {
+		t.Errorf("receiver's binding changed: cache %p (was %p), %d workers", id.Cache(), cache, id.Workers())
 	}
-	if err := cl.AddType("gamma", synthType([]float64{1500, 1510}, 10, 15, 9)); err != nil {
-		t.Fatalf("AddType on clone: %v", err)
+	if got := id.Identify(probe).Type; got != want.Type {
+		t.Errorf("receiver now identifies %q, was %q", got, want.Type)
 	}
-	if id.NumTypes() != 2 || cl.NumTypes() != 3 {
-		t.Errorf("NumTypes: original %d (want 2), clone %d (want 3)", id.NumTypes(), cl.NumTypes())
+	if hits, _ := id.Cache().HeadStats(); hits != 1 {
+		t.Errorf("replayed probe: %d head hits on the receiver's cache, want 1", hits)
+	}
+	if got := grown.Identify(probe).Type; got != want.Type {
+		t.Errorf("new bank identifies %q, receiver %q", got, want.Type)
 	}
 }
 

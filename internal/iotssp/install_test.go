@@ -83,11 +83,8 @@ func TestInstallCarriesRuntime(t *testing.T) {
 			return 5
 		}},
 		{"fleet push", func(t *testing.T, svc *Service) int {
-			grown, err := svc.Identifier().Clone()
+			grown, err := svc.Identifier().WithType("MAXGateway", cluster)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := grown.AddType("MAXGateway", cluster); err != nil {
 				t.Fatal(err)
 			}
 			if err := installBytes(svc, bankBytes(t, grown)); err != nil {
@@ -216,6 +213,45 @@ func TestInstallCarriesRuntime(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPromoteValidationUncounted: PromoteType validates the grown bank
+// before it serves, on that bank unbound (core.Identifier.WithType), so
+// the validation pass adds to none of the serving bank's core_* series
+// and touches none of its cache. Only the swap binds the new bank, and
+// the next assessment counts as usual.
+func TestPromoteValidationUncounted(t *testing.T) {
+	svc, _ := testService(t)
+	old := svc.Identifier()
+	if err := old.ApplyRuntime(0, 64); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	old.SetMetrics(core.NewMetrics(reg))
+	probe := probeFor(t, "HueBridge", 100)
+	if _, err := svc.Assess(probe); err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Snapshot()
+	cluster := devices.GenerateDataset(12, 33)["MAXGateway"]
+	if _, err := svc.PromoteType("MAXGateway", cluster); err != nil {
+		t.Fatal(err)
+	}
+	after := reg.Snapshot()
+	for _, series := range []string{"core_identifications_total", "core_identify_unknown_total", "core_edit_distances_total", "core_classify_seconds_count"} {
+		if b, a := before.Value(series), after.Value(series); a != b {
+			t.Errorf("%s went from %v to %v across PromoteType: the validation pass was counted", series, b, a)
+		}
+	}
+	if hits, misses := old.Cache().HeadStats(); hits+misses != 1 {
+		t.Errorf("the serving cache saw %d head lookups, want only the one assessment's", hits+misses)
+	}
+	if _, err := svc.Assess(probe); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.Snapshot().Value("core_identifications_total"), before.Value("core_identifications_total")+1; got != want {
+		t.Errorf("core_identifications_total = %v after one assessment on the promoted bank, want %v", got, want)
 	}
 }
 

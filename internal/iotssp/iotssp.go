@@ -92,29 +92,27 @@ func (s *Service) Install(id *core.Identifier) error {
 	if id == nil || id.NumTypes() == 0 {
 		return errors.New("iotssp: installed identifier has no trained types")
 	}
-	_, err := s.swap(nil, id)
-	return err
+	s.swap(nil, id)
+	return nil
 }
 
 // swap is the only place the serving pointer moves after New, and it
-// dresses next for service as it does: next takes the outgoing bank's
+// binds next for service as it does: next takes the outgoing bank's
 // worker bound, metrics bundle and cache size — as a fresh, empty cache
 // (core.Identifier.AdoptRuntime) — so no answer, at either cache level,
 // is ever served from a bank older than the last swap, and no caller
-// has to remember to make that so. A non-nil expect makes the swap
-// conditional on expect still serving; swapped reports whether it
-// happened.
-func (s *Service) swap(expect, next *core.Identifier) (swapped bool, err error) {
+// has to remember to make that so. A bank is never changed, only
+// rebound. A non-nil expect makes the swap conditional on expect still
+// serving; swap reports whether it happened.
+func (s *Service) swap(expect, next *core.Identifier) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if expect != nil && s.id != expect {
-		return false, nil
+		return false
 	}
-	if err := next.AdoptRuntime(s.id); err != nil {
-		return false, err
-	}
+	next.AdoptRuntime(s.id)
 	s.id = next
-	return true, nil
+	return true
 }
 
 // Types returns the known device-types.
@@ -192,21 +190,23 @@ var (
 	ErrValidationFailed = errors.New("iotssp: promoted type failed validation")
 )
 
-// promoteRetries bounds the clone-train-swap attempts when the serving
+// promoteRetries bounds the grow-validate-swap attempts when the serving
 // bank keeps changing under the promotion (another promotion or a
 // SIGHUP reload landing first).
 const promoteRetries = 3
 
 // PromoteType trains a classifier for a new device-type and hot-swaps
 // it into service without ever blocking assessments on training: the
-// current bank is cloned, the clone learns the type in the background
-// (AddType on the clone; the serving bank is untouched), the result is
-// validated against the cluster that proposed it, and only then is the
-// bank pointer swapped — through the same step as Install (swap). If
-// another swap landed in the meantime, the promotion re-clones from the
-// new bank and retrains, up to promoteRetries times (compare-and-swap on
-// the bank pointer, with training as the expensive "compute" step). On
-// success the new bank is returned so the caller can persist it.
+// next bank is built from the serving one (core.Identifier.WithType,
+// which trains only the new type's classifier and leaves the serving
+// bank as it was), validated against the cluster that proposed it, and
+// only then is the bank pointer swapped — through the same step as
+// Install (swap). The validation pass runs on the unbound new bank, so
+// it counts in no metrics series and touches no serving cache. If
+// another swap landed in the meantime, the promotion rebuilds from the
+// new bank, up to promoteRetries times (compare-and-swap on the bank
+// pointer, with training as the expensive "compute" step). On success
+// the new bank is returned so the caller can persist it.
 func (s *Service) PromoteType(t core.TypeID, fps []fingerprint.Fingerprint) (*core.Identifier, error) {
 	if t == core.Unknown {
 		return nil, errors.New("iotssp: cannot promote the unknown type")
@@ -218,11 +218,8 @@ func (s *Service) PromoteType(t core.TypeID, fps []fingerprint.Fingerprint) (*co
 		s.mu.RLock()
 		base := s.id
 		s.mu.RUnlock()
-		next, err := base.Clone()
+		next, err := base.WithType(t, fps)
 		if err != nil {
-			return nil, err
-		}
-		if err := next.AddType(t, fps); err != nil {
 			return nil, err
 		}
 		accepted := 0
@@ -235,15 +232,11 @@ func (s *Service) PromoteType(t core.TypeID, fps []fingerprint.Fingerprint) (*co
 			return nil, fmt.Errorf("%w: %q accepted %d/%d members (min %.2f)",
 				ErrValidationFailed, t, accepted, len(fps), promoteMinAccept)
 		}
-		swapped, err := s.swap(base, next)
-		if err != nil {
-			return nil, err
-		}
-		if swapped {
+		if s.swap(base, next) {
 			return next, nil
 		}
 		// The bank moved under us (concurrent promotion or hot reload):
-		// the clone is trained against a stale pool, throw it away and
+		// next is trained against a stale pool, throw it away and
 		// rebuild from the new bank.
 	}
 	return nil, ErrBankChanged

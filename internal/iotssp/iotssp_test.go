@@ -352,11 +352,8 @@ func TestHeadMemoPurgedOnBankChange(t *testing.T) {
 	})
 	t.Run("Install", func(t *testing.T) {
 		svc := warm(t)
-		next, err := svc.Identifier().Clone()
+		next, err := svc.Identifier().WithType("MAXGateway", cluster)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := next.AddType("MAXGateway", cluster); err != nil {
 			t.Fatal(err)
 		}
 		if err := svc.Install(next); err != nil {

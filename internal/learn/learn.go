@@ -7,9 +7,9 @@
 // the same machinery the discrimination stage uses, exploiting that
 // behavioral fingerprints of one device-type cluster tightly (IoTSense).
 // Once a cluster reaches K members it proposes a device-type; a
-// background step trains the one-vs-rest classifier on a clone of the
-// serving bank, validates it against the cluster, and hot-swaps it in
-// — serving never blocks on training. Every observation, proposal and
+// background step builds the next bank from the serving one with the
+// new type's one-vs-rest classifier, validates it against the cluster,
+// and hot-swaps it in — serving never blocks on training. Every observation, proposal and
 // promotion is journaled through internal/store, and the full cluster
 // state rides in the gateway snapshot, so a half-grown cluster and a
 // promoted type both survive restart.

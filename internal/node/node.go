@@ -102,8 +102,8 @@ func OpenState(dir string, reg *obs.Registry, health *obs.Health, log *log.Logge
 
 // NewLearner starts the online learner over svc: cfg carries what
 // differs per node (K, Metrics, OnPromoted) and NewLearner wires the
-// rest — progress and errors go to log, promotions train on a clone of
-// the serving bank and swap in through the service, and with a state
+// rest — progress and errors go to log, promotions grow the next bank
+// from the serving one and swap it in through the service, and with a state
 // directory (st may be nil) cluster growth is journaled, each promoted
 // bank is persisted so the next boot serves the learned types warm, and
 // the clusters the last run left are recovered.
