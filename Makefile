@@ -23,6 +23,10 @@
 # never overwrites one);
 # `make bench-check` diffs the two newest archives and fails on a >10%
 # ns/op regression (or a zero-alloc path that started allocating);
+# `make e2e-pair PARENT=<rev> WORKLOAD=<w> PAIRS=<n> SEED0=<s>` runs the
+# end-to-end benchmark (bench/run.sh) alternately on the parent revision
+# and this checkout and reports each metric's medians, quartiles, wins
+# and BENCHMARK.json bound check (scripts/e2e-pair.sh);
 # `make soak` sustains SOAK_DEVICES modeled devices with churn through
 # the capture front end and the daemon's own gateway assembly for
 # SOAK_DURATION: a pass/fail gate on p99 latency, RSS, goroutine growth
@@ -51,7 +55,7 @@ SOAK_DEVICES ?= 10000
 # re-running with the seed it logged.
 CHAOS_SEED ?= $(shell date +%Y%m%d)
 
-.PHONY: all build vet fmt-check vulncheck verify test test-race fuzz crash chaos soak bench bench-parallel bench-json bench-check bench-smoke size clean
+.PHONY: all build vet fmt-check vulncheck verify test test-race fuzz crash chaos soak bench bench-parallel bench-json bench-check bench-smoke e2e-pair size clean
 
 all: verify
 
@@ -162,6 +166,18 @@ BENCH_GATE ?= ^(capture\.RingHandoff|core\.(ScanBank27|IdentifySteadyState|Ident
 
 bench-check:
 	$(GO) run ./cmd/benchreport -delta . -delta-gate '$(BENCH_GATE)'
+
+# e2e-pair: PAIRS pairs of bench/run.sh runs of WORKLOAD, the parent
+# revision PARENT against this working tree, pair i on seed SEED0+i, the
+# side that goes first alternating. Pick seeds the change was not tuned
+# on.
+PARENT ?= HEAD
+WORKLOAD ?= join_storm
+PAIRS ?= 10
+SEED0 ?= 101
+
+e2e-pair:
+	bash scripts/e2e-pair.sh '$(PARENT)' '$(WORKLOAD)' '$(PAIRS)' '$(SEED0)'
 
 # bench/ is a module of its own (the root build never sees it) that the
 # driver builds against this checkout's internal/* on every benchmark

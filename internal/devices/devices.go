@@ -216,8 +216,10 @@ func (p *Profile) Generate(rng *rand.Rand) Capture {
 		ctx.out = dup
 	}
 
-	// Timestamps: inter-packet gaps of 20..800 ms, matching the one-
-	// to-two-minute setup durations the paper reports.
+	// Timestamps: inter-packet gaps of 20..800 ms, so a setup of about
+	// 15 packets spans about 6 s (11 s at most over the 27 types).
+	// Every gap is below the 10 s default idle gap that ends a setup
+	// capture.
 	times := make([]time.Time, len(ctx.out))
 	ts := time.Unix(1460000000, 0).UTC().Add(time.Duration(rng.Intn(1000)) * time.Second)
 	for i := range ctx.out {

@@ -98,24 +98,38 @@ func PortClass(port uint16, hasPort bool) int {
 	}
 }
 
+// dstInline is how many destinations an Extractor keeps in its inline
+// table, scanned linearly, before later ones spill to a map. The setup
+// captures of the 27-type substrate have at most 8 distinct
+// destinations (1 080 captures at each of seeds 1-5), so a join's
+// extraction allocates nothing.
+const dstInline = 8
+
 // Extractor converts packets to packed feature symbols while tracking
 // the per-device destination-IP counter state: the first distinct
 // destination address observed maps to 1, the second to 2, and so on
 // (destinations past MaxDstIPCounter share that last value; a setup
-// capture is bounded well below it). An Extractor is intended for the
-// packets of a single device's setup phase; it is not safe for
-// concurrent use.
+// capture is bounded well below it). The zero Extractor is ready to
+// use. An Extractor is intended for the packets of a single device's
+// setup phase; it is not safe for concurrent use.
 type Extractor struct {
-	dstSeen map[netip.Addr]int
+	// dsts holds the first dstInline destinations; dsts[i] has counter
+	// i+1.
+	dsts [dstInline]netip.Addr
+	// n is the number of distinct destinations counted so far.
+	n int
+	// spill maps the destinations past the table to their counters.
+	spill map[netip.Addr]int
 }
 
 // NewExtractor returns an Extractor with empty destination-IP state.
-func NewExtractor() *Extractor {
-	return &Extractor{dstSeen: make(map[netip.Addr]int)}
-}
+func NewExtractor() *Extractor { return new(Extractor) }
 
 // Reset clears the destination-IP counter state.
-func (e *Extractor) Reset() { e.dstSeen = make(map[netip.Addr]int) }
+func (e *Extractor) Reset() {
+	e.n = 0
+	clear(e.spill)
+}
 
 // Extract maps one packet to its packed symbol, updating counter state.
 func (e *Extractor) Extract(p *packet.Packet) Packed {
@@ -160,7 +174,7 @@ func (e *Extractor) Extract(p *packet.Packet) Packed {
 // ExtractAll maps a packet sequence to the float view of its symbol
 // sequence using fresh counter state.
 func ExtractAll(pkts []*packet.Packet) []Vector {
-	e := NewExtractor()
+	var e Extractor
 	out := make([]Vector, len(pkts))
 	for i, p := range pkts {
 		out[i] = e.Extract(p).Vector()
@@ -175,13 +189,26 @@ func (e *Extractor) dstCounter(p *packet.Packet) int {
 	if !p.HasIP() || !p.DstIP.IsValid() {
 		return 0
 	}
-	if c, ok := e.dstSeen[p.DstIP]; ok {
+	for i, a := range e.dsts[:min(e.n, dstInline)] {
+		if a == p.DstIP {
+			return i + 1
+		}
+	}
+	if c, ok := e.spill[p.DstIP]; ok {
 		return c
 	}
-	c := len(e.dstSeen) + 1
+	c := e.n + 1
 	if c >= MaxDstIPCounter {
 		return MaxDstIPCounter
 	}
-	e.dstSeen[p.DstIP] = c
+	e.n = c
+	if c <= dstInline {
+		e.dsts[c-1] = p.DstIP
+		return c
+	}
+	if e.spill == nil {
+		e.spill = make(map[netip.Addr]int)
+	}
+	e.spill[p.DstIP] = c
 	return c
 }

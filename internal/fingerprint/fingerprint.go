@@ -7,9 +7,9 @@
 //     concatenating the float views of the first 12 *unique* symbols of
 //     F, zero-padded when fewer than 12 unique symbols exist.
 //
-// It also implements the setup-phase end detection the paper describes:
-// the setup phase ends when the packet rate drops below a fraction of
-// its peak.
+// It also detects the end of a device's setup phase (SetupCapture): the
+// phase ends on the first silence of at least IdleGap between two of the
+// device's packets, or once MaxPackets packets have been captured.
 package fingerprint
 
 import (
@@ -96,7 +96,7 @@ func FromVectors(vs []features.Vector) Fingerprint {
 // FromPackets extracts features (with fresh destination-IP counter
 // state) and builds the Fingerprint.
 func FromPackets(pkts []*packet.Packet) Fingerprint {
-	e := features.NewExtractor()
+	var e features.Extractor
 	ps := make([]features.Packed, len(pkts))
 	for i, p := range pkts {
 		ps[i] = e.Extract(p)
@@ -167,20 +167,29 @@ func TruncatedFPrime(f F, n int) []float64 {
 	return out
 }
 
+// captureInline is how many symbols a SetupCapture holds in its own
+// buffer before its symbol slice grows onto the heap. The setup
+// captures of the 27-type substrate are at most 26 packets long (p99
+// 23-24; 1 080 captures at each of seeds 1-5).
+const captureInline = 32
+
 // SetupCapture accumulates timestamped packets for one device and
-// detects the end of its setup phase by a decrease in packet rate: once
-// the device has been quiet for IdleGap (no packet), or MaxPackets have
-// been collected, the capture is complete.
+// detects the end of its setup phase: the capture is complete once a
+// packet arrives IdleGap or more after the previous one (that packet is
+// not captured), or once MaxPackets packets have been collected. A
+// capture is one allocation: the extractor and the first captureInline
+// symbols live inside it.
 type SetupCapture struct {
 	// IdleGap is the silence duration that ends the setup phase.
 	IdleGap time.Duration
 	// MaxPackets caps the capture length.
 	MaxPackets int
 
-	syms     []features.Packed
-	ext      *features.Extractor
+	syms     []features.Packed // starts on buf
+	ext      features.Extractor
 	lastSeen time.Time
 	done     bool
+	buf      [captureInline]features.Packed
 }
 
 // NewSetupCapture returns a capture with the given idle gap and packet
@@ -195,16 +204,15 @@ func NewSetupCapture(idleGap time.Duration, maxPackets int) *SetupCapture {
 	// One capture then sees at most MaxDstIPCounter destinations, so
 	// its destination counter always fits its field.
 	maxPackets = min(maxPackets, features.MaxDstIPCounter)
-	return &SetupCapture{
-		IdleGap:    idleGap,
-		MaxPackets: maxPackets,
-		ext:        features.NewExtractor(),
-	}
+	c := &SetupCapture{IdleGap: idleGap, MaxPackets: maxPackets}
+	c.syms = c.buf[:0]
+	return c
 }
 
 // Observe records one packet at time ts. It returns true once the setup
-// phase is considered complete (rate decrease detected or cap reached);
-// packets observed after completion are ignored.
+// phase is complete (idle gap seen or cap reached); packets observed
+// after completion are ignored. Within the inline capacities it
+// allocates nothing.
 func (c *SetupCapture) Observe(ts time.Time, p *packet.Packet) bool {
 	if c.done {
 		return true

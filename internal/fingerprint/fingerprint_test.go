@@ -3,6 +3,7 @@ package fingerprint
 import (
 	"net/netip"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -193,6 +194,57 @@ func TestQuickFPrimeInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSetupCaptureObserveZeroAlloc pins Observe at zero allocations
+// while a capture stays within its inline capacities: captureInline
+// symbols and the extractor's destination table. A run is a whole
+// 24-packet setup over 8 destinations (the table's size, and the
+// substrate's most) into a capture of its own
+// (AllocsPerRun rounds down, so one frame a run would hide growth
+// that happens only every few frames).
+func TestSetupCaptureObserveZeroAlloc(t *testing.T) {
+	const setup = 24
+	caps := make([]*SetupCapture, 128) // > the 101 runs AssertZeroAllocs makes
+	for i := range caps {
+		caps[i] = NewSetupCapture(time.Minute, 0)
+	}
+	pkts := make([]*packet.Packet, setup)
+	for k := range pkts {
+		dst := netip.AddrFrom4([4]byte{52, 0, 0, byte(k % 8)})
+		pkts[k] = packet.NewUDP(mac1, mac2, ip1, dst, 40000, 443, make([]byte, k%3))
+	}
+	base := time.Unix(1000, 0)
+	i := 0
+	testutil.AssertZeroAllocs(t, "SetupCapture.Observe", func() {
+		c := caps[i]
+		i++
+		for k, p := range pkts {
+			c.Observe(base.Add(time.Duration(k)*time.Millisecond), p)
+		}
+	})
+	if n := caps[0].Len(); n != setup {
+		t.Fatalf("capture 0 holds %d packets, want %d", n, setup)
+	}
+}
+
+// TestSetupCaptureMatchesFromPackets: a capture that outgrows its inline
+// symbols and destination table still yields FromPackets' fingerprint.
+func TestSetupCaptureMatchesFromPackets(t *testing.T) {
+	var pkts []*packet.Packet
+	for i := 0; i < 3*captureInline; i++ {
+		dst := netip.AddrFrom4([4]byte{52, 0, byte(i % 20), 1})
+		pkts = append(pkts, packet.NewUDP(mac1, mac2, ip1, dst, 40000, 443, make([]byte, i%5)))
+	}
+	c := NewSetupCapture(time.Minute, 0)
+	base := time.Unix(1000, 0)
+	for i, p := range pkts {
+		c.Observe(base.Add(time.Duration(i)*time.Millisecond), p)
+	}
+	got, want := c.Fingerprint(), FromPackets(pkts)
+	if !slices.Equal(got.F, want.F) || got.FPrime != want.FPrime || got.UniqueCount != want.UniqueCount {
+		t.Errorf("capture fingerprint differs from FromPackets: %d vs %d rows", len(got.F), len(want.F))
 	}
 }
 

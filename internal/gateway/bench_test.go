@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"iotsentinel/internal/capture"
+	"iotsentinel/internal/devices"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/iotssp"
 	"iotsentinel/internal/obs"
@@ -113,6 +114,42 @@ func TestHandlePacketSteadyStateZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestHandlePacketMonitoringZeroAlloc pins a monitored device's
+// non-final frames at zero allocations: the word-keyed shard probes and
+// SetupCapture.Observe within its inline capacities. A run is 20 setup
+// frames of a device of its own, opened beforehand (AllocsPerRun rounds
+// down, so one frame a run would hide growth every few frames).
+func TestHandlePacketMonitoringZeroAlloc(t *testing.T) {
+	const frames = 20
+	g := benchGateway(1, 0)
+	defer g.Close()
+	devIP := netip.MustParseAddr("192.168.1.77")
+	base := time.Unix(8000, 0)
+	pks := make([][]*packet.Packet, 128) // > the 101 runs AssertZeroAllocs makes
+	for d := range pks {
+		mac := packet.MAC{0x02, 0xBE, 1, 2, 3, byte(d)}
+		for k := 0; k <= frames; k++ {
+			dst := netip.AddrFrom4([4]byte{52, 0, 0, byte(k % 5)})
+			pks[d] = append(pks[d], packet.NewUDP(mac, packet.MAC{2, 2, 2, 2, 2, 2}, devIP, dst, 40000, 443, nil))
+		}
+		if _, err := g.HandlePacket(base, pks[d][0]); err != nil { // opens the capture
+			t.Fatal(err)
+		}
+	}
+	d := 0
+	testutil.AssertZeroAllocs(t, "HandlePacket/monitoring-device", func() {
+		for k, pk := range pks[d][1:] {
+			if _, err := g.HandlePacket(base.Add(time.Duration(k+1)*time.Millisecond), pk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d++
+	})
+	if info, _ := g.Device(pks[0][0].SrcMAC); info.State != StateMonitoring || info.SetupPackets != frames+1 {
+		t.Fatalf("device 0 = %+v, want monitoring with %d setup packets", info, frames+1)
+	}
+}
+
 // BenchmarkHandlePacketSteadyState measures the per-packet cost for an
 // assessed device with an installed flow — the path every packet after
 // a device's first few seconds takes, and the one that must stay
@@ -126,6 +163,41 @@ func BenchmarkHandlePacketSteadyState(b *testing.B) {
 		if _, err := g.HandlePacket(ts, pk); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkHandlePacketJoin is one cold join per op, the unit of the
+// benchmark's join_storm workload at the gateway stage: RemoveDevice,
+// a generated HueBridge setup capture's frames (monitoring), then the
+// trigger frame an hour later that finishes the capture, assesses it
+// inline against nopAssessor, installs the rule and switches the frame.
+func BenchmarkHandlePacketJoin(b *testing.B) {
+	g := benchGateway(1, 0)
+	defer g.Close()
+	p, err := devices.ProfileByID("HueBridge")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cap := devices.GenerateCaptures(p, 1, 7)[0]
+	trigger := cap.Packets[len(cap.Packets)-1]
+	triggerAt := cap.Times[len(cap.Times)-1].Add(time.Hour)
+	b.ReportMetric(float64(len(cap.Packets)), "setup-frames")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.RemoveDevice(cap.MAC)
+		for k, pk := range cap.Packets {
+			if _, err := g.HandlePacket(cap.Times[k], pk); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := g.HandlePacket(triggerAt, trigger); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if info, _ := g.Device(cap.MAC); info.State != StateAssessed {
+		b.Fatalf("join ended in %v, want assessed", info.State)
 	}
 }
 

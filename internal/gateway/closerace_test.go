@@ -69,8 +69,8 @@ func TestCloseRacingFinishingCaptures(t *testing.T) {
 		stranded := 0
 		for _, s := range g.shards {
 			s.mu.Lock()
-			for mac, info := range s.devices {
-				if info.State == StateMonitoring && s.captures[mac] == nil {
+			for key, info := range s.devices {
+				if info.State == StateMonitoring && s.captures[key] == nil {
 					stranded++
 				}
 			}

@@ -186,6 +186,23 @@ func TestCachedServiceDifferentialIdentical(t *testing.T) {
 	}
 }
 
+// TestMacKeyRoundTrip: the shard maps' word key is injective on MACs
+// and mac() inverts it, so a sweep over a map recovers each device's MAC.
+func TestMacKeyRoundTrip(t *testing.T) {
+	seen := make(map[macKey]packet.MAC)
+	for _, m := range []packet.MAC{{}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, {0x02, 0xd0, 0, 0, 0, 1},
+		{1, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 1}, {0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc}} {
+		k := keyOf(m)
+		if k.mac() != m {
+			t.Errorf("keyOf(%v).mac() = %v", m, k.mac())
+		}
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%v and %v share key %#x", prev, m, uint64(k))
+		}
+		seen[k] = m
+	}
+}
+
 // TestShardIndexStable pins the FNV-1a placement so a refactor cannot
 // silently re-home device state between releases, and checks the
 // power-of-two rounding.

@@ -235,12 +235,13 @@ func (g *Gateway) HandlePacket(ts time.Time, pk *packet.Packet) (sdn.Action, err
 }
 
 func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Packet) (sdn.Action, error) {
+	key := keyOf(pk.SrcMAC)
 	s.mu.Lock()
-	info := s.devices[pk.SrcMAC]
+	info := s.devices[key]
 	if info == nil && !pk.SrcMAC.IsMulticast() {
 		info = &DeviceInfo{MAC: pk.SrcMAC, State: StateMonitoring, FirstSeen: ts}
-		s.devices[pk.SrcMAC] = info
-		s.captures[pk.SrcMAC] = fingerprint.NewSetupCapture(g.cfg.IdleGap, 0)
+		s.devices[key] = info
+		s.captures[key] = fingerprint.NewSetupCapture(g.cfg.IdleGap, 0)
 		g.cfg.Metrics.stateChange(0, StateMonitoring)
 		g.cfg.Metrics.captureOpened()
 		g.record(store.Event{Kind: store.EvCaptureStarted, MAC: pk.SrcMAC, At: ts, FirstSeen: ts})
@@ -266,10 +267,10 @@ func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Pa
 	// applied yet. Skip observation instead of nil-dereferencing the
 	// capture.
 	var finished *fingerprint.SetupCapture
-	if cap := s.captures[pk.SrcMAC]; cap != nil {
+	if cap := s.captures[key]; cap != nil {
 		if done := cap.Observe(ts, pk); done {
 			finished = cap
-			delete(s.captures, pk.SrcMAC)
+			delete(s.captures, key)
 			g.cfg.Metrics.captureCompleted(triggerPacket)
 		}
 		info.SetupPackets = cap.Len()
@@ -321,9 +322,10 @@ func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Pa
 func (g *Gateway) FinishSetup(mac packet.MAC, now time.Time) error {
 	s := g.shardOf(mac)
 	s.mu.Lock()
-	cap, ok := s.captures[mac]
+	key := keyOf(mac)
+	cap, ok := s.captures[key]
 	if ok {
-		delete(s.captures, mac)
+		delete(s.captures, key)
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -362,10 +364,10 @@ func (g *Gateway) finishCaptures(now time.Time, trigger captureTrigger, done fun
 	var jobs []assessJob
 	for _, s := range g.shards {
 		s.mu.Lock()
-		for mac, cap := range s.captures {
+		for key, cap := range s.captures {
 			if done(cap) {
-				jobs = append(jobs, assessJob{mac: mac, cap: cap, ts: now})
-				delete(s.captures, mac)
+				jobs = append(jobs, assessJob{mac: key.mac(), cap: cap, ts: now})
+				delete(s.captures, key)
 				g.cfg.Metrics.captureCompleted(trigger)
 			}
 		}
@@ -386,7 +388,7 @@ func (g *Gateway) finishCaptures(now time.Time, trigger captureTrigger, done fun
 func (g *Gateway) quarantineDevice(mac packet.MAC, fp *fingerprint.Fingerprint, now time.Time, cause error) {
 	s := g.shardOf(mac)
 	s.mu.Lock()
-	info := s.devices[mac]
+	info := s.devices[keyOf(mac)]
 	if info == nil {
 		s.mu.Unlock()
 		return
@@ -479,7 +481,7 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 			g.cfg.Metrics.incRetry(false)
 			s := g.shardOf(mac)
 			s.mu.Lock()
-			if info := s.devices[mac]; info != nil && info.State == StateQuarantined {
+			if info := s.devices[keyOf(mac)]; info != nil && info.State == StateQuarantined {
 				info.AssessAttempts++
 			}
 			s.mu.Unlock()
@@ -525,7 +527,7 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 func (g *Gateway) apply(mac packet.MAC, a iotssp.Assessment, fp *fingerprint.Fingerprint, now time.Time) {
 	s := g.shardOf(mac)
 	s.mu.Lock()
-	info := s.devices[mac]
+	info := s.devices[keyOf(mac)]
 	if info == nil {
 		s.mu.Unlock()
 		return
@@ -597,12 +599,13 @@ func (g *Gateway) RemoveDevice(mac packet.MAC) {
 	s := g.shardOf(mac)
 	var seq uint64
 	s.mu.Lock()
-	if info := s.devices[mac]; info != nil {
+	key := keyOf(mac)
+	if info := s.devices[key]; info != nil {
 		g.cfg.Metrics.stateChange(info.State, 0)
 		seq = g.record(store.Event{Kind: store.EvRemoved, MAC: mac, At: time.Now()})
 	}
-	delete(s.devices, mac)
-	delete(s.captures, mac)
+	delete(s.devices, key)
+	delete(s.captures, key)
 	g.qmu.Lock()
 	delete(g.quarantine, mac)
 	g.cfg.Metrics.setQuarantineDepth(len(g.quarantine))
@@ -623,7 +626,7 @@ func (g *Gateway) Device(mac packet.MAC) (DeviceInfo, bool) {
 	s := g.shardOf(mac)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info, ok := s.devices[mac]
+	info, ok := s.devices[keyOf(mac)]
 	if !ok {
 		return DeviceInfo{}, false
 	}

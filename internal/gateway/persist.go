@@ -241,7 +241,7 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 		info := devices[mac]
 		s := g.shardOf(mac)
 		s.mu.Lock()
-		s.devices[mac] = info
+		s.devices[keyOf(mac)] = info
 		g.cfg.Metrics.stateChange(0, info.State)
 		s.mu.Unlock()
 		stats.Devices++

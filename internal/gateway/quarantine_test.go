@@ -186,7 +186,7 @@ func TestHandlePacketSurvivesMissingCapture(t *testing.T) {
 	// monitoring.
 	s := g.shardOf(mac)
 	s.mu.Lock()
-	delete(s.captures, mac)
+	delete(s.captures, keyOf(mac))
 	s.mu.Unlock()
 
 	act, err := g.HandlePacket(base.Add(time.Second), pk)

@@ -51,8 +51,8 @@ type shard struct {
 	// sample. It sits beside the lock every call takes anyway, so the
 	// count costs no cache line of its own.
 	tick     atomic.Uint32
-	captures map[packet.MAC]*fingerprint.SetupCapture
-	devices  map[packet.MAC]*DeviceInfo
+	captures map[macKey]*fingerprint.SetupCapture
+	devices  map[macKey]*DeviceInfo
 	// Shards are allocated one by one and the allocator packs objects
 	// of one size class back to back; the pad keeps two shards' locks
 	// and ticks out of one cache line.
@@ -61,9 +61,25 @@ type shard struct {
 
 func newShard() *shard {
 	return &shard{
-		captures: make(map[packet.MAC]*fingerprint.SetupCapture),
-		devices:  make(map[packet.MAC]*DeviceInfo),
+		captures: make(map[macKey]*fingerprint.SetupCapture),
+		devices:  make(map[macKey]*DeviceInfo),
 	}
+}
+
+// macKey is a MAC packed big-endian into the low 48 bits of a word, the
+// key of a shard's maps: a probe then takes the runtime's 64-bit map
+// path instead of hashing six bytes. Shard placement (shardIndex) still
+// hashes the bytes.
+type macKey uint64
+
+func keyOf(m packet.MAC) macKey {
+	return macKey(m[0])<<40 | macKey(m[1])<<32 | macKey(m[2])<<24 |
+		macKey(m[3])<<16 | macKey(m[4])<<8 | macKey(m[5])
+}
+
+// mac unpacks the key.
+func (k macKey) mac() packet.MAC {
+	return packet.MAC{byte(k >> 40), byte(k >> 32), byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
 }
 
 // shardCount normalizes a configured shard count to a power of two:
