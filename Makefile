@@ -3,7 +3,8 @@
 # pass when the tooling is installed + shuffled full test suite + the
 # full suite under -race (`make test-race`) + the crash fault-injection
 # sweep + the seeded fleet-link chaos sweep (see `make chaos`) + a
-# short fuzz pass over the capture ring and readers, the frame decoder,
+# short fuzz pass over the capture ring and readers, the frame decoder
+# and the frame layout Marshal and the builders share,
 # the forest and model-file deserializers, the packed-symbol codec, the fingerprint
 # head and packed-F decoder, the edit-distance kernel and discrimination
 # scoring, the cluster-linkage input, the fleet wire decoders and the
@@ -23,6 +24,10 @@
 # never overwrites one);
 # `make bench-check` diffs the two newest archives and fails on a >10%
 # ns/op regression (or a zero-alloc path that started allocating);
+# `make bench-pair PARENT=<rev> DROPIN=<test files>` archives the same
+# benchmarks for the parent revision and this checkout, alternating
+# package by package, as the two newest archives bench-check reads
+# (scripts/bench-pair.sh);
 # `make e2e-pair PARENT=<rev> WORKLOAD=<w> PAIRS=<n> SEED0=<s>` runs the
 # end-to-end benchmark (bench/run.sh) alternately on the parent revision
 # and this checkout and reports each metric's medians, quartiles, wins
@@ -55,7 +60,7 @@ SOAK_DEVICES ?= 10000
 # re-running with the seed it logged.
 CHAOS_SEED ?= $(shell date +%Y%m%d)
 
-.PHONY: all build vet fmt-check vulncheck verify test test-race fuzz crash chaos soak bench bench-parallel bench-json bench-check bench-smoke e2e-pair size clean
+.PHONY: all build vet fmt-check vulncheck verify test test-race fuzz crash chaos soak bench bench-parallel bench-json bench-check bench-pair bench-smoke e2e-pair size clean
 
 all: verify
 
@@ -105,6 +110,7 @@ test-race:
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRingDelivery$$' -fuzztime=$(FUZZTIME) ./internal/capture/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/packet/
+	$(GO) test -run='^$$' -fuzz='^FuzzMarshalLayout$$' -fuzztime=$(FUZZTIME) ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPcap$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPcapNG$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME) ./internal/ml/rf/
@@ -166,6 +172,16 @@ BENCH_GATE ?= ^(capture\.RingHandoff|core\.(ScanBank27|IdentifySteadyState|Ident
 
 bench-check:
 	$(GO) run ./cmd/benchreport -delta . -delta-gate '$(BENCH_GATE)'
+
+# bench-pair: bench-json's benchmarks for PARENT and for this working
+# tree, alternating package by package, archived parent first so that
+# bench-check compares the two. DROPIN lists test files (paths from the
+# repo root) copied into the parent's copy, for benchmarks it lacks.
+DROPIN ?=
+
+bench-pair:
+	BENCH_PKGS='$(BENCH_PKGS)' BENCH_ROOT='$(BENCH_ROOT)' BENCH_COUNT='$(BENCH_COUNT)' \
+		bash scripts/bench-pair.sh '$(PARENT)' $(DROPIN)
 
 # e2e-pair: PAIRS pairs of bench/run.sh runs of WORKLOAD, the parent
 # revision PARENT against this working tree, pair i on seed SEED0+i, the

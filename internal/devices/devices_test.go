@@ -2,6 +2,9 @@ package devices
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -95,23 +98,68 @@ func TestGenerateBasics(t *testing.T) {
 	}
 }
 
-func TestGenerateMarshalable(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+// everyCapture is each catalog profile's setup, standby and operation
+// capture, and the setup capture with its responses, drawn from one rng:
+// every packet shape the substrate builds.
+func everyCapture(seed int64) []Capture {
+	rng := rand.New(rand.NewSource(seed))
+	var out []Capture
 	for _, p := range Catalog() {
-		cap := p.Generate(rng)
+		setup := p.Generate(rng)
+		out = append(out, setup, p.GenerateStandby(rng, 3), p.GenerateOperation(rng, 4),
+			setup.WithResponses(rng))
+	}
+	return out
+}
+
+func TestGenerateMarshalable(t *testing.T) {
+	for _, cap := range everyCapture(2) {
 		for i, pk := range cap.Packets {
 			frame, err := pk.Marshal()
 			if err != nil {
-				t.Fatalf("%s packet %d: Marshal: %v", p.ID, i, err)
+				t.Fatalf("%s packet %d: Marshal: %v", cap.Type, i, err)
+			}
+			if len(frame) != pk.Size {
+				t.Fatalf("%s packet %d: Size %d, frame %d bytes", cap.Type, i, pk.Size, len(frame))
 			}
 			back, err := packet.Decode(frame)
 			if err != nil {
-				t.Fatalf("%s packet %d: Decode: %v", p.ID, i, err)
+				t.Fatalf("%s packet %d: Decode: %v", cap.Type, i, err)
 			}
 			if back.Size != pk.Size {
-				t.Errorf("%s packet %d: size %d -> %d", p.ID, i, pk.Size, back.Size)
+				t.Errorf("%s packet %d: size %d -> %d", cap.Type, i, pk.Size, back.Size)
 			}
 		}
+	}
+}
+
+// TestFrameGolden pins every frame the substrate builds, byte for byte,
+// and its Size: SHA-256 over each frame of everyCapture at five seeds,
+// each preceded by its Size. Training sets, the golden forest and the
+// model-file digests all rest on these frames, so a change to the
+// packet builders or to Marshal that is meant to keep them must leave
+// this digest alone.
+func TestFrameGolden(t *testing.T) {
+	const want = "4da3f43e72f2c0616bd42fbaa0413ca6402694ed37c101c17e986f1e6ecbc880"
+	h := sha256.New()
+	frames := 0
+	for _, seed := range []int64{1, 39, 540, 1611, 2017} {
+		for _, cap := range everyCapture(seed) {
+			for i, pk := range cap.Packets {
+				frame, err := pk.Marshal()
+				if err != nil {
+					t.Fatalf("%s packet %d: Marshal: %v", cap.Type, i, err)
+				}
+				var n [4]byte
+				binary.BigEndian.PutUint32(n[:], uint32(pk.Size))
+				h.Write(n[:])
+				h.Write(frame)
+				frames++
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("digest over %d frames = %s, want %s", frames, got, want)
 	}
 }
 

@@ -7,16 +7,17 @@ import (
 )
 
 // Builders produce structured packets for common setup-phase exchanges.
-// The device traffic generator composes these; each builder sets Size by
-// marshaling the frame, so Size always reflects real wire length.
+// The device traffic generator composes these; each builder sets Size
+// from the layout Marshal allocates by (frameLen), so Size is the wire
+// length without a frame being built.
 
-// finish marshals p to fix its Size field and recomputes the recognized
-// application protocol. The marshaled frame is discarded; callers that
-// need raw bytes use Marshal directly.
+// finish sets p's Size and recomputes the recognized application
+// protocol. A packet Marshal would refuse keeps Size 0; callers that need
+// raw bytes use Marshal.
 func finish(p *Packet) *Packet {
 	p.App = classifyApp(p.Transport, p.SrcPort, p.DstPort)
-	if frame, err := p.Marshal(); err == nil {
-		p.Size = len(frame)
+	if n, err := p.frameLen(); err == nil {
+		p.Size = n
 	}
 	return p
 }

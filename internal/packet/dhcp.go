@@ -51,7 +51,9 @@ type DHCPMessage struct {
 
 // Marshal serializes the DHCP message to its RFC 2131 wire format.
 func (m *DHCPMessage) Marshal() []byte {
-	buf := make([]byte, dhcpFixedLen, dhcpFixedLen+64)
+	// Fixed part, cookie, options 53, 12, 50 and 55 at their longest, end.
+	n := dhcpFixedLen + 4 + 3 + 2 + len(m.Hostname) + 6 + 2 + len(m.ParamList) + 1
+	buf := make([]byte, dhcpFixedLen, n)
 	buf[0] = m.Op
 	buf[1] = 1 // htype: Ethernet
 	buf[2] = 6 // hlen
@@ -61,9 +63,7 @@ func (m *DHCPMessage) Marshal() []byte {
 	putAddr4(buf[20:24], m.ServerIP)
 	copy(buf[28:34], m.ClientMAC[:])
 
-	cookie := make([]byte, 4)
-	binary.BigEndian.PutUint32(cookie, dhcpCookie)
-	buf = append(buf, cookie...)
+	buf = binary.BigEndian.AppendUint32(buf, dhcpCookie)
 
 	if m.MsgType != 0 {
 		buf = append(buf, dhcpOptMsgType, 1, m.MsgType)

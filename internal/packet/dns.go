@@ -35,7 +35,11 @@ type DNSMessage struct {
 // Marshal serializes the message (questions only; Answers is emitted as a
 // count with no records, which is sufficient for traffic synthesis).
 func (m *DNSMessage) Marshal() ([]byte, error) {
-	buf := make([]byte, 12, 64)
+	n := 12
+	for _, q := range m.Questions {
+		n += len(q.Name) + 2 + 4 // a name encodes to at most two bytes more
+	}
+	buf := make([]byte, 12, n)
 	binary.BigEndian.PutUint16(buf[0:2], m.ID)
 	if m.Response {
 		buf[2] |= 0x80
@@ -43,15 +47,12 @@ func (m *DNSMessage) Marshal() ([]byte, error) {
 	binary.BigEndian.PutUint16(buf[4:6], uint16(len(m.Questions)))
 	binary.BigEndian.PutUint16(buf[6:8], m.Answers)
 	for _, q := range m.Questions {
-		nameBytes, err := encodeDNSName(q.Name)
-		if err != nil {
+		var err error
+		if buf, err = appendDNSName(buf, q.Name); err != nil {
 			return nil, err
 		}
-		buf = append(buf, nameBytes...)
-		var tail [4]byte
-		binary.BigEndian.PutUint16(tail[0:2], q.Type)
-		binary.BigEndian.PutUint16(tail[2:4], q.Class)
-		buf = append(buf, tail[:]...)
+		buf = binary.BigEndian.AppendUint16(buf, q.Type)
+		buf = binary.BigEndian.AppendUint16(buf, q.Class)
 	}
 	return buf, nil
 }
@@ -87,17 +88,18 @@ func ParseDNS(b []byte) (*DNSMessage, error) {
 	return m, nil
 }
 
-func encodeDNSName(name string) ([]byte, error) {
-	var buf []byte
+// appendDNSName appends name's wire form to buf: each dot-separated
+// label behind its length byte, then a zero byte.
+func appendDNSName(buf []byte, name string) ([]byte, error) {
 	name = strings.TrimSuffix(name, ".")
-	if name != "" {
-		for _, label := range strings.Split(name, ".") {
-			if len(label) == 0 || len(label) > 63 {
-				return nil, fmt.Errorf("encode dns name %q: bad label %q", name, label)
-			}
-			buf = append(buf, byte(len(label)))
-			buf = append(buf, label...)
+	for rest, more := name, name != ""; more; {
+		var label string
+		label, rest, more = strings.Cut(rest, ".")
+		if len(label) == 0 || len(label) > 63 {
+			return nil, fmt.Errorf("encode dns name %q: bad label %q", name, label)
 		}
+		buf = append(buf, byte(len(label)))
+		buf = append(buf, label...)
 	}
 	return append(buf, 0), nil
 }

@@ -102,11 +102,14 @@ func TestDNSParseErrors(t *testing.T) {
 }
 
 func TestEncodeDNSNameErrors(t *testing.T) {
-	if _, err := encodeDNSName("a.." + "b"); err == nil {
+	if _, err := appendDNSName(nil, "a.."+"b"); err == nil {
 		t.Error("empty label should fail")
 	}
-	if _, err := encodeDNSName(strings.Repeat("x", 64) + ".com"); err == nil {
+	if _, err := appendDNSName(nil, strings.Repeat("x", 64)+".com"); err == nil {
 		t.Error("oversized label should fail")
+	}
+	if _, err := appendDNSName(nil, "a.b.."); err == nil {
+		t.Error("empty last label should fail")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"iotsentinel/internal/packet"
 )
@@ -58,8 +59,9 @@ type EnforcementRule struct {
 	DeviceType string
 }
 
-// Hash returns the rule's cache key (Fig 2's hash value), an FNV-1a
-// digest of the device MAC.
+// Hash returns Fig 2's hash value, an FNV-1a digest of the device MAC,
+// for display. The cache keys on the MAC itself (keyOf), so two MACs
+// whose hashes collide still hold a rule each.
 func (r *EnforcementRule) Hash() uint64 { return macHash(r.DeviceMAC) }
 
 // Permits reports whether the rule allows the device to reach the
@@ -86,23 +88,24 @@ func approxRuleBytes(r *EnforcementRule) int {
 // removal of rules for departed devices.
 type RuleCache struct {
 	mu    sync.RWMutex
-	rules map[uint64]*EnforcementRule
+	rules map[macKey]*EnforcementRule
 	bytes int
-	// hits/misses support cache instrumentation.
-	hits   uint64
-	misses uint64
+	// hits/misses support cache instrumentation. They are atomic so
+	// that a lookup takes only the read lock.
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // NewRuleCache returns an empty cache.
 func NewRuleCache() *RuleCache {
-	return &RuleCache{rules: make(map[uint64]*EnforcementRule)}
+	return &RuleCache{rules: make(map[macKey]*EnforcementRule)}
 }
 
 // Put inserts or replaces the rule for its device MAC.
 func (c *RuleCache) Put(r *EnforcementRule) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := r.Hash()
+	key := keyOf(r.DeviceMAC)
 	if old, ok := c.rules[key]; ok {
 		c.bytes -= approxRuleBytes(old)
 	}
@@ -114,13 +117,13 @@ func (c *RuleCache) Put(r *EnforcementRule) {
 
 // Get returns the rule for a device MAC, if present.
 func (c *RuleCache) Get(mac packet.MAC) (*EnforcementRule, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.rules[macHash(mac)]
+	c.mu.RLock()
+	r, ok := c.rules[keyOf(mac)]
+	c.mu.RUnlock()
 	if ok {
-		c.hits++
+		c.hits.Add(1)
 	} else {
-		c.misses++
+		c.misses.Add(1)
 	}
 	return r, ok
 }
@@ -130,7 +133,7 @@ func (c *RuleCache) Get(mac packet.MAC) (*EnforcementRule, bool) {
 // stripe; nothing takes a stripe while holding c.mu.
 func (c *RuleCache) peek(mac packet.MAC) *EnforcementRule {
 	c.mu.RLock()
-	r := c.rules[macHash(mac)]
+	r := c.rules[keyOf(mac)]
 	c.mu.RUnlock()
 	return r
 }
@@ -139,7 +142,7 @@ func (c *RuleCache) peek(mac packet.MAC) *EnforcementRule {
 func (c *RuleCache) Remove(mac packet.MAC) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := macHash(mac)
+	key := keyOf(mac)
 	r, ok := c.rules[key]
 	if !ok {
 		return false
@@ -166,9 +169,7 @@ func (c *RuleCache) ApproxBytes() int {
 
 // Stats returns cumulative lookup hits and misses.
 func (c *RuleCache) Stats() (hits, misses uint64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.hits, c.misses
+	return c.hits.Load(), c.misses.Load()
 }
 
 // Rules returns a snapshot of all rules sorted by device MAC.
@@ -212,7 +213,7 @@ func (c *RuleCache) Digest() uint64 {
 	return h.Sum64()
 }
 
-// macHash is hash/fnv's New64a over the six bytes, spelled out for peek.
+// macHash is hash/fnv's New64a over the six bytes: Hash's display value.
 func macHash(mac packet.MAC) uint64 {
 	h := uint64(14695981039346656037)
 	for _, b := range mac {

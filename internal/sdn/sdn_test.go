@@ -1,7 +1,9 @@
 package sdn
 
 import (
+	"encoding/binary"
 	"hash/fnv"
+	"math/rand/v2"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -336,8 +338,8 @@ func TestRuleHashStable(t *testing.T) {
 		r1 := &EnforcementRule{DeviceMAC: packet.MAC(mac), Level: Strict}
 		r2 := &EnforcementRule{DeviceMAC: packet.MAC(mac), Level: Trusted,
 			PermittedIPs: []netip.Addr{cloud}}
-		// Hash depends only on the MAC, so updates address the same slot,
-		// and is Fig 2's FNV-1a whoever spells it.
+		// Hash depends only on the MAC and is Fig 2's FNV-1a whoever
+		// spells it.
 		h := fnv.New64a()
 		_, _ = h.Write(mac[:])
 		return r1.Hash() == r2.Hash() && r1.Hash() == macHash(packet.MAC(mac)) && r1.Hash() == h.Sum64()
@@ -485,5 +487,55 @@ func TestIPv6LinkLocalIsLocal(t *testing.T) {
 	key.DstMAC = devB
 	if dec := ctrl.PacketIn(key, time.Unix(0, 0)); dec.Action != ActionForward {
 		t.Errorf("unique-local dropped: %s", dec.Reason)
+	}
+}
+
+// TestRuleCacheKeysOnMAC pins that a rule is stored under its MAC, not
+// under the MAC's hash: over many random MACs, Get, peek and Remove
+// touch only that MAC's own rule.
+func TestRuleCacheKeysOnMAC(t *testing.T) {
+	const n = 100_000
+	rng := rand.New(rand.NewPCG(7, 39))
+	c := NewRuleCache()
+	macs := make([]packet.MAC, 0, n)
+	seen := make(map[packet.MAC]bool, n)
+	for len(macs) < n {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], rng.Uint64())
+		m := packet.MAC(b[:6])
+		if seen[m] {
+			continue
+		}
+		seen[m] = true
+		macs = append(macs, m)
+		c.Put(&EnforcementRule{DeviceMAC: m, Level: Strict})
+	}
+	if c.Len() != n {
+		t.Fatalf("Len %d after %d distinct Puts", c.Len(), n)
+	}
+	for _, m := range macs {
+		if r, ok := c.Get(m); !ok || r.DeviceMAC != m {
+			t.Fatalf("Get(%v) = %v, %v", m, r, ok)
+		}
+		if r := c.peek(m); r == nil || r.DeviceMAC != m {
+			t.Fatalf("peek(%v) = %v", m, r)
+		}
+	}
+	for _, m := range macs[:n/2] {
+		if !c.Remove(m) {
+			t.Fatalf("Remove(%v) found no rule", m)
+		}
+	}
+	for i, m := range macs {
+		r, ok := c.Get(m)
+		switch {
+		case i < n/2 && ok:
+			t.Fatalf("Get(%v) after its Remove = %v", m, r)
+		case i >= n/2 && (!ok || r.DeviceMAC != m):
+			t.Fatalf("Get(%v) after other MACs' Removes = %v, %v", m, r, ok)
+		}
+	}
+	if hits, misses := c.Stats(); hits != n+n/2 || misses != n/2 {
+		t.Fatalf("Stats = %d hits, %d misses; want %d, %d", hits, misses, n+n/2, n/2)
 	}
 }

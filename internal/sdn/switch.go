@@ -62,7 +62,7 @@ type Controller struct {
 	// (the paper's "without filtering" baseline).
 	filtering bool
 
-	packetIns uint64
+	packetIns atomic.Uint64
 }
 
 // NewController returns a controller enforcing rules from cache within
@@ -133,11 +133,7 @@ func (c *Controller) AddInfrastructure(mac packet.MAC) {
 }
 
 // PacketIns returns the number of packet-in events handled.
-func (c *Controller) PacketIns() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.packetIns
-}
+func (c *Controller) PacketIns() uint64 { return c.packetIns.Load() }
 
 // levelOf is the effective isolation level under a device's rule: Strict,
 // and so the untrusted overlay, for an unknown device's nil (Sect. III-B).
@@ -172,12 +168,12 @@ func (c *Controller) PacketIn(key packet.FlowKey, _ time.Time) Decision {
 }
 
 func (c *Controller) decide(key *packet.FlowKey) (Decision, basis) {
-	c.mu.Lock()
-	c.packetIns++
+	c.packetIns.Add(1)
+	c.mu.RLock()
 	filtering := c.filtering
 	srcInfra := c.infra[key.SrcMAC]
 	dstInfra := c.infra[key.DstMAC]
-	c.mu.Unlock()
+	c.mu.RUnlock()
 
 	var exempt string
 	switch {
