@@ -168,7 +168,7 @@ bench-json:
 # sub-microsecond non-serving benchmarks (packet codecs, convenience
 # APIs, device-churn stress loops) swing far past any sane threshold
 # with host load, and training is a one-time boot cost.
-BENCH_GATE ?= ^(capture\.RingHandoff|core\.(ScanBank27|IdentifySteadyState|IdentifyBatchSteadyState|IdentifyCacheHit|IdentifyHeadHit|IdentifyHeadDecided|IdentifyWarmBootCached)|editdist\.DiscriminateRefSet(Exact)?|fingerprint\.CanonicalKey|gateway\.(HandlePacketSteadyState|PumpForward)|rf\.BankScan|sdn\.SwitchProcess10k/(internet|peer)|iotsentinel\.(ClassifySingle|TypeIdentification))$$
+BENCH_GATE ?= ^(capture\.RingHandoff|core\.(ScanBank27|IdentifySteadyState|IdentifyBatchSteadyState|IdentifyCacheHit|IdentifyHeadHit|IdentifyHeadDecided|IdentifyWarmBootCached)|editdist\.DiscriminateRefSet(Exact)?|fingerprint\.CanonicalKey|gateway\.(HandlePacketSteadyState|PumpForward)|rf\.BankScan|sdn\.(FlowTableMatch|SwitchProcess10k/(internet|peer))|iotsentinel\.(ClassifySingle|TypeIdentification))$$
 
 bench-check:
 	$(GO) run ./cmd/benchreport -delta . -delta-gate '$(BENCH_GATE)'

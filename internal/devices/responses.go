@@ -54,8 +54,12 @@ func responseFor(pk *packet.Packet, gwMAC packet.MAC) *packet.Packet {
 		if msg.MsgType == packet.DHCPRequest {
 			reply.MsgType = packet.DHCPAck
 		}
+		payload, err := reply.Marshal()
+		if err != nil {
+			return nil
+		}
 		return packet.NewUDP(gwMAC, pk.SrcMAC, gatewayIP(), reply.YourIP,
-			packet.PortDHCPSrv, packet.PortDHCPCli, reply.Marshal())
+			packet.PortDHCPSrv, packet.PortDHCPCli, payload)
 	case pk.App == packet.AppDNS && pk.Transport == packet.TransportUDP:
 		q, err := packet.ParseDNS(pk.Payload)
 		if err != nil || len(q.Questions) == 0 {

@@ -343,14 +343,13 @@ func (n *Network) CPUUtilization() float64 {
 }
 
 // MemoryMB returns the modelled gateway memory consumption for the
-// current enforcement-rule count (Fig 6c), plus the measured Go-side
-// cache bytes.
+// current enforcement-rule count (Fig 6c), plus the rule cache's
+// estimated footprint (RuleCache.ApproxBytes).
 func (n *Network) MemoryMB() float64 {
 	rules := n.sw.Controller().Rules()
 	modelled := n.model.BaseMemoryMB + float64(rules.Len())*n.model.MemoryPerRuleKB/1024
 	if n.sw.Controller().Filtering() {
 		modelled += n.model.FilteringMemoryMB
 	}
-	measured := float64(rules.ApproxBytes()) / (1024 * 1024)
-	return modelled + measured
+	return modelled + float64(rules.ApproxBytes())/(1024*1024)
 }

@@ -104,25 +104,23 @@ func NewICMPEcho(srcMAC, dstMAC MAC, srcIP, dstIP netip.Addr, payloadLen int) *P
 }
 
 // NewDHCPDiscover builds the broadcast DHCP DISCOVER a device sends when
-// it first joins the network.
+// it first joins the network. A hostname DHCPMessage.Marshal refuses
+// gives a packet of Size 0 that Marshal refuses too.
 func NewDHCPDiscover(srcMAC MAC, xid uint32, hostname string) *Packet {
-	msg := DHCPMessage{
+	return newDHCP(&DHCPMessage{
 		Op:        1,
 		XID:       xid,
 		ClientMAC: srcMAC,
 		MsgType:   DHCPDiscover,
 		Hostname:  hostname,
 		ParamList: []uint8{1, 3, 6, 15},
-	}
-	return NewUDP(srcMAC, MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
-		netip.AddrFrom4([4]byte{0, 0, 0, 0}),
-		netip.AddrFrom4([4]byte{255, 255, 255, 255}),
-		PortDHCPCli, PortDHCPSrv, msg.Marshal())
+	})
 }
 
-// NewDHCPRequest builds the DHCP REQUEST confirming an offered address.
+// NewDHCPRequest builds the DHCP REQUEST confirming an offered address,
+// of Size 0 like NewDHCPDiscover for a hostname Marshal refuses.
 func NewDHCPRequest(srcMAC MAC, xid uint32, requested netip.Addr, hostname string) *Packet {
-	msg := DHCPMessage{
+	return newDHCP(&DHCPMessage{
 		Op:          1,
 		XID:         xid,
 		ClientMAC:   srcMAC,
@@ -130,11 +128,20 @@ func NewDHCPRequest(srcMAC MAC, xid uint32, requested netip.Addr, hostname strin
 		Hostname:    hostname,
 		RequestedIP: requested,
 		ParamList:   []uint8{1, 3, 6, 15},
+	})
+}
+
+// newDHCP is msg broadcast from its client. A message that does not
+// encode gives a packet with no link layer: Size 0, and Marshal fails.
+func newDHCP(msg *DHCPMessage) *Packet {
+	payload, err := msg.Marshal()
+	if err != nil {
+		return &Packet{SrcMAC: msg.ClientMAC}
 	}
-	return NewUDP(srcMAC, MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+	return NewUDP(msg.ClientMAC, MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 		netip.AddrFrom4([4]byte{0, 0, 0, 0}),
 		netip.AddrFrom4([4]byte{255, 255, 255, 255}),
-		PortDHCPCli, PortDHCPSrv, msg.Marshal())
+		PortDHCPCli, PortDHCPSrv, payload)
 }
 
 // NewDNSQuery builds a DNS A-record query to the given resolver.

@@ -49,8 +49,16 @@ type DHCPMessage struct {
 	ParamList   []uint8
 }
 
-// Marshal serializes the DHCP message to its RFC 2131 wire format.
-func (m *DHCPMessage) Marshal() []byte {
+// Marshal serializes the DHCP message to its RFC 2131 wire format. A
+// hostname or parameter list longer than an option's one-byte length
+// holds (255) is refused, not wrapped.
+func (m *DHCPMessage) Marshal() ([]byte, error) {
+	if len(m.Hostname) > 255 {
+		return nil, fmt.Errorf("marshal dhcp: hostname (option 12) of %d bytes exceeds 255", len(m.Hostname))
+	}
+	if len(m.ParamList) > 255 {
+		return nil, fmt.Errorf("marshal dhcp: parameter list (option 55) of %d bytes exceeds 255", len(m.ParamList))
+	}
 	// Fixed part, cookie, options 53, 12, 50 and 55 at their longest, end.
 	n := dhcpFixedLen + 4 + 3 + 2 + len(m.Hostname) + 6 + 2 + len(m.ParamList) + 1
 	buf := make([]byte, dhcpFixedLen, n)
@@ -82,7 +90,7 @@ func (m *DHCPMessage) Marshal() []byte {
 		buf = append(buf, m.ParamList...)
 	}
 	buf = append(buf, dhcpOptEnd)
-	return buf
+	return buf, nil
 }
 
 // ParseDHCP decodes a BOOTP/DHCP message from its wire format.

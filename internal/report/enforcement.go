@@ -2,6 +2,8 @@ package report
 
 import (
 	"fmt"
+	"net/netip"
+	"runtime"
 	"strings"
 	"time"
 
@@ -94,7 +96,7 @@ func Table6(o Options) (*Table6Result, error) {
 		}
 		lab.Ctrl.SetFiltering(filtering)
 		lab.Net.SetBackgroundFlows(100)
-		seedRules(lab, 100)
+		seedRules(lab.Cache, 100)
 		stat, err := lab.Net.MeasureLatency(src, dst, o.LatencyIterations)
 		if err != nil {
 			return netsim.LatencyStat{}, 0, 0, err
@@ -232,16 +234,31 @@ func (r *Fig6bResult) Render() string {
 
 // Fig6cResult is memory consumption vs enforcement rules.
 type Fig6cResult struct {
-	Rules   []int
+	Rules []int
+	// With and Without are the modelled gateway memory in MB (the
+	// paper's Java-stack constants plus MeasuredCacheBytes' estimate).
 	With    []float64
 	Without []float64
-	// MeasuredCacheBytes is the real Go-side rule-cache footprint at
-	// the largest rule count.
+	// MeasuredCacheBytes is, despite its name, an estimate:
+	// RuleCache.ApproxBytes at the largest rule count, which counts 96
+	// bytes a rule plus its strings and addresses.
 	MeasuredCacheBytes int
+	// RuleHeapBytes is measured: the live heap a rule cache of that many
+	// rules holds, after a collection, per rule.
+	RuleHeapBytes float64
+	// DeviceHeapBytes is measured: the live heap the switch keeps per
+	// resident device of residentFlows flows (its forwarding state and
+	// traffic counters), after a collection, over one device per rule.
+	DeviceHeapBytes float64
 }
 
+// residentFlows is the flows of a resident device in DeviceHeapBytes,
+// to three destinations.
+const residentFlows = 4
+
 // Fig6c sweeps the enforcement-rule count (0..20000) and reports
-// modelled gateway memory plus the measured cache footprint.
+// modelled gateway memory, the rule cache's estimated footprint, and the
+// heap that rules and resident devices are measured to hold.
 func Fig6c(o Options) (*Fig6cResult, error) {
 	o = o.normalize()
 	res := &Fig6cResult{}
@@ -256,7 +273,7 @@ func Fig6c(o Options) (*Fig6cResult, error) {
 		lab.Ctrl.SetFiltering(filtering)
 		installed := 0
 		for _, rules := range res.Rules {
-			seedRules(lab, rules-installed)
+			seedRules(lab.Cache, rules-installed)
 			installed = rules
 			mb := lab.Net.MemoryMB()
 			if filtering {
@@ -269,7 +286,47 @@ func Fig6c(o Options) (*Fig6cResult, error) {
 			res.MeasuredCacheBytes = lab.Cache.ApproxBytes()
 		}
 	}
+	n := res.Rules[len(res.Rules)-1]
+	res.RuleHeapBytes = heapGrowth(n, func() any {
+		c := sdn.NewRuleCache()
+		seedRules(c, n)
+		return c
+	})
+	sw := sdn.NewSwitch(sdn.NewController(sdn.NewRuleCache(), netip.Prefix{}), time.Minute)
+	res.DeviceHeapBytes = heapGrowth(n, func() any {
+		residentDevices(sw, n)
+		return sw
+	})
 	return res, nil
+}
+
+// heapGrowth is the live heap build leaves behind, a collection on
+// either side, per one of n.
+func heapGrowth(n int, build func() any) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(kept)
+	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+}
+
+// residentDevices sends n devices' first frames through sw, residentFlows
+// flows each: one frame, re-addressed, so the frames cost nothing.
+func residentDevices(sw *sdn.Switch, n int) {
+	pk := packet.NewTCPSyn(packet.MAC{}, packet.MAC{0x02, 0xcc, 0, 0, 0, 0xfe}, netip.Addr{}, netip.Addr{}, 0, 443)
+	now := time.Unix(0, 0)
+	for d := 0; d < n; d++ {
+		pk.SrcMAC = packet.MAC{0x02, 0xcd, byte(d >> 16), byte(d >> 8), byte(d), 0x7f}
+		pk.SrcIP = netip.AddrFrom4([4]byte{10, byte(d >> 16), byte(d >> 8), byte(d)})
+		for f := 0; f < residentFlows; f++ {
+			pk.DstIP = netip.AddrFrom4([4]byte{52, 20, byte(f % 3), 1})
+			pk.SrcPort = uint16(40000 + f)
+			sw.Process(pk, now)
+		}
+	}
 }
 
 // Render formats the Fig 6c series.
@@ -280,18 +337,25 @@ func (r *Fig6cResult) Render() string {
 	for i, rules := range r.Rules {
 		fmt.Fprintf(&b, "%8d %14.1f %14.1f\n", rules, r.With[i], r.Without[i])
 	}
-	fmt.Fprintf(&b, "\nmeasured Go rule-cache footprint at 20000 rules: %.2f MB\n",
-		float64(r.MeasuredCacheBytes)/(1024*1024))
+	n := r.Rules[len(r.Rules)-1]
+	fmt.Fprintf(&b, "\nGo rule cache at %d rules:\n", n)
+	fmt.Fprintf(&b, "  estimated (RuleCache.ApproxBytes)  %6.2f MB  %4.0f B a rule\n",
+		float64(r.MeasuredCacheBytes)/(1024*1024), float64(r.MeasuredCacheBytes)/float64(n))
+	fmt.Fprintf(&b, "  measured heap growth after GC      %6.2f MB  %4.0f B a rule\n",
+		r.RuleHeapBytes*float64(n)/(1024*1024), r.RuleHeapBytes)
+	fmt.Fprintf(&b, "Switch forwarding state, measured heap growth after GC:\n")
+	fmt.Fprintf(&b, "  %.0f B a resident device of %d flows (%.2f MB for %d devices)\n",
+		r.DeviceHeapBytes, residentFlows, r.DeviceHeapBytes*float64(n)/(1024*1024), n)
 	return b.String()
 }
 
 // seedRules installs n additional synthetic enforcement rules.
-func seedRules(lab *netsim.Lab, n int) {
-	base := lab.Cache.Len()
+func seedRules(c *sdn.RuleCache, n int) {
+	base := c.Len()
 	for i := 0; i < n; i++ {
 		k := base + i
 		mac := packet.MAC{0x02, 0xcc, byte(k >> 16), byte(k >> 8), byte(k), 0x7f}
-		lab.Cache.Put(&sdn.EnforcementRule{
+		c.Put(&sdn.EnforcementRule{
 			DeviceMAC:  mac,
 			Level:      sdn.Strict,
 			DeviceType: "synthetic-device",

@@ -316,3 +316,24 @@ func TestTradeoff(t *testing.T) {
 		t.Error("render missing header")
 	}
 }
+
+// TestFig6cMeasuresHeap: next to the rule cache's estimate, Fig 6c
+// measures the heap a rule and a resident device hold.
+func TestFig6cMeasuresHeap(t *testing.T) {
+	res, err := Fig6c(smallOpts())
+	if err != nil {
+		t.Fatalf("Fig6c: %v", err)
+	}
+	if res.RuleHeapBytes <= 0 || res.RuleHeapBytes > 1024 {
+		t.Errorf("measured %.0f B a rule", res.RuleHeapBytes)
+	}
+	if res.DeviceHeapBytes <= 0 || res.DeviceHeapBytes > 2048 {
+		t.Errorf("measured %.0f B a resident device", res.DeviceHeapBytes)
+	}
+	out := res.Render()
+	for _, want := range []string{"estimated (RuleCache.ApproxBytes)", "measured heap growth after GC", "resident device of 4 flows"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render lacks %q:\n%s", want, out)
+		}
+	}
+}

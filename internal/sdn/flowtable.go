@@ -29,32 +29,47 @@ func (a Action) String() string {
 }
 
 // FlowEntry is one installed micro-flow as Entry reports it: an
-// exact-match key plus the action the controller decided.
+// exact-match key plus the action the controller decided. Traffic is
+// counted per device (DeviceStats), not per flow.
 type FlowEntry struct {
 	Key      packet.FlowKey
 	Action   Action
-	Packets  uint64
-	Bytes    uint64
-	Created  time.Time
 	LastUsed time.Time
 }
 
-// entry is a FlowEntry as a port holds it, in 128 bytes: timestamps as
+// entry is a FlowEntry as a port holds it, in 80 bytes: the key without
+// its source MAC (the port's), the transport in a byte, the last use as
 // Unix nanoseconds (the LRU scan compares 64 of them), the action in a
-// byte.
+// byte. find compares it field by field against the packet's FlowKey.
 type entry struct {
-	key      packet.FlowKey
-	packets  uint64
-	bytes    uint64
-	created  int64
-	lastUsed int64
+	srcIP, dstIP netip.Addr
+	lastUsed     int64
 	// peer marks a decision that read the destination's rule, dstRule
 	// (nil: it had none): a hit only while the rule cache still holds
 	// exactly that pointer for the destination. Put stores a fresh copy
 	// per put, so the pointer is the rule's identity (DESIGN §10).
-	dstRule *EnforcementRule
-	peer    bool
-	action  uint8
+	dstRule                     *EnforcementRule
+	dstMAC                      packet.MAC
+	srcPort, dstPort, ethertype uint16
+	proto                       uint8
+	peer                        bool
+	action                      uint8
+}
+
+func entryFor(k *packet.FlowKey, act Action, on basis, now int64) entry {
+	return entry{
+		srcIP: k.SrcIP, dstIP: k.DstIP, lastUsed: now, dstRule: on.dst, dstMAC: k.DstMAC,
+		srcPort: k.SrcPort, dstPort: k.DstPort, ethertype: k.Ethertype,
+		proto: uint8(k.Proto), peer: on.peer, action: uint8(act),
+	}
+}
+
+// key is the entry's FlowKey, src being its port's MAC.
+func (f *entry) key(src packet.MAC) packet.FlowKey {
+	return packet.FlowKey{
+		SrcMAC: src, DstMAC: f.dstMAC, SrcIP: f.srcIP, DstIP: f.dstIP, Proto: packet.TransportProto(f.proto),
+		SrcPort: f.srcPort, DstPort: f.dstPort, Ethertype: f.ethertype,
+	}
 }
 
 // The ports are striped over portStripes locks (a power of two), and a
@@ -64,13 +79,52 @@ const portStripes, portFlows = 64, 64
 
 // port is what the switch keeps per source MAC: the device's flows,
 // scanned linearly, and the traffic counters of the controller's
-// monitoring module (Sect. V). dsts is the set behind
-// DeviceStats.Destinations; a new destination address is a new flow key,
-// so only the miss path touches it.
+// monitoring module (Sect. V), its timestamps as Unix nanoseconds. dsts
+// is the set behind DeviceStats.Destinations; a new destination address
+// is a new flow key, so only the miss path touches it.
 type port struct {
-	flows []entry
-	stats DeviceStats
-	dsts  map[netip.Addr]struct{}
+	flows                   []entry
+	mac                     packet.MAC
+	packets, bytes, dropped uint64
+	firstSeen, lastSeen     int64
+	dsts                    dstSet
+}
+
+// dstInline is how many destinations a port holds inline, scanned
+// linearly, before later ones spill to a map: a device pays for no map
+// until it has more, and one contacting thousands stays O(1) a miss.
+const dstInline = 4
+
+// dstSet is a set of destination addresses: the first dstInline in
+// inline, the rest in spill.
+type dstSet struct {
+	inline [dstInline]netip.Addr
+	spill  map[netip.Addr]struct{}
+}
+
+func (s *dstSet) add(a netip.Addr) {
+	for i := range s.inline {
+		switch s.inline[i] {
+		case a:
+			return
+		case netip.Addr{}:
+			s.inline[i] = a
+			return
+		}
+	}
+	if s.spill == nil {
+		s.spill = make(map[netip.Addr]struct{})
+	}
+	s.spill[a] = struct{}{}
+}
+
+func (s *dstSet) len() int {
+	for i, a := range s.inline {
+		if !a.IsValid() {
+			return i
+		}
+	}
+	return dstInline + len(s.spill)
 }
 
 type portStripe struct {
@@ -119,23 +173,23 @@ func (t *FlowTable) stripe(k macKey) *portStripe {
 }
 
 // port returns mac's port, opening it at its first frame.
-func (st *portStripe) port(mac packet.MAC, now time.Time) *port {
+func (st *portStripe) port(mac packet.MAC, now int64) *port {
 	k := keyOf(mac)
 	p := st.ports[k]
 	if p == nil {
-		p = &port{stats: DeviceStats{MAC: mac, FirstSeen: now}, dsts: make(map[netip.Addr]struct{})}
+		p = &port{mac: mac, firstSeen: now}
 		st.ports[k] = p
 	}
 	return p
 }
 
 // find scans for k's flow, discriminating fields first; the source MAC
-// is the port's.
+// is the port's. A transport past the stored byte matches nothing.
 func (p *port) find(k *packet.FlowKey) *entry {
 	for i := range p.flows {
-		if f := &p.flows[i].key; f.DstPort == k.DstPort && f.SrcPort == k.SrcPort && f.DstIP == k.DstIP &&
-			f.DstMAC == k.DstMAC && f.Proto == k.Proto && f.SrcIP == k.SrcIP && f.Ethertype == k.Ethertype {
-			return &p.flows[i]
+		if f := &p.flows[i]; f.dstPort == k.DstPort && f.srcPort == k.SrcPort && f.dstIP == k.DstIP &&
+			f.dstMAC == k.DstMAC && packet.TransportProto(f.proto) == k.Proto && f.srcIP == k.SrcIP && f.ethertype == k.Ethertype {
+			return f
 		}
 	}
 	return nil
@@ -148,6 +202,11 @@ func (t *FlowTable) put(st *portStripe, p *port, k *packet.FlowKey, act Action, 
 	switch {
 	case f != nil:
 	case len(p.flows) < portFlows:
+		if n := cap(p.flows); len(p.flows) == n {
+			// Half again, where append would double: a device of five
+			// or six flows keeps 480 bytes of them, not 640.
+			p.flows = append(make([]entry, 0, min(portFlows, n+max(1, n/2))), p.flows...)
+		}
 		p.flows = append(p.flows, entry{})
 		f = &p.flows[len(p.flows)-1]
 		st.flows++
@@ -160,15 +219,16 @@ func (t *FlowTable) put(st *portStripe, p *port, k *packet.FlowKey, act Action, 
 		}
 		t.metrics.Load().evicted(evictBound, 1)
 	}
-	*f = entry{key: *k, action: uint8(act), created: now, lastUsed: now, peer: on.peer, dstRule: on.dst}
+	*f = entryFor(k, act, on, now)
 }
 
 // Install adds or replaces the entry for key. A device at its bound of
 // 64 flows has its least-recently-used one replaced.
 func (t *FlowTable) Install(key packet.FlowKey, action Action, now time.Time) {
 	st := t.stripe(keyOf(key.SrcMAC))
+	ns := now.UnixNano()
 	st.mu.Lock()
-	t.put(st, st.port(key.SrcMAC, now), &key, action, basis{}, now.UnixNano())
+	t.put(st, st.port(key.SrcMAC, ns), &key, action, basis{}, ns)
 	st.mu.Unlock()
 }
 
@@ -179,45 +239,47 @@ func (t *FlowTable) Install(key packet.FlowKey, action Action, now time.Time) {
 // meant for it. The frame keeps its verdict either way.
 func (t *FlowTable) admit(k *packet.FlowKey, act Action, on basis, size int, now time.Time) {
 	st := t.stripe(keyOf(k.SrcMAC))
+	ns := now.UnixNano()
 	st.mu.Lock()
-	p := st.port(k.SrcMAC, now)
-	p.count(size, act, now)
+	p := st.port(k.SrcMAC, ns)
+	p.count(size, act, ns)
 	if k.DstIP.IsValid() {
-		p.dsts[k.DstIP] = struct{}{}
+		p.dsts.add(k.DstIP)
 	}
 	if t.rules.peek(k.SrcMAC) == on.src {
-		t.put(st, p, k, act, on, now.UnixNano())
+		t.put(st, p, k, act, on, ns)
 	}
 	st.mu.Unlock()
 }
 
-func (p *port) count(size int, act Action, now time.Time) {
-	p.stats.Packets++
-	p.stats.Bytes += uint64(size)
-	p.stats.LastSeen = now
+func (p *port) count(size int, act Action, now int64) {
+	p.packets++
+	p.bytes += uint64(size)
+	p.lastSeen = now
 	if act == ActionDrop {
-		p.stats.Dropped++
+		p.dropped++
 	}
 }
 
-// Match looks up the flow for key and, on a hit, updates its counters.
+// Match looks up the flow for key and, on a hit, counts the frame
+// against its source device.
 func (t *FlowTable) Match(key packet.FlowKey, size int, now time.Time) (Action, bool) {
 	return t.match(&key, size, now)
 }
 
 // match is the forward path: one stripe lock, one lookup, a scan of the
-// device's flows, the flow's and the device's counters in the same hold.
+// device's flows, the flow's last use and the device's counters in the
+// same hold.
 func (t *FlowTable) match(k *packet.FlowKey, size int, now time.Time) (Action, bool) {
 	src := keyOf(k.SrcMAC)
 	st := t.stripe(src)
+	ns := now.UnixNano()
 	st.mu.Lock()
 	if p := st.ports[src]; p != nil {
 		if f := p.find(k); f != nil && (!f.peer || t.rules.peek(k.DstMAC) == f.dstRule) {
-			f.packets++
-			f.bytes += uint64(size)
-			f.lastUsed = now.UnixNano()
+			f.lastUsed = ns
 			act := Action(f.action)
-			p.count(size, act, now)
+			p.count(size, act, ns)
 			st.mu.Unlock()
 			return act, true
 		}
@@ -293,10 +355,7 @@ func (t *FlowTable) Entry(key packet.FlowKey) (FlowEntry, bool) {
 	defer st.mu.Unlock()
 	if p := st.ports[src]; p != nil {
 		if f := p.find(&key); f != nil {
-			return FlowEntry{
-				Key: f.key, Action: Action(f.action), Packets: f.packets, Bytes: f.bytes,
-				Created: time.Unix(0, f.created), LastUsed: time.Unix(0, f.lastUsed),
-			}, true
+			return FlowEntry{Key: f.key(p.mac), Action: Action(f.action), LastUsed: time.Unix(0, f.lastUsed)}, true
 		}
 	}
 	return FlowEntry{}, false

@@ -36,17 +36,15 @@ func (t *scanTable) install(key packet.FlowKey, action Action, now time.Time) (b
 			delete(t.entries, lruKey)
 		}
 	}
-	t.entries[key] = &FlowEntry{Key: key, Action: action, Created: now, LastUsed: now}
+	t.entries[key] = &FlowEntry{Key: key, Action: action, LastUsed: now}
 	return bound
 }
 
-func (t *scanTable) match(key packet.FlowKey, size int, now time.Time) (Action, bool) {
+func (t *scanTable) match(key packet.FlowKey, _ int, now time.Time) (Action, bool) {
 	e, ok := t.entries[key]
 	if !ok {
 		return 0, false
 	}
-	e.Packets++
-	e.Bytes += uint64(size)
 	e.LastUsed = now
 	return e.Action, true
 }

@@ -249,7 +249,8 @@ func TestFlowTableExpiry(t *testing.T) {
 }
 
 func TestFlowEntryCounters(t *testing.T) {
-	ft := NewFlowTable(0)
+	sw := NewSwitch(newTestController(), 0)
+	ft := sw.Table()
 	if ft.IdleTimeout != 30*time.Second {
 		t.Errorf("default idle timeout = %v", ft.IdleTimeout)
 	}
@@ -262,8 +263,8 @@ func TestFlowEntryCounters(t *testing.T) {
 	if !ok {
 		t.Fatal("entry missing")
 	}
-	if e.Packets != 2 || e.Bytes != 300 {
-		t.Errorf("counters = %d pkts / %d bytes", e.Packets, e.Bytes)
+	if ds, _ := sw.Device(devA); ds.Packets != 2 || ds.Bytes != 300 || !ds.LastSeen.Equal(now.Add(2*time.Second)) {
+		t.Errorf("device counters = %d pkts / %d bytes, last seen %v", ds.Packets, ds.Bytes, ds.LastSeen)
 	}
 	if !e.LastUsed.Equal(now.Add(2 * time.Second)) {
 		t.Errorf("LastUsed = %v", e.LastUsed)
@@ -443,7 +444,7 @@ func TestFlowTableCapacityEviction(t *testing.T) {
 			t.Errorf("devA flow %d evicted", i)
 		}
 	}
-	if e, ok := ft.Entry(key(devC, 0)); !ok || !e.Created.Equal(base) {
+	if e, ok := ft.Entry(key(devC, 0)); !ok || !e.LastUsed.Equal(base) {
 		t.Error("another device's older flow evicted")
 	}
 	// Reinstalling an existing key at the bound must not evict anyone.

@@ -344,9 +344,11 @@ func (s *Switch) Device(mac packet.MAC) (DeviceStats, bool) {
 }
 
 func (p *port) snapshot() DeviceStats {
-	ds := p.stats
-	ds.Destinations = len(p.dsts)
-	return ds
+	return DeviceStats{
+		MAC: p.mac, Packets: p.packets, Bytes: p.bytes, Dropped: p.dropped,
+		FirstSeen: time.Unix(0, p.firstSeen), LastSeen: time.Unix(0, p.lastSeen),
+		Destinations: p.dsts.len(),
+	}
 }
 
 // TopTalkers returns up to n devices ordered by descending byte count
