@@ -139,10 +139,17 @@ crash:
 # suite plus the e2e canary-rollout-under-faults and half-open-peer
 # scenarios, pinned to CHAOS_SEED so a red run reproduces exactly, and
 # under the race detector: an interleaving is what these suites are
-# for, and it is where the rollout's ack/counters race showed.
+# for, and it is where the rollout's ack/counters race showed. Then the
+# gateway's interleaving tests — Close racing finishing captures, the
+# sharded hammer, verdicts for departed and rejoined devices, a removal
+# racing a rejoin, racing quarantine drains — ten times each under the
+# race detector, since one run of a race shows only one of its
+# interleavings.
+GATEWAY_INTERLEAVINGS = TestCloseRacingFinishingCaptures|TestShardedGatewayRaceHammer|TestConcurrentGatewayOperations|TestVerdictForDepartedDeviceIsDropped|TestRetryQuarantinedConcurrentDrainsPromoteOnce|TestRejoinTakesItsOwnVerdict|TestRemovalSparesRejoinedRule
 chaos:
 	@echo "chaos: CHAOS_SEED=$(CHAOS_SEED)"
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestChaos' ./internal/chaos/ ./internal/fleet/
+	$(GO) test -race -count=10 -run '^($(GATEWAY_INTERLEAVINGS))$$' ./internal/gateway/
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -69,8 +69,8 @@ func TestCloseRacingFinishingCaptures(t *testing.T) {
 		stranded := 0
 		for _, s := range g.shards {
 			s.mu.Lock()
-			for key, info := range s.devices {
-				if info.State == StateMonitoring && s.captures[key] == nil {
+			for _, rec := range s.devices {
+				if rec.info.State == StateMonitoring && rec.cap == nil {
 					stranded++
 				}
 			}
@@ -79,5 +79,6 @@ func TestCloseRacingFinishingCaptures(t *testing.T) {
 		if stranded > 0 {
 			t.Fatalf("round %d: %d devices left monitoring with no capture after Close", round, stranded)
 		}
+		checkRecords(t, g)
 	}
 }

@@ -186,15 +186,18 @@ func TestCachedServiceDifferentialIdentical(t *testing.T) {
 	}
 }
 
-// TestMacKeyRoundTrip: the shard maps' word key is injective on MACs
-// and mac() inverts it, so a sweep over a map recovers each device's MAC.
+// TestMacKeyRoundTrip: the shard map's word key is injective on MACs —
+// mac inverts it.
 func TestMacKeyRoundTrip(t *testing.T) {
+	mac := func(k macKey) packet.MAC {
+		return packet.MAC{byte(k >> 40), byte(k >> 32), byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
+	}
 	seen := make(map[macKey]packet.MAC)
 	for _, m := range []packet.MAC{{}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, {0x02, 0xd0, 0, 0, 0, 1},
 		{1, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 1}, {0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc}} {
 		k := keyOf(m)
-		if k.mac() != m {
-			t.Errorf("keyOf(%v).mac() = %v", m, k.mac())
+		if mac(k) != m {
+			t.Errorf("keyOf(%v) unpacks to %v", m, mac(k))
 		}
 		if prev, dup := seen[k]; dup {
 			t.Errorf("%v and %v share key %#x", prev, m, uint64(k))

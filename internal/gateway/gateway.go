@@ -10,7 +10,6 @@ import (
 	"net/netip"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -143,7 +142,8 @@ type Config struct {
 	LearnState func() *store.LearnState
 }
 
-// quarantined is one parked fingerprint awaiting a retry.
+// quarantined is one parked fingerprint awaiting a retry. Its owner's
+// device record holds it, and its owner's shard lock guards it.
 type quarantined struct {
 	fp    fingerprint.Fingerprint
 	since time.Time
@@ -155,8 +155,7 @@ type quarantined struct {
 }
 
 // Gateway is the Security Gateway. Per-device state is striped across
-// Config.Shards locks (see shard.go); the quarantine queue is global
-// under its own mutex, locked only after any shard lock.
+// Config.Shards locks (see shard.go).
 type Gateway struct {
 	cfg      Config
 	assessor iotssp.Assessor
@@ -165,9 +164,8 @@ type Gateway struct {
 	shards    []*shard
 	shardMask uint32
 
-	// qmu guards quarantine. Lock order: shard.mu → qmu.
-	qmu        sync.Mutex
-	quarantine map[packet.MAC]*quarantined
+	// parked counts the records holding a parked fingerprint, all shards.
+	parked atomic.Int64
 
 	// async, when non-nil, is the off-path assessment pipeline
 	// (Config.AssessQueue > 0). Close swaps it to nil; a capture that
@@ -184,12 +182,11 @@ type Gateway struct {
 func New(assessor iotssp.Assessor, sw *sdn.Switch, cfg Config) *Gateway {
 	n := shardCount(cfg.Shards)
 	g := &Gateway{
-		cfg:        cfg,
-		assessor:   assessor,
-		sw:         sw,
-		shards:     make([]*shard, n),
-		shardMask:  uint32(n - 1),
-		quarantine: make(map[packet.MAC]*quarantined),
+		cfg:       cfg,
+		assessor:  assessor,
+		sw:        sw,
+		shards:    make([]*shard, n),
+		shardMask: uint32(n - 1),
 	}
 	for i := range g.shards {
 		g.shards[i] = newShard()
@@ -237,11 +234,13 @@ func (g *Gateway) HandlePacket(ts time.Time, pk *packet.Packet) (sdn.Action, err
 func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Packet) (sdn.Action, error) {
 	key := keyOf(pk.SrcMAC)
 	s.mu.Lock()
-	info := s.devices[key]
-	if info == nil && !pk.SrcMAC.IsMulticast() {
-		info = &DeviceInfo{MAC: pk.SrcMAC, State: StateMonitoring, FirstSeen: ts}
-		s.devices[key] = info
-		s.captures[key] = fingerprint.NewSetupCapture(g.cfg.IdleGap, 0)
+	rec := s.devices[key]
+	if rec == nil && !pk.SrcMAC.IsMulticast() {
+		rec = &device{
+			info: DeviceInfo{MAC: pk.SrcMAC, State: StateMonitoring, FirstSeen: ts},
+			cap:  fingerprint.NewSetupCapture(g.cfg.IdleGap, 0),
+		}
+		s.devices[key] = rec
 		g.cfg.Metrics.stateChange(0, StateMonitoring)
 		g.cfg.Metrics.captureOpened()
 		g.record(store.Event{Kind: store.EvCaptureStarted, MAC: pk.SrcMAC, At: ts, FirstSeen: ts})
@@ -254,26 +253,22 @@ func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Pa
 			}
 		}
 	}
-	if info == nil || info.State != StateMonitoring {
+	if rec == nil || rec.info.State != StateMonitoring {
 		// Assessed or quarantined — every frame of a device's life
 		// after its first seconds — or a multicast source, which never
 		// becomes a device: one lock hold, then enforcement.
 		s.mu.Unlock()
 		return g.sw.Process(pk, ts), nil
 	}
-	// Monitoring. The capture can be gone while the state is still
-	// monitoring: a concurrent FinishSetup or capture sweep claimed it
-	// (or the assessment queue holds it) and the result has not been
-	// applied yet. Skip observation instead of nil-dereferencing the
-	// capture.
+	// Monitoring. Between the claim of its capture and its verdict a
+	// device's frames are forwarded unobserved.
 	var finished *fingerprint.SetupCapture
-	if cap := s.captures[key]; cap != nil {
+	if cap := rec.cap; cap != nil {
 		if done := cap.Observe(ts, pk); done {
-			finished = cap
-			delete(s.captures, key)
+			finished, rec.cap = cap, nil
 			g.cfg.Metrics.captureCompleted(triggerPacket)
 		}
-		info.SetupPackets = cap.Len()
+		rec.info.SetupPackets = cap.Len()
 	}
 	s.mu.Unlock()
 
@@ -282,7 +277,7 @@ func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Pa
 		// (and the fingerprint) completes.
 		return sdn.ActionForward, nil
 	}
-	job := assessJob{mac: pk.SrcMAC, cap: finished, ts: ts}
+	job := assessJob{owner: rec, cap: finished, ts: ts}
 	a := g.async.Load()
 	if a != nil {
 		// Off-path identification: park the fingerprint on the
@@ -296,7 +291,7 @@ func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Pa
 		job.assess(g)
 	}
 	s.mu.Lock()
-	monitoring := info.State == StateMonitoring
+	monitoring := rec.info.State == StateMonitoring
 	s.mu.Unlock()
 	if !monitoring {
 		return g.sw.Process(pk, ts), nil
@@ -322,17 +317,17 @@ func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Pa
 func (g *Gateway) FinishSetup(mac packet.MAC, now time.Time) error {
 	s := g.shardOf(mac)
 	s.mu.Lock()
-	key := keyOf(mac)
-	cap, ok := s.captures[key]
-	if ok {
-		delete(s.captures, key)
+	rec := s.devices[keyOf(mac)]
+	var cap *fingerprint.SetupCapture
+	if rec != nil {
+		cap, rec.cap = rec.cap, nil
 	}
 	s.mu.Unlock()
-	if !ok {
+	if cap == nil {
 		return fmt.Errorf("gateway: device %v is not being monitored", mac)
 	}
 	g.cfg.Metrics.captureCompleted(triggerForced)
-	assessJob{mac: mac, cap: cap, ts: now}.assess(g)
+	assessJob{owner: rec, cap: cap, ts: now}.assess(g)
 	return nil
 }
 
@@ -364,37 +359,69 @@ func (g *Gateway) finishCaptures(now time.Time, trigger captureTrigger, done fun
 	var jobs []assessJob
 	for _, s := range g.shards {
 		s.mu.Lock()
-		for key, cap := range s.captures {
-			if done(cap) {
-				jobs = append(jobs, assessJob{mac: key.mac(), cap: cap, ts: now})
-				delete(s.captures, key)
+		for _, rec := range s.devices {
+			if rec.cap != nil && done(rec.cap) {
+				jobs = append(jobs, assessJob{owner: rec, cap: rec.cap, ts: now})
+				rec.cap = nil
 				g.cfg.Metrics.captureCompleted(trigger)
 			}
 		}
 		s.mu.Unlock()
 	}
-	slices.SortFunc(jobs, func(a, b assessJob) int { return a.mac.Compare(b.mac) })
+	slices.SortFunc(jobs, func(a, b assessJob) int { return a.owner.info.MAC.Compare(b.owner.info.MAC) })
 	for _, job := range jobs {
 		job.assess(g)
 	}
 	return len(jobs)
 }
 
+// lockOwner locks owner's shard and returns it while the MAC still maps
+// to owner and owner holds parked (nil for a capture's verdict: only
+// that verdict parks an incarnation). Otherwise it returns nil, unlocked:
+// the verdict is for an incarnation that left or was already promoted.
+func (g *Gateway) lockOwner(owner *device, parked *quarantined) *shard {
+	s := g.shardOf(owner.info.MAC)
+	s.mu.Lock()
+	if s.devices[keyOf(owner.info.MAC)] != owner || owner.parked != parked {
+		s.mu.Unlock()
+		return nil
+	}
+	return s
+}
+
+// setParked replaces rec's parked fingerprint with q (nil unparks it)
+// and keeps the count; a new entry past maxQuarantined is refused. The
+// caller holds rec's shard lock.
+func (g *Gateway) setParked(rec *device, q *quarantined) bool {
+	d := int64(0)
+	if q != nil {
+		d++
+	}
+	if rec.parked != nil {
+		d--
+	}
+	if g.parked.Add(d) > maxQuarantined {
+		g.parked.Add(-d)
+		return false
+	}
+	rec.parked = q
+	g.cfg.Metrics.quarantineDepthAdd(d)
+	return true
+}
+
 // quarantineDevice isolates a device whose assessment failed: a strict
 // fail-closed rule replaces whatever was installed, the device enters
 // StateQuarantined, and its fingerprint is parked (queue permitting)
-// for the retry worker to drain once the service recovers. A device
-// that left while the assessment was in flight stays gone (see apply).
-func (g *Gateway) quarantineDevice(mac packet.MAC, fp *fingerprint.Fingerprint, now time.Time, cause error) {
-	s := g.shardOf(mac)
-	s.mu.Lock()
-	info := s.devices[keyOf(mac)]
-	if info == nil {
-		s.mu.Unlock()
+// for the retry worker to drain once the service recovers. Like apply,
+// it acts only on the incarnation the failed capture came from.
+func (g *Gateway) quarantineDevice(owner *device, fp *fingerprint.Fingerprint, now time.Time, cause error) {
+	s := g.lockOwner(owner, nil)
+	if s == nil {
 		return
 	}
-	g.sw.Controller().Quarantine(mac)
-	g.sw.InvalidateDevice(mac)
+	info := &owner.info
+	g.sw.Controller().Quarantine(info.MAC)
+	g.sw.InvalidateDevice(info.MAC)
 	g.cfg.Metrics.stateChange(info.State, StateQuarantined)
 	info.State = StateQuarantined
 	info.Level = sdn.Strict
@@ -407,24 +434,18 @@ func (g *Gateway) quarantineDevice(mac packet.MAC, fp *fingerprint.Fingerprint, 
 	// the fsync is waited for below, with the shard lock released.
 	seq := g.record(store.Event{
 		Kind:         store.EvQuarantined,
-		MAC:          mac,
+		MAC:          info.MAC,
 		At:           now,
 		FirstSeen:    info.FirstSeen,
 		Attempts:     info.AssessAttempts,
 		SetupPackets: info.SetupPackets,
 		Fingerprint:  fp.F,
 	})
-	g.qmu.Lock()
-	q := g.quarantine[mac]
-	if q != nil {
-		q.fp, q.acked = *fp, false
-	} else if len(g.quarantine) < maxQuarantined {
-		q = &quarantined{fp: *fp, since: now}
-		g.quarantine[mac] = q
+	q := &quarantined{fp: *fp, since: now}
+	if !g.setParked(owner, q) {
+		q = nil
 	}
 	g.cfg.Metrics.incAssess(false)
-	g.cfg.Metrics.setQuarantineDepth(len(g.quarantine))
-	g.qmu.Unlock()
 	snapshot := *info
 	s.mu.Unlock()
 
@@ -433,9 +454,9 @@ func (g *Gateway) quarantineDevice(mac packet.MAC, fp *fingerprint.Fingerprint, 
 		g.cfg.OnQuarantined(snapshot, cause)
 	}
 	if q != nil {
-		g.qmu.Lock()
+		s.mu.Lock()
 		q.acked = true
-		g.qmu.Unlock()
+		s.mu.Unlock()
 	}
 }
 
@@ -445,11 +466,7 @@ func (g *Gateway) quarantineDevice(mac packet.MAC, fp *fingerprint.Fingerprint, 
 const maxQuarantined = 1024
 
 // QuarantineLen returns the number of fingerprints parked for retry.
-func (g *Gateway) QuarantineLen() int {
-	g.qmu.Lock()
-	defer g.qmu.Unlock()
-	return len(g.quarantine)
-}
+func (g *Gateway) QuarantineLen() int { return int(g.parked.Load()) }
 
 // RetryQuarantined re-submits parked fingerprints to the security
 // service in MAC order, promoting each device to its assessed state on
@@ -458,80 +475,65 @@ func (g *Gateway) QuarantineLen() int {
 // the rest of the queue would only burn backoff budget. It returns the
 // number of devices promoted and the error that stopped the drain.
 func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
-	g.qmu.Lock()
-	macs := make([]packet.MAC, 0, len(g.quarantine))
-	for mac, q := range g.quarantine {
-		if q.acked {
-			macs = append(macs, mac)
+	type retry struct {
+		owner *device
+		entry *quarantined
+	}
+	var due []retry
+	for _, s := range g.shards {
+		s.mu.Lock()
+		for _, rec := range s.devices {
+			if q := rec.parked; q != nil && q.acked {
+				due = append(due, retry{rec, q})
+			}
 		}
+		s.mu.Unlock()
 	}
-	slices.SortFunc(macs, packet.MAC.Compare)
-	entries := make([]*quarantined, len(macs))
-	fps := make([]fingerprint.Fingerprint, len(macs))
-	for i, mac := range macs {
-		entries[i] = g.quarantine[mac]
-		fps[i] = entries[i].fp
-	}
-	g.qmu.Unlock()
+	slices.SortFunc(due, func(a, b retry) int { return a.owner.info.MAC.Compare(b.owner.info.MAC) })
 
 	promoted := 0
-	for i, mac := range macs {
-		a, err := g.assessor.Assess(fps[i])
+	for _, r := range due {
+		a, err := g.assessor.Assess(r.entry.fp)
 		if err != nil {
 			g.cfg.Metrics.incRetry(false)
-			s := g.shardOf(mac)
-			s.mu.Lock()
-			if info := s.devices[keyOf(mac)]; info != nil && info.State == StateQuarantined {
-				info.AssessAttempts++
+			if s := g.lockOwner(r.owner, r.entry); s != nil {
+				r.owner.info.AssessAttempts++
+				s.mu.Unlock()
 			}
-			s.mu.Unlock()
 			return promoted, err
 		}
-		// Claim the entry before applying: whoever takes it out of the
-		// queue promotes the device, so a parallel drain holding an
-		// assessment for the same entry skips it, as does one whose
-		// entry RemoveDevice (or a removal and re-quarantine) replaced.
-		g.qmu.Lock()
-		claimed := g.quarantine[mac] == entries[i]
-		if claimed {
-			delete(g.quarantine, mac)
+		// apply claims the entry: a parallel drain holding a verdict for
+		// it, or for an owner RemoveDevice dropped, applies nothing.
+		if g.apply(r.owner, r.entry, a, &r.entry.fp, now) {
+			g.cfg.Metrics.incRetry(true)
+			promoted++
 		}
-		g.qmu.Unlock()
-		if !claimed {
-			continue
-		}
-		g.apply(mac, a, &fps[i], now)
-		g.cfg.Metrics.incRetry(true)
-		promoted++
 	}
 	return promoted, nil
 }
 
 // apply installs the enforcement rule for one assessment and fires the
-// gateway callbacks. fp is the fingerprint the assessment answered,
-// threaded through so an unrecognized device can hand its evidence to
-// the online learner.
+// gateway callbacks, and reports whether it did. fp is the fingerprint
+// the assessment answered, threaded through so an unrecognized device
+// can hand its evidence to the online learner; parked is the entry it
+// came from on a retry, nil for a capture's first verdict.
 //
-// The verdict is for the device that was there when the assessment
-// began. Over the remote call that is a round trip ago — Timeout ×
-// attempts ago when the service is down — and RemoveDevice may have
-// landed since: then the verdict is dropped, with no state, rule,
-// journal record or callback, instead of resurrecting the device. The
+// The verdict is for the incarnation whose fingerprint it answered, and
+// over the remote call that was a round trip ago — Timeout × attempts
+// ago when the service is down. If RemoveDevice landed since, or the
+// device left and rejoined as a new record, the verdict is dropped (see
+// lockOwner): no state, rule, journal record, callback or metric. The
 // rule goes in under the shard lock (order: shard.mu → rule cache, flow
 // table; nothing takes them the other way round — Switch.Process runs
 // after the shard unlock), so a RemoveDevice that finds the device evicts
-// its rule after this put, never before it. A device that left *and
-// rejoined* inside one in-flight call still takes the old incarnation's
-// verdict: telling the two apart needs an incarnation identity, which is
-// ROADMAP item 2's.
-func (g *Gateway) apply(mac packet.MAC, a iotssp.Assessment, fp *fingerprint.Fingerprint, now time.Time) {
-	s := g.shardOf(mac)
-	s.mu.Lock()
-	info := s.devices[keyOf(mac)]
-	if info == nil {
-		s.mu.Unlock()
-		return
+// its rule after this put, never before it.
+func (g *Gateway) apply(owner *device, parked *quarantined, a iotssp.Assessment, fp *fingerprint.Fingerprint, now time.Time) bool {
+	s := g.lockOwner(owner, parked)
+	if s == nil {
+		return false
 	}
+	info := &owner.info
+	mac := info.MAC
 	g.sw.Controller().Rules().Put(&sdn.EnforcementRule{
 		DeviceMAC:    mac,
 		Level:        a.Level,
@@ -563,11 +565,8 @@ func (g *Gateway) apply(mac packet.MAC, a iotssp.Assessment, fp *fingerprint.Fin
 		Vulns:        a.Vulnerabilities,
 		SetupPackets: info.SetupPackets,
 	})
-	g.qmu.Lock()
-	delete(g.quarantine, mac)
+	g.setParked(owner, nil)
 	g.cfg.Metrics.incAssess(true)
-	g.cfg.Metrics.setQuarantineDepth(len(g.quarantine))
-	g.qmu.Unlock()
 	snapshot := *info
 	s.mu.Unlock()
 
@@ -590,31 +589,35 @@ func (g *Gateway) apply(mac packet.MAC, a iotssp.Assessment, fp *fingerprint.Fin
 			}
 		}
 	}
+	return true
 }
 
-// RemoveDevice forgets a device that left the network: its enforcement
-// rule and installed flows are evicted (the rule-cache pruning the
-// paper describes for departed devices).
+// RemoveDevice forgets a device that left the network: its record goes
+// with its capture and parked fingerprint, and its enforcement rule and
+// installed flows are evicted (the rule-cache pruning the paper
+// describes for departed devices).
 func (g *Gateway) RemoveDevice(mac packet.MAC) {
 	s := g.shardOf(mac)
 	var seq uint64
 	s.mu.Lock()
 	key := keyOf(mac)
-	if info := s.devices[key]; info != nil {
-		g.cfg.Metrics.stateChange(info.State, 0)
+	if rec := s.devices[key]; rec != nil {
+		g.cfg.Metrics.stateChange(rec.info.State, 0)
 		seq = g.record(store.Event{Kind: store.EvRemoved, MAC: mac, At: time.Now()})
+		g.setParked(rec, nil)
+		delete(s.devices, key)
 	}
-	delete(s.devices, key)
-	delete(s.captures, key)
-	g.qmu.Lock()
-	delete(g.quarantine, mac)
-	g.cfg.Metrics.setQuarantineDepth(len(g.quarantine))
-	g.qmu.Unlock()
 	s.mu.Unlock()
 	// The removal is durable before its rule goes: a crash in between
 	// recovers the device as gone (no rule ⇒ strict), never the reverse.
+	// A device that rejoined on the MAC meanwhile and already has its
+	// verdict keeps the rule that verdict installed.
 	g.awaitDurable(seq)
-	g.sw.Controller().Rules().Remove(mac)
+	s.mu.Lock()
+	if rec := s.devices[key]; rec == nil || rec.info.State == StateMonitoring {
+		g.sw.Controller().Rules().Remove(mac)
+	}
+	s.mu.Unlock()
 	g.sw.ForgetDevice(mac)
 	if g.cfg.Keystore != nil {
 		g.cfg.Keystore.Revoke(mac)
@@ -626,11 +629,11 @@ func (g *Gateway) Device(mac packet.MAC) (DeviceInfo, bool) {
 	s := g.shardOf(mac)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info, ok := s.devices[keyOf(mac)]
+	rec, ok := s.devices[keyOf(mac)]
 	if !ok {
 		return DeviceInfo{}, false
 	}
-	return *info, true
+	return rec.info, true
 }
 
 // Devices returns all known devices sorted by MAC.
@@ -638,8 +641,8 @@ func (g *Gateway) Devices() []DeviceInfo {
 	var out []DeviceInfo
 	for _, s := range g.shards {
 		s.mu.Lock()
-		for _, info := range s.devices {
-			out = append(out, *info)
+		for _, rec := range s.devices {
+			out = append(out, rec.info)
 		}
 		s.mu.Unlock()
 	}

@@ -138,10 +138,10 @@ func (m *Metrics) stateChange(from, to DeviceState) {
 	}
 }
 
-// setQuarantineDepth publishes the retry-queue length. Safe on nil.
-func (m *Metrics) setQuarantineDepth(n int) {
+// quarantineDepthAdd moves the retry-queue length gauge. Safe on nil.
+func (m *Metrics) quarantineDepthAdd(d int64) {
 	if m != nil {
-		m.quarantineDepth.Set(int64(n))
+		m.quarantineDepth.Add(d)
 	}
 }
 

@@ -15,12 +15,12 @@ import (
 // Durable state & crash recovery. With Config.Store set, every device
 // lifecycle transition is enqueued in the journal as it happens (inside
 // the owning shard's critical section, so journal order matches state
-// order; lock order stays shard.mu → qmu → store) — enqueued, not
+// order; lock order stays shard.mu → store) — enqueued, not
 // written: no shard lock is held across a disk write or an fsync. A
 // demotion (quarantine, removal) is waited for with the lock released
 // and acknowledged only once it is durable (DESIGN §11 states the
-// ordering). Recover rebuilds the device map, the quarantine retry
-// queue, *and* the SDN rule table from the snapshot + journal, so
+// ordering). Recover rebuilds the device records, their parked
+// fingerprints, *and* the SDN rule table from the snapshot + journal, so
 // enforcement after a crash matches enforcement before it — or fails
 // closed:
 //
@@ -132,8 +132,7 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 	}
 	stats.Degraded = rec.Degraded
 
-	devices := make(map[packet.MAC]*DeviceInfo)
-	parked := make(map[packet.MAC]*quarantined)
+	devices := make(map[packet.MAC]*device)
 
 	if rec.Snapshot != nil {
 		for _, d := range rec.Snapshot.Devices {
@@ -141,7 +140,7 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 			if err != nil {
 				continue // unusable record: device falls back to no-rule strict
 			}
-			devices[d.MAC] = &DeviceInfo{
+			devices[d.MAC] = &device{info: DeviceInfo{
 				MAC:             d.MAC,
 				State:           st,
 				Type:            core.TypeID(d.Type),
@@ -153,30 +152,36 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 				AssessAttempts:  d.AssessAttempts,
 				PermittedIPs:    d.PermittedIPs,
 				Vulnerabilities: d.Vulnerabilities,
-			}
+			}}
 		}
 		for _, q := range rec.Snapshot.Quarantine {
+			d := devices[q.MAC]
 			fp, err := fingerprint.FromF(q.Fingerprint)
-			if err != nil {
-				continue // device stays quarantined, just not retryable
+			if d == nil || err != nil {
+				continue // no device to park it on, or not retryable
 			}
-			parked[q.MAC] = &quarantined{fp: fp, since: q.Since, acked: true}
+			d.parked = &quarantined{fp: fp, since: q.Since, acked: true}
 		}
 	}
 
-	for _, ev := range rec.Events {
+	// at returns ev's device, created monitoring by its first event.
+	at := func(ev *store.Event) *device {
+		d := devices[ev.MAC]
+		if d == nil {
+			d = &device{info: DeviceInfo{MAC: ev.MAC, State: StateMonitoring, FirstSeen: ev.FirstSeen}}
+			devices[ev.MAC] = d
+		}
+		return d
+	}
+	for i := range rec.Events {
+		ev := &rec.Events[i]
 		stats.Replayed++
 		switch ev.Kind {
 		case store.EvCaptureStarted:
-			if _, known := devices[ev.MAC]; !known {
-				devices[ev.MAC] = &DeviceInfo{MAC: ev.MAC, State: StateMonitoring, FirstSeen: ev.FirstSeen}
-			}
+			at(ev)
 		case store.EvAssessed, store.EvPromoted:
-			info := devices[ev.MAC]
-			if info == nil {
-				info = &DeviceInfo{MAC: ev.MAC, FirstSeen: ev.FirstSeen}
-				devices[ev.MAC] = info
-			}
+			d := at(ev)
+			info := &d.info
 			info.State = StateAssessed
 			info.Type = core.TypeID(ev.Type)
 			info.Level = sdn.IsolationLevel(ev.Level)
@@ -186,13 +191,10 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 			info.SetupPackets = ev.SetupPackets
 			info.QuarantinedAt = time.Time{}
 			info.AssessAttempts = 0
-			delete(parked, ev.MAC)
+			d.parked = nil
 		case store.EvQuarantined:
-			info := devices[ev.MAC]
-			if info == nil {
-				info = &DeviceInfo{MAC: ev.MAC, FirstSeen: ev.FirstSeen}
-				devices[ev.MAC] = info
-			}
+			d := at(ev)
+			info := &d.info
 			info.State = StateQuarantined
 			info.Level = sdn.Strict
 			if info.QuarantinedAt.IsZero() {
@@ -201,11 +203,10 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 			info.AssessAttempts = ev.Attempts
 			info.SetupPackets = ev.SetupPackets
 			if fp, err := fingerprint.FromF(ev.Fingerprint); err == nil {
-				parked[ev.MAC] = &quarantined{fp: fp, since: ev.At, acked: true}
+				d.parked = &quarantined{fp: fp, since: ev.At, acked: true}
 			}
 		case store.EvRemoved:
 			delete(devices, ev.MAC)
-			delete(parked, ev.MAC)
 		}
 	}
 
@@ -216,7 +217,8 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 	// In a degraded recovery the journal suffix is untrustworthy, so
 	// every device demotes; the parked fingerprints stay retryable and
 	// the retry worker restores whatever the service still vouches for.
-	for _, info := range devices {
+	for _, d := range devices {
+		info := &d.info
 		demote := info.State == StateMonitoring || (rec.Degraded && info.State == StateAssessed)
 		if !demote {
 			continue
@@ -230,19 +232,26 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 		info.PermittedIPs = nil
 	}
 
-	// Install: device states into their shards, retryable fingerprints
-	// into the quarantine queue, and enforcement into the switch.
+	// Install: device records into their shards, each quarantined one
+	// with its parked fingerprint (in MAC order up to the bound), and
+	// enforcement into the switch.
 	macs := make([]packet.MAC, 0, len(devices))
 	for mac := range devices {
 		macs = append(macs, mac)
 	}
 	slices.SortFunc(macs, packet.MAC.Compare)
 	for _, mac := range macs {
-		info := devices[mac]
+		d := devices[mac]
+		info := &d.info
+		q := d.parked
+		d.parked = nil
 		s := g.shardOf(mac)
 		s.mu.Lock()
-		s.devices[keyOf(mac)] = info
+		s.devices[keyOf(mac)] = d
 		g.cfg.Metrics.stateChange(0, info.State)
+		if q != nil && info.State == StateQuarantined && g.setParked(d, q) {
+			stats.Retryable++
+		}
 		s.mu.Unlock()
 		stats.Devices++
 		switch info.State {
@@ -261,24 +270,6 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 		g.sw.InvalidateDevice(mac)
 		stats.Rules++
 	}
-
-	g.qmu.Lock()
-	for _, mac := range macs {
-		q := parked[mac]
-		if q == nil {
-			continue
-		}
-		if devices[mac] == nil || devices[mac].State != StateQuarantined {
-			continue
-		}
-		if len(g.quarantine) >= maxQuarantined {
-			break
-		}
-		g.quarantine[mac] = q
-		stats.Retryable++
-	}
-	g.cfg.Metrics.setQuarantineDepth(len(g.quarantine))
-	g.qmu.Unlock()
 	return stats, nil
 }
 
@@ -287,8 +278,8 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 // snapshot's sequence number before anything is collected (so
 // transitions racing the checkpoint stay in the journal and replay
 // idempotently on top of it), each shard is locked only while its
-// devices are copied into a scratch slice, and rows are encoded and
-// written with no gateway or store lock held.
+// devices and their parked fingerprints are copied into scratch slices,
+// and rows are encoded and written with no gateway or store lock held.
 func (g *Gateway) Checkpoint() error {
 	st := g.cfg.Store
 	if st == nil {
@@ -301,10 +292,12 @@ func (g *Gateway) Checkpoint() error {
 			}
 		}
 		var devices []store.DeviceRecord
+		var parked []store.QuarantineRecord
 		for _, s := range g.shards {
-			devices = devices[:0]
+			devices, parked = devices[:0], parked[:0]
 			s.mu.Lock()
-			for _, info := range s.devices {
+			for _, rec := range s.devices {
+				info := &rec.info
 				devices = append(devices, store.DeviceRecord{
 					MAC:             info.MAC,
 					State:           info.State.String(),
@@ -318,6 +311,9 @@ func (g *Gateway) Checkpoint() error {
 					SetupPackets:    info.SetupPackets,
 					AssessAttempts:  info.AssessAttempts,
 				})
+				if q := rec.parked; q != nil {
+					parked = append(parked, store.QuarantineRecord{MAC: info.MAC, Since: q.since, Fingerprint: q.fp.F})
+				}
 			}
 			s.mu.Unlock()
 			for i := range devices {
@@ -325,19 +321,13 @@ func (g *Gateway) Checkpoint() error {
 					return err
 				}
 			}
+			for i := range parked {
+				if err := w.Quarantine(&parked[i]); err != nil {
+					return err
+				}
+			}
 			if g.checkpointHook != nil {
 				g.checkpointHook()
-			}
-		}
-		g.qmu.Lock()
-		parked := make([]store.QuarantineRecord, 0, len(g.quarantine))
-		for mac, q := range g.quarantine {
-			parked = append(parked, store.QuarantineRecord{MAC: mac, Since: q.since, Fingerprint: q.fp.F})
-		}
-		g.qmu.Unlock()
-		for i := range parked {
-			if err := w.Quarantine(&parked[i]); err != nil {
-				return err
 			}
 		}
 		return nil

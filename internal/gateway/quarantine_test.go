@@ -170,9 +170,9 @@ func TestQuarantineRecoveryLifecycle(t *testing.T) {
 
 // TestHandlePacketSurvivesMissingCapture pins the crash the quarantine
 // state machine folds away: a device in StateMonitoring whose capture
-// is gone (the window inside FinishSetup between its capture delete and
-// apply, or — before this fix — any failed assessment). The next packet
-// used to nil-deref in HandlePacket.
+// is gone (the window between the claim of its capture and its verdict,
+// or — before this fix — any failed assessment). The next packet used to
+// nil-deref in HandlePacket.
 func TestHandlePacketSurvivesMissingCapture(t *testing.T) {
 	g := newGateway(t, Config{IdleGap: time.Hour})
 	mac := packet.MAC{0x02, 4, 4, 4, 4, 4}
@@ -182,12 +182,8 @@ func TestHandlePacketSurvivesMissingCapture(t *testing.T) {
 	if _, err := g.HandlePacket(base, pk); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the FinishSetup window: capture claimed, state still
-	// monitoring.
-	s := g.shardOf(mac)
-	s.mu.Lock()
-	delete(s.captures, keyOf(mac))
-	s.mu.Unlock()
+	// Simulate that window: capture claimed, state still monitoring.
+	claimCapture(g, mac)
 
 	act, err := g.HandlePacket(base.Add(time.Second), pk)
 	if err != nil {
@@ -519,7 +515,7 @@ func TestRetryQuarantinedConcurrentDrainsPromoteOnce(t *testing.T) {
 			if _, err := g.HandlePacket(now, arpPacket(mac)); err != nil {
 				t.Fatal(err)
 			}
-			g.quarantineDevice(mac, &fps[i], now, errors.New("iotssp unavailable"))
+			g.quarantineDevice(claimCapture(g, mac), &fps[i], now, errors.New("iotssp unavailable"))
 		}
 		var wg sync.WaitGroup
 		var promoted atomic.Int64
@@ -705,9 +701,7 @@ func TestVerdictForDepartedDeviceIsDropped(t *testing.T) {
 			if got := g.QuarantineLen(); got != wantParked {
 				t.Errorf("%d fingerprints parked, want %d", got, wantParked)
 			}
-			if got, want := g.Switch().Controller().Rules().Digest(), digestFromDevices(g); got != want {
-				t.Errorf("rule table digest %016x, recomputed from device state %016x", got, want)
-			}
+			checkRecords(t, g)
 			// The journal agrees: what it recovers is the live gateway.
 			if err := st.Close(); err != nil {
 				t.Fatal(err)

@@ -10,20 +10,18 @@ import (
 	"iotsentinel/internal/packet"
 )
 
-// Device-state sharding. The gateway's data path used to serialize
-// every HandlePacket call behind one mutex, which capped forwarding
-// throughput at one core no matter how parallel the classifier bank
-// is. All per-device state (the monitoring capture and the DeviceInfo)
-// is keyed by MAC, so it partitions cleanly: state lives in
-// power-of-two striped shards selected by an FNV-1a hash of the MAC,
-// and packets from different devices touch different locks. Cross-MAC
-// state (the quarantine retry queue) has its own mutex, ordered
-// strictly after any shard lock.
+// Device-state sharding. All per-device state is keyed by MAC, so it
+// partitions cleanly: it lives in power-of-two striped shards selected
+// by an FNV-1a hash of the MAC, and packets from different devices
+// touch different locks. A shard holds one map, from MAC to the record
+// of the device's current incarnation (device): its DeviceInfo, its
+// open setup capture and its parked fingerprint all live there, under
+// the shard's lock and nowhere else.
 //
-// Lock order: shard.mu → Gateway.qmu. A thread never holds two shard
-// locks at once; sweeps (finishCaptures, Devices, …) lock shards one
-// at a time and merge in MAC order so their results stay deterministic
-// regardless of the shard count.
+// A thread never holds two shard locks at once; sweeps (finishCaptures,
+// RetryQuarantined, Devices, …) lock shards one at a time and merge in
+// MAC order so their results stay deterministic regardless of the
+// shard count.
 
 // DefaultShards is the shard count selected when Config.Shards is 0.
 // Sharding is behavior-transparent — any count produces identical
@@ -50,9 +48,8 @@ type shard struct {
 	// tick counts the shard's HandlePacket calls for the latency
 	// sample. It sits beside the lock every call takes anyway, so the
 	// count costs no cache line of its own.
-	tick     atomic.Uint32
-	captures map[macKey]*fingerprint.SetupCapture
-	devices  map[macKey]*DeviceInfo
+	tick    atomic.Uint32
+	devices map[macKey]*device
 	// Shards are allocated one by one and the allocator packs objects
 	// of one size class back to back; the pad keeps two shards' locks
 	// and ticks out of one cache line.
@@ -60,10 +57,20 @@ type shard struct {
 }
 
 func newShard() *shard {
-	return &shard{
-		captures: make(map[macKey]*fingerprint.SetupCapture),
-		devices:  make(map[macKey]*DeviceInfo),
-	}
+	return &shard{devices: make(map[macKey]*device)}
+}
+
+// device is one incarnation of a device, the record its shard maps its
+// MAC to from its first frame until RemoveDevice; a rejoin makes a new
+// one. A verdict lands only on the record it was made for (lockOwner).
+type device struct {
+	info DeviceInfo
+	// cap is the open setup capture, nil once claimed: it is claimed
+	// before its verdict exists, so only a monitoring record holds one.
+	cap *fingerprint.SetupCapture
+	// parked is the fingerprint awaiting a retry, set only while the
+	// device is quarantined and maxQuarantined allowed it.
+	parked *quarantined
 }
 
 // macKey is a MAC packed big-endian into the low 48 bits of a word, the
@@ -75,11 +82,6 @@ type macKey uint64
 func keyOf(m packet.MAC) macKey {
 	return macKey(m[0])<<40 | macKey(m[1])<<32 | macKey(m[2])<<24 |
 		macKey(m[3])<<16 | macKey(m[4])<<8 | macKey(m[5])
-}
-
-// mac unpacks the key.
-func (k macKey) mac() packet.MAC {
-	return packet.MAC{byte(k >> 40), byte(k >> 32), byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
 }
 
 // shardCount normalizes a configured shard count to a power of two:
@@ -121,9 +123,10 @@ var ErrAssessBacklog = errors.New("gateway: assessment queue backlog, fingerprin
 // every capture finishes as one: completed by a packet (HandlePacket),
 // forced (FinishSetup) or swept (finishCaptures). It carries the capture,
 // not the 2.2 KB fingerprint: the queues hold pointers, and the drain
-// worker builds the fingerprint off the packet path.
+// worker builds the fingerprint off the packet path. owner is the record
+// the capture was claimed from; the verdict lands on it or nowhere.
 type assessJob struct {
-	mac    packet.MAC
+	owner  *device
 	cap    *fingerprint.SetupCapture
 	ts     time.Time
 	queued time.Time // Metrics.queueClock at enqueue
@@ -135,15 +138,15 @@ func (j assessJob) assess(g *Gateway) {
 	fp := j.cap.Fingerprint()
 	a, err := g.assessor.Assess(fp)
 	if err != nil {
-		g.quarantineDevice(j.mac, &fp, j.ts, err)
+		g.quarantineDevice(j.owner, &fp, j.ts, err)
 		return
 	}
-	g.apply(j.mac, a, &fp, j.ts)
+	g.apply(j.owner, nil, a, &fp, j.ts)
 }
 
 func (j assessJob) park(g *Gateway) {
 	fp := j.cap.Fingerprint()
-	g.quarantineDevice(j.mac, &fp, j.ts, ErrAssessBacklog)
+	g.quarantineDevice(j.owner, &fp, j.ts, ErrAssessBacklog)
 }
 
 // asyncAssess is the off-path identification pipeline: one bounded

@@ -126,4 +126,5 @@ func TestShardedGatewayRaceHammer(t *testing.T) {
 	if depth := snap.Value("gateway_assess_queue_depth"); depth != 0 {
 		t.Errorf("assess queue depth = %v after drain, want 0", depth)
 	}
+	checkRecords(t, g)
 }

@@ -236,13 +236,12 @@ func (r *Fig6bResult) Render() string {
 type Fig6cResult struct {
 	Rules []int
 	// With and Without are the modelled gateway memory in MB (the
-	// paper's Java-stack constants plus MeasuredCacheBytes' estimate).
+	// paper's Java-stack constants plus EstimatedCacheBytes).
 	With    []float64
 	Without []float64
-	// MeasuredCacheBytes is, despite its name, an estimate:
-	// RuleCache.ApproxBytes at the largest rule count, which counts 96
-	// bytes a rule plus its strings and addresses.
-	MeasuredCacheBytes int
+	// EstimatedCacheBytes is RuleCache.ApproxBytes at the largest rule
+	// count, which counts 96 bytes a rule plus its strings and addresses.
+	EstimatedCacheBytes int
 	// RuleHeapBytes is measured: the live heap a rule cache of that many
 	// rules holds, after a collection, per rule.
 	RuleHeapBytes float64
@@ -283,7 +282,7 @@ func Fig6c(o Options) (*Fig6cResult, error) {
 			}
 		}
 		if filtering {
-			res.MeasuredCacheBytes = lab.Cache.ApproxBytes()
+			res.EstimatedCacheBytes = lab.Cache.ApproxBytes()
 		}
 	}
 	n := res.Rules[len(res.Rules)-1]
@@ -340,7 +339,7 @@ func (r *Fig6cResult) Render() string {
 	n := r.Rules[len(r.Rules)-1]
 	fmt.Fprintf(&b, "\nGo rule cache at %d rules:\n", n)
 	fmt.Fprintf(&b, "  estimated (RuleCache.ApproxBytes)  %6.2f MB  %4.0f B a rule\n",
-		float64(r.MeasuredCacheBytes)/(1024*1024), float64(r.MeasuredCacheBytes)/float64(n))
+		float64(r.EstimatedCacheBytes)/(1024*1024), float64(r.EstimatedCacheBytes)/float64(n))
 	fmt.Fprintf(&b, "  measured heap growth after GC      %6.2f MB  %4.0f B a rule\n",
 		r.RuleHeapBytes*float64(n)/(1024*1024), r.RuleHeapBytes)
 	fmt.Fprintf(&b, "Switch forwarding state, measured heap growth after GC:\n")

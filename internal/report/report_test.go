@@ -185,8 +185,8 @@ func TestFig6c(t *testing.T) {
 	if mid < expect*0.9 || mid > expect*1.1 {
 		t.Errorf("memory not linear: mid=%.1f expect~%.1f", mid, expect)
 	}
-	if res.MeasuredCacheBytes <= 0 {
-		t.Error("measured cache bytes missing")
+	if res.EstimatedCacheBytes <= 0 {
+		t.Error("estimated cache bytes missing")
 	}
 	if !strings.Contains(res.Render(), "Fig 6c") {
 		t.Error("render missing header")
