@@ -30,8 +30,9 @@
 # (scripts/bench-pair.sh);
 # `make e2e-pair PARENT=<rev> WORKLOAD=<w> PAIRS=<n> SEED0=<s>` runs the
 # end-to-end benchmark (bench/run.sh) alternately on the parent revision
-# and this checkout and reports each metric's medians, quartiles, wins
-# and BENCHMARK.json bound check (scripts/e2e-pair.sh);
+# and this checkout, reports each metric's medians, quartiles, wins
+# and BENCHMARK.json bound check, and archives that report with every
+# run's values as docs/bench/E2E_<date>_<workload>.json (scripts/e2e-pair.sh);
 # `make soak` sustains SOAK_DEVICES modeled devices with churn through
 # the capture front end and the daemon's own gateway assembly for
 # SOAK_DURATION: a pass/fail gate on p99 latency, RSS, goroutine growth

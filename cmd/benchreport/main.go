@@ -8,7 +8,7 @@
 //	benchreport -exp ablation-trees
 //	benchreport -delta .            # diff the two newest BENCH_*.json
 //	benchreport -delta old.json,new.json -delta-threshold 10
-//	benchreport -pairs DIR          # report `make e2e-pair`'s runs against BENCHMARK.json
+//	benchreport -pairs DIR          # report `make e2e-pair`'s runs against BENCHMARK.json, and write DIR/pairs.json
 //
 // Experiments: fig5, table3, table4, table5, table6, fig6a, fig6b,
 // fig6c, features, unknown, tradeoff, remote-controller, ablation-fplen, ablation-negratio,
@@ -45,7 +45,7 @@ func run(args []string, out io.Writer) error {
 		deltaThr   = fs.Float64("delta-threshold", 10, "percent ns/op slowdown that fails -delta")
 		deltaGate  = fs.String("delta-gate", "", "regexp of benchmark names whose regressions fail -delta; others are reported only (empty gates everything)")
 		deltaAllow = fs.String("delta-allow", "", "regexp of benchmark names whose regressions are reported but do not fail -delta (accepted trade-offs)")
-		pairs      = fs.String("pairs", "", "report end-to-end parent/change pairs instead of running experiments: a directory of parent-<i>.json and change-<i>.json bench results (make e2e-pair)")
+		pairs      = fs.String("pairs", "", "report end-to-end parent/change pairs instead of running experiments: a directory of parent-<i>.json and change-<i>.json bench results (make e2e-pair); the report is also written to its pairs.json")
 		contract   = fs.String("pairs-contract", "BENCHMARK.json", "the benchmark contract whose end-to-end metrics and bounds -pairs checks")
 	)
 	if err := fs.Parse(args); err != nil {

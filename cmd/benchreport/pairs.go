@@ -8,7 +8,9 @@ package main
 // and prints, for every end-to-end metric BENCHMARK.json declares, both
 // sides' median and quartiles, how many pairs the change won, whether
 // the medians differ by more than the parent's interquartile range, and
-// the check against the metric's bound.
+// the check against the metric's bound. It also writes all of that, with
+// each run's end-to-end values, to DIR/pairs.json (pairsArchive), which
+// make e2e-pair files under docs/bench/.
 
 import (
 	"encoding/json"
@@ -46,6 +48,53 @@ type benchResult struct {
 	} `json:"runs"`
 }
 
+// pairsArchive is the JSON form of one pair report: every run's
+// end-to-end values and every metric's summary, as printed.
+type pairsArchive struct {
+	Workload string `json:"workload"`
+	// Revisions is DIR/revisions when the script left one: what the
+	// "parent" and "change" sides were.
+	Revisions map[string]string  `json:"revisions,omitempty"`
+	Pairs     []archivedPair     `json:"pairs"`
+	Metrics   []archivedMetric   `json:"metrics"`
+	Sides     [2]archivedOutcome `json:"sides"`
+	Problems  []string           `json:"problems,omitempty"`
+	OK        bool               `json:"ok"`
+}
+
+// archivedPair is pair i's end-to-end values, a side absent when its run
+// left no result.
+type archivedPair struct {
+	Index  int                `json:"index"`
+	Seed   int64              `json:"seed"`
+	Parent map[string]float64 `json:"parent,omitempty"`
+	Change map[string]float64 `json:"change,omitempty"`
+}
+
+// archivedMetric is one row of the report. Parent and Change are the
+// first quartile, median and third quartile over the complete pairs.
+type archivedMetric struct {
+	Name      string     `json:"name"`
+	Better    string     `json:"better"`
+	Bound     float64    `json:"bound"`
+	Parent    [3]float64 `json:"parent_q1_median_q3"`
+	Change    [3]float64 `json:"change_q1_median_q3"`
+	Delta     float64    `json:"median_delta"`
+	Wins      int        `json:"change_wins"`
+	Pairs     int        `json:"pairs"`
+	BeyondIQR bool       `json:"beyond_parent_iqr"`
+	Check     string     `json:"check"`
+}
+
+// archivedOutcome is one side's operation and run counts.
+type archivedOutcome struct {
+	Side      string `json:"side"`
+	Attempted int64  `json:"attempted"`
+	Failed    int64  `json:"failed"`
+	Incorrect int    `json:"oracle_failed_runs"`
+	Missing   int    `json:"runs_without_result"`
+}
+
 // pairSide is what one side of the pairs produced.
 type pairSide struct {
 	values             map[string][]float64 // metric -> one value per complete pair
@@ -65,10 +114,10 @@ func readBenchJSON(path string, into any) error {
 }
 
 // runPairs renders the pair report for dir against the contract at
-// contractPath. It returns an error when a run is missing or its oracle
-// failed, when the change fails a larger share of its operations, or
-// when a metric's median is worse than the parent's by more than its
-// bound.
+// contractPath and archives it as dir/pairs.json. It returns an error
+// when a run is missing or its oracle failed, when the change fails a
+// larger share of its operations, or when a metric's median is worse
+// than the parent's by more than its bound.
 func runPairs(out io.Writer, dir, contractPath string) error {
 	var contract benchContract
 	if err := readBenchJSON(contractPath, &contract); err != nil {
@@ -92,12 +141,17 @@ func runPairs(out io.Writer, dir, contractPath string) error {
 	for k := range sides {
 		sides[k].values = make(map[string][]float64)
 	}
+	var archive pairsArchive
+	if err := readBenchJSON(filepath.Join(dir, "revisions"), &archive.Revisions); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
 	var workload string
 	var seeds []int64
 	complete := 0
 	for i := 0; i < n; i++ {
 		var res [2]benchResult
 		ok := true
+		pair := archivedPair{Index: i}
 		for k, name := range names {
 			s := &sides[k]
 			if err := readBenchJSON(filepath.Join(dir, fmt.Sprintf("%s-%d.json", name, i)), &res[k]); err != nil || len(res[k].Runs) != 1 {
@@ -112,7 +166,20 @@ func runPairs(out io.Writer, dir, contractPath string) error {
 			if !r.Correct {
 				s.incorrect++
 			}
+			pair.Seed = r.Seed
+			values := make(map[string]float64, len(contract.EndToEnd))
+			for _, m := range contract.EndToEnd {
+				if v, ok := r.Metrics[m.Name]; ok {
+					values[m.Name] = v.Value
+				}
+			}
+			if k == 0 {
+				pair.Parent = values
+			} else {
+				pair.Change = values
+			}
 		}
+		archive.Pairs = append(archive.Pairs, pair)
 		if !ok {
 			continue
 		}
@@ -164,10 +231,15 @@ func runPairs(out io.Writer, dir, contractPath string) error {
 		}
 		fmt.Fprintf(out, "%-14s %-6s %-32s %-32s %+7.1f%% %6s %5s %5.0f%%  %s\n", m.Name, m.Better,
 			fmtQuartiles(pq), fmtQuartiles(cq), 100*delta, fmt.Sprintf("%d/%d", wins, len(pv)), beyondIQR, 100*m.Bound, check)
+		archive.Metrics = append(archive.Metrics, archivedMetric{
+			Name: m.Name, Better: m.Better, Bound: m.Bound, Parent: pq, Change: cq, Delta: delta,
+			Wins: wins, Pairs: len(pv), BeyondIQR: beyondIQR == "yes", Check: check,
+		})
 	}
 
 	for k, name := range names {
 		s := &sides[k]
+		archive.Sides[k] = archivedOutcome{Side: name, Attempted: s.attempted, Failed: s.failed, Incorrect: s.incorrect, Missing: s.missing}
 		fmt.Fprintf(out, "%s: %d of %d operations failed, oracle failed in %d runs, %d runs left no result\n",
 			name, s.failed, s.attempted, s.incorrect, s.missing)
 		if s.incorrect > 0 || s.missing > 0 {
@@ -177,6 +249,14 @@ func runPairs(out io.Writer, dir, contractPath string) error {
 	}
 	if failShare(c) > failShare(p) {
 		problems = append(problems, fmt.Sprintf("the change fails %.2g of its operations, the parent %.2g", failShare(c), failShare(p)))
+	}
+	archive.Workload, archive.Problems, archive.OK = workload, problems, len(problems) == 0
+	data, err := json.MarshalIndent(archive, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(dir, "pairs.json"), append(data, '\n'), 0o644); err != nil {
+		return err
 	}
 	if len(problems) > 0 {
 		return errors.New(strings.Join(problems, "; "))

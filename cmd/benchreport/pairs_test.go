@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -63,6 +66,47 @@ func TestPairsReportsWinsAndQuartiles(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestPairsArchive: the report's JSON form holds every run's end-to-end
+// values, each metric's quartiles and wins, and the revisions the
+// script named.
+func TestPairsArchive(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 4; i++ {
+		writePair(t, dir, i, map[string]float64{"ops_per_s": 100 + float64(i), "cpu_us_per_op": 10, "per_layer_ns": 7},
+			map[string]float64{"ops_per_s": 110 + float64(i), "cpu_us_per_op": 9}, true)
+	}
+	writeBench(t, dir, "revisions", `{"parent": "abc", "change": "def"}`)
+	if got, err := pairsRun(t, dir); err != nil {
+		t.Fatalf("run: %v\n%s", err, got)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "pairs.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a pairsArchive
+	if err := json.Unmarshal(data, &a); err != nil {
+		t.Fatal(err)
+	}
+	if a.Workload != "join_storm" || !a.OK || a.Revisions["parent"] != "abc" || a.Revisions["change"] != "def" {
+		t.Errorf("header = %q ok=%v revisions %v", a.Workload, a.OK, a.Revisions)
+	}
+	if len(a.Pairs) != 4 || a.Pairs[3].Seed != 103 || a.Pairs[3].Parent["ops_per_s"] != 103 || a.Pairs[3].Change["ops_per_s"] != 113 {
+		t.Errorf("pairs = %+v", a.Pairs)
+	}
+	if _, ok := a.Pairs[0].Parent["per_layer_ns"]; ok {
+		t.Error("a metric the contract does not declare end to end was archived")
+	}
+	if len(a.Metrics) != 2 {
+		t.Fatalf("metrics = %+v", a.Metrics)
+	}
+	if m := a.Metrics[0]; m.Name != "ops_per_s" || m.Parent != [3]float64{100.75, 101.5, 102.25} || m.Wins != 4 || m.Pairs != 4 || !m.BeyondIQR || m.Check != "ok" {
+		t.Errorf("ops_per_s = %+v", m)
+	}
+	if s := a.Sides[1]; s.Side != "change" || s.Attempted != 4000 || s.Failed != 0 {
+		t.Errorf("change side = %+v", s)
 	}
 }
 

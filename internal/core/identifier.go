@@ -126,7 +126,11 @@ type Identifier struct {
 	// CacheSize, are read once, by Train, into the binding.
 	cfg    Config
 	models map[TypeID]*typeModel
-	pool   map[TypeID][]fingerprint.Fingerprint
+	// pool is each type's training fingerprints, kept for the forests
+	// WithType trains later: F alone, 8 B a row. A forest reads F′,
+	// which Train takes from its caller's values and WithType derives
+	// for the rows it draws (see rowSource).
+	pool map[TypeID][]fingerprint.F
 	// types is the sorted type list and bank the models in that order
 	// (see reindex), so the per-identification hot path neither re-sorts
 	// the bank nor hashes type names: a bank index names a type, its
@@ -252,21 +256,25 @@ func Train(samples map[TypeID][]fingerprint.Fingerprint, cfg Config) (*Identifie
 	id := &Identifier{
 		cfg:    cfg,
 		models: make(map[TypeID]*typeModel, len(samples)),
-		pool:   make(map[TypeID][]fingerprint.Fingerprint, len(samples)),
+		pool:   make(map[TypeID][]fingerprint.F, len(samples)),
 	}
 	for t, fps := range samples {
 		if len(fps) == 0 {
 			return nil, fmt.Errorf("core: type %q has no fingerprints", t)
 		}
-		id.pool[t] = append([]fingerprint.Fingerprint(nil), fps...)
+		id.pool[t] = poolOf(fps)
 	}
 	types := sortedKeys(id.pool)
+	// The forests train on the caller's F′, read in place while Train
+	// runs: a caller that altered F′ (the fingerprint-length ablation
+	// zeroes its tail) gets forests of what it passed.
+	rows := func(t TypeID, i int) []float64 { return samples[t][i].FPrime[:] }
 	// Per-type training is independent (hash-derived seeds, read-only
-	// pool), so the bank trains concurrently; results merge into the
-	// model map in canonical order afterwards.
+	// pool and samples), so the bank trains concurrently; results merge
+	// into the model map in canonical order afterwards.
 	built := make([]*typeModel, len(types))
 	err = runIndexed(workerBound(cfg.Workers), len(types), func(i int) error {
-		m, err := id.buildModel(types[i])
+		m, err := id.buildModel(types[i], rows)
 		built[i] = m
 		return err
 	})
@@ -305,7 +313,16 @@ func (id *Identifier) reindex() {
 	}
 }
 
-func sortedKeys(m map[TypeID][]fingerprint.Fingerprint) []TypeID {
+// poolOf is the pool entry of fps: their F, sharing the caller's rows.
+func poolOf(fps []fingerprint.Fingerprint) []fingerprint.F {
+	out := make([]fingerprint.F, len(fps))
+	for i := range fps {
+		out[i] = fps[i].F
+	}
+	return out
+}
+
+func sortedKeys(m map[TypeID][]fingerprint.F) []TypeID {
 	out := make([]TypeID, 0, len(m))
 	for t := range m {
 		out = append(out, t)
@@ -344,8 +361,19 @@ func (id *Identifier) WithType(t TypeID, fps []fingerprint.Fingerprint) (*Identi
 		return nil, fmt.Errorf("core: type %q already trained", t)
 	}
 	next := &Identifier{cfg: id.cfg, models: maps.Clone(id.models), pool: maps.Clone(id.pool)}
-	next.pool[t] = append([]fingerprint.Fingerprint(nil), fps...)
-	m, err := next.buildModel(t)
+	next.pool[t] = poolOf(fps)
+	// t's own rows are the caller's F′; a negative drawn from the pool
+	// has its F′ derived from its F, which is what Train read for it.
+	rows := func(ot TypeID, i int) []float64 {
+		if ot == t {
+			return fps[i].FPrime[:]
+		}
+		row := new(fingerprint.FPrime)
+		h := next.pool[ot][i].Head()
+		h.Prime(row)
+		return row[:]
+	}
+	m, err := next.buildModel(t, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -399,26 +427,35 @@ func (id *Identifier) Cache() *IdentifyCache {
 	return id.binding().cache
 }
 
+// rowSource returns the F′ row of the i-th pool fingerprint of type t,
+// for the duration of one buildModel.
+type rowSource func(t TypeID, i int) []float64
+
+// poolRef names one pool fingerprint: type t's i-th.
+type poolRef struct {
+	t TypeID
+	i int
+}
+
 // buildModel fits the one-vs-rest classifier for t: all of t's
 // fingerprints as the positive class, and NegativeRatio×n fingerprints
-// sampled from the other types as the negative class. It runs while the
-// bank is being built, before anyone else sees the pool; the RNG is
-// derived from the top-level seed by type-ID hash, so the result
-// depends only on (seed, t, pool contents) — never on training order or
-// concurrency.
-func (id *Identifier) buildModel(t TypeID) (*typeModel, error) {
+// sampled from the other types as the negative class, each row's F′
+// read from rows. It runs while the bank is being built, before anyone
+// else sees the pool; the RNG is derived from the top-level seed by
+// type-ID hash, so the result depends only on (seed, t, pool contents,
+// rows) — never on training order or concurrency.
+func (id *Identifier) buildModel(t TypeID, rows rowSource) (*typeModel, error) {
 	rng := rand.New(rand.NewSource(typeSeed(id.cfg.Seed, t)))
 	pos := id.pool[t]
 	// Build the negative pool in sorted type order: map iteration
 	// order would make the negative subsample nondeterministic.
-	var negPool []*fingerprint.Fingerprint
+	var negPool []poolRef
 	for _, ot := range sortedKeys(id.pool) {
 		if ot == t {
 			continue
 		}
-		fps := id.pool[ot]
-		for i := range fps {
-			negPool = append(negPool, &fps[i])
+		for i := range id.pool[ot] {
+			negPool = append(negPool, poolRef{ot, i})
 		}
 	}
 	if len(negPool) == 0 {
@@ -432,12 +469,12 @@ func (id *Identifier) buildModel(t TypeID) (*typeModel, error) {
 	perm := rng.Perm(len(negPool))
 	x := make([][]float64, 0, len(pos)+nNeg)
 	y := make([]int, 0, len(pos)+nNeg)
-	for _, fp := range pos {
-		x = append(x, fp.FPrime[:])
+	for i := range pos {
+		x = append(x, rows(t, i))
 		y = append(y, 1)
 	}
 	for _, pi := range perm[:nNeg] {
-		x = append(x, negPool[pi].FPrime[:])
+		x = append(x, rows(negPool[pi].t, negPool[pi].i))
 		y = append(y, 0)
 	}
 	fcfg := id.cfg.Forest
@@ -455,7 +492,7 @@ func (id *Identifier) buildModel(t TypeID) (*typeModel, error) {
 	}
 	refs := make([]fingerprint.F, 0, nRefs)
 	for _, ri := range refIdx[:nRefs] {
-		refs = append(refs, pos[ri].F)
+		refs = append(refs, pos[ri])
 	}
 	return &typeModel{forest: forest, refs: editdist.NewRefSet(refs)}, nil
 }

@@ -30,8 +30,9 @@ type wireTypeData struct {
 	// Forest is the rf wire format, embedded verbatim.
 	Forest json.RawMessage `json:"forest"`
 	// Refs and Pool carry fingerprints F back to back, each in the
-	// packed-F codec (fingerprint.AppendF), base64 in the JSON; F′ is
-	// derived on load.
+	// packed-F codec (fingerprint.AppendF), base64 in the JSON. A loaded
+	// bank keeps them as F, as a trained one does: F′ is derived only
+	// for the pool rows a later WithType draws.
 	Refs []byte `json:"refs"`
 	Pool []byte `json:"pool"`
 }
@@ -55,8 +56,8 @@ func (id *Identifier) Save(w io.Writer) error {
 				return fmt.Errorf("core: save %q: %w", t, err)
 			}
 		}
-		for _, fp := range id.pool[t] {
-			if td.Pool, err = fingerprint.AppendF(td.Pool, fp.F); err != nil {
+		for _, f := range id.pool[t] {
+			if td.Pool, err = fingerprint.AppendF(td.Pool, f); err != nil {
 				return fmt.Errorf("core: save %q: %w", t, err)
 			}
 		}
@@ -94,7 +95,7 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 	id := &Identifier{
 		cfg:    cfg,
 		models: make(map[TypeID]*typeModel, len(in.Types)),
-		pool:   make(map[TypeID][]fingerprint.Fingerprint, len(in.Types)),
+		pool:   make(map[TypeID][]fingerprint.F, len(in.Types)),
 	}
 	for _, td := range in.Types {
 		t := TypeID(td.ID)
@@ -120,12 +121,10 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: load %q pool: %w", t, err)
 		}
-		for _, f := range pool {
-			id.pool[t] = append(id.pool[t], fingerprint.FromPacked(f))
-		}
-		if len(id.pool[t]) == 0 {
+		if len(pool) == 0 {
 			return nil, fmt.Errorf("core: load %q: empty training pool", t)
 		}
+		id.pool[t] = pool
 	}
 	id.reindex()
 	return id, nil

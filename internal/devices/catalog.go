@@ -1,5 +1,7 @@
 package devices
 
+import "sync"
+
 // Catalog returns the 27 device-type profiles of Table II. Profiles are
 // freshly allocated on each call so callers may not mutate shared state.
 //
@@ -10,7 +12,21 @@ package devices
 // physical devices share hardware and firmware. Everything else gets a
 // distinct protocol mix, reproducing Fig 5 / Table III's structure.
 func Catalog() []*Profile {
-	return []*Profile{
+	shared := catalog()
+	ps := make([]Profile, len(shared))
+	out := make([]*Profile, len(shared))
+	for i, p := range shared {
+		ps[i] = *p
+		out[i] = &ps[i]
+	}
+	return out
+}
+
+// catalog builds the profiles once. Nothing writes a profile's traits or
+// steps after its constructor returns (WithFirmwareUpdate copies what it
+// changes), so Catalog's copies share them.
+var catalog = sync.OnceValue(func() []*Profile {
+	ps := []*Profile{
 		aria(), homeMaticPlug(), withings(), maxGateway(), hueBridge(),
 		hueSwitch(), ednetGateway(), ednetCam(), edimaxCam(), lightify(),
 		wemoInsightSwitch(), wemoLink(), wemoSwitch(), dlinkHomeHub(),
@@ -20,7 +36,11 @@ func Catalog() []*Profile {
 		edimaxPlug1101W(), edimaxPlug2101W(),
 		smarterCoffee(), iKettle2(),
 	}
-}
+	for _, p := range ps {
+		p.steps = p.traits.fixedSteps()
+	}
+	return ps
+})
 
 // SiblingGroups lists the same-vendor sibling clusters whose members the
 // paper reports as mutually confusable (Table III).
@@ -562,5 +582,6 @@ func (p *Profile) WithFirmwareUpdate() *Profile {
 			helloLens: []int{164}, followUps: 1, followUpLens: []int{88},
 		})})
 	cp.traits = t
+	cp.steps = t.fixedSteps()
 	return &cp
 }

@@ -126,6 +126,10 @@ type Profile struct {
 	Conn Connectivity
 
 	traits traits
+	// steps is the fixed part of every capture's step list, built from
+	// traits once, when the profile is (see traits.fixedSteps): a step
+	// holds no state of its own, so captures share them.
+	steps []stepFunc
 }
 
 // MAC derives a device MAC address with the vendor OUI and a random
@@ -190,7 +194,7 @@ func (p *Profile) Generate(rng *rand.Rand) Capture {
 		devIP:   deviceIP(rng),
 		gwIP:    gatewayIP(),
 	}
-	steps := p.buildSteps(rng)
+	steps := p.captureSteps(rng)
 
 	// Reordering: swap adjacent independent steps with swapProb. The
 	// first two steps (association + DHCP) always stay in place.
@@ -229,10 +233,23 @@ func (p *Profile) Generate(rng *rand.Rand) Capture {
 	return Capture{Type: p.ID, MAC: ctx.mac, Packets: ctx.out, Times: times}
 }
 
-// buildSteps assembles the ordered step list for one capture, applying
-// optional-step probabilities.
-func (p *Profile) buildSteps(rng *rand.Rand) []stepFunc {
-	t := p.traits
+// captureSteps assembles the ordered step list for one capture: a copy
+// of the profile's fixed steps, then each optional step that its draw
+// selects.
+func (p *Profile) captureSteps(rng *rand.Rand) []stepFunc {
+	optional := p.traits.optional
+	steps := make([]stepFunc, len(p.steps), len(p.steps)+len(optional))
+	copy(steps, p.steps)
+	for _, opt := range optional {
+		if rng.Float64() < opt.prob {
+			steps = append(steps, opt.step)
+		}
+	}
+	return steps
+}
+
+// fixedSteps is the step list every capture of t starts with, in order.
+func (t *traits) fixedSteps() []stepFunc {
 	var steps []stepFunc
 
 	if t.eapol {
@@ -265,11 +282,6 @@ func (p *Profile) buildSteps(rng *rand.Rand) []stepFunc {
 	}
 	for _, ep := range t.cloud {
 		steps = append(steps, stepCloud(ep))
-	}
-	for _, opt := range t.optional {
-		if rng.Float64() < opt.prob {
-			steps = append(steps, opt.step)
-		}
 	}
 	return steps
 }
@@ -391,9 +403,10 @@ func stepCloud(ep cloudEndpoint) stepFunc {
 
 // ProfileByID returns the catalog profile with the given ID.
 func ProfileByID(id string) (*Profile, error) {
-	for _, p := range Catalog() {
+	for _, p := range catalog() {
 		if p.ID == id {
-			return p, nil
+			cp := *p
+			return &cp, nil
 		}
 	}
 	return nil, fmt.Errorf("devices: unknown device-type %q", id)

@@ -41,6 +41,13 @@ type FPrime [FPrimeLen]float64
 // constructors keep them so, and consumers that must not trust a
 // hand-built value — the classifier bank behind its cache — read F
 // alone and derive the rest.
+//
+// A Fingerprint is a value in flight, 2 240 B of which 2 208 are F′.
+// State that outlives a call keeps F alone (8 B a row) — the bank's
+// training pool, the gateway's parked entries, the learner's clusters,
+// the fleet spool, the model file and the journal — and F′ is derived
+// only where a forest reads it: by the trainer, from a pooled F, and by
+// the bank's pooled scratch at identification.
 type Fingerprint struct {
 	F      F
 	FPrime FPrime

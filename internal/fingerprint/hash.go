@@ -26,12 +26,15 @@ var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // attacker could construct would be cache poisoning. FPrime and
 // UniqueCount are deliberately not hashed; a hand-built Fingerprint
 // whose FPrime disagrees with its F keys (and identifies) as its F.
-func (fp *Fingerprint) CanonicalKey() Key {
+func (fp *Fingerprint) CanonicalKey() Key { return fp.F.CanonicalKey() }
+
+// CanonicalKey is the Key of every Fingerprint whose F is f.
+func (f F) CanonicalKey() Key {
 	bp := keyBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(fp.F)))
-	for _, p := range fp.F {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(f)))
+	for _, p := range f {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
 	}
 

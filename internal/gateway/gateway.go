@@ -143,9 +143,11 @@ type Config struct {
 }
 
 // quarantined is one parked fingerprint awaiting a retry. Its owner's
-// device record holds it, and its owner's shard lock guards it.
+// device record holds it, and its owner's shard lock guards it. It keeps
+// F alone (8 B a row, where a whole Fingerprint is 2 240 B): the retry
+// derives F′ again for the one Assess call it makes.
 type quarantined struct {
-	fp    fingerprint.Fingerprint
+	f     fingerprint.F
 	since time.Time
 	// acked is set once the demotion that parked the fingerprint has
 	// been acknowledged (durable, OnQuarantined returned). The retry
@@ -441,7 +443,7 @@ func (g *Gateway) quarantineDevice(owner *device, fp *fingerprint.Fingerprint, n
 		SetupPackets: info.SetupPackets,
 		Fingerprint:  fp.F,
 	})
-	q := &quarantined{fp: *fp, since: now}
+	q := &quarantined{f: fp.F, since: now}
 	if !g.setParked(owner, q) {
 		q = nil
 	}
@@ -493,7 +495,10 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 
 	promoted := 0
 	for _, r := range due {
-		a, err := g.assessor.Assess(r.entry.fp)
+		// A parked F is some Fingerprint's F (a capture's, or one Recover
+		// checked with FromF), so FromPacked rebuilds that value.
+		fp := fingerprint.FromPacked(r.entry.f)
+		a, err := g.assessor.Assess(fp)
 		if err != nil {
 			g.cfg.Metrics.incRetry(false)
 			if s := g.lockOwner(r.owner, r.entry); s != nil {
@@ -504,7 +509,7 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 		}
 		// apply claims the entry: a parallel drain holding a verdict for
 		// it, or for an owner RemoveDevice dropped, applies nothing.
-		if g.apply(r.owner, r.entry, a, &r.entry.fp, now) {
+		if g.apply(r.owner, r.entry, a, &fp, now) {
 			g.cfg.Metrics.incRetry(true)
 			promoted++
 		}

@@ -160,7 +160,7 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 			if d == nil || err != nil {
 				continue // no device to park it on, or not retryable
 			}
-			d.parked = &quarantined{fp: fp, since: q.Since, acked: true}
+			d.parked = &quarantined{f: fp.F, since: q.Since, acked: true}
 		}
 	}
 
@@ -203,7 +203,7 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 			info.AssessAttempts = ev.Attempts
 			info.SetupPackets = ev.SetupPackets
 			if fp, err := fingerprint.FromF(ev.Fingerprint); err == nil {
-				d.parked = &quarantined{fp: fp, since: ev.At, acked: true}
+				d.parked = &quarantined{f: fp.F, since: ev.At, acked: true}
 			}
 		case store.EvRemoved:
 			delete(devices, ev.MAC)
@@ -312,7 +312,7 @@ func (g *Gateway) Checkpoint() error {
 					AssessAttempts:  info.AssessAttempts,
 				})
 				if q := rec.parked; q != nil {
-					parked = append(parked, store.QuarantineRecord{MAC: info.MAC, Since: q.since, Fingerprint: q.fp.F})
+					parked = append(parked, store.QuarantineRecord{MAC: info.MAC, Since: q.since, Fingerprint: q.f})
 				}
 			}
 			s.mu.Unlock()

@@ -83,11 +83,13 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// cluster is one group of linked unknown fingerprints.
+// cluster is one group of linked unknown fingerprints. Members are kept
+// as F, which is all linkage reads; a promotion rebuilds whole
+// fingerprints for the classifier it trains.
 type cluster struct {
 	id       string
 	typeName core.TypeID
-	members  []fingerprint.Fingerprint
+	members  []fingerprint.F
 	proposed bool
 	promoted bool
 	// retryAt, after a failed promotion, is the membership the cluster
@@ -109,7 +111,9 @@ type Learner struct {
 	seen     map[fingerprint.Key]*cluster
 	nextID   int
 
-	queue     chan fingerprint.Fingerprint
+	// queue carries observations' F: 24 B a slot, where a whole
+	// Fingerprint would be 2 240.
+	queue     chan fingerprint.F
 	sweep     chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
@@ -136,7 +140,7 @@ func New(cfg Config) (*Learner, error) {
 		k:      k,
 		seen:   make(map[fingerprint.Key]*cluster),
 		nextID: 1,
-		queue:  make(chan fingerprint.Fingerprint, queueDepth),
+		queue:  make(chan fingerprint.F, queueDepth),
 		sweep:  make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
@@ -161,7 +165,7 @@ func (l *Learner) Close() {
 func (l *Learner) Observe(fp fingerprint.Fingerprint) {
 	l.addPending(1)
 	select {
-	case l.queue <- fp:
+	case l.queue <- fp.F:
 		l.cfg.Metrics.incObserved()
 	default:
 		l.addPending(-1)
@@ -202,8 +206,8 @@ func (l *Learner) run() {
 		select {
 		case <-l.done:
 			return
-		case fp := <-l.queue:
-			l.process(fp)
+		case f := <-l.queue:
+			l.process(f)
 			l.addPending(-1)
 		case <-l.sweep:
 			l.promotePending()
@@ -213,9 +217,9 @@ func (l *Learner) run() {
 }
 
 // process clusters one observation and drives its consequences.
-func (l *Learner) process(fp fingerprint.Fingerprint) {
+func (l *Learner) process(f fingerprint.F) {
 	l.mu.Lock()
-	c, dup := l.observeLocked(fp)
+	c, dup := l.observeLocked(f)
 	var members int
 	var proposed bool
 	if c != nil {
@@ -231,7 +235,7 @@ func (l *Learner) process(fp fingerprint.Fingerprint) {
 		At:          time.Now(),
 		Cluster:     c.id,
 		Members:     members,
-		Fingerprint: fp.F,
+		Fingerprint: f,
 	})
 	if proposed {
 		l.cfg.Metrics.incProposal()
@@ -251,8 +255,8 @@ func (l *Learner) process(fp fingerprint.Fingerprint) {
 // the proposal. The caller holds l.mu and journals from the returned
 // state — clustering is pure state transition, shared by live
 // observation and journal replay.
-func (l *Learner) observeLocked(fp fingerprint.Fingerprint) (c *cluster, dup bool) {
-	key := fp.CanonicalKey()
+func (l *Learner) observeLocked(f fingerprint.F) (c *cluster, dup bool) {
+	key := f.CanonicalKey()
 	if owner, ok := l.seen[key]; ok {
 		return owner, true
 	}
@@ -265,7 +269,7 @@ func (l *Learner) observeLocked(fp fingerprint.Fingerprint) (c *cluster, dup boo
 	var linked []*cluster
 	for _, cand := range l.clusters {
 		for i := range cand.members {
-			if _, ok := editdist.NormalizedBounded(fp.F, cand.members[i].F, DefaultLinkage); ok {
+			if _, ok := editdist.NormalizedBounded(f, cand.members[i], DefaultLinkage); ok {
 				linked = append(linked, cand)
 				break
 			}
@@ -300,7 +304,7 @@ func (l *Learner) observeLocked(fp fingerprint.Fingerprint) (c *cluster, dup boo
 	l.cfg.Metrics.setClusters(len(l.clusters))
 	l.seen[key] = c
 	if len(c.members) < maxClusterMembers {
-		c.members = append(c.members, fp)
+		c.members = append(c.members, f)
 	}
 	if !c.proposed && !c.promoted && len(c.members) >= l.k && len(c.members) >= c.retryAt {
 		c.proposed = true
@@ -314,11 +318,11 @@ func (l *Learner) observeLocked(fp fingerprint.Fingerprint) (c *cluster, dup boo
 // are not absorbed) dies with it: if the merged cluster is big enough,
 // the threshold check after the merge re-proposes it under dst's name.
 func (l *Learner) mergeLocked(dst, src *cluster) {
-	for _, fp := range src.members {
+	for _, f := range src.members {
 		if len(dst.members) >= maxClusterMembers {
 			break
 		}
-		dst.members = append(dst.members, fp)
+		dst.members = append(dst.members, f)
 	}
 	for key, owner := range l.seen {
 		if owner == src {
@@ -354,15 +358,24 @@ func (l *Learner) promotePending() {
 			return
 		}
 		name := c.typeName
-		members := append([]fingerprint.Fingerprint(nil), c.members...)
+		fs := append([]fingerprint.F(nil), c.members...)
 		l.mu.Unlock()
 
 		if l.cfg.Known(name) {
 			// The bank already has the type: a previous promotion whose
 			// journal record was lost (it is a routine, batched record).
 			// Adopt it rather than retraining.
-			l.finishPromotion(c, name, len(members), nil)
+			l.finishPromotion(c, name, len(fs), nil)
 			continue
+		}
+		// Observe takes any caller's Fingerprint: FromF keeps a member
+		// the extractor could not have produced out of training, as
+		// Recover keeps it out of the clusters.
+		members := make([]fingerprint.Fingerprint, 0, len(fs))
+		for _, f := range fs {
+			if fp, err := fingerprint.FromF(f); err == nil {
+				members = append(members, fp)
+			}
 		}
 		start := time.Now()
 		bank, err := l.cfg.Promote(name, members)
@@ -378,7 +391,7 @@ func (l *Learner) promotePending() {
 			l.logf("learn: promotion of %s as %q failed: %v", c.id, name, err)
 			continue
 		}
-		l.finishPromotion(c, name, len(members), bank)
+		l.finishPromotion(c, name, len(fs), bank)
 	}
 }
 
@@ -468,10 +481,7 @@ func (l *Learner) SnapshotState() *store.LearnState {
 			Type:     string(c.typeName),
 			Proposed: c.proposed,
 			Promoted: c.promoted,
-			Members:  make([]fingerprint.F, 0, len(c.members)),
-		}
-		for _, fp := range c.members {
-			cr.Members = append(cr.Members, fp.F)
+			Members:  append([]fingerprint.F(nil), c.members...),
 		}
 		ls.Clusters = append(ls.Clusters, cr)
 	}
@@ -538,7 +548,7 @@ func (l *Learner) Recover(rec *store.Recovery) (RecoverStats, error) {
 				if _, dup := l.seen[key]; dup {
 					continue
 				}
-				c.members = append(c.members, fp)
+				c.members = append(c.members, fp.F)
 				l.seen[key] = c
 			}
 			if len(c.members) == 0 && !c.promoted {
@@ -554,7 +564,7 @@ func (l *Learner) Recover(rec *store.Recovery) (RecoverStats, error) {
 			if err != nil {
 				continue
 			}
-			l.observeLocked(fp)
+			l.observeLocked(fp.F)
 		case store.EvTypeProposed:
 			if c := l.clusterByIDLocked(ev.Cluster); c != nil && !c.promoted {
 				c.proposed = true

@@ -9,9 +9,13 @@
 # (git archive) in a temporary directory, built by its own run.sh and
 # removed at exit; bench/ itself is only called, never edited. Ends with
 # `benchreport -pairs`: every end-to-end metric's medians, quartiles,
-# wins and BENCHMARK.json bound check. The runs' logs and results are
-# removed when that check passes and kept (the path is printed) when it
-# fails. Set TMPDIR to choose where the copy and the results go.
+# wins and BENCHMARK.json bound check. Its JSON form (each run's
+# end-to-end values, the summary and the two revisions) is archived as
+# docs/bench/E2E_<date>_<workload>.json, or with b, c, ... after the
+# date when the day already has one (never overwritten), whether the
+# check passes or not. The runs' logs and results are removed when that
+# check passes and kept (the path is printed) when it fails. Set TMPDIR
+# to choose where the copy and the results go.
 set -euo pipefail
 if [ $# -ne 4 ]; then
 	echo "usage: $0 PARENT WORKLOAD PAIRS SEED0" >&2
@@ -24,6 +28,9 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "${tmp}/parent"' EXIT
 mkdir "${tmp}/parent" "${tmp}/out"
 git -C "${root}" archive "${rev}" | tar -x -C "${tmp}/parent"
+change="$(git -C "${root}" rev-parse HEAD)"
+if [ -n "$(git -C "${root}" status --porcelain)" ]; then change="${change} with uncommitted changes"; fi
+printf '{"parent": "%s", "change": "%s"}\n' "${rev}" "${change}" >"${tmp}/out/revisions"
 echo "e2e-pair: ${workload}, ${pairs} pairs from seed ${seed0}: parent ${rev:0:12} vs ${root}"
 
 for ((i = 0; i < pairs; i++)); do
@@ -42,7 +49,27 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 cd "${root}"
-if ! go run ./cmd/benchreport -pairs "${tmp}/out" -pairs-contract BENCHMARK.json; then
+status=0
+go run ./cmd/benchreport -pairs "${tmp}/out" -pairs-contract BENCHMARK.json || status=$?
+
+# The archive's name: the day's first free one (the rule bench-json
+# follows for BENCH_*).
+if [ -e "${tmp}/out/pairs.json" ]; then
+	day=$(date +%Y%m%d)
+	archive=""
+	for s in "" b c d e f g h; do
+		name="docs/bench/E2E_${day}${s}_${workload}.json"
+		if [ ! -e "${name}" ]; then archive=${name}; break; fi
+	done
+	if [ -n "${archive}" ]; then
+		cp "${tmp}/out/pairs.json" "${archive}"
+		echo "e2e-pair: wrote ${archive}"
+	else
+		echo "e2e-pair: docs/bench/E2E_${day}[b-h]_${workload}.json all exist; move some aside" >&2
+		status=1
+	fi
+fi
+if [ "${status}" -ne 0 ]; then
 	echo "e2e-pair: logs and results kept in ${tmp}/out" >&2
 	exit 1
 fi
