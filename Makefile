@@ -145,12 +145,15 @@ crash:
 # sharded hammer, verdicts for departed and rejoined devices, a removal
 # racing a rejoin, racing quarantine drains — ten times each under the
 # race detector, since one run of a race shows only one of its
-# interleavings.
+# interleavings; and the switch's hammer, whose counts and the series
+# read from them must agree however its frames, rule churn, sweeps and
+# scrapes interleave.
 GATEWAY_INTERLEAVINGS = TestCloseRacingFinishingCaptures|TestShardedGatewayRaceHammer|TestConcurrentGatewayOperations|TestVerdictForDepartedDeviceIsDropped|TestRetryQuarantinedConcurrentDrainsPromoteOnce|TestRejoinTakesItsOwnVerdict|TestRemovalSparesRejoinedRule
 chaos:
 	@echo "chaos: CHAOS_SEED=$(CHAOS_SEED)"
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestChaos' ./internal/chaos/ ./internal/fleet/
 	$(GO) test -race -count=10 -run '^($(GATEWAY_INTERLEAVINGS))$$' ./internal/gateway/
+	$(GO) test -race -count=10 -run '^TestConcurrentSwitchProcessing$$' ./internal/sdn/
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

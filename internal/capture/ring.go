@@ -98,12 +98,14 @@ type Ring struct {
 	// Producer state, under mu. timer is the stopped wait timer a
 	// blocked lossless Inject takes and puts back (nil while taken).
 	// waiting is set by the consumer as it parks on an empty ring.
+	// frames counts the frames Inject accepted; drops, written under mu
+	// as well, is an atomic only so that Drops reads it without mu.
 	mu      sync.Mutex
 	pi      int
 	timer   *time.Timer
 	waiting bool
 	closed  bool
-	frames  atomic.Uint64
+	frames  uint64
 	drops   atomic.Uint64
 	_       [cacheLine]byte
 
@@ -158,7 +160,7 @@ func (r *Ring) Inject(ts time.Time, frame []byte) error {
 			putFrame(b.buf[b.w:], ts, frame)
 			b.w += need
 			b.nframes++
-			r.frames.Add(1)
+			r.frames++
 			// A parked reader gets this frame at once, and only this
 			// one: those behind it gather in the next block until the
 			// reader comes back and claims it (awaitBlock).
@@ -359,4 +361,8 @@ func getFrame(src []byte) (time.Time, []byte, int) {
 func (r *Ring) Drops() uint64 { return r.drops.Load() }
 
 // Frames returns the number of frames accepted by Inject.
-func (r *Ring) Frames() uint64 { return r.frames.Load() }
+func (r *Ring) Frames() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.frames
+}

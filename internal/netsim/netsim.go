@@ -252,9 +252,7 @@ func (n *Network) traverse(from, to *Host, pk *packet.Packet) time.Duration {
 		lat += n.jitter(from.Jitter) + n.jitter(to.Jitter)
 		return lat
 	}
-	before := n.sw.Stats()
-	action := n.sw.Process(pk, n.clock)
-	after := n.sw.Stats()
+	action, hit := n.sw.ProcessHit(pk, n.clock)
 	if action != sdn.ActionForward {
 		return -1
 	}
@@ -265,10 +263,10 @@ func (n *Network) traverse(from, to *Host, pk *packet.Packet) time.Duration {
 	// path the real switch took.
 	if !n.sw.Controller().Filtering() {
 		lat += n.model.BridgeCost
-	} else if after.PacketIns > before.PacketIns {
-		lat += n.model.PacketInCost
-	} else {
+	} else if hit {
 		lat += n.model.TableHitCost
+	} else {
+		lat += n.model.PacketInCost
 	}
 	lat += time.Duration(len(n.bgKeys)) * n.model.QueueDelayPerFlow
 	return lat

@@ -12,6 +12,8 @@
 //     pay one atomic RMW per metric update: no locks, no allocation.
 //   - Labeled metrics resolve their child once at wiring time; the
 //     update itself is the same single atomic.
+//   - A count its owner already keeps is exported with CounterFunc,
+//     read when scraped: its hot path then writes no metric at all.
 //   - Scrapes and test snapshots are read-only and may run concurrently
 //     with updates; they see a near-point-in-time view (per-value
 //     atomicity, no cross-metric transaction — the standard Prometheus
@@ -41,12 +43,15 @@ const (
 	KindCounter Kind = iota + 1
 	KindGauge
 	KindHistogram
+	// kindCounterFunc is a counter whose values functions supply
+	// (CounterFunc); it exports as a counter.
+	kindCounterFunc
 )
 
 // String returns the Prometheus TYPE keyword.
 func (k Kind) String() string {
 	switch k {
-	case KindCounter:
+	case KindCounter, kindCounterFunc:
 		return "counter"
 	case KindGauge:
 		return "gauge"
@@ -205,6 +210,19 @@ type child struct {
 	counter     *Counter
 	gauge       *Gauge
 	histogram   *Histogram
+	fn          atomic.Pointer[func() uint64] // kindCounterFunc only
+}
+
+// count is a counter child's value: its Counter's, or what its function
+// returns now (0 before one is set).
+func (c *child) count() uint64 {
+	if c.counter != nil {
+		return c.counter.Value()
+	}
+	if fn := c.fn.Load(); fn != nil {
+		return (*fn)()
+	}
+	return 0
 }
 
 // labelKey joins label values with a separator that cannot appear in
@@ -251,6 +269,16 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.get(labelValues).counter
 }
 
+// CounterFuncVec is a family of function-backed counters (CounterFunc)
+// partitioned by label values.
+type CounterFuncVec struct{ f *family }
+
+// Func sets the function supplying the counter with the given label
+// values, replacing any set before.
+func (v *CounterFuncVec) Func(f func() uint64, labelValues ...string) {
+	v.f.get(labelValues).fn.Store(&f)
+}
+
 // GaugeVec is a gauge family partitioned by label values.
 type GaugeVec struct{ f *family }
 
@@ -264,7 +292,10 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 // asking for an existing name with the same kind and label schema
 // returns the existing family, so independent components can share a
 // registry without coordinating; a kind or schema mismatch panics
-// (it is a wiring bug, not a runtime condition).
+// (it is a wiring bug, not a runtime condition). A function-backed
+// counter is a kind of its own: registering its name again keeps the
+// family and replaces the function, so the series reads whatever the
+// latest registration reads; registering it as a plain Counter panics.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
@@ -311,6 +342,21 @@ func (r *Registry) Counter(name, help string) *Counter {
 // CounterVec registers (or returns) a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{f: r.family(name, help, KindCounter, labels, nil)}
+}
+
+// CounterFunc registers an unlabeled counter whose value f returns each
+// time the registry is written (WriteText) or snapshotted: the count is
+// kept by its owner, and updating it touches no metric. f must be safe
+// to call from any goroutine, take no lock its owner holds while using
+// the registry, and never decrease. Registering name again replaces f.
+func (r *Registry) CounterFunc(name, help string, f func() uint64) {
+	r.family(name, help, kindCounterFunc, nil, nil).get(nil).fn.Store(&f)
+}
+
+// CounterFuncVec registers (or returns) a labeled family of
+// function-backed counters; CounterFuncVec.Func sets each child's.
+func (r *Registry) CounterFuncVec(name, help string, labels ...string) *CounterFuncVec {
+	return &CounterFuncVec{f: r.family(name, help, kindCounterFunc, labels, nil)}
 }
 
 // Gauge registers (or returns) an unlabeled gauge.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -146,6 +147,76 @@ func TestTextFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("text output missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestCounterFunc: a function-backed counter, labeled or not, reads its
+// function each time the registry is written or snapshotted; registering
+// it again takes the new function; and it is a counter kind of its own.
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	var hits, fwd, drop uint64 = 3, 7, 1
+	r.CounterFunc("hits_total", "hits help", func() uint64 { return hits })
+	v := r.CounterFuncVec("pkts_total", "pkts help", "action")
+	v.Func(func() uint64 { return fwd }, "forward")
+	v.Func(func() uint64 { return drop }, "drop")
+
+	text := func() string {
+		var sb strings.Builder
+		if err := r.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	check := func(h, f, d uint64) {
+		t.Helper()
+		out := text()
+		for _, want := range []string{
+			fmt.Sprintf("# HELP hits_total hits help\n# TYPE hits_total counter\nhits_total %d\n", h),
+			fmt.Sprintf("# TYPE pkts_total counter\npkts_total{action=\"forward\"} %d\npkts_total{action=\"drop\"} %d\n", f, d),
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("text output missing %q in:\n%s", want, out)
+			}
+		}
+		s := r.Snapshot()
+		if got := s.Value("hits_total"); got != float64(h) {
+			t.Errorf("snapshot hits_total = %v, want %d", got, h)
+		}
+		if got := s.Value("pkts_total", "action", "forward"); got != float64(f) {
+			t.Errorf("snapshot forward = %v, want %d", got, f)
+		}
+		if got := s.Value("pkts_total", "action", "drop"); got != float64(d) {
+			t.Errorf("snapshot drop = %v, want %d", got, d)
+		}
+	}
+	check(3, 7, 1)
+	hits, fwd = 4, 9 // read at the next write, not at registration
+	check(4, 9, 1)
+
+	// Registering again replaces the function and keeps the family.
+	r.CounterFunc("hits_total", "hits help", func() uint64 { return 40 })
+	r.CounterFuncVec("pkts_total", "pkts help", "action").Func(func() uint64 { return 90 }, "forward")
+	check(40, 90, 1)
+	if n := strings.Count(text(), "# TYPE hits_total"); n != 1 {
+		t.Errorf("hits_total exported %d times", n)
+	}
+
+	r.Counter("plain_total", "")
+	for name, register := range map[string]func(){
+		"a function as a Counter":    func() { r.Counter("hits_total", "") },
+		"a function as a CounterVec": func() { r.CounterVec("pkts_total", "", "action") },
+		"a function as a Gauge":      func() { r.Gauge("hits_total", "") },
+		"a Counter as a function":    func() { r.CounterFunc("plain_total", "", func() uint64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("re-registering %s did not panic", name)
+				}
+			}()
+			register()
+		}()
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // Prometheus text exposition (format version 0.0.4) plus the snapshot
 // API tests assert against. Both walk the same family/child structure;
 // neither blocks writers — values are read with the same atomics the
-// hot path updates.
+// hot path updates, and a function-backed counter's function is called
+// with no registry lock held.
 
 // WriteText writes every registered metric in the Prometheus text
 // format, families in registration order, children in creation order.
@@ -50,8 +51,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 func writeChild(w io.Writer, f *family, c *child) {
 	base := labelString(f.labels, c.labelValues, "", "")
 	switch f.kind {
-	case KindCounter:
-		fmt.Fprintf(w, "%s%s %d\n", f.name, base, c.counter.Value())
+	case KindCounter, kindCounterFunc:
+		fmt.Fprintf(w, "%s%s %d\n", f.name, base, c.count())
 	case KindGauge:
 		fmt.Fprintf(w, "%s%s %d\n", f.name, base, c.gauge.Value())
 	case KindHistogram:
@@ -182,8 +183,8 @@ func (r *Registry) Snapshot() Snapshot {
 				kv = append(kv, n, c.labelValues[i])
 			}
 			switch f.kind {
-			case KindCounter:
-				snap.values[snapKey(f.name, kv)] = float64(c.counter.Value())
+			case KindCounter, kindCounterFunc:
+				snap.values[snapKey(f.name, kv)] = float64(c.count())
 			case KindGauge:
 				snap.values[snapKey(f.name, kv)] = float64(c.gauge.Value())
 			case KindHistogram:

@@ -1,7 +1,10 @@
 package sdn
 
 import (
+	"hash/fnv"
 	"net/netip"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,42 +21,51 @@ func benchMAC(i int) packet.MAC {
 
 func benchIP(i int) netip.Addr { return netip.AddrFrom4([4]byte{192, 168, byte(i >> 8), byte(i)}) }
 
-// BenchmarkSwitchProcess10k is Switch.Process on the benchmark
-// workload's working set — 10 000 devices of 4 flows each, visited
-// round-robin so that no frame finds its device's state in cache —
-// where BenchmarkFlowTableMatch's one hot entry shows nothing. internet
-// frames leave through the gateway; peer frames go to another device,
-// so their flows depend on the destination's rule as well.
-func BenchmarkSwitchProcess10k(b *testing.B) {
+// switch10k is the working set of the SwitchProcess10k benchmarks: a
+// switch with 10 000 Trusted devices of 4 flows each installed, and one
+// frame per flow, ordered so that a round-robin visits every device
+// before any device again. internet frames leave through the gateway;
+// peer frames go to another device, so their flows depend on the
+// destination's rule as well.
+func switch10k(b *testing.B, mode string) (*Switch, []*packet.Packet) {
 	const devices, flows = 10000, 4
+	cache := NewRuleCache()
+	ctrl := NewController(cache, netip.Prefix{})
+	ctrl.AddInfrastructure(gwMAC)
+	sw := NewSwitch(ctrl, time.Minute)
+	pkts := make([]*packet.Packet, 0, devices*flows)
+	for f := 0; f < flows; f++ {
+		for d := 0; d < devices; d++ {
+			if f == 0 {
+				cache.Put(&EnforcementRule{DeviceMAC: benchMAC(d), Level: Trusted})
+			}
+			if mode == "peer" {
+				peer := (d + 1 + f) % devices
+				pkts = append(pkts, packet.NewTCPSyn(benchMAC(d), benchMAC(peer), benchIP(d), benchIP(peer), uint16(40000+f), 443))
+			} else {
+				remote := netip.AddrFrom4([4]byte{52, 20, byte(f), 1})
+				pkts = append(pkts, packet.NewTCPSyn(benchMAC(d), gwMAC, benchIP(d), remote, uint16(40000+f), 443))
+			}
+		}
+	}
+	for _, pk := range pkts {
+		sw.Process(pk, time.Unix(0, 0))
+	}
+	if n := sw.Table().Len(); n != devices*flows {
+		b.Fatalf("%d flows installed, want %d", n, devices*flows)
+	}
+	return sw, pkts
+}
+
+// BenchmarkSwitchProcess10k is Switch.Process on the benchmark
+// workload's working set (switch10k), visited round-robin so that no
+// frame finds its device's state in cache — where
+// BenchmarkFlowTableMatch's one hot entry shows nothing.
+func BenchmarkSwitchProcess10k(b *testing.B) {
 	for _, mode := range []string{"internet", "peer"} {
 		b.Run(mode, func(b *testing.B) {
-			cache := NewRuleCache()
-			ctrl := NewController(cache, netip.Prefix{})
-			ctrl.AddInfrastructure(gwMAC)
-			sw := NewSwitch(ctrl, time.Minute)
-			pkts := make([]*packet.Packet, 0, devices*flows)
-			for f := 0; f < flows; f++ {
-				for d := 0; d < devices; d++ {
-					if f == 0 {
-						cache.Put(&EnforcementRule{DeviceMAC: benchMAC(d), Level: Trusted})
-					}
-					if mode == "peer" {
-						peer := (d + 1 + f) % devices
-						pkts = append(pkts, packet.NewTCPSyn(benchMAC(d), benchMAC(peer), benchIP(d), benchIP(peer), uint16(40000+f), 443))
-					} else {
-						remote := netip.AddrFrom4([4]byte{52, 20, byte(f), 1})
-						pkts = append(pkts, packet.NewTCPSyn(benchMAC(d), gwMAC, benchIP(d), remote, uint16(40000+f), 443))
-					}
-				}
-			}
+			sw, pkts := switch10k(b, mode)
 			now := time.Unix(0, 0)
-			for _, pk := range pkts {
-				sw.Process(pk, now)
-			}
-			if n := sw.Table().Len(); n != devices*flows {
-				b.Fatalf("%d flows installed, want %d", n, devices*flows)
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -63,6 +75,40 @@ func BenchmarkSwitchProcess10k(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSwitchProcess10kParallel is SwitchProcess10k/internet from
+// every reader at once. Each RunParallel goroutine forwards, round-robin,
+// the devices one capture ring of a GOMAXPROCS-reader fanout would get
+// (FNV-1a of the source MAC, masked to the ring count, as capture.Fanout
+// and the gateway's shards split them): no device is sent from two
+// goroutines, and what they share is the switch itself.
+func BenchmarkSwitchProcess10kParallel(b *testing.B) {
+	sw, pkts := switch10k(b, "internet")
+	rings := 1
+	for rings < runtime.GOMAXPROCS(0) {
+		rings <<= 1
+	}
+	owned := make([][]*packet.Packet, rings)
+	for _, pk := range pkts {
+		h := fnv.New32a()
+		h.Write(pk.SrcMAC[:])
+		r := h.Sum32() & uint32(rings-1)
+		owned[r] = append(owned[r], pk)
+	}
+	var next atomic.Int32
+	now := time.Unix(0, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		mine := owned[int(next.Add(1)-1)%rings]
+		for i := 0; pb.Next(); i++ {
+			if sw.Process(mine[i%len(mine)], now) != ActionForward {
+				b.Error("dropped")
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkSwitchPortScan is one device cycling 65 536 distinct

@@ -63,20 +63,24 @@ func TestConcurrentSwitchProcessing(t *testing.T) {
 			sw.Table().Expire(now.Add(time.Duration(i) * 10 * time.Millisecond))
 		}
 	}()
-	// Concurrent attach/detach of the metrics bundle, and counter
-	// snapshots: Process reads the attachment and bumps the counters
-	// without a lock.
+	// Concurrent attach/detach of the metrics bundle, counter snapshots
+	// and scrapes: the evictions read the attachment without a lock, and
+	// Stats and the series it backs take the stripes Process writes.
+	reg := obs.NewRegistry()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		met := NewSwitchMetrics(obs.NewRegistry())
+		met := NewSwitchMetrics(reg)
 		for i := 0; i < 300; i++ {
 			if i%2 == 0 {
 				sw.SetMetrics(met)
 			} else {
 				sw.SetMetrics(nil)
 			}
-			_ = sw.Stats()
+			if st := sw.Stats(); st.Forwarded+st.Dropped != st.TableHits+st.PacketIns {
+				t.Errorf("snapshot %+v splits a frame across its counts", st)
+			}
+			_ = reg.Snapshot()
 		}
 	}()
 	wg.Wait()
@@ -87,6 +91,60 @@ func TestConcurrentSwitchProcessing(t *testing.T) {
 	}
 	if st.TableHits+st.PacketIns != 8*300 {
 		t.Errorf("%d hits + %d packet-ins, want %d in all", st.TableHits, st.PacketIns, 8*300)
+	}
+	// One set of counts: the series are the switch's, detached last or not.
+	snap := reg.Snapshot()
+	for _, c := range []struct {
+		name string
+		kv   []string
+		want uint64
+	}{
+		{"sdn_switch_packets_total", []string{"action", "forward"}, st.Forwarded},
+		{"sdn_switch_packets_total", []string{"action", "drop"}, st.Dropped},
+		{"sdn_switch_packet_ins_total", nil, st.PacketIns},
+		{"sdn_switch_table_hits_total", nil, st.TableHits},
+	} {
+		if got := snap.Value(c.name, c.kv...); got != float64(c.want) {
+			t.Errorf("%s%v = %v, Stats says %d", c.name, c.kv, got, c.want)
+		}
+	}
+}
+
+// TestDirectTableCallsLeaveSwitchStats: the switch's counts are
+// Process's. Install and Match on its table count the frame against its
+// device but leave Stats and the series it backs alone.
+func TestDirectTableCallsLeaveSwitchStats(t *testing.T) {
+	reg := obs.NewRegistry()
+	sw := NewSwitch(newTestController(), time.Minute)
+	sw.SetMetrics(NewSwitchMetrics(reg))
+	now := time.Unix(0, 0)
+	pk := packet.NewTCPSyn(devC, gwMAC, ipC, other, 40000, 443)
+	sw.Process(pk, now) // a packet-in
+	sw.Process(pk, now) // a table hit
+	want := SwitchStats{Forwarded: 2, PacketIns: 1, TableHits: 1}
+	if st := sw.Stats(); st != want {
+		t.Fatalf("after Process = %+v, want %+v", st, want)
+	}
+
+	key := flow(devA, devB, ipA, ipB)
+	sw.Table().Install(key, ActionDrop, now)
+	for i := 0; i < 3; i++ {
+		if act, ok := sw.Table().Match(key, 100, now); !ok || act != ActionDrop {
+			t.Fatalf("Match = %v, %v", act, ok)
+		}
+	}
+	if _, ok := sw.Table().Match(flow(devB, devA, ipB, ipA), 100, now); ok {
+		t.Fatal("an uninstalled flow matched")
+	}
+	if st := sw.Stats(); st != want {
+		t.Errorf("after direct Install and Match = %+v, want %+v", st, want)
+	}
+	if d, _ := sw.Device(devA); d.Packets != 3 || d.Dropped != 3 {
+		t.Errorf("devA = %+v, want its 3 matched frames", d)
+	}
+	snap := reg.Snapshot()
+	if f, h := snap.Value("sdn_switch_packets_total", "action", "forward"), snap.Value("sdn_switch_table_hits_total"); f != 2 || h != 1 {
+		t.Errorf("series read %v forwarded and %v hits, want 2 and 1", f, h)
 	}
 }
 

@@ -127,11 +127,17 @@ func (s *dstSet) len() int {
 	return dstInline + len(s.spill)
 }
 
+// portStripe is one lock over its ports. counts are the switch's counts
+// of the frames Process sent through them, written in the same hold as
+// the port's counters — a hit in match, a miss in admit — so counting a
+// frame writes nothing another stripe's frames write; Switch.Stats sums
+// them.
 type portStripe struct {
-	mu    sync.Mutex
-	ports map[macKey]*port
-	flows int      // installed over all ports, for Len
-	_     [40]byte // a cache line per stripe
+	mu     sync.Mutex
+	ports  map[macKey]*port
+	flows  int // installed over all ports, for Len
+	counts SwitchStats
+	_      [8]byte // a cache line per stripe
 }
 
 // FlowTable is the switch's exact-match flow table, kept per source MAC
@@ -243,6 +249,7 @@ func (t *FlowTable) admit(k *packet.FlowKey, act Action, on basis, size int, now
 	st.mu.Lock()
 	p := st.port(k.SrcMAC, ns)
 	p.count(size, act, ns)
+	st.counts.add(act, false)
 	if k.DstIP.IsValid() {
 		p.dsts.add(k.DstIP)
 	}
@@ -262,15 +269,16 @@ func (p *port) count(size int, act Action, now int64) {
 }
 
 // Match looks up the flow for key and, on a hit, counts the frame
-// against its source device.
+// against its source device. The switch's counts (Switch.Stats) are
+// Process's alone: Match leaves them as they are.
 func (t *FlowTable) Match(key packet.FlowKey, size int, now time.Time) (Action, bool) {
-	return t.match(&key, size, now)
+	return t.match(&key, size, now, false)
 }
 
 // match is the forward path: one stripe lock, one lookup, a scan of the
-// device's flows, the flow's last use and the device's counters in the
-// same hold.
-func (t *FlowTable) match(k *packet.FlowKey, size int, now time.Time) (Action, bool) {
+// device's flows, the flow's last use, the device's counters and, when
+// switched, the switch's counts in the same hold.
+func (t *FlowTable) match(k *packet.FlowKey, size int, now time.Time, switched bool) (Action, bool) {
 	src := keyOf(k.SrcMAC)
 	st := t.stripe(src)
 	ns := now.UnixNano()
@@ -280,6 +288,9 @@ func (t *FlowTable) match(k *packet.FlowKey, size int, now time.Time) (Action, b
 			f.lastUsed = ns
 			act := Action(f.action)
 			p.count(size, act, ns)
+			if switched {
+				st.counts.add(act, true)
+			}
 			st.mu.Unlock()
 			return act, true
 		}

@@ -50,6 +50,9 @@ func TestResidentDeviceFootprint(t *testing.T) {
 	if n := unsafe.Sizeof(entry{}); n > 80 {
 		t.Errorf("a flow entry is %d bytes, want at most 80", n)
 	}
+	if n := unsafe.Sizeof(portStripe{}); n != 64 {
+		t.Errorf("a port stripe is %d bytes, want one 64-byte cache line", n)
+	}
 	for _, c := range []struct{ flows, bound int }{{4, 600}, {6, 790}} {
 		got := residentBytes(10000, c.flows, 3)
 		t.Logf("%d flows: %.0f B per resident device", c.flows, got)

@@ -1,6 +1,8 @@
 package sdn
 
 import (
+	"sync/atomic"
+
 	"iotsentinel/internal/obs"
 )
 
@@ -14,11 +16,18 @@ import (
 //	sdn_switch_packet_ins_total                                      counter
 //	sdn_switch_table_hits_total                                      counter
 //	sdn_switch_flow_evictions_total{reason="bound|idle|invalidated"} counter
+//
+// The first three are the switch's own counts (Switch.Stats), read when
+// the registry is written or snapshotted: a forwarded frame writes no
+// series. They read the switch the bundle was last attached to, and 0
+// before its first attachment. Detaching (SetMetrics(nil)) stops the
+// eviction counts only: the traffic series keep reading that switch,
+// whose counts never stop, so they stay equal to its Stats and never
+// fall. NewSwitchMetrics again on the same registry takes the traffic
+// series over: from then on they read the new bundle's switch, and the
+// two bundles add to one eviction series.
 type SwitchMetrics struct {
-	forwarded *obs.Counter
-	dropped   *obs.Counter
-	packetIns *obs.Counter
-	tableHits *obs.Counter
+	sw        atomic.Pointer[Switch]
 	evictions [3]*obs.Counter
 }
 
@@ -32,36 +41,29 @@ const (
 
 // NewSwitchMetrics registers the switch metric family on reg.
 func NewSwitchMetrics(reg *obs.Registry) *SwitchMetrics {
-	packets := reg.CounterVec("sdn_switch_packets_total",
+	m := &SwitchMetrics{}
+	count := func(of func(SwitchStats) uint64) func() uint64 {
+		return func() uint64 {
+			if sw := m.sw.Load(); sw != nil {
+				return of(sw.Stats())
+			}
+			return 0
+		}
+	}
+	packets := reg.CounterFuncVec("sdn_switch_packets_total",
 		"Packets processed by the switch, by enforcement action.", "action")
+	packets.Func(count(func(s SwitchStats) uint64 { return s.Forwarded }), "forward")
+	packets.Func(count(func(s SwitchStats) uint64 { return s.Dropped }), "drop")
+	reg.CounterFunc("sdn_switch_packet_ins_total",
+		"Flow-table misses escalated to the controller.",
+		count(func(s SwitchStats) uint64 { return s.PacketIns }))
+	reg.CounterFunc("sdn_switch_table_hits_total",
+		"Packets switched in the fast path.",
+		count(func(s SwitchStats) uint64 { return s.TableHits }))
 	evictions := reg.CounterVec("sdn_switch_flow_evictions_total",
 		"Flows removed from the table: a device's 65th flow replacing its least recently used one, idle expiry, or its source's rule changing.", "reason")
-	return &SwitchMetrics{
-		forwarded: packets.With("forward"),
-		dropped:   packets.With("drop"),
-		packetIns: reg.Counter("sdn_switch_packet_ins_total",
-			"Flow-table misses escalated to the controller."),
-		tableHits: reg.Counter("sdn_switch_table_hits_total",
-			"Packets switched in the fast path."),
-		evictions: [3]*obs.Counter{evictions.With("bound"), evictions.With("idle"), evictions.With("invalidated")},
-	}
-}
-
-// observe records one processed packet. Safe on nil.
-func (m *SwitchMetrics) observe(act Action, hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.tableHits.Inc()
-	} else {
-		m.packetIns.Inc()
-	}
-	if act == ActionForward {
-		m.forwarded.Inc()
-	} else {
-		m.dropped.Inc()
-	}
+	m.evictions = [3]*obs.Counter{evictions.With("bound"), evictions.With("idle"), evictions.With("invalidated")}
+	return m
 }
 
 // evicted records n flows leaving the table — on the miss, sweep and

@@ -232,6 +232,21 @@ type SwitchStats struct {
 	TableHits uint64
 }
 
+// add counts one frame Process handled: a table hit or a packet-in,
+// forwarded or dropped.
+func (c *SwitchStats) add(act Action, hit bool) {
+	if hit {
+		c.TableHits++
+	} else {
+		c.PacketIns++
+	}
+	if act == ActionForward {
+		c.Forwarded++
+	} else {
+		c.Dropped++
+	}
+}
+
 // DeviceStats aggregates per-device traffic counters maintained by the
 // controller's monitoring module (Sect. V: "network monitoring tasks").
 type DeviceStats struct {
@@ -250,19 +265,16 @@ type DeviceStats struct {
 // controller (packet-in); the decision is installed as a micro-flow and
 // subsequent packets are switched in the fast path.
 //
-// The counters and the metrics attachment are atomics, so concurrent
-// Process calls share no lock of the switch's own; frames of one source
-// MAC share that port's stripe of the flow table. Each counter is
-// exact; a Stats snapshot taken while packets are in flight can split
-// one packet across its two counters.
+// The switch has no lock or counter of its own: frames of one source MAC
+// share that port's stripe of the flow table, and the switch's counts
+// are kept per stripe, written under the stripe lock a frame already
+// holds, so concurrent Process calls on different stripes write nothing
+// in common but, on a device-to-device hit, the rule cache's read lock
+// (the destination's rule is checked). Stats sums the stripes one at a time; each stripe's
+// counts are consistent, so a frame is never split across two of them.
 type Switch struct {
 	table *FlowTable
 	ctrl  *Controller
-
-	forwarded atomic.Uint64
-	dropped   atomic.Uint64
-	packetIns atomic.Uint64
-	tableHits atomic.Uint64
 
 	// processHook is nil outside tests: Process calls it on a miss between
 	// the decision and its install, no lock held.
@@ -283,41 +295,52 @@ func (s *Switch) Table() *FlowTable { return s.table }
 func (s *Switch) Controller() *Controller { return s.ctrl }
 
 // Process forwards or drops one packet, installing a flow on miss. It
-// also counts the packet against its source device (Device, TopTalkers).
+// also counts the packet against its source device (Device, TopTalkers)
+// and in the switch's counts (Stats).
 func (s *Switch) Process(pk *packet.Packet, now time.Time) Action {
-	key := pk.Flow()
-	act, hit := s.table.match(&key, pk.Size, now)
-	if hit {
-		s.tableHits.Add(1)
-	} else {
-		dec, on := s.ctrl.decide(&key)
-		if s.processHook != nil {
-			s.processHook()
-		}
-		s.table.admit(&key, dec.Action, on, pk.Size, now)
-		act = dec.Action
-		s.packetIns.Add(1)
-	}
-	if act == ActionForward {
-		s.forwarded.Add(1)
-	} else {
-		s.dropped.Add(1)
-	}
-	s.table.metrics.Load().observe(act, hit)
+	act, _ := s.ProcessHit(pk, now)
 	return act
 }
 
-// SetMetrics attaches an instrumentation bundle (nil detaches it).
-func (s *Switch) SetMetrics(m *SwitchMetrics) { s.table.metrics.Store(m) }
-
-// Stats returns a snapshot of switch counters.
-func (s *Switch) Stats() SwitchStats {
-	return SwitchStats{
-		Forwarded: s.forwarded.Load(),
-		Dropped:   s.dropped.Load(),
-		PacketIns: s.packetIns.Load(),
-		TableHits: s.tableHits.Load(),
+// ProcessHit is Process, also reporting whether the packet hit the flow
+// table (false: it went to the controller as a packet-in).
+func (s *Switch) ProcessHit(pk *packet.Packet, now time.Time) (Action, bool) {
+	key := pk.Flow()
+	if act, hit := s.table.match(&key, pk.Size, now, true); hit {
+		return act, true
 	}
+	dec, on := s.ctrl.decide(&key)
+	if s.processHook != nil {
+		s.processHook()
+	}
+	s.table.admit(&key, dec.Action, on, pk.Size, now)
+	return dec.Action, false
+}
+
+// SetMetrics attaches an instrumentation bundle (nil detaches it). The
+// bundle's traffic series read this switch from then on (SwitchMetrics).
+func (s *Switch) SetMetrics(m *SwitchMetrics) {
+	if m != nil {
+		m.sw.Store(s)
+	}
+	s.table.metrics.Store(m)
+}
+
+// Stats returns the switch's counts, summed over the stripes, each read
+// under its lock.
+func (s *Switch) Stats() SwitchStats {
+	var sum SwitchStats
+	for i := range s.table.stripes {
+		st := &s.table.stripes[i]
+		st.mu.Lock()
+		c := st.counts
+		st.mu.Unlock()
+		sum.Forwarded += c.Forwarded
+		sum.Dropped += c.Dropped
+		sum.PacketIns += c.PacketIns
+		sum.TableHits += c.TableHits
+	}
+	return sum
 }
 
 // InvalidateDevice removes the flows a device is the source of, after
