@@ -131,9 +131,10 @@ fuzz:
 # every byte, single-byte corruption at every byte and snapshot damage
 # (each over the binary format across a segment boundary), the
 # demotion-ordering crash test, checkpoints beside churn and rotation,
-# and the quarantined-before-crash -> promoted-after-restart flow.
+# the quarantined-before-crash -> promoted-after-restart flow, and a
+# model save cut between its blob and its serving pointer.
 crash:
-	$(GO) test -count=1 -run 'TestCrashRecovery|TestRestartResumes|TestJournalTornTail|TestJournalCorruption|TestSnapshotCorruption|TestCheckpoint|TestCorruptSegment' \
+	$(GO) test -count=1 -run 'TestCrashRecovery|TestRestartResumes|TestJournalTornTail|TestJournalCorruption|TestSnapshotCorruption|TestCheckpoint|TestCorruptSegment|TestModelPointerCrash' \
 		./internal/gateway/ ./internal/store/
 
 # The fleet-link chaos sweep: the seed-driven fault middleware's own

@@ -27,12 +27,15 @@
 // (liveness + per-subsystem report) and /readyz (503 until every
 // critical subsystem — the durable store — is healthy).
 //
-// With -state-dir, device lifecycle state is journaled and the trained
-// model bank is persisted: a restart recovers every device, its
-// quarantine entry, and its enforcement rule from disk (milliseconds)
-// instead of retraining and re-capturing. SIGHUP revalidates and
-// hot-reloads the model bank from the state dir; SIGTERM/^C drains the
-// assessment pipeline and checkpoints before exiting.
+// With -state-dir, device lifecycle state is journaled and the serving
+// model bank is stored — the trained one, a learned one, or one the
+// fleet pushed, byte for byte: a restart serves that bank and recovers
+// every device, its quarantine entry, and its enforcement rule from
+// disk (milliseconds) instead of retraining and re-capturing, and its
+// fleet hello names the bank, so a fleet already on it pushes nothing.
+// SIGHUP revalidates and hot-reloads the serving bank from the state
+// dir; SIGTERM/^C drains the assessment pipeline and checkpoints before
+// exiting.
 //
 // The gateway itself is assembled by internal/node, the way bench/
 // measures it and the soak gates it: finished captures are identified
@@ -64,7 +67,6 @@ import (
 	"iotsentinel/internal/obs"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/sdn"
-	"iotsentinel/internal/store"
 	"iotsentinel/internal/vulndb"
 )
 
@@ -88,7 +90,7 @@ func run(args []string, out io.Writer) error {
 		assessRetries = fs.Int("assess-retries", 3, "additional attempts after a failed remote IoTSSP call")
 		retryPeriod   = fs.Duration("retry-period", 5*time.Second, "how often quarantined devices are re-assessed")
 		metricsAddr   = fs.String("metrics-addr", "", "listen address for /metrics and /debug/pprof (default: disabled)")
-		stateDir      = fs.String("state-dir", "", "directory for the durable journal, snapshots, and model store (default: in-memory only)")
+		stateDir      = fs.String("state-dir", "", "directory for the durable journal, snapshots, and the serving model bank (default: in-memory only)")
 		learnOn       = fs.Bool("learn", false, "learn new device-types online from clusters of unknown devices (in-process service only)")
 		learnK        = fs.Int("learn-k", learn.DefaultK, "unknown-cluster size that proposes a new device-type")
 		fleetAddr     = fs.String("fleet", "", "iotsspd fleet address (host:port); stream fingerprints up, receive model banks down (in-process service only)")
@@ -137,25 +139,21 @@ func run(args []string, out io.Writer) error {
 		})
 		assessor = client
 	} else {
-		var ms *store.ModelStore
-		if st != nil {
-			ms = st.Store.Models()
-		}
-		id, sha, err := bootBank(log, ms, *captures, *seed)
+		id, sha, err := node.BootBank(st.Models(), reg, func() (*core.Identifier, error) {
+			log.Printf("training in-process IoT Security Service (%d captures x 27 types)...", *captures)
+			return node.TrainBank(*captures, *seed)
+		}, log)
 		if err != nil {
 			return err
-		}
-		if reg != nil {
-			id.SetMetrics(core.NewMetrics(reg))
 		}
 		svc = iotssp.New(id, vulndb.NewDefault())
 		assessor = svc
 		bootSHA = sha
 	}
 
-	// Online learning: unknown fingerprints flow from the gateway's
-	// assessment path into the clusterer; promoted types hot-swap into
-	// the in-process service and persist to the model store.
+	// Online learning: fingerprints the in-process service finds unknown
+	// flow into the clusterer; promoted types hot-swap into the service
+	// and become the model store's serving bank.
 	var learner *learn.Learner
 	if *learnOn {
 		if svc == nil {
@@ -203,16 +201,8 @@ func run(args []string, out io.Writer) error {
 				// fleet on that version pushes nothing.
 				ModelSHA: bootSHA,
 				ApplyModel: func(sha string, model []byte) error {
-					if err := node.InstallModel(svc, model); err != nil {
+					if err := node.InstallModel(svc, st.Models(), model, log); err != nil {
 						return err
-					}
-					if st != nil {
-						// Persist the adopted bank so the next boot serves
-						// the fleet version warm (best effort: the fleet
-						// re-pushes on the next connect either way).
-						if _, err := st.Store.Models().Save(svc.Identifier()); err != nil {
-							log.Printf("fleet: persist pushed model %.12s: %v", sha, err)
-						}
 					}
 					log.Printf("fleet: hot-swapped pushed model %.12s", sha)
 					return nil
@@ -298,7 +288,7 @@ func run(args []string, out io.Writer) error {
 		go func() {
 			defer close(reloads)
 			for range hup {
-				id, man, err := st.Store.Models().Load()
+				id, sha, err := st.Models().Load()
 				if err == nil {
 					err = svc.Install(id)
 				}
@@ -306,7 +296,7 @@ func run(args []string, out io.Writer) error {
 					log.Printf("state: model reload rejected, keeping current bank: %v", err)
 					continue
 				}
-				log.Printf("state: model bank hot-reloaded (%d types, sha256 %.8s)", man.Types, man.SHA256)
+				log.Printf("state: model bank hot-reloaded (%d types, sha256 %.8s)", id.NumTypes(), sha)
 			}
 		}()
 		defer func() {
@@ -376,47 +366,6 @@ func remoteClient(sspURL string, seed int64, timeout time.Duration, retries int,
 		client.Metrics.ObserveBreaker(client.Breaker)
 	}
 	return client
-}
-
-// bootBank is the bank the in-process service boots on. With a model
-// store (ms is nil without -state-dir) a valid persisted bank loads in
-// milliseconds; anything else (cold start, checksum mismatch, stale
-// format) falls back to training and re-persists, so the next boot is
-// warm. The persisted form deliberately carries no runtime
-// configuration — worker bound and identification cache are not model
-// state — so the warm path binds the defaults here, the one time there
-// is no serving bank to take them from; every later bank gets them from
-// iotssp.Service.Install. sha is the model store's SHA-256 of the bank
-// ("" when it was not persisted).
-func bootBank(log *log.Logger, ms *store.ModelStore, captures int, seed int64) (id *core.Identifier, sha string, err error) {
-	if ms != nil && ms.Exists() {
-		start := time.Now()
-		id, man, err := ms.Load()
-		if err == nil {
-			if err := id.ApplyRuntime(0, core.DefaultCacheSize); err != nil {
-				return nil, "", err
-			}
-			log.Printf("state: loaded model bank from disk in %v (%d types, sha256 %.8s)",
-				time.Since(start).Round(time.Millisecond), man.Types, man.SHA256)
-			return id, man.SHA256, nil
-		}
-		log.Printf("state: persisted model rejected (%v), retraining", err)
-	}
-	log.Printf("training in-process IoT Security Service (%d captures x 27 types)...", captures)
-	if id, err = node.TrainBank(captures, seed); err != nil {
-		return nil, "", err
-	}
-	if ms != nil {
-		ms.LoadedFromTraining()
-		man, err := ms.Save(id)
-		if err != nil {
-			log.Printf("state: could not persist model bank: %v", err)
-			return id, "", nil
-		}
-		log.Printf("state: persisted model bank (sha256 %.8s); next boot is warm", man.SHA256)
-		sha = man.SHA256
-	}
-	return id, sha, nil
 }
 
 // replay plays every *.pcap / *.pcapng in dir, in name order, through

@@ -20,6 +20,7 @@ import (
 	"iotsentinel/internal/fleet"
 	"iotsentinel/internal/iotssp"
 	"iotsentinel/internal/learn"
+	"iotsentinel/internal/node"
 	"iotsentinel/internal/obs"
 	"iotsentinel/internal/store"
 	"iotsentinel/internal/testutil"
@@ -179,15 +180,17 @@ func TestGatewaydWarmBootFromStateDir(t *testing.T) {
 	}
 	defer func() { _ = st.Close() }()
 	var boot bytes.Buffer
-	id, sha, err := bootBank(log.New(&boot, "", 0), st.Models(), 10, 1)
+	id, sha, err := node.BootBank(st.Models(), nil, func() (*core.Identifier, error) {
+		return node.TrainBank(10, 1)
+	}, log.New(&boot, "", 0))
 	if err != nil || !strings.Contains(boot.String(), "loaded model bank from disk") {
-		t.Fatalf("bootBank did not take the warm path: %v\n%s", err, boot.String())
+		t.Fatalf("BootBank did not take the warm path: %v\n%s", err, boot.String())
 	}
 	if id.Cache() == nil {
 		t.Fatal("warm boot: no identification cache attached")
 	}
-	if _, man, err := st.Models().Load(); err != nil || sha != man.SHA256 {
-		t.Fatalf("warm boot reported sha %.12s, the store has %.12s (%v)", sha, man.SHA256, err)
+	if _, stored, err := st.Models().Load(); err != nil || sha != stored {
+		t.Fatalf("warm boot reported sha %.12s, the store has %.12s (%v)", sha, stored, err)
 	}
 	aria, err := devices.ProfileByID("Aria")
 	if err != nil {
@@ -204,7 +207,9 @@ func TestGatewaydWarmBootFromStateDir(t *testing.T) {
 // TestGatewaydWarmBootOffersItsBankToTheFleet: a warm-booted gateway
 // names the bank it loaded in its fleet hello, so a fleet whose current
 // version is that bank pushes nothing — no second decode, hot-swap and
-// fsync of a bank the gateway already serves.
+// fsync of a bank the gateway already serves. A bank the fleet pushed is
+// stored as pushed, so after a restart the gateway names exactly it and
+// the fleet again pushes nothing.
 func TestGatewaydWarmBootOffersItsBankToTheFleet(t *testing.T) {
 	stateDir := t.TempDir()
 	if err := run([]string{"-oneshot", "-captures", "4", "-state-dir", stateDir}, io.Discard); err != nil {
@@ -214,7 +219,7 @@ func TestGatewaydWarmBootOffersItsBankToTheFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bank, man, err := st.Models().Load()
+	bank, stored, err := st.Models().Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +240,8 @@ func TestGatewaydWarmBootOffersItsBankToTheFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sha, err := ctrl.SetCurrent(model.Bytes()); err != nil || sha != man.SHA256 {
-		t.Fatalf("fleet current %.12s, stored bank %.12s (%v)", sha, man.SHA256, err)
+	if sha, err := ctrl.SetCurrent(model.Bytes()); err != nil || sha != stored {
+		t.Fatalf("fleet current %.12s, stored bank %.12s (%v)", sha, stored, err)
 	}
 	srv, err := fleet.NewServer(fleet.ServerConfig{
 		Registry:   registry,
@@ -254,52 +259,97 @@ func TestGatewaydWarmBootOffersItsBankToTheFleet(t *testing.T) {
 	go func() { _ = srv.Serve(ln) }()
 	defer func() { _ = srv.Close() }()
 
-	const api = "127.0.0.1:8498"
-	var out bytes.Buffer
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- run([]string{"-api", api, "-state-dir", stateDir,
-			"-fleet", ln.Addr().String(), "-fleet-id", "gw-warm"}, &out)
-	}()
-	// The server decides on a push before it reads the gateway's first
-	// heartbeat; an answered API request means the daemon's interrupt
-	// handler is installed.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("timed out waiting for the gateway's API and first heartbeat")
-		}
-		resp, err := http.Get("http://" + api + "/v1/devices")
-		if err == nil {
-			_ = resp.Body.Close()
-			if reg.Snapshot().Value("fleet_frames_total", "type", "heartbeat") > 0 {
-				break
+	// serve runs the gateway on the fleet until it has heartbeated and
+	// the fleet holds acks models applied in all, then interrupts it. It
+	// returns the models the fleet pushed meanwhile, and the output.
+	serve := func(acks float64) (float64, string) {
+		t.Helper()
+		const api = "127.0.0.1:8498"
+		var out bytes.Buffer
+		errCh := make(chan error, 1)
+		before := reg.Snapshot()
+		go func() {
+			errCh <- run([]string{"-api", api, "-state-dir", stateDir,
+				"-fleet", ln.Addr().String(), "-fleet-id", "gw-warm"}, &out)
+		}()
+		// The server decides on a push before it reads the gateway's first
+		// heartbeat; an answered API request means the daemon's interrupt
+		// handler is installed.
+		deadline := time.Now().Add(20 * time.Second)
+		for {
+			if time.Now().After(deadline) {
+				t.Fatal("timed out waiting for the gateway's API and first heartbeat")
 			}
+			resp, err := http.Get("http://" + api + "/v1/devices")
+			if err == nil {
+				_ = resp.Body.Close()
+				snap := reg.Snapshot()
+				if snap.Value("fleet_frames_total", "type", "heartbeat") > before.Value("fleet_frames_total", "type", "heartbeat") &&
+					snap.Value("fleet_model_acks_total", "result", "ok") >= acks {
+					break
+				}
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	pushes := reg.Snapshot().Value("fleet_model_pushes_total")
+		pushes := reg.Snapshot().Value("fleet_model_pushes_total") - before.Value("fleet_model_pushes_total")
 
-	p, err := os.FindProcess(os.Getpid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-errCh:
+		p, err := os.FindProcess(os.Getpid())
 		if err != nil {
-			t.Fatalf("run: %v", err)
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("gatewayd did not shut down")
+		if err := p.Signal(os.Interrupt); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-errCh:
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("gatewayd did not shut down")
+		}
+		return pushes, out.String()
 	}
+
+	pushes, s := serve(0)
 	if pushes != 0 {
 		t.Errorf("fleet pushed %v models to a gateway already serving the current one", pushes)
 	}
-	if s := out.String(); strings.Contains(s, "hot-swapped pushed model") || !strings.Contains(s, "loaded model bank from disk") {
+	if strings.Contains(s, "hot-swapped pushed model") || !strings.Contains(s, "loaded model bank from disk") {
 		t.Errorf("gateway output:\n%s", s)
+	}
+
+	// The fleet moves on to a bank the gateway has never served: it is
+	// pushed once, and a restart offers it back.
+	raw := devices.GenerateDataset(4, 9)
+	ds := make(map[core.TypeID][]fingerprint.Fingerprint)
+	for _, typ := range []string{"Aria", "HueBridge", "EdnetCam", "iKettle2", "WeMoSwitch"} {
+		ds[core.TypeID(typ)] = raw[typ]
+	}
+	next, err := core.Train(ds, core.Config{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.Reset()
+	if err := next.Save(&model); err != nil {
+		t.Fatal(err)
+	}
+	pushed, err := ctrl.SetCurrent(model.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pushes, s = serve(1); pushes != 1 || !strings.Contains(s, "hot-swapped pushed model "+pushed[:12]) {
+		t.Fatalf("fleet pushed %v models to a gateway on the old bank:\n%s", pushes, s)
+	}
+	if pushes, s = serve(1); pushes != 0 || !strings.Contains(s, "sha256 "+pushed[:8]) {
+		t.Errorf("restarted gateway was pushed %v models; it serves:\n%s", pushes, s)
+	}
+	if st, _, err = store.Open(stateDir, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = st.Close() }()
+	if _, sha, err := st.Models().Load(); err != nil || sha != pushed {
+		t.Errorf("stored serving bank %.12s (%v), the fleet pushed %.12s", sha, err, pushed)
 	}
 }
 

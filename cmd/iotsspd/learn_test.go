@@ -12,7 +12,9 @@ import (
 	"iotsentinel/internal/core"
 	"iotsentinel/internal/devices"
 	"iotsentinel/internal/fingerprint"
+	"iotsentinel/internal/fleet"
 	"iotsentinel/internal/iotssp"
+	"iotsentinel/internal/store"
 )
 
 // distinctProbes returns n canonically-distinct fingerprints of one
@@ -137,4 +139,134 @@ func TestServerOnlineLearning(t *testing.T) {
 	if !strings.Contains(out.String(), "online device-type learning enabled") {
 		t.Errorf("missing learn banner:\n%s", out.String())
 	}
+}
+
+// TestServerRestartKeepsLearnedTypes: a service that learned a type
+// with -state-dir restarts serving the bank it learned it into — the
+// learned type answers from the first request, the learner re-drives no
+// promotion, and with -fleet-listen the fleet's current version is the
+// bank the service served before the restart, not its cold bank.
+func TestServerRestartKeepsLearnedTypes(t *testing.T) {
+	raw := devices.GenerateDataset(12, 9)
+	ds := make(map[core.TypeID][]fingerprint.Fingerprint)
+	for _, typ := range []string{"Aria", "HueBridge", "EdnetCam", "iKettle2", "WeMoSwitch"} {
+		ds[core.TypeID(typ)] = raw[typ]
+	}
+	id, err := core.Train(ds, core.Config{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := filepath.Join(t.TempDir(), "m.json")
+	f, err := os.Create(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := id.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	probes := distinctProbes(t, "MAXGateway", 5)
+
+	for name, fleetAddr := range map[string]string{"http": "", "fleet": "127.0.0.1:8491"} {
+		t.Run(name, func(t *testing.T) {
+			const addr = "127.0.0.1:8490"
+			stateDir := t.TempDir()
+			args := []string{"-listen", addr, "-model", model, "-learn", "-learn-k", "3", "-state-dir", stateDir}
+			if fleetAddr != "" {
+				args = append(args, "-fleet-listen", fleetAddr)
+			}
+			client := &iotssp.Client{BaseURL: "http://" + addr, Timeout: 10 * time.Second}
+			learned := func() bool {
+				a, err := client.Assess(probes[4])
+				if err != nil {
+					t.Fatalf("assess learned probe: %v", err)
+				}
+				return a.Known && strings.HasPrefix(string(a.Type), "learned-")
+			}
+
+			first := serveUntil(t, addr, args, func() {
+				for i, fp := range probes[:4] {
+					if _, err := client.Assess(fp); err != nil {
+						t.Fatalf("assess %d: %v", i, err)
+					}
+				}
+				waitUntil(t, "MAXGateway learned", 10*time.Second, learned)
+			})
+			st, _, err := store.Open(stateDir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, serving, err := st.Models().Load()
+			if cerr := st.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatalf("no serving bank stored after learning: %v\n%s", err, first)
+			}
+
+			var pushed modelRecorder
+			second := serveUntil(t, addr, args, func() {
+				if !learned() {
+					t.Error("the restarted service does not serve the learned type")
+				}
+				if fleetAddr == "" {
+					return
+				}
+				// A gateway that offers no bank is pushed the fleet's current.
+				sess, err := fleet.NewSession(fleet.SessionConfig{Client: fleet.ClientConfig{
+					Addr: fleetAddr, GatewayID: "g1", ApplyModel: pushed.apply,
+				}})
+				if err != nil {
+					t.Fatalf("link: %v", err)
+				}
+				defer sess.Close()
+				waitUntil(t, "the fleet's current bank", 10*time.Second, func() bool { return pushed.last() != "" })
+			})
+			for _, want := range []string{"loaded model bank from disk", "0 promotions re-driven"} {
+				if !strings.Contains(second, want) {
+					t.Errorf("restart output missing %q:\n%s", want, second)
+				}
+			}
+			if fleetAddr != "" && pushed.last() != serving {
+				t.Errorf("fleet current after the restart is %.12s, the service served %.12s before it:\n%s",
+					pushed.last(), serving, second)
+			}
+		})
+	}
+}
+
+// serveUntil runs the daemon with args until it answers on addr, calls
+// drive, then interrupts it and returns its output.
+func serveUntil(t *testing.T, addr string, args []string, drive func()) string {
+	t.Helper()
+	var out bytes.Buffer
+	errCh := make(chan error, 1)
+	go func() { errCh <- run(args, &out) }()
+	waitUntil(t, "server up", 10*time.Second, func() bool {
+		resp, err := http.Get("http://" + addr + "/v1/types")
+		if err != nil {
+			return false
+		}
+		_ = resp.Body.Close()
+		return true
+	})
+	drive()
+	p, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server did not shut down")
+	}
+	return out.String()
 }

@@ -9,8 +9,15 @@
 //	iotsspd -listen :8477                      # train on the reference dataset
 //	iotsspd -listen :8477 -model model.json    # serve a saved model
 //	iotsspd -metrics-addr 127.0.0.1:9091       # also serve /metrics + pprof
+//	iotsspd -state-dir ./state                 # serve what the last run served
 //	iotsspd -fleet-listen :8478 -state-dir ./state
 //	                                           # fleet control plane + canary rollouts
+//
+// With -state-dir the service boots from the state directory's serving
+// bank, the one it served when it last stopped: a learned type, or a
+// rollout's rollback baseline, survives a restart. -model, or training
+// without it, is the cold-start source: it is used, and then stored as
+// the serving bank, only when the state directory holds no valid bank.
 //
 // Endpoints (see internal/iotssp): POST /v1/assess takes one fingerprint
 // as application/octet-stream — u16 rows, then rows × u64 packed
@@ -63,7 +70,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("iotsspd", flag.ContinueOnError)
 	var (
 		listen        = fs.String("listen", "127.0.0.1:8477", "listen address")
-		modelFile     = fs.String("model", "", "saved identifier model (default: train on the reference dataset)")
+		modelFile     = fs.String("model", "", "saved identifier model to cold-start from (default: train on the reference dataset); with -state-dir, used only while the state dir holds no valid serving bank")
 		captures      = fs.Int("captures", 20, "training captures per type when no model is given")
 		seed          = fs.Int64("seed", 1, "random seed")
 		assessTimeout = fs.Duration("assess-timeout", 30*time.Second, "server-side cap per assessment request (0 = unlimited); gateways retry 503s")
@@ -72,7 +79,7 @@ func run(args []string, out io.Writer) error {
 		learnK        = fs.Int("learn-k", learn.DefaultK, "unknown-cluster size that proposes a new device-type")
 		fleetListen   = fs.String("fleet-listen", "", "listen address for the binary fleet protocol (default: disabled)")
 		fleetLease    = fs.Duration("fleet-lease", fleet.DefaultLease, "gateway registration lease; any frame refreshes it")
-		stateDir      = fs.String("state-dir", "", "directory for the rollout journal and versioned model store (default: in-memory only)")
+		stateDir      = fs.String("state-dir", "", "directory for the serving model bank, the learner's and the rollout's journal, and the versioned model store (default: in-memory only)")
 		canaryFrac    = fs.Float64("canary-fraction", 0.25, "fraction of the fleet that canaries a new model bank")
 		canaryMin     = fs.Uint64("canary-min-samples", 20, "assessments each canary must report before a rollout is judged")
 		canaryDelta   = fs.Float64("canary-max-unknown", 0.05, "max tolerated canary unknown-rate excess over the baseline before rollback")
@@ -90,39 +97,9 @@ func run(args []string, out io.Writer) error {
 	// as subsystems come up.
 	health := obs.NewHealth()
 
-	var id *core.Identifier
-	if *modelFile != "" {
-		f, err := os.Open(*modelFile)
-		if err != nil {
-			return fmt.Errorf("open model: %w", err)
-		}
-		id, err = core.LoadIdentifier(f)
-		_ = f.Close()
-		if err != nil {
-			return err
-		}
-		// The saved form carries no runtime configuration, and at boot
-		// there is no serving bank to take it from: attach the default
-		// worker bound and a fresh identification cache, exactly like the
-		// training path below gets them.
-		if err := id.ApplyRuntime(0, core.DefaultCacheSize); err != nil {
-			return err
-		}
-		log.Printf("loaded model with %d device-types", id.NumTypes())
-	} else {
-		log.Printf("training on the reference dataset (%d captures x 27 types)...", *captures)
-		var err error
-		if id, err = node.TrainBank(*captures, *seed); err != nil {
-			return err
-		}
-	}
-	if reg != nil {
-		id.SetMetrics(core.NewMetrics(reg))
-	}
-	svc := iotssp.New(id, vulndb.NewDefault())
-
 	// Durable state for the fleet control plane and the learner: the
-	// rollout journal and the versioned model store live here so a
+	// serving bank, the rollout journal and the versioned model store
+	// live here, so a restart serves what the last run served and a
 	// crashed controller resumes mid-rollout.
 	var st *node.State
 	if *stateDir != "" {
@@ -132,6 +109,18 @@ func run(args []string, out io.Writer) error {
 		}
 		defer func() { _ = st.Store.Close() }()
 	}
+
+	id, _, err := node.BootBank(st.Models(), reg, func() (*core.Identifier, error) {
+		if *modelFile != "" {
+			return loadModel(*modelFile, log)
+		}
+		log.Printf("training on the reference dataset (%d captures x 27 types)...", *captures)
+		return node.TrainBank(*captures, *seed)
+	}, log)
+	if err != nil {
+		return err
+	}
+	svc := iotssp.New(id, vulndb.NewDefault())
 
 	// Fleet control plane: registry + rollout controller + binary
 	// protocol server. Streamed fingerprints flow through the same
@@ -158,7 +147,7 @@ func run(args []string, out io.Writer) error {
 				if model == nil {
 					return
 				}
-				if err := node.InstallModel(svc, model); err != nil {
+				if err := node.InstallModel(svc, st.Models(), model, log); err != nil {
 					log.Printf("fleet: central bank rollback to %.12s failed: %v", sha, err)
 					return
 				}
@@ -169,9 +158,8 @@ func run(args []string, out io.Writer) error {
 		}
 		var rec *store.Recovery
 		if st != nil {
-			ccfg.Store, ccfg.Models, rec = st.Store, st.Store.Models(), st.Rec
+			ccfg.Store, ccfg.Models, rec = st.Store, st.Models(), st.Rec
 		}
-		var err error
 		if ctrl, err = fleet.NewController(ccfg); err != nil {
 			return err
 		}
@@ -261,7 +249,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer l.Close()
-		svc.SetUnknownSink(l.Observe)
 	}
 
 	var srvMetrics *iotssp.ServerMetrics
@@ -285,4 +272,19 @@ func run(args []string, out io.Writer) error {
 		handler = http.TimeoutHandler(handler, *assessTimeout, "assessment timed out")
 	}
 	return node.ServeUntilSignal("IoT Security Service", *listen, handler, log)
+}
+
+// loadModel reads a saved identifier (cmd/identify -save writes one).
+func loadModel(path string, log *log.Logger) (*core.Identifier, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("open model: %w", err)
+	}
+	defer f.Close()
+	id, err := core.LoadIdentifier(f)
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("loaded model with %d device-types", id.NumTypes())
+	return id, nil
 }

@@ -611,8 +611,11 @@ func (c *Controller) clearRolloutLocked() {
 // matching promoted/rolled-back leaves the controller canarying the
 // same candidate on the same canary set — gateways re-registering are
 // re-pushed the right bank by ModelForGateway, and judgment windows
-// restart at each canary's next ack. Call after SetCurrent and before
-// serving.
+// restart at each canary's next ack. Until the rollout is judged the
+// fleet's current version is its baseline, whatever SetCurrent named: a
+// service that serves the candidate itself (it promoted it) restarts
+// serving it, and that must not push it past the canaries. Call after
+// SetCurrent and before serving.
 func (c *Controller) Recover(rec *store.Recovery) error {
 	if rec == nil {
 		return nil
@@ -645,6 +648,9 @@ func (c *Controller) Recover(rec *store.Recovery) error {
 	c.phase = PhaseCanarying
 	c.candidate = candidate
 	c.baseline = baseline
+	if baseline != "" {
+		c.current = baseline
+	}
 	c.canaries = make(map[string]*canaryState, len(canaries))
 	for _, id := range canaries {
 		c.canaries[id] = &canaryState{}

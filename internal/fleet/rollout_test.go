@@ -309,6 +309,30 @@ func TestRolloutRecoverResumesMidRollout(t *testing.T) {
 	}
 }
 
+// TestRolloutRecoverKeepsBaselineCurrent: a service that promoted the
+// candidate serves it, and restarts serving it from its model store.
+// Registering that bank with SetCurrent must not make the candidate the
+// version every non-canary gateway converges on while it is unjudged.
+func TestRolloutRecoverKeepsBaselineCurrent(t *testing.T) {
+	dir := t.TempDir()
+	ctrl, _, st, _ := testController(t, dir, "g1", "g2", "g3")
+	shaA, _ := ctrl.SetCurrent([]byte("bank-A"))
+	shaB, _ := ctrl.StartRollout([]byte("bank-B"))
+	st.Close()
+
+	ctrl2, _, _, rec := testController(t, dir, "g1", "g2", "g3")
+	ctrl2.SetCurrent([]byte("bank-B"))
+	if err := ctrl2.Recover(rec); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if status := ctrl2.Status(); status.Phase != PhaseCanarying || status.Candidate != shaB || status.Current != shaA {
+		t.Fatalf("recovered status = %+v, want canarying %.12s over current %.12s", status, shaB, shaA)
+	}
+	if sha, _ := ctrl2.ModelForGateway("g3", shaA); sha != "" {
+		t.Errorf("non-canary g3 on the baseline is pushed %.12s mid-canary", sha)
+	}
+}
+
 func TestRolloutRecoverWithResolvedJournalStaysIdle(t *testing.T) {
 	dir := t.TempDir()
 	ctrl, reg, st, _ := testController(t, dir, "g1", "g2", "g3", "g4")

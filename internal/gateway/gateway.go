@@ -105,12 +105,6 @@ type Config struct {
 	AssessQueue int
 	// OnAssessed, if set, is called after each device assessment.
 	OnAssessed func(DeviceInfo)
-	// OnUnknown, if set, receives every assessed device no classifier
-	// accepted, along with the fingerprint that went unrecognized — the
-	// gateway-side feed of the online-learning loop (internal/learn).
-	// Like OnAssessed it runs off the shard lock; keep it fast (hand
-	// off to a queue) or assessments serialize behind it.
-	OnUnknown func(DeviceInfo, fingerprint.Fingerprint)
 	// OnNotify, if set, receives user notifications for devices whose
 	// critical vulnerabilities have no firmware fix.
 	OnNotify func(Notification)
@@ -509,7 +503,7 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 		}
 		// apply claims the entry: a parallel drain holding a verdict for
 		// it, or for an owner RemoveDevice dropped, applies nothing.
-		if g.apply(r.owner, r.entry, a, &fp, now) {
+		if g.apply(r.owner, r.entry, a, now) {
 			g.cfg.Metrics.incRetry(true)
 			promoted++
 		}
@@ -518,9 +512,7 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 }
 
 // apply installs the enforcement rule for one assessment and fires the
-// gateway callbacks, and reports whether it did. fp is the fingerprint
-// the assessment answered, threaded through so an unrecognized device
-// can hand its evidence to the online learner; parked is the entry it
+// gateway callbacks, and reports whether it did. parked is the entry it
 // came from on a retry, nil for a capture's first verdict.
 //
 // The verdict is for the incarnation whose fingerprint it answered, and
@@ -532,7 +524,7 @@ func (g *Gateway) RetryQuarantined(now time.Time) (int, error) {
 // table; nothing takes them the other way round — Switch.Process runs
 // after the shard unlock), so a RemoveDevice that finds the device evicts
 // its rule after this put, never before it.
-func (g *Gateway) apply(owner *device, parked *quarantined, a iotssp.Assessment, fp *fingerprint.Fingerprint, now time.Time) bool {
+func (g *Gateway) apply(owner *device, parked *quarantined, a iotssp.Assessment, now time.Time) bool {
 	s := g.lockOwner(owner, parked)
 	if s == nil {
 		return false
@@ -577,9 +569,6 @@ func (g *Gateway) apply(owner *device, parked *quarantined, a iotssp.Assessment,
 
 	if g.cfg.OnAssessed != nil {
 		g.cfg.OnAssessed(snapshot)
-	}
-	if !a.Known && g.cfg.OnUnknown != nil {
-		g.cfg.OnUnknown(snapshot, *fp)
 	}
 	if g.cfg.OnNotify != nil {
 		for _, v := range a.Vulnerabilities {

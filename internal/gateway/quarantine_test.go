@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"iotsentinel/internal/core"
 	"iotsentinel/internal/devices"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/iotssp"
@@ -653,11 +654,15 @@ func TestVerdictForDepartedDeviceIsDropped(t *testing.T) {
 				mu.Unlock()
 			}
 			g := newGatewayWithAssessor(gate, Config{
-				IdleGap:       time.Hour,
-				Store:         st,
-				OnAssessed:    callback,
+				IdleGap: time.Hour,
+				Store:   st,
+				OnAssessed: func(d DeviceInfo) {
+					callback(d)
+					if d.Type == core.Unknown {
+						callback(d)
+					}
+				},
 				OnQuarantined: func(d DeviceInfo, _ error) { callback(d) },
-				OnUnknown:     func(d DeviceInfo, _ fingerprint.Fingerprint) { callback(d) },
 			})
 			// A bystander joins first, so that "rule table = device
 			// state" is not the equality of two empty tables.

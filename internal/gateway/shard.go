@@ -141,7 +141,7 @@ func (j assessJob) assess(g *Gateway) {
 		g.quarantineDevice(j.owner, &fp, j.ts, err)
 		return
 	}
-	g.apply(j.owner, nil, a, &fp, j.ts)
+	g.apply(j.owner, nil, a, j.ts)
 }
 
 func (j assessJob) park(g *Gateway) {

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log"
 	"net"
 	"net/http"
@@ -51,14 +52,70 @@ func TrainBank(captures int, seed int64, heldOut ...string) (*core.Identifier, e
 	return core.Train(ds, core.Config{Seed: seed, CacheSize: core.DefaultCacheSize})
 }
 
+// BootBank returns the bank a node serves from boot, and its SHA-256 in
+// the model store ("" without a store, ms nil, or when storing failed).
+// The store's serving bank comes first; when there is none, or it fails
+// its hash or structural validation, cold supplies the bank — training,
+// or iotsspd's -model file — and it is stored as the serving bank, so
+// the next boot is warm. A loaded bank carries no runtime configuration,
+// and at boot there is no serving bank for iotssp.Service.Install to
+// take it from, so BootBank binds the defaults here: GOMAXPROCS workers,
+// an identification cache of core.DefaultCacheSize, and a core metrics
+// bundle on reg (nil for none). Every later bank takes them from the
+// one it replaces.
+func BootBank(ms *store.ModelStore, reg *obs.Registry, cold func() (*core.Identifier, error), log *log.Logger) (id *core.Identifier, sha string, err error) {
+	if ms != nil {
+		start := time.Now()
+		if id, sha, err = ms.Load(); err == nil {
+			log.Printf("state: loaded model bank from disk in %v (%d types, sha256 %.8s)",
+				time.Since(start).Round(time.Millisecond), id.NumTypes(), sha)
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			log.Printf("state: stored model bank rejected (%v), booting the cold bank", err)
+		}
+	}
+	if id == nil {
+		if id, err = cold(); err != nil {
+			return nil, "", err
+		}
+		if ms != nil {
+			ms.LoadedFromTraining()
+			if sha, err = ms.Save(id); err != nil {
+				log.Printf("state: could not persist model bank: %v", err)
+			} else {
+				log.Printf("state: persisted model bank (sha256 %.8s); next boot is warm", sha)
+			}
+		}
+	}
+	if err := id.ApplyRuntime(0, core.DefaultCacheSize); err != nil {
+		return nil, "", err
+	}
+	if reg != nil {
+		id.SetMetrics(core.NewMetrics(reg))
+	}
+	return id, sha, nil
+}
+
 // InstallModel installs a bank that arrived as bytes — a fleet push, a
-// rollout's rollback baseline — into svc.
-func InstallModel(svc *iotssp.Service, model []byte) error {
+// rollout's rollback baseline — into svc and, with a model store (ms
+// may be nil), stores those same bytes as the serving bank, so the next
+// boot serves it under the SHA-256 its sender named. Bytes that do not
+// decode to a bank are rejected and svc keeps serving. A bank that
+// installed but could not be stored is logged, not failed: it serves,
+// and the next boot falls back to the bank stored before it.
+func InstallModel(svc *iotssp.Service, ms *store.ModelStore, model []byte, log *log.Logger) error {
 	id, err := core.LoadIdentifier(bytes.NewReader(model))
 	if err != nil {
 		return err
 	}
-	return svc.Install(id)
+	if err := svc.Install(id); err != nil {
+		return err
+	}
+	if ms != nil {
+		if _, err := ms.SaveServing(model); err != nil {
+			log.Printf("state: could not persist installed model bank: %v", err)
+		}
+	}
+	return nil
 }
 
 // State is an opened state directory: the durable store, what it
@@ -100,13 +157,25 @@ func OpenState(dir string, reg *obs.Registry, health *obs.Health, log *log.Logge
 	return st, nil
 }
 
+// Models returns the state directory's model store, nil for a node
+// without one (st nil).
+func (st *State) Models() *store.ModelStore {
+	if st == nil {
+		return nil
+	}
+	return st.Store.Models()
+}
+
 // NewLearner starts the online learner over svc: cfg carries what
 // differs per node (K, Metrics, OnPromoted) and NewLearner wires the
-// rest — progress and errors go to log, promotions grow the next bank
-// from the serving one and swap it in through the service, and with a state
-// directory (st may be nil) cluster growth is journaled, each promoted
-// bank is persisted so the next boot serves the learned types warm, and
-// the clusters the last run left are recovered.
+// rest — progress and errors go to log, every fingerprint svc finds
+// unknown is observed (svc's unknown sink, whoever asked: the gateway's
+// assess queues, HTTP, the fleet link), promotions grow the next bank
+// from the serving one and swap it in through the service, and with a
+// state directory (st may be nil) cluster growth is journaled, each
+// promoted bank is stored as the serving bank so the next boot serves
+// the learned types warm, and the clusters the last run left are
+// recovered.
 func NewLearner(svc *iotssp.Service, st *State, cfg learn.Config, log *log.Logger) (*learn.Learner, error) {
 	cfg.Logf = log.Printf
 	cfg.Promote = svc.PromoteType
@@ -131,6 +200,7 @@ func NewLearner(svc *iotssp.Service, st *State, cfg learn.Config, log *log.Logge
 		}
 		log.Printf("learn: recovered %s", stats)
 	}
+	svc.SetUnknownSink(l.Observe)
 	return l, nil
 }
 
@@ -164,9 +234,9 @@ const CheckpointEvery = time.Minute
 // and timing — into the configuration every node's gateway runs with:
 // the shard count and the assess queue depth the benchmark measures
 // (neither has a flag), the journal with its failures fed to the store
-// probe and the log, and unknown devices fed to the learner, whose
-// cluster state rides in the gateway's checkpoints. st and learner may
-// each be nil.
+// probe and the log, and the learner's cluster state riding in the
+// gateway's checkpoints (its unknown fingerprints come from the
+// service, see NewLearner). st and learner may each be nil.
 func GatewayConfig(cfg gateway.Config, st *State, learner *learn.Learner, log *log.Logger) gateway.Config {
 	cfg.Shards = gateway.DefaultShards
 	cfg.AssessQueue = gateway.DefaultAssessQueue
@@ -178,7 +248,6 @@ func GatewayConfig(cfg gateway.Config, st *State, learner *learn.Learner, log *l
 		}
 	}
 	if learner != nil {
-		cfg.OnUnknown = func(_ gateway.DeviceInfo, fp fingerprint.Fingerprint) { learner.Observe(fp) }
 		cfg.LearnState = learner.SnapshotState
 	}
 	return cfg

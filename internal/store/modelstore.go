@@ -1,184 +1,133 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"time"
 
 	"iotsentinel/internal/core"
 )
 
-// ModelStore persists the trained classifier bank (the per-type
-// rf.Forest ensembles behind a core.Identifier) so a gateway or
-// service restart loads it from disk in milliseconds instead of
-// retraining, and supports hot reload with validation-before-swap: a
-// model file that fails its checksum or structural validation is
-// rejected and the running bank stays untouched.
+// ModelStore keeps classifier banks (core.Identifier's wire format) in
+// the state directory, so a restart loads the bank it served in
+// milliseconds instead of retraining, and a fleet controller can reload
+// exactly the bytes a journaled rollout names.
 //
 // Layout inside the state directory:
 //
-//	models/model.json      core.Identifier wire format (embeds rf)
-//	models/manifest.json   ModelManifest with the model's SHA-256
+//	models/versions/<sha256-hex>.model   one bank's bytes, named by their hash
+//	models/serving                       the SHA-256 of the node's serving bank
 //
-// Both are written temp → fsync → rename; the manifest last, so a
-// crash mid-save leaves a manifest that still describes the previous
-// model (or a dangling new model file the next save overwrites).
+// Every bank is a content-addressed blob: the filename is the content
+// hash, so a torn or tampered blob is caught on load by rehashing. The
+// serving bank is whichever blob the pointer names. Blob and pointer
+// are each written temp → fsync → rename, the blob first, so a crash
+// mid-save leaves the pointer naming the previous bank (and at most an
+// unreferenced blob).
 type ModelStore struct {
 	dir string
 	m   *Metrics
 }
 
 const (
-	modelName    = "model.json"
-	manifestName = "manifest.json"
-
-	manifestVersion = 1
+	versionsDir = "versions"
+	servingName = "serving"
 )
 
-// ModelManifest describes the persisted model for validation before
-// load and for operator display.
-type ModelManifest struct {
-	Version int       `json:"version"`
-	SHA256  string    `json:"sha256"`
-	Size    int64     `json:"size"`
-	SavedAt time.Time `json:"savedAt"`
-	// Types is the device-type count, cross-checked after load.
-	Types int `json:"types"`
-}
-
-// NewModelStore opens a model store rooted at dir (created if needed).
-// Stores obtained via Store.Models share the state directory instead.
-func NewModelStore(dir string) (*ModelStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: models: %w", err)
+// Save encodes the identifier, stores it as a blob and makes it the
+// serving bank. It returns the bank's SHA-256.
+func (ms *ModelStore) Save(id *core.Identifier) (string, error) {
+	var buf bytes.Buffer
+	if err := id.Save(&buf); err != nil {
+		return "", fmt.Errorf("store: save model: %w", err)
 	}
-	return &ModelStore{dir: dir}, nil
+	return ms.SaveServing(buf.Bytes())
 }
 
-// Exists reports whether a saved model (with manifest) is present.
-func (ms *ModelStore) Exists() bool {
-	if _, err := os.Stat(filepath.Join(ms.dir, manifestName)); err != nil {
-		return false
+// SaveServing stores model as a blob and makes it the serving bank,
+// byte for byte: a bank that arrived as bytes is served after a restart
+// under the SHA-256 its sender named. The caller has validated model
+// (core.LoadIdentifier); Load validates it again.
+func (ms *ModelStore) SaveServing(model []byte) (string, error) {
+	sha, err := ms.SaveVersion(model)
+	if err != nil {
+		return "", err
 	}
-	_, err := os.Stat(filepath.Join(ms.dir, modelName))
-	return err == nil
-}
-
-// Save persists the identifier and its manifest atomically.
-func (ms *ModelStore) Save(id *core.Identifier) (ModelManifest, error) {
-	man := ModelManifest{Version: manifestVersion, Types: id.NumTypes()}
-	err := writeAtomic(filepath.Join(ms.dir, modelName), func(f *os.File) error {
-		h := sha256.New()
-		w := bufio.NewWriter(io.MultiWriter(f, h))
-		if err := id.Save(w); err != nil {
-			return err
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		st, err := f.Stat()
-		man.SHA256, man.Size, man.SavedAt = hex.EncodeToString(h.Sum(nil)), st.Size(), time.Now()
+	err = writeAtomic(filepath.Join(ms.dir, servingName), func(f *os.File) error {
+		_, err := f.WriteString(sha + "\n")
 		return err
 	})
-	if err != nil {
-		return ModelManifest{}, fmt.Errorf("store: save model: %w", err)
-	}
-	payload, err := json.MarshalIndent(man, "", "  ")
 	if err == nil {
-		err = writeAtomic(filepath.Join(ms.dir, manifestName), func(f *os.File) error {
-			_, err := f.Write(append(payload, '\n'))
-			return err
-		})
+		err = syncDir(ms.dir)
 	}
 	if err != nil {
-		return ModelManifest{}, fmt.Errorf("store: save manifest: %w", err)
+		return "", fmt.Errorf("store: save serving pointer: %w", err)
 	}
-	if err := syncDir(ms.dir); err != nil {
-		return ModelManifest{}, err
-	}
-	ms.m.modelSaved()
-	return man, nil
+	return sha, nil
 }
 
-// Load reads, verifies, and rebuilds the persisted identifier: the
-// model file must hash to the manifest's SHA-256, decode through
-// core.LoadIdentifier's structural validation (which bounds-checks
-// every forest node), and carry the manifest's type count. Any failure
-// returns an error and nothing else — callers hot-reloading a bank
-// swap only on success, so a bad file can never replace a good bank.
-func (ms *ModelStore) Load() (*core.Identifier, ModelManifest, error) {
-	var man ModelManifest
-	data, err := os.ReadFile(filepath.Join(ms.dir, manifestName))
+// Load reads the serving bank: the pointer names a blob, the blob must
+// hash to that name, and its bytes must pass core.LoadIdentifier's
+// structural validation (which bounds-checks every forest node). It
+// returns the bank and its SHA-256. Before the first Save the error
+// wraps fs.ErrNotExist, so a caller can tell a cold start from a
+// rejected bank; any other failure returns an error and nothing else —
+// callers hot-reloading a bank swap only on success, so a bad file can
+// never replace a good bank.
+func (ms *ModelStore) Load() (*core.Identifier, string, error) {
+	ptr, err := os.ReadFile(filepath.Join(ms.dir, servingName))
 	if err != nil {
-		return nil, ModelManifest{}, fmt.Errorf("store: load model: %w", err)
+		return nil, "", fmt.Errorf("store: load model: %w", err)
 	}
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, ModelManifest{}, fmt.Errorf("store: load manifest: %w", err)
+	sha := string(bytes.TrimSpace(ptr))
+	if _, err := hex.DecodeString(sha); err != nil || len(sha) != 2*sha256.Size {
+		return nil, "", fmt.Errorf("store: load model: serving pointer %q is not a SHA-256", shortHash(sha))
 	}
-	if man.Version != manifestVersion {
-		return nil, ModelManifest{}, fmt.Errorf("store: load manifest: unsupported version %d", man.Version)
+	model, err := ms.LoadVersion(sha)
+	if errors.Is(err, fs.ErrNotExist) {
+		// A pointer to nothing is a damaged store, not a cold start.
+		return nil, "", fmt.Errorf("store: load model: serving bank %s is missing", shortHash(sha))
 	}
-	model, err := os.ReadFile(filepath.Join(ms.dir, modelName))
 	if err != nil {
-		return nil, ModelManifest{}, fmt.Errorf("store: load model: %w", err)
-	}
-	sum := sha256.Sum256(model)
-	if got := hex.EncodeToString(sum[:]); got != man.SHA256 {
-		return nil, ModelManifest{}, fmt.Errorf("store: load model: checksum mismatch (manifest %s, file %s)",
-			shortHash(man.SHA256), shortHash(got))
+		return nil, "", err
 	}
 	id, err := core.LoadIdentifier(bytes.NewReader(model))
 	if err != nil {
-		return nil, ModelManifest{}, err
-	}
-	if id.NumTypes() != man.Types {
-		return nil, ModelManifest{}, fmt.Errorf("store: load model: %d device-types, manifest says %d",
-			id.NumTypes(), man.Types)
+		return nil, "", err
 	}
 	ms.m.modelLoaded("disk")
-	return id, man, nil
+	return id, sha, nil
 }
 
-// LoadedFromTraining counts a cold bring-up: the caller trained the
-// bank from scratch instead of loading it from disk. Comparing the
-// "train" and "disk" sources of store_model_loads_total shows whether
-// warm boots actually skip retraining.
+// LoadedFromTraining counts a cold bring-up: the caller built the bank
+// from its cold source (training, a model file) instead of loading it
+// from the store. Comparing the "train" and "disk" sources of
+// store_model_loads_total shows whether warm boots actually skip
+// retraining.
 func (ms *ModelStore) LoadedFromTraining() { ms.m.modelLoaded("train") }
 
-// Versioned model blobs: the fleet controller keeps every bank it may
-// still distribute — the current fleet version, a canarying candidate,
-// and the rollback baseline — as content-addressed files, so a crashed
-// controller can reload exactly the bytes a journaled rollout names.
-//
-// Layout: models/versions/<sha256-hex>.model, written temp → fsync →
-// rename like everything else in the store. The filename is the
-// content hash, so a partially renamed or tampered file is caught on
-// load by rehashing.
-
-const versionsDir = "versions"
-
-// SaveVersion persists one opaque model blob under its SHA-256 and
-// returns the hex digest. Saving bytes that are already present is a
-// cheap no-op (content addressing makes the write idempotent).
+// SaveVersion persists one model blob under its SHA-256 and returns the
+// hex digest, without moving the serving pointer: the fleet controller
+// keeps every bank it may still distribute — the current fleet version,
+// a canarying candidate, the rollback baseline — this way. Saving bytes
+// that are already present and intact is a no-op (content addressing
+// makes the write idempotent); a damaged blob of that name is rewritten.
 func (ms *ModelStore) SaveVersion(model []byte) (string, error) {
 	sum := sha256.Sum256(model)
 	sha := hex.EncodeToString(sum[:])
-	dir := filepath.Join(ms.dir, versionsDir)
-	final := filepath.Join(dir, sha+".model")
-	if _, err := os.Stat(final); err == nil {
+	if _, err := ms.LoadVersion(sha); err == nil {
 		return sha, nil
 	}
+	dir := filepath.Join(ms.dir, versionsDir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("store: save version: %w", err)
 	}
-	err := writeAtomic(final, func(f *os.File) error {
+	err := writeAtomic(filepath.Join(dir, sha+".model"), func(f *os.File) error {
 		_, err := f.Write(model)
 		return err
 	})
@@ -192,8 +141,8 @@ func (ms *ModelStore) SaveVersion(model []byte) (string, error) {
 	return sha, nil
 }
 
-// LoadVersion reads a versioned model blob back and verifies it still
-// hashes to its name; a corrupt blob returns an error, never bytes.
+// LoadVersion reads a model blob back and verifies it still hashes to
+// its name; a corrupt blob returns an error, never bytes.
 func (ms *ModelStore) LoadVersion(sha string) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(ms.dir, versionsDir, sha+".model"))
 	if err != nil {

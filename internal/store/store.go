@@ -1,7 +1,7 @@
 // Package store is the durability layer of the Security Gateway: a
 // CRC32C-framed append-only journal of device-lifecycle events kept in
 // segments, atomic state snapshots that retire the segments they cover,
-// and a versioned model store for the trained classifier bank. Together
+// and a content-addressed model store for classifier banks. Together
 // they make `gatewayd` restart-safe — a crash or redeploy no longer
 // forgets identified devices, their isolation levels, or the quarantine
 // queue, and a warm boot loads the model bank from disk instead of

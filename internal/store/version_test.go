@@ -10,10 +10,9 @@ import (
 )
 
 func TestModelVersionRoundTrip(t *testing.T) {
-	ms, err := NewModelStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := openT(t, t.TempDir(), Options{})
+	defer s.Close()
+	ms := s.Models()
 	blob := []byte(`{"fake":"model bank"}`)
 	sha, err := ms.SaveVersion(blob)
 	if err != nil {
@@ -50,16 +49,14 @@ func TestModelVersionRoundTrip(t *testing.T) {
 }
 
 func TestModelVersionDetectsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	ms, err := NewModelStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := openT(t, t.TempDir(), Options{})
+	defer s.Close()
+	ms := s.Models()
 	sha, err := ms.SaveVersion([]byte("pristine bytes"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, versionsDir, sha+".model")
+	path := filepath.Join(ms.dir, versionsDir, sha+".model")
 	if err := os.WriteFile(path, []byte("tampered bytes"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +65,14 @@ func TestModelVersionDetectsCorruption(t *testing.T) {
 	}
 	if _, err := ms.LoadVersion("00ff00ff"); err == nil {
 		t.Fatal("missing version loaded without error")
+	}
+	// Saving the bytes again repairs the blob rather than trusting the
+	// name of a damaged file.
+	if again, err := ms.SaveVersion([]byte("pristine bytes")); err != nil || again != sha {
+		t.Fatalf("re-save = %s, %v", again, err)
+	}
+	if _, err := ms.LoadVersion(sha); err != nil {
+		t.Fatalf("re-saved version still corrupt: %v", err)
 	}
 }
 
