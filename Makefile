@@ -146,10 +146,13 @@ crash:
 # sharded hammer, verdicts for departed and rejoined devices, a removal
 # racing a rejoin, racing quarantine drains — ten times each under the
 # race detector, since one run of a race shows only one of its
-# interleavings; and the switch's hammer, whose counts and the series
-# read from them must agree however its frames, rule churn, sweeps and
-# scrapes interleave.
-GATEWAY_INTERLEAVINGS = TestCloseRacingFinishingCaptures|TestShardedGatewayRaceHammer|TestConcurrentGatewayOperations|TestVerdictForDepartedDeviceIsDropped|TestRetryQuarantinedConcurrentDrainsPromoteOnce|TestRejoinTakesItsOwnVerdict|TestRemovalSparesRejoinedRule
+# interleavings; two capture readers forwarding at once — their devices
+# fill disjoint shards and switch stripes (packet.MACWord.Part), so no
+# lock orders their frames, and a count written outside its stripe's
+# lock shows only as a race report or a lost count when both run; and
+# the switch's hammer, whose counts and the series read from them must
+# agree however its frames, rule churn, sweeps and scrapes interleave.
+GATEWAY_INTERLEAVINGS = TestCloseRacingFinishingCaptures|TestShardedGatewayRaceHammer|TestConcurrentGatewayOperations|TestVerdictForDepartedDeviceIsDropped|TestRetryQuarantinedConcurrentDrainsPromoteOnce|TestRejoinTakesItsOwnVerdict|TestRemovalSparesRejoinedRule|TestTwoReaderForwardCounts
 chaos:
 	@echo "chaos: CHAOS_SEED=$(CHAOS_SEED)"
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestChaos' ./internal/chaos/ ./internal/fleet/

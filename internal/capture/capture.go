@@ -10,10 +10,10 @@
 //     a single atomic word, so the reader walks whole blocks of frames
 //     without locks and a slow reader sheds load by dropping at the
 //     producer, never by blocking it. A Fanout stripes frames across
-//     one ring per reader by an FNV-1a hash of the source MAC — the
-//     same hash the gateway shards device state by — so every device's
-//     packets stay in order on one reader while readers scale across
-//     CPUs (PACKET_FANOUT_HASH semantics).
+//     one ring per reader by the source MAC's partition — the one the
+//     gateway's shards and the switch's stripes split by, at finer
+//     grain — so every device's packets stay in order on one reader
+//     while readers scale across CPUs (PACKET_FANOUT_HASH semantics).
 //   - Replay is such a producer for classic pcap / pcapng files, so a
 //     recorded trace takes exactly the path live traffic takes.
 //
@@ -42,24 +42,3 @@ type Frame struct {
 // ErrClosed is returned by Inject after the ring (or fanout) has been
 // closed.
 var ErrClosed = errors.New("capture: ring closed")
-
-// macHash is 32-bit FNV-1a over the frame's source MAC (Ethernet
-// bytes 6..12) — deliberately the same function the gateway stripes
-// device state with, so a fanout reader and the shard it feeds see
-// every device's packets in arrival order.
-func macHash(frame []byte) uint32 {
-	h := uint32(2166136261)
-	if len(frame) < 12 {
-		// Runt frame: hash what exists; the decoder will reject it.
-		for _, b := range frame {
-			h ^= uint32(b)
-			h *= 16777619
-		}
-		return h
-	}
-	for _, b := range frame[6:12] {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return h
-}

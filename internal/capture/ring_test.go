@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"iotsentinel/internal/packet"
 	"iotsentinel/internal/testutil"
 )
 
@@ -441,9 +442,11 @@ func TestRingConcurrentProducers(t *testing.T) {
 }
 
 // TestFanoutKeepsPerMACOrder injects interleaved per-device sequences
-// and requires each device's frames to arrive on one ring, in order.
+// and requires each device's frames to arrive on one ring — the one its
+// source MAC's partition names — in order.
 func TestFanoutKeepsPerMACOrder(t *testing.T) {
 	f := NewFanout(4, RingConfig{Lossless: true})
+	_, shift := packet.Parts(4)
 	const devices, per = 32, 50
 	go func() {
 		for i := 0; i < per; i++ {
@@ -479,6 +482,9 @@ func TestFanoutKeepsPerMACOrder(t *testing.T) {
 					t.Errorf("device %d split across rings %d and %d", dev, prev, ri)
 				}
 				ringOf[dev] = ri
+				if want := packet.MAC(fr.Data[6:12]).Word().Part(shift); ri != want {
+					t.Errorf("device %d on ring %d, its partition names %d", dev, ri, want)
+				}
 				if last, ok := lastSeq[dev]; ok && seq != last+1 {
 					t.Errorf("device %d: seq %d after %d", dev, seq, last)
 				}

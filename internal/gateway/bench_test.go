@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"fmt"
 	"net/netip"
 	"runtime"
 	"sync/atomic"
@@ -270,6 +271,155 @@ func BenchmarkPumpForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	forward(b.N)
+}
+
+// readersRig is pumpForwarder over many devices and several readers: a
+// gateway of DefaultShards shards and its switch, every metrics bundle
+// attached, devices assessed devices whose Internet-bound flows are
+// installed, and a lossless fanout of readers rings feeding
+// HandlePacket. Each ring counts what it handled on a cache line of its
+// own (the ring is the frame's source MAC's partition), so the rig adds
+// no write shared between readers to the path it measures.
+type readersRig struct {
+	g      *Gateway
+	sw     *sdn.Switch
+	macs   []packet.MAC
+	frames [][]byte
+	ts     time.Time
+	fan    *capture.Fanout
+	pump   *capture.Pump
+	next   int
+	done   []ringCount
+}
+
+// ringCount is a ring's handled frames, on a cache line of its own.
+type ringCount struct {
+	n atomic.Int64
+	_ [56]byte
+}
+
+func newReadersRig(tb testing.TB, readers, devices int) *readersRig {
+	tb.Helper()
+	reg := obs.NewRegistry()
+	sw := sdn.NewSwitch(sdn.NewController(sdn.NewRuleCache(), netip.Prefix{}), time.Minute)
+	sw.SetMetrics(sdn.NewSwitchMetrics(reg))
+	r := &readersRig{
+		g:  New(nopAssessor{}, sw, Config{IdleGap: time.Hour, Metrics: NewMetrics(reg)}),
+		sw: sw,
+		ts: time.Unix(8000, 0).Add(2 * time.Second),
+	}
+	remote := netip.MustParseAddr("52.20.7.7")
+	for i := 0; i < devices; i++ {
+		mac := packet.MAC{0x02, 0xBE, 0, byte(i >> 16), byte(i >> 8), byte(i)}
+		devIP := netip.AddrFrom4([4]byte{192, 168, byte(i >> 8), byte(i)})
+		pk := packet.NewUDP(mac, packet.MAC{2, 2, 2, 2, 2, 2}, devIP, remote, 40000, 443, []byte("q"))
+		r.g.HandlePacket(r.ts.Add(-2*time.Second), pk)
+		if err := r.g.FinishSetup(mac, r.ts.Add(-time.Second)); err != nil {
+			tb.Fatalf("FinishSetup: %v", err)
+		}
+		if act, err := r.g.HandlePacket(r.ts, pk); err != nil || act != sdn.ActionForward { // install the flow
+			tb.Fatalf("HandlePacket: %v, %v", act, err)
+		}
+		frame, err := pk.Marshal()
+		if err != nil {
+			tb.Fatalf("marshal: %v", err)
+		}
+		r.macs, r.frames = append(r.macs, mac), append(r.frames, frame)
+	}
+	r.fan = capture.NewFanout(readers, capture.RingConfig{Lossless: true})
+	rings, shift := packet.Parts(readers)
+	r.done = make([]ringCount, rings)
+	r.pump = capture.Attach(r.fan, func(ts time.Time, pk *packet.Packet) {
+		if _, err := r.g.HandlePacket(ts, pk); err != nil {
+			tb.Errorf("HandlePacket: %v", err)
+		}
+		r.done[pk.SrcMAC.Word().Part(shift)].n.Add(1)
+	}, capture.PumpConfig{Metrics: capture.NewMetrics(reg)})
+	return r
+}
+
+func (r *readersRig) handled() int64 {
+	var n int64
+	for i := range r.done {
+		n += r.done[i].n.Load()
+	}
+	return n
+}
+
+// forward injects n frames, the devices' in turn, and returns once the
+// readers have taken all of them through HandlePacket and Process.
+func (r *readersRig) forward(tb testing.TB, n int) {
+	target := r.handled() + int64(n)
+	for i := 0; i < n; i++ {
+		if err := r.fan.Inject(r.ts, r.frames[r.next]); err != nil {
+			tb.Fatalf("inject: %v", err)
+		}
+		if r.next++; r.next == len(r.frames) {
+			r.next = 0
+		}
+	}
+	r.fan.Flush()
+	for r.handled() < target {
+		runtime.Gosched()
+	}
+}
+
+func (r *readersRig) stop(tb testing.TB) {
+	if err := r.pump.Close(); err != nil {
+		tb.Errorf("pump close: %v", err)
+	}
+	r.g.Close()
+}
+
+// BenchmarkPumpForwardReaders is BenchmarkPumpForward over 4 096 resident
+// devices, one producer feeding one reader or two. With two, each
+// reader's devices fill gateway shards and switch stripes the other's do
+// not take (packet.MACWord.Part), so what the readers share is the
+// producer and the machine. Compare readers=2 with readers=1: perfect
+// scaling halves ns/op.
+func BenchmarkPumpForwardReaders(b *testing.B) {
+	for _, readers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
+			r := newReadersRig(b, readers, 4096)
+			defer r.stop(b)
+			r.forward(b, 4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			r.forward(b, b.N)
+		})
+	}
+}
+
+// TestTwoReaderForwardCounts: two fanout readers forwarding at once
+// forward every frame injected and count each once — in the switch's
+// per-stripe counts Stats sums, and in each device's counters — and both
+// readers take a share.
+func TestTwoReaderForwardCounts(t *testing.T) {
+	const devices, per = 64, 40
+	r := newReadersRig(t, 2, devices)
+	defer r.stop(t)
+	before := r.sw.Stats()
+	was := make([]sdn.DeviceStats, devices)
+	for i, mac := range r.macs {
+		was[i], _ = r.sw.Device(mac)
+	}
+	r.forward(t, devices*per)
+	got := r.sw.Stats()
+	if fw, hits := got.Forwarded-before.Forwarded, got.TableHits-before.TableHits; fw != devices*per || hits != devices*per ||
+		got.Dropped != before.Dropped || got.PacketIns != before.PacketIns {
+		t.Errorf("%d frames injected: Stats went from %+v to %+v", devices*per, before, got)
+	}
+	for i, mac := range r.macs {
+		now, _ := r.sw.Device(mac)
+		if now.Packets-was[i].Packets != per || now.Bytes-was[i].Bytes != per*uint64(len(r.frames[i])) {
+			t.Errorf("%v: %d packets, %d bytes counted of %d frames", mac, now.Packets-was[i].Packets, now.Bytes-was[i].Bytes, per)
+		}
+	}
+	for ring := range r.done {
+		if r.done[ring].n.Load() == 0 {
+			t.Errorf("ring %d handled no frame", ring)
+		}
+	}
 }
 
 // catalogAssessor answers like a small catalog: a third of the devices

@@ -84,10 +84,10 @@ func TestCheckpointBlocksNobody(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openStore(t, dir)
 	g := newGatewayWithAssessor(trainService(t), Config{Shards: 8, Store: st})
-	perShard := make(map[uint32]int) // a device of each shard
+	perShard := make(map[*shard]int) // a device of each shard
 	for i := 0; len(perShard) < g.Shards() || i < 64; i++ {
 		joinDevice(t, g, i)
-		perShard[shardIndex(testMAC(i), g.shardMask)] = i
+		perShard[g.shardOf(testMAC(i))] = i
 	}
 
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -111,8 +111,8 @@ func TestCheckpointBlocksNobody(t *testing.T) {
 		if _, err := st.Append(store.Event{Kind: store.EvRolloutPromoted, Model: "aa11"}); err != nil {
 			t.Errorf("durable append: %v", err)
 		}
-		g.RemoveDevice(testMAC(perShard[0]))
-		delete(perShard, 0)
+		g.RemoveDevice(testMAC(perShard[g.shards[0]]))
+		delete(perShard, g.shards[0])
 		joinDevice(t, g, 1000)
 		for _, i := range perShard {
 			if _, err := g.HandlePacket(time.Unix(8000, 0), arpPacket(testMAC(i))); err != nil {

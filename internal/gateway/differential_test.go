@@ -186,53 +186,39 @@ func TestCachedServiceDifferentialIdentical(t *testing.T) {
 	}
 }
 
-// TestMacKeyRoundTrip: the shard map's word key is injective on MACs —
-// mac inverts it.
-func TestMacKeyRoundTrip(t *testing.T) {
-	mac := func(k macKey) packet.MAC {
-		return packet.MAC{byte(k >> 40), byte(k >> 32), byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
-	}
-	seen := make(map[macKey]packet.MAC)
-	for _, m := range []packet.MAC{{}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, {0x02, 0xd0, 0, 0, 0, 1},
-		{1, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 1}, {0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc}} {
-		k := keyOf(m)
-		if mac(k) != m {
-			t.Errorf("keyOf(%v) unpacks to %v", m, mac(k))
-		}
-		if prev, dup := seen[k]; dup {
-			t.Errorf("%v and %v share key %#x", prev, m, uint64(k))
-		}
-		seen[k] = m
-	}
-}
-
-// TestShardIndexStable pins the FNV-1a placement so a refactor cannot
-// silently re-home device state between releases, and checks the
-// power-of-two rounding.
+// TestShardIndexStable checks the shard placement — the top bits of the
+// MAC's partition, packet.MACWord.Part — and the power-of-two rounding.
+// The partition itself, and its nesting with the capture rings and the
+// switch's stripes, is pinned in internal/packet.
 func TestShardIndexStable(t *testing.T) {
-	if got := shardCount(0); got != DefaultShards {
-		t.Errorf("shardCount(0) = %d, want %d", got, DefaultShards)
+	shards := func(n int) *Gateway { return New(nil, nil, Config{Shards: n}) }
+	if got := shards(0).Shards(); got != DefaultShards {
+		t.Errorf("Shards 0 resolves to %d, want %d", got, DefaultShards)
 	}
 	for _, c := range []struct{ in, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {100, 128},
 	} {
-		if got := shardCount(c.in); got != c.want {
-			t.Errorf("shardCount(%d) = %d, want %d", c.in, got, c.want)
+		if got := shards(c.in).Shards(); got != c.want {
+			t.Errorf("Shards %d resolves to %d, want %d", c.in, got, c.want)
 		}
 	}
+	g8, g1 := shards(8), shards(1)
 	mac := packet.MAC{0x02, 0xd0, 0, 0, 0, 1}
-	if a, b := shardIndex(mac, 7), shardIndex(mac, 7); a != b {
-		t.Error("shardIndex not deterministic")
+	if a, b := g8.shardOf(mac), g8.shardOf(mac); a != b {
+		t.Error("shardOf not deterministic")
 	}
-	if idx := shardIndex(mac, 0); idx != 0 {
-		t.Errorf("mask 0 must pin every MAC to shard 0, got %d", idx)
+	if s := g1.shardOf(mac); s != g1.shards[0] {
+		t.Error("one shard must pin every MAC to shard 0")
 	}
 	// The hash must actually spread: 256 sequential MACs over 8 shards
 	// should leave no shard empty.
-	seen := make(map[uint32]bool)
+	seen := make(map[*shard]bool)
 	for i := 0; i < 256; i++ {
 		m := packet.MAC{0x02, 0xd0, 0, 0, byte(i >> 8), byte(i)}
-		seen[shardIndex(m, 7)] = true
+		if s := g8.shardOf(m); s != g8.shards[m.Word().Part(64-3)] {
+			t.Fatalf("%v placed off its partition", m)
+		}
+		seen[g8.shardOf(m)] = true
 	}
 	if len(seen) != 8 {
 		t.Errorf("256 MACs landed on %d/8 shards", len(seen))

@@ -157,8 +157,8 @@ type Gateway struct {
 	assessor iotssp.Assessor
 	sw       *sdn.Switch
 
-	shards    []*shard
-	shardMask uint32
+	shards     []*shard
+	shardShift uint8 // packet.MACWord.Part's, for len(shards)
 
 	// parked counts the records holding a parked fingerprint, all shards.
 	parked atomic.Int64
@@ -176,13 +176,17 @@ type Gateway struct {
 
 // New wires a gateway to its switch and the security service.
 func New(assessor iotssp.Assessor, sw *sdn.Switch, cfg Config) *Gateway {
-	n := shardCount(cfg.Shards)
+	n := cfg.Shards
+	if n <= 0 {
+		n = DefaultShards
+	}
+	n, shift := packet.Parts(n)
 	g := &Gateway{
-		cfg:       cfg,
-		assessor:  assessor,
-		sw:        sw,
-		shards:    make([]*shard, n),
-		shardMask: uint32(n - 1),
+		cfg:        cfg,
+		assessor:   assessor,
+		sw:         sw,
+		shards:     make([]*shard, n),
+		shardShift: shift,
 	}
 	for i := range g.shards {
 		g.shards[i] = newShard()
@@ -211,7 +215,8 @@ func (g *Gateway) Shards() int { return len(g.shards) }
 // Only the shard owning pk.SrcMAC is locked, so concurrent calls for
 // devices on different shards never contend.
 func (g *Gateway) HandlePacket(ts time.Time, pk *packet.Packet) (sdn.Action, error) {
-	idx := shardIndex(pk.SrcMAC, g.shardMask)
+	key := pk.SrcMAC.Word()
+	idx := key.Part(g.shardShift)
 	s := g.shards[idx]
 	// The latency histogram is a fixed 1-in-handleSampleEvery sample
 	// per shard, starting with the shard's first frame: the other
@@ -219,16 +224,15 @@ func (g *Gateway) HandlePacket(ts time.Time, pk *packet.Packet) (sdn.Action, err
 	// rest of the forwarding path). Exact frame counts are
 	// capture_frames_total and the sdn_switch_* counters.
 	if g.cfg.Metrics == nil || s.tick.Add(1)%handleSampleEvery != 1 {
-		return g.handlePacket(s, idx, ts, pk)
+		return g.handlePacket(s, idx, key, ts, pk)
 	}
 	start := time.Now()
-	act, err := g.handlePacket(s, idx, ts, pk)
+	act, err := g.handlePacket(s, idx, key, ts, pk)
 	g.cfg.Metrics.observeHandle(time.Since(start))
 	return act, err
 }
 
-func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Packet) (sdn.Action, error) {
-	key := keyOf(pk.SrcMAC)
+func (g *Gateway) handlePacket(s *shard, idx int, key packet.MACWord, ts time.Time, pk *packet.Packet) (sdn.Action, error) {
 	s.mu.Lock()
 	rec := s.devices[key]
 	if rec == nil && !pk.SrcMAC.IsMulticast() {
@@ -313,7 +317,7 @@ func (g *Gateway) handlePacket(s *shard, idx uint32, ts time.Time, pk *packet.Pa
 func (g *Gateway) FinishSetup(mac packet.MAC, now time.Time) error {
 	s := g.shardOf(mac)
 	s.mu.Lock()
-	rec := s.devices[keyOf(mac)]
+	rec := s.devices[mac.Word()]
 	var cap *fingerprint.SetupCapture
 	if rec != nil {
 		cap, rec.cap = rec.cap, nil
@@ -378,7 +382,7 @@ func (g *Gateway) finishCaptures(now time.Time, trigger captureTrigger, done fun
 func (g *Gateway) lockOwner(owner *device, parked *quarantined) *shard {
 	s := g.shardOf(owner.info.MAC)
 	s.mu.Lock()
-	if s.devices[keyOf(owner.info.MAC)] != owner || owner.parked != parked {
+	if s.devices[owner.info.MAC.Word()] != owner || owner.parked != parked {
 		s.mu.Unlock()
 		return nil
 	}
@@ -594,7 +598,7 @@ func (g *Gateway) RemoveDevice(mac packet.MAC) {
 	s := g.shardOf(mac)
 	var seq uint64
 	s.mu.Lock()
-	key := keyOf(mac)
+	key := mac.Word()
 	if rec := s.devices[key]; rec != nil {
 		g.cfg.Metrics.stateChange(rec.info.State, 0)
 		seq = g.record(store.Event{Kind: store.EvRemoved, MAC: mac, At: time.Now()})
@@ -623,7 +627,7 @@ func (g *Gateway) Device(mac packet.MAC) (DeviceInfo, bool) {
 	s := g.shardOf(mac)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec, ok := s.devices[keyOf(mac)]
+	rec, ok := s.devices[mac.Word()]
 	if !ok {
 		return DeviceInfo{}, false
 	}

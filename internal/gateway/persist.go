@@ -247,7 +247,7 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 		d.parked = nil
 		s := g.shardOf(mac)
 		s.mu.Lock()
-		s.devices[keyOf(mac)] = d
+		s.devices[mac.Word()] = d
 		g.cfg.Metrics.stateChange(0, info.State)
 		if q != nil && info.State == StateQuarantined && g.setParked(d, q) {
 			stats.Retryable++

@@ -49,7 +49,7 @@ func claimCapture(g *Gateway, mac packet.MAC) *device {
 	s := g.shardOf(mac)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec := s.devices[keyOf(mac)]
+	rec := s.devices[mac.Word()]
 	rec.cap = nil
 	return rec
 }

@@ -11,12 +11,14 @@ import (
 )
 
 // Device-state sharding. All per-device state is keyed by MAC, so it
-// partitions cleanly: it lives in power-of-two striped shards selected
-// by an FNV-1a hash of the MAC, and packets from different devices
-// touch different locks. A shard holds one map, from MAC to the record
-// of the device's current incarnation (device): its DeviceInfo, its
-// open setup capture and its parked fingerprint all live there, under
-// the shard's lock and nowhere else.
+// partitions cleanly: it lives in a power-of-two number of shards, a
+// MAC's shard being the top bits of its partition (packet.MACWord.Part,
+// the one the capture fanout and the switch's stripes split by), and
+// packets from different devices touch different locks. A shard holds
+// one map, from MAC word to the record of the device's current
+// incarnation (device): its DeviceInfo, its open setup capture and its
+// parked fingerprint all live there, under the shard's lock and nowhere
+// else.
 //
 // A thread never holds two shard locks at once; sweeps (finishCaptures,
 // RetryQuarantined, Devices, …) lock shards one at a time and merge in
@@ -49,7 +51,7 @@ type shard struct {
 	// sample. It sits beside the lock every call takes anyway, so the
 	// count costs no cache line of its own.
 	tick    atomic.Uint32
-	devices map[macKey]*device
+	devices map[packet.MACWord]*device
 	// Shards are allocated one by one and the allocator packs objects
 	// of one size class back to back; the pad keeps two shards' locks
 	// and ticks out of one cache line.
@@ -57,7 +59,7 @@ type shard struct {
 }
 
 func newShard() *shard {
-	return &shard{devices: make(map[macKey]*device)}
+	return &shard{devices: make(map[packet.MACWord]*device)}
 }
 
 // device is one incarnation of a device, the record its shard maps its
@@ -73,44 +75,9 @@ type device struct {
 	parked *quarantined
 }
 
-// macKey is a MAC packed big-endian into the low 48 bits of a word, the
-// key of a shard's maps: a probe then takes the runtime's 64-bit map
-// path instead of hashing six bytes. Shard placement (shardIndex) still
-// hashes the bytes.
-type macKey uint64
-
-func keyOf(m packet.MAC) macKey {
-	return macKey(m[0])<<40 | macKey(m[1])<<32 | macKey(m[2])<<24 |
-		macKey(m[3])<<16 | macKey(m[4])<<8 | macKey(m[5])
-}
-
-// shardCount normalizes a configured shard count to a power of two:
-// 0 selects DefaultShards, anything else rounds up.
-func shardCount(n int) int {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// shardIndex hashes a MAC onto a shard slot with 32-bit FNV-1a. The
-// mask is len(shards)-1, valid because the count is a power of two.
-func shardIndex(mac packet.MAC, mask uint32) uint32 {
-	h := uint32(2166136261)
-	for _, b := range mac {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return h & mask
-}
-
 // shardOf returns the shard owning mac's state.
 func (g *Gateway) shardOf(mac packet.MAC) *shard {
-	return g.shards[shardIndex(mac, g.shardMask)]
+	return g.shards[mac.Word().Part(g.shardShift)]
 }
 
 // ErrAssessBacklog is the quarantine cause recorded when the bounded
@@ -211,7 +178,7 @@ func (a *asyncAssess) parkQueued(g *Gateway, q chan assessJob) {
 // enqueue hands one finished capture to the drain worker for shard i,
 // never blocking: on overflow the oldest pending job is evicted and
 // quarantined for retry. The caller must not hold any shard lock.
-func (a *asyncAssess) enqueue(g *Gateway, i uint32, job assessJob) {
+func (a *asyncAssess) enqueue(g *Gateway, i int, job assessJob) {
 	a.inflight.Add(1)
 	job.queued = g.cfg.Metrics.queueClock()
 	for {

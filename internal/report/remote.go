@@ -18,12 +18,14 @@ import (
 // on a separate machine reached over the OpenFlow control channel (the
 // OpenWRT OF-AP setup it describes but did not measure).
 type RemoteControllerResult struct {
-	Samples     int
-	LocalMean   time.Duration
-	LocalP99    time.Duration
-	RemoteMean  time.Duration
-	RemoteP99   time.Duration
-	RemoteRatio float64
+	Samples      int
+	LocalMean    time.Duration
+	LocalMedian  time.Duration
+	LocalP99     time.Duration
+	RemoteMean   time.Duration
+	RemoteMedian time.Duration
+	RemoteP99    time.Duration
+	RemoteRatio  float64
 }
 
 // RemoteController measures both paths with real code: in-process
@@ -82,8 +84,8 @@ func RemoteController(o Options) (*RemoteControllerResult, error) {
 	}
 
 	res := &RemoteControllerResult{Samples: samples}
-	res.LocalMean, res.LocalP99 = meanP99(local)
-	res.RemoteMean, res.RemoteP99 = meanP99(remote)
+	res.LocalMean, res.LocalMedian, res.LocalP99 = meanP99(local)
+	res.RemoteMean, res.RemoteMedian, res.RemoteP99 = meanP99(remote)
 	if res.LocalMean > 0 {
 		res.RemoteRatio = float64(res.RemoteMean) / float64(res.LocalMean)
 	}
@@ -95,17 +97,18 @@ func (r *RemoteControllerResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Remote controller — per-flow decision latency, %d samples each\n", r.Samples)
 	fmt.Fprintf(&b, "(deployment option 2 of Sect. VI-C: controller on a separate machine)\n\n")
-	fmt.Fprintf(&b, "%-28s %12s %12s\n", "deployment", "mean", "p99")
-	fmt.Fprintf(&b, "%-28s %12s %12s\n", "co-located (in-process)", fmtDur(r.LocalMean), fmtDur(r.LocalP99))
-	fmt.Fprintf(&b, "%-28s %12s %12s\n", "remote (TCP control channel)", fmtDur(r.RemoteMean), fmtDur(r.RemoteP99))
+	fmt.Fprintf(&b, "%-28s %12s %12s %12s\n", "deployment", "mean", "median", "p99")
+	fmt.Fprintf(&b, "%-28s %12s %12s %12s\n", "co-located (in-process)", fmtDur(r.LocalMean), fmtDur(r.LocalMedian), fmtDur(r.LocalP99))
+	fmt.Fprintf(&b, "%-28s %12s %12s %12s\n", "remote (TCP control channel)", fmtDur(r.RemoteMean), fmtDur(r.RemoteMedian), fmtDur(r.RemoteP99))
 	fmt.Fprintf(&b, "\nremote/local mean ratio: %.0fx — paid once per flow, amortized by the\n", r.RemoteRatio)
 	fmt.Fprintf(&b, "flow-table fast path, which is why Fig 6a stays flat in either deployment\n")
 	return b.String()
 }
 
-func meanP99(samples []time.Duration) (mean, p99 time.Duration) {
+// meanP99 returns the samples' mean, median and 99th percentile.
+func meanP99(samples []time.Duration) (mean, median, p99 time.Duration) {
 	if len(samples) == 0 {
-		return 0, 0
+		return 0, 0, 0
 	}
 	sorted := append([]time.Duration(nil), samples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -114,6 +117,5 @@ func meanP99(samples []time.Duration) (mean, p99 time.Duration) {
 		sum += s
 	}
 	mean = sum / time.Duration(len(sorted))
-	p99 = sorted[len(sorted)*99/100]
-	return mean, p99
+	return mean, sorted[len(sorted)/2], sorted[len(sorted)*99/100]
 }

@@ -284,8 +284,12 @@ func TestRemoteController(t *testing.T) {
 	if res.RemoteMean <= res.LocalMean {
 		t.Errorf("remote (%v) not slower than local (%v)", res.RemoteMean, res.LocalMean)
 	}
-	if res.LocalP99 < res.LocalMean/2 || res.RemoteP99 < res.RemoteMean/2 {
-		t.Error("p99 implausibly small")
+	// A p99 at or below its own samples' median is a mis-indexed
+	// quantile. The median is the reference because one scheduler or GC
+	// pause among the samples moves the mean, not the median.
+	if res.LocalP99 <= res.LocalMedian || res.RemoteP99 <= res.RemoteMedian {
+		t.Errorf("p99 not above the median: local %v vs %v, remote %v vs %v",
+			res.LocalP99, res.LocalMedian, res.RemoteP99, res.RemoteMedian)
 	}
 	if !strings.Contains(res.Render(), "Remote controller") {
 		t.Error("render missing header")

@@ -1,7 +1,6 @@
 package sdn
 
 import (
-	"hash/fnv"
 	"net/netip"
 	"runtime"
 	"sync/atomic"
@@ -80,20 +79,15 @@ func BenchmarkSwitchProcess10k(b *testing.B) {
 // BenchmarkSwitchProcess10kParallel is SwitchProcess10k/internet from
 // every reader at once. Each RunParallel goroutine forwards, round-robin,
 // the devices one capture ring of a GOMAXPROCS-reader fanout would get
-// (FNV-1a of the source MAC, masked to the ring count, as capture.Fanout
-// and the gateway's shards split them): no device is sent from two
-// goroutines, and what they share is the switch itself.
+// (the source MAC's partition, as capture.Fanout splits them): no device
+// is sent from two goroutines, and since a ring's devices fill port
+// stripes no other ring's take, no stripe either.
 func BenchmarkSwitchProcess10kParallel(b *testing.B) {
 	sw, pkts := switch10k(b, "internet")
-	rings := 1
-	for rings < runtime.GOMAXPROCS(0) {
-		rings <<= 1
-	}
+	rings, shift := packet.Parts(runtime.GOMAXPROCS(0))
 	owned := make([][]*packet.Packet, rings)
 	for _, pk := range pkts {
-		h := fnv.New32a()
-		h.Write(pk.SrcMAC[:])
-		r := h.Sum32() & uint32(rings-1)
+		r := pk.SrcMAC.Word().Part(shift)
 		owned[r] = append(owned[r], pk)
 	}
 	var next atomic.Int32

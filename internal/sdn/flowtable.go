@@ -1,7 +1,6 @@
 package sdn
 
 import (
-	"encoding/binary"
 	"net/netip"
 	"slices"
 	"sync"
@@ -72,10 +71,12 @@ func (f *entry) key(src packet.MAC) packet.FlowKey {
 	}
 }
 
-// The ports are striped over portStripes locks (a power of two), and a
+// The ports are striped over portStripes locks, a port's stripe being
+// the top six bits of its MAC's partition (packet.MACWord.Part, the one
+// the capture fanout's rings and the gateway's shards split by), and a
 // port holds at most portFlows flows, as hardware and OVS tables are
 // bounded: past that a device recycles its own least recently used one.
-const portStripes, portFlows = 64, 64
+const portStripes, stripeShift, portFlows = 64, 64 - 6, 64
 
 // port is what the switch keeps per source MAC: the device's flows,
 // scanned linearly, and the traffic counters of the controller's
@@ -134,7 +135,7 @@ func (s *dstSet) len() int {
 // them.
 type portStripe struct {
 	mu     sync.Mutex
-	ports  map[macKey]*port
+	ports  map[packet.MACWord]*port
 	flows  int // installed over all ports, for Len
 	counts SwitchStats
 	_      [8]byte // a cache line per stripe
@@ -161,26 +162,18 @@ func NewFlowTable(idleTimeout time.Duration) *FlowTable {
 	}
 	t := &FlowTable{IdleTimeout: idleTimeout}
 	for i := range t.stripes {
-		t.stripes[i].ports = make(map[macKey]*port)
+		t.stripes[i].ports = make(map[packet.MACWord]*port)
 	}
 	return t
 }
 
-// macKey is a MAC's six bytes as an integer, hashed once for its stripe
-// and once, on the runtime's 64-bit map fast path, for its port.
-type macKey uint64
-
-func keyOf(mac packet.MAC) macKey {
-	return macKey(binary.LittleEndian.Uint32(mac[:4])) | macKey(binary.LittleEndian.Uint16(mac[4:]))<<32
-}
-
-func (t *FlowTable) stripe(k macKey) *portStripe {
-	return &t.stripes[k*0x9e3779b97f4a7c15>>58] // top 6 bits: portStripes
+func (t *FlowTable) stripe(k packet.MACWord) *portStripe {
+	return &t.stripes[k.Part(stripeShift)]
 }
 
 // port returns mac's port, opening it at its first frame.
 func (st *portStripe) port(mac packet.MAC, now int64) *port {
-	k := keyOf(mac)
+	k := mac.Word()
 	p := st.ports[k]
 	if p == nil {
 		p = &port{mac: mac, firstSeen: now}
@@ -231,7 +224,7 @@ func (t *FlowTable) put(st *portStripe, p *port, k *packet.FlowKey, act Action, 
 // Install adds or replaces the entry for key. A device at its bound of
 // 64 flows has its least-recently-used one replaced.
 func (t *FlowTable) Install(key packet.FlowKey, action Action, now time.Time) {
-	st := t.stripe(keyOf(key.SrcMAC))
+	st := t.stripe(key.SrcMAC.Word())
 	ns := now.UnixNano()
 	st.mu.Lock()
 	t.put(st, st.port(key.SrcMAC, ns), &key, action, basis{}, ns)
@@ -244,7 +237,7 @@ func (t *FlowTable) Install(key packet.FlowKey, action Action, now time.Time) {
 // InvalidateDevice ran in between, and the flow would outlive the sweep
 // meant for it. The frame keeps its verdict either way.
 func (t *FlowTable) admit(k *packet.FlowKey, act Action, on basis, size int, now time.Time) {
-	st := t.stripe(keyOf(k.SrcMAC))
+	st := t.stripe(k.SrcMAC.Word())
 	ns := now.UnixNano()
 	st.mu.Lock()
 	p := st.port(k.SrcMAC, ns)
@@ -279,7 +272,7 @@ func (t *FlowTable) Match(key packet.FlowKey, size int, now time.Time) (Action, 
 // device's flows, the flow's last use, the device's counters and, when
 // switched, the switch's counts in the same hold.
 func (t *FlowTable) match(k *packet.FlowKey, size int, now time.Time, switched bool) (Action, bool) {
-	src := keyOf(k.SrcMAC)
+	src := k.SrcMAC.Word()
 	st := t.stripe(src)
 	ns := now.UnixNano()
 	st.mu.Lock()
@@ -328,7 +321,7 @@ func (t *FlowTable) RemoveByMAC(mac packet.MAC) int { return t.drop(mac, false) 
 
 // drop evicts mac's flows and, with forget, its port and counters.
 func (t *FlowTable) drop(mac packet.MAC, forget bool) int {
-	k := keyOf(mac)
+	k := mac.Word()
 	st := t.stripe(k)
 	st.mu.Lock()
 	n := 0
@@ -360,7 +353,7 @@ func (t *FlowTable) Len() int {
 
 // Entry returns a copy of the entry for key, if installed.
 func (t *FlowTable) Entry(key packet.FlowKey) (FlowEntry, bool) {
-	src := keyOf(key.SrcMAC)
+	src := key.SrcMAC.Word()
 	st := t.stripe(src)
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -131,10 +131,10 @@ func TestManyDestinationsStayConstantPerMiss(t *testing.T) {
 	if ds, _ := sw.Device(devC); ds.Destinations != 10000 {
 		t.Errorf("Destinations = %d, want 10000", ds.Destinations)
 	}
-	st := sw.table.stripe(keyOf(devC))
+	st := sw.table.stripe(devC.Word())
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s := &st.ports[keyOf(devC)].dsts
+	s := &st.ports[devC.Word()].dsts
 	for i, a := range s.inline {
 		if !a.IsValid() {
 			t.Errorf("inline slot %d empty", i)

@@ -59,11 +59,6 @@ type EnforcementRule struct {
 	DeviceType string
 }
 
-// Hash returns Fig 2's hash value, an FNV-1a digest of the device MAC,
-// for display. The cache keys on the MAC itself (keyOf), so two MACs
-// whose hashes collide still hold a rule each.
-func (r *EnforcementRule) Hash() uint64 { return macHash(r.DeviceMAC) }
-
 // Permits reports whether the rule allows the device to reach the
 // given remote address.
 func (r *EnforcementRule) Permits(addr netip.Addr) bool {
@@ -84,11 +79,14 @@ func approxRuleBytes(r *EnforcementRule) int {
 
 // RuleCache is the hash-table enforcement-rule store of Sect. V: O(1)
 // lookup by device MAC so filtering latency stays flat as the rule set
-// grows, with memory accounting for the Fig 6c experiment and explicit
-// removal of rules for departed devices.
+// grows. Fig 2's hash index is the map's own, over the MAC word
+// (packet.MACWord), so two MACs whose hashes collide still hold a rule
+// each; no hash value is kept beside the rule. It keeps memory
+// accounting for the Fig 6c experiment and removes the rules of
+// departed devices.
 type RuleCache struct {
 	mu    sync.RWMutex
-	rules map[macKey]*EnforcementRule
+	rules map[packet.MACWord]*EnforcementRule
 	bytes int
 	// hits/misses support cache instrumentation. They are atomic so
 	// that a lookup takes only the read lock.
@@ -98,14 +96,14 @@ type RuleCache struct {
 
 // NewRuleCache returns an empty cache.
 func NewRuleCache() *RuleCache {
-	return &RuleCache{rules: make(map[macKey]*EnforcementRule)}
+	return &RuleCache{rules: make(map[packet.MACWord]*EnforcementRule)}
 }
 
 // Put inserts or replaces the rule for its device MAC.
 func (c *RuleCache) Put(r *EnforcementRule) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := keyOf(r.DeviceMAC)
+	key := r.DeviceMAC.Word()
 	if old, ok := c.rules[key]; ok {
 		c.bytes -= approxRuleBytes(old)
 	}
@@ -118,7 +116,7 @@ func (c *RuleCache) Put(r *EnforcementRule) {
 // Get returns the rule for a device MAC, if present.
 func (c *RuleCache) Get(mac packet.MAC) (*EnforcementRule, bool) {
 	c.mu.RLock()
-	r, ok := c.rules[keyOf(mac)]
+	r, ok := c.rules[mac.Word()]
 	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
@@ -133,7 +131,7 @@ func (c *RuleCache) Get(mac packet.MAC) (*EnforcementRule, bool) {
 // stripe; nothing takes a stripe while holding c.mu.
 func (c *RuleCache) peek(mac packet.MAC) *EnforcementRule {
 	c.mu.RLock()
-	r := c.rules[keyOf(mac)]
+	r := c.rules[mac.Word()]
 	c.mu.RUnlock()
 	return r
 }
@@ -142,7 +140,7 @@ func (c *RuleCache) peek(mac packet.MAC) *EnforcementRule {
 func (c *RuleCache) Remove(mac packet.MAC) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := keyOf(mac)
+	key := mac.Word()
 	r, ok := c.rules[key]
 	if !ok {
 		return false
@@ -211,13 +209,4 @@ func (c *RuleCache) Digest() uint64 {
 		_, _ = h.Write([]byte(r.DeviceType))
 	}
 	return h.Sum64()
-}
-
-// macHash is hash/fnv's New64a over the six bytes: Hash's display value.
-func macHash(mac packet.MAC) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range mac {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return h
 }

@@ -2,11 +2,9 @@ package sdn
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math/rand/v2"
 	"net/netip"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"iotsentinel/internal/obs"
@@ -334,22 +332,6 @@ func TestRuleCacheMemoryGrowsLinearly(t *testing.T) {
 	}
 }
 
-func TestRuleHashStable(t *testing.T) {
-	f := func(mac [6]byte) bool {
-		r1 := &EnforcementRule{DeviceMAC: packet.MAC(mac), Level: Strict}
-		r2 := &EnforcementRule{DeviceMAC: packet.MAC(mac), Level: Trusted,
-			PermittedIPs: []netip.Addr{cloud}}
-		// Hash depends only on the MAC and is Fig 2's FNV-1a whoever
-		// spells it.
-		h := fnv.New64a()
-		_, _ = h.Write(mac[:])
-		return r1.Hash() == r2.Hash() && r1.Hash() == macHash(packet.MAC(mac)) && r1.Hash() == h.Sum64()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestActionString(t *testing.T) {
 	if ActionForward.String() != "forward" || ActionDrop.String() != "drop" {
 		t.Error("action names wrong")
@@ -538,5 +520,18 @@ func TestRuleCacheKeysOnMAC(t *testing.T) {
 	}
 	if hits, misses := c.Stats(); hits != n+n/2 || misses != n/2 {
 		t.Fatalf("Stats = %d hits, %d misses; want %d, %d", hits, misses, n+n/2, n/2)
+	}
+}
+
+// TestStripeIsPartition pins a port's stripe to the top six bits of its
+// MAC's partition, the field packet's TestPartitionNests nests inside
+// the capture rings: a stripe's devices come from one reader.
+func TestStripeIsPartition(t *testing.T) {
+	tbl := NewFlowTable(0)
+	for i := 0; i < 1000; i++ {
+		w := packet.MAC{0x02, 0xaa, 0, 0, byte(i >> 8), byte(i)}.Word()
+		if tbl.stripe(w) != &tbl.stripes[w.Part(64-6)] {
+			t.Fatalf("MAC word %#x off its partition's stripe", uint64(w))
+		}
 	}
 }

@@ -270,8 +270,11 @@ type DeviceStats struct {
 // are kept per stripe, written under the stripe lock a frame already
 // holds, so concurrent Process calls on different stripes write nothing
 // in common but, on a device-to-device hit, the rule cache's read lock
-// (the destination's rule is checked). Stats sums the stripes one at a time; each stripe's
-// counts are consistent, so a frame is never split across two of them.
+// (the destination's rule is checked). A stripe is a field of the MAC's
+// partition nested in the capture fanout's ring, so up to 64 capture
+// readers never take one stripe. Stats sums the stripes one at a time;
+// each stripe's counts are consistent, so a frame is never split across
+// two of them.
 type Switch struct {
 	table *FlowTable
 	ctrl  *Controller
@@ -355,7 +358,7 @@ func (s *Switch) ForgetDevice(mac packet.MAC) { s.table.drop(mac, true) }
 
 // Device returns the traffic counters of one source MAC.
 func (s *Switch) Device(mac packet.MAC) (DeviceStats, bool) {
-	k := keyOf(mac)
+	k := mac.Word()
 	st := s.table.stripe(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
