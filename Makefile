@@ -131,11 +131,13 @@ fuzz:
 # every byte, single-byte corruption at every byte and snapshot damage
 # (each over the binary format across a segment boundary), the
 # demotion-ordering crash test, checkpoints beside churn and rotation,
-# the quarantined-before-crash -> promoted-after-restart flow, and a
-# model save cut between its blob and its serving pointer.
+# the quarantined-before-crash -> promoted-after-restart flow, a
+# model save cut between its blob and its serving pointer, and a learned
+# type's promotion whose bank could not be stored or whose record a
+# crash took after the bank was stored.
 crash:
-	$(GO) test -count=1 -run 'TestCrashRecovery|TestRestartResumes|TestJournalTornTail|TestJournalCorruption|TestSnapshotCorruption|TestCheckpoint|TestCorruptSegment|TestModelPointerCrash' \
-		./internal/gateway/ ./internal/store/
+	$(GO) test -count=1 -run 'TestCrashRecovery|TestRestartResumes|TestJournalTornTail|TestJournalCorruption|TestSnapshotCorruption|TestCheckpoint|TestCorruptSegment|TestModelPointerCrash|TestPromotionStoreFailureRetrainsAfterRestart|TestPromotionCrashBeforeRecordAdoptsStoredType' \
+		./internal/gateway/ ./internal/store/ ./internal/learn/
 
 # The fleet-link chaos sweep: the seed-driven fault middleware's own
 # suite plus the e2e canary-rollout-under-faults and half-open-peer

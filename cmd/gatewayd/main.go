@@ -164,7 +164,7 @@ func run(args []string, out io.Writer) error {
 			cfg.Metrics = learn.NewMetrics(reg)
 		}
 		var err error
-		if learner, err = node.NewLearner(svc, st, cfg, log); err != nil {
+		if learner, err = node.NewLearner(svc, st, cfg, nil, log); err != nil {
 			return err
 		}
 		defer learner.Close()

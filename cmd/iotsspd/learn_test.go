@@ -143,9 +143,9 @@ func TestServerOnlineLearning(t *testing.T) {
 
 // TestServerRestartKeepsLearnedTypes: a service that learned a type
 // with -state-dir restarts serving the bank it learned it into — the
-// learned type answers from the first request, the learner re-drives no
-// promotion, and with -fleet-listen the fleet's current version is the
-// bank the service served before the restart, not its cold bank.
+// learned type answers from the first request, the learner trains
+// nothing again, and with -fleet-listen the fleet's current version is
+// the bank the service served before the restart, not its cold bank.
 func TestServerRestartKeepsLearnedTypes(t *testing.T) {
 	raw := devices.GenerateDataset(12, 9)
 	ds := make(map[core.TypeID][]fingerprint.Fingerprint)
@@ -224,16 +224,126 @@ func TestServerRestartKeepsLearnedTypes(t *testing.T) {
 				defer sess.Close()
 				waitUntil(t, "the fleet's current bank", 10*time.Second, func() bool { return pushed.last() != "" })
 			})
-			for _, want := range []string{"loaded model bank from disk", "0 promotions re-driven"} {
-				if !strings.Contains(second, want) {
-					t.Errorf("restart output missing %q:\n%s", want, second)
-				}
+			if !strings.Contains(second, "loaded model bank from disk") {
+				t.Errorf("restart output missing %q:\n%s", "loaded model bank from disk", second)
+			}
+			if strings.Contains(second, "learn: promoted cluster") {
+				t.Errorf("the restart trained a type again:\n%s", second)
 			}
 			if fleetAddr != "" && pushed.last() != serving {
 				t.Errorf("fleet current after the restart is %.12s, the service served %.12s before it:\n%s",
 					pushed.last(), serving, second)
 			}
 		})
+	}
+}
+
+// TestServerRestartKeepsRolledBackTypeOut: a type the fleet rolled
+// back stays out across a restart. The service learns MAXGateway with a
+// gateway connected, so the promotion canaries on it; the canary
+// reports every assessment unknown, the rollout rolls back and the
+// service reverts its own bank. Restarted with the same flags, the
+// service trains nothing, does not serve the rejected type, and a
+// gateway that connects afterwards is pushed the baseline bank, never
+// the rejected one.
+func TestServerRestartKeepsRolledBackTypeOut(t *testing.T) {
+	raw := devices.GenerateDataset(12, 9)
+	ds := make(map[core.TypeID][]fingerprint.Fingerprint)
+	for _, typ := range []string{"Aria", "HueBridge", "EdnetCam", "iKettle2", "WeMoSwitch"} {
+		ds[core.TypeID(typ)] = raw[typ]
+	}
+	id, err := core.Train(ds, core.Config{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := filepath.Join(t.TempDir(), "m.json")
+	f, err := os.Create(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := id.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	probes := distinctProbes(t, "MAXGateway", 5)
+
+	const (
+		addr      = "127.0.0.1:8488"
+		fleetAddr = "127.0.0.1:8489"
+	)
+	args := []string{"-listen", addr, "-model", model, "-learn", "-learn-k", "3",
+		"-state-dir", t.TempDir(), "-fleet-listen", fleetAddr, "-canary-min-samples", "3"}
+	client := &iotssp.Client{BaseURL: "http://" + addr, Timeout: 10 * time.Second}
+	learned := func() bool {
+		a, err := client.Assess(probes[4])
+		if err != nil {
+			t.Fatalf("assess learned probe: %v", err)
+		}
+		return a.Known && strings.HasPrefix(string(a.Type), "learned-")
+	}
+	link := func(id string, rec *modelRecorder) *fleet.Session {
+		sess, err := fleet.NewSession(fleet.SessionConfig{Client: fleet.ClientConfig{
+			Addr: fleetAddr, GatewayID: id, ApplyModel: rec.apply,
+		}})
+		if err != nil {
+			t.Fatalf("link %s: %v", id, err)
+		}
+		return sess
+	}
+
+	var canary modelRecorder
+	var baseline, rejected string
+	first := serveUntil(t, addr, args, func() {
+		g1 := link("g1", &canary)
+		defer g1.Close()
+		waitUntil(t, "g1 adopts the serving bank", 10*time.Second, func() bool { return canary.last() != "" })
+		baseline = canary.last()
+		for i, fp := range probes[:4] {
+			if _, err := client.Assess(fp); err != nil {
+				t.Fatalf("assess %d: %v", i, err)
+			}
+		}
+		waitUntil(t, "the candidate pushed to the canary", 10*time.Second, func() bool { return canary.last() != baseline })
+		rejected = canary.last()
+		for i := 0; i < 5; i++ {
+			g1.RecordAssessment(true)
+		}
+		if err := g1.Flush(); err != nil {
+			t.Fatalf("Flush counters: %v", err)
+		}
+		waitUntil(t, "the canary rolled back", 10*time.Second, func() bool { return canary.last() == baseline })
+		waitUntil(t, "the service reverts its bank", 10*time.Second, func() bool { return !learned() })
+	})
+	if !strings.Contains(first, "central bank reverted") {
+		t.Fatalf("first run did not revert its bank:\n%s", first)
+	}
+
+	var late modelRecorder
+	second := serveUntil(t, addr, args, func() {
+		// Long enough for a retrain to land and, with no gateway
+		// connected, to promote on the empty fleet.
+		for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+			if learned() {
+				t.Error("the restarted service serves the rolled-back type")
+				break
+			}
+		}
+		g2 := link("g2", &late)
+		defer g2.Close()
+		waitUntil(t, "the fleet's current bank", 10*time.Second, func() bool { return late.last() != "" })
+	})
+	if strings.Contains(second, "learn: promoted cluster") {
+		t.Errorf("the restart trained the rolled-back type again:\n%s", second)
+	}
+	late.mu.Lock()
+	defer late.mu.Unlock()
+	for _, sha := range late.shas {
+		if sha != baseline {
+			t.Errorf("a gateway connecting after the restart was pushed %.12s, want only the baseline %.12s (rejected %.12s):\n%s",
+				sha, baseline, rejected, second)
+		}
 	}
 }
 

@@ -227,14 +227,10 @@ func run(args []string, out io.Writer) error {
 		if reg != nil {
 			cfg.Metrics = learn.NewMetrics(reg)
 		}
+		var rollout func(core.TypeID, []byte)
 		if ctrl != nil {
-			cfg.OnPromoted = func(t core.TypeID, bank *core.Identifier) {
-				var buf bytes.Buffer
-				if err := bank.Save(&buf); err != nil {
-					log.Printf("fleet: serialize promoted bank: %v", err)
-					return
-				}
-				sha, err := ctrl.StartRollout(buf.Bytes())
+			rollout = func(t core.TypeID, model []byte) {
+				sha, err := ctrl.StartRollout(model)
 				if err != nil {
 					// Typically ErrRolloutInFlight: the next promotion
 					// retries with an even newer bank.
@@ -244,7 +240,7 @@ func run(args []string, out io.Writer) error {
 				log.Printf("fleet: promoted type %q canarying as model %.12s", t, sha)
 			}
 		}
-		l, err := node.NewLearner(svc, st, cfg, log)
+		l, err := node.NewLearner(svc, st, cfg, rollout, log)
 		if err != nil {
 			return err
 		}

@@ -428,10 +428,8 @@ func runSoak(log *log.Logger, cfg soakConfig) error {
 
 	var flaps, typesPromoted, removals, packets, handleErrs atomic.Uint64
 
-	learner, err := node.NewLearner(svc, st, learn.Config{
-		K:          learn.DefaultK,
-		OnPromoted: func(core.TypeID, *core.Identifier) { typesPromoted.Add(1) },
-	}, log)
+	learner, err := node.NewLearner(svc, st, learn.Config{K: learn.DefaultK},
+		func(core.TypeID, []byte) { typesPromoted.Add(1) }, log)
 	if err != nil {
 		return err
 	}

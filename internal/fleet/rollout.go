@@ -82,14 +82,16 @@ type ControllerConfig struct {
 	// Store, if set, journals every rollout transition (durable
 	// appends) so Recover can resume a crashed rollout.
 	Store *store.Store
-	// Models, if set, persists every model blob the controller may
-	// still need (candidate, baseline) content-addressed by SHA-256;
-	// without it a crashed controller cannot re-push after Recover.
+	// Models, if set, persists every bank the controller is given,
+	// content-addressed by SHA-256, and is where Recover reads the banks
+	// a journaled rollout names; without it a crashed controller cannot
+	// re-push after Recover.
 	Models *store.ModelStore
 	// OnRollback, if set, runs after a rollback with the SHA and bytes
-	// of the baseline the fleet was restored to (the central daemon
+	// of the current bank the fleet was restored to (the central daemon
 	// uses them to revert its own serving bank through the validated
-	// hot-swap path; model is nil when the baseline has no bytes).
+	// hot-swap path; model is nil when there is no current bank). Recover
+	// runs it again when the node booted a bank the journal rolled back.
 	OnRollback func(sha string, model []byte)
 	// Metrics, if set, receives rollout instrumentation.
 	Metrics *Metrics
@@ -102,20 +104,22 @@ type ControllerConfig struct {
 // promote fleet-wide when it holds, roll back when it regresses.
 // Every transition is journaled durable-first, then acted on, so a
 // crash between journal and pushes re-drives the pushes from Recover.
+// It holds the bytes of two banks, current and candidate; the model
+// store keeps the durable copies. current is also the baseline a
+// canary is judged against and a rollback restores: it does not move
+// until the candidate is promoted.
 type Controller struct {
 	cfg    ControllerConfig
 	policy Policy
 
-	mu sync.Mutex
-	// blobs caches model bytes by SHA for pushes; the model store
-	// holds the durable copy.
-	blobs   map[string][]byte
-	current string
+	mu           sync.Mutex
+	current      string
+	currentModel []byte
 
-	phase     Phase
-	candidate string
-	baseline  string
-	canaries  map[string]*canaryState
+	phase          Phase
+	candidate      string
+	candidateModel []byte
+	canaries       map[string]*canaryState
 	// nonCanaryBase snapshots every non-canary gateway's counters at
 	// rollout start: the baseline unknown-rate is measured over the
 	// same window as the canary rate.
@@ -131,11 +135,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.Registry == nil {
 		return nil, errors.New("fleet: ControllerConfig.Registry is required")
 	}
-	return &Controller{
-		cfg:    cfg,
-		policy: cfg.Policy.withDefaults(),
-		blobs:  make(map[string][]byte),
-	}, nil
+	return &Controller{cfg: cfg, policy: cfg.Policy.withDefaults()}, nil
 }
 
 func (c *Controller) logf(format string, args ...any) {
@@ -156,8 +156,8 @@ func (c *Controller) journal(ev store.Event) {
 	}
 }
 
-// persistBlob stores the model bytes in memory and, when a model store
-// is configured, on disk, returning the content SHA.
+// persistBlob stores model in the model store, when one is configured,
+// and returns its content SHA.
 func (c *Controller) persistBlob(model []byte) (string, error) {
 	sum := sha256.Sum256(model)
 	sha := hex.EncodeToString(sum[:])
@@ -166,42 +166,28 @@ func (c *Controller) persistBlob(model []byte) (string, error) {
 			return "", err
 		}
 	}
-	c.mu.Lock()
-	c.blobs[sha] = append([]byte(nil), model...)
-	c.mu.Unlock()
 	return sha, nil
 }
 
-// blob returns the bytes for sha, falling back to the model store.
-func (c *Controller) blob(sha string) ([]byte, error) {
-	c.mu.Lock()
-	b, ok := c.blobs[sha]
-	c.mu.Unlock()
-	if ok {
-		return b, nil
-	}
+// loadBlob reads a bank a journaled rollout names back from the model
+// store.
+func (c *Controller) loadBlob(sha string) ([]byte, error) {
 	if c.cfg.Models == nil {
 		return nil, fmt.Errorf("fleet: no bytes for model %.12s", sha)
 	}
-	b, err := c.cfg.Models.LoadVersion(sha)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.blobs[sha] = b
-	c.mu.Unlock()
-	return b, nil
+	return c.cfg.Models.LoadVersion(sha)
 }
 
 // SetCurrent registers the bank the fleet serves today (the daemon's
 // live bank at startup) without starting a rollout. Returns its SHA.
+// The controller keeps model; the caller must not modify it.
 func (c *Controller) SetCurrent(model []byte) (string, error) {
 	sha, err := c.persistBlob(model)
 	if err != nil {
 		return "", err
 	}
 	c.mu.Lock()
-	c.current = sha
+	c.current, c.currentModel = sha, model
 	c.mu.Unlock()
 	return sha, nil
 }
@@ -218,7 +204,6 @@ type RolloutStatus struct {
 	Phase     Phase
 	Current   string
 	Candidate string
-	Baseline  string
 	// Canaries maps canary gateway ID → whether it acked the
 	// candidate.
 	Canaries map[string]bool
@@ -232,7 +217,6 @@ func (c *Controller) Status() RolloutStatus {
 		Phase:     c.phase,
 		Current:   c.current,
 		Candidate: c.candidate,
-		Baseline:  c.baseline,
 	}
 	if c.canaries != nil {
 		st.Canaries = make(map[string]bool, len(c.canaries))
@@ -246,7 +230,8 @@ func (c *Controller) Status() RolloutStatus {
 // StartRollout begins canarying a candidate bank. With an empty fleet
 // the candidate becomes current immediately (journaled as a started +
 // promoted pair — there is nobody to canary on). Returns the
-// candidate's SHA.
+// candidate's SHA. The controller keeps model; the caller must not
+// modify it.
 func (c *Controller) StartRollout(model []byte) (string, error) {
 	sha, err := c.persistBlob(model)
 	if err != nil {
@@ -269,7 +254,7 @@ func (c *Controller) StartRollout(model []byte) (string, error) {
 		c.journal(store.Event{Kind: store.EvRolloutStarted, Model: sha, BaselineModel: baseline})
 		c.journal(store.Event{Kind: store.EvRolloutPromoted, Model: sha})
 		c.mu.Lock()
-		c.current = sha
+		c.current, c.currentModel = sha, model
 		c.mu.Unlock()
 		c.cfg.Metrics.incRollout(true)
 		c.logf("fleet: rollout %.12s promoted on an empty fleet", sha)
@@ -286,15 +271,7 @@ func (c *Controller) StartRollout(model []byte) (string, error) {
 	canaryIDs := ids[:n] // Registry.IDs is sorted: selection is deterministic
 
 	c.mu.Lock()
-	c.phase = PhaseCanarying
-	c.candidate = sha
-	c.baseline = baseline
-	c.canaries = make(map[string]*canaryState, n)
-	for _, id := range canaryIDs {
-		c.canaries[id] = &canaryState{}
-	}
-	c.nonCanaryBase = make(map[string][2]uint64)
-	c.preAssessed, c.preUnknown = 0, 0
+	c.canaryLocked(sha, model, canaryIDs)
 	for _, id := range ids {
 		a, u, ok := c.cfg.Registry.counters(id)
 		if !ok {
@@ -316,20 +293,16 @@ func (c *Controller) StartRollout(model []byte) (string, error) {
 		Canaries: append([]string(nil), canaryIDs...),
 	})
 	c.logf("fleet: canarying %.12s on %d/%d gateways %v", sha, n, len(ids), canaryIDs)
-	c.pushToCanaries(sha)
+	c.pushToCanaries()
 	return sha, nil
 }
 
 // pushToCanaries best-effort pushes the candidate to every canary not
 // yet on it; failures are retried when the gateway reconnects (see
 // ModelForGateway).
-func (c *Controller) pushToCanaries(sha string) {
-	model, err := c.blob(sha)
-	if err != nil {
-		c.logf("fleet: cannot push %.12s: %v", sha, err)
-		return
-	}
+func (c *Controller) pushToCanaries() {
 	c.mu.Lock()
+	sha, model := c.candidate, c.candidateModel
 	ids := make([]string, 0, len(c.canaries))
 	for id, cs := range c.canaries {
 		if !cs.applied {
@@ -349,10 +322,10 @@ func (c *Controller) pushToCanaries(sha string) {
 // candidate, everyone else converges on current.
 func (c *Controller) ModelForGateway(id, reportedSHA string) (string, []byte) {
 	c.mu.Lock()
-	want := c.current
+	want, model := c.current, c.currentModel
 	if c.phase == PhaseCanarying {
 		if cs, isCanary := c.canaries[id]; isCanary {
-			want = c.candidate
+			want, model = c.candidate, c.candidateModel
 			if reportedSHA == c.candidate && !cs.applied {
 				// Already on the candidate (reconnect after a crash on
 				// either side): adopt it as applied and start its
@@ -366,11 +339,6 @@ func (c *Controller) ModelForGateway(id, reportedSHA string) (string, []byte) {
 	}
 	c.mu.Unlock()
 	if want == "" || want == reportedSHA {
-		return "", nil
-	}
-	model, err := c.blob(want)
-	if err != nil {
-		c.logf("fleet: no bytes to push %.12s to %s: %v", want, id, err)
 		return "", nil
 	}
 	return want, model
@@ -537,129 +505,146 @@ func (c *Controller) promote() {
 		c.mu.Unlock()
 		return
 	}
-	sha := c.candidate
+	sha, model := c.candidate, c.candidateModel
 	canaries := c.canaries
-	c.current = sha
+	c.current, c.currentModel = sha, model
 	c.clearRolloutLocked()
 	c.mu.Unlock()
 
 	c.journal(store.Event{Kind: store.EvRolloutPromoted, Model: sha})
 	c.cfg.Metrics.incRollout(true)
 	c.cfg.Metrics.setCanarying(false)
-	model, err := c.blob(sha)
-	if err == nil {
-		for _, id := range c.cfg.Registry.IDs() {
-			if _, wasCanary := canaries[id]; wasCanary {
-				continue // already serving the candidate
-			}
-			if err := c.cfg.Registry.push(id, sha, model); err != nil {
-				c.logf("fleet: promote push %.12s to %s: %v", sha, id, err)
-			}
+	for _, id := range c.cfg.Registry.IDs() {
+		if _, wasCanary := canaries[id]; wasCanary {
+			continue // already serving the candidate
 		}
-	} else {
-		c.logf("fleet: promote: %v", err)
+		if err := c.cfg.Registry.push(id, sha, model); err != nil {
+			c.logf("fleet: promote push %.12s to %s: %v", sha, id, err)
+		}
 	}
 	c.logf("fleet: rollout %.12s promoted fleet-wide", sha)
 }
 
-// rollBack re-pushes the baseline to the canary set and closes the
-// rollout; current never moved, so the rest of the fleet is untouched.
+// rollBack re-pushes current to the canary set and closes the rollout;
+// current never moved, so the rest of the fleet is untouched.
 func (c *Controller) rollBack(reason string) {
 	c.mu.Lock()
 	if c.phase != PhaseCanarying {
 		c.mu.Unlock()
 		return
 	}
-	candidate, baseline := c.candidate, c.baseline
+	candidate, current, model := c.candidate, c.current, c.currentModel
 	canaries := c.canaries
 	c.clearRolloutLocked()
 	c.mu.Unlock()
 
-	c.journal(store.Event{Kind: store.EvRolloutRolledBack, Model: candidate, BaselineModel: baseline})
+	c.journal(store.Event{Kind: store.EvRolloutRolledBack, Model: candidate, BaselineModel: current})
 	c.cfg.Metrics.incRollout(false)
 	c.cfg.Metrics.setCanarying(false)
-	c.logf("fleet: rollout %.12s rolled back to %.12s: %s", candidate, baseline, reason)
-	var baselineModel []byte
-	if baseline != "" {
-		if model, err := c.blob(baseline); err == nil {
-			baselineModel = model
-			for id := range canaries {
-				if err := c.cfg.Registry.push(id, baseline, model); err != nil {
-					c.logf("fleet: rollback push %.12s to %s: %v", baseline, id, err)
-				}
+	c.logf("fleet: rollout %.12s rolled back to %.12s: %s", candidate, current, reason)
+	if current != "" {
+		for id := range canaries {
+			if err := c.cfg.Registry.push(id, current, model); err != nil {
+				c.logf("fleet: rollback push %.12s to %s: %v", current, id, err)
 			}
-		} else {
-			c.logf("fleet: rollback: %v", err)
 		}
 	}
 	if c.cfg.OnRollback != nil {
-		c.cfg.OnRollback(baseline, baselineModel)
+		c.cfg.OnRollback(current, model)
 	}
 }
 
-// clearRolloutLocked resets the state machine to idle; c.mu held.
-func (c *Controller) clearRolloutLocked() {
-	c.phase = PhaseIdle
-	c.candidate, c.baseline = "", ""
-	c.canaries = nil
-	c.nonCanaryBase = nil
-	c.preAssessed, c.preUnknown = 0, 0
-}
-
-// Recover resumes a journaled rollout after a controller restart. It
-// replays the rollout events store.Open found: a started event with no
-// matching promoted/rolled-back leaves the controller canarying the
-// same candidate on the same canary set — gateways re-registering are
-// re-pushed the right bank by ModelForGateway, and judgment windows
-// restart at each canary's next ack. Until the rollout is judged the
-// fleet's current version is its baseline, whatever SetCurrent named: a
-// service that serves the candidate itself (it promoted it) restarts
-// serving it, and that must not push it past the canaries. Call after
-// SetCurrent and before serving.
-func (c *Controller) Recover(rec *store.Recovery) error {
-	if rec == nil {
-		return nil
-	}
-	var candidate, baseline string
-	var canaries []string
-	inFlight := false
-	for _, ev := range rec.Events {
-		switch ev.Kind {
-		case store.EvRolloutStarted:
-			candidate, baseline = ev.Model, ev.BaselineModel
-			canaries = append([]string(nil), ev.Canaries...)
-			inFlight = len(canaries) > 0
-		case store.EvRolloutPromoted, store.EvRolloutRolledBack:
-			inFlight = false
-		}
-	}
-	if !inFlight {
-		return nil
-	}
-	// The candidate's bytes must still load, or there is nothing to
-	// push: journal the abandonment rather than wedging the machine.
-	if _, err := c.blob(candidate); err != nil {
-		c.journal(store.Event{Kind: store.EvRolloutRolledBack, Model: candidate, BaselineModel: baseline})
-		c.cfg.Metrics.incRollout(false)
-		c.logf("fleet: recovered rollout %.12s abandoned, model bytes unavailable: %v", candidate, err)
-		return nil
-	}
-	c.mu.Lock()
+// canaryLocked moves the state machine to canarying sha on the canaries,
+// none of which has applied it yet; c.mu held.
+func (c *Controller) canaryLocked(sha string, model []byte, canaries []string) {
 	c.phase = PhaseCanarying
-	c.candidate = candidate
-	c.baseline = baseline
-	if baseline != "" {
-		c.current = baseline
-	}
+	c.candidate, c.candidateModel = sha, model
 	c.canaries = make(map[string]*canaryState, len(canaries))
 	for _, id := range canaries {
 		c.canaries[id] = &canaryState{}
 	}
 	c.nonCanaryBase = make(map[string][2]uint64)
 	c.preAssessed, c.preUnknown = 0, 0
+}
+
+// clearRolloutLocked resets the state machine to idle; c.mu held.
+func (c *Controller) clearRolloutLocked() {
+	c.phase = PhaseIdle
+	c.candidate, c.candidateModel = "", nil
+	c.canaries = nil
+	c.nonCanaryBase = nil
+	c.preAssessed, c.preUnknown = 0, 0
+}
+
+// Recover restores the rollout state after a controller restart from
+// the rollout events store.Open found. Current is what the journal's
+// last rollout left: its candidate after a promotion, its baseline after
+// a rollback or while it is unjudged, whatever SetCurrent named — a
+// service that served the candidate (it promoted it) restarts serving
+// it, and that must not push it past the canaries, nor keep it after a
+// rollback it crashed inside of. When the node booted a bank the journal
+// rolled back, OnRollback runs again (installing a bank is idempotent).
+// A started event with no matching promoted/rolled-back leaves the
+// controller canarying the same candidate on the same canary set —
+// gateways re-registering are re-pushed the right bank by
+// ModelForGateway, and judgment windows restart at each canary's next
+// ack. Call after SetCurrent and before serving.
+func (c *Controller) Recover(rec *store.Recovery) error {
+	if rec == nil {
+		return nil
+	}
+	var current, candidate string
+	var canaries []string
+	rolledBack := false
+	for _, ev := range rec.Events {
+		switch ev.Kind {
+		case store.EvRolloutStarted:
+			current, candidate, canaries, rolledBack = ev.BaselineModel, ev.Model, ev.Canaries, false
+			if len(canaries) == 0 {
+				// An empty fleet promotes at once; its promoted record
+				// follows, unless a crash came first.
+				current, candidate = ev.Model, ""
+			}
+		case store.EvRolloutPromoted:
+			current, candidate, rolledBack = ev.Model, "", false
+		case store.EvRolloutRolledBack:
+			current, candidate, rolledBack = ev.BaselineModel, "", true
+		}
+	}
+	// The candidate's bytes must still load, or there is nothing to
+	// push: journal the abandonment rather than wedging the machine.
+	var candidateModel []byte
+	if candidate != "" {
+		var err error
+		if candidateModel, err = c.loadBlob(candidate); err != nil {
+			c.journal(store.Event{Kind: store.EvRolloutRolledBack, Model: candidate, BaselineModel: current})
+			c.cfg.Metrics.incRollout(false)
+			c.logf("fleet: recovered rollout %.12s abandoned, model bytes unavailable: %v", candidate, err)
+			candidate, rolledBack = "", true
+		}
+	}
+	if booted := c.Current(); current != "" && current != booted {
+		model, err := c.loadBlob(current)
+		if err != nil {
+			c.logf("fleet: journaled current %.12s unavailable, keeping %.12s: %v", current, booted, err)
+		} else {
+			c.mu.Lock()
+			c.current, c.currentModel = current, model
+			c.mu.Unlock()
+			if rolledBack && c.cfg.OnRollback != nil {
+				c.logf("fleet: booted %.12s, which the fleet rolled back; restoring %.12s", booted, current)
+				c.cfg.OnRollback(current, model)
+			}
+		}
+	}
+	if candidate == "" {
+		return nil
+	}
+	c.mu.Lock()
+	c.canaryLocked(candidate, candidateModel, canaries)
 	c.mu.Unlock()
 	c.cfg.Metrics.setCanarying(true)
 	c.logf("fleet: resumed rollout %.12s (canaries %v) from the journal", candidate, canaries)
-	c.pushToCanaries(candidate)
+	c.pushToCanaries()
 	return nil
 }

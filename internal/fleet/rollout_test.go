@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -330,6 +332,91 @@ func TestRolloutRecoverKeepsBaselineCurrent(t *testing.T) {
 	}
 	if sha, _ := ctrl2.ModelForGateway("g3", shaA); sha != "" {
 		t.Errorf("non-canary g3 on the baseline is pushed %.12s mid-canary", sha)
+	}
+}
+
+// TestRolloutRecoverAfterRollbackRestoresBaseline: the rollback record
+// is durable, but the service died before OnRollback moved its serving
+// bank back, so it boots the candidate it had promoted. Recover must
+// name the baseline current again — a gateway registering after the
+// restart is pushed it, never the rejected candidate — and run
+// OnRollback again so the service serves the baseline too.
+func TestRolloutRecoverAfterRollbackRestoresBaseline(t *testing.T) {
+	dir := t.TempDir()
+	ctrl, reg, st, _ := testController(t, dir, "g1", "g2", "g3")
+	shaA, _ := ctrl.SetCurrent([]byte("bank-A"))
+	shaB, _ := ctrl.StartRollout([]byte("bank-B"))
+	ctrl.OnModelAck("g1", shaB, true, "", nil)
+	reg.setCounters("g1", 25, 25)
+	ctrl.OnCounters("g1") // an all-unknown canary: rolled back
+	st.Close()
+
+	ctrl2, _, _, rec := testController(t, dir, "g1", "g2", "g3")
+	var restored []string
+	ctrl2.cfg.OnRollback = func(sha string, model []byte) {
+		restored = append(restored, sha[:12]+" "+string(model))
+	}
+	ctrl2.SetCurrent([]byte("bank-B"))
+	if err := ctrl2.Recover(rec); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if status := ctrl2.Status(); status.Phase != PhaseIdle || status.Current != shaA {
+		t.Fatalf("recovered status = %+v, want idle on %.12s", status, shaA)
+	}
+	if sha, model := ctrl2.ModelForGateway("g4", ""); sha != shaA || string(model) != "bank-A" {
+		t.Errorf("a new gateway is pushed %.12s (%q), want the baseline %.12s", sha, model, shaA)
+	}
+	if want := shaA[:12] + " bank-A"; len(restored) != 1 || restored[0] != want {
+		t.Errorf("OnRollback runs = %q, want [%q]", restored, want)
+	}
+}
+
+// TestControllerKeepsTwoBanks: the controller holds the bytes of its
+// current bank and of the candidate in flight, no more; the model store
+// keeps every other. Ten rollouts of distinct 64 KB banks, promoted and
+// rolled back in turn, must leave at most three banks' worth of heap
+// behind (current, plus slack). Not parallel: it reads the process heap.
+func TestControllerKeepsTwoBanks(t *testing.T) {
+	const size = 64 << 10
+	bank := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, size) }
+	reg := NewRegistry(time.Hour, nil)
+	reg.register("g1", nil, time.Now())
+	ctrl, err := NewController(ControllerConfig{Registry: reg, Policy: Policy{MinSamples: 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC() // twice: the second empties the sync.Pool victim caches
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := ctrl.SetCurrent(bank(0)); err != nil {
+		t.Fatal(err)
+	}
+	var assessed, unknown uint64
+	for i := 1; i <= 10; i++ {
+		sha, err := ctrl.StartRollout(bank(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl.OnModelAck("g1", sha, true, "", nil)
+		assessed += 20
+		promote := i%2 == 0
+		if !promote {
+			unknown += 20 // every assessment under the candidate unknown
+		}
+		reg.setCounters("g1", assessed, unknown)
+		ctrl.OnCounters("g1")
+		if st := ctrl.Status(); st.Phase != PhaseIdle || (st.Current == sha) != promote {
+			t.Fatalf("rollout %d: status %+v, want it judged (promote %v)", i, st, promote)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	got := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	runtime.KeepAlive(ctrl)
+	t.Logf("after ten rollouts the controller retains %.0f B", got)
+	if bound := 3 * size; got > float64(bound) {
+		t.Errorf("after ten rollouts the controller retains %.0f B, bound %d", got, bound)
 	}
 }
 

@@ -10,9 +10,14 @@
 // background step builds the next bank from the serving one with the
 // new type's one-vs-rest classifier, validates it against the cluster,
 // and hot-swaps it in — serving never blocks on training. Every observation, proposal and
-// promotion is journaled through internal/store, and the full cluster
-// state rides in the gateway snapshot, so a half-grown cluster and a
-// promoted type both survive restart.
+// promotion is journaled through internal/store, so a half-grown
+// cluster and a promoted type both survive restart. A promotion is
+// journaled only once its bank is stored, so the journal never names a
+// type the stored bank lacks unless the type was removed since (a fleet
+// rollback or push), and a removed type stays removed. On a gateway the
+// full cluster state also rides in the snapshot, which lets a
+// checkpoint retire the journal; iotsspd takes no snapshot, so its
+// journal carries the clusters whole.
 package learn
 
 import (
@@ -65,16 +70,14 @@ type Config struct {
 	// Known reports whether the serving bank already has the type
 	// (iotssp.Service.HasType). Required.
 	Known func(core.TypeID) bool
-	// Persist, if set, saves the post-promotion bank (model store). A
-	// persist failure is reported via Logf but does not undo the
-	// promotion: the journal replays it after a crash.
-	Persist func(*core.Identifier) error
-	// OnPromoted, if set, runs after a successful promotion with the
-	// new serving bank (after Persist). The fleet control plane hooks
-	// here: a locally promoted bank becomes a canary rollout candidate
-	// for the rest of the fleet. It is called from the learner's
-	// background goroutine and must not block on training or serving.
-	OnPromoted func(t core.TypeID, bank *core.Identifier)
+	// OnPromoted, if set, runs after Promote swapped the new bank in and
+	// before the promotion is journaled: node.NewLearner stores the bank
+	// as the serving bank here and hands it to the fleet control plane.
+	// An error leaves the promotion unrecorded: the type serves in this
+	// process, and the next boot trains it again from the journaled
+	// proposal. It is called from the learner's background goroutine
+	// and must not block on training or serving.
+	OnPromoted func(t core.TypeID, bank *core.Identifier) error
 	// Store, if set, journals observations, proposals and promotions.
 	Store *store.Store
 	// Metrics, if set, receives cluster/promotion instrumentation.
@@ -92,6 +95,10 @@ type cluster struct {
 	members  []fingerprint.F
 	proposed bool
 	promoted bool
+	// unrecorded marks a promotion whose bank OnPromoted could not
+	// store: it serves here, but it is neither journaled nor snapshotted
+	// as promoted, so the next boot trains it again.
+	unrecorded bool
 	// retryAt, after a failed promotion, is the membership the cluster
 	// must reach before proposing again: retrying on the same evidence
 	// would just fail the same way, in a hot loop.
@@ -362,9 +369,10 @@ func (l *Learner) promotePending() {
 		l.mu.Unlock()
 
 		if l.cfg.Known(name) {
-			// The bank already has the type: a previous promotion whose
-			// journal record was lost (it is a routine, batched record).
-			// Adopt it rather than retraining.
+			// The bank already has the type: a previous run stored it and
+			// lost the promotion record (a routine, batched record, or a
+			// crash between the store and the append). Adopt it rather
+			// than retraining.
 			l.finishPromotion(c, name, len(fs), nil)
 			continue
 		}
@@ -395,13 +403,23 @@ func (l *Learner) promotePending() {
 	}
 }
 
-// finishPromotion records a successful (or adopted) promotion and
-// persists the new bank when one was produced.
+// finishPromotion records a successful (or adopted) promotion. A new
+// bank goes through OnPromoted first: the journal names a promotion only
+// once its bank is stored.
 func (l *Learner) finishPromotion(c *cluster, name core.TypeID, members int, bank *core.Identifier) {
+	var err error
+	if bank != nil && l.cfg.OnPromoted != nil {
+		err = l.cfg.OnPromoted(name, bank)
+	}
 	l.mu.Lock()
 	c.promoted = true
 	c.typeName = name
+	c.unrecorded = err != nil
 	l.mu.Unlock()
+	if err != nil {
+		l.logf("learn: type %q serves but its bank was not stored, so the promotion is not recorded: %v", name, err)
+		return
+	}
 	l.journal(store.Event{
 		Kind:    store.EvTypePromoted,
 		At:      time.Now(),
@@ -410,17 +428,6 @@ func (l *Learner) finishPromotion(c *cluster, name core.TypeID, members int, ban
 		Members: members,
 	})
 	l.logf("learn: promoted cluster %s as type %q (%d members)", c.id, name, members)
-	if bank != nil && l.cfg.Persist != nil {
-		if err := l.cfg.Persist(bank); err != nil {
-			// The in-memory bank already serves the type and the journal
-			// holds the promotion; a crash before the next successful
-			// persist re-trains it from the replayed cluster.
-			l.logf("learn: persist after promoting %q failed: %v", name, err)
-		}
-	}
-	if bank != nil && l.cfg.OnPromoted != nil {
-		l.cfg.OnPromoted(name, bank)
-	}
 }
 
 func (l *Learner) journal(ev store.Event) {
@@ -480,7 +487,7 @@ func (l *Learner) SnapshotState() *store.LearnState {
 			ID:       c.id,
 			Type:     string(c.typeName),
 			Proposed: c.proposed,
-			Promoted: c.promoted,
+			Promoted: c.promoted && !c.unrecorded,
 			Members:  append([]fingerprint.F(nil), c.members...),
 		}
 		ls.Clusters = append(ls.Clusters, cr)
@@ -496,18 +503,14 @@ type RecoverStats struct {
 	// Replayed counts learn journal events applied on top of the
 	// snapshot.
 	Replayed int
-	// Redriven counts promoted clusters whose type was missing from the
-	// serving bank — the process crashed between the promotion record
-	// and the model save — demoted back to proposed for retraining.
-	Redriven int
 	// Pending is the number of proposed-not-promoted clusters queued
 	// for background promotion after recovery.
 	Pending int
 }
 
 func (s RecoverStats) String() string {
-	return fmt.Sprintf("%d clusters (%d members), %d events replayed, %d promotions re-driven, %d pending",
-		s.Clusters, s.Members, s.Replayed, s.Redriven, s.Pending)
+	return fmt.Sprintf("%d clusters (%d members), %d events replayed, %d pending",
+		s.Clusters, s.Members, s.Replayed, s.Pending)
 }
 
 // Recover rebuilds the learner from what store.Open found: cluster
@@ -515,8 +518,11 @@ func (s RecoverStats) String() string {
 // through the same clustering transition as live observation (cluster
 // IDs reproduce because the naming counter is part of the snapshot).
 // It must run on a fresh learner before any Observe. Afterwards a
-// background sweep re-drives every proposed-not-promoted cluster —
-// including promotions whose type never made it into the serving bank.
+// background sweep drives every proposed-not-promoted cluster: one whose
+// bank was stored before its record was lost is adopted (Known), the
+// rest are trained. A promoted cluster stays promoted whether or not
+// the serving bank has its type: a type a rollback or a fleet push
+// removed absorbs its later unknowns and is not proposed again.
 func (l *Learner) Recover(rec *store.Recovery) (RecoverStats, error) {
 	var stats RecoverStats
 	if rec == nil {
@@ -580,19 +586,9 @@ func (l *Learner) Recover(rec *store.Recovery) (RecoverStats, error) {
 		}
 		stats.Replayed++
 	}
-	// Re-drive promotions the crash swallowed: the journal says promoted
-	// but the serving bank (loaded from the model store) has no such
-	// type — the process died between the journal record and the model
-	// save. Demote to proposed; the sweep retrains from the preserved
-	// members.
 	for _, c := range l.clusters {
 		stats.Clusters++
 		stats.Members += len(c.members)
-		if c.promoted && !l.cfg.Known(c.typeName) && len(c.members) > 0 {
-			c.promoted = false
-			c.proposed = true
-			stats.Redriven++
-		}
 		if c.proposed && !c.promoted {
 			stats.Pending++
 		}

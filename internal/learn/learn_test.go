@@ -255,49 +255,133 @@ func TestLearnJournalReplay(t *testing.T) {
 	}
 }
 
-// TestLearnPromotionRedrivenAfterCrash: the journal says promoted, but
-// the process died before the model store was updated — the restarted
-// bank has no such type. Recover must demote the cluster and re-drive
-// the promotion.
-func TestLearnPromotionRedrivenAfterCrash(t *testing.T) {
+// journaledPromotions counts the type_promoted records a recovery
+// replays.
+func journaledPromotions(rec *store.Recovery) int {
+	n := 0
+	for _, ev := range rec.Events {
+		if ev.Kind == store.EvTypePromoted {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPromotionStoreFailureRetrainsAfterRestart: when the promoted bank
+// cannot be stored, the promotion is not recorded — not in the journal,
+// not in a snapshot — so a restart on the stored bank, which lacks the
+// type, trains it again from the journaled proposal and serves it.
+func TestPromotionStoreFailureRetrainsAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	probes := uniqueProbes(t, "MAXGateway", 4)
 
 	st, _ := openStore(t, dir)
 	svc := testService(t)
-	l := serviceLearner(t, svc, Config{K: 4, Store: st})
+	l := serviceLearner(t, svc, Config{K: 4, Store: st,
+		OnPromoted: func(core.TypeID, *core.Identifier) error { return errors.New("disk full") },
+	})
 	for _, fp := range probes {
 		l.Observe(fp)
 	}
 	l.Wait()
-	if cs := l.Clusters(); len(cs) != 1 || !cs[0].Promoted {
-		t.Fatalf("clusters = %+v, want 1 promoted before crash", cs)
+	cs := l.Clusters()
+	if len(cs) != 1 || !cs[0].Promoted || !svc.HasType(cs[0].Type) {
+		t.Fatalf("clusters = %+v, want 1 promoted and serving in this process", cs)
+	}
+	if ls := l.SnapshotState(); !ls.Clusters[0].Proposed || ls.Clusters[0].Promoted {
+		t.Fatalf("snapshot records the unstored promotion: %+v", ls.Clusters[0])
 	}
 	l.Close()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart against a bank that never saw the promotion (the model
-	// save was lost with the crash).
 	st2, rec := openStore(t, dir)
 	defer st2.Close()
+	if n := journaledPromotions(rec); n != 0 {
+		t.Fatalf("%d type_promoted records for a bank that was never stored", n)
+	}
 	svc2 := testService(t)
-	l2 := serviceLearner(t, svc2, Config{K: 4, Store: st2})
+	promotions := 0
+	l2 := serviceLearner(t, svc2, Config{K: 4, Store: st2,
+		OnPromoted: func(core.TypeID, *core.Identifier) error { promotions++; return nil },
+	})
 	stats, err := l2.Recover(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Redriven != 1 {
-		t.Fatalf("recovery stats = %s, want 1 promotion re-driven", stats)
+	if stats.Pending != 1 {
+		t.Fatalf("recovery stats = %s, want the proposal pending", stats)
+	}
+	l2.Wait()
+	cs = l2.Clusters()
+	if len(cs) != 1 || !cs[0].Promoted || !svc2.HasType(cs[0].Type) || promotions != 1 {
+		t.Fatalf("clusters = %+v after %d promotions, want the type trained again and serving", cs, promotions)
+	}
+}
+
+// TestPromotionCrashBeforeRecordAdoptsStoredType: the promoted bank
+// became the stored serving bank, then the process died before the
+// promotion record committed. The restart boots that bank, and the
+// recovered proposal adopts the type it already serves: no training.
+func TestPromotionCrashBeforeRecordAdoptsStoredType(t *testing.T) {
+	dir := t.TempDir()
+	probes := uniqueProbes(t, "MAXGateway", 4)
+
+	st, _ := openStore(t, dir)
+	svc := testService(t)
+	l := serviceLearner(t, svc, Config{K: 4, Store: st,
+		OnPromoted: func(_ core.TypeID, bank *core.Identifier) error {
+			if _, err := st.Models().Save(bank); err != nil {
+				return err
+			}
+			// The crash: nothing the learner appends after this commits.
+			return st.Close()
+		},
+	})
+	for _, fp := range probes {
+		l.Observe(fp)
+	}
+	l.Wait()
+	l.Close()
+
+	st2, rec := openStore(t, dir)
+	defer st2.Close()
+	if n := journaledPromotions(rec); n != 0 {
+		t.Fatalf("%d type_promoted records survived the crash, want 0", n)
+	}
+	bank, _, err := st2.Models().Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := iotssp.New(bank, vulndb.NewDefault())
+	trained := 0
+	l2, err := New(Config{K: 4, Store: st2, Known: svc2.HasType,
+		Promote: func(t core.TypeID, fps []fingerprint.Fingerprint) (*core.Identifier, error) {
+			trained++
+			return svc2.PromoteType(t, fps)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if _, err := l2.Recover(rec); err != nil {
+		t.Fatal(err)
 	}
 	l2.Wait()
 	cs := l2.Clusters()
-	if len(cs) != 1 || !cs[0].Promoted {
-		t.Fatalf("clusters = %+v, want the re-driven cluster promoted", cs)
+	if len(cs) != 1 || !cs[0].Promoted || !svc2.HasType(cs[0].Type) || trained != 0 {
+		t.Fatalf("clusters = %+v after %d trainings, want the stored type adopted untrained", cs, trained)
 	}
-	if !svc2.HasType(cs[0].Type) {
-		t.Fatalf("re-driven type %q not serving", cs[0].Type)
+	l2.Close()
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st3, rec3 := openStore(t, dir)
+	defer st3.Close()
+	if n := journaledPromotions(rec3); n != 1 {
+		t.Fatalf("%d type_promoted records after the adoption, want 1", n)
 	}
 }
 
@@ -466,8 +550,8 @@ func TestRecoverOnNonEmptyLearner(t *testing.T) {
 }
 
 func TestRecoverStatsString(t *testing.T) {
-	s := RecoverStats{Clusters: 2, Members: 7, Replayed: 3, Redriven: 1, Pending: 1}
-	want := "2 clusters (7 members), 3 events replayed, 1 promotions re-driven, 1 pending"
+	s := RecoverStats{Clusters: 2, Members: 7, Replayed: 3, Pending: 1}
+	want := "2 clusters (7 members), 3 events replayed, 1 pending"
 	if got := fmt.Sprint(s); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}

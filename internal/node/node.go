@@ -167,25 +167,38 @@ func (st *State) Models() *store.ModelStore {
 }
 
 // NewLearner starts the online learner over svc: cfg carries what
-// differs per node (K, Metrics, OnPromoted) and NewLearner wires the
-// rest — progress and errors go to log, every fingerprint svc finds
-// unknown is observed (svc's unknown sink, whoever asked: the gateway's
-// assess queues, HTTP, the fleet link), promotions grow the next bank
-// from the serving one and swap it in through the service, and with a
-// state directory (st may be nil) cluster growth is journaled, each
-// promoted bank is stored as the serving bank so the next boot serves
-// the learned types warm, and the clusters the last run left are
-// recovered.
-func NewLearner(svc *iotssp.Service, st *State, cfg learn.Config, log *log.Logger) (*learn.Learner, error) {
+// differs per node (K, Metrics) and NewLearner wires the rest —
+// progress and errors go to log, every fingerprint svc finds unknown is
+// observed (svc's unknown sink, whoever asked: the gateway's assess
+// queues, HTTP, the fleet link), promotions grow the next bank from the
+// serving one and swap it in through the service, and with a state
+// directory (st may be nil) cluster growth is journaled, the clusters
+// the last run left are recovered, and each promoted bank is stored as
+// the serving bank before its promotion is journaled, so the next boot
+// serves the learned types warm. promoted, if set, receives each
+// promoted bank's bytes after they are stored — the one encoding both
+// the store and, on iotsspd, the rollout controller take.
+func NewLearner(svc *iotssp.Service, st *State, cfg learn.Config, promoted func(core.TypeID, []byte), log *log.Logger) (*learn.Learner, error) {
 	cfg.Logf = log.Printf
 	cfg.Promote = svc.PromoteType
 	cfg.Known = svc.HasType
-	if st != nil {
-		cfg.Store = st.Store
-		cfg.Persist = func(id *core.Identifier) error {
-			_, err := st.Store.Models().Save(id)
+	cfg.OnPromoted = func(t core.TypeID, bank *core.Identifier) error {
+		var buf bytes.Buffer
+		if err := bank.Save(&buf); err != nil {
 			return err
 		}
+		if st != nil {
+			if _, err := st.Models().SaveServing(buf.Bytes()); err != nil {
+				return err
+			}
+		}
+		if promoted != nil {
+			promoted(t, buf.Bytes())
+		}
+		return nil
+	}
+	if st != nil {
+		cfg.Store = st.Store
 	}
 	l, err := learn.New(cfg)
 	if err != nil {

@@ -89,7 +89,7 @@ func TestTrainBankLearnerAndInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = st.Store.Close() }()
-	l, err := NewLearner(svc, st, learn.Config{K: 3}, log)
+	l, err := NewLearner(svc, st, learn.Config{K: 3}, nil, log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,13 @@ const (
 	// proposed a new device-type (Type is the proposed name, Members the
 	// cluster size at proposal).
 	EvTypeProposed EventKind = "type_proposed"
-	// EvTypePromoted: the proposed type trained, validated and
-	// hot-swapped into the serving bank.
+	// EvTypePromoted: the proposed type trained, validated,
+	// hot-swapped into the serving bank, and that bank was stored as
+	// the model store's serving bank — appended only after the store,
+	// so a replayed promotion whose type the stored bank lacks was
+	// removed since (a fleet rollback or push) and is not retrained.
+	// Routine: a record lost to a crash is recovered by the learner
+	// finding the type already in the bank it boots.
 	EvTypePromoted EventKind = "type_promoted"
 
 	// Fleet-rollout kinds: the canary state machine of internal/fleet
