@@ -38,6 +38,8 @@
 # SOAK_DURATION: a pass/fail gate on p99 latency, RSS, goroutine growth
 # and state-dir fd leaks that leaves no file behind when it passes.
 # Throughput is bench/'s to measure (BENCHMARK.json), not the soak's.
+# `make footprint` runs the tests that bound the per-structure heap
+# figures ROADMAP.md quotes, verbosely, so each logs its figure.
 
 GO ?= go
 BENCH_PKGS ?= ./internal/...
@@ -61,7 +63,7 @@ SOAK_DEVICES ?= 10000
 # re-running with the seed it logged.
 CHAOS_SEED ?= $(shell date +%Y%m%d)
 
-.PHONY: all build vet fmt-check vulncheck verify test test-race fuzz crash chaos soak bench bench-parallel bench-json bench-check bench-pair bench-smoke e2e-pair size clean
+.PHONY: all build vet fmt-check vulncheck verify test test-race fuzz crash chaos soak bench bench-parallel bench-json bench-check bench-pair bench-smoke e2e-pair size footprint clean
 
 all: verify
 
@@ -232,6 +234,13 @@ soak:
 # The size figure ROADMAP.md quotes: non-test Go lines outside bench/.
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
+# The per-structure heap figures ROADMAP.md quotes, from the tests that
+# bound them: a resident device's switch state (4 and 6 flows), the
+# 27-type bank retained, a parked quarantine entry, a fresh learner.
+FOOTPRINT_TESTS = TestResidentDeviceFootprint|TestBankFootprint|TestParkedEntryFootprint|TestNewLearnerFootprint
+footprint:
+	$(GO) test -count=1 -v -run '^($(FOOTPRINT_TESTS))$$' ./internal/sdn/ ./internal/core/ ./internal/gateway/ ./internal/learn/
 
 clean:
 	$(GO) clean ./...

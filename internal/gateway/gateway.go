@@ -64,7 +64,9 @@ type DeviceInfo struct {
 	SetupPackets int
 	// PermittedIPs are the remote endpoints a Restricted device may
 	// reach (mirrors its enforcement rule, so the rule table can be
-	// reconstructed from device state after a restart).
+	// reconstructed from device state after a restart). It and
+	// Vulnerabilities are the assessment's slices, shared with every
+	// device of the type and read-only (iotssp.Assessment).
 	PermittedIPs    []netip.Addr
 	Vulnerabilities []vulndb.Record
 	// QuarantinedAt is set while the device awaits a successful
@@ -400,6 +402,12 @@ func (g *Gateway) setParked(rec *device, q *quarantined) bool {
 	if rec.parked != nil {
 		d--
 	}
+	if d == 0 {
+		// No change in the count: every shard writes that word, so
+		// an unparked verdict or removal leaves it alone.
+		rec.parked = q
+		return true
+	}
 	if g.parked.Add(d) > maxQuarantined {
 		g.parked.Add(-d)
 		return false
@@ -552,7 +560,7 @@ func (g *Gateway) apply(owner *device, parked *quarantined, a iotssp.Assessment,
 	info.Level = a.Level
 	info.AssessedAt = now
 	info.Vulnerabilities = a.Vulnerabilities
-	info.PermittedIPs = append([]netip.Addr(nil), a.PermittedIPs...)
+	info.PermittedIPs = a.PermittedIPs
 	info.QuarantinedAt = time.Time{}
 	info.AssessAttempts = 0
 	g.record(store.Event{

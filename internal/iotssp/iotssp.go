@@ -21,7 +21,10 @@ import (
 	"iotsentinel/internal/vulndb"
 )
 
-// Assessment is the service's answer for one fingerprint.
+// Assessment is the service's answer for one fingerprint. Its slices are
+// shared — the in-process service hands every device of a type the
+// type's registered endpoints and the database's records — and
+// read-only: a holder that needs to change one copies it first.
 type Assessment struct {
 	// Type is the identified device-type (core.Unknown if none).
 	Type core.TypeID
@@ -73,7 +76,9 @@ func New(id *core.Identifier, db *vulndb.DB) *Service {
 }
 
 // SetEndpoints registers the permitted cloud endpoints for a
-// device-type, returned (sorted) with Restricted assessments.
+// device-type, returned (sorted) with Restricted assessments. It keeps a
+// sorted copy of ips, which Restricted assessments share and a later
+// SetEndpoints replaces, never changes.
 func (s *Service) SetEndpoints(t core.TypeID, ips []netip.Addr) {
 	sorted := append([]netip.Addr(nil), ips...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
@@ -253,7 +258,7 @@ func (s *Service) assessmentLocked(t core.TypeID) Assessment {
 	a.Vulnerabilities = s.db.Query(string(t))
 	if len(a.Vulnerabilities) > 0 {
 		a.Level = sdn.Restricted
-		a.PermittedIPs = append([]netip.Addr(nil), s.endpoints[t]...)
+		a.PermittedIPs = s.endpoints[t]
 	} else {
 		a.Level = sdn.Trusted
 	}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -363,30 +364,38 @@ func TestHeadMemoPurgedOnBankChange(t *testing.T) {
 	})
 }
 
-// TestPermittedIPsSortedAndIndependent: endpoints are sorted once, when
-// they are set, and every assessment gets its own copy.
-func TestPermittedIPsSortedAndIndependent(t *testing.T) {
+// TestPermittedIPsSortedOnceAndShared: endpoints are sorted once, when
+// they are set, into the service's own copy, which every assessment of
+// the type shares; a later SetEndpoints replaces it without touching
+// what earlier assessments hold.
+func TestPermittedIPsSortedOnceAndShared(t *testing.T) {
 	svc, _ := testService(t)
 	ips := []netip.Addr{netip.MustParseAddr("52.20.9.9"), netip.MustParseAddr("10.0.0.7"), netip.MustParseAddr("52.20.9.1")}
 	svc.SetEndpoints("EdnetCam", ips)
 	probe := probeFor(t, "EdnetCam", 104)
 	want := []netip.Addr{ips[1], ips[2], ips[0]}
+	var held []netip.Addr
 	for pass := 0; pass < 2; pass++ {
 		a, err := svc.Assess(probe)
 		if err != nil || a.Type != "EdnetCam" {
 			t.Fatalf("assessment = %+v, %v", a, err)
 		}
-		if len(a.PermittedIPs) != len(want) {
+		if !slices.Equal(a.PermittedIPs, want) {
 			t.Fatalf("PermittedIPs = %v, want %v", a.PermittedIPs, want)
 		}
-		for i := range want {
-			if a.PermittedIPs[i] != want[i] {
-				t.Fatalf("PermittedIPs = %v, want %v", a.PermittedIPs, want)
-			}
+		if held != nil && &held[0] != &a.PermittedIPs[0] {
+			t.Error("two assessments of one type hold two copies of its endpoints")
 		}
-		a.PermittedIPs[0] = netip.MustParseAddr("6.6.6.6") // must not reach the service
+		held = a.PermittedIPs
 	}
 	if ips[0] != netip.MustParseAddr("52.20.9.9") {
 		t.Error("SetEndpoints sorted its caller's slice")
+	}
+	svc.SetEndpoints("EdnetCam", ips[:1])
+	if !slices.Equal(held, want) {
+		t.Errorf("SetEndpoints changed an earlier assessment's endpoints to %v", held)
+	}
+	if a, _ := svc.Assess(probe); !slices.Equal(a.PermittedIPs, ips[:1]) {
+		t.Errorf("PermittedIPs after SetEndpoints = %v, want %v", a.PermittedIPs, ips[:1])
 	}
 }

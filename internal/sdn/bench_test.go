@@ -76,33 +76,39 @@ func BenchmarkSwitchProcess10k(b *testing.B) {
 	}
 }
 
-// BenchmarkSwitchProcess10kParallel is SwitchProcess10k/internet from
-// every reader at once. Each RunParallel goroutine forwards, round-robin,
-// the devices one capture ring of a GOMAXPROCS-reader fanout would get
-// (the source MAC's partition, as capture.Fanout splits them): no device
-// is sent from two goroutines, and since a ring's devices fill port
-// stripes no other ring's take, no stripe either.
+// BenchmarkSwitchProcess10kParallel is SwitchProcess10k from every
+// reader at once, /internet and /peer. Each RunParallel goroutine
+// forwards, round-robin, the devices one capture ring of a
+// GOMAXPROCS-reader fanout would get (the source MAC's partition, as
+// capture.Fanout splits them): no device is sent from two goroutines,
+// and since a ring's devices fill port stripes no other ring's take, no
+// stripe either. A peer frame also read-locks the rule cache, which every
+// goroutine shares, to check its destination's rule.
 func BenchmarkSwitchProcess10kParallel(b *testing.B) {
-	sw, pkts := switch10k(b, "internet")
-	rings, shift := packet.Parts(runtime.GOMAXPROCS(0))
-	owned := make([][]*packet.Packet, rings)
-	for _, pk := range pkts {
-		r := pk.SrcMAC.Word().Part(shift)
-		owned[r] = append(owned[r], pk)
-	}
-	var next atomic.Int32
-	now := time.Unix(0, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		mine := owned[int(next.Add(1)-1)%rings]
-		for i := 0; pb.Next(); i++ {
-			if sw.Process(mine[i%len(mine)], now) != ActionForward {
-				b.Error("dropped")
-				return
+	for _, mode := range []string{"internet", "peer"} {
+		b.Run(mode, func(b *testing.B) {
+			sw, pkts := switch10k(b, mode)
+			rings, shift := packet.Parts(runtime.GOMAXPROCS(0))
+			owned := make([][]*packet.Packet, rings)
+			for _, pk := range pkts {
+				r := pk.SrcMAC.Word().Part(shift)
+				owned[r] = append(owned[r], pk)
 			}
-		}
-	})
+			var next atomic.Int32
+			now := time.Unix(0, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				mine := owned[int(next.Add(1)-1)%rings]
+				for i := 0; pb.Next(); i++ {
+					if sw.Process(mine[i%len(mine)], now) != ActionForward {
+						b.Error("dropped")
+						return
+					}
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkSwitchPortScan is one device cycling 65 536 distinct

@@ -1,6 +1,7 @@
 package sdn
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"slices"
 	"sync"
@@ -36,38 +37,94 @@ type FlowEntry struct {
 	LastUsed time.Time
 }
 
-// entry is a FlowEntry as a port holds it, in 80 bytes: the key without
-// its source MAC (the port's), the transport in a byte, the last use as
+// addr is a netip.Addr as the switch's state holds it: its 128 bits in
+// two words, as netip.Addr keeps them, an IPv4 address in its
+// IPv4-mapped form. The family that tells the two forms apart is kept
+// beside it, and the zone not at all: netip.Addr's zone is a handle, a
+// pointer the collector scans, and a decoded frame never carries one. A
+// key with a zone is matched, and given back by Entry, without it.
+type addr struct{ hi, lo uint64 }
+
+// family is an addr's kind: no address, IPv4 or IPv6.
+type family uint8
+
+const (
+	noAddr family = iota
+	ipv4
+	ipv6
+)
+
+// split is a's bits and family. IPv4, nearly every frame's address, is
+// read through As4: copying As16's array after its two word stores
+// stalls the store forward, and that was a fifth of a hit.
+func split(a netip.Addr) (addr, family) {
+	switch {
+	case a.Is4():
+		b := a.As4()
+		return addr{lo: 0xffff<<32 | uint64(binary.BigEndian.Uint32(b[:]))}, ipv4
+	case a.IsValid():
+		b := a.As16()
+		return addr{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}, ipv6
+	}
+	return addr{}, noAddr
+}
+
+// ip is the netip.Addr split took apart, zone aside.
+func (a addr) ip(f family) netip.Addr {
+	if f == noAddr {
+		return netip.Addr{}
+	}
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], a.hi)
+	binary.BigEndian.PutUint64(b[8:], a.lo)
+	ip := netip.AddrFrom16(b)
+	if f == ipv4 {
+		return ip.Unmap()
+	}
+	return ip
+}
+
+// entry is a FlowEntry as a port holds it, in 64 bytes and no pointer, so
+// a port's flows are memory the collector never scans: the key without
+// its source MAC (the port's), its addresses as addrs with their two
+// families in one byte (fams), the transport in a byte, the last use as
 // Unix nanoseconds (the LRU scan compares 64 of them), the action in a
-// byte. find compares it field by field against the packet's FlowKey.
+// byte. find compares it field by field against the packet's FlowKey,
+// its addresses split once per lookup.
 type entry struct {
-	srcIP, dstIP netip.Addr
+	srcIP, dstIP addr
 	lastUsed     int64
-	// peer marks a decision that read the destination's rule, dstRule
-	// (nil: it had none): a hit only while the rule cache still holds
-	// exactly that pointer for the destination. Put stores a fresh copy
-	// per put, so the pointer is the rule's identity (DESIGN §10).
-	dstRule                     *EnforcementRule
+	// peer marks a decision that read the destination's rule, of version
+	// dstRule (0: it had none): a hit only while the rule cache still
+	// holds that version for the destination (DESIGN §10).
+	dstRule                     uint64
 	dstMAC                      packet.MAC
 	srcPort, dstPort, ethertype uint16
 	proto                       uint8
+	fams                        uint8 // srcIP's family | dstIP's << 4
 	peer                        bool
 	action                      uint8
 }
 
+// fams is the families byte of an entry for source and destination
+// families src and dst.
+func fams(src, dst family) uint8 { return uint8(src) | uint8(dst)<<4 }
+
 func entryFor(k *packet.FlowKey, act Action, on basis, now int64) entry {
+	src, sf := split(k.SrcIP)
+	dst, df := split(k.DstIP)
 	return entry{
-		srcIP: k.SrcIP, dstIP: k.DstIP, lastUsed: now, dstRule: on.dst, dstMAC: k.DstMAC,
+		srcIP: src, dstIP: dst, lastUsed: now, dstRule: on.dst, dstMAC: k.DstMAC,
 		srcPort: k.SrcPort, dstPort: k.DstPort, ethertype: k.Ethertype,
-		proto: uint8(k.Proto), peer: on.peer, action: uint8(act),
+		proto: uint8(k.Proto), fams: fams(sf, df), peer: on.peer, action: uint8(act),
 	}
 }
 
 // key is the entry's FlowKey, src being its port's MAC.
 func (f *entry) key(src packet.MAC) packet.FlowKey {
 	return packet.FlowKey{
-		SrcMAC: src, DstMAC: f.dstMAC, SrcIP: f.srcIP, DstIP: f.dstIP, Proto: packet.TransportProto(f.proto),
-		SrcPort: f.srcPort, DstPort: f.dstPort, Ethertype: f.ethertype,
+		SrcMAC: src, DstMAC: f.dstMAC, SrcIP: f.srcIP.ip(family(f.fams & 0xf)), DstIP: f.dstIP.ip(family(f.fams >> 4)),
+		Proto: packet.TransportProto(f.proto), SrcPort: f.srcPort, DstPort: f.dstPort, Ethertype: f.ethertype,
 	}
 }
 
@@ -96,32 +153,42 @@ type port struct {
 // until it has more, and one contacting thousands stays O(1) a miss.
 const dstInline = 4
 
-// dstSet is a set of destination addresses: the first dstInline in
-// inline, the rest in spill.
-type dstSet struct {
-	inline [dstInline]netip.Addr
-	spill  map[netip.Addr]struct{}
+// dstKey is a destination address as a port's spill map keys it.
+type dstKey struct {
+	a addr
+	f family
 }
 
-func (s *dstSet) add(a netip.Addr) {
+// dstSet is a set of destination addresses: the first dstInline in
+// inline, their families in fams (noAddr: the slot is empty), the rest
+// in spill.
+type dstSet struct {
+	inline [dstInline]addr
+	fams   [dstInline]family
+	spill  map[dstKey]struct{}
+}
+
+// add adds a, a valid address.
+func (s *dstSet) add(ip netip.Addr) {
+	a, f := split(ip)
 	for i := range s.inline {
-		switch s.inline[i] {
-		case a:
+		switch {
+		case s.fams[i] == noAddr:
+			s.inline[i], s.fams[i] = a, f
 			return
-		case netip.Addr{}:
-			s.inline[i] = a
+		case s.inline[i] == a && s.fams[i] == f:
 			return
 		}
 	}
 	if s.spill == nil {
-		s.spill = make(map[netip.Addr]struct{})
+		s.spill = make(map[dstKey]struct{})
 	}
-	s.spill[a] = struct{}{}
+	s.spill[dstKey{a, f}] = struct{}{}
 }
 
 func (s *dstSet) len() int {
-	for i, a := range s.inline {
-		if !a.IsValid() {
+	for i, f := range s.fams {
+		if f == noAddr {
 			return i
 		}
 	}
@@ -185,9 +252,13 @@ func (st *portStripe) port(mac packet.MAC, now int64) *port {
 // find scans for k's flow, discriminating fields first; the source MAC
 // is the port's. A transport past the stored byte matches nothing.
 func (p *port) find(k *packet.FlowKey) *entry {
+	src, sf := split(k.SrcIP)
+	dst, df := split(k.DstIP)
+	fs := fams(sf, df)
 	for i := range p.flows {
-		if f := &p.flows[i]; f.dstPort == k.DstPort && f.srcPort == k.SrcPort && f.dstIP == k.DstIP &&
-			f.dstMAC == k.DstMAC && packet.TransportProto(f.proto) == k.Proto && f.srcIP == k.SrcIP && f.ethertype == k.Ethertype {
+		if f := &p.flows[i]; f.dstPort == k.DstPort && f.srcPort == k.SrcPort && f.dstIP == dst &&
+			f.dstMAC == k.DstMAC && packet.TransportProto(f.proto) == k.Proto && f.srcIP == src &&
+			f.fams == fs && f.ethertype == k.Ethertype {
 			return f
 		}
 	}
@@ -327,7 +398,6 @@ func (t *FlowTable) drop(mac packet.MAC, forget bool) int {
 	n := 0
 	if p := st.ports[k]; p != nil {
 		n = len(p.flows)
-		clear(p.flows) // the rules they remember can go
 		p.flows = p.flows[:0]
 		st.flows -= n
 		if forget {

@@ -2,6 +2,7 @@ package sdn
 
 import (
 	"net/netip"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -41,24 +42,82 @@ func residentBytes(devices, flows, dsts int) float64 {
 }
 
 // TestResidentDeviceFootprint pins what a resident device costs the
-// switch, about 15 % above the layout's figure: 10 000 devices of 4
-// flows to 3 destinations (524 B on amd64: a 176-byte port, four 80-byte
-// entries, a share of the stripe maps; 1 004 B with 128-byte entries and
+// switch, a few percent above the layout's figure: 10 000 devices of 4
+// flows to 3 destinations (447 B on amd64: a 160-byte port, four 64-byte
+// entries, a share of the stripe maps; 524 B with 80-byte entries that
+// held netip.Addrs and a rule pointer, 1 004 B with 128-byte entries and
 // a map of destinations per port), and of 6 flows, which the flows'
-// growth by halves keeps at 684 B where doubling would hold 844.
+// growth by halves keeps at 575 B where doubling would hold 703.
 func TestResidentDeviceFootprint(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n > 80 {
-		t.Errorf("a flow entry is %d bytes, want at most 80", n)
+	if n := unsafe.Sizeof(entry{}); n != 64 {
+		t.Errorf("a flow entry is %d bytes, want 64", n)
 	}
 	if n := unsafe.Sizeof(portStripe{}); n != 64 {
 		t.Errorf("a port stripe is %d bytes, want one 64-byte cache line", n)
 	}
-	for _, c := range []struct{ flows, bound int }{{4, 600}, {6, 790}} {
+	for _, c := range []struct{ flows, bound int }{{4, 460}, {6, 610}} {
 		got := residentBytes(10000, c.flows, 3)
 		t.Logf("%d flows: %.0f B per resident device", c.flows, got)
 		if got < 0 || got > float64(c.bound) {
 			t.Errorf("%d flows: %.0f B per resident device, bound %d", c.flows, got, c.bound)
 		}
+	}
+}
+
+// pointerIn is the path to the first pointer a value of type t holds
+// ("" for none): a pointer, map, slice, string, interface, channel or
+// function anywhere in it, through arrays and struct fields.
+func pointerIn(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	case reflect.Array:
+		if p := pointerIn(t.Elem()); p != "" {
+			return "[]" + p
+		}
+		return ""
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if p := pointerIn(t.Field(i).Type); p != "" {
+				return "." + t.Field(i).Name + p
+			}
+		}
+		return ""
+	}
+	return " (" + t.String() + ")"
+}
+
+// TestSwitchStateHoldsNoPointer: a flow entry and a port's inline
+// destination slots hold no pointer — netip.Addr's zone handle is one —
+// so a port's flows are memory the collector never scans.
+func TestSwitchStateHoldsNoPointer(t *testing.T) {
+	var s dstSet
+	for _, v := range []any{entry{}, s.inline, s.fams} {
+		if p := pointerIn(reflect.TypeOf(v)); p != "" {
+			t.Errorf("%T holds a pointer at %s", v, p)
+		}
+	}
+}
+
+// TestAddrKeepsFamily: an address split into its bits and family comes
+// back the same netip.Addr, IPv4 and its IPv4-mapped IPv6 form
+// apart, and a zone is not kept.
+func TestAddrKeepsFamily(t *testing.T) {
+	for _, s := range []string{"", "0.0.0.0", "192.168.1.7", "::", "::ffff:192.168.1.7", "fe80::c", "2001:db8::1"} {
+		var a netip.Addr
+		if s != "" {
+			a = netip.MustParseAddr(s)
+		}
+		b, f := split(a)
+		if got := b.ip(f); got != a {
+			t.Errorf("%q: split and back gives %v", s, got)
+		}
+	}
+	zoned := netip.MustParseAddr("fe80::c%eth0")
+	if b, f := split(zoned); b.ip(f) != zoned.WithZone("") {
+		t.Errorf("fe80::c%%eth0: split and back gives %v", b.ip(f))
 	}
 }
 
@@ -135,8 +194,8 @@ func TestManyDestinationsStayConstantPerMiss(t *testing.T) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s := &st.ports[devC.Word()].dsts
-	for i, a := range s.inline {
-		if !a.IsValid() {
+	for i, f := range s.fams {
+		if f == noAddr {
 			t.Errorf("inline slot %d empty", i)
 		}
 	}

@@ -57,6 +57,17 @@ type EnforcementRule struct {
 	PermittedIPs []netip.Addr
 	// DeviceType records the identified type for operator display.
 	DeviceType string
+
+	// version is the put that stored this copy in a RuleCache (0: none).
+	version uint64
+}
+
+// versionOf is r's version, 0 for no rule.
+func versionOf(r *EnforcementRule) uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.version
 }
 
 // Permits reports whether the rule allows the device to reach the
@@ -88,6 +99,9 @@ type RuleCache struct {
 	mu    sync.RWMutex
 	rules map[packet.MACWord]*EnforcementRule
 	bytes int
+	// puts numbers the rules Put stores, from 1: a stored rule's version,
+	// by which the flow table tells whether a device's rule changed.
+	puts uint64
 	// hits/misses support cache instrumentation. They are atomic so
 	// that a lookup takes only the read lock.
 	hits   atomic.Uint64
@@ -99,7 +113,8 @@ func NewRuleCache() *RuleCache {
 	return &RuleCache{rules: make(map[packet.MACWord]*EnforcementRule)}
 }
 
-// Put inserts or replaces the rule for its device MAC.
+// Put inserts or replaces the rule for its device MAC. It stores a copy,
+// of a version no earlier put had.
 func (c *RuleCache) Put(r *EnforcementRule) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -109,6 +124,8 @@ func (c *RuleCache) Put(r *EnforcementRule) {
 	}
 	cp := *r
 	cp.PermittedIPs = append([]netip.Addr(nil), r.PermittedIPs...)
+	c.puts++
+	cp.version = c.puts
 	c.rules[key] = &cp
 	c.bytes += approxRuleBytes(&cp)
 }
@@ -126,14 +143,14 @@ func (c *RuleCache) Get(mac packet.MAC) (*EnforcementRule, bool) {
 	return r, ok
 }
 
-// peek is Get for the flow table, which compares the stored pointer: no
+// peek is the version of mac's rule (0: none), for the flow table: no
 // hit/miss accounting, so the read lock does. It is called holding a port
 // stripe; nothing takes a stripe while holding c.mu.
-func (c *RuleCache) peek(mac packet.MAC) *EnforcementRule {
+func (c *RuleCache) peek(mac packet.MAC) uint64 {
 	c.mu.RLock()
-	r := c.rules[mac.Word()]
+	v := versionOf(c.rules[mac.Word()])
 	c.mu.RUnlock()
-	return r
+	return v
 }
 
 // Remove deletes the rule for a device that left the network.

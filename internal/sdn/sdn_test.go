@@ -500,8 +500,8 @@ func TestRuleCacheKeysOnMAC(t *testing.T) {
 		if r, ok := c.Get(m); !ok || r.DeviceMAC != m {
 			t.Fatalf("Get(%v) = %v, %v", m, r, ok)
 		}
-		if r := c.peek(m); r == nil || r.DeviceMAC != m {
-			t.Fatalf("peek(%v) = %v", m, r)
+		if v := c.peek(m); v == 0 || v != c.rules[m.Word()].version {
+			t.Fatalf("peek(%v) = %d, its rule's version %d", m, v, c.rules[m.Word()].version)
 		}
 	}
 	for _, m := range macs[:n/2] {

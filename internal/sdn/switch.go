@@ -145,11 +145,12 @@ func levelOf(r *EnforcementRule) IsolationLevel {
 }
 
 // basis is what a decision read of the rule cache, by which the flow
-// table tells whether it still stands: the source's rule (nil: none) and,
-// with peer — a unicast, non-infrastructure, local destination — the
-// destination's. It rides beside the exported Decision, not in it.
+// table tells whether it still stands: the version of the source's rule
+// (0: none) and, with peer — a unicast, non-infrastructure, local
+// destination — of the destination's. It rides beside the exported
+// Decision, not in it.
 type basis struct {
-	src, dst *EnforcementRule
+	src, dst uint64
 	peer     bool
 }
 
@@ -193,16 +194,17 @@ func (c *Controller) decide(key *packet.FlowKey) (Decision, basis) {
 
 	src, _ := c.rules.Get(key.SrcMAC)
 	level := levelOf(src)
+	srcVer := versionOf(src)
 
 	// Internet-bound traffic is recognized by destination address, not
 	// MAC: the next-hop MAC of an outbound packet is the gateway's own
 	// interface, so the infrastructure check must not short-circuit it.
 	if !key.DstIP.IsValid() || c.isLocal(key.DstIP) {
 		if dstInfra {
-			return Decision{Action: ActionForward, Reason: "infrastructure destination"}, basis{src: src}
+			return Decision{Action: ActionForward, Reason: "infrastructure destination"}, basis{src: srcVer}
 		}
 		dst, _ := c.rules.Get(key.DstMAC)
-		on := basis{src: src, dst: dst, peer: true}
+		on := basis{src: srcVer, dst: versionOf(dst), peer: true}
 		if o := OverlayFor(level); o == OverlayFor(levelOf(dst)) {
 			return Decision{Action: ActionForward, Reason: "same overlay (" + o.String() + ")"}, on
 		}
@@ -210,7 +212,7 @@ func (c *Controller) decide(key *packet.FlowKey) (Decision, basis) {
 	}
 
 	// Internet-bound traffic.
-	on := basis{src: src}
+	on := basis{src: srcVer}
 	switch level {
 	case Trusted:
 		return Decision{Action: ActionForward, Reason: "trusted: full internet access"}, on

@@ -77,7 +77,8 @@ type Record struct {
 type DB struct {
 	mu sync.RWMutex
 	// records is keyed by lowercase device-type; each type's records are
-	// kept in Query's order (descending severity, then ID).
+	// kept in Query's order (descending severity, then ID). A stored
+	// slice is never written: Add replaces it, so Query hands it out.
 	records map[string][]Record
 }
 
@@ -99,7 +100,8 @@ func NewDefault() *DB {
 }
 
 // Add inserts a record at its place in its type's order, so queries —
-// one per assessment — never sort.
+// one per assessment — never sort. It copies the type's records into a
+// new slice, so a slice Query returned earlier keeps what it held.
 func (db *DB) Add(r Record) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -111,10 +113,9 @@ func (db *DB) Add(r Record) {
 		}
 		return recs[i].ID > r.ID
 	})
-	recs = append(recs, Record{})
-	copy(recs[at+1:], recs[at:])
-	recs[at] = r
-	db.records[key] = recs
+	next := make([]Record, 0, len(recs)+1)
+	next = append(append(append(next, recs[:at]...), r), recs[at:]...)
+	db.records[key] = next
 }
 
 // lookupLocked returns the stored records of a device-type
@@ -141,14 +142,13 @@ func (db *DB) lookupLocked(deviceType string) []Record {
 }
 
 // Query returns all records for a device-type (case-insensitive),
-// sorted by descending severity.
+// sorted by descending severity. The slice is the store's own, shared by
+// every caller and read-only: every device of a type holds the one
+// copy. A later Add leaves it as it is.
 func (db *DB) Query(deviceType string) []Record {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	recs := db.lookupLocked(deviceType)
-	out := make([]Record, len(recs))
-	copy(out, recs)
-	return out
+	return db.lookupLocked(deviceType)
 }
 
 // IsVulnerable reports whether any record exists for the device-type.

@@ -65,13 +65,24 @@ func TestIsVulnerableAndMaxSeverity(t *testing.T) {
 	}
 }
 
-func TestQueryReturnsCopy(t *testing.T) {
+// TestQueryUnchangedByLaterAdd: Query hands out the stored slice, and
+// Add copies on write, so records a caller holds stay what they were
+// when later records of the type land, before, between or after them.
+func TestQueryUnchangedByLaterAdd(t *testing.T) {
 	db := New()
-	db.Add(Record{ID: "C-1", DeviceType: "Cam", Severity: SeverityLow})
-	recs := db.Query("Cam")
-	recs[0].ID = "mutated"
-	if db.Query("Cam")[0].ID != "C-1" {
-		t.Error("Query exposed internal state")
+	db.Add(Record{ID: "C-2", DeviceType: "Cam", Severity: SeverityMedium})
+	held := db.Query("Cam")
+	db.Add(Record{ID: "C-1", DeviceType: "Cam", Severity: SeverityHigh})
+	db.Add(Record{ID: "C-3", DeviceType: "cam", Severity: SeverityLow})
+	if len(held) != 1 || held[0].ID != "C-2" || cap(held) != 1 {
+		t.Errorf("held records became %+v (cap %d)", held, cap(held))
+	}
+	got := db.Query("CAM")
+	if len(got) != 3 || got[0].ID != "C-1" || got[1].ID != "C-2" || got[2].ID != "C-3" {
+		t.Errorf("Query after the adds = %+v", got)
+	}
+	if again := db.Query("Cam"); &again[0] != &got[0] {
+		t.Error("two queries with no Add between them returned two copies")
 	}
 }
 
